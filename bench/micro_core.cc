@@ -127,20 +127,30 @@ const std::string& BankBinaryImageSingleton() {
 
 void BM_LoadTextBank(benchmark::State& state) {
   // The full text funnel: lex + parse + regularize + featurize every
-  // statement of the bank log. This is the cost the binary format
-  // removes from every bench and production run.
+  // statement of the bank log, batched onto a pool of Arg threads (1 is
+  // the serial path). This is the cost the binary format removes from
+  // every bench and production run.
   const std::vector<LogEntry>& entries = BankEntriesSingleton();
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  LogLoader::Options opts;
+  opts.pool = &pool;
   std::size_t distinct = 0;
   for (auto _ : state) {
-    LogLoader loader;
+    LogLoader loader(opts);
     for (const LogEntry& e : entries) loader.AddSql(e.sql, e.count);
     distinct = loader.log().NumDistinct();
     benchmark::DoNotOptimize(distinct);
   }
   state.counters["templates"] = static_cast<double>(distinct);
   state.counters["statements"] = static_cast<double>(entries.size());
+  state.counters["threads"] = static_cast<double>(pool.NumThreads());
 }
-BENCHMARK(BM_LoadTextBank)->Unit(benchmark::kMillisecond);
+// Pool workers do most of the work, so only real time sees the scaling.
+BENCHMARK(BM_LoadTextBank)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LoadBinaryBank(benchmark::State& state) {
   // Eager binary load of the same log: validate + checksum + materialize

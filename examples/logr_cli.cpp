@@ -147,11 +147,13 @@ bool ParseCount(const char* text, long long min_value, long long* out) {
 
 /// Feeds a text log (one statement per line, optional "COUNT<TAB>"
 /// prefix; an explicit count of 0 skips the line) through `loader`.
-/// Returns the number of non-empty lines read.
+/// CRLF line endings read the same as LF. Returns the number of
+/// non-empty lines read.
 std::uint64_t ReadTextLog(std::istream& in, LogLoader* loader) {
   std::string line;
   std::uint64_t lines = 0;
   while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     std::uint64_t count = 1;
     std::string sql_text = line;

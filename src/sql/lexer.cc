@@ -1,7 +1,8 @@
 #include "sql/lexer.h"
 
+#include <algorithm>
 #include <cctype>
-#include <unordered_set>
+#include <iterator>
 
 #include "util/string_util.h"
 
@@ -9,22 +10,33 @@ namespace logr::sql {
 
 namespace {
 
-const std::unordered_set<std::string>& KeywordSet() {
-  static const std::unordered_set<std::string>* kSet =
-      new std::unordered_set<std::string>{
-          "SELECT",   "FROM",     "WHERE",  "AND",      "OR",     "NOT",
-          "AS",       "JOIN",     "INNER",  "LEFT",     "RIGHT",  "FULL",
-          "OUTER",    "CROSS",    "ON",     "GROUP",    "BY",     "HAVING",
-          "ORDER",    "ASC",      "DESC",   "LIMIT",    "OFFSET", "UNION",
-          "ALL",      "DISTINCT", "IN",     "BETWEEN",  "LIKE",   "IS",
-          "NULL",     "EXISTS",   "CASE",   "WHEN",     "THEN",   "ELSE",
-          "END",      "INSERT",   "UPDATE", "DELETE",   "INTO",   "VALUES",
-          "SET",      "CREATE",   "TABLE",  "INDEX",    "VIEW",   "DROP",
-          "ALTER",    "EXEC",     "EXECUTE", "CALL",    "TRUE",   "FALSE",
-          "CAST",     "ESCAPE",   "USING",  "NATURAL",  "GLOB",   "REGEXP",
-      };
-  return *kSet;
+// Sorted: IsReservedKeyword binary-searches it.
+constexpr std::string_view kKeywords[] = {
+    "ALL",    "ALTER",  "AND",      "AS",     "ASC",    "BETWEEN",
+    "BY",     "CALL",   "CASE",     "CAST",   "CREATE", "CROSS",
+    "DELETE", "DESC",   "DISTINCT", "DROP",   "ELSE",   "END",
+    "ESCAPE", "EXEC",   "EXECUTE",  "EXISTS", "FALSE",  "FROM",
+    "FULL",   "GLOB",   "GROUP",    "HAVING", "IN",     "INDEX",
+    "INNER",  "INSERT", "INTO",     "IS",     "JOIN",   "LEFT",
+    "LIKE",   "LIMIT",  "NATURAL",  "NOT",    "NULL",   "OFFSET",
+    "ON",     "OR",     "ORDER",    "OUTER",  "REGEXP", "RIGHT",
+    "SELECT", "SET",    "TABLE",    "THEN",   "TRUE",   "UNION",
+    "UPDATE", "USING",  "VALUES",   "VIEW",   "WHEN",   "WHERE",
+};
+
+// Longer words cannot be keywords, so the lexer uppercases only words
+// up to this length, into a stack buffer.
+constexpr std::size_t kMaxKeywordLength = 8;
+
+constexpr bool KeywordTableIsValid() {
+  for (std::size_t i = 0; i < std::size(kKeywords); ++i) {
+    if (kKeywords[i].size() > kMaxKeywordLength) return false;
+    if (i > 0 && !(kKeywords[i - 1] < kKeywords[i])) return false;
+  }
+  return true;
 }
+static_assert(KeywordTableIsValid(),
+              "kKeywords must be sorted and at most kMaxKeywordLength long");
 
 bool IsIdentStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
@@ -37,7 +49,8 @@ bool IsIdentChar(char c) {
 }  // namespace
 
 bool IsReservedKeyword(std::string_view upper_word) {
-  return KeywordSet().count(std::string(upper_word)) > 0;
+  return std::binary_search(std::begin(kKeywords), std::end(kKeywords),
+                            upper_word);
 }
 
 std::vector<Token> Lex(std::string_view in) {
@@ -167,13 +180,20 @@ std::vector<Token> Lex(std::string_view in) {
     if (IsIdentStart(c)) {
       std::size_t start = i;
       while (i < n && IsIdentChar(in[i])) ++i;
-      std::string word(in.substr(start, i - start));
-      std::string upper = ToUpper(word);
-      if (IsReservedKeyword(upper)) {
-        out.push_back({TokenType::kKeyword, std::move(upper), start});
-      } else {
-        out.push_back({TokenType::kIdentifier, std::move(word), start});
+      const std::string_view word = in.substr(start, i - start);
+      if (word.size() <= kMaxKeywordLength) {
+        char upper[kMaxKeywordLength];
+        for (std::size_t k = 0; k < word.size(); ++k) {
+          upper[k] = static_cast<char>(
+              std::toupper(static_cast<unsigned char>(word[k])));
+        }
+        const std::string_view upper_word(upper, word.size());
+        if (IsReservedKeyword(upper_word)) {
+          out.push_back({TokenType::kKeyword, std::string(upper_word), start});
+          continue;
+        }
       }
+      out.push_back({TokenType::kIdentifier, std::string(word), start});
       continue;
     }
     // Multi-char operators.

@@ -370,13 +370,14 @@ StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
         ExprPtr where = BuildConjunction(dnf[0]);
         select->where = std::move(where);
       }
-      out->selects.push_back(select->Clone());
+      // `work` is a private clone, so its finished selects move out.
+      out->selects.push_back(std::move(select));
       continue;
     }
     std::vector<std::vector<const Expr*>> dnf;
     if (!ToDnf(*select->where, opts.max_dnf_disjuncts, &dnf)) {
       all_rewritable = false;
-      out->selects.push_back(select->Clone());
+      out->selects.push_back(std::move(select));
       continue;
     }
     // One UNION branch per disjunct; dedupe identical branches.

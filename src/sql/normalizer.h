@@ -64,7 +64,8 @@ ExprPtr NormalizeBooleanExpr(ExprPtr e);
 
 /// Full regularization pipeline. Never fails: if DNF expansion blows the
 /// cap, the original (normalized) statement is returned with
-/// `info->rewritable == false`.
+/// `info->rewritable == false`. `info` may be null, which also skips the
+/// IsConjunctive walk.
 StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
                         RegularizeInfo* info);
 

@@ -7,6 +7,44 @@
 
 namespace logr {
 
+namespace {
+
+/// Everything the fold needs from one queued SELECT, computed on the pool.
+struct PreparedSelect {
+  sql::RegularizeInfo info;
+  std::string canonical;  // constant-free printed form
+  std::vector<Feature> features;
+  std::string with_const;  // printed with constants
+  std::vector<Feature> with_const_features;
+};
+
+PreparedSelect Prepare(std::string_view raw_sql,
+                       const LogLoader::Options& opts) {
+  sql::ParseResult parsed = sql::Parse(raw_sql);
+  LOGR_CHECK(parsed.ok());  // AddSql queued it as a valid SELECT
+  PreparedSelect p;
+
+  // Primary pass: constant-free regularization feeding the QueryLog.
+  sql::StatementPtr regular =
+      sql::Regularize(*parsed.statement, opts.regularize, &p.info);
+  p.canonical = sql::PrintStatement(*regular);
+  p.features = ListFeatures(*regular, opts.extract);
+
+  // Secondary pass: with-constants statistics (Table 1 columns
+  // "# Distinct queries" and "# Distinct features").
+  if (opts.track_with_constant_stats) {
+    sql::RegularizeOptions keep_consts = opts.regularize;
+    keep_consts.anonymize_constants = false;
+    sql::StatementPtr with_const =
+        sql::Regularize(*parsed.statement, keep_consts, nullptr);
+    p.with_const = sql::PrintStatement(*with_const);
+    p.with_const_features = ListFeatures(*with_const, opts.extract);
+  }
+  return p;
+}
+
+}  // namespace
+
 LogLoader::LogLoader(Options opts) : opts_(std::move(opts)) {}
 
 bool LogLoader::AddSql(std::string_view raw_sql, std::uint64_t count) {
@@ -21,43 +59,55 @@ bool LogLoader::AddSql(std::string_view raw_sql, std::uint64_t count) {
     return false;
   }
   num_queries_ += count;
+  pending_.push_back({std::string(raw_sql), count});
+  if (pending_.size() >= kBatchLines) Flush();
+  return true;
+}
 
-  // Primary pass: constant-free regularization feeding the QueryLog.
-  sql::RegularizeInfo info;
-  sql::StatementPtr regular =
-      sql::Regularize(*parsed.statement, opts_.regularize, &info);
-  std::string canonical = sql::PrintStatement(*regular);
-  distinct_no_const_.insert(canonical);
-  if (info.conjunctive) distinct_conjunctive_.insert(canonical);
-  if (info.rewritable) distinct_rewritable_.insert(canonical);
+void LogLoader::Flush() const {
+  if (pending_.empty()) return;
+  std::vector<PreparedSelect> prepared(pending_.size());
+  ThreadPool* pool = opts_.pool ? opts_.pool : ThreadPool::Shared();
+  pool->ParallelFor(0, pending_.size(), [&](std::size_t i) {
+    prepared[i] = Prepare(pending_[i].sql, opts_);
+  });
 
-  FeatureVec vec =
-      ExtractFeatures(*regular, opts_.extract, log_.mutable_vocabulary());
-  log_.Add(vec, count, std::string(raw_sql));
+  // Serial fold in input order: interning order fixes the feature ids and
+  // Add order fixes the distinct-vector order and sample SQL.
+  // Long-lived strings are copied, not moved, out of `prepared`: a copy is
+  // made only for a new distinct entry, and it keeps the workers' malloc
+  // arenas holding nothing but this batch's scratch.
+  Vocabulary* vocab = log_.mutable_vocabulary();
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    const PreparedSelect& p = prepared[i];
+    distinct_no_const_.insert(p.canonical);
+    if (p.info.conjunctive) distinct_conjunctive_.insert(p.canonical);
+    if (p.info.rewritable) distinct_rewritable_.insert(p.canonical);
 
-  // Secondary pass: with-constants statistics (Table 1 columns
-  // "# Distinct queries" and "# Distinct features").
-  if (opts_.track_with_constant_stats) {
-    sql::RegularizeOptions keep_consts = opts_.regularize;
-    keep_consts.anonymize_constants = false;
-    sql::RegularizeInfo unused;
-    sql::StatementPtr with_const =
-        sql::Regularize(*parsed.statement, keep_consts, &unused);
-    distinct_with_const_.insert(sql::PrintStatement(*with_const));
-    for (const Feature& f : ListFeatures(*with_const, opts_.extract)) {
-      with_const_vocab_.Intern(f);
+    std::vector<FeatureId> ids;
+    ids.reserve(p.features.size());
+    for (const Feature& f : p.features) ids.push_back(vocab->Intern(f));
+    log_.Add(FeatureVec(std::move(ids)), pending_[i].count,
+             std::move(pending_[i].sql));
+
+    if (opts_.track_with_constant_stats) {
+      distinct_with_const_.insert(p.with_const);
+      for (const Feature& f : p.with_const_features) {
+        with_const_vocab_.Intern(f);
+      }
     }
   }
-  return true;
+  pending_.clear();
 }
 
 bool LogLoader::WriteBinary(const std::string& path,
                             const std::string& dataset_name,
                             std::string* error) const {
-  return BinaryLogWriter::WriteFile(path, log_, Summary(dataset_name), error);
+  return BinaryLogWriter::WriteFile(path, log(), Summary(dataset_name), error);
 }
 
 DatasetSummary LogLoader::Summary(std::string name) const {
+  Flush();
   DatasetSummary s;
   s.name = std::move(name);
   s.num_queries = num_queries_;

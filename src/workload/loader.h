@@ -13,8 +13,10 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "sql/normalizer.h"
+#include "util/thread_pool.h"
 #include "workload/extractor.h"
 #include "workload/query_log.h"
 
@@ -37,6 +39,18 @@ struct DatasetSummary {
 };
 
 /// Streaming loader: feed SQL strings, then take the QueryLog + summary.
+///
+/// AddSql only classifies a statement (one parse) and queues each valid
+/// SELECT's raw text. Every kBatchLines queued SELECTs, and before any
+/// reader returns, the batch is re-parsed, regularized and featurized on
+/// a ThreadPool, then folded into the log serially in input order. Feature
+/// ids, vector order, sample SQL and every output byte are therefore the
+/// same for any pool size. A pass's last partial batch is folded by the
+/// first reader, usually Summary().
+///
+/// ThreadPool::ParallelFor is not reentrant, so a LogLoader must not be
+/// driven from inside a pool task. Not thread-safe: the const readers
+/// fold the pending batch too.
 class LogLoader {
  public:
   struct Options {
@@ -47,7 +61,14 @@ class LogLoader {
     /// features including literal values). Costs a second regularization
     /// pass per query; disable for pure compression workloads.
     bool track_with_constant_stats = true;
+    /// Pool the batched statement work runs on; nullptr selects
+    /// ThreadPool::Shared(). Never changes results, only wall-clock.
+    ThreadPool* pool = nullptr;
   };
+
+  /// SELECTs queued per batch: enough to amortize a pool dispatch, few
+  /// enough that the queued raw text stays small.
+  static constexpr std::size_t kBatchLines = 1024;
 
   LogLoader() : LogLoader(Options()) {}
   explicit LogLoader(Options opts);
@@ -68,20 +89,38 @@ class LogLoader {
 
   /// The accumulated constant-free log (the object all compression
   /// experiments run on).
-  const QueryLog& log() const { return log_; }
-  QueryLog TakeLog() { return std::move(log_); }
+  const QueryLog& log() const {
+    Flush();
+    return log_;
+  }
+  QueryLog TakeLog() {
+    Flush();
+    return std::move(log_);
+  }
 
   /// Table-1 statistics for everything added so far.
   DatasetSummary Summary(std::string name) const;
 
  private:
+  struct PendingSelect {
+    std::string sql;
+    std::uint64_t count = 0;
+  };
+
+  /// Processes the queued SELECTs on the pool and folds them in order.
+  void Flush() const;
+
   Options opts_;
-  QueryLog log_;
-  Vocabulary with_const_vocab_;
-  std::set<std::string> distinct_with_const_;
-  std::set<std::string> distinct_no_const_;
-  std::set<std::string> distinct_conjunctive_;
-  std::set<std::string> distinct_rewritable_;
+  // Folded state: the const readers fold the pending batch, so all of it
+  // is mutable.
+  mutable std::vector<PendingSelect> pending_;
+  mutable QueryLog log_;
+  mutable Vocabulary with_const_vocab_;
+  mutable std::set<std::string> distinct_with_const_;
+  mutable std::set<std::string> distinct_no_const_;
+  mutable std::set<std::string> distinct_conjunctive_;
+  mutable std::set<std::string> distinct_rewritable_;
+  // Funnel counters, updated synchronously by AddSql.
   std::uint64_t num_queries_ = 0;
   std::uint64_t num_non_select_ = 0;
   std::uint64_t num_parse_errors_ = 0;

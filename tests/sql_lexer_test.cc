@@ -1,5 +1,10 @@
+#include <cctype>
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "sql/lexer.h"
+#include "util/string_util.h"
 
 namespace logr::sql {
 namespace {
@@ -17,6 +22,51 @@ TEST(LexerTest, KeywordsUppercasedAndRecognized) {
   EXPECT_TRUE(t[0].IsKeyword("SELECT"));
   EXPECT_TRUE(t[1].IsKeyword("FROM"));
   EXPECT_TRUE(t[2].IsKeyword("WHERE"));
+}
+
+TEST(LexerTest, EveryKeywordInMixedCase) {
+  const std::vector<std::string> keywords = {
+      "ALL",    "ALTER",  "AND",      "AS",     "ASC",    "BETWEEN",
+      "BY",     "CALL",   "CASE",     "CAST",   "CREATE", "CROSS",
+      "DELETE", "DESC",   "DISTINCT", "DROP",   "ELSE",   "END",
+      "ESCAPE", "EXEC",   "EXECUTE",  "EXISTS", "FALSE",  "FROM",
+      "FULL",   "GLOB",   "GROUP",    "HAVING", "IN",     "INDEX",
+      "INNER",  "INSERT", "INTO",     "IS",     "JOIN",   "LEFT",
+      "LIKE",   "LIMIT",  "NATURAL",  "NOT",    "NULL",   "OFFSET",
+      "ON",     "OR",     "ORDER",    "OUTER",  "REGEXP", "RIGHT",
+      "SELECT", "SET",    "TABLE",    "THEN",   "TRUE",   "UNION",
+      "UPDATE", "USING",  "VALUES",   "VIEW",   "WHEN",   "WHERE",
+  };
+  ASSERT_EQ(keywords.size(), 60u);
+  for (const std::string& kw : keywords) {
+    std::string mixed = kw;  // "sElEcT": every other letter lowered
+    for (std::size_t i = 0; i < mixed.size(); i += 2) {
+      mixed[i] = static_cast<char>(
+          std::tolower(static_cast<unsigned char>(mixed[i])));
+    }
+    for (const std::string& spelling : {kw, mixed, ToLower(kw)}) {
+      auto t = LexOk(spelling);
+      ASSERT_EQ(t.size(), 2u) << spelling;
+      EXPECT_EQ(t[0].type, TokenType::kKeyword) << spelling;
+      EXPECT_EQ(t[0].text, kw) << spelling;
+    }
+    EXPECT_TRUE(IsReservedKeyword(kw));
+  }
+}
+
+TEST(LexerTest, KeywordNearMissesStayIdentifiers) {
+  // Keyword prefixes and extensions, and words past the longest keyword
+  // (8 characters), keep their original spelling.
+  for (std::string_view word :
+       {"selected", "from_id", "Wheres", "ORDERS", "Distinct1", "distincts",
+        "ExecuteNow", "_select", "SEL", "BETWEENX", "NaturalLy"}) {
+    auto t = LexOk(word);
+    ASSERT_EQ(t.size(), 2u) << word;
+    EXPECT_EQ(t[0].type, TokenType::kIdentifier) << word;
+    EXPECT_EQ(t[0].text, word);
+  }
+  EXPECT_FALSE(IsReservedKeyword("select"));  // the table is uppercase
+  EXPECT_FALSE(IsReservedKeyword(""));
 }
 
 TEST(LexerTest, IdentifiersKeepCase) {
