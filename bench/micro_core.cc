@@ -334,17 +334,67 @@ const Matrix& BankDistanceMatrixSingleton() {
 }
 
 void BM_Agglomerate(benchmark::State& state) {
-  // Cached-nearest NN-chain agglomeration over the bank distance matrix
-  // (the hierarchical backend's fit stage minus the matrix build).
-  const Matrix& d = BankDistanceMatrixSingleton();
+  // Cached-nearest NN-chain agglomeration over the bank distances (the
+  // hierarchical backend's fit stage minus the distance fill). Each
+  // iteration consumes a fresh condensed store, built untimed.
+  const Matrix& full = BankDistanceMatrixSingleton();
   ThreadPool* pool = ThreadPool::Shared();
   for (auto _ : state) {
-    Dendrogram dg = AgglomerativeAverageLinkage(d, {}, pool);
+    state.PauseTiming();
+    CondensedDistances d(full);
+    state.ResumeTiming();
+    Dendrogram dg = AgglomerativeAverageLinkage(std::move(d), {}, pool);
     benchmark::DoNotOptimize(dg.merge_a.data());
   }
-  state.counters["leaves"] = static_cast<double>(d.rows());
+  state.counters["leaves"] = static_cast<double>(full.rows());
 }
 BENCHMARK(BM_Agglomerate)->Unit(benchmark::kMillisecond);
+
+struct HierarchicalFitInput {
+  PackedVecPool packed;
+  std::vector<double> weights;
+};
+
+const HierarchicalFitInput& BankHierarchicalFitSingleton() {
+  // The bank log at twice the templates (3,424 by default), packed
+  // once as the pipeline would: the recompress workload's fit input.
+  static const HierarchicalFitInput* kInput = [] {
+    BankLogOptions opts = BankOptions();
+    opts.num_templates *= 2;
+    const QueryLog log = LoadEntries(GenerateBankLog(opts)).TakeLog();
+    std::vector<FeatureVec> vecs;
+    auto* in = new HierarchicalFitInput();
+    for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
+      vecs.push_back(log.Vector(i));
+      in->weights.push_back(static_cast<double>(log.Multiplicity(i)));
+    }
+    in->packed = PackedVecPool(vecs, log.NumFeatures());
+    return in;
+  }();
+  return *kInput;
+}
+
+void BM_HierarchicalFit(benchmark::State& state) {
+  // The whole hierarchical fit over a pre-built pool: condensed distance
+  // fill plus in-place agglomeration, as HierarchicalClusterer::Fit runs
+  // it. `bytes` is the condensed store, N(N−1)/2·8.
+  const HierarchicalFitInput& in = BankHierarchicalFitSingleton();
+  DistanceSpec spec;
+  spec.metric = Metric::kHamming;
+  ThreadPool* pool = ThreadPool::Shared();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    CondensedDistances d = CondensedDistanceMatrix(in.packed, spec, pool);
+    bytes = d.bytes();
+    Dendrogram dg = AgglomerativeAverageLinkage(std::move(d), in.weights,
+                                                pool);
+    benchmark::DoNotOptimize(dg.merge_a.data());
+  }
+  state.counters["leaves"] = static_cast<double>(in.packed.size());
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.counters["threads"] = static_cast<double>(pool->NumThreads());
+}
+BENCHMARK(BM_HierarchicalFit)->Unit(benchmark::kMillisecond);
 
 void BM_AgglomerateReference(benchmark::State& state) {
   // The pre-change serial NN-chain (full nearest scans) — the

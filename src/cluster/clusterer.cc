@@ -104,13 +104,14 @@ class HierarchicalClusterer : public Clusterer {
     DistanceSpec spec;
     spec.metric = Metric::kHamming;
     // Honor the ClusterRequest contract: nullptr means the shared pool,
-    // not the serial path (which nullptr selects in DistanceMatrix).
+    // not the serial path (which nullptr selects in the distance fill).
     ThreadPool* pool = req.pool ? req.pool : ThreadPool::Shared();
-    Matrix d = (req.packed && req.packed->has_columns())
-                   ? DistanceMatrix(*req.packed, spec, pool)
-                   : DistanceMatrix(vecs, req.num_features, spec, pool);
+    CondensedDistances d =
+        (req.packed && req.packed->has_columns())
+            ? CondensedDistanceMatrix(*req.packed, spec, pool)
+            : CondensedDistanceMatrix(vecs, req.num_features, spec, pool);
     return std::make_unique<DendrogramModel>(
-        AgglomerativeAverageLinkage(d, weights, pool));
+        AgglomerativeAverageLinkage(std::move(d), weights, pool));
   }
 };
 

@@ -1,5 +1,6 @@
 #include "cluster/distance.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "cluster/xor_popcount.h"
@@ -95,12 +96,20 @@ Matrix DistanceMatrix(const std::vector<FeatureVec>& vecs, std::size_t n,
   return DistanceMatrix(packed, spec, pool);
 }
 
-Matrix DistanceMatrix(const PackedVecPool& packed, const DistanceSpec& spec,
-                      ThreadPool* pool) {
+namespace {
+
+/// The tiled pairwise sweep behind both distance layouts. Writes every
+/// upper-triangle entry (i, j), j > i, exactly once, through
+/// `upper_row(i, j)` — a pointer to (i, j) whose row continues
+/// contiguously over larger j. With `mirror` set, the (j, i) entries
+/// are also staged per tile and flushed into it row-wise.
+template <typename UpperRowFn>
+void SweepUpperTriangle(const PackedVecPool& packed, const DistanceSpec& spec,
+                        ThreadPool* pool, const UpperRowFn& upper_row,
+                        Matrix* mirror) {
   const std::size_t count = packed.size();
   const std::size_t n = packed.num_features();
-  Matrix d(count, count);
-  if (count < 2) return d;
+  if (count < 2) return;
   // The tiled kernel sweeps the transposed column planes.
   LOGR_CHECK(packed.has_columns());
 
@@ -117,7 +126,7 @@ Matrix DistanceMatrix(const PackedVecPool& packed, const DistanceSpec& spec,
   // (at most) kTile x kTile entries of comparable cost, so dynamic block
   // claiming never strands a worker on one long row. Each (i, j) entry
   // and its mirror are written by exactly one tile, so any schedule
-  // produces the same matrix.
+  // produces the same output.
   // Resolved once per matrix: the widest xor+popcount kernel the CPU
   // supports (or scalar under LOGR_FORCE_SCALAR). Every kernel computes
   // the same exact integers, so the choice never affects the output.
@@ -143,7 +152,7 @@ Matrix DistanceMatrix(const PackedVecPool& packed, const DistanceSpec& spec,
     // cache-line miss per entry, which profiling shows costs more than
     // the popcount sweep itself. Staged here and flushed row-wise
     // below, both matrix write streams are sequential.
-    std::vector<double> mirror(kTile * kTile);
+    std::vector<double> staged(mirror != nullptr ? kTile * kTile : 0);
     for (std::size_t i = i_lo; i < i_hi; ++i) {
       // Row i's nonzero words drive the whole tile row (~|q| visited
       // words per pair regardless of universe width), and one kernel
@@ -159,26 +168,71 @@ Matrix DistanceMatrix(const PackedVecPool& packed, const DistanceSpec& spec,
       accum(packed.Row(i), packed.WordIndices(i), packed.NumWordIndices(i),
             packed.Column(0) + j_beg, packed.ColumnPopcount(0) + j_beg,
             count, acc, j_hi - j_beg);
-      double* drow = &d(i, j_beg);
-      double* mcol = mirror.data() + (j_beg - j_lo) * kTile + (i - i_lo);
+      double* drow = upper_row(i, j_beg);
       for (std::size_t j = j_beg; j < j_hi; ++j) {
-        const double v = lut[static_cast<std::size_t>(acc[j - j_beg])];
-        drow[j - j_beg] = v;
-        mcol[(j - j_beg) * kTile] = v;
+        drow[j - j_beg] = lut[static_cast<std::size_t>(acc[j - j_beg])];
+      }
+      if (mirror == nullptr) continue;
+      double* mcol = staged.data() + (j_beg - j_lo) * kTile + (i - i_lo);
+      for (std::size_t j = j_beg; j < j_hi; ++j) {
+        mcol[(j - j_beg) * kTile] = drow[j - j_beg];
       }
     }
+    if (mirror == nullptr) return;
     // Flush the staged mirror block: for each j, its valid i range is
     // [i_lo, min(j, i_hi)) — the whole tile edge off the diagonal, a
     // shrinking prefix on it.
     for (std::size_t j = j_lo; j < j_hi; ++j) {
       const std::size_t i_end = std::min(j, i_hi);
       if (i_end <= i_lo) continue;
-      const double* src = mirror.data() + (j - j_lo) * kTile;
-      double* dst = &d(j, i_lo);
+      const double* src = staged.data() + (j - j_lo) * kTile;
+      double* dst = &(*mirror)(j, i_lo);
       for (std::size_t o = 0; o < i_end - i_lo; ++o) dst[o] = src[o];
     }
   });
+}
+
+}  // namespace
+
+Matrix DistanceMatrix(const PackedVecPool& packed, const DistanceSpec& spec,
+                      ThreadPool* pool) {
+  Matrix d(packed.size(), packed.size());
+  SweepUpperTriangle(
+      packed, spec, pool,
+      [&d](std::size_t i, std::size_t j) { return &d(i, j); }, &d);
   return d;
+}
+
+CondensedDistances::CondensedDistances(std::size_t n)
+    : n_(n), data_(new double[Entries(n)]) {}
+
+CondensedDistances::CondensedDistances(const Matrix& full)
+    : CondensedDistances(full.rows()) {
+  LOGR_CHECK(full.cols() == n_);
+  for (std::size_t i = 0; i + 1 < n_; ++i) {
+    std::copy(full.Row(i) + i + 1, full.Row(i) + n_, Row(i));
+  }
+}
+
+CondensedDistances CondensedDistanceMatrix(const PackedVecPool& packed,
+                                           const DistanceSpec& spec,
+                                           ThreadPool* pool) {
+  CondensedDistances d(packed.size());
+  SweepUpperTriangle(
+      packed, spec, pool,
+      [&d](std::size_t i, std::size_t j) { return d.Row(i) + (j - i - 1); },
+      /*mirror=*/nullptr);
+  return d;
+}
+
+CondensedDistances CondensedDistanceMatrix(
+    const std::vector<FeatureVec>& vecs, std::size_t n,
+    const DistanceSpec& spec, ThreadPool* pool) {
+  if (!PackedPoolFits(vecs.size(), n)) {
+    return CondensedDistances(DistanceMatrixMerge(vecs, n, spec, pool));
+  }
+  PackedVecPool packed(vecs, n);
+  return CondensedDistanceMatrix(packed, spec, pool);
 }
 
 Matrix DistanceMatrixMerge(const std::vector<FeatureVec>& vecs,

@@ -9,14 +9,21 @@
 //  - the sparse merge kernel walks two sorted id lists
 //    (SymmetricDifference over FeatureVecs — the reference path), and
 //  - the packed kernel XOR+popcounts dense u64 blocks (PackedVecPool),
-//    which is what DistanceMatrix and DistancePairs run on.
+//    which is what DistanceMatrix, CondensedDistanceMatrix and
+//    DistancePairs run on.
 //
 // Both produce the same exact integer, so every derived metric is
 // bit-identical between them.
+//
+// Pairwise results come in two layouts. Spectral clustering needs the
+// full N x N `Matrix` (N²·8 bytes); hierarchical agglomeration needs
+// only the upper triangle and works in place on a CondensedDistances
+// store (N(N−1)/2·8 bytes).
 #ifndef LOGR_CLUSTER_DISTANCE_H_
 #define LOGR_CLUSTER_DISTANCE_H_
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,11 +64,12 @@ double DistanceFromSymmetricDifference(std::size_t diff, std::size_t n,
 double Distance(const FeatureVec& a, const FeatureVec& b, std::size_t n,
                 const DistanceSpec& spec);
 
-/// Full pairwise distance matrix of `vecs`, computed across the shared
-/// thread pool (LOGR_THREADS workers). Packs the vectors once into a
-/// PackedVecPool and schedules balanced upper-triangle tiles over the
-/// pool; falls back to the merge kernel when packing would exceed its
-/// memory budget. Bit-identical to DistanceMatrixMerge for any pool.
+/// Full pairwise distance matrix of `vecs` (N²·8 bytes), computed
+/// across the shared thread pool (LOGR_THREADS workers). Packs the
+/// vectors once into a PackedVecPool and schedules balanced
+/// upper-triangle tiles over the pool; falls back to the merge kernel
+/// when packing would exceed its memory budget. Bit-identical to
+/// DistanceMatrixMerge for any pool.
 Matrix DistanceMatrix(const std::vector<FeatureVec>& vecs, std::size_t n,
                       const DistanceSpec& spec);
 
@@ -74,6 +82,74 @@ Matrix DistanceMatrix(const std::vector<FeatureVec>& vecs, std::size_t n,
 /// have been built with columns (the default).
 Matrix DistanceMatrix(const PackedVecPool& packed, const DistanceSpec& spec,
                       ThreadPool* pool);
+
+/// Symmetric pairwise distances with a zero diagonal, stored as the
+/// strict upper triangle: N(N−1)/2 doubles (N(N−1)/2·8 bytes, half a
+/// full Matrix). Row i holds the entries (i, j) for j > i contiguously;
+/// at(i, j) serves either orientation. Move-only, so a store handed to
+/// an in-place consumer is never copied by accident.
+class CondensedDistances {
+ public:
+  CondensedDistances() = default;
+
+  /// An `n`-point store whose entries are left uninitialized: the
+  /// caller writes every one (CondensedDistanceMatrix does, each exactly
+  /// once, so the first touch of each page happens in the worker that
+  /// fills it rather than in a serial zero-fill).
+  explicit CondensedDistances(std::size_t n);
+
+  /// The upper triangle of a square matrix (tests, and the merge-kernel
+  /// fallback).
+  explicit CondensedDistances(const Matrix& full);
+
+  /// Number of points N.
+  std::size_t size() const { return n_; }
+
+  /// Storage footprint: N(N−1)/2·8 bytes.
+  std::size_t bytes() const { return Entries(n_) * sizeof(double); }
+
+  /// Row i of the upper triangle: Row(i)[j - i - 1] is (i, j), j > i.
+  double* Row(std::size_t i) { return data_.get() + Index(i, i + 1); }
+  const double* Row(std::size_t i) const {
+    return data_.get() + Index(i, i + 1);
+  }
+
+  /// Entry (i, j) for any i != j: the row of min(i, j), at max(i, j).
+  double& at(std::size_t i, std::size_t j) {
+    return data_[i < j ? Index(i, j) : Index(j, i)];
+  }
+  double at(std::size_t i, std::size_t j) const {
+    return data_[i < j ? Index(i, j) : Index(j, i)];
+  }
+
+ private:
+  static std::size_t Entries(std::size_t n) {
+    return n < 2 ? 0 : n * (n - 1) / 2;
+  }
+
+  /// Flat offset of (i, j), i < j: rows 0..i-1 hold
+  /// i(2N - i - 1)/2 entries, and (i, j) sits j - i - 1 into row i.
+  std::size_t Index(std::size_t i, std::size_t j) const {
+    return i * (2 * n_ - i - 1) / 2 + (j - i - 1);
+  }
+
+  std::size_t n_ = 0;
+  std::unique_ptr<double[]> data_;
+};
+
+/// The condensed pairwise store over an already-packed pool (built with
+/// columns): the same tiled XOR+popcount sweep and lookup table as
+/// DistanceMatrix, minus the mirror half. Bit-identical to the upper
+/// triangle of DistanceMatrix(packed, spec, pool) for any pool.
+CondensedDistances CondensedDistanceMatrix(const PackedVecPool& packed,
+                                           const DistanceSpec& spec,
+                                           ThreadPool* pool);
+
+/// As above from raw vectors: packs locally when PackedPoolFits, and
+/// otherwise condenses the merge-kernel matrix.
+CondensedDistances CondensedDistanceMatrix(
+    const std::vector<FeatureVec>& vecs, std::size_t n,
+    const DistanceSpec& spec, ThreadPool* pool);
 
 /// Reference merge-kernel matrix (row-parallel upper triangle). Kept as
 /// the bit-identity baseline for tests and benches; DistanceMatrix is

@@ -52,12 +52,15 @@ std::vector<double> ResolveMasses(std::size_t n,
 /// local (dist, arg) minimum in ascending index order; the chunk minima
 /// are then folded serially in chunk order, so the winner is the exact
 /// smallest-index argmin a serial scan would pick, for any pool size.
-constexpr std::size_t kScanChunk = 128;
+constexpr std::size_t kScanChunk = 64;
 
-/// Below this many iterations the scan / row-update loops run inline
-/// (ParallelForInlinable): their bodies are a handful of ops, so the
-/// dispatch round trip costs more than the loop until N is large.
-/// Results are identical either way.
+/// Below this many slots the nearest scans and the fused Lance-Williams
+/// passes run inline (ParallelForInlinable): their bodies are a handful
+/// of ops, so the dispatch round trip costs more than the loop until N
+/// is large. Results are identical either way. The resulting grain of
+/// kMinParallelIters / kScanChunk = 64 chunks equals the range
+/// ThreadPool::ParallelFor itself still runs inline, so a list longer
+/// than kMinParallelIters really does reach the workers.
 constexpr std::size_t kMinParallelIters = 4096;
 
 }  // namespace
@@ -101,20 +104,19 @@ std::vector<int> Dendrogram::CutToK(std::size_t k) const {
   return assignment;
 }
 
-Dendrogram AgglomerativeAverageLinkage(const Matrix& distances,
+Dendrogram AgglomerativeAverageLinkage(CondensedDistances d,
                                        const std::vector<double>& weights,
                                        ThreadPool* pool) {
-  const std::size_t n = distances.rows();
-  LOGR_CHECK(distances.cols() == n && n >= 1);
+  const std::size_t n = d.size();
+  LOGR_CHECK(n >= 1);
 
   Dendrogram out;
   out.num_leaves = n;
   if (n == 1) return out;
 
-  // Working distance matrix over active nodes; node ids grow as merges
-  // happen, but we reuse the slot of the first merged node for the
-  // result to keep the matrix n x n.
-  Matrix d = distances;
+  // `d` holds the working distances over active nodes, updated in
+  // place; node ids grow as merges happen, but we reuse the slot of the
+  // first merged node for the result to keep the store n-point.
   std::vector<double> mass = ResolveMasses(n, weights);
   // slot -> current dendrogram node id occupying it
   std::vector<int> node_of_slot(n);
@@ -134,52 +136,57 @@ Dendrogram AgglomerativeAverageLinkage(const Matrix& distances,
   std::vector<std::size_t> cached_arg(n, kNone);
   std::vector<double> cached_dist(n, 0.0);
 
+  // Scans read at(a, j): a's column for j < a, its row for j > a.
   auto nearest = [&](std::size_t a) {
     if (cached_arg[a] != kNone) {
       return std::make_pair(cached_arg[a], cached_dist[a]);
     }
-    const double* row = d.Row(a);
     const std::pair<std::size_t, double> found =
-        scan.Argmin(a, [row](std::size_t j) { return row[j]; });
+        scan.Argmin(a, [&d, a](std::size_t j) { return d.at(a, j); });
     cached_arg[a] = found.first;
     cached_dist[a] = found.second;
     return found;
   };
 
   // Reciprocal pair (a, b) found: record the merge, then the
-  // Lance-Williams weighted average-linkage update into slot a, fused
-  // with the exact cache maintenance. Each iteration writes only its
-  // own j-indexed slots, so the schedule never changes a bit. Cache
-  // rule: entries pointing at a or b go stale (their distance changed /
-  // their node vanished); any other valid entry stays the true minimum
-  // because the updated d(j, a) is a weighted average of two old
-  // distances, both >= the cached minimum — only an exact tie with a
-  // smaller index (a < cached_arg[j]) can re-point it.
+  // Lance-Williams weighted average-linkage update into slot a — one
+  // write per pair, at(a, j) — fused with the exact cache maintenance.
+  // Each iteration writes only its own j-indexed slots, so the schedule
+  // never changes a bit. Cache rule: entries pointing at a or b go
+  // stale (their distance changed / their node vanished); any other
+  // valid entry stays the true minimum because the updated at(j, a) is
+  // a weighted average of two old distances, both >= the cached minimum
+  // — only an exact tie with a smaller index (a < cached_arg[j]) can
+  // re-point it.
+  //
+  // The pass itself is an Argmin over the new distances: it visits the
+  // same active j != a (b is already deactivated) in the same
+  // ascending, chunk-folded order a rescan would, so its result is
+  // exactly a's new cached nearest neighbor.
   auto merge = [&](std::size_t a, std::size_t b, double dist_ab) {
     out.merge_a.push_back(node_of_slot[a]);
     out.merge_b.push_back(node_of_slot[b]);
     out.height.push_back(dist_ab);
     const double ma = mass[a], mb = mass[b];
-    const std::vector<std::uint32_t>& slots = scan.slots();
-    const std::uint32_t* list = slots.data();
-    ParallelForInlinable(pool, 0, slots.size(), kMinParallelIters,
-                         [&](std::size_t p) {
-      const std::size_t j2 = list[p];
-      if (!scan.IsActive(j2) || j2 == a) return;
-      double nd = (ma * d(a, j2) + mb * d(b, j2)) / (ma + mb);
-      d(a, j2) = nd;
-      d(j2, a) = nd;
-      if (cached_arg[j2] == kNone) return;
-      if (cached_arg[j2] == a || cached_arg[j2] == b) {
-        cached_arg[j2] = kNone;
-      } else if (nd < cached_dist[j2] ||
-                 (nd == cached_dist[j2] && a < cached_arg[j2])) {
-        cached_arg[j2] = a;
-        cached_dist[j2] = nd;
-      }
-    });
+    const std::pair<std::size_t, double> found =
+        scan.Argmin(a, [&](std::size_t j2) {
+          double& d_a = d.at(a, j2);
+          const double nd = (ma * d_a + mb * d.at(b, j2)) / (ma + mb);
+          d_a = nd;
+          std::size_t& arg = cached_arg[j2];
+          if (arg == a || arg == b) {
+            arg = kNone;
+          } else if (arg != kNone &&
+                     (nd < cached_dist[j2] ||
+                      (nd == cached_dist[j2] && a < arg))) {
+            arg = a;
+            cached_dist[j2] = nd;
+          }
+          return nd;
+        });
     mass[a] = ma + mb;
-    cached_arg[a] = kNone;
+    cached_arg[a] = found.first;
+    cached_dist[a] = found.second;
     node_of_slot[a] = static_cast<int>(n + out.merge_a.size() - 1);
   };
 

@@ -29,23 +29,28 @@ struct Dendrogram {
   std::vector<int> CutToK(std::size_t k) const;
 };
 
-/// Average-linkage agglomeration from a pairwise distance matrix.
-/// `weights` (optional) give leaf masses for the weighted average.
+/// Average-linkage agglomeration from pairwise distances. `weights`
+/// (optional) give leaf masses for the weighted average.
 ///
+/// Works in place on the condensed store it is handed (taken by value —
+/// move it in; N(N−1)/2·8 bytes, the only O(N²) allocation of the fit).
 /// The fast path of the NN-chain algorithm: a per-slot cached-nearest
 /// array (lazily invalidated when a slot's cached neighbor merges) makes
-/// most nearest() calls O(1), and the remaining full scans plus the
-/// Lance-Williams row updates run across `pool` (nullptr = serial).
-/// Bit-identical to AgglomerativeAverageLinkageReference for every pool
-/// size: the cache is exact (deterministic index tie-breaks preserved)
-/// and all parallel stages write index-addressed slots with serial,
-/// index-ordered reductions.
-Dendrogram AgglomerativeAverageLinkage(const Matrix& distances,
+/// most nearest() calls O(1). Each merge's Lance-Williams pass writes
+/// every updated pair once and computes the merged slot's new nearest
+/// neighbor on the way, and both it and the remaining full scans run
+/// across `pool` (nullptr = serial). Bit-identical to
+/// AgglomerativeAverageLinkageReference for every pool size: the cache
+/// is exact (deterministic index tie-breaks preserved) and all parallel
+/// stages write index-addressed slots with serial, index-ordered
+/// reductions.
+Dendrogram AgglomerativeAverageLinkage(CondensedDistances distances,
                                        const std::vector<double>& weights,
                                        ThreadPool* pool = nullptr);
 
-/// The original serial NN-chain (full nearest scans, no cache). Kept as
-/// the bit-identity reference for tests and benches.
+/// The original serial NN-chain over a full matrix (full nearest scans,
+/// no cache, N²·8 bytes copied). Kept as the bit-identity reference for
+/// tests and benches.
 Dendrogram AgglomerativeAverageLinkageReference(
     const Matrix& distances, const std::vector<double>& weights);
 

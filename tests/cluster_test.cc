@@ -213,7 +213,7 @@ TEST(HierarchicalTest, CutSizesAreExact) {
   DistanceSpec spec;
   spec.metric = Metric::kHamming;
   Matrix d = DistanceMatrix(blobs.vecs, 12, spec);
-  Dendrogram dg = AgglomerativeAverageLinkage(d, {});
+  Dendrogram dg = AgglomerativeAverageLinkage(CondensedDistances(d), {});
   for (std::size_t k = 1; k <= blobs.vecs.size(); ++k) {
     std::vector<int> cut = dg.CutToK(k);
     std::set<int> labels(cut.begin(), cut.end());
@@ -228,7 +228,7 @@ TEST(HierarchicalTest, CutsAreMonotone) {
   TwoBlobs blobs = MakeTwoBlobs(12, 10, &rng);
   DistanceSpec spec;
   Matrix d = DistanceMatrix(blobs.vecs, 10, spec);
-  Dendrogram dg = AgglomerativeAverageLinkage(d, {});
+  Dendrogram dg = AgglomerativeAverageLinkage(CondensedDistances(d), {});
   for (std::size_t k = 1; k + 1 <= blobs.vecs.size(); ++k) {
     std::vector<int> coarse = dg.CutToK(k);
     std::vector<int> fine = dg.CutToK(k + 1);
@@ -249,14 +249,14 @@ TEST(HierarchicalTest, RecoversTwoBlobsAtK2) {
   DistanceSpec spec;
   spec.metric = Metric::kHamming;
   Matrix d = DistanceMatrix(blobs.vecs, 12, spec);
-  Dendrogram dg = AgglomerativeAverageLinkage(d, {});
+  Dendrogram dg = AgglomerativeAverageLinkage(CondensedDistances(d), {});
   std::vector<int> cut = dg.CutToK(2);
   EXPECT_GE(RandIndex(cut, blobs.truth), 0.95);
 }
 
 TEST(HierarchicalTest, SingleLeafDegenerate) {
   Matrix d(1, 1);
-  Dendrogram dg = AgglomerativeAverageLinkage(d, {});
+  Dendrogram dg = AgglomerativeAverageLinkage(CondensedDistances(d), {});
   EXPECT_EQ(dg.num_leaves, 1u);
   EXPECT_EQ(dg.CutToK(1), std::vector<int>{0});
 }

@@ -1,13 +1,18 @@
 // Tests for the fast clustering core: packed-kernel vs merge-kernel
-// distance bit-identity (all six metrics, fuzzed vectors), the pair-list
-// variant, cached-NN agglomeration vs the pre-change serial reference,
+// distance bit-identity (all six metrics, fuzzed vectors), the condensed
+// store vs the full matrix's upper triangle, the pair-list variant,
+// cached-NN agglomeration vs the pre-change serial reference (including
+// the pool-dispatched path), the hierarchical fit's no-pool fallback,
 // spectral bit-determinism across pool sizes, and the multi-core perf
-// guardrail for the parallel distance matrix.
+// guardrail for the parallel distance fill.
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster/clusterer.h"
 #include "cluster/distance.h"
 #include "cluster/hierarchical.h"
 #include "cluster/spectral.h"
@@ -132,6 +137,88 @@ TEST(PackedDistanceTest, MatrixBitIdenticalOnRealLogs) {
   }
 }
 
+/// Asserts `condensed` holds exactly the off-diagonal entries of `full`,
+/// through both the row layout and the symmetric accessor.
+void ExpectCondensedEqualsMatrix(const CondensedDistances& condensed,
+                                 const Matrix& full, const std::string& what) {
+  const std::size_t count = full.rows();
+  ASSERT_EQ(condensed.size(), count) << what;
+  ASSERT_EQ(condensed.bytes(),
+            (count < 2 ? 0 : count * (count - 1) / 2) * sizeof(double))
+      << what;
+  for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t j = i + 1; j < count; ++j) {
+      // Exact: one kernel, one lookup table, two write layouts.
+      ASSERT_EQ(condensed.Row(i)[j - i - 1], full(i, j))
+          << what << " (" << i << ", " << j << ")";
+      ASSERT_EQ(condensed.at(j, i), full(j, i))
+          << what << " mirror (" << j << ", " << i << ")";
+    }
+  }
+}
+
+TEST(CondensedDistanceTest, FillEqualsMatrixUpperTriangleFuzzed) {
+  Pcg32 rng(13);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  // Sizes straddle the 128-point tile edge, plus the degenerate stores.
+  for (std::size_t count : {0u, 1u, 2u, 127u, 128u, 129u, 300u}) {
+    const std::size_t n = 1 + rng.NextBounded(300);
+    std::vector<FeatureVec> vecs = FuzzVectors(&rng, count, n);
+    // Guarantee empty vectors, at the front and mid-tile.
+    if (count > 0) vecs.front() = FeatureVec();
+    if (count > 2) vecs[count / 2] = FeatureVec();
+    const PackedVecPool packed(vecs, n);
+    for (const DistanceSpec& spec : AllMetrics()) {
+      const Matrix full = DistanceMatrix(packed, spec, nullptr);
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one,
+                               &four}) {
+        const std::string what =
+            spec.Name() + " N=" + std::to_string(count) + " threads=" +
+            std::to_string(pool ? pool->NumThreads() : 0);
+        ExpectCondensedEqualsMatrix(CondensedDistanceMatrix(packed, spec, pool),
+                                    full, what);
+        ExpectCondensedEqualsMatrix(
+            CondensedDistanceMatrix(vecs, n, spec, pool), full,
+            what + " (unpacked)");
+      }
+    }
+  }
+}
+
+TEST(CondensedDistanceTest, FillEqualsMatrixUpperTriangleOnRealLogs) {
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (const QueryLog& log : {PocketLog(), BankLog()}) {
+    const std::vector<FeatureVec> vecs = Vectors(log);
+    const PackedVecPool packed(vecs, log.NumFeatures());
+    for (const DistanceSpec& spec : AllMetrics()) {
+      const Matrix full = DistanceMatrix(packed, spec, nullptr);
+      for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one,
+                               &four}) {
+        ExpectCondensedEqualsMatrix(CondensedDistanceMatrix(packed, spec, pool),
+                                    full, spec.Name());
+      }
+    }
+  }
+}
+
+TEST(CondensedDistanceTest, MergeKernelFallbackBeyondPackedBudget) {
+  // A universe of three billion features: packing even three vectors
+  // would blow PackedPoolFits' budget, so the store is condensed from
+  // the merge-kernel matrix instead — with the same values.
+  const std::size_t n = 3000000000u;
+  ASSERT_FALSE(PackedPoolFits(3, n));
+  const std::vector<FeatureVec> vecs = {
+      FeatureVec({1, 2999999999u}), FeatureVec(),
+      FeatureVec({1, 7, 2000000000u})};
+  for (const DistanceSpec& spec : AllMetrics()) {
+    ExpectCondensedEqualsMatrix(
+        CondensedDistanceMatrix(vecs, n, spec, nullptr),
+        DistanceMatrixMerge(vecs, n, spec, nullptr), spec.Name());
+  }
+}
+
 TEST(PackedDistanceTest, PairListMatchesDirectDistances) {
   Pcg32 rng(23);
   const std::size_t n = 200;
@@ -175,19 +262,56 @@ TEST(FastAgglomerationTest, MatchesReferenceOnRealLogsAcrossPools) {
     }
     const Dendrogram reference =
         AgglomerativeAverageLinkageReference(d, weights);
+    // The production input: the condensed fill over a packed pool.
+    const PackedVecPool packed(vecs, log.NumFeatures());
+    auto condensed = [&] {
+      return CondensedDistanceMatrix(packed, spec, nullptr);
+    };
     // Dendrogram equality vs the pre-change serial output, for every
     // pool size (LOGR_THREADS ∈ {1, 4} territory).
-    ExpectDendrogramsEqual(AgglomerativeAverageLinkage(d, weights, nullptr),
-                           reference);
+    ExpectDendrogramsEqual(
+        AgglomerativeAverageLinkage(condensed(), weights, nullptr),
+        reference);
     ThreadPool one(1);
-    ExpectDendrogramsEqual(AgglomerativeAverageLinkage(d, weights, &one),
-                           reference);
+    ExpectDendrogramsEqual(
+        AgglomerativeAverageLinkage(condensed(), weights, &one), reference);
     ThreadPool four(4);
-    ExpectDendrogramsEqual(AgglomerativeAverageLinkage(d, weights, &four),
-                           reference);
+    ExpectDendrogramsEqual(
+        AgglomerativeAverageLinkage(condensed(), weights, &four), reference);
     // Unweighted variant exercises the uniform-mass path.
-    ExpectDendrogramsEqual(AgglomerativeAverageLinkage(d, {}, &four),
+    ExpectDendrogramsEqual(AgglomerativeAverageLinkage(condensed(), {}, &four),
                            AgglomerativeAverageLinkageReference(d, {}));
+  }
+}
+
+TEST(FastAgglomerationTest, HierarchicalFitWithoutPackedPoolMatches) {
+  // The fit's fallback when the pipeline hands it no packed pool with
+  // columns (it packs locally) must cut exactly like the pooled path.
+  const QueryLog log = BankLog();
+  const std::vector<FeatureVec> vecs = Vectors(log);
+  std::vector<double> weights;
+  for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
+    weights.push_back(static_cast<double>(log.Multiplicity(i)));
+  }
+  const Clusterer* hier = ClustererRegistry::Instance().Find("hierarchical");
+  ASSERT_NE(hier, nullptr);
+  ThreadPool four(4);
+  ClusterRequest req;
+  req.num_features = log.NumFeatures();
+  req.pool = &four;
+  const PackedVecPool with_columns(vecs, log.NumFeatures());
+  const PackedVecPool rows_only(vecs, log.NumFeatures(),
+                                /*build_columns=*/false);
+  req.packed = &with_columns;
+  std::unique_ptr<ClusterModel> pooled = hier->Fit(vecs, weights, req);
+  const PackedVecPool* no_pool = nullptr;
+  for (const PackedVecPool* packed : {no_pool, &rows_only}) {
+    req.packed = packed;
+    std::unique_ptr<ClusterModel> local = hier->Fit(vecs, weights, req);
+    for (std::size_t k : {1u, 2u, 7u, 40u, 200u}) {
+      EXPECT_EQ(local->Cut(k), pooled->Cut(k))
+          << "k=" << k << (packed ? " rows-only pool" : " no pool");
+    }
   }
 }
 
@@ -206,9 +330,52 @@ TEST(FastAgglomerationTest, MatchesReferenceOnFuzzedMatricesWithTies) {
       }
     }
     ThreadPool pool(4);
-    ExpectDendrogramsEqual(AgglomerativeAverageLinkage(d, {}, &pool),
-                           AgglomerativeAverageLinkageReference(d, {}));
+    ExpectDendrogramsEqual(
+        AgglomerativeAverageLinkage(CondensedDistances(d), {}, &pool),
+        AgglomerativeAverageLinkageReference(d, {}));
   }
+}
+
+/// `n` points at small-integer distances in [0, 4): ties everywhere.
+/// Same seed, same store.
+CondensedDistances TieHeavyDistances(std::size_t n, std::uint64_t seed) {
+  Pcg32 rng(seed);
+  CondensedDistances d(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    double* row = d.Row(i);
+    for (std::size_t j = i + 1; j < n; ++j) {
+      row[j - i - 1] = static_cast<double>(rng.NextBounded(4));
+    }
+  }
+  return d;
+}
+
+TEST(FastAgglomerationTest, PoolDispatchedPathMatchesSerialAndReference) {
+  // 4,400 slots is past the 4,096-slot parallel threshold, so until
+  // compaction halves the slot list every nearest scan and every fused
+  // Lance-Williams pass is split across the pool's workers — a path the
+  // few-hundred-template logs above never reach.
+  constexpr std::size_t kN = 4400;
+  constexpr std::uint64_t kSeed = 37;
+  ThreadPool four(4);
+  const Dendrogram pooled =
+      AgglomerativeAverageLinkage(TieHeavyDistances(kN, kSeed), {}, &four);
+  ExpectDendrogramsEqual(
+      pooled,
+      AgglomerativeAverageLinkage(TieHeavyDistances(kN, kSeed), {}, nullptr));
+  // The full-matrix oracle (it copies its input: 2 x 155 MB here).
+  Matrix full(kN, kN);
+  {
+    const CondensedDistances d = TieHeavyDistances(kN, kSeed);
+    for (std::size_t i = 0; i < kN; ++i) {
+      for (std::size_t j = i + 1; j < kN; ++j) {
+        full(i, j) = d.at(i, j);
+        full(j, i) = d.at(i, j);
+      }
+    }
+  }
+  ExpectDendrogramsEqual(pooled,
+                         AgglomerativeAverageLinkageReference(full, {}));
 }
 
 TEST(SpectralTest, BitIdenticalAcrossPoolSizes) {
@@ -263,30 +430,34 @@ TEST(SpectralTest, MedianAndAffinityMatchSerialAcrossPools) {
 
 TEST(PerfGuardrailTest, ParallelDistanceMatrixBeatsSerialOnMultiCore) {
   // The ROADMAP's deferred multi-core guardrail: with >= 4 hardware
-  // cores the pooled block-tiled matrix must beat the single-thread
+  // cores the pooled block-tiled fill must beat the single-thread
   // packed path. Skipped on smaller machines (CI containers with 1-2
-  // cores would measure nothing but scheduler noise).
+  // cores would measure nothing but scheduler noise). The full
+  // 1,712-template bank log gives ~100 tiles, and only the fill is
+  // timed (the pool is packed once, outside), so the measured region is
+  // the parallel part.
   const unsigned cores = std::thread::hardware_concurrency();
   if (cores < 4) {
     GTEST_SKIP() << "needs >= 4 cores, have " << cores;
   }
-  const QueryLog log = BankLog();
-  const std::vector<FeatureVec> vecs = Vectors(log);
+  const QueryLog log = LoadEntries(GenerateBankLog(BankLogOptions())).TakeLog();
+  ASSERT_GE(log.NumDistinct(), 1712u);
+  const PackedVecPool packed(Vectors(log), log.NumFeatures());
   DistanceSpec spec;
   spec.metric = Metric::kHamming;
   auto time_run = [&](ThreadPool* pool) {
-    // Warm-up pass, then take the best of three timed runs — the
+    // Warm-up pass, then take the best of five timed runs — the
     // minimum is far less sensitive to noisy-neighbor contention on
     // shared runners than a mean or median.
-    Matrix warm = DistanceMatrix(vecs, log.NumFeatures(), spec, pool);
-    EXPECT_GE(warm.rows(), 1u);
+    EXPECT_EQ(CondensedDistanceMatrix(packed, spec, pool).size(),
+              packed.size());
     std::vector<double> times;
-    for (int r = 0; r < 3; ++r) {
+    for (int r = 0; r < 5; ++r) {
       const auto start = std::chrono::steady_clock::now();
-      Matrix d = DistanceMatrix(vecs, log.NumFeatures(), spec, pool);
+      CondensedDistances d = CondensedDistanceMatrix(packed, spec, pool);
       const auto stop = std::chrono::steady_clock::now();
       times.push_back(std::chrono::duration<double>(stop - start).count() +
-                      0.0 * d(0, 0));  // keep the result alive
+                      0.0 * d.at(0, 1));  // keep the result alive
     }
     return *std::min_element(times.begin(), times.end());
   };
