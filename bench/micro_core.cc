@@ -666,6 +666,41 @@ BENCHMARK_CAPTURE(BM_EncoderEstimateCount, naive, "naive");
 BENCHMARK_CAPTURE(BM_EncoderEstimateCount, refined, "refined");
 BENCHMARK_CAPTURE(BM_EncoderEstimateCount, pattern, "pattern");
 
+void BM_PatternEstimate(benchmark::State& state) {
+  // The served pattern estimate: PocketData at K = 8 with an Arg
+  // per-component pattern budget, answering a fixed battery of
+  // template-derived predicates (1-3 features of a template picked at a
+  // fixed stride). One iteration is one EstimateCount, cycling through
+  // the battery; each walks every component's 2^m signature lattice.
+  const QueryLog& log = PocketLogSingleton();
+  LogROptions opts;
+  opts.num_clusters = 8;
+  opts.n_init = 1;
+  opts.encoder = "pattern";
+  opts.pattern_budget = static_cast<std::size_t>(state.range(0));
+  LogRSummary s = Compress(log, opts);
+  std::vector<FeatureVec> battery;
+  for (std::size_t k = 0; k < 64; ++k) {
+    const FeatureVec& v = log.Vector((k * 7919) % log.NumDistinct());
+    if (v.empty()) continue;
+    std::vector<FeatureId> ids;
+    for (std::size_t j = 0; j < std::min<std::size_t>(1 + k % 3, v.size());
+         ++j) {
+      ids.push_back(v.ids[(k + j) % v.size()]);
+    }
+    battery.push_back(FeatureVec(std::move(ids)));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    double est = s.Model().EstimateCount(battery[next]);
+    benchmark::DoNotOptimize(est);
+    if (++next == battery.size()) next = 0;
+  }
+  state.counters["verbosity"] =
+      static_cast<double>(s.Model().TotalVerbosity());
+}
+BENCHMARK(BM_PatternEstimate)->Arg(8)->Arg(12)->Unit(benchmark::kMicrosecond);
+
 /// A live serve daemon over a one-summary directory, bound to a Unix
 /// socket, started once per process. The watch thread is disabled so
 /// the benchmark isolates the protocol round-trip cost.

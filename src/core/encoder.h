@@ -41,7 +41,8 @@ struct EncodeRequest {
   /// "pattern": per-component pattern count. 0 selects the encoder's
   /// default; larger requests are clamped to the encoder's practical
   /// scaling ceiling (12 — fit cost is exponential in the pattern
-  /// count, and PatternEncoding hard-errors above kMaxPatterns = 20).
+  /// count, and PatternEncoding hard-errors above
+  /// SignatureSpace::kMaxPatterns).
   std::size_t pattern_budget = 0;
   std::uint64_t seed = 17;
 };

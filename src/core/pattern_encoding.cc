@@ -10,7 +10,7 @@ PatternEncoding::PatternEncoding(const QueryLog& log,
     : patterns_(std::move(patterns)) {
   LOGR_CHECK_MSG(patterns_.size() <= kMaxPatterns,
                  "PatternEncoding materializes the 2^m signature lattice "
-                 "and supports at most kMaxPatterns (20) patterns");
+                 "and supports at most kMaxPatterns patterns");
   log_size_ = log.TotalQueries();
   empirical_entropy_ = log.EmpiricalEntropy();
   marginals_.reserve(patterns_.size());
@@ -33,7 +33,7 @@ PatternEncoding::PatternEncoding(std::vector<FeatureVec> patterns,
       log_size_(log_size) {
   LOGR_CHECK_MSG(patterns_.size() <= kMaxPatterns,
                  "PatternEncoding materializes the 2^m signature lattice "
-                 "and supports at most kMaxPatterns (20) patterns");
+                 "and supports at most kMaxPatterns patterns");
   LOGR_CHECK(patterns_.size() == marginals_.size());
   space_ = std::make_unique<SignatureSpace>(patterns_, n_features);
   model_ = std::make_unique<MaxEntModel>(space_.get(), marginals_, opts);

@@ -19,12 +19,11 @@ namespace logr {
 
 class PatternEncoding {
  public:
-  /// Hard ceiling on the pattern count: fitting materializes the
-  /// 2^m containment-equivalence lattice, so m > kMaxPatterns would
-  /// exhaust memory long before the fit converges. The constructor
-  /// aborts (LOGR_CHECK) on violation — callers that select patterns
-  /// (e.g. the "pattern" encoder) must cap at this bound.
-  static constexpr std::size_t kMaxPatterns = 20;
+  /// Hard ceiling on the pattern count: the signature lattice's own cap
+  /// (fitting materializes all 2^m classes). The constructor aborts
+  /// (LOGR_CHECK) on violation — callers that select patterns (e.g. the
+  /// "pattern" encoder) must cap at this bound.
+  static constexpr std::size_t kMaxPatterns = SignatureSpace::kMaxPatterns;
 
   /// Builds the encoding of `patterns` with marginals measured on `log`,
   /// over the log's full feature universe, and fits the max-ent model.

@@ -25,7 +25,7 @@ class PatternMixtureModel : public WorkloadModel {
  public:
   /// Practical per-component ceiling for servable pattern encodings:
   /// iterative scaling costs O(iterations · m · 2^m) per component, so
-  /// while PatternEncoding accepts up to kMaxPatterns (20), fits beyond
+  /// while PatternEncoding accepts up to kMaxPatterns, fits beyond
   /// 2^12 classes take minutes — past the paper's own m <= 15 inference
   /// ceiling for MTV (Sec. 7.2.2). The "pattern" encoder clamps
   /// requests here, and ReadSummary uses the same bound to reject

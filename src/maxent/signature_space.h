@@ -13,6 +13,18 @@
 // and exact-signature fractions follow by Möbius inversion over the
 // subset lattice. m is small everywhere in the paper (<= 15, the MTV
 // ceiling), keeping the 2^m lattice cheap.
+//
+// The exponents |∪_{j∈S} b_j ∪ b| are exact integers, so they are
+// counted with word-wide bit operations: each pattern is stored once as
+// a bitmask over the support (the sorted union of all pattern ids), the
+// union of class S extends the union of S minus its lowest bit by one
+// OR, and its size is a popcount plus the ids of b that fall outside
+// the support. How the integers are counted cannot change a result, and
+// the floating-point steps follow the definition above in a fixed
+// order, so the fractions are bit-identical to a per-class sorted-union
+// loop (the oracle in maxent_test). A lattice walk allocates its result
+// and one (m+1)-row union buffer and nothing else, and shares no
+// mutable state, so concurrent walks over one space are safe.
 #ifndef LOGR_MAXENT_SIGNATURE_SPACE_H_
 #define LOGR_MAXENT_SIGNATURE_SPACE_H_
 
@@ -25,9 +37,13 @@ namespace logr {
 
 class SignatureSpace {
  public:
+  /// Hard ceiling on the pattern count: the 2^m lattice is materialized,
+  /// so m > kMaxPatterns would exhaust memory long before any fit
+  /// converges. The one source of the bound for every caller.
+  static constexpr std::size_t kMaxPatterns = 20;
+
   /// Builds the signature lattice for `patterns` over an `n_features`
-  /// universe. Requires patterns.size() <= 20 (2^m classes are
-  /// materialized).
+  /// universe. Requires patterns.size() <= kMaxPatterns.
   SignatureSpace(std::vector<FeatureVec> patterns, std::size_t n_features);
 
   std::size_t num_patterns() const { return patterns_.size(); }
@@ -59,6 +75,9 @@ class SignatureSpace {
 
   std::vector<FeatureVec> patterns_;
   std::size_t n_features_;
+  std::vector<FeatureId> support_;      // sorted union of pattern ids
+  std::size_t words_ = 0;               // ⌈|support_| / 64⌉
+  std::vector<std::uint64_t> masks_;    // pattern j: words [j·W, (j+1)·W)
   std::vector<double> exact_fraction_;  // size 2^m
 };
 
