@@ -7,13 +7,13 @@
 //       prefix gives a multiplicity) from LOG or stdin, compresses them,
 //       and writes a summary file. --encoder picks the summarizer:
 //       naive (default), refined (naive + corr_rank patterns, Sec. 6.4;
-//       --refine-patterns caps the per-cluster budget), pattern
+//       --refine-patterns caps the per-cluster budget and applies to
+//       this encoder only), pattern
 //       (per-cluster max-ent pattern encodings, Sec. 2.3.1; in-memory
 //       only), or any encoder registered in EncoderRegistry.
 //       --shards S > 1 compresses shard-wise in parallel and merges the
 //       per-shard mixtures (bit-deterministic for any thread count;
-//       mergeable encoders only). --refine N is a deprecated alias for
-//       --encoder refined --refine-patterns N.
+//       mergeable encoders only).
 //       LOG may also be a binary .logrl file written by `convert` (or
 //       LogLoader::WriteBinary): it is detected by magic, mmap-loaded,
 //       and compressed without re-parsing any SQL.
@@ -47,11 +47,7 @@
 //       nearest-centroid-chain agglomeration when the pooled components
 //       exceed K ("compress each day, merge the week"). Only mergeable
 //       summaries (naive, refined) pool; the output is always a naive
-//       summary. --method is a deprecated no-op (merge never
-//       re-clusters with a backend); --encoder is removed — the flag
-//       never affected the output, so asking for anything but "naive"
-//       (tolerated with a warning) is now a loud error instead of a
-//       silent lie.
+//       summary.
 //   logr_cli info SUMMARY
 //       Prints the summary's encoder, clusters, weights and verbosities.
 //   logr_cli estimate SUMMARY TERM [TERM ...]
@@ -193,9 +189,57 @@ const Encoder* ResolveEncoderArg(const std::string& name) {
   return encoder;
 }
 
+/// Loads LOG (text SQL or binary .logrl) into `log`/`binary`, binding
+/// `view` to whichever backs it. A text log prints its funnel line; a
+/// binary one prints its banner and stored funnel when
+/// `announce_binary` is set. Returns 0 on success, the process exit
+/// code otherwise.
+int LoadAnyLog(const std::string& in_path, bool announce_binary,
+               QueryLog* log, MmapQueryLog* binary, LogView* view) {
+  if (!in_path.empty() && IsBinaryLogFile(in_path)) {
+    std::string error;
+    if (!MmapQueryLog::Open(in_path, binary, &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
+    if (announce_binary) {
+      const DatasetSummary& stats = binary->summary();
+      std::printf("loaded binary log %s (%s): %llu SELECT queries, %zu "
+                  "distinct templates, %zu features\n",
+                  in_path.c_str(), binary->mapped() ? "mmap" : "eager",
+                  static_cast<unsigned long long>(binary->TotalQueries()),
+                  binary->NumDistinct(), binary->NumFeatures());
+      std::printf("stored funnel: %llu SELECT queries, %llu non-SELECT, "
+                  "%llu unparseable\n",
+                  static_cast<unsigned long long>(stats.num_queries),
+                  static_cast<unsigned long long>(stats.num_non_select),
+                  static_cast<unsigned long long>(stats.num_parse_errors));
+    }
+    *view = LogView(*binary);
+    return 0;
+  }
+  std::ifstream file;
+  std::istream* in = &std::cin;
+  if (!in_path.empty()) {
+    file.open(in_path);
+    if (!file) {
+      std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
+      return 1;
+    }
+    in = &file;
+  }
+  LogLoader loader;
+  std::uint64_t lines = ReadTextLog(*in, &loader);
+  PrintFunnel(lines, loader.Summary("cli"));
+  *log = loader.TakeLog();
+  *view = LogView(*log);
+  return 0;
+}
+
 int RunCompress(int argc, char** argv) {
   std::size_t clusters = 8;
   std::size_t refine = 0;
+  bool refine_given = false;
   std::size_t shards = 1;
   ShardPolicy shard_policy = ShardPolicy::kHashDistinct;
   std::string method = "kmeans";
@@ -215,20 +259,14 @@ int RunCompress(int argc, char** argv) {
       method = argv[++i];
     } else if (arg == "--encoder" && i + 1 < argc) {
       encoder_name = argv[++i];
-    } else if ((arg == "--refine-patterns" || arg == "--refine") &&
-               i + 1 < argc) {
+    } else if (arg == "--refine-patterns" && i + 1 < argc) {
       long long parsed;
       if (!ParseCount(argv[++i], 0, &parsed)) {
-        std::fprintf(stderr, "%s must be an integer >= 0\n", arg.c_str());
+        std::fprintf(stderr, "--refine-patterns must be an integer >= 0\n");
         return 2;
       }
       refine = static_cast<std::size_t>(parsed);
-      if (arg == "--refine") {
-        std::fprintf(stderr,
-                     "warning: --refine N is deprecated; use "
-                     "--encoder refined --refine-patterns N\n");
-        if (encoder_name.empty() && refine > 0) encoder_name = "refined";
-      }
+      refine_given = true;
     } else if (arg == "--shards" && i + 1 < argc) {
       long long parsed;
       if (!ParseCount(argv[++i], 1, &parsed)) {
@@ -258,6 +296,13 @@ int RunCompress(int argc, char** argv) {
   opts.shard_policy = shard_policy;
   const Encoder* encoder = ResolveEncoderArg(EffectiveEncoderName(opts));
   if (encoder == nullptr) return 2;
+  if (refine_given && std::string(encoder->Name()) != "refined") {
+    std::fprintf(stderr,
+                 "--refine-patterns applies only to --encoder refined "
+                 "(the encoder is %s)\n",
+                 encoder->Name());
+    return 2;
+  }
   if (shards > 1 && !encoder->Mergeable()) {
     std::fprintf(stderr,
                  "--shards requires a mergeable encoder (naive, refined); "
@@ -267,45 +312,14 @@ int RunCompress(int argc, char** argv) {
   }
 
   // One of `log` / `binary` backs `view`; both outlive the compression.
+  // A binary log is mmap'd and compressed straight off the mapping,
+  // skipping the SQL parse stage and any Materialize() copy.
   QueryLog log;
   MmapQueryLog binary;
   LogView view;
-  if (!in_path.empty() && IsBinaryLogFile(in_path)) {
-    // Binary fast path: mmap the columns, skip the SQL parse stage, and
-    // compress straight off the mapping — no Materialize() copy.
-    std::string bin_error;
-    if (!MmapQueryLog::Open(in_path, &binary, &bin_error)) {
-      std::fprintf(stderr, "%s\n", bin_error.c_str());
-      return 1;
-    }
-    const DatasetSummary& stats = binary.summary();
-    std::printf("loaded binary log %s (%s): %llu SELECT queries, %zu "
-                "distinct templates, %zu features\n",
-                in_path.c_str(), binary.mapped() ? "mmap" : "eager",
-                static_cast<unsigned long long>(binary.TotalQueries()),
-                binary.NumDistinct(), binary.NumFeatures());
-    std::printf("stored funnel: %llu SELECT queries, %llu non-SELECT, "
-                "%llu unparseable\n",
-                static_cast<unsigned long long>(stats.num_queries),
-                static_cast<unsigned long long>(stats.num_non_select),
-                static_cast<unsigned long long>(stats.num_parse_errors));
-    view = LogView(binary);
-  } else {
-    std::ifstream file;
-    std::istream* in = &std::cin;
-    if (!in_path.empty()) {
-      file.open(in_path);
-      if (!file) {
-        std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
-        return 1;
-      }
-      in = &file;
-    }
-    LogLoader loader;
-    std::uint64_t lines = ReadTextLog(*in, &loader);
-    PrintFunnel(lines, loader.Summary("cli"));
-    log = loader.TakeLog();
-    view = LogView(log);
+  if (int rc = LoadAnyLog(in_path, /*announce_binary=*/true, &log, &binary,
+                          &view)) {
+    return rc;
   }
   if (view.TotalQueries() == 0) {
     std::fprintf(stderr, "no usable queries\n");
@@ -319,18 +333,13 @@ int RunCompress(int argc, char** argv) {
     }
     summary = CompressAdaptive(view, clusters, opts);
   } else {
-    if (!ParseClusteringMethod(method, &opts.method)) {
-      // Not a built-in method name; accept any registered backend.
-      if (ClustererRegistry::Instance().Find(method) == nullptr) {
-        std::fprintf(stderr, "unknown method %s; registered backends:\n",
-                     method.c_str());
-        for (const std::string& name :
-             ClustererRegistry::Instance().Names()) {
-          std::fprintf(stderr, "  %s\n", name.c_str());
-        }
-        return 2;
+    if (!ParseBackendName(method, &opts)) {
+      std::fprintf(stderr, "unknown method %s; registered backends:\n",
+                   method.c_str());
+      for (const std::string& name : ClustererRegistry::Instance().Names()) {
+        std::fprintf(stderr, "  %s\n", name.c_str());
       }
-      opts.backend = method;
+      return 2;
     }
     summary = Compress(view, opts);
   }
@@ -421,31 +430,6 @@ int RunMerge(int argc, char** argv) {
         return 2;
       }
       clusters = static_cast<std::size_t>(parsed);
-    } else if (arg == "--method" && i + 1 < argc) {
-      // Deprecated: reconcile is nearest-centroid-chain agglomeration
-      // now and no longer consults a clustering backend.
-      std::fprintf(stderr,
-                   "warning: merge --method is deprecated and ignored "
-                   "(reconcile no longer uses a clustering backend)\n");
-      ++i;
-    } else if (arg == "--encoder" && i + 1 < argc) {
-      // Deprecated: the flag never had an effect (merge always emits a
-      // naive summary — patterns are log-dependent and cannot be
-      // re-ranked offline). Reject non-naive requests loudly instead of
-      // silently writing something else than asked.
-      const std::string requested = argv[++i];
-      if (requested != "naive") {
-        std::fprintf(stderr,
-                     "merge --encoder is removed: merged summaries are "
-                     "always naive (re-ranking '%s' patterns needs the "
-                     "original logs; re-compress with --encoder "
-                     "instead)\n",
-                     requested.c_str());
-        return 2;
-      }
-      std::fprintf(stderr,
-                   "warning: merge --encoder is deprecated; merged "
-                   "summaries are always naive\n");
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (!arg.empty() && arg[0] != '-') {
@@ -484,38 +468,6 @@ int RunMerge(int argc, char** argv) {
   return 0;
 }
 
-/// Loads LOG (text SQL or binary .logrl) into `log`/`binary`, binding
-/// `view` to whichever backs it. Shared by split. Returns 0 on
-/// success, the process exit code otherwise.
-int LoadAnyLog(const std::string& in_path, QueryLog* log,
-               MmapQueryLog* binary, LogView* view) {
-  if (!in_path.empty() && IsBinaryLogFile(in_path)) {
-    std::string error;
-    if (!MmapQueryLog::Open(in_path, binary, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    *view = LogView(*binary);
-    return 0;
-  }
-  std::ifstream file;
-  std::istream* in = &std::cin;
-  if (!in_path.empty()) {
-    file.open(in_path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
-      return 1;
-    }
-    in = &file;
-  }
-  LogLoader loader;
-  std::uint64_t lines = ReadTextLog(*in, &loader);
-  PrintFunnel(lines, loader.Summary("cli"));
-  *log = loader.TakeLog();
-  *view = LogView(*log);
-  return 0;
-}
-
 int RunSplit(int argc, char** argv) {
   std::size_t shards = 4;
   ShardPolicy shard_policy = ShardPolicy::kHashDistinct;
@@ -550,7 +502,10 @@ int RunSplit(int argc, char** argv) {
   QueryLog log;
   MmapQueryLog binary;
   LogView view;
-  if (int rc = LoadAnyLog(in_path, &log, &binary, &view)) return rc;
+  if (int rc = LoadAnyLog(in_path, /*announce_binary=*/false, &log, &binary,
+                          &view)) {
+    return rc;
+  }
   if (view.NumDistinct() == 0) {
     std::fprintf(stderr, "no usable queries\n");
     return 1;
@@ -646,12 +601,9 @@ int RunDistribute(int argc, char** argv) {
     }
   }
   if (inputs.empty()) return Usage();
-  if (!ParseClusteringMethod(method, &opts.compression.method)) {
-    if (ClustererRegistry::Instance().Find(method) == nullptr) {
-      std::fprintf(stderr, "unknown method %s\n", method.c_str());
-      return 2;
-    }
-    opts.compression.backend = method;
+  if (!ParseBackendName(method, &opts.compression)) {
+    std::fprintf(stderr, "unknown method %s\n", method.c_str());
+    return 2;
   }
 
   // Positional arguments: .logrl shard files, or directories of them.

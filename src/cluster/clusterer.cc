@@ -1,8 +1,6 @@
 #include "cluster/clusterer.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 
 #include "cluster/distance.h"
 #include "cluster/hierarchical.h"
@@ -123,14 +121,9 @@ std::unique_ptr<ClusterModel> Clusterer::Fit(
   return std::make_unique<RefitModel>(this, &vecs, &weights, req);
 }
 
-struct ClustererRegistry::Impl {
-  mutable std::mutex mu;
-  std::map<std::string, std::shared_ptr<Clusterer>> backends;
-};
-
-ClustererRegistry::ClustererRegistry() : impl_(new Impl) {
-  auto add = [this](std::shared_ptr<Clusterer> c) {
-    impl_->backends.emplace(c->Name(), std::move(c));
+ClustererRegistry::ClustererRegistry() {
+  auto add = [this](const std::shared_ptr<Clusterer>& c) {
+    Register(c->Name(), c);
   };
   add(std::make_shared<KMeansClusterer>());
   DistanceSpec manhattan;
@@ -144,41 +137,11 @@ ClustererRegistry::ClustererRegistry() : impl_(new Impl) {
   hamming.metric = Metric::kHamming;
   add(std::make_shared<SpectralClusterer>("hamming", hamming));
   add(std::make_shared<HierarchicalClusterer>());
-  impl_->backends.emplace("kmeans", impl_->backends.at("KmeansEuclidean"));
 }
 
 ClustererRegistry& ClustererRegistry::Instance() {
   static ClustererRegistry* registry = new ClustererRegistry();
   return *registry;
-}
-
-bool ClustererRegistry::Register(const std::string& name,
-                                 std::shared_ptr<Clusterer> impl) {
-  LOGR_CHECK(impl != nullptr);
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->backends.emplace(name, std::move(impl)).second;
-}
-
-bool ClustererRegistry::RegisterAlias(const std::string& alias,
-                                      const std::string& name) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->backends.find(name);
-  if (it == impl_->backends.end()) return false;
-  return impl_->backends.emplace(alias, it->second).second;
-}
-
-const Clusterer* ClustererRegistry::Find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->backends.find(name);
-  return it == impl_->backends.end() ? nullptr : it->second.get();
-}
-
-std::vector<std::string> ClustererRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  std::vector<std::string> names;
-  names.reserve(impl_->backends.size());
-  for (const auto& entry : impl_->backends) names.push_back(entry.first);
-  return names;
 }
 
 }  // namespace logr

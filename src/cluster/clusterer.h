@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "util/named_registry.h"
 #include "util/thread_pool.h"
 #include "workload/feature_vec.h"
 
@@ -76,29 +77,14 @@ class Clusterer {
 };
 
 /// Process-wide name -> backend table. Thread-safe. The five built-in
-/// backends ("KmeansEuclidean" a.k.a. "kmeans", "manhattan", "minkowski",
-/// "hamming", "hierarchical") are registered on first access.
-class ClustererRegistry {
+/// backends ("KmeansEuclidean", "manhattan", "minkowski", "hamming",
+/// "hierarchical") are registered on first access, one name each.
+class ClustererRegistry : public NamedRegistry<Clusterer> {
  public:
   static ClustererRegistry& Instance();
 
-  /// Registers `impl` under `name`. Returns false (and keeps the existing
-  /// entry) when the name is already taken.
-  bool Register(const std::string& name, std::shared_ptr<Clusterer> impl);
-
-  /// Registers `alias` as another name for an existing backend.
-  bool RegisterAlias(const std::string& alias, const std::string& name);
-
-  /// The backend registered under `name`, or nullptr.
-  const Clusterer* Find(const std::string& name) const;
-
-  /// All registered names (aliases included), sorted.
-  std::vector<std::string> Names() const;
-
  private:
   ClustererRegistry();
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace logr

@@ -140,7 +140,7 @@ void SweepUpperTriangle(const PackedVecPool& packed, const DistanceSpec& spec,
       tiles.emplace_back(bi, bj);
     }
   }
-  ParallelFor(pool, 0, tiles.size(), [&](std::size_t t) {
+  ParallelFor(pool, 0, tiles.size(), kFineGrain, [&](std::size_t t) {
     const std::size_t i_lo = tiles[t].first * kTile;
     const std::size_t i_hi = std::min(count, i_lo + kTile);
     const std::size_t j_lo = tiles[t].second * kTile;
@@ -243,7 +243,7 @@ Matrix DistanceMatrixMerge(const std::vector<FeatureVec>& vecs,
   // Row-parallel over the upper triangle; rows write disjoint entries
   // ((i, j) and its mirror (j, i) with j > i), so any schedule produces
   // the same matrix.
-  ParallelFor(pool, 0, count, [&](std::size_t i) {
+  ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
     for (std::size_t j = i + 1; j < count; ++j) {
       double v = Distance(vecs[i], vecs[j], n, spec);
       d(i, j) = v;
@@ -258,7 +258,7 @@ std::vector<double> DistancePairs(
     const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
     const DistanceSpec& spec, ThreadPool* pool) {
   std::vector<double> out(pairs.size());
-  ParallelFor(pool, 0, pairs.size(), [&](std::size_t p) {
+  ParallelFor(pool, 0, pairs.size(), kFineGrain, [&](std::size_t p) {
     out[p] = DistanceFromSymmetricDifference(
         packed.SymmetricDifference(pairs[p].first, pairs[p].second),
         packed.num_features(), spec);

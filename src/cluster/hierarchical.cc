@@ -54,15 +54,6 @@ std::vector<double> ResolveMasses(std::size_t n,
 /// smallest-index argmin a serial scan would pick, for any pool size.
 constexpr std::size_t kScanChunk = 64;
 
-/// Below this many slots the nearest scans and the fused Lance-Williams
-/// passes run inline (ParallelForInlinable): their bodies are a handful
-/// of ops, so the dispatch round trip costs more than the loop until N
-/// is large. Results are identical either way. The resulting grain of
-/// kMinParallelIters / kScanChunk = 64 chunks equals the range
-/// ThreadPool::ParallelFor itself still runs inline, so a list longer
-/// than kMinParallelIters really does reach the workers.
-constexpr std::size_t kMinParallelIters = 4096;
-
 }  // namespace
 
 std::vector<int> Dendrogram::CutToK(std::size_t k) const {
@@ -124,7 +115,7 @@ Dendrogram AgglomerativeAverageLinkage(CondensedDistances d,
 
   // Chain walk, active-slot list, and deterministic chunked argmin come
   // from cluster/nn_chain.h (shared with the mixture reconcile).
-  NNChainScan scan(n, kScanChunk, kMinParallelIters / kScanChunk, pool);
+  NNChainScan scan(n, kScanChunk, pool);
 
   // Cached nearest neighbor per slot. A valid entry equals exactly what
   // a full serial scan would return — value and smallest-index tie-break

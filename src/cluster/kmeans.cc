@@ -114,7 +114,7 @@ ClusteringResult KMeansSparse(const std::vector<FeatureVec>& vecs,
       }
       // Parallel scan into per-point slots; the order-sensitive inertia
       // sum stays serial so every pool size gives identical results.
-      ParallelFor(pool, 0, count, [&](std::size_t i) {
+      ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
         int best_c = 0;
         double best_d = std::numeric_limits<double>::max();
         for (std::size_t c = 0; c < k; ++c) {
@@ -200,7 +200,7 @@ ClusteringResult KMeansDense(const std::vector<Vector>& points,
     double inertia = 0.0;
     int iter = 0;
     for (; iter < opts.max_iterations; ++iter) {
-      ParallelFor(pool, 0, count, [&](std::size_t i) {
+      ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
         int best_c = 0;
         double best_d = std::numeric_limits<double>::max();
         for (std::size_t c = 0; c < k; ++c) {

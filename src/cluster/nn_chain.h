@@ -40,15 +40,12 @@ class NNChainScan {
  public:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  /// `scan_chunk` is the per-chunk edge of the parallel argmin;
-  /// `scan_grain` the minimum chunks-per-dispatch before the scan goes
-  /// parallel (below it the loop runs inline; results are identical
-  /// either way).
-  NNChainScan(std::size_t count, std::size_t scan_chunk,
-              std::size_t scan_grain, ThreadPool* pool)
+  /// `scan_chunk` is the per-chunk edge of the parallel argmin. The
+  /// chunks are a kFineGrain loop: up to 64 of them run inline (results
+  /// are identical either way).
+  NNChainScan(std::size_t count, std::size_t scan_chunk, ThreadPool* pool)
       : pool_(pool),
         scan_chunk_(scan_chunk),
-        scan_grain_(scan_grain),
         active_(count, 1),
         slot_list_(count),
         chunk_best_((count + scan_chunk - 1) / scan_chunk),
@@ -87,8 +84,7 @@ class NNChainScan {
     const std::size_t num_chunks =
         (list_len + scan_chunk_ - 1) / scan_chunk_;
     const std::uint32_t* list = slot_list_.data();
-    ParallelForInlinable(pool_, 0, num_chunks, scan_grain_,
-                         [&](std::size_t c) {
+    ParallelFor(pool_, 0, num_chunks, kFineGrain, [&](std::size_t c) {
       const std::size_t lo = c * scan_chunk_;
       const std::size_t hi = std::min(list_len, lo + scan_chunk_);
       double best = std::numeric_limits<double>::max();
@@ -122,7 +118,6 @@ class NNChainScan {
  private:
   ThreadPool* pool_;
   std::size_t scan_chunk_;
-  std::size_t scan_grain_;
   std::vector<std::uint8_t> active_;
   std::vector<std::uint32_t> slot_list_;
   std::size_t dead_ = 0;

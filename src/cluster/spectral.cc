@@ -15,7 +15,7 @@ double MedianNonzeroDistance(const Matrix& dist, ThreadPool* pool) {
   // array is identical for any schedule, so nth_element sees the same
   // multiset (and the same memory layout) every time.
   std::vector<std::size_t> row_count(count, 0);
-  ParallelFor(pool, 0, count, [&](std::size_t i) {
+  ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
     std::size_t c = 0;
     for (std::size_t j = i + 1; j < count; ++j) {
       if (dist(i, j) > 0.0) ++c;
@@ -27,7 +27,7 @@ double MedianNonzeroDistance(const Matrix& dist, ThreadPool* pool) {
     offset[i + 1] = offset[i] + row_count[i];
   }
   std::vector<double> nonzero(offset[count]);
-  ParallelFor(pool, 0, count, [&](std::size_t i) {
+  ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
     std::size_t at = offset[i];
     for (std::size_t j = i + 1; j < count; ++j) {
       if (dist(i, j) > 0.0) nonzero[at++] = dist(i, j);
@@ -46,7 +46,7 @@ Matrix GaussianAffinity(const Matrix& dist, double sigma, Vector* degree,
   Matrix w(count, count);
   degree->assign(count, 0.0);
   const double inv = 1.0 / (2.0 * sigma * sigma);
-  ParallelFor(pool, 0, count, [&](std::size_t i) {
+  ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
     double deg = 0.0;
     for (std::size_t j = 0; j < count; ++j) {
       double a = (i == j) ? 1.0 : std::exp(-dist(i, j) * dist(i, j) * inv);

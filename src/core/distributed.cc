@@ -163,13 +163,9 @@ bool RunDistributedWorker(const DistributedWorkerOptions& opts,
   copts.seed = opts.seed;
   copts.n_init = opts.n_init;
   copts.encoder = "naive";
-  copts.refine_patterns = 0;
   copts.pool = &serial;
-  if (!ParseClusteringMethod(opts.method, &copts.method)) {
-    if (ClustererRegistry::Instance().Find(opts.method) == nullptr) {
-      return Fail(error, "unknown clustering backend " + opts.method);
-    }
-    copts.backend = opts.method;
+  if (!ParseBackendName(opts.method, &copts)) {
+    return Fail(error, "unknown clustering backend " + opts.method);
   }
 
   LogView view(shard);
@@ -232,9 +228,7 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
 
   const std::size_t shard_k =
       ClustersPerShard(opts_.compression.num_clusters, n);
-  const std::string method = opts_.compression.backend.empty()
-                                 ? ClusteringMethodName(opts_.compression.method)
-                                 : opts_.compression.backend;
+  const std::string method = BackendName(opts_.compression);
 
   enum class State { kPending, kRunning, kDone };
   std::vector<State> state(n, State::kPending);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <mutex>
 
 #include "core/itemsets.h"
 #include "core/pattern_encoding.h"
@@ -170,11 +169,7 @@ class PatternEncoder : public Encoder {
       fitted[c] = std::make_unique<PatternMixtureModel::Component>(
           weight, PatternEncoding(sublog, SelectPatterns(sublog, budget)));
     };
-    if (req.pool != nullptr && req.pool->NumThreads() > 1) {
-      req.pool->ParallelForCoarse(0, req.k, fit_component);
-    } else {
-      for (std::size_t c = 0; c < req.k; ++c) fit_component(c);
-    }
+    ParallelFor(req.pool, 0, req.k, kCoarseGrain, fit_component);
     std::vector<PatternMixtureModel::Component> components;
     components.reserve(req.k);
     for (std::size_t c = 0; c < req.k; ++c) {
@@ -321,13 +316,8 @@ std::shared_ptr<const RefinedMixtureModel> RefineMixture(
     errors[c] = std::min(naive_err, ref.ReproductionError());
     retained[c] = ref.retained_patterns();
   };
-  if (pool != nullptr && pool->NumThreads() > 1) {
-    pool->ParallelForCoarse(0, mixture.NumComponents(), refine_component);
-  } else {
-    for (std::size_t c = 0; c < mixture.NumComponents(); ++c) {
-      refine_component(c);
-    }
-  }
+  ParallelFor(pool, 0, mixture.NumComponents(), kCoarseGrain,
+              refine_component);
   return std::make_shared<RefinedMixtureModel>(
       std::move(mixture), std::move(retained), std::move(errors));
 }
@@ -343,14 +333,9 @@ std::shared_ptr<const WorkloadModel> Encoder::WrapMixture(
 
 // -------------------------------------------------------------- registry
 
-struct EncoderRegistry::Impl {
-  mutable std::mutex mu;
-  std::map<std::string, std::shared_ptr<Encoder>> backends;
-};
-
-EncoderRegistry::EncoderRegistry() : impl_(new Impl) {
-  auto add = [this](std::shared_ptr<Encoder> e) {
-    impl_->backends.emplace(e->Name(), std::move(e));
+EncoderRegistry::EncoderRegistry() {
+  auto add = [this](const std::shared_ptr<Encoder>& e) {
+    Register(e->Name(), e);
   };
   add(std::make_shared<NaiveEncoder>());
   add(std::make_shared<RefinedEncoder>());
@@ -360,35 +345,6 @@ EncoderRegistry::EncoderRegistry() : impl_(new Impl) {
 EncoderRegistry& EncoderRegistry::Instance() {
   static EncoderRegistry* registry = new EncoderRegistry();
   return *registry;
-}
-
-bool EncoderRegistry::Register(const std::string& name,
-                               std::shared_ptr<Encoder> impl) {
-  LOGR_CHECK(impl != nullptr);
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->backends.emplace(name, std::move(impl)).second;
-}
-
-bool EncoderRegistry::RegisterAlias(const std::string& alias,
-                                    const std::string& name) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->backends.find(name);
-  if (it == impl_->backends.end()) return false;
-  return impl_->backends.emplace(alias, it->second).second;
-}
-
-const Encoder* EncoderRegistry::Find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->backends.find(name);
-  return it == impl_->backends.end() ? nullptr : it->second.get();
-}
-
-std::vector<std::string> EncoderRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  std::vector<std::string> names;
-  names.reserve(impl_->backends.size());
-  for (const auto& entry : impl_->backends) names.push_back(entry.first);
-  return names;
 }
 
 std::size_t MaxRefinedPatternsPerComponent(std::size_t n_features) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/mixture.h"
+#include "util/named_registry.h"
 #include "util/thread_pool.h"
 #include "workload/log_view.h"
 #include "workload/query_log.h"
@@ -228,27 +229,12 @@ class Encoder {
 /// Process-wide name -> encoder table. Thread-safe. The three built-in
 /// backends ("naive", "refined", "pattern") are registered on first
 /// access; applications register additional encoders at runtime.
-class EncoderRegistry {
+class EncoderRegistry : public NamedRegistry<Encoder> {
  public:
   static EncoderRegistry& Instance();
 
-  /// Registers `impl` under `name`. Returns false (and keeps the
-  /// existing entry) when the name is already taken.
-  bool Register(const std::string& name, std::shared_ptr<Encoder> impl);
-
-  /// Registers `alias` as another name for an existing encoder.
-  bool RegisterAlias(const std::string& alias, const std::string& name);
-
-  /// The encoder registered under `name`, or nullptr.
-  const Encoder* Find(const std::string& name) const;
-
-  /// All registered names (aliases included), sorted.
-  std::vector<std::string> Names() const;
-
  private:
   EncoderRegistry();
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 /// The encoder name used when LogROptions::encoder is empty: the

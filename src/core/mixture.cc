@@ -289,7 +289,7 @@ NaiveMixtureEncoding NaiveMixtureEncoding::FromPartition(
   }
 
   std::vector<MixtureComponent> slots(k);
-  ParallelFor(pool, 0, k, [&](std::size_t c) {
+  ParallelFor(pool, 0, k, kFineGrain, [&](std::size_t c) {
     if (members[c].empty()) return;  // empty clusters are dropped
     MixtureComponent comp;
     comp.members = std::move(members[c]);
@@ -444,7 +444,7 @@ NaiveMixtureEncoding NaiveMixtureEncoding::Reconcile(std::size_t k,
   // from cluster/nn_chain.h (shared with the hierarchical fit); the
   // fused-error linkage scans in smaller chunks because one FuseDelta
   // costs far more than one matrix read.
-  NNChainScan scan(count, /*scan_chunk=*/64, /*scan_grain=*/8, pool);
+  NNChainScan scan(count, /*scan_chunk=*/64, pool);
 
   constexpr std::size_t kNone = NNChainScan::kNone;
   std::vector<std::size_t> cached_arg(count, kNone);

@@ -58,11 +58,24 @@ bool ParseShardPolicy(const std::string& name, ShardPolicy* out) {
 }
 
 std::string EffectiveEncoderName(const LogROptions& opts) {
-  if (!opts.encoder.empty()) return opts.encoder;
-  // Legacy knob: refine_patterns predates the registry and always meant
-  // "naive plus corr_rank refinement".
-  if (opts.refine_patterns > 0) return "refined";
-  return DefaultEncoderName();
+  return opts.encoder.empty() ? DefaultEncoderName() : opts.encoder;
+}
+
+std::string BackendName(const LogROptions& opts) {
+  return opts.backend.empty() ? ClusteringMethodName(opts.method)
+                              : opts.backend;
+}
+
+bool ParseBackendName(const std::string& name, LogROptions* opts) {
+  LOGR_CHECK(opts != nullptr);
+  if (ParseClusteringMethod(name, &opts->method)) {
+    opts->backend.clear();
+  } else if (ClustererRegistry::Instance().Find(name) != nullptr) {
+    opts->backend = name;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 const WorkloadModel& LogRSummary::Model() const {
@@ -101,8 +114,7 @@ CompressionPipeline::CompressionPipeline(const LogView& log,
   ctx_.opts = opts;
   ctx_.rng = Pcg32(opts.seed);
   ctx_.pool = opts.pool ? opts.pool : ThreadPool::Shared();
-  const std::string& name =
-      opts.backend.empty() ? ClusteringMethodName(opts.method) : opts.backend;
+  const std::string name = BackendName(opts);
   ctx_.clusterer = ClustererRegistry::Instance().Find(name);
   LOGR_CHECK_MSG(ctx_.clusterer != nullptr, name.c_str());
   const std::string encoder_name = EffectiveEncoderName(opts);

@@ -42,8 +42,9 @@ enum class ClusteringMethod {
 /// Registry name of `m` (also the paper's label for the method).
 const char* ClusteringMethodName(ClusteringMethod m);
 
-/// Inverse of ClusteringMethodName. Also accepts the "kmeans" alias.
-/// Returns false (leaving `*out` untouched) for unknown names.
+/// Inverse of ClusteringMethodName. Also accepts "kmeans", the CLI
+/// spelling of "KmeansEuclidean". Returns false (leaving `*out`
+/// untouched) for unknown names.
 bool ParseClusteringMethod(const std::string& name, ClusteringMethod* out);
 
 /// How a ShardedCompressor partitions a log's distinct vectors into
@@ -77,12 +78,11 @@ struct LogROptions {
   /// Encoder backend for the encode stage, resolved through
   /// EncoderRegistry ("naive", "refined", "pattern", or an
   /// application-registered name). Empty selects DefaultEncoderName()
-  /// (the LOGR_ENCODER environment variable, else "naive") — unless
-  /// refine_patterns > 0, which selects "refined" for backward
-  /// compatibility with the pre-registry refine stage.
+  /// (the LOGR_ENCODER environment variable, else "naive").
   std::string encoder;
   /// Per-component budget of extra corr_rank-ranked patterns for the
-  /// "refined" encoder (Sec. 6.4). 0 uses the encoder's default.
+  /// "refined" encoder (Sec. 6.4). 0 uses the encoder's default; other
+  /// encoders ignore it.
   std::size_t refine_patterns = 0;
   /// Per-component pattern count for the "pattern" encoder. 0 uses the
   /// encoder's default; larger requests are clamped to the encoder's
@@ -98,10 +98,19 @@ struct LogROptions {
   ShardPolicy shard_policy = ShardPolicy::kHashDistinct;
 };
 
-/// The registry name the encode stage resolves for `opts`: the explicit
-/// opts.encoder, else "refined" when the legacy refine_patterns knob is
-/// set, else DefaultEncoderName().
+/// The EncoderRegistry name the encode stage resolves for `opts`: the
+/// explicit opts.encoder, else DefaultEncoderName().
 std::string EffectiveEncoderName(const LogROptions& opts);
+
+/// The ClustererRegistry name the cluster stage resolves for `opts`:
+/// opts.backend when set, else ClusteringMethodName(opts.method).
+std::string BackendName(const LogROptions& opts);
+
+/// Points `opts` at the clustering backend called `name`: a
+/// ParseClusteringMethod spelling sets opts.method (and clears
+/// opts.backend), any other ClustererRegistry name sets opts.backend.
+/// Returns false, leaving `opts` untouched, for an unknown name.
+bool ParseBackendName(const std::string& name, LogROptions* opts);
 
 struct LogRSummary {
   /// The compressed workload: every analytics consumer goes through

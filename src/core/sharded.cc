@@ -27,7 +27,7 @@ std::uint64_t StableVectorHash(const FeatureId* ids, std::size_t len) {
 }
 
 /// Degenerate pool for the per-shard pipelines: the shard loop already
-/// occupies the shared pool's workers, and ThreadPool::ParallelFor is
+/// occupies the shared pool's workers, and a pooled ParallelFor is
 /// not reentrant from inside a worker.
 ThreadPool* SerialPool() {
   static ThreadPool* pool = new ThreadPool(0);
@@ -107,8 +107,7 @@ LogRSummary ShardedCompressor::Run() {
   LogROptions shard_opts = opts_;
   shard_opts.num_shards = 1;
   shard_opts.pool = SerialPool();
-  shard_opts.encoder = "naive";    // shards merge through the naive family
-  shard_opts.refine_patterns = 0;  // refinement runs once, on the merge
+  shard_opts.encoder = "naive";  // shards merge through the naive family
   LogROptions effective = opts_;
   effective.num_shards = S;
   shard_opts.num_clusters = ClustersPerShard(effective);
@@ -117,7 +116,7 @@ LogRSummary ShardedCompressor::Run() {
   // never affects the result, so any thread count gives the same bits.
   ThreadPool* pool = opts_.pool ? opts_.pool : ThreadPool::Shared();
   std::vector<LogRSummary> results(S);
-  pool->ParallelForCoarse(0, S, [&](std::size_t s) {
+  ParallelFor(pool, 0, S, kCoarseGrain, [&](std::size_t s) {
     results[s] = CompressionPipeline(shard_views[s], shard_opts).RunFixedK();
   });
 

@@ -1,14 +1,16 @@
 // Fixed-size worker pool for data-parallel hot paths (distance matrices,
 // k-means assignment).
 //
-// The pool exposes one primitive, ParallelFor, chosen so that callers stay
-// bit-deterministic: iterations write to disjoint, index-addressed slots and
-// any order-sensitive reduction is done serially by the caller afterwards.
-// Scheduling (dynamic block claiming) therefore never changes results, only
+// Every parallel loop goes through one entry point, the free ParallelFor
+// below, chosen so that callers stay bit-deterministic: iterations write
+// to disjoint, index-addressed slots and any order-sensitive reduction is
+// done serially by the caller afterwards. Scheduling (inline or pooled,
+// dynamic block claiming) therefore never changes results, only
 // wall-clock time.
 #ifndef LOGR_UTIL_THREAD_POOL_H_
 #define LOGR_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -24,8 +26,8 @@ namespace logr {
 
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers. 0 or 1 creates a degenerate pool whose
-  /// ParallelFor runs inline on the calling thread.
+  /// Starts `num_threads` workers. 0 or 1 creates a degenerate pool on
+  /// which ParallelFor runs inline on the calling thread.
   explicit ThreadPool(std::size_t num_threads) {
     if (num_threads <= 1) return;
     workers_.reserve(num_threads);
@@ -51,48 +53,6 @@ class ThreadPool {
     return workers_.empty() ? 1 : workers_.size();
   }
 
-  /// Runs `fn(i)` for every i in [begin, end) and returns once all
-  /// iterations completed. The calling thread participates, so the pool
-  /// makes progress even while its workers are busy elsewhere. Iterations
-  /// are claimed in contiguous blocks; `fn` must tolerate concurrent calls
-  /// on distinct indices. If `fn` throws, remaining iterations are
-  /// abandoned and the first exception is rethrown on the calling thread
-  /// after every in-flight worker has stopped touching the job. Not
-  /// reentrant: do not call ParallelFor from inside `fn`.
-  void ParallelFor(std::size_t begin, std::size_t end,
-                   const std::function<void(std::size_t)>& fn) {
-    if (begin >= end) return;
-    const std::size_t n = end - begin;
-    // Small ranges run inline: the job-queue round trip (lock, wakeup,
-    // completion wait) costs more than a short loop, and the adaptive
-    // strategy issues many tiny k=2 bisections.
-    if (workers_.empty() || n <= kInlineThreshold) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      return;
-    }
-
-    // Small contiguous blocks + an atomic cursor: dynamic load balancing
-    // for skewed iterations (e.g. triangular distance loops).
-    Dispatch(begin, end, std::max<std::size_t>(1, n / (workers_.size() * 8)),
-             fn);
-  }
-
-  /// ParallelFor for coarse-grained iterations (e.g. one whole
-  /// compression pipeline per shard): always dispatches to the workers,
-  /// one index per block, even when the range is far below the inline
-  /// threshold. The determinism contract is the same — iterations write
-  /// to disjoint index-addressed slots. `fn` must not call back into
-  /// this pool (see ParallelFor's reentrancy note).
-  void ParallelForCoarse(std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& fn) {
-    if (begin >= end) return;
-    if (workers_.empty()) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      return;
-    }
-    Dispatch(begin, end, /*block=*/1, fn);
-  }
-
   /// Process-wide pool sized from the LOGR_THREADS environment variable,
   /// defaulting to the hardware concurrency. Intentionally leaked so it
   /// outlives static destructors.
@@ -101,25 +61,14 @@ class ThreadPool {
     return pool;
   }
 
- private:
-  /// Below this many iterations the dispatch overhead dominates any
-  /// parallel win, so the loop runs inline on the caller.
-  static constexpr std::size_t kInlineThreshold = 64;
-
-  struct ForJob {
-    std::atomic<std::size_t> next{0};
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::size_t block = 1;
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::atomic<long> pending{0};
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::exception_ptr error;  // first exception thrown by `fn`
-  };
-
   /// Queues [begin, end) in blocks of `block` and blocks until every
-  /// iteration completed (the caller participates as a worker).
+  /// iteration completed. The calling thread participates, so the pool
+  /// makes progress even while its workers are busy elsewhere. `fn` must
+  /// tolerate concurrent calls on distinct indices. If `fn` throws,
+  /// remaining iterations are abandoned and the first exception is
+  /// rethrown on the calling thread after every in-flight worker has
+  /// stopped touching the job. Not reentrant: `fn` must not dispatch to
+  /// this pool. Loops call ParallelFor, which picks `block`.
   void Dispatch(std::size_t begin, std::size_t end, std::size_t block,
                 const std::function<void(std::size_t)>& fn) {
     const std::size_t n = end - begin;
@@ -147,6 +96,19 @@ class ThreadPool {
     }
     if (job->error) std::rethrow_exception(job->error);
   }
+
+ private:
+  struct ForJob {
+    std::atomic<std::size_t> next{0};
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t block = 1;
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::atomic<long> pending{0};
+    std::mutex done_mu;
+    std::condition_variable done_cv;
+    std::exception_ptr error;  // first exception thrown by `fn`
+  };
 
   static std::size_t SharedSize() {
     if (const char* env = std::getenv("LOGR_THREADS")) {
@@ -202,33 +164,41 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Convenience wrapper: serial loop when `pool` is null, pooled otherwise.
-inline void ParallelFor(ThreadPool* pool, std::size_t begin, std::size_t end,
-                        const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  pool->ParallelFor(begin, end, fn);
-}
+/// Grain of a loop whose every iteration is a whole task (one shard's
+/// pipeline, one component's fit): the loop goes to the workers whenever
+/// the pool has more than one, one index per block.
+inline constexpr std::size_t kCoarseGrain = 1;
 
-/// ParallelFor for hot loops whose per-iteration body is tiny (a few
-/// loads and arithmetic ops): runs the loop directly — with the lambda
-/// fully inlinable, no std::function indirection — whenever the pool is
-/// null/degenerate or the range is below `min_parallel`, and dispatches
-/// to the pool otherwise. Callers must already satisfy the ParallelFor
-/// determinism contract (disjoint index-addressed writes), so taking
-/// the serial path never changes results.
+/// Grain of a hot loop with a short body: up to 64 iterations run inline,
+/// since the job-queue round trip (lock, wakeup, completion wait) costs
+/// more than such a loop and the adaptive strategy issues many tiny k=2
+/// bisections. Longer ranges go out in blocks of n / (8 * workers), so
+/// skewed iterations (e.g. triangular distance loops) balance
+/// dynamically.
+inline constexpr std::size_t kFineGrain = 65;
+
+/// Runs `fn(i)` for every i in [begin, end) and returns once all
+/// iterations completed. The loop runs inline, calling `fn` directly
+/// with no std::function in between, when `pool` is null or has one
+/// thread or when the range holds fewer than `grain` iterations.
+/// Otherwise it is dispatched to `pool` (see ThreadPool::Dispatch for the
+/// concurrency, exception and reentrancy contract) in one-index blocks
+/// for a grain of kCoarseGrain or less, else in blocks of
+/// max(1, n / (8 * workers)).
 template <typename Fn>
-inline void ParallelForInlinable(ThreadPool* pool, std::size_t begin,
-                                 std::size_t end, std::size_t min_parallel,
-                                 Fn&& fn) {
-  if (pool == nullptr || pool->NumThreads() <= 1 ||
-      end - begin < min_parallel) {
+void ParallelFor(ThreadPool* pool, std::size_t begin, std::size_t end,
+                 std::size_t grain, Fn&& fn) {
+  if (begin >= end) return;
+  const std::size_t n = end - begin;
+  if (pool == nullptr || pool->NumThreads() <= 1 || n < grain) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  pool->ParallelFor(begin, end, fn);
+  const std::size_t block =
+      grain <= kCoarseGrain
+          ? 1
+          : std::max<std::size_t>(1, n / (pool->NumThreads() * 8));
+  pool->Dispatch(begin, end, block, fn);
 }
 
 }  // namespace logr

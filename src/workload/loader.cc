@@ -68,7 +68,7 @@ void LogLoader::Flush() const {
   if (pending_.empty()) return;
   std::vector<PreparedSelect> prepared(pending_.size());
   ThreadPool* pool = opts_.pool ? opts_.pool : ThreadPool::Shared();
-  pool->ParallelFor(0, pending_.size(), [&](std::size_t i) {
+  ParallelFor(pool, 0, pending_.size(), kFineGrain, [&](std::size_t i) {
     prepared[i] = Prepare(pending_[i].sql, opts_);
   });
 

@@ -48,7 +48,7 @@ struct DatasetSummary {
 /// same for any pool size. A pass's last partial batch is folded by the
 /// first reader, usually Summary().
 ///
-/// ThreadPool::ParallelFor is not reentrant, so a LogLoader must not be
+/// A pooled ParallelFor is not reentrant, so a LogLoader must not be
 /// driven from inside a pool task. Not thread-safe: the const readers
 /// fold the pending batch too.
 class LogLoader {

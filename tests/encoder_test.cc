@@ -6,6 +6,7 @@
 // v1 compatibility / v2 encoder-tag round-trips.
 #include <cmath>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -78,6 +79,11 @@ TEST(EncoderRegistryTest, ResolvesEveryBuiltInBackend) {
   EXPECT_NE(std::find(names.begin(), names.end(), "naive"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "refined"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "pattern"), names.end());
+  // Every registered name is a distinct encoder: no aliases.
+  std::set<const Encoder*> encoders;
+  for (const std::string& name : names) {
+    EXPECT_TRUE(encoders.insert(registry.Find(name)).second) << name;
+  }
 }
 
 /// A deliberately trivial model + encoder pair registered at runtime to

@@ -3,6 +3,8 @@
 // serial ones, the registry must cover every built-in method, and a
 // backend registered at runtime must work end to end.
 #include <atomic>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,13 +52,25 @@ QueryLog GroupedLog(std::size_t groups, std::size_t per_group,
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  for (std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    pool.ParallelFor(0, n, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "i=" << i << " n=" << n;
+  ThreadPool single(1);
+  ThreadPool wide(4);
+  const std::vector<ThreadPool*> pools = {nullptr, &single, &wide};
+  for (ThreadPool* pool : pools) {
+    const std::size_t threads = pool ? pool->NumThreads() : 0;
+    for (std::size_t grain : {1u, 64u}) {
+      for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 1000u}) {
+        // An offset range checks that indices start at `begin`.
+        const std::size_t begin = 5;
+        std::vector<std::atomic<int>> hits(begin + n);
+        for (auto& h : hits) h.store(0);
+        ParallelFor(pool, begin, begin + n, grain,
+                    [&](std::size_t i) { hits[i].fetch_add(1); });
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+          EXPECT_EQ(hits[i].load(), i < begin ? 0 : 1)
+              << "i=" << i << " n=" << n << " grain=" << grain
+              << " threads=" << threads;
+        }
+      }
     }
   }
 }
@@ -65,9 +79,33 @@ TEST(ThreadPoolTest, DegeneratePoolRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.NumThreads(), 1u);
   int sum = 0;
-  // Non-atomic accumulator is safe: a 1-thread pool runs on the caller.
-  pool.ParallelFor(0, 10, [&](std::size_t i) { sum += static_cast<int>(i); });
+  // Non-atomic accumulator is safe: a 1-thread pool runs on the caller,
+  // even for a coarse loop.
+  ParallelFor(&pool, 0, 10, kCoarseGrain,
+              [&](std::size_t i) { sum += static_cast<int>(i); });
   EXPECT_EQ(sum, 45);
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsOnTheCaller) {
+  ThreadPool single(1);
+  ThreadPool wide(4);
+  const std::vector<ThreadPool*> pools = {nullptr, &single, &wide};
+  // Every thrower raises the same error, so whichever is first the
+  // caller sees it; the loop then stops claiming blocks.
+  auto boom = [](std::size_t i) {
+    if (i % 100 == 7) throw std::runtime_error("boom");
+  };
+  for (ThreadPool* pool : pools) {
+    for (std::size_t grain : {kCoarseGrain, kFineGrain}) {
+      const std::size_t threads = pool ? pool->NumThreads() : 0;
+      EXPECT_THROW(ParallelFor(pool, 0, 1000, grain, boom), std::runtime_error)
+          << "threads=" << threads << " grain=" << grain;
+      // The pool stays usable after a failed loop.
+      std::atomic<std::size_t> ran{0};
+      ParallelFor(pool, 0, 100, grain, [&](std::size_t) { ran.fetch_add(1); });
+      EXPECT_EQ(ran.load(), 100u) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(DistanceMatrixTest, ParallelBitIdenticalToSerial) {
@@ -105,14 +143,39 @@ TEST(ClustererRegistryTest, RoundTripsEveryBuiltInMethod) {
     EXPECT_EQ(parsed, m) << name;
     EXPECT_NE(ClustererRegistry::Instance().Find(name), nullptr) << name;
   }
-  // The CLI alias resolves to the same backend as the canonical name.
+  // "kmeans" is a CLI spelling of the method, not a second registry
+  // name for the backend.
   ClusteringMethod parsed;
   ASSERT_TRUE(ParseClusteringMethod("kmeans", &parsed));
   EXPECT_EQ(parsed, ClusteringMethod::kKMeansEuclidean);
-  EXPECT_EQ(ClustererRegistry::Instance().Find("kmeans"),
-            ClustererRegistry::Instance().Find("KmeansEuclidean"));
+  EXPECT_EQ(ClustererRegistry::Instance().Find("kmeans"), nullptr);
   EXPECT_FALSE(ParseClusteringMethod("no-such-method", &parsed));
   EXPECT_EQ(ClustererRegistry::Instance().Find("no-such-method"), nullptr);
+  // Every registered name is a distinct backend: no aliases.
+  const ClustererRegistry& registry = ClustererRegistry::Instance();
+  std::set<const Clusterer*> backends;
+  for (const std::string& name : registry.Names()) {
+    EXPECT_TRUE(backends.insert(registry.Find(name)).second) << name;
+  }
+}
+
+TEST(ClustererRegistryTest, BackendNameRoundTripsThroughOptions) {
+  LogROptions opts;
+  for (const char* name :
+       {"KmeansEuclidean", "manhattan", "minkowski", "hamming",
+        "hierarchical"}) {
+    ASSERT_TRUE(ParseBackendName(name, &opts)) << name;
+    EXPECT_TRUE(opts.backend.empty()) << name;
+    EXPECT_EQ(BackendName(opts), name);
+  }
+  ASSERT_TRUE(ParseBackendName("kmeans", &opts));
+  EXPECT_EQ(opts.method, ClusteringMethod::kKMeansEuclidean);
+  EXPECT_EQ(BackendName(opts), "KmeansEuclidean");
+  // An unknown name leaves the options untouched.
+  opts.method = ClusteringMethod::kSpectralHamming;
+  EXPECT_FALSE(ParseBackendName("no-such-method", &opts));
+  EXPECT_EQ(opts.method, ClusteringMethod::kSpectralHamming);
+  EXPECT_EQ(BackendName(opts), "hamming");
 }
 
 TEST(ClustererRegistryTest, BackendsProduceValidAssignments) {
@@ -157,7 +220,8 @@ TEST(ClustererRegistryTest, HierarchicalModelHasMonotoneCuts) {
   // A non-hierarchical backend's default model re-fits and is honest
   // about not being monotone. The default model references the weights
   // passed to Fit, so they must outlive the Cut call.
-  const Clusterer* km = ClustererRegistry::Instance().Find("kmeans");
+  const Clusterer* km =
+      ClustererRegistry::Instance().Find("KmeansEuclidean");
   req.k = 2;
   std::vector<double> uniform;
   std::unique_ptr<ClusterModel> refit = km->Fit(vecs, uniform, req);
@@ -215,8 +279,12 @@ TEST(PipelineTest, RefinedEncoderNeverWorsensError) {
   QueryLog log = GroupedLog(3, 12, 59);
   LogROptions opts;
   opts.num_clusters = 2;
-  // The legacy refine_patterns knob routes to the "refined" encoder.
+  // refine_patterns alone is only the refined encoder's budget: it does
+  // not pick the encoder.
   opts.refine_patterns = 4;
+  EXPECT_EQ(EffectiveEncoderName(opts), DefaultEncoderName());
+  EXPECT_EQ(Compress(log, opts).Model().EncoderName(), DefaultEncoderName());
+  opts.encoder = "refined";
   LogRSummary s = Compress(log, opts);
   EXPECT_STREQ(s.Model().EncoderName(), "refined");
   EXPECT_LE(s.Model().Error(), s.Model().BaseError() + 1e-9);
