@@ -137,8 +137,6 @@ int main() {
       MtvOptions mtv_opts;
       mtv_opts.max_candidates = 60;
       mtv_opts.max_itemset_size = 3;
-      mtv_opts.scaling.max_iterations = 150;
-      mtv_opts.scaling.tolerance = 1e-7;
       MtvSummary mtv = RunMtv(c.rows, c.weights, log.NumFeatures(), 15,
                               mtv_opts);
       mtv_sec += mtv_timer.ElapsedSeconds();

@@ -63,7 +63,6 @@ int main() {
   MtvOptions mtv_opts;
   mtv_opts.max_candidates = 80;
   mtv_opts.max_itemset_size = 3;
-  mtv_opts.scaling.max_iterations = 150;
   MtvSummary mtv =
       RunMtv(mush.rows, {}, mush.n_features, 15, mtv_opts);
 

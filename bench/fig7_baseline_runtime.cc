@@ -42,7 +42,6 @@ int main() {
     MtvOptions opts;
     opts.max_candidates = 80;
     opts.max_itemset_size = 3;
-    opts.scaling.max_iterations = 150;
     Stopwatch timer;
     RunMtv(mush.rows, {}, mush.n_features, p, opts);
     t7b.AddRow({TablePrinter::Fmt(p),

@@ -45,7 +45,6 @@ int main() {
   MtvOptions mtv_opts;
   mtv_opts.max_candidates = 60;
   mtv_opts.max_itemset_size = 3;
-  mtv_opts.scaling.max_iterations = 150;
 
   std::vector<std::size_t> whole_budget = {
       std::min<std::size_t>(cap, NaiveVerbosityBudgets(whole)[0])};

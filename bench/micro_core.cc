@@ -25,6 +25,7 @@
 #include "core/sharded.h"
 #include "core/streaming.h"
 #include "core/naive_encoding.h"
+#include "core/pattern_model.h"
 #include "maxent/deviation.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -700,6 +701,36 @@ void BM_PatternEstimate(benchmark::State& state) {
       static_cast<double>(s.Model().TotalVerbosity());
 }
 BENCHMARK(BM_PatternEstimate)->Arg(8)->Arg(12)->Unit(benchmark::kMicrosecond);
+
+void BM_PatternRefit(benchmark::State& state) {
+  // The refit a reload pays: every component of a PocketData K = 8
+  // pattern summary rebuilt through the v3 reload constructor from its
+  // stored (patterns, marginals), as ReadSummaryFile does. One
+  // iteration refits all components.
+  const QueryLog& log = PocketLogSingleton();
+  LogROptions opts;
+  opts.num_clusters = 8;
+  opts.n_init = 1;
+  opts.encoder = "pattern";
+  LogRSummary s = Compress(log, opts);
+  const PatternMixtureModel* model = s.Model().AsPatternMixture();
+  LOGR_CHECK(model != nullptr);
+  double sweeps = 0.0;
+  for (auto _ : state) {
+    sweeps = 0.0;
+    for (std::size_t i = 0; i < model->NumComponents(); ++i) {
+      const PatternEncoding& enc = model->ComponentEncoding(i);
+      PatternEncoding refit(enc.patterns(), enc.marginals(), enc.NumFeatures(),
+                            enc.EmpiricalEntropy(), enc.LogSize());
+      benchmark::DoNotOptimize(refit.MaxEntEntropy());
+      sweeps += refit.model().iterations();
+    }
+  }
+  state.counters["components"] =
+      static_cast<double>(model->NumComponents());
+  state.counters["sweeps"] = sweeps;
+}
+BENCHMARK(BM_PatternRefit)->Unit(benchmark::kMillisecond);
 
 /// A live serve daemon over a one-summary directory, bound to a Unix
 /// socket, started once per process. The watch thread is disabled so

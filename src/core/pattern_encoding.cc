@@ -5,8 +5,7 @@
 namespace logr {
 
 PatternEncoding::PatternEncoding(const QueryLog& log,
-                                 std::vector<FeatureVec> patterns,
-                                 const ScalingOptions& opts)
+                                 std::vector<FeatureVec> patterns)
     : patterns_(std::move(patterns)) {
   LOGR_CHECK_MSG(patterns_.size() <= kMaxPatterns,
                  "PatternEncoding materializes the 2^m signature lattice "
@@ -18,15 +17,14 @@ PatternEncoding::PatternEncoding(const QueryLog& log,
     marginals_.push_back(log.Marginal(b));
   }
   space_ = std::make_unique<SignatureSpace>(patterns_, log.NumFeatures());
-  model_ = std::make_unique<MaxEntModel>(space_.get(), marginals_, opts);
+  model_ = std::make_unique<MaxEntModel>(space_.get(), marginals_);
 }
 
 PatternEncoding::PatternEncoding(std::vector<FeatureVec> patterns,
                                  std::vector<double> marginals,
                                  std::size_t n_features,
                                  double empirical_entropy,
-                                 std::uint64_t log_size,
-                                 const ScalingOptions& opts)
+                                 std::uint64_t log_size)
     : patterns_(std::move(patterns)),
       marginals_(std::move(marginals)),
       empirical_entropy_(empirical_entropy),
@@ -36,7 +34,7 @@ PatternEncoding::PatternEncoding(std::vector<FeatureVec> patterns,
                  "and supports at most kMaxPatterns patterns");
   LOGR_CHECK(patterns_.size() == marginals_.size());
   space_ = std::make_unique<SignatureSpace>(patterns_, n_features);
-  model_ = std::make_unique<MaxEntModel>(space_.get(), marginals_, opts);
+  model_ = std::make_unique<MaxEntModel>(space_.get(), marginals_);
 }
 
 }  // namespace logr

@@ -28,8 +28,7 @@ class PatternEncoding {
   /// Builds the encoding of `patterns` with marginals measured on `log`,
   /// over the log's full feature universe, and fits the max-ent model.
   /// Aborts with a diagnostic when patterns.size() > kMaxPatterns.
-  PatternEncoding(const QueryLog& log, std::vector<FeatureVec> patterns,
-                  const ScalingOptions& opts = ScalingOptions());
+  PatternEncoding(const QueryLog& log, std::vector<FeatureVec> patterns);
 
   /// Rebuilds an encoding from its serialized state — the patterns, the
   /// marginals that were measured on the (absent) log, the feature
@@ -40,8 +39,7 @@ class PatternEncoding {
   /// (patterns, marginals, n_features).
   PatternEncoding(std::vector<FeatureVec> patterns,
                   std::vector<double> marginals, std::size_t n_features,
-                  double empirical_entropy, std::uint64_t log_size,
-                  const ScalingOptions& opts = ScalingOptions());
+                  double empirical_entropy, std::uint64_t log_size);
 
   std::size_t Verbosity() const { return patterns_.size(); }
   const std::vector<FeatureVec>& patterns() const { return patterns_; }

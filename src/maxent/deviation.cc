@@ -6,12 +6,16 @@
 
 #include "linalg/solve.h"
 #include "maxent/omega_sampler.h"
+#include "maxent/scaling.h"
 #include "util/check.h"
 #include "util/prng.h"
 
 namespace logr {
 
 namespace {
+
+/// Fit settings of the support-restricted max-ent representative.
+constexpr ScalingOptions kSupportFit{500, 1e-10};
 
 // KL(ρ* || ρ) where ρ is uniform-within-class with class masses
 // `class_prob`. The empirical ρ* is supported on the log's distinct
@@ -182,16 +186,14 @@ DeviationResult EstimateDeviationOnSupport(const ProjectedLog& log,
 }
 
 double ReproductionError(const ProjectedLog& log,
-                         const ProjectedEncoding& encoding,
-                         const ScalingOptions& opts) {
+                         const ProjectedEncoding& encoding) {
   SignatureSpace space(encoding.patterns, log.num_features());
-  MaxEntModel model(&space, encoding.marginals, opts);
+  MaxEntModel model(&space, encoding.marginals);
   return model.EntropyNats() - log.EmpiricalEntropy();
 }
 
 double ReproductionErrorOnSupport(const ProjectedLog& log,
-                                  const ProjectedEncoding& encoding,
-                                  int max_iterations, double tolerance) {
+                                  const ProjectedEncoding& encoding) {
   const std::size_t m = encoding.patterns.size();
   LOGR_CHECK(m <= 25);
 
@@ -218,36 +220,22 @@ double ReproductionErrorOnSupport(const ProjectedLog& log,
   const std::size_t classes = class_sig.size();
 
   // IPF: maximize -Σ P_s ln(P_s / cnt_s) subject to the marginals.
-  std::vector<double> p(classes);
+  std::vector<IpfState> states(classes);
   double total_count = 0.0;
   for (double c : class_count) total_count += c;
   for (std::size_t c = 0; c < classes; ++c) {
-    p[c] = class_count[c] / total_count;
+    states[c] = {class_sig[c], class_count[c] / total_count};
   }
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    double worst = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::uint32_t bit = std::uint32_t(1) << j;
-      double in_mass = 0.0;
-      for (std::size_t c = 0; c < classes; ++c) {
-        if (class_sig[c] & bit) in_mass += p[c];
-      }
-      double target = encoding.marginals[j];
-      worst = std::max(worst, std::fabs(in_mass - target));
-      double scale_in = in_mass > 0.0 ? target / in_mass : 0.0;
-      double scale_out =
-          in_mass < 1.0 ? (1.0 - target) / (1.0 - in_mass) : 0.0;
-      for (std::size_t c = 0; c < classes; ++c) {
-        p[c] *= (class_sig[c] & bit) ? scale_in : scale_out;
-      }
-    }
-    if (worst < tolerance) break;
+  std::vector<IpfConstraint> constraints(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    constraints[j] = {std::uint32_t(1) << j, encoding.marginals[j]};
   }
+  FitIpf(&states, constraints, kSupportFit);
   // Entropy over observed vectors: uniform within classes.
   double h = 0.0;
   for (std::size_t c = 0; c < classes; ++c) {
-    if (p[c] <= 0.0) continue;
-    h -= p[c] * std::log(p[c] / class_count[c]);
+    if (states[c].mass <= 0.0) continue;
+    h -= states[c].mass * std::log(states[c].mass / class_count[c]);
   }
   return h - log.EmpiricalEntropy();
 }

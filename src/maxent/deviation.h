@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "maxent/projected_log.h"
-#include "maxent/scaling.h"
 #include "maxent/signature_space.h"
 
 namespace logr {
@@ -58,8 +57,7 @@ DeviationResult EstimateDeviationOnSupport(const ProjectedLog& log,
 /// Exact Reproduction Error e(E) = H(ρ_E) - H(ρ*) of a (non-naive)
 /// pattern encoding over the projected universe.
 double ReproductionError(const ProjectedLog& log,
-                         const ProjectedEncoding& encoding,
-                         const ScalingOptions& opts = ScalingOptions());
+                         const ProjectedEncoding& encoding);
 
 /// Reproduction Error of the support-restricted max-ent representative:
 /// the entropy-maximal distribution over the *observed* distinct queries
@@ -67,9 +65,7 @@ double ReproductionError(const ProjectedLog& log,
 /// to EstimateDeviationOnSupport (both live on the same space, so the
 /// Fig. 4c/4d correlation is exhibited between them).
 double ReproductionErrorOnSupport(const ProjectedLog& log,
-                                  const ProjectedEncoding& encoding,
-                                  int max_iterations = 500,
-                                  double tolerance = 1e-10);
+                                  const ProjectedEncoding& encoding);
 
 /// Dimension of the feasible polytope Ω_E inside the probability simplex
 /// over {0,1}^n: (2^n - 1) minus the number of independent marginal

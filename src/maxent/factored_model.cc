@@ -65,50 +65,8 @@ class FeatureComponents {
   std::unordered_map<FeatureId, std::size_t> size_;
 };
 
-/// Dense IPF over one block: singleton marginals for each block feature
-/// plus the block's pattern constraints. Returns the fitted joint.
-std::vector<double> FitBlock(const std::vector<double>& feature_marginals,
-                             const std::vector<std::uint32_t>& pattern_masks,
-                             const std::vector<double>& pattern_marginals) {
-  const std::size_t d = feature_marginals.size();
-  LOGR_CHECK(d <= 24);
-  const std::size_t states = std::size_t(1) << d;
-
-  struct Constraint {
-    std::uint32_t mask;
-    double target;
-  };
-  std::vector<Constraint> constraints;
-  constraints.reserve(d + pattern_masks.size());
-  for (std::size_t f = 0; f < d; ++f) {
-    constraints.push_back({std::uint32_t(1) << f, feature_marginals[f]});
-  }
-  for (std::size_t j = 0; j < pattern_masks.size(); ++j) {
-    constraints.push_back({pattern_masks[j], pattern_marginals[j]});
-  }
-
-  std::vector<double> p(states, 1.0 / static_cast<double>(states));
-  constexpr int kMaxIters = 300;
-  constexpr double kTol = 1e-9;
-  for (int iter = 0; iter < kMaxIters; ++iter) {
-    double worst = 0.0;
-    for (const Constraint& c : constraints) {
-      double in_mass = 0.0;
-      for (std::size_t s = 0; s < states; ++s) {
-        if ((s & c.mask) == c.mask) in_mass += p[s];
-      }
-      worst = std::max(worst, std::fabs(in_mass - c.target));
-      double scale_in = in_mass > 0.0 ? c.target / in_mass : 0.0;
-      double scale_out =
-          in_mass < 1.0 ? (1.0 - c.target) / (1.0 - in_mass) : 0.0;
-      for (std::size_t s = 0; s < states; ++s) {
-        p[s] *= ((s & c.mask) == c.mask) ? scale_in : scale_out;
-      }
-    }
-    if (worst < kTol) break;
-  }
-  return p;
-}
+/// Fit settings of every block's dense IPF.
+constexpr ScalingOptions kBlockFit{300, 1e-9};
 
 }  // namespace
 
@@ -149,23 +107,31 @@ FactoredMaxEnt::FactoredMaxEnt(
         }
       }
     }
-    std::vector<double> fm;
-    fm.reserve(block.features.size());
-    for (FeatureId f : block.features) {
-      auto it = singleton_.find(f);
-      fm.push_back(it == singleton_.end() ? 0.0 : it->second);
+    // Dense IPF over the block's 2^d states, starting uniform: one
+    // singleton constraint per block feature, then the block's patterns.
+    const std::size_t d = block.features.size();
+    LOGR_CHECK(d <= 24);
+    std::vector<IpfConstraint> constraints;
+    constraints.reserve(d + block_patterns.size());
+    for (std::size_t f = 0; f < d; ++f) {
+      auto it = singleton_.find(block.features[f]);
+      constraints.push_back({std::uint32_t(1) << f,
+                             it == singleton_.end() ? 0.0 : it->second});
     }
-    std::vector<std::uint32_t> masks;
-    std::vector<double> pm;
     for (const PatternConstraint* pc : block_patterns) {
       std::uint32_t mask = 0;
       for (FeatureId f : pc->pattern.ids) {
         mask |= std::uint32_t(1) << local[f];
       }
-      masks.push_back(mask);
-      pm.push_back(pc->marginal);
+      constraints.push_back({mask, pc->marginal});
     }
-    block.state_prob = FitBlock(fm, masks, pm);
+    const std::size_t states = std::size_t(1) << d;
+    block.states.resize(states);
+    for (std::size_t s = 0; s < states; ++s) {
+      block.states[s] = {static_cast<std::uint32_t>(s),
+                         1.0 / static_cast<double>(states)};
+    }
+    converged_ &= FitIpf(&block.states, constraints, kBlockFit).converged;
     for (FeatureId f : block.features) {
       block_of_.emplace(f, blocks_.size());
     }
@@ -177,17 +143,13 @@ FactoredMaxEnt::FactoredMaxEnt(
   for (const auto& [f, p] : singleton_) {
     if (!block_of_.count(f)) h += BinaryEntropy(p);
   }
-  for (const Block& b : blocks_) h += Entropy(b.state_prob);
-  entropy_ = h;
-}
-
-double FactoredMaxEnt::BlockMarginal(const Block& block,
-                                     std::uint32_t mask) {
-  double acc = 0.0;
-  for (std::size_t s = 0; s < block.state_prob.size(); ++s) {
-    if ((s & mask) == mask) acc += block.state_prob[s];
+  for (const Block& b : blocks_) {
+    std::vector<double> mass;
+    mass.reserve(b.states.size());
+    for (const IpfState& st : b.states) mass.push_back(st.mass);
+    h += Entropy(mass);
   }
-  return acc;
+  entropy_ = h;
 }
 
 double FactoredMaxEnt::MarginalOf(const FeatureVec& b) const {
@@ -213,7 +175,7 @@ double FactoredMaxEnt::MarginalOf(const FeatureVec& b) const {
     block_masks[blk->second] |= std::uint32_t(1) << local;
   }
   for (const auto& [bi, mask] : block_masks) {
-    prob *= BlockMarginal(blocks_[bi], mask);
+    prob *= MassUnderMask(blocks_[bi].states, mask);
   }
   return prob;
 }

@@ -4,8 +4,8 @@
 // The max-ent distribution subject to per-feature marginals and pattern
 // marginals factorizes over the connected components of the pattern-
 // feature graph: features untouched by any pattern stay independent, and
-// each component is a small joint distribution fitted by dense IPF over
-// its 2^d states. This is simultaneously:
+// each component is a small joint distribution fitted by dense IPF
+// (FitIpf, maxent/scaling.h) over its 2^d states. This is simultaneously:
 //   * the model of a refined naive encoding (paper Sec. 6.4), and
 //   * the MTV model with column-margin background knowledge
 //     (Mampaey et al. [40] fit itemsets on top of singleton frequencies).
@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "maxent/scaling.h"
 #include "workload/feature_vec.h"
 
 namespace logr {
@@ -53,20 +54,21 @@ class FactoredMaxEnt {
 
   std::size_t num_blocks() const { return blocks_.size(); }
 
+  /// Whether every block's fit met its tolerance within the sweep cap.
+  bool converged() const { return converged_; }
+
  private:
   struct Block {
     std::vector<FeatureId> features;  // global ids, local index = position
-    std::vector<double> state_prob;   // dense over 2^features.size()
+    std::vector<IpfState> states;     // all 2^features.size(), sig = index
   };
-
-  /// Probability that a block's state contains all features of `mask`.
-  static double BlockMarginal(const Block& block, std::uint32_t mask);
 
   std::unordered_map<FeatureId, double> singleton_;
   std::unordered_map<FeatureId, std::size_t> block_of_;
   std::vector<Block> blocks_;
   std::vector<FeatureVec> retained_;
   double entropy_ = 0.0;
+  bool converged_ = true;
 };
 
 }  // namespace logr

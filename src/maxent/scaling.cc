@@ -1,27 +1,46 @@
 #include "maxent/scaling.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
-#include "maxent/entropy.h"
 #include "util/check.h"
 
 namespace logr {
 
-namespace {
-
-// Current model marginal of constraint j: sum of class probabilities over
-// classes whose signature has bit j.
-double ModelMarginal(const std::vector<double>& class_prob, std::size_t j) {
+double MassUnderMask(const std::vector<IpfState>& states,
+                     std::uint32_t mask) {
   double acc = 0.0;
-  const std::size_t bit = std::size_t(1) << j;
-  for (std::size_t s = 0; s < class_prob.size(); ++s) {
-    if (s & bit) acc += class_prob[s];
+  for (const IpfState& st : states) {
+    if ((st.sig & mask) == mask) acc += st.mass;
   }
   return acc;
 }
 
-}  // namespace
+IpfResult FitIpf(std::vector<IpfState>* states,
+                 const std::vector<IpfConstraint>& constraints,
+                 const ScalingOptions& opts) {
+  IpfResult result;
+  for (; result.iterations < opts.max_iterations; ++result.iterations) {
+    double worst = 0.0;
+    for (const IpfConstraint& c : constraints) {
+      const double in_mass = MassUnderMask(*states, c.mask);
+      worst = std::max(worst, std::fabs(in_mass - c.target));
+      // Scale factors; degenerate constraints (0 or 1) zero one side.
+      const double scale_in = in_mass > 0.0 ? c.target / in_mass : 0.0;
+      const double scale_out =
+          in_mass < 1.0 ? (1.0 - c.target) / (1.0 - in_mass) : 0.0;
+      for (IpfState& st : *states) {
+        st.mass *= (st.sig & c.mask) == c.mask ? scale_in : scale_out;
+      }
+    }
+    if (worst < opts.tolerance) {
+      result.converged = true;
+      break;
+    }
+  }
+  return result;
+}
 
 MaxEntModel::MaxEntModel(const SignatureSpace* space,
                          std::vector<double> marginals,
@@ -32,54 +51,43 @@ MaxEntModel::MaxEntModel(const SignatureSpace* space,
   const std::size_t classes = space_->num_classes();
 
   // Start from the uniform distribution over the space: class probability
-  // proportional to class size.
-  class_prob_.assign(classes, 0.0);
+  // proportional to class size. Empty classes start and stay at exactly
+  // zero, so only the live ones are swept.
   double total = 0.0;
   for (std::size_t s = 0; s < classes; ++s) {
-    class_prob_[s] = space_->ClassFraction(static_cast<std::uint32_t>(s));
-    total += class_prob_[s];
+    const double frac = space_->ClassFraction(static_cast<std::uint32_t>(s));
+    total += frac;
+    if (frac > 0.0) live_.push_back({static_cast<std::uint32_t>(s), frac});
   }
   LOGR_CHECK(total > 0.0);
-  for (double& p : class_prob_) p /= total;
+  for (IpfState& st : live_) st.mass /= total;
 
-  // Iterative proportional fitting: sweep constraints, rescaling the
-  // containing / non-containing halves of the lattice to match each
-  // target marginal. Fixed point = unique max-ent distribution.
-  for (iterations_ = 0; iterations_ < opts.max_iterations; ++iterations_) {
-    double worst = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t bit = std::size_t(1) << j;
-      double pj = ModelMarginal(class_prob_, j);
-      double qj = target_marginals_[j];
-      worst = std::max(worst, std::fabs(pj - qj));
-      // Scale factors; degenerate constraints (0 or 1) zero one side.
-      double scale_in = (pj > 0.0) ? qj / pj : 0.0;
-      double scale_out = (pj < 1.0) ? (1.0 - qj) / (1.0 - pj) : 0.0;
-      for (std::size_t s = 0; s < class_prob_.size(); ++s) {
-        class_prob_[s] *= (s & bit) ? scale_in : scale_out;
-      }
-    }
-    if (worst < opts.tolerance) {
-      converged_ = true;
-      break;
-    }
+  // The fixed point of IPF is the unique max-ent distribution.
+  std::vector<IpfConstraint> constraints(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    constraints[j] = {std::uint32_t(1) << j, target_marginals_[j]};
   }
+  const IpfResult fit = FitIpf(&live_, constraints, opts);
+  iterations_ = fit.iterations;
+  converged_ = fit.converged;
+
   // Final renormalization guards against drift.
   double z = 0.0;
-  for (double p : class_prob_) z += p;
+  for (const IpfState& st : live_) z += st.mass;
   if (z > 0.0) {
-    for (double& p : class_prob_) p /= z;
+    for (IpfState& st : live_) st.mass /= z;
   }
+  class_prob_.assign(classes, 0.0);
+  for (const IpfState& st : live_) class_prob_[st.sig] = st.mass;
 }
 
 double MaxEntModel::EntropyNats() const {
   double h = 0.0;
-  for (std::size_t s = 0; s < class_prob_.size(); ++s) {
-    double ps = class_prob_[s];
-    if (ps <= 0.0) continue;
+  for (const IpfState& st : live_) {
+    if (st.mass <= 0.0) continue;
     // -P_S ln P_S + P_S ln |class|
-    h -= ps * std::log(ps);
-    h += ps * space_->LogClassSize(static_cast<std::uint32_t>(s));
+    h -= st.mass * std::log(st.mass);
+    h += st.mass * space_->LogClassSize(st.sig);
   }
   return h;
 }
@@ -109,8 +117,8 @@ double MaxEntModel::MarginalOf(const FeatureVec& b) const {
 double MaxEntModel::MaxResidual() const {
   double worst = 0.0;
   for (std::size_t j = 0; j < target_marginals_.size(); ++j) {
-    worst = std::max(worst, std::fabs(ModelMarginal(class_prob_, j) -
-                                      target_marginals_[j]));
+    const double pj = MassUnderMask(live_, std::uint32_t(1) << j);
+    worst = std::max(worst, std::fabs(pj - target_marginals_[j]));
   }
   return worst;
 }

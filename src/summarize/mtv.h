@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/itemsets.h"
-#include "maxent/scaling.h"
 #include "workload/feature_vec.h"
 
 namespace logr {
@@ -29,7 +28,6 @@ struct MtvOptions {
   double min_support = 0.05;
   std::size_t max_itemset_size = 4;
   std::size_t max_candidates = 400;  // highest-support candidates kept
-  ScalingOptions scaling;
   /// Stop early when adding the best candidate worsens BIC.
   bool bic_early_stop = false;
 };

@@ -1,17 +1,23 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "core/encoder.h"
 #include "core/logr_compressor.h"
+#include "core/naive_encoding.h"
 #include "core/pattern_model.h"
+#include "data/bank.h"
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
 #include "gtest/gtest.h"
 #include "maxent/deviation.h"
 #include "maxent/entropy.h"
+#include "maxent/factored_model.h"
 #include "maxent/omega_sampler.h"
 #include "maxent/projected_log.h"
 #include "maxent/scaling.h"
@@ -502,14 +508,14 @@ double OracleMarginal(const PatternEncoding& enc,
   return acc;
 }
 
-/// A PocketData "pattern" summary at K = 8, the served shape.
+/// A PocketData "pattern" summary, by default at K = 8, the served shape.
 LogRSummary PocketPatternSummary(std::uint64_t seed, std::size_t budget,
-                                 QueryLog* log) {
+                                 QueryLog* log, std::size_t clusters = 8) {
   PocketDataOptions gen;
   gen.seed = seed;
   *log = LoadEntries(GeneratePocketDataLog(gen)).TakeLog();
   LogROptions opts;
-  opts.num_clusters = 8;
+  opts.num_clusters = clusters;
   opts.n_init = 1;
   opts.encoder = "pattern";
   opts.pattern_budget = budget;
@@ -626,6 +632,729 @@ TEST(PatternEstimateConcurrencyTest, SharedModelAnswersMatchSerial) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_TRUE(BitEqual(answers[t], serial)) << "thread " << t;
   }
+}
+
+
+// ------------------------------------------ one iterative-scaling kernel
+//
+// MaxEntModel, FactoredMaxEnt and ReproductionErrorOnSupport each ran
+// their own IPF loop before all three moved onto FitIpf. Those loops are
+// kept below as oracles; the kernel must reproduce each bit for bit.
+
+/// MaxEntModel's former fit: a dense sweep over all 2^m classes, empty
+/// ones included, then the final renormalization.
+struct DenseLatticeFit {
+  std::vector<double> class_prob;
+  int iterations = 0;
+  bool converged = false;
+};
+
+double DenseModelMarginal(const std::vector<double>& class_prob,
+                          std::size_t j) {
+  double acc = 0.0;
+  const std::size_t bit = std::size_t(1) << j;
+  for (std::size_t s = 0; s < class_prob.size(); ++s) {
+    if (s & bit) acc += class_prob[s];
+  }
+  return acc;
+}
+
+DenseLatticeFit OracleLatticeFit(const SignatureSpace& space,
+                                 const std::vector<double>& marginals,
+                                 const ScalingOptions& opts) {
+  DenseLatticeFit fit;
+  std::vector<double>& p = fit.class_prob;
+  p.assign(space.num_classes(), 0.0);
+  double total = 0.0;
+  for (std::size_t s = 0; s < p.size(); ++s) {
+    p[s] = space.ClassFraction(static_cast<std::uint32_t>(s));
+    total += p[s];
+  }
+  for (double& v : p) v /= total;
+  for (fit.iterations = 0; fit.iterations < opts.max_iterations;
+       ++fit.iterations) {
+    double worst = 0.0;
+    for (std::size_t j = 0; j < space.num_patterns(); ++j) {
+      const std::size_t bit = std::size_t(1) << j;
+      double pj = DenseModelMarginal(p, j);
+      double qj = marginals[j];
+      worst = std::max(worst, std::fabs(pj - qj));
+      double scale_in = (pj > 0.0) ? qj / pj : 0.0;
+      double scale_out = (pj < 1.0) ? (1.0 - qj) / (1.0 - pj) : 0.0;
+      for (std::size_t s = 0; s < p.size(); ++s) {
+        p[s] *= (s & bit) ? scale_in : scale_out;
+      }
+    }
+    if (worst < opts.tolerance) {
+      fit.converged = true;
+      break;
+    }
+  }
+  double z = 0.0;
+  for (double v : p) z += v;
+  if (z > 0.0) {
+    for (double& v : p) v /= z;
+  }
+  return fit;
+}
+
+/// MaxEntModel::EntropyNats and MaxResidual as dense class loops.
+double DenseEntropyNats(const SignatureSpace& space,
+                        const std::vector<double>& class_prob) {
+  double h = 0.0;
+  for (std::size_t s = 0; s < class_prob.size(); ++s) {
+    double ps = class_prob[s];
+    if (ps <= 0.0) continue;
+    h -= ps * std::log(ps);
+    h += ps * space.LogClassSize(static_cast<std::uint32_t>(s));
+  }
+  return h;
+}
+
+double DenseMaxResidual(const std::vector<double>& class_prob,
+                        const std::vector<double>& marginals) {
+  double worst = 0.0;
+  for (std::size_t j = 0; j < marginals.size(); ++j) {
+    worst = std::max(worst, std::fabs(DenseModelMarginal(class_prob, j) -
+                                      marginals[j]));
+  }
+  return worst;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Requires `model`, fitted to `marginals` over `space` with default
+/// options, to carry the oracle's bits everywhere it exposes its fit.
+/// Returns the number of live classes.
+std::size_t ExpectLatticeFitMatchesOracle(const MaxEntModel& model,
+                                          const SignatureSpace& space,
+                                          const std::vector<double>& marginals,
+                                          const std::string& where) {
+  const DenseLatticeFit oracle =
+      OracleLatticeFit(space, marginals, ScalingOptions());
+  EXPECT_TRUE(BitEqual(model.class_probabilities(), oracle.class_prob))
+      << where;
+  EXPECT_EQ(model.iterations(), oracle.iterations) << where;
+  EXPECT_EQ(model.converged(), oracle.converged) << where;
+  EXPECT_TRUE(SameBits(model.EntropyNats(),
+                       DenseEntropyNats(space, oracle.class_prob)))
+      << where;
+  EXPECT_TRUE(SameBits(model.MaxResidual(),
+                       DenseMaxResidual(oracle.class_prob, marginals)))
+      << where;
+  std::size_t live = 0;
+  for (std::uint32_t s = 0; s < space.num_classes(); ++s) {
+    if (space.ClassFraction(s) > 0.0) ++live;
+  }
+  return live;
+}
+
+class LatticeKernelOracleTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LatticeKernelOracleTest, EveryPocketComponentMatchesDenseSweep) {
+  std::size_t live = 0, classes = 0;
+  for (std::size_t clusters : {6, 8}) {
+    QueryLog log;
+    const LogRSummary summary =
+        PocketPatternSummary(GetParam(), 8, &log, clusters);
+    const PatternMixtureModel* model = summary.Model().AsPatternMixture();
+    ASSERT_NE(model, nullptr);
+    for (std::size_t i = 0; i < model->NumComponents(); ++i) {
+      const PatternEncoding& enc = model->ComponentEncoding(i);
+      SignatureSpace space(enc.patterns(), enc.NumFeatures());
+      const std::string where = "K=" + std::to_string(clusters) +
+                                " component " + std::to_string(i);
+      live += ExpectLatticeFitMatchesOracle(enc.model(), space,
+                                            enc.marginals(), where);
+      classes += space.num_classes();
+    }
+  }
+  // Most lattice classes are empty, so the live-only sweep is exercised.
+  EXPECT_LT(2 * live, classes);
+}
+
+INSTANTIATE_TEST_SUITE_P(PocketData, LatticeKernelOracleTest,
+                         ::testing::Range<std::uint64_t>(1, 11),
+                         [](const ::testing::TestParamInfo<std::uint64_t>&
+                                info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+TEST(LatticeKernelOracleTest, EdgeCases) {
+  // m = 0: one class, no constraints, converged before any sweep.
+  {
+    SignatureSpace space({}, 5);
+    const MaxEntModel model(&space, {});
+    ExpectLatticeFitMatchesOracle(model, space, {}, "m=0");
+    EXPECT_TRUE(model.converged());
+    EXPECT_EQ(model.iterations(), 0);
+  }
+  // Marginals of exactly 0 and 1 zero one side of a constraint.
+  const std::vector<FeatureVec> nested = {FeatureVec({0}), FeatureVec({1}),
+                                          FeatureVec({0, 1}),
+                                          FeatureVec({2, 3})};
+  SignatureSpace nested_space(nested, 6);
+  for (const std::vector<double>& marginals :
+       std::vector<std::vector<double>>{{1.0, 0.0, 0.0, 0.25},
+                                        {1.0, 1.0, 1.0, 0.0},
+                                        {0.0, 0.5, 0.0, 1.0},
+                                        {0.5, 0.5, 0.5, 0.0}}) {
+    const MaxEntModel model(&nested_space, marginals);
+    ExpectLatticeFitMatchesOracle(model, nested_space, marginals,
+                                  "0/1 marginals");
+  }
+  // Disjoint single-feature patterns: every one of the 2^m classes is
+  // live, so the live-only sweep visits the whole lattice.
+  std::vector<FeatureVec> disjoint;
+  for (FeatureId f = 0; f < 7; ++f) disjoint.push_back(FeatureVec({f}));
+  SignatureSpace all_live(disjoint, 9);
+  const std::vector<double> marginals = {0.1, 0.9, 0.5, 0.33,
+                                         0.0, 1.0, 0.75};
+  const MaxEntModel model(&all_live, marginals);
+  EXPECT_EQ(
+      ExpectLatticeFitMatchesOracle(model, all_live, marginals, "all live"),
+      all_live.num_classes());
+}
+
+// FactoredMaxEnt before FitIpf: the same block partition and entropy,
+// with each block fitted by this dense loop.
+std::vector<double> OracleFitBlock(
+    const std::vector<double>& feature_marginals,
+    const std::vector<std::uint32_t>& pattern_masks,
+    const std::vector<double>& pattern_marginals) {
+  const std::size_t d = feature_marginals.size();
+  const std::size_t states = std::size_t(1) << d;
+  struct Constraint {
+    std::uint32_t mask;
+    double target;
+  };
+  std::vector<Constraint> constraints;
+  for (std::size_t f = 0; f < d; ++f) {
+    constraints.push_back({std::uint32_t(1) << f, feature_marginals[f]});
+  }
+  for (std::size_t j = 0; j < pattern_masks.size(); ++j) {
+    constraints.push_back({pattern_masks[j], pattern_marginals[j]});
+  }
+  std::vector<double> p(states, 1.0 / static_cast<double>(states));
+  constexpr int kMaxIters = 300;
+  constexpr double kTol = 1e-9;
+  for (int iter = 0; iter < kMaxIters; ++iter) {
+    double worst = 0.0;
+    for (const Constraint& c : constraints) {
+      double in_mass = 0.0;
+      for (std::size_t s = 0; s < states; ++s) {
+        if ((s & c.mask) == c.mask) in_mass += p[s];
+      }
+      worst = std::max(worst, std::fabs(in_mass - c.target));
+      double scale_in = in_mass > 0.0 ? c.target / in_mass : 0.0;
+      double scale_out =
+          in_mass < 1.0 ? (1.0 - c.target) / (1.0 - in_mass) : 0.0;
+      for (std::size_t s = 0; s < states; ++s) {
+        p[s] *= ((s & c.mask) == c.mask) ? scale_in : scale_out;
+      }
+    }
+    if (worst < kTol) break;
+  }
+  return p;
+}
+
+/// The former FactoredMaxEnt, whole, over OracleFitBlock: retention
+/// under the block ceiling, blocks keyed by union-find root, entropy and
+/// marginals in the same factor order.
+class LegacyFactoredMaxEnt {
+ public:
+  LegacyFactoredMaxEnt(
+      const std::vector<std::pair<FeatureId, double>>& singletons,
+      const std::vector<FactoredMaxEnt::PatternConstraint>& patterns,
+      std::size_t max_block_features = 18) {
+    for (const auto& [f, p] : singletons) {
+      if (p > 0.0) singleton_.emplace(f, std::min(p, 1.0));
+    }
+    std::vector<const FactoredMaxEnt::PatternConstraint*> retained;
+    for (const FactoredMaxEnt::PatternConstraint& pc : patterns) {
+      if (pc.pattern.size() < 2) continue;
+      if (MergedSize(pc.pattern) > max_block_features) continue;
+      Merge(pc.pattern);
+      retained_.push_back(pc.pattern);
+      retained.push_back(&pc);
+    }
+    std::map<FeatureId, std::vector<const FactoredMaxEnt::PatternConstraint*>>
+        by_root;
+    for (const auto* pc : retained) {
+      by_root[Find(pc->pattern.ids[0])].push_back(pc);
+    }
+    for (const auto& [root, block_patterns] : by_root) {
+      Block block;
+      std::unordered_map<FeatureId, std::size_t> local;
+      for (const auto* pc : block_patterns) {
+        for (FeatureId f : pc->pattern.ids) {
+          if (!local.count(f)) {
+            local[f] = block.features.size();
+            block.features.push_back(f);
+          }
+        }
+      }
+      std::vector<double> fm;
+      for (FeatureId f : block.features) {
+        auto it = singleton_.find(f);
+        fm.push_back(it == singleton_.end() ? 0.0 : it->second);
+      }
+      std::vector<std::uint32_t> masks;
+      std::vector<double> pm;
+      for (const auto* pc : block_patterns) {
+        std::uint32_t mask = 0;
+        for (FeatureId f : pc->pattern.ids) {
+          mask |= std::uint32_t(1) << local[f];
+        }
+        masks.push_back(mask);
+        pm.push_back(pc->marginal);
+      }
+      block.state_prob = OracleFitBlock(fm, masks, pm);
+      for (FeatureId f : block.features) block_of_.emplace(f, blocks_.size());
+      blocks_.push_back(std::move(block));
+    }
+    double h = 0.0;
+    for (const auto& [f, p] : singleton_) {
+      if (!block_of_.count(f)) h += BinaryEntropy(p);
+    }
+    for (const Block& b : blocks_) h += Entropy(b.state_prob);
+    entropy_ = h;
+  }
+
+  double EntropyNats() const { return entropy_; }
+  const std::vector<FeatureVec>& retained_patterns() const {
+    return retained_;
+  }
+  std::size_t num_blocks() const { return blocks_.size(); }
+
+  double MarginalOf(const FeatureVec& b) const {
+    double prob = 1.0;
+    std::map<std::size_t, std::uint32_t> block_masks;
+    for (FeatureId f : b.ids) {
+      auto blk = block_of_.find(f);
+      if (blk == block_of_.end()) {
+        auto it = singleton_.find(f);
+        if (it == singleton_.end()) return 0.0;
+        prob *= it->second;
+        continue;
+      }
+      const Block& block = blocks_[blk->second];
+      std::size_t local = 0;
+      while (block.features[local] != f) ++local;
+      block_masks[blk->second] |= std::uint32_t(1) << local;
+    }
+    for (const auto& [bi, mask] : block_masks) {
+      double acc = 0.0;
+      const std::vector<double>& p = blocks_[bi].state_prob;
+      for (std::size_t s = 0; s < p.size(); ++s) {
+        if ((s & mask) == mask) acc += p[s];
+      }
+      prob *= acc;
+    }
+    return prob;
+  }
+
+ private:
+  struct Block {
+    std::vector<FeatureId> features;
+    std::vector<double> state_prob;
+  };
+
+  FeatureId Find(FeatureId f) {
+    if (!parent_.count(f)) {
+      parent_[f] = f;
+      size_[f] = 1;
+      return f;
+    }
+    FeatureId root = f;
+    while (parent_[root] != root) root = parent_[root];
+    while (parent_[f] != root) {
+      FeatureId next = parent_[f];
+      parent_[f] = root;
+      f = next;
+    }
+    return root;
+  }
+
+  std::size_t MergedSize(const FeatureVec& feats) {
+    std::size_t total = 0;
+    std::map<FeatureId, bool> roots;
+    for (FeatureId f : feats.ids) {
+      if (!parent_.count(f)) {
+        ++total;
+        continue;
+      }
+      FeatureId r = Find(f);
+      if (!roots.count(r)) {
+        roots[r] = true;
+        total += size_[r];
+      }
+    }
+    return total;
+  }
+
+  void Merge(const FeatureVec& feats) {
+    FeatureId r0 = Find(feats.ids[0]);
+    for (std::size_t i = 1; i < feats.ids.size(); ++i) {
+      FeatureId r = Find(feats.ids[i]);
+      if (r == r0) continue;
+      size_[r0] += size_[r];
+      parent_[r] = r0;
+    }
+  }
+
+  std::unordered_map<FeatureId, FeatureId> parent_;
+  std::unordered_map<FeatureId, std::size_t> size_;
+  std::unordered_map<FeatureId, double> singleton_;
+  std::unordered_map<FeatureId, std::size_t> block_of_;
+  std::vector<Block> blocks_;
+  std::vector<FeatureVec> retained_;
+  double entropy_ = 0.0;
+};
+
+TEST(FactoredKernelOracleTest, RefinedPocketComponentsMatchLegacyFit) {
+  std::size_t blocks = 0;
+  for (std::uint64_t seed : {1, 4, 11}) {
+    PocketDataOptions gen;
+    gen.seed = seed;
+    const QueryLog log = LoadEntries(GeneratePocketDataLog(gen)).TakeLog();
+    LogROptions opts;
+    opts.num_clusters = 8;
+    opts.n_init = 1;
+    opts.encoder = "refined";
+    const LogRSummary summary = Compress(log, opts);
+    const NaiveMixtureEncoding* mixture = summary.Model().AsNaiveMixture();
+    ASSERT_NE(mixture, nullptr);
+    for (std::size_t c = 0; c < mixture->NumComponents(); ++c) {
+      const std::vector<FeatureVec> patterns =
+          summary.Model().ComponentPatterns(c);
+      if (patterns.empty()) continue;
+      // The refined encoder's inputs for this component: the naive
+      // singletons plus its retained patterns at their measured marginals.
+      const QueryLog sublog = log.Subset(mixture->Component(c).members);
+      const NaiveEncoding naive = NaiveEncoding::FromLog(sublog);
+      std::vector<std::pair<FeatureId, double>> singletons;
+      for (std::size_t i = 0; i < naive.features().size(); ++i) {
+        singletons.emplace_back(naive.features()[i], naive.marginals()[i]);
+      }
+      std::vector<FactoredMaxEnt::PatternConstraint> constraints;
+      for (const FeatureVec& b : patterns) {
+        constraints.push_back({b, sublog.Marginal(b)});
+      }
+      const FactoredMaxEnt model(singletons, constraints);
+      const LegacyFactoredMaxEnt oracle(singletons, constraints);
+      const std::string where =
+          "seed " + std::to_string(seed) + " component " + std::to_string(c);
+      ASSERT_EQ(model.num_blocks(), oracle.num_blocks()) << where;
+      EXPECT_EQ(model.retained_patterns(), oracle.retained_patterns())
+          << where;
+      EXPECT_TRUE(SameBits(model.EntropyNats(), oracle.EntropyNats()))
+          << where;
+      std::vector<FeatureVec> battery = EstimateBattery(sublog);
+      for (std::size_t j = 0; j < patterns.size(); ++j) {
+        battery.push_back(patterns[j]);
+        battery.push_back(
+            FeatureVec::Union(patterns[j], patterns[(j + 1) % patterns.size()]));
+      }
+      for (const FeatureVec& b : battery) {
+        EXPECT_TRUE(SameBits(model.MarginalOf(b), oracle.MarginalOf(b)))
+            << where << " |b|=" << b.size();
+      }
+      blocks += model.num_blocks();
+    }
+  }
+  EXPECT_GT(blocks, 0u);
+}
+
+/// ReproductionErrorOnSupport before FitIpf, with its former defaults.
+double OracleReproductionErrorOnSupport(const ProjectedLog& log,
+                                        const ProjectedEncoding& encoding) {
+  const int max_iterations = 500;
+  const double tolerance = 1e-10;
+  const std::size_t m = encoding.patterns.size();
+  std::unordered_map<std::uint32_t, std::size_t> class_index;
+  std::vector<double> class_count;
+  std::vector<std::uint32_t> class_sig;
+  for (std::size_t i = 0; i < log.num_distinct(); ++i) {
+    std::uint32_t s = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      if (log.Vector(i).ContainsAll(encoding.patterns[j])) {
+        s |= std::uint32_t(1) << j;
+      }
+    }
+    auto it = class_index.find(s);
+    if (it == class_index.end()) {
+      class_index.emplace(s, class_sig.size());
+      class_sig.push_back(s);
+      class_count.push_back(1.0);
+    } else {
+      class_count[it->second] += 1.0;
+    }
+  }
+  const std::size_t classes = class_sig.size();
+  std::vector<double> p(classes);
+  double total_count = 0.0;
+  for (double c : class_count) total_count += c;
+  for (std::size_t c = 0; c < classes; ++c) {
+    p[c] = class_count[c] / total_count;
+  }
+  for (int iter = 0; iter < max_iterations; ++iter) {
+    double worst = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::uint32_t bit = std::uint32_t(1) << j;
+      double in_mass = 0.0;
+      for (std::size_t c = 0; c < classes; ++c) {
+        if (class_sig[c] & bit) in_mass += p[c];
+      }
+      double target = encoding.marginals[j];
+      worst = std::max(worst, std::fabs(in_mass - target));
+      double scale_in = in_mass > 0.0 ? target / in_mass : 0.0;
+      double scale_out =
+          in_mass < 1.0 ? (1.0 - target) / (1.0 - in_mass) : 0.0;
+      for (std::size_t c = 0; c < classes; ++c) {
+        p[c] *= (class_sig[c] & bit) ? scale_in : scale_out;
+      }
+    }
+    if (worst < tolerance) break;
+  }
+  double h = 0.0;
+  for (std::size_t c = 0; c < classes; ++c) {
+    if (p[c] <= 0.0) continue;
+    h -= p[c] * std::log(p[c] / class_count[c]);
+  }
+  return h - log.EmpiricalEntropy();
+}
+
+/// The Figure 4 validation's encodings: the log projected onto at most
+/// ten features in the 1%-99% band, candidate pairs and triples spread
+/// over the marginal spectrum, and every encoding of 1-3 candidates (up
+/// to 64).
+std::vector<ProjectedEncoding> Fig4Encodings(const ProjectedLog& proj) {
+  const std::size_t n = proj.num_features();
+  std::vector<std::pair<double, FeatureVec>> scored;
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      FeatureVec pair({static_cast<FeatureId>(a), static_cast<FeatureId>(b)});
+      if (proj.Marginal(pair) > 0.0) {
+        scored.emplace_back(proj.Marginal(pair), pair);
+      }
+      if (b + 1 < n) {
+        FeatureVec triple({static_cast<FeatureId>(a),
+                           static_cast<FeatureId>(b),
+                           static_cast<FeatureId>(b + 1)});
+        if (proj.Marginal(triple) > 0.0) {
+          scored.emplace_back(proj.Marginal(triple), triple);
+        }
+      }
+    }
+  }
+  std::sort(scored.begin(), scored.end(),
+            [](const auto& x, const auto& y) { return x.first > y.first; });
+  std::vector<FeatureVec> candidates;
+  for (std::size_t i = 0; i < scored.size() && candidates.size() < 8;
+       i += std::max<std::size_t>(1, scored.size() / 8)) {
+    candidates.push_back(scored[i].second);
+  }
+  std::vector<std::vector<std::size_t>> subsets;
+  const std::size_t m = candidates.size();
+  for (std::size_t a = 0; a < m; ++a) {
+    subsets.push_back({a});
+    for (std::size_t b = a + 1; b < m; ++b) {
+      subsets.push_back({a, b});
+      for (std::size_t c = b + 1; c < m && subsets.size() < 64; ++c) {
+        subsets.push_back({a, b, c});
+      }
+    }
+  }
+  std::vector<ProjectedEncoding> encodings;
+  for (const std::vector<std::size_t>& idx : subsets) {
+    std::vector<FeatureVec> pats;
+    for (std::size_t i : idx) pats.push_back(candidates[i]);
+    encodings.push_back(ProjectedEncoding::Measure(proj, std::move(pats)));
+  }
+  return encodings;
+}
+
+TEST(SupportKernelOracleTest, Fig4EncodingsMatchLegacyFit) {
+  std::vector<QueryLog> logs;
+  logs.push_back(LoadEntries(GenerateBankLog(BankLogOptions())).TakeLog());
+  for (std::uint64_t seed : {1, 4, 11}) {
+    PocketDataOptions gen;
+    gen.seed = seed;
+    logs.push_back(LoadEntries(GeneratePocketDataLog(gen)).TakeLog());
+  }
+  std::size_t compared = 0;
+  for (const QueryLog& log : logs) {
+    std::vector<FeatureId> band =
+        ProjectedLog::SelectFeaturesInBand(log, 0.01, 0.99);
+    if (band.size() > 10) band.resize(10);
+    const ProjectedLog proj(log, band);
+    for (const ProjectedEncoding& e : Fig4Encodings(proj)) {
+      EXPECT_TRUE(SameBits(ReproductionErrorOnSupport(proj, e),
+                           OracleReproductionErrorOnSupport(proj, e)))
+          << "|E|=" << e.patterns.size();
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 100u);
+}
+
+// ------------------------------------------- brute-force max-ent oracle
+//
+// On a universe of n <= 8 features every vector can be enumerated, so
+// the max-ent distribution is fitted directly over all 2^n vectors by
+// textbook IPF (vector v holds feature f iff bit f of v is set). The
+// lattice and factored models must reach the same fixed point.
+
+FeatureVec FeaturesOf(std::uint32_t mask) {
+  std::vector<FeatureId> ids;
+  for (FeatureId f = 0; f < 32; ++f) {
+    if (mask & (std::uint32_t(1) << f)) ids.push_back(f);
+  }
+  return FeatureVec(std::move(ids));
+}
+
+std::uint32_t MaskOf(const FeatureVec& b) {
+  std::uint32_t mask = 0;
+  for (FeatureId f : b.ids) mask |= std::uint32_t(1) << f;
+  return mask;
+}
+
+double BruteMarginal(const std::vector<double>& p, std::uint32_t mask) {
+  double acc = 0.0;
+  for (std::uint32_t v = 0; v < p.size(); ++v) {
+    if ((v & mask) == mask) acc += p[v];
+  }
+  return acc;
+}
+
+/// Max-ent distribution over {0,1}^n with p(Q ⊇ mask_k) = target_k:
+/// from uniform, rescale each constraint's holding and non-holding
+/// vectors in turn until every residual is below 1e-14.
+std::vector<double> BruteForceMaxEnt(
+    std::size_t n,
+    const std::vector<std::pair<std::uint32_t, double>>& constraints) {
+  const std::size_t size = std::size_t(1) << n;
+  std::vector<double> p(size, 1.0 / static_cast<double>(size));
+  for (int sweep = 0; sweep < 100000; ++sweep) {
+    double worst = 0.0;
+    for (const auto& [mask, target] : constraints) {
+      const double in = BruteMarginal(p, mask);
+      worst = std::max(worst, std::fabs(in - target));
+      for (std::uint32_t v = 0; v < size; ++v) {
+        p[v] *= (v & mask) == mask ? target / in
+                                   : (1.0 - target) / (1.0 - in);
+      }
+    }
+    if (worst < 1e-14) break;
+  }
+  return p;
+}
+
+/// A strictly positive random distribution over {0,1}^n, so every
+/// measured marginal is consistent and lies strictly inside (0, 1).
+std::vector<double> RandomPositiveDistribution(std::size_t n, Pcg32* rng) {
+  std::vector<double> p(std::size_t(1) << n);
+  double total = 0.0;
+  for (double& v : p) {
+    v = std::exp(3.0 * rng->NextDouble());
+    total += v;
+  }
+  for (double& v : p) v /= total;
+  return p;
+}
+
+/// 1-3 distinct random features of an n-feature universe.
+FeatureVec RandomPattern(std::size_t n, std::size_t max_size, Pcg32* rng) {
+  const std::size_t size = 1 + rng->NextBounded(
+                                   static_cast<std::uint32_t>(max_size));
+  std::uint32_t mask = 0;
+  while (static_cast<std::size_t>(__builtin_popcount(mask)) < size) {
+    mask |= std::uint32_t(1) << rng->NextBounded(static_cast<std::uint32_t>(n));
+  }
+  return FeaturesOf(mask);
+}
+
+TEST(BruteForceMaxEntTest, LatticeModelMatchesEnumeration) {
+  Pcg32 rng(2018);
+  int converged = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 3 + trial % 6;
+    const std::vector<double> truth = RandomPositiveDistribution(n, &rng);
+    std::vector<FeatureVec> patterns;
+    const std::size_t m = 1 + rng.NextBounded(6);
+    for (std::size_t j = 0; j < m; ++j) {
+      patterns.push_back(RandomPattern(n, 3, &rng));
+    }
+    // Nest one pattern in another so some lattice classes are empty.
+    patterns.push_back(FeatureVec::Union(patterns[0], RandomPattern(n, 1, &rng)));
+    std::vector<double> marginals;
+    std::vector<std::pair<std::uint32_t, double>> constraints;
+    for (const FeatureVec& b : patterns) {
+      marginals.push_back(BruteMarginal(truth, MaskOf(b)));
+      constraints.emplace_back(MaskOf(b), marginals.back());
+    }
+    SignatureSpace space(patterns, n);
+    // A tolerance well below the comparison's, so the entropy (which a
+    // residual moves through the Lagrange multipliers) is settled too.
+    MaxEntModel model(&space, marginals, ScalingOptions{20000, 1e-13});
+    if (!model.converged()) continue;
+    ++converged;
+    const std::vector<double> p = BruteForceMaxEnt(n, constraints);
+    EXPECT_NEAR(model.EntropyNats(), Entropy(p), 1e-9) << "trial " << trial;
+    std::vector<FeatureVec> probes = patterns;
+    for (FeatureId f = 0; f < n; ++f) probes.push_back(FeatureVec({f}));
+    probes.push_back(RandomPattern(n, 3, &rng));
+    for (const FeatureVec& b : probes) {
+      EXPECT_NEAR(model.MarginalOf(b), BruteMarginal(p, MaskOf(b)), 1e-9)
+          << "trial " << trial << " |b|=" << b.size();
+    }
+  }
+  EXPECT_GE(converged, 30);
+}
+
+TEST(BruteForceMaxEntTest, FactoredModelMatchesEnumeration) {
+  Pcg32 rng(1995);
+  int converged = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 3 + trial % 6;
+    const std::vector<double> truth = RandomPositiveDistribution(n, &rng);
+    std::vector<std::pair<FeatureId, double>> singletons;
+    std::vector<std::pair<std::uint32_t, double>> constraints;
+    for (FeatureId f = 0; f < n; ++f) {
+      singletons.emplace_back(f, BruteMarginal(truth, std::uint32_t(1) << f));
+      constraints.emplace_back(std::uint32_t(1) << f, singletons.back().second);
+    }
+    std::vector<FactoredMaxEnt::PatternConstraint> patterns;
+    const std::size_t m = 1 + rng.NextBounded(4);
+    for (std::size_t j = 0; j < m; ++j) {
+      FeatureVec b = RandomPattern(n, 3, &rng);
+      if (b.size() < 2) continue;
+      patterns.push_back({b, BruteMarginal(truth, MaskOf(b))});
+      constraints.emplace_back(MaskOf(b), patterns.back().marginal);
+    }
+    FactoredMaxEnt model(singletons, patterns);
+    if (!model.converged()) continue;
+    ++converged;
+    const std::vector<double> p = BruteForceMaxEnt(n, constraints);
+    // The block fit's fixed 1e-9 residual tolerance bounds each marginal
+    // to about 1e-9, but moves the entropy by the residuals times the
+    // Lagrange multipliers: up to 1.2e-9 on these draws.
+    EXPECT_NEAR(model.EntropyNats(), Entropy(p), 1e-8) << "trial " << trial;
+    std::vector<FeatureVec> probes;
+    for (const auto& pc : patterns) probes.push_back(pc.pattern);
+    for (FeatureId f = 0; f < n; ++f) probes.push_back(FeatureVec({f}));
+    probes.push_back(RandomPattern(n, 3, &rng));
+    probes.push_back(FeaturesOf((std::uint32_t(1) << n) - 1));
+    for (const FeatureVec& b : probes) {
+      EXPECT_NEAR(model.MarginalOf(b), BruteMarginal(p, MaskOf(b)), 1e-9)
+          << "trial " << trial << " |b|=" << b.size();
+    }
+  }
+  EXPECT_GE(converged, 30);
 }
 
 }  // namespace
