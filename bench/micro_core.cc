@@ -17,7 +17,6 @@
 #include "cluster/distance.h"
 #include "cluster/hierarchical.h"
 #include "cluster/spectral.h"
-#include "cluster/xor_popcount.h"
 #include "core/distributed.h"
 #include "core/logr_compressor.h"
 #include "core/mixture.h"
@@ -245,7 +244,6 @@ void BM_CompressBinaryBank(benchmark::State& state, bool materialize_first) {
   state.counters["pack_ms"] = pack_seconds * 1e3;
   state.counters["cluster_ms"] = cluster_seconds * 1e3;
   state.counters["templates"] = static_cast<double>(mapped.NumDistinct());
-  state.SetLabel(PopcountKernelName(SelectedPopcountKernel()));
 }
 BENCHMARK_CAPTURE(BM_CompressBinaryBank, mmap_direct, false)
     ->Unit(benchmark::kMillisecond);
@@ -302,7 +300,6 @@ void BM_PackedDistanceMatrix(benchmark::State& state) {
   state.counters["vectors"] = static_cast<double>(in.vecs.size());
   state.counters["words_per_vec"] =
       static_cast<double>((in.num_features + 63) / 64);
-  state.SetLabel(PopcountKernelName(SelectedPopcountKernel()));
 }
 BENCHMARK(BM_PackedDistanceMatrix)->Unit(benchmark::kMillisecond);
 

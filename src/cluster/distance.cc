@@ -127,11 +127,6 @@ void SweepUpperTriangle(const PackedVecPool& packed, const DistanceSpec& spec,
   // claiming never strands a worker on one long row. Each (i, j) entry
   // and its mirror are written by exactly one tile, so any schedule
   // produces the same output.
-  // Resolved once per matrix: the widest xor+popcount kernel the CPU
-  // supports (or scalar under LOGR_FORCE_SCALAR). Every kernel computes
-  // the same exact integers, so the choice never affects the output.
-  const XorPopcountAccumFn accum = SelectedXorPopcountAccum();
-
   const std::size_t num_tiles = (count + kTile - 1) / kTile;
   std::vector<std::pair<std::size_t, std::size_t>> tiles;
   tiles.reserve(num_tiles * (num_tiles + 1) / 2);
@@ -157,17 +152,17 @@ void SweepUpperTriangle(const PackedVecPool& packed, const DistanceSpec& spec,
       // Row i's nonzero words drive the whole tile row (~|q| visited
       // words per pair regardless of universe width), and one kernel
       // call sweeps all of them over the j slice of the transposed
-      // columns — sequential loads, one precomputed popcount per word,
-      // accumulators register-resident across the word loop:
+      // columns — sequential loads, one precomputed popcount per word:
       //   diff(i, j) = bits(j) + Σ_w [pc(row_i[w]^col_w[j]) - pc(col_w[j])]
       const std::size_t j_beg = std::max(i + 1, j_lo);
       if (j_beg >= j_hi) continue;
       for (std::size_t j = j_beg; j < j_hi; ++j) {
         acc[j - j_beg] = static_cast<std::int32_t>(packed.SetBits(j));
       }
-      accum(packed.Row(i), packed.WordIndices(i), packed.NumWordIndices(i),
-            packed.Column(0) + j_beg, packed.ColumnPopcount(0) + j_beg,
-            count, acc, j_hi - j_beg);
+      XorPopcountAccum(packed.Row(i), packed.WordIndices(i),
+                       packed.NumWordIndices(i), packed.Column(0) + j_beg,
+                       packed.ColumnPopcount(0) + j_beg, count, acc,
+                       j_hi - j_beg);
       double* drow = upper_row(i, j_beg);
       for (std::size_t j = j_beg; j < j_hi; ++j) {
         drow[j - j_beg] = lut[static_cast<std::size_t>(acc[j - j_beg])];

@@ -1,14 +1,11 @@
 #include "cluster/xor_popcount.h"
 
-#include "util/cpu_features.h"
-
 namespace logr {
 
-void XorPopcountAccumScalar(const std::uint64_t* row,
-                            const std::uint32_t* nzw, std::size_t n_nzw,
-                            const std::uint64_t* cols,
-                            const std::uint8_t* pcc, std::size_t stride,
-                            std::int32_t* acc, std::size_t len) {
+void XorPopcountAccum(const std::uint64_t* row, const std::uint32_t* nzw,
+                      std::size_t n_nzw, const std::uint64_t* cols,
+                      const std::uint8_t* pcc, std::size_t stride,
+                      std::int32_t* acc, std::size_t len) {
   for (std::size_t t = 0; t < n_nzw; ++t) {
     const std::size_t off = static_cast<std::size_t>(nzw[t]) * stride;
     const std::uint64_t riw = row[nzw[t]];
@@ -19,43 +16,6 @@ void XorPopcountAccumScalar(const std::uint64_t* row,
                 static_cast<std::int32_t>(pc[j]);
     }
   }
-}
-
-PopcountKernel SelectedPopcountKernel() {
-  static const PopcountKernel kernel = [] {
-    if (ForceScalarEnv()) return PopcountKernel::kScalar;
-    const CpuFeatures& cpu = DetectCpuFeatures();
-    if (XorPopcountAvx512Compiled() && cpu.avx512_vpopcntdq) {
-      return PopcountKernel::kAvx512;
-    }
-    if (XorPopcountAvx2Compiled() && cpu.avx2) return PopcountKernel::kAvx2;
-    return PopcountKernel::kScalar;
-  }();
-  return kernel;
-}
-
-const char* PopcountKernelName(PopcountKernel k) {
-  switch (k) {
-    case PopcountKernel::kAvx512:
-      return "avx512";
-    case PopcountKernel::kAvx2:
-      return "avx2";
-    case PopcountKernel::kScalar:
-      break;
-  }
-  return "scalar";
-}
-
-XorPopcountAccumFn SelectedXorPopcountAccum() {
-  switch (SelectedPopcountKernel()) {
-    case PopcountKernel::kAvx512:
-      return &XorPopcountAccumAvx512;
-    case PopcountKernel::kAvx2:
-      return &XorPopcountAccumAvx2;
-    case PopcountKernel::kScalar:
-      break;
-  }
-  return &XorPopcountAccumScalar;
 }
 
 }  // namespace logr

@@ -1,4 +1,4 @@
-// XOR + popcount accumulation kernels for the tiled distance sweep.
+// XOR + popcount accumulation kernel for the tiled distance sweep.
 //
 // The packed DistanceMatrix inner loop is, for one packed row and a
 // j-slice of the word-major column planes:
@@ -6,21 +6,9 @@
 //   acc[j] += Σ_{t < n_nzw, w = nzw[t]}
 //               popcount(row[w] ^ cols[w*stride + j]) - pcc[w*stride + j]
 //
-// i.e. each kernel call sweeps ALL of the row's nonzero words over the
-// slice, not one word at a time. That shape lets the SIMD kernels keep
-// the int32 accumulators in vector registers across the whole word
-// loop — one acc load + store per j-block instead of one per (word,
-// j-block) — and costs exactly one indirect call per (tile, row).
-//
-// All kernels compute the same exact integers (int32 adds of exact
-// popcounts, associative and commutative), so swapping kernels never
-// changes a distance, only how fast the sweep runs. The scalar kernel
-// is the always-on reference; the AVX2 (vpshufb nibble-LUT popcount,
-// 8 lanes per step) and AVX-512 (vpopcntdq, 16 lanes per step) kernels
-// live in their own translation units compiled with the matching -m
-// flags, and runtime CPUID dispatch picks the widest one the CPU
-// supports (util/cpu_features.h). LOGR_FORCE_SCALAR=1 pins the choice
-// to scalar.
+// i.e. each call sweeps ALL of the row's nonzero words over the slice,
+// not one word at a time: one call per (tile, row). The popcounts are
+// exact integers, so the distances built from them are too.
 #ifndef LOGR_CLUSTER_XOR_POPCOUNT_H_
 #define LOGR_CLUSTER_XOR_POPCOUNT_H_
 
@@ -34,54 +22,19 @@ namespace logr {
 ///             popcount(row[w] ^ cols[w*stride + j]) - pcc[w*stride + j]
 /// `cols`/`pcc` point at the j-origin of the word-0 column plane; plane
 /// w lives `w*stride` further in (PackedVecPool's word-major layout).
-using XorPopcountAccumFn = void (*)(const std::uint64_t* row,
-                                    const std::uint32_t* nzw,
-                                    std::size_t n_nzw,
-                                    const std::uint64_t* cols,
-                                    const std::uint8_t* pcc,
-                                    std::size_t stride, std::int32_t* acc,
-                                    std::size_t len);
+void XorPopcountAccum(const std::uint64_t* row, const std::uint32_t* nzw,
+                      std::size_t n_nzw, const std::uint64_t* cols,
+                      const std::uint8_t* pcc, std::size_t stride,
+                      std::int32_t* acc, std::size_t len);
 
-/// Portable reference kernel (one popcount per element, word-major
-/// order).
-void XorPopcountAccumScalar(const std::uint64_t* row,
-                            const std::uint32_t* nzw, std::size_t n_nzw,
-                            const std::uint64_t* cols,
-                            const std::uint8_t* pcc, std::size_t stride,
-                            std::int32_t* acc, std::size_t len);
-
-/// AVX2 kernel: vpshufb nibble-LUT popcount, 8 accumulator lanes per
-/// step, accumulators register-resident across the word loop. Falls
-/// back to the scalar body when its TU was compiled without AVX2
-/// (XorPopcountAvx2Compiled() reports which).
-void XorPopcountAccumAvx2(const std::uint64_t* row, const std::uint32_t* nzw,
-                          std::size_t n_nzw, const std::uint64_t* cols,
-                          const std::uint8_t* pcc, std::size_t stride,
-                          std::int32_t* acc, std::size_t len);
-bool XorPopcountAvx2Compiled();
-
-/// AVX-512 kernel: vpopcntdq, 16 accumulator lanes per step,
-/// accumulators register-resident across the word loop. Same fallback
-/// contract as the AVX2 kernel.
-void XorPopcountAccumAvx512(const std::uint64_t* row,
-                            const std::uint32_t* nzw, std::size_t n_nzw,
-                            const std::uint64_t* cols,
-                            const std::uint8_t* pcc, std::size_t stride,
-                            std::int32_t* acc, std::size_t len);
-bool XorPopcountAvx512Compiled();
-
-enum class PopcountKernel { kScalar, kAvx2, kAvx512 };
-
-/// Kernel picked for this process: the widest one both compiled in and
-/// reported by CPUID, unless LOGR_FORCE_SCALAR pins scalar. Decided
-/// once and cached.
-PopcountKernel SelectedPopcountKernel();
-
-/// "scalar" / "avx2" / "avx512" — for bench output and logs.
-const char* PopcountKernelName(PopcountKernel k);
-
-/// The function pointer for SelectedPopcountKernel().
-XorPopcountAccumFn SelectedXorPopcountAccum();
+// There is one kernel. These exist only for the end-to-end bench's
+// `popcount_kernel` note (bench/e2e/logr_e2e.cc), which always reads
+// "scalar"; delete them together with that note.
+enum class PopcountKernel { kScalar };
+inline PopcountKernel SelectedPopcountKernel() {
+  return PopcountKernel::kScalar;
+}
+inline const char* PopcountKernelName(PopcountKernel) { return "scalar"; }
 
 }  // namespace logr
 
