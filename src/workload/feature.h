@@ -62,9 +62,10 @@ class Vocabulary {
 
   std::size_t size() const { return features_.size(); }
 
- private:
+  /// The interning key: equal for two features iff they are ==.
   static std::string Key(const Feature& f);
 
+ private:
   std::vector<Feature> features_;
   std::unordered_map<std::string, FeatureId> index_;
 };

@@ -2,27 +2,29 @@
 
 #include "sql/parser.h"
 #include "sql/printer.h"
-#include "util/check.h"
 #include "workload/binary_log.h"
 
 namespace logr {
 
 namespace {
 
-/// Everything the fold needs from one queued SELECT, computed on the pool.
-struct PreparedSelect {
+/// Everything the fold needs from one queued line, computed on the pool.
+/// Only `kind` is set unless the line is a valid SELECT.
+struct PreparedLine {
+  sql::StatementKind kind = sql::StatementKind::kParseError;
   sql::RegularizeInfo info;
   std::string canonical;  // constant-free printed form
   std::vector<Feature> features;
   std::string with_const;  // printed with constants
-  std::vector<Feature> with_const_features;
+  std::vector<std::string> with_const_keys;  // Vocabulary::Key per feature
 };
 
-PreparedSelect Prepare(std::string_view raw_sql,
-                       const LogLoader::Options& opts) {
+PreparedLine Prepare(std::string_view raw_sql,
+                     const LogLoader::Options& opts) {
   sql::ParseResult parsed = sql::Parse(raw_sql);
-  LOGR_CHECK(parsed.ok());  // AddSql queued it as a valid SELECT
-  PreparedSelect p;
+  PreparedLine p;
+  p.kind = parsed.kind;
+  if (!parsed.ok()) return p;
 
   // Primary pass: constant-free regularization feeding the QueryLog.
   sql::StatementPtr regular =
@@ -38,7 +40,9 @@ PreparedSelect Prepare(std::string_view raw_sql,
     sql::StatementPtr with_const =
         sql::Regularize(*parsed.statement, keep_consts, nullptr);
     p.with_const = sql::PrintStatement(*with_const);
-    p.with_const_features = ListFeatures(*with_const, opts.extract);
+    for (const Feature& f : ListFeatures(*with_const, opts.extract)) {
+      p.with_const_keys.push_back(Vocabulary::Key(f));
+    }
   }
   return p;
 }
@@ -47,26 +51,15 @@ PreparedSelect Prepare(std::string_view raw_sql,
 
 LogLoader::LogLoader(Options opts) : opts_(std::move(opts)) {}
 
-bool LogLoader::AddSql(std::string_view raw_sql, std::uint64_t count) {
-  if (count == 0) return false;  // zero occurrences: nothing to record
-  sql::ParseResult parsed = sql::Parse(raw_sql);
-  if (parsed.kind == sql::StatementKind::kParseError) {
-    num_parse_errors_ += count;
-    return false;
-  }
-  if (!parsed.ok()) {
-    num_non_select_ += count;
-    return false;
-  }
-  num_queries_ += count;
+void LogLoader::AddSql(std::string_view raw_sql, std::uint64_t count) {
+  if (count == 0) return;  // zero occurrences: nothing to record
   pending_.push_back({std::string(raw_sql), count});
   if (pending_.size() >= kBatchLines) Flush();
-  return true;
 }
 
 void LogLoader::Flush() const {
   if (pending_.empty()) return;
-  std::vector<PreparedSelect> prepared(pending_.size());
+  std::vector<PreparedLine> prepared(pending_.size());
   ThreadPool* pool = opts_.pool ? opts_.pool : ThreadPool::Shared();
   ParallelFor(pool, 0, pending_.size(), kFineGrain, [&](std::size_t i) {
     prepared[i] = Prepare(pending_[i].sql, opts_);
@@ -79,7 +72,17 @@ void LogLoader::Flush() const {
   // arenas holding nothing but this batch's scratch.
   Vocabulary* vocab = log_.mutable_vocabulary();
   for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const PreparedSelect& p = prepared[i];
+    const PreparedLine& p = prepared[i];
+    const std::uint64_t count = pending_[i].count;
+    if (p.kind == sql::StatementKind::kParseError) {
+      num_parse_errors_ += count;
+      continue;
+    }
+    if (p.kind != sql::StatementKind::kSelect) {
+      num_non_select_ += count;
+      continue;
+    }
+    num_queries_ += count;
     distinct_no_const_.insert(p.canonical);
     if (p.info.conjunctive) distinct_conjunctive_.insert(p.canonical);
     if (p.info.rewritable) distinct_rewritable_.insert(p.canonical);
@@ -87,13 +90,12 @@ void LogLoader::Flush() const {
     std::vector<FeatureId> ids;
     ids.reserve(p.features.size());
     for (const Feature& f : p.features) ids.push_back(vocab->Intern(f));
-    log_.Add(FeatureVec(std::move(ids)), pending_[i].count,
-             std::move(pending_[i].sql));
+    log_.Add(FeatureVec(std::move(ids)), count, std::move(pending_[i].sql));
 
     if (opts_.track_with_constant_stats) {
       distinct_with_const_.insert(p.with_const);
-      for (const Feature& f : p.with_const_features) {
-        with_const_vocab_.Intern(f);
+      for (const std::string& key : p.with_const_keys) {
+        with_const_features_.insert(key);
       }
     }
   }
@@ -120,8 +122,9 @@ DatasetSummary LogLoader::Summary(std::string name) const {
   s.num_distinct_conjunctive = distinct_conjunctive_.size();
   s.num_distinct_rewritable = distinct_rewritable_.size();
   s.max_multiplicity = log_.MaxMultiplicity();
-  s.num_features = opts_.track_with_constant_stats ? with_const_vocab_.size()
-                                                   : log_.NumFeatures();
+  s.num_features = opts_.track_with_constant_stats
+                       ? with_const_features_.size()
+                       : log_.NumFeatures();
   s.num_features_no_const = log_.NumFeatures();
   s.avg_features_per_query = log_.AvgFeaturesPerQuery();
   return s;

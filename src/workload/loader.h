@@ -10,9 +10,9 @@
 #define LOGR_WORKLOAD_LOADER_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "sql/normalizer.h"
@@ -40,13 +40,13 @@ struct DatasetSummary {
 
 /// Streaming loader: feed SQL strings, then take the QueryLog + summary.
 ///
-/// AddSql only classifies a statement (one parse) and queues each valid
-/// SELECT's raw text. Every kBatchLines queued SELECTs, and before any
-/// reader returns, the batch is re-parsed, regularized and featurized on
-/// a ThreadPool, then folded into the log serially in input order. Feature
-/// ids, vector order, sample SQL and every output byte are therefore the
-/// same for any pool size. A pass's last partial batch is folded by the
-/// first reader, usually Summary().
+/// AddSql does no SQL work: it queues the raw line and its count. Every
+/// kBatchLines queued lines, and before any reader returns, the batch is
+/// parsed (once per line), classified, regularized and featurized on a
+/// ThreadPool, then folded into the log and the funnel counters serially
+/// in input order. Feature ids, vector order, sample SQL and every output
+/// byte are therefore the same for any pool size. A pass's last partial
+/// batch is folded by the first reader, usually Summary().
 ///
 /// A pooled ParallelFor is not reentrant, so a LogLoader must not be
 /// driven from inside a pool task. Not thread-safe: the const readers
@@ -66,20 +66,19 @@ class LogLoader {
     ThreadPool* pool = nullptr;
   };
 
-  /// SELECTs queued per batch: enough to amortize a pool dispatch, few
-  /// enough that the queued raw text stays small.
+  /// Lines queued per batch, whatever their kind: enough to amortize a
+  /// pool dispatch, few enough that the queued raw text stays small.
   static constexpr std::size_t kBatchLines = 1024;
 
   LogLoader() : LogLoader(Options()) {}
   explicit LogLoader(Options opts);
 
-  /// Classifies, regularizes and accumulates one statement; `count`
-  /// copies are recorded. Returns true if it was a valid SELECT.
-  /// `count == 0` records nothing — not even classification counters —
-  /// and returns false: a zero-multiplicity log record carries no
-  /// information, and counting its template as "distinct" would skew
-  /// every Table-1 statistic.
-  bool AddSql(std::string_view raw_sql, std::uint64_t count = 1);
+  /// Queues one statement with `count` copies; the workers parse and
+  /// classify it when its batch is folded. `count == 0` records nothing,
+  /// not even a funnel classification: a zero-multiplicity log record
+  /// carries no information, and counting its template as "distinct"
+  /// would skew every Table-1 statistic.
+  void AddSql(std::string_view raw_sql, std::uint64_t count = 1);
 
   /// Serializes the accumulated log plus the Table-1 summary (under
   /// `dataset_name`) as a logr-log v1 binary file (.logrl; see
@@ -102,28 +101,30 @@ class LogLoader {
   DatasetSummary Summary(std::string name) const;
 
  private:
-  struct PendingSelect {
+  struct PendingLine {
     std::string sql;
     std::uint64_t count = 0;
   };
 
-  /// Processes the queued SELECTs on the pool and folds them in order.
+  /// Processes the queued lines on the pool and folds them in order.
   void Flush() const;
 
   Options opts_;
   // Folded state: the const readers fold the pending batch, so all of it
   // is mutable.
-  mutable std::vector<PendingSelect> pending_;
+  mutable std::vector<PendingLine> pending_;
   mutable QueryLog log_;
-  mutable Vocabulary with_const_vocab_;
-  mutable std::set<std::string> distinct_with_const_;
-  mutable std::set<std::string> distinct_no_const_;
-  mutable std::set<std::string> distinct_conjunctive_;
-  mutable std::set<std::string> distinct_rewritable_;
-  // Funnel counters, updated synchronously by AddSql.
-  std::uint64_t num_queries_ = 0;
-  std::uint64_t num_non_select_ = 0;
-  std::uint64_t num_parse_errors_ = 0;
+  // Only ever counted, so each holds its full strings and nothing else:
+  // Vocabulary::Key for the with-constants features, printed statements
+  // for the distinct-query sets.
+  mutable std::unordered_set<std::string> with_const_features_;
+  mutable std::unordered_set<std::string> distinct_with_const_;
+  mutable std::unordered_set<std::string> distinct_no_const_;
+  mutable std::unordered_set<std::string> distinct_conjunctive_;
+  mutable std::unordered_set<std::string> distinct_rewritable_;
+  mutable std::uint64_t num_queries_ = 0;
+  mutable std::uint64_t num_non_select_ = 0;
+  mutable std::uint64_t num_parse_errors_ = 0;
 };
 
 }  // namespace logr

@@ -148,8 +148,9 @@ TEST(LoaderBatchTest, PocketDataBatchedEqualsSerial) {
 
 /// `selects` SELECT lines (some disjunctive, repeated templates and
 /// constants) with a parse error, a non-SELECT and a zero-count SELECT
-/// right before the last SELECT of the first batch, right after the
-/// batch fills, and at the end.
+/// right before SELECT kBatch - 1, right before SELECT kBatch, and at
+/// the end. Queued noise counts toward a batch, so the first noise
+/// block's parse error is line kBatch and fills the first batch.
 std::vector<LogEntry> BoundaryLog(std::size_t selects) {
   const std::vector<LogEntry> noise = {
       {"@@garbage@@", 2}, {"UPDATE t SET a = 1", 3}, {"SELECT z FROM t", 0}};
@@ -188,12 +189,14 @@ TEST(LoaderBatchTest, MidStreamReadsMatchOneUninterruptedPass) {
   LogLoader::Options opts;
   opts.pool = &four;
   LogLoader loader(opts);
-  // Line kBatch + 3 is the SELECT that fills the first batch (three noise
-  // lines precede it). Reads land early in that batch, one line before it
-  // fills, on the line that fills it and the line after, with one SELECT
-  // queued, and one line before the end.
+  // Every queued line counts toward a batch, so line kBatch, the first
+  // noise block's parse error, fills the first batch. Reads land early in
+  // that batch, one line before it fills, on the line that fills it and
+  // the line after, around SELECT kBatch - 1 (line kBatch + 3), on SELECT
+  // kBatch (line kBatch + 7), and one line before the end.
   const std::set<std::size_t> probes = {
-      10, kBatch + 2, kBatch + 3, kBatch + 4, kBatch + 7, entries.size() - 1};
+      10,         kBatch - 1, kBatch,     kBatch + 1, kBatch + 2,
+      kBatch + 3, kBatch + 4, kBatch + 7, entries.size() - 1};
   for (std::size_t i = 0; i < entries.size(); ++i) {
     loader.AddSql(entries[i].sql, entries[i].count);
     if (probes.count(i + 1) == 0) continue;
@@ -210,6 +213,36 @@ TEST(LoaderBatchTest, MidStreamReadsMatchOneUninterruptedPass) {
   const SerialLoad whole = LoadSerially(entries, "mid");
   ExpectSameAsSerial(loader, whole);
   ExpectSameAsSerial(LoadOn(&four, entries), whole);
+}
+
+TEST(LoaderBatchTest, NoiseOnlyBatches) {
+  // Parse errors, non-SELECTs and four zero-count SELECTs: 2 * kBatch + 1
+  // queued lines, so two full batches and a partial one, none a query.
+  std::vector<LogEntry> entries;
+  for (std::size_t i = 0; i < 2 * kBatch + 5; ++i) {
+    const std::string n = std::to_string(i);
+    switch (i % 4) {
+      case 0: entries.push_back({"@@garbage" + n + "@@", 1 + i % 3}); break;
+      case 1: entries.push_back({"UPDATE t SET a = " + n, 2}); break;
+      case 2: entries.push_back({"EXEC sp_thing " + n, 1}); break;
+      default:
+        if (i % 512 == 511) {
+          entries.push_back({"SELECT z FROM t WHERE a = " + n, 0});
+        } else {
+          entries.push_back({"DELETE FROM t", 3});
+        }
+    }
+  }
+  const SerialLoad oracle = LoadSerially(entries, "noise");
+  ASSERT_EQ(oracle.summary.num_queries, 0u);
+  ASSERT_GT(oracle.summary.num_parse_errors, 0u);
+  ASSERT_GT(oracle.summary.num_non_select, 0u);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {&one, &four}) {
+    SCOPED_TRACE("threads=" + std::to_string(pool->NumThreads()));
+    ExpectSameAsSerial(LoadOn(pool, entries), oracle);
+  }
 }
 
 TEST(LoaderBatchTest, EveryReaderFoldsThePendingBatch) {

@@ -177,9 +177,9 @@ TEST(LoaderTest, AddSqlWithZeroCountRecordsNothing) {
   loader.AddSql("SELECT a FROM t WHERE x = 5", 2);
   // A zero-count record carries no information: not a query, not a
   // distinct template, not even a funnel classification.
-  EXPECT_FALSE(loader.AddSql("SELECT b FROM u WHERE y = 1", 0));
-  EXPECT_FALSE(loader.AddSql("UPDATE t SET a = 1", 0));
-  EXPECT_FALSE(loader.AddSql("@@garbage@@", 0));
+  loader.AddSql("SELECT b FROM u WHERE y = 1", 0);
+  loader.AddSql("UPDATE t SET a = 1", 0);
+  loader.AddSql("@@garbage@@", 0);
   DatasetSummary s = loader.Summary("test");
   EXPECT_EQ(s.num_queries, 2u);
   EXPECT_EQ(s.num_non_select, 0u);
@@ -271,11 +271,11 @@ TEST(QueryLogTest, SubsetPreservesCounts) {
 
 TEST(LoaderTest, FunnelClassifiesInputs) {
   LogLoader loader;
-  EXPECT_TRUE(loader.AddSql("SELECT a FROM t WHERE x = 5", 10));
-  EXPECT_TRUE(loader.AddSql("SELECT a FROM t WHERE x = 9", 5));
-  EXPECT_FALSE(loader.AddSql("EXEC sp_thing 42", 3));
-  EXPECT_FALSE(loader.AddSql("UPDATE t SET a = 1", 2));
-  EXPECT_FALSE(loader.AddSql("@@garbage@@", 1));
+  loader.AddSql("SELECT a FROM t WHERE x = 5", 10);
+  loader.AddSql("SELECT a FROM t WHERE x = 9", 5);
+  loader.AddSql("EXEC sp_thing 42", 3);
+  loader.AddSql("UPDATE t SET a = 1", 2);
+  loader.AddSql("@@garbage@@", 1);
   DatasetSummary s = loader.Summary("test");
   EXPECT_EQ(s.num_queries, 15u);
   EXPECT_EQ(s.num_non_select, 5u);
