@@ -12,13 +12,17 @@
 // it goes live without a restart, while in-flight requests drain on
 // the snapshot they started with.
 //
-// The daemon is hardened for hostile and overload traffic: --max-conns
-// caps concurrent connections (extras get an explicit "err busy" and
-// should retry with backoff — `logr_cli query --retries`), --idle-ms
-// cuts slow-loris peers that never send a request line, and
-// SIGINT/SIGTERM drain gracefully: requests already received finish
-// and flush their replies, bounded by --drain-ms. The `stats` protocol
-// verb reports accepted/active/shed/timed-out/requests/rescans.
+// The daemon runs one poll reactor thread per core plus the directory
+// watch, however many peers connect: an idle connection costs an fd,
+// not a thread. It is hardened for hostile and overload traffic:
+// --max-conns caps concurrent connections, and so open fds (extras get
+// an explicit "err busy" and should retry with backoff — `logr_cli
+// query --retries`), --idle-ms cuts slow-loris peers that never send a
+// request line, and SIGINT/SIGTERM drain gracefully: requests already
+// received finish and flush their replies, bounded by --drain-ms. The
+// `stats` protocol verb reports accepted/active/shed/timed-out/
+// requests/rescans. Every numeric flag takes decimal digits only, up
+// to INT_MAX; anything else exits 2 with the usage text.
 //
 // Try it:
 //   logr_cli compress --out summaries/prod.logr prod.sql
@@ -27,10 +31,9 @@
 //   printf 'list\nquit\n' | nc 127.0.0.1 7979
 #include <unistd.h>
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "serve/server.h"
@@ -41,6 +44,21 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
+
+/// Parses a flag value strictly: decimal digits only, at most INT_MAX.
+/// Rejects what std::atoi would quietly accept — "abc" (0), "3O000"
+/// (3) and "-1" (a wrapped, near-infinite cap).
+bool ParseFlag(const char* text, int* out) {
+  if (*text == '\0') return false;
+  long long value = 0;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (*c < '0' || *c > '9') return false;
+    value = value * 10 + (*c - '0');
+    if (value > INT_MAX) return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
 
 int Usage() {
   std::fprintf(stderr,
@@ -70,15 +88,19 @@ int main(int argc, char** argv) {
       dir = argv[++i];
     } else if (arg == "--listen" && i + 1 < argc) {
       opts.listen = argv[++i];
-    } else if (arg == "--rescan-ms" && i + 1 < argc) {
-      opts.rescan_interval_ms = std::atoi(argv[++i]);
-    } else if (arg == "--max-conns" && i + 1 < argc) {
-      opts.max_connections =
-          static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--idle-ms" && i + 1 < argc) {
-      opts.idle_timeout_ms = std::atoi(argv[++i]);
-    } else if (arg == "--drain-ms" && i + 1 < argc) {
-      opts.drain_timeout_ms = std::atoi(argv[++i]);
+    } else if (i + 1 < argc &&
+               (arg == "--rescan-ms" || arg == "--max-conns" ||
+                arg == "--idle-ms" || arg == "--drain-ms")) {
+      int value = 0;
+      if (!ParseFlag(argv[++i], &value)) {
+        std::fprintf(stderr, "%s must be an integer in [0, %d]\n",
+                     arg.c_str(), INT_MAX);
+        return Usage();
+      }
+      if (arg == "--rescan-ms") opts.rescan_interval_ms = value;
+      if (arg == "--max-conns") opts.max_connections = value;
+      if (arg == "--idle-ms") opts.idle_timeout_ms = value;
+      if (arg == "--drain-ms") opts.drain_timeout_ms = value;
     } else {
       return Usage();
     }

@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -30,9 +29,9 @@ bool Fail(std::string* error, const std::string& message) {
 /// hostile client cannot balloon the daemon's memory.
 constexpr std::size_t kMaxRequestBytes = 1 << 20;
 
-/// Poll granularity for noticing draining_/hard_stop_ while a
-/// connection waits on a quiet or stalled peer. Bounds how stale a
-/// stop request can go unnoticed, not any protocol deadline.
+/// Longest a reactor sleeps in poll, so a Stop() is seen within one
+/// tick even when no peer deadline is near. Bounds how stale a stop
+/// request can go unnoticed, not any protocol deadline.
 constexpr int kPollTickMs = 100;
 
 bool ParsePort(const std::string& text, std::uint16_t* port) {
@@ -47,22 +46,44 @@ bool ParsePort(const std::string& text, std::uint16_t* port) {
   return true;
 }
 
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/// Milliseconds left until `deadline`, clamped to [0, kPollTickMs] so
-/// every wait both honors the deadline and notices a stop request.
-int TickTowards(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
-  if (left <= 0) return 0;
-  return static_cast<int>(std::min<long long>(left, kPollTickMs));
+/// Milliseconds until `t`, rounded up so a poll that times out finds
+/// the deadline passed; 0 when it already has.
+int MsUntil(Clock::time_point t) {
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(t - Clock::now()).count();
+  return static_cast<int>(std::max<long long>(left, 0));
 }
 
 }  // namespace
+
+struct ServeDaemon::Peer {
+  int fd = -1;
+  std::string in;   ///< bytes read and not yet answered
+  std::string out;  ///< reply bytes owed and not yet sent
+  std::uint64_t served = 0;
+  Clock::time_point last_read;
+  Clock::time_point last_send;  ///< reply queued or last send progress
+  bool close_after_flush = false;
+
+  /// Queues the reply to one request line; nothing more is read from
+  /// the peer until it is flushed.
+  void Owe(std::string reply, bool then_close) {
+    out = std::move(reply);
+    out += '\n';
+    last_send = Clock::now();
+    close_after_flush = then_close;
+  }
+
+  /// When the peer blows a deadline: the write deadline while a reply
+  /// is owed, the idle deadline otherwise.
+  Clock::time_point Deadline(const ServeOptions& limits) const {
+    const int ms =
+        out.empty() ? limits.idle_timeout_ms : limits.write_timeout_ms;
+    if (ms <= 0) return Clock::time_point::max();
+    return (out.empty() ? last_read : last_send) +
+           std::chrono::milliseconds(ms);
+  }
+};
 
 ServeDaemon::ServeDaemon(SummaryRegistry* registry)
     : registry_(registry), handler_(registry, &counters_) {}
@@ -85,7 +106,7 @@ bool ServeDaemon::Start(const ServeOptions& opts, std::string* error) {
       return Fail(error, "unix socket path empty or too long: " + path);
     }
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (fd < 0) return Fail(error, "cannot create unix socket");
     ::unlink(path.c_str());  // a stale socket from a dead daemon
     if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
@@ -116,7 +137,7 @@ bool ServeDaemon::Start(const ServeOptions& opts, std::string* error) {
     if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
       return Fail(error, "bad host in listen endpoint: " + host);
     }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (fd < 0) return Fail(error, "cannot create tcp socket");
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -137,8 +158,10 @@ bool ServeDaemon::Start(const ServeOptions& opts, std::string* error) {
 
   limits_ = opts;
   draining_.store(false);
-  hard_stop_.store(false);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  for (unsigned r = 0; r < cores; ++r) {
+    reactors_.emplace_back([this] { ReactorLoop(); });
+  }
   if (opts.rescan_interval_ms > 0) {
     const int interval = opts.rescan_interval_ms;
     watch_thread_ = std::thread([this, interval] { WatchLoop(interval); });
@@ -146,194 +169,149 @@ bool ServeDaemon::Start(const ServeOptions& opts, std::string* error) {
   return true;
 }
 
-void ServeDaemon::AcceptLoop() {
+void ServeDaemon::ReactorLoop() {
+  std::vector<Peer> peers;
+  std::vector<pollfd> fds;
+  const auto erase_closed = [&peers] {
+    peers.erase(std::remove_if(peers.begin(), peers.end(),
+                               [](const Peer& p) { return p.fd < 0; }),
+                peers.end());
+  };
   while (!draining_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollTickMs);
-    if (draining_.load()) break;
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    ReapFinishedConnections();
-    // The cap check is race-free: only this thread ever increments
-    // `active`, and connection threads decrement it as they finish —
-    // before being reaped — so a freed slot is visible immediately.
-    if (limits_.max_connections > 0 &&
-        counters_.active.load() >= limits_.max_connections) {
-      ShedConnection(fd);
-      continue;
+    // Slot 0 is the listening socket and slot i + 1 is peers[i], polled
+    // for the one thing it waits on: POLLOUT while a reply is owed,
+    // POLLIN otherwise. Sleep until the nearest deadline, at most a tick.
+    fds.assign(1, pollfd{listen_fd_, POLLIN, 0});
+    auto wake = Clock::now() + std::chrono::milliseconds(kPollTickMs);
+    for (const Peer& peer : peers) {
+      const short events = peer.out.empty() ? POLLIN : POLLOUT;
+      fds.push_back(pollfd{peer.fd, events, 0});
+      wake = std::min(wake, peer.Deadline(limits_));
     }
-    counters_.accepted.fetch_add(1);
-    counters_.active.fetch_add(1);
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    Connection conn;
-    conn.fd = fd;
-    conn.done = std::make_shared<std::atomic<bool>>(false);
-    auto done = conn.done;
-    conn.thread = std::thread([this, fd, done] {
-      ServeConnection(fd);
-      counters_.active.fetch_sub(1);
-      done->store(true);
-    });
-    conns_.push_back(std::move(conn));
-  }
-}
-
-void ServeDaemon::ShedConnection(int fd) {
-  // Count first, so a peer that reads the reply is guaranteed to find
-  // itself in `stats shed`. The send is a single nonblocking attempt:
-  // the connection is brand new, so its send buffer is empty and the
-  // write succeeds unless the peer already vanished — and a vanished
-  // peer needs no reply.
-  counters_.shed.fetch_add(1);
-  SetNonBlocking(fd);
-  const char kBusy[] = "err busy\n";
-  (void)::send(fd, kBusy, sizeof(kBusy) - 1, MSG_NOSIGNAL);
-  ::close(fd);
-}
-
-void ServeDaemon::ReapFinishedConnections() {
-  // Swap finished entries out under the lock, join outside it: a join
-  // can wait on a connection mid-request, and blocking the accept path
-  // (or Stop) behind that would recreate the very stall the deadlines
-  // exist to prevent. Connection threads never close their own fd —
-  // the reaper joins first, then closes, so Stop() can still safely
-  // shutdown() any fd remaining in the list.
-  std::vector<Connection> finished;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if (it->done->load()) {
-        finished.push_back(std::move(*it));
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
+    ::poll(fds.data(), fds.size(), MsUntil(wake));
+    const auto now = Clock::now();
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      const short revents = fds[i + 1].revents;
+      if (revents == 0 && now < peers[i].Deadline(limits_)) continue;
+      const bool readable = (revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+      if (!Advance(&peers[i], readable, false)) Close(&peers[i]);
     }
+    erase_closed();
+    if (fds[0].revents != 0) Accept(&peers);
   }
-  for (Connection& conn : finished) {
-    conn.thread.join();
-    ::close(conn.fd);
-  }
-}
-
-bool ServeDaemon::SendReply(int fd, const std::string& data) {
-  // Nonblocking sends with POLLOUT waits, bounded by the write
-  // deadline. A peer that stops reading (while the daemon owes it a
-  // reply) stalls here, not forever: the deadline cuts it and the
-  // connection thread is reclaimed.
-  const bool bounded = limits_.write_timeout_ms > 0;
+  // Drain: read what each peer has already sent, without blocking,
+  // answer the complete lines and flush the replies until the drain
+  // deadline; then close whoever is still owed bytes.
   const auto deadline =
-      Clock::now() + std::chrono::milliseconds(
-                         bounded ? limits_.write_timeout_ms : 0);
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
+      Clock::now() +
+      std::chrono::milliseconds(std::max(limits_.drain_timeout_ms, 0));
+  for (;;) {
+    for (Peer& peer : peers) {
+      if (!Advance(&peer, true, true)) Close(&peer);
     }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return false;
-    if (hard_stop_.load()) return false;
-    int wait = kPollTickMs;
-    if (bounded) {
-      wait = TickTowards(deadline);
-      if (wait == 0) {
-        counters_.timed_out.fetch_add(1);
-        return false;
-      }
-    }
-    pollfd pfd{fd, POLLOUT, 0};
-    ::poll(&pfd, 1, wait);
+    erase_closed();
+    if (peers.empty() || Clock::now() >= deadline) break;
+    fds.clear();
+    for (const Peer& peer : peers) fds.push_back(pollfd{peer.fd, POLLOUT, 0});
+    ::poll(fds.data(), fds.size(), MsUntil(deadline));
   }
-  return true;
+  for (Peer& peer : peers) Close(&peer);
 }
 
-void ServeDaemon::ServeConnection(int fd) {
-  // All IO on the connection is nonblocking; every wait goes through
-  // poll with a bounded timeout. The loop's obligations, in order:
-  // answer buffered complete request lines, honor a drain request,
-  // then wait for more bytes under the idle deadline.
-  if (!SetNonBlocking(fd)) return;
-  std::string pending;
-  char buf[4096];
-  std::uint64_t served = 0;
-  auto last_activity = Clock::now();
-  while (!hard_stop_.load()) {
-    // Serve every complete line already buffered.
-    std::size_t nl;
-    while ((nl = pending.find('\n')) != std::string::npos) {
-      std::string line = pending.substr(0, nl);
-      pending.erase(0, nl + 1);
+void ServeDaemon::Accept(std::vector<Peer>* peers) {
+  // The listening socket is nonblocking, so a reactor that loses the
+  // race for a connection gets EAGAIN here instead of blocking.
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+  if (fd < 0) return;
+  // The increment itself claims a slot, so the cap holds across
+  // reactors; a claim past the cap is undone and the peer is shed.
+  const std::uint64_t claimed = counters_.active.fetch_add(1);
+  if (limits_.max_connections > 0 && claimed >= limits_.max_connections) {
+    counters_.active.fetch_sub(1);
+    // Count first, so a peer that reads the reply is guaranteed to
+    // find itself in `stats shed`. One nonblocking send is enough: the
+    // connection is brand new, so its send buffer is empty, and a peer
+    // that already vanished needs no reply.
+    counters_.shed.fetch_add(1);
+    const char kBusy[] = "err busy\n";
+    (void)::send(fd, kBusy, sizeof(kBusy) - 1, MSG_NOSIGNAL);
+    ::close(fd);
+    return;
+  }
+  counters_.accepted.fetch_add(1);
+  Peer peer;
+  peer.fd = fd;
+  peer.last_read = Clock::now();
+  peers->push_back(std::move(peer));
+}
+
+bool ServeDaemon::Advance(Peer* peer, bool readable, bool draining) {
+  Peer& p = *peer;
+  for (;;) {
+    if (!p.out.empty()) {
+      const ssize_t n =
+          ::send(p.fd, p.out.data(), p.out.size(), MSG_NOSIGNAL);
+      if (n > 0) {
+        p.out.erase(0, static_cast<std::size_t>(n));
+        p.last_send = Clock::now();
+        if (p.out.empty() && p.close_after_flush) return false;
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return false;
+      if (Clock::now() < p.Deadline(limits_)) return true;
+      // The stalled-reader cut: the owed reply made no progress.
+      counters_.timed_out.fetch_add(1);
+      return false;
+    }
+    const std::size_t nl = p.in.find('\n');
+    if (nl != std::string::npos) {
+      std::string line = p.in.substr(0, nl);
+      p.in.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       counters_.requests.fetch_add(1);
       if (limits_.max_requests_per_connection > 0 &&
-          served >= limits_.max_requests_per_connection) {
-        SendReply(fd, "err request budget exhausted\n");
-        ::shutdown(fd, SHUT_RDWR);
-        return;
+          p.served >= limits_.max_requests_per_connection) {
+        p.Owe("err request budget exhausted", true);
+      } else {
+        ++p.served;
+        const bool quit = line == "quit";
+        p.Owe(quit ? "ok bye" : handler_.HandleRequestLine(line), quit);
       }
-      ++served;
-      if (line == "quit") {
-        SendReply(fd, "ok bye\n");
-        ::shutdown(fd, SHUT_RDWR);
-        return;
-      }
-      if (!SendReply(fd, handler_.HandleRequestLine(line) + "\n")) return;
-      if (hard_stop_.load()) return;
+      continue;
     }
-    if (pending.size() > kMaxRequestBytes) {
-      SendReply(fd, "err request line too long\n");
-      ::shutdown(fd, SHUT_RDWR);
-      return;
+    if (p.in.size() > kMaxRequestBytes) {
+      p.Owe("err request line too long", true);
+      continue;
     }
-    if (draining_.load()) {
-      // Drain: everything buffered was answered above. One more
-      // nonblocking pass picks up request lines that were already in
-      // the socket when the stop began — those are in flight and get
-      // their replies — then the connection closes. A peer that has
-      // sent nothing (the idle or loris case) closes immediately.
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n > 0) {
-        pending.append(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      return;
+    if (!readable && !draining) {
+      if (Clock::now() < p.Deadline(limits_)) return true;
+      // The slow-loris cut: no request byte within the idle deadline.
+      counters_.timed_out.fetch_add(1);
+      p.Owe("err idle timeout", true);
+      continue;
     }
-    // Wait for request bytes under the idle deadline.
-    const bool idle_bounded = limits_.idle_timeout_ms > 0;
-    const auto idle_deadline =
-        last_activity +
-        std::chrono::milliseconds(idle_bounded ? limits_.idle_timeout_ms : 0);
-    int wait = kPollTickMs;
-    if (idle_bounded) {
-      wait = TickTowards(idle_deadline);
-      if (wait == 0) {
-        // The slow-loris cut: no request byte within the deadline.
-        counters_.timed_out.fetch_add(1);
-        SendReply(fd, "err idle timeout\n");
-        ::shutdown(fd, SHUT_RDWR);
-        return;
-      }
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, wait);
-    if (ready <= 0) continue;
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    readable = false;
+    char buf[4096];
+    const ssize_t n = ::recv(p.fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      pending.append(buf, static_cast<std::size_t>(n));
-      last_activity = Clock::now();
+      p.in.append(buf, static_cast<std::size_t>(n));
+      p.last_read = Clock::now();
       continue;
     }
-    if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-      continue;
-    }
-    // EOF or a hard error. Complete lines were all answered before this
-    // read, so a half-closed peer has already received its replies.
-    return;
+    if (n < 0 && errno == EINTR) continue;
+    // An empty socket means wait for more, unless draining. EOF or a
+    // hard error closes: every complete line was answered before this
+    // read, so a half-closed peer already has its replies.
+    return !draining && n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   }
+}
+
+void ServeDaemon::Close(Peer* peer) {
+  ::shutdown(peer->fd, SHUT_RDWR);
+  ::close(peer->fd);
+  peer->fd = -1;
+  counters_.active.fetch_sub(1);
 }
 
 void ServeDaemon::WatchLoop(int interval_ms) {
@@ -355,7 +333,10 @@ void ServeDaemon::Stop() {
     std::lock_guard<std::mutex> lock(watch_mu_);
     watch_cv_.notify_all();
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // Each reactor sees draining_ within one poll tick, drains its own
+  // peers up to the drain deadline, and closes the rest before exiting.
+  for (std::thread& reactor : reactors_) reactor.join();
+  reactors_.clear();
   if (watch_thread_.joinable()) watch_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -364,38 +345,6 @@ void ServeDaemon::Stop() {
   if (!unix_path_.empty()) {
     ::unlink(unix_path_.c_str());
     unix_path_.clear();
-  }
-  // Graceful drain: connection threads notice draining_, finish the
-  // request lines they already hold, flush replies, and exit. Poll for
-  // that up to the drain deadline.
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(
-                         limits_.drain_timeout_ms > 0
-                             ? limits_.drain_timeout_ms
-                             : 0);
-  for (;;) {
-    ReapFinishedConnections();
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      if (conns_.empty()) break;
-    }
-    if (limits_.drain_timeout_ms <= 0 || Clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  // Hard stop for stragglers: abort their IO waits and join.
-  hard_stop_.store(true);
-  std::vector<Connection> remaining;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    remaining.swap(conns_);
-  }
-  for (Connection& conn : remaining) {
-    // Wake any poll still blocked, then join and close.
-    ::shutdown(conn.fd, SHUT_RDWR);
-  }
-  for (Connection& conn : remaining) {
-    if (conn.thread.joinable()) conn.thread.join();
-    ::close(conn.fd);
   }
 }
 

@@ -1,13 +1,21 @@
-// The serve daemon: sockets, connection threads, and the directory
+// The serve daemon: one poll reactor per core, and the directory
 // watch — hardened against hostile clients and overload.
 //
 // ServeDaemon binds one listening socket — TCP loopback or a Unix
 // domain socket — and answers the line protocol (serve/protocol.h) on
-// every connection. Two background activities run until Stop():
+// every connection. It runs R + 1 threads until Stop(), where R is
+// std::thread::hardware_concurrency() (at least 1):
 //
-//   * the accept loop polls the listening socket (100 ms ticks, so a
-//     stop request is honored promptly without signals) and spawns one
-//     thread per connection;
+//   * R reactor threads each poll the shared, nonblocking listening
+//     socket. The reactor whose accept succeeds owns that connection
+//     until it closes, and drives it as a nonblocking state machine:
+//     it reads from a peer only while it owes that peer no reply,
+//     answers each complete request line on its own thread, and flushes
+//     the reply before taking the next line. A peer that stops reading
+//     therefore also stops being read. Handlers run on every core, and
+//     an idle connection holds an fd and a small record, not a thread.
+//     A `reload` request rescans on its reactor, so it pauses only the
+//     peers that reactor owns, for one rescan;
 //   * the watch loop calls SummaryRegistry::Rescan() every
 //     `rescan_interval_ms`, which is the hot-reload path: drop a new
 //     summary into the directory (WriteSummaryFile renames it into
@@ -21,30 +29,30 @@
 //     counted as shed) instead of queueing unboundedly or silently
 //     vanishing, so a well-behaved client can tell overload from
 //     outage and retry with backoff;
-//   * every connection fd is nonblocking, and all socket waits go
-//     through poll with a deadline: a slow-loris peer (connects, never
-//     sends a newline) is cut at `idle_timeout_ms`, a stalled reader
-//     that stops draining a reply is cut at `write_timeout_ms` — in
-//     both cases the connection thread is reclaimed, so stalled peers
-//     cannot pin threads or exhaust fds;
+//   * every connection carries two deadlines, checked on every reactor
+//     turn: a slow-loris peer (connects, never sends a newline) is cut
+//     `idle_timeout_ms` after its last byte, and a stalled reader is
+//     cut once a reply owed to it makes no progress for
+//     `write_timeout_ms`. Stalled peers cannot pin fds, and they never
+//     delay other peers: the reactor polls them instead of waiting;
 //   * one connection may issue at most `max_requests_per_connection`
 //     requests before it is closed, bounding the work a single peer
 //     can claim without reconnecting (and re-passing the cap check).
 //
-// Stop() (and the destructor) stops accepting, then drains: request
-// lines already received keep executing and their replies are flushed,
-// up to `drain_timeout_ms`; stragglers are then shut down hard. All
-// threads are joined — no detached threads anywhere, so the daemon is
-// clean under TSan and safe to start/stop repeatedly in one process.
-// Every decision above is observable through counters() and the
-// protocol's `stats` verb.
+// Stop() (and the destructor) tells the reactors to drain: each stops
+// polling the listening socket, reads its peers once more without
+// blocking, answers the complete request lines, and flushes replies up
+// to `drain_timeout_ms`; peers still owed bytes then are closed hard.
+// All threads are joined — no detached threads anywhere, so the daemon
+// is clean under TSan and safe to start/stop repeatedly in one
+// process. Every decision above is observable through counters() and
+// the protocol's `stats` verb.
 #ifndef LOGR_SERVE_SERVER_H_
 #define LOGR_SERVE_SERVER_H_
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -66,8 +74,9 @@ struct ServeOptions {
   int rescan_interval_ms = 500;
   /// Concurrent-connection cap. A connection arriving with every slot
   /// taken is answered "err busy" and closed — counted as shed, never
-  /// silently dropped. 0 means unlimited (tests only; a real daemon
-  /// should always bound its thread count).
+  /// silently dropped. The cap bounds open fds and per-connection
+  /// buffers; the thread count does not depend on it. 0 means
+  /// unlimited (tests only; a real daemon should always bound its fds).
   std::size_t max_connections = 64;
   /// Idle/read deadline: a connection that delivers no request byte
   /// for this long is answered "err idle timeout" and closed. This is
@@ -96,7 +105,7 @@ class ServeDaemon {
   ServeDaemon(const ServeDaemon&) = delete;
   ServeDaemon& operator=(const ServeDaemon&) = delete;
 
-  /// Binds, listens, and starts the accept + watch threads. Returns
+  /// Binds, listens, and starts the reactor + watch threads. Returns
   /// false (and fills `error`) on a bad endpoint or bind failure.
   bool Start(const ServeOptions& opts, std::string* error);
 
@@ -119,19 +128,21 @@ class ServeDaemon {
   }
 
  private:
-  void AcceptLoop();
+  /// One connection, owned by the reactor that accepted it.
+  struct Peer;
+
+  void ReactorLoop();
   void WatchLoop(int interval_ms);
-  void ServeConnection(int fd);
-  /// Answers an over-cap connection with "err busy" and closes it.
-  void ShedConnection(int fd);
-  /// Joins and closes connections whose threads have finished. The
-  /// list swap happens under conn_mu_ but the joins run outside it, so
-  /// reaping can never stall the accept path behind a slow connection.
-  void ReapFinishedConnections();
-  /// Nonblocking send of the whole reply, bounded by the write
-  /// deadline and aborted on hard stop. Counts a deadline hit as
-  /// timed_out. Returns false when the connection should close.
-  bool SendReply(int fd, const std::string& data);
+  /// Accepts one pending connection into `peers`, or sheds it past the
+  /// cap.
+  void Accept(std::vector<Peer>* peers);
+  /// Moves `peer` as far as it goes without blocking: flush the owed
+  /// reply, answer the next complete line, read once if `readable`.
+  /// While `draining`, reads until the socket is empty and closes a
+  /// peer that has nothing left to answer. Returns false when the peer
+  /// should be closed.
+  bool Advance(Peer* peer, bool readable, bool draining);
+  void Close(Peer* peer);
 
   SummaryRegistry* registry_;
   ProtocolHandler handler_;
@@ -139,26 +150,14 @@ class ServeDaemon {
   std::string endpoint_;
   std::string unix_path_;  ///< non-empty when listening on AF_UNIX
   int listen_fd_ = -1;
-  /// Two-phase shutdown: draining_ stops accepts and tells connection
-  /// threads to finish buffered request lines and exit; hard_stop_
-  /// (set once the drain deadline passes) aborts even in-flight IO.
   std::atomic<bool> draining_{false};
-  std::atomic<bool> hard_stop_{false};
   ServeCounters counters_;
 
-  std::thread accept_thread_;
+  std::vector<std::thread> reactors_;
   std::thread watch_thread_;
   std::mutex watch_mu_;
   std::condition_variable watch_cv_;
   std::mutex stop_mu_;  ///< serializes concurrent Stop() calls
-
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::mutex conn_mu_;
-  std::vector<Connection> conns_;
 };
 
 }  // namespace logr

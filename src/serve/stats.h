@@ -3,9 +3,9 @@
 // The hardening layer (connection cap, deadlines, drain) is only
 // trustworthy if its decisions are visible: a shed connection that is
 // not counted is indistinguishable from a network failure. ServeCounters
-// is the single shared ledger — the daemon's accept and connection
-// threads write it, the protocol's `stats` verb reads it, and the chaos
-// tests reconcile it against the traffic they generated. All fields are
+// is the single shared ledger — the daemon's reactor threads write it,
+// the protocol's `stats` verb reads it, and the chaos tests reconcile
+// it against the traffic they generated. All fields are
 // monotonic except `active`, and all are relaxed atomics: each counter
 // is an independent tally, no cross-field ordering is implied or needed.
 #ifndef LOGR_SERVE_STATS_H_
@@ -19,8 +19,10 @@ namespace logr {
 struct ServeCounters {
   /// Connections that were given a serving slot (excludes shed ones).
   std::atomic<std::uint64_t> accepted{0};
-  /// Connections currently being served (incremented when a slot is
-  /// handed out, decremented when the connection thread finishes).
+  /// Connections currently open, each an fd and a small record on the
+  /// reactor that accepted it (incremented when a slot is claimed at
+  /// accept, decremented when the connection closes). Bounded by
+  /// `max_connections`.
   std::atomic<std::uint64_t> active{0};
   /// Connections refused with "err busy" because `max_connections`
   /// slots were taken. Never silently dropped — every shed peer gets

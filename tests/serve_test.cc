@@ -6,6 +6,7 @@
 // bit-consistency of served estimates with the in-memory model —
 // pattern summaries included, now that they persist.
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -712,6 +713,135 @@ TEST(ServeChaosTest, StatsReconcileWithTheTrafficServed) {
             "ok accepted=3 active=2 shed=1 timed_out=1 requests=3 "
             "rescans=1");
   daemon.Stop();
+}
+
+/// Threads in this process, counted from /proc/self/task.
+std::size_t ThreadCount() {
+  std::size_t n = 0;
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++n;
+  }
+  ::closedir(dir);
+  return n;
+}
+
+TEST(ServeChaosTest, IdleConnectionsHoldNoThreads) {
+  const std::string dir = FreshDir("idlethreads");
+  SummaryRegistry registry(dir);
+  ServeDaemon daemon(&registry);
+  ServeOptions opts;
+  opts.listen = "unix:" + dir + "/sock";
+  opts.rescan_interval_ms = 0;
+  std::string error;
+  ASSERT_TRUE(daemon.Start(opts, &error)) << error;
+  const std::size_t threads_before = ThreadCount();
+  ASSERT_GT(threads_before, 0u);
+
+  // Each peer is served once (so its accept surely happened) and then
+  // sits idle: it must cost the daemon an fd, not a thread.
+  std::vector<ServeClient> peers(32);
+  for (ServeClient& peer : peers) {
+    std::string response;
+    ASSERT_TRUE(peer.Connect(daemon.endpoint(), 2000, &error)) << error;
+    ASSERT_TRUE(peer.Request("ping", 2000, &response, &error)) << error;
+    EXPECT_EQ(response, "ok pong");
+  }
+  EXPECT_EQ(daemon.counters().active.load(), 32u);
+  EXPECT_LE(ThreadCount(), threads_before);
+  daemon.Stop();
+}
+
+TEST(ServeChaosTest, StalledReaderDoesNotDelayOtherPeers) {
+  const std::string dir = FreshDir("stallfair");
+  SummaryRegistry registry(dir);
+  ServeDaemon daemon(&registry);
+  ServeOptions opts;
+  opts.listen = "unix:" + dir + "/sock";
+  opts.rescan_interval_ms = 0;
+  opts.write_timeout_ms = 3000;
+  std::string error;
+  ASSERT_TRUE(daemon.Start(opts, &error)) << error;
+
+  // Sixteen peers connect first, each served once, so they are spread
+  // over the reactors before the stall begins...
+  std::vector<ServeClient> clients(16);
+  for (ServeClient& client : clients) {
+    std::string response;
+    ASSERT_TRUE(client.Connect(daemon.endpoint(), 1000, &error)) << error;
+    ASSERT_TRUE(client.Request("ping", 1000, &response, &error)) << error;
+  }
+  // ...then a stalled reader pipelines thousands of requests and never
+  // reads, so the daemon owes it replies for the rest of the test.
+  const int stalled = RawConnectUnix(dir + "/sock");
+  ASSERT_GE(stalled, 0);
+  const int flags = ::fcntl(stalled, F_GETFL, 0);
+  ASSERT_EQ(::fcntl(stalled, F_SETFL, flags | O_NONBLOCK), 0);
+  std::string burst;
+  for (int i = 0; i < 5000; ++i) burst += "stats\n";
+  std::size_t sent = 0;
+  while (sent < burst.size()) {
+    const ssize_t n = ::send(stalled, burst.data() + sent,
+                             burst.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    break;  // EAGAIN: our own buffer is full
+  }
+  ASSERT_TRUE(WaitFor(
+      [&] { return daemon.counters().requests.load() >= 16 + 1; }, 2000));
+
+  // With one reactor per core, some of the sixteen very likely share
+  // the stalled peer's reactor. Each must still be answered promptly.
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    std::string response;
+    ASSERT_TRUE(clients[i].Request("ping", 1000, &response, &error))
+        << i << ": " << error;
+    EXPECT_EQ(response, "ok pong") << i;
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(1000))
+        << i;
+  }
+  // The stall was live throughout: nothing hit the write deadline yet.
+  EXPECT_EQ(daemon.counters().timed_out.load(), 0u);
+  ::close(stalled);
+  daemon.Stop();
+}
+
+TEST(ServeChaosTest, StopDrainsEveryPeer) {
+  const std::string dir = FreshDir("drainall");
+  SummaryRegistry registry(dir);
+  ServeDaemon daemon(&registry);
+  ServeOptions opts;
+  opts.listen = "unix:" + dir + "/sock";
+  opts.rescan_interval_ms = 0;
+  opts.drain_timeout_ms = 2000;
+  std::string error;
+  ASSERT_TRUE(daemon.Start(opts, &error)) << error;
+
+  // Eight peers, spread over whichever reactors accepted them, each
+  // with a request in flight when Stop() begins: every one of them is
+  // answered before the daemon exits.
+  std::vector<int> fds;
+  for (int i = 0; i < 8; ++i) {
+    const int fd = RawConnectUnix(dir + "/sock");
+    ASSERT_GE(fd, 0) << i;
+    fds.push_back(fd);
+  }
+  ASSERT_TRUE(
+      WaitFor([&] { return daemon.counters().accepted.load() >= 8; }, 2000));
+  for (int fd : fds) ASSERT_TRUE(RawSendAll(fd, "ping\n"));
+  daemon.Stop();
+  for (std::size_t i = 0; i < fds.size(); ++i) {
+    std::string pending, line;
+    EXPECT_TRUE(RawReadLine(fds[i], 2000, &pending, &line)) << i;
+    EXPECT_EQ(line, "ok pong") << i;
+    ::close(fds[i]);
+  }
 }
 
 // ------------------------------------------------ client retry policy
