@@ -256,8 +256,8 @@ struct DistanceInput {
 };
 
 const DistanceInput& BankVectorsSingleton() {
-  // 1,712 distinct templates: big enough that the pairwise distance
-  // matrix (~2.9M entries) shows the thread-pool speedup.
+  // 1,712 distinct templates: big enough that the condensed pairwise
+  // store (~1.5M entries) shows the thread-pool speedup.
   static const DistanceInput* kInput = [] {
     QueryLog log = LoadBankLog();
     auto* in = new DistanceInput();
@@ -272,30 +272,31 @@ const DistanceInput& BankVectorsSingleton() {
 }
 
 void BM_DistanceMatrixSerial(benchmark::State& state) {
-  // The merge-kernel reference: sorted-id-list walks, serial. The packed
-  // kernel is measured against this baseline.
+  // The merge-kernel reference: sorted-id-list walks into the condensed
+  // store, serial. The packed kernel is measured against this baseline.
   const DistanceInput& in = BankVectorsSingleton();
   DistanceSpec spec;
   spec.metric = Metric::kHamming;
   for (auto _ : state) {
-    Matrix d = DistanceMatrixMerge(in.vecs, in.num_features, spec,
-                                   /*pool=*/nullptr);
-    benchmark::DoNotOptimize(d(0, 1));
+    CondensedDistances d = DistanceMatrixMerge(in.vecs, in.num_features,
+                                               spec, /*pool=*/nullptr);
+    benchmark::DoNotOptimize(d.at(0, 1));
   }
   state.counters["vectors"] = static_cast<double>(in.vecs.size());
 }
 BENCHMARK(BM_DistanceMatrixSerial)->Unit(benchmark::kMillisecond);
 
 void BM_PackedDistanceMatrix(benchmark::State& state) {
-  // XOR+popcount over the bit-packed pool, single-core (packing cost
-  // included). Target: >= 5x over BM_DistanceMatrixSerial on this log.
+  // XOR+popcount over the bit-packed pool into the condensed store,
+  // single-core (packing cost included). Target: >= 5x over
+  // BM_DistanceMatrixSerial on this log.
   const DistanceInput& in = BankVectorsSingleton();
   DistanceSpec spec;
   spec.metric = Metric::kHamming;
   for (auto _ : state) {
-    Matrix d = DistanceMatrix(in.vecs, in.num_features, spec,
-                              /*pool=*/nullptr);
-    benchmark::DoNotOptimize(d(0, 1));
+    CondensedDistances d = CondensedDistanceMatrix(in.vecs, in.num_features,
+                                                   spec, /*pool=*/nullptr);
+    benchmark::DoNotOptimize(d.at(0, 1));
   }
   state.counters["vectors"] = static_cast<double>(in.vecs.size());
   state.counters["words_per_vec"] =
@@ -312,39 +313,46 @@ void BM_DistanceMatrixParallel(benchmark::State& state) {
   spec.metric = Metric::kHamming;
   ThreadPool* pool = ThreadPool::Shared();
   for (auto _ : state) {
-    Matrix d = DistanceMatrix(in.vecs, in.num_features, spec, pool);
-    benchmark::DoNotOptimize(d(0, 1));
+    CondensedDistances d =
+        CondensedDistanceMatrix(in.vecs, in.num_features, spec, pool);
+    benchmark::DoNotOptimize(d.at(0, 1));
   }
   state.counters["vectors"] = static_cast<double>(in.vecs.size());
   state.counters["threads"] = static_cast<double>(pool->NumThreads());
 }
 BENCHMARK(BM_DistanceMatrixParallel)->Unit(benchmark::kMillisecond);
 
-const Matrix& BankDistanceMatrixSingleton() {
-  static const Matrix* kMatrix = [] {
-    const DistanceInput& in = BankVectorsSingleton();
-    DistanceSpec spec;
-    spec.metric = Metric::kHamming;
-    return new Matrix(
-        DistanceMatrix(in.vecs, in.num_features, spec, /*pool=*/nullptr));
-  }();
-  return *kMatrix;
+/// The bank's Hamming distances as a condensed store (a fresh one per
+/// call; the fill is deterministic, so every call returns the same).
+CondensedDistances BankDistances() {
+  const DistanceInput& in = BankVectorsSingleton();
+  DistanceSpec spec;
+  spec.metric = Metric::kHamming;
+  return CondensedDistanceMatrix(in.vecs, in.num_features, spec,
+                                 ThreadPool::Shared());
+}
+
+const CondensedDistances& BankDistancesSingleton() {
+  static const CondensedDistances* kDistances =
+      new CondensedDistances(BankDistances());
+  return *kDistances;
 }
 
 void BM_Agglomerate(benchmark::State& state) {
   // Cached-nearest NN-chain agglomeration over the bank distances (the
   // hierarchical backend's fit stage minus the distance fill). Each
   // iteration consumes a fresh condensed store, built untimed.
-  const Matrix& full = BankDistanceMatrixSingleton();
   ThreadPool* pool = ThreadPool::Shared();
+  std::size_t leaves = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    CondensedDistances d(full);
+    CondensedDistances d = BankDistances();
+    leaves = d.size();
     state.ResumeTiming();
     Dendrogram dg = AgglomerativeAverageLinkage(std::move(d), {}, pool);
     benchmark::DoNotOptimize(dg.merge_a.data());
   }
-  state.counters["leaves"] = static_cast<double>(full.rows());
+  state.counters["leaves"] = static_cast<double>(leaves);
 }
 BENCHMARK(BM_Agglomerate)->Unit(benchmark::kMillisecond);
 
@@ -397,19 +405,20 @@ BENCHMARK(BM_HierarchicalFit)->Unit(benchmark::kMillisecond);
 void BM_AgglomerateReference(benchmark::State& state) {
   // The pre-change serial NN-chain (full nearest scans) — the
   // bit-identity reference BM_Agglomerate is measured against.
-  const Matrix& d = BankDistanceMatrixSingleton();
+  const CondensedDistances& d = BankDistancesSingleton();
   for (auto _ : state) {
     Dendrogram dg = AgglomerativeAverageLinkageReference(d, {});
     benchmark::DoNotOptimize(dg.merge_a.data());
   }
-  state.counters["leaves"] = static_cast<double>(d.rows());
+  state.counters["leaves"] = static_cast<double>(d.size());
 }
 BENCHMARK(BM_AgglomerateReference)->Unit(benchmark::kMillisecond);
 
 void BM_SpectralAffinity(benchmark::State& state) {
   // Gaussian affinity + degree construction plus the median-bandwidth
-  // gather — the spectral stages this PR parallelized.
-  const Matrix& d = BankDistanceMatrixSingleton();
+  // gather over the condensed store — the spectral stages between the
+  // distance fill and the eigensolver.
+  const CondensedDistances& d = BankDistancesSingleton();
   ThreadPool* pool = ThreadPool::Shared();
   for (auto _ : state) {
     double sigma = MedianNonzeroDistance(d, pool);
@@ -418,7 +427,7 @@ void BM_SpectralAffinity(benchmark::State& state) {
     benchmark::DoNotOptimize(w(0, 1));
     benchmark::DoNotOptimize(degree.data());
   }
-  state.counters["vectors"] = static_cast<double>(d.rows());
+  state.counters["vectors"] = static_cast<double>(d.size());
 }
 BENCHMARK(BM_SpectralAffinity)->Unit(benchmark::kMillisecond);
 

@@ -74,6 +74,7 @@
 // Methods: kmeans (default), manhattan, minkowski, hamming, hierarchical,
 // adaptive, or any backend name registered in ClustererRegistry.
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -126,15 +127,18 @@ int Usage() {
   return 2;
 }
 
-// Strict non-negative integer parse: rejects trailing garbage ("8x"),
-// non-numbers ("five"), which atoll would silently read as 0, and
-// out-of-range values, which strtoll would silently clamp to LLONG_MAX.
-bool ParseCount(const char* text, long long min_value, long long* out) {
+// Strict integer parse into [min_value, max_value]: rejects trailing
+// garbage ("8x"), non-numbers ("five"), which atoll would silently read
+// as 0, and out-of-range values, which strtoll would silently clamp to
+// LLONG_MAX. Int-typed flags pass INT_MAX so their static_cast<int>
+// cannot wrap.
+bool ParseCount(const char* text, long long min_value, long long max_value,
+                long long* out) {
   char* end = nullptr;
   errno = 0;
   long long parsed = std::strtoll(text, &end, 10);
   if (errno == ERANGE || end == text || *end != '\0' ||
-      parsed < min_value) {
+      parsed < min_value || parsed > max_value) {
     return false;
   }
   *out = parsed;
@@ -156,7 +160,7 @@ std::uint64_t ReadTextLog(std::istream& in, LogLoader* loader) {
     std::size_t tab = line.find('\t');
     if (tab != std::string::npos) {
       long long parsed;
-      if (ParseCount(line.substr(0, tab).c_str(), 0, &parsed)) {
+      if (ParseCount(line.substr(0, tab).c_str(), 0, LLONG_MAX, &parsed)) {
         count = static_cast<std::uint64_t>(parsed);
         sql_text = line.substr(tab + 1);
       }
@@ -250,7 +254,7 @@ int RunCompress(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg == "--clusters" && i + 1 < argc) {
       long long parsed;
-      if (!ParseCount(argv[++i], 1, &parsed)) {
+      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
         std::fprintf(stderr, "--clusters must be an integer >= 1\n");
         return 2;
       }
@@ -261,7 +265,7 @@ int RunCompress(int argc, char** argv) {
       encoder_name = argv[++i];
     } else if (arg == "--refine-patterns" && i + 1 < argc) {
       long long parsed;
-      if (!ParseCount(argv[++i], 0, &parsed)) {
+      if (!ParseCount(argv[++i], 0, LLONG_MAX, &parsed)) {
         std::fprintf(stderr, "--refine-patterns must be an integer >= 0\n");
         return 2;
       }
@@ -269,7 +273,7 @@ int RunCompress(int argc, char** argv) {
       refine_given = true;
     } else if (arg == "--shards" && i + 1 < argc) {
       long long parsed;
-      if (!ParseCount(argv[++i], 1, &parsed)) {
+      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
         std::fprintf(stderr, "--shards must be an integer >= 1\n");
         return 2;
       }
@@ -425,7 +429,7 @@ int RunMerge(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg == "--clusters" && i + 1 < argc) {
       long long parsed;
-      if (!ParseCount(argv[++i], 1, &parsed)) {
+      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
         std::fprintf(stderr, "--clusters must be an integer >= 1\n");
         return 2;
       }
@@ -478,7 +482,7 @@ int RunSplit(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg == "--shards" && i + 1 < argc) {
       long long parsed;
-      if (!ParseCount(argv[++i], 1, &parsed)) {
+      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
         std::fprintf(stderr, "--shards must be an integer >= 1\n");
         return 2;
       }
@@ -561,13 +565,13 @@ int RunDistribute(int argc, char** argv) {
     std::string arg = argv[i];
     long long parsed;
     if (arg == "--workers" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], 1, &parsed)) {
+      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
         std::fprintf(stderr, "--workers must be an integer >= 1\n");
         return 2;
       }
       opts.num_workers = static_cast<std::size_t>(parsed);
     } else if (arg == "--clusters" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], 1, &parsed)) {
+      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
         std::fprintf(stderr, "--clusters must be an integer >= 1\n");
         return 2;
       }
@@ -577,13 +581,14 @@ int RunDistribute(int argc, char** argv) {
     } else if (arg == "--spool" && i + 1 < argc) {
       opts.spool_dir = argv[++i];
     } else if (arg == "--retries" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], 0, &parsed)) {
-        std::fprintf(stderr, "--retries must be an integer >= 0\n");
-        return 2;
+      if (!ParseCount(argv[++i], 0, INT_MAX, &parsed)) {
+        std::fprintf(stderr, "--retries must be an integer in [0, %d]\n",
+                     INT_MAX);
+        return Usage();
       }
       opts.max_retries = static_cast<int>(parsed);
     } else if (arg == "--timeout" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], 1, &parsed)) {
+      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
         std::fprintf(stderr, "--timeout must be an integer >= 1 (seconds)\n");
         return 2;
       }
@@ -747,9 +752,9 @@ int RunQuery(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--timeout" && i + 1 < argc) {
       long long ms = 0;
-      if (!ParseCount(argv[++i], 0, &ms)) {
+      if (!ParseCount(argv[++i], 0, INT_MAX, &ms)) {
         std::fprintf(stderr, "query: bad --timeout '%s'\n", argv[i]);
-        return 2;
+        return Usage();
       }
       // One deadline covers both phases: a hung connect and a hung
       // response are the same outage to the caller.
@@ -757,9 +762,9 @@ int RunQuery(int argc, char** argv) {
       retry.request_timeout_ms = static_cast<int>(ms);
     } else if (arg == "--retries" && i + 1 < argc) {
       long long n = 0;
-      if (!ParseCount(argv[++i], 0, &n)) {
+      if (!ParseCount(argv[++i], 0, INT_MAX, &n)) {
         std::fprintf(stderr, "query: bad --retries '%s'\n", argv[i]);
-        return 2;
+        return Usage();
       }
       retry.max_retries = static_cast<int>(n);
     } else {

@@ -105,7 +105,7 @@ class HierarchicalClusterer : public Clusterer {
     // not the serial path (which nullptr selects in the distance fill).
     ThreadPool* pool = req.pool ? req.pool : ThreadPool::Shared();
     CondensedDistances d =
-        (req.packed && req.packed->has_columns())
+        req.packed
             ? CondensedDistanceMatrix(*req.packed, spec, pool)
             : CondensedDistanceMatrix(vecs, req.num_features, spec, pool);
     return std::make_unique<DendrogramModel>(

@@ -32,9 +32,9 @@ struct ClusterRequest {
   /// ThreadPool::Shared(). Results never depend on the pool size.
   ThreadPool* pool = nullptr;
   /// Optional pre-built packed pool over exactly the same vectors (row i
-  /// == vecs[i]), shared so backends skip re-packing. May omit columns;
-  /// backends check has_columns() before using the tiled kernel.
-  /// Distances derived from it are bit-identical to packing locally.
+  /// == vecs[i]), shared so backends skip re-packing. Without it the
+  /// spectral and hierarchical backends pack locally and k-means seeds
+  /// from the merge kernel; every distance is bit-identical either way.
   const PackedVecPool* packed = nullptr;
 };
 

@@ -76,42 +76,20 @@ double Distance(const FeatureVec& a, const FeatureVec& b, std::size_t n,
   return DistanceFromSymmetricDifference(SymmetricDifference(a, b), n, spec);
 }
 
-bool PackedPoolFits(std::size_t count, std::size_t n,
-                    bool with_columns) {
-  return PackedVecPool::StorageWords(count, n, with_columns) <=
-         kPackedBudgetWords;
+bool PackedPoolFits(std::size_t count, std::size_t n) {
+  return PackedVecPool::StorageWords(count, n) <= kPackedBudgetWords;
 }
 
-Matrix DistanceMatrix(const std::vector<FeatureVec>& vecs, std::size_t n,
-                      const DistanceSpec& spec) {
-  return DistanceMatrix(vecs, n, spec, ThreadPool::Shared());
-}
+CondensedDistances::CondensedDistances(std::size_t n)
+    : n_(n), data_(new double[Entries(n)]) {}
 
-Matrix DistanceMatrix(const std::vector<FeatureVec>& vecs, std::size_t n,
-                      const DistanceSpec& spec, ThreadPool* pool) {
-  if (!PackedPoolFits(vecs.size(), n)) {
-    return DistanceMatrixMerge(vecs, n, spec, pool);
-  }
-  PackedVecPool packed(vecs, n);
-  return DistanceMatrix(packed, spec, pool);
-}
-
-namespace {
-
-/// The tiled pairwise sweep behind both distance layouts. Writes every
-/// upper-triangle entry (i, j), j > i, exactly once, through
-/// `upper_row(i, j)` — a pointer to (i, j) whose row continues
-/// contiguously over larger j. With `mirror` set, the (j, i) entries
-/// are also staged per tile and flushed into it row-wise.
-template <typename UpperRowFn>
-void SweepUpperTriangle(const PackedVecPool& packed, const DistanceSpec& spec,
-                        ThreadPool* pool, const UpperRowFn& upper_row,
-                        Matrix* mirror) {
+CondensedDistances CondensedDistanceMatrix(const PackedVecPool& packed,
+                                           const DistanceSpec& spec,
+                                           ThreadPool* pool) {
   const std::size_t count = packed.size();
   const std::size_t n = packed.num_features();
-  if (count < 2) return;
-  // The tiled kernel sweeps the transposed column planes.
-  LOGR_CHECK(packed.has_columns());
+  CondensedDistances d(count);
+  if (count < 2) return d;
 
   // A diff count never exceeds bits(i) + bits(j), so the metric mapping
   // collapses to a table lookup — entries computed by the very function
@@ -125,8 +103,8 @@ void SweepUpperTriangle(const PackedVecPool& packed, const DistanceSpec& spec,
   // Balanced block-tiled schedule over the upper triangle: every tile is
   // (at most) kTile x kTile entries of comparable cost, so dynamic block
   // claiming never strands a worker on one long row. Each (i, j) entry
-  // and its mirror are written by exactly one tile, so any schedule
-  // produces the same output.
+  // is written by exactly one tile, so any schedule produces the same
+  // output.
   const std::size_t num_tiles = (count + kTile - 1) / kTile;
   std::vector<std::pair<std::size_t, std::size_t>> tiles;
   tiles.reserve(num_tiles * (num_tiles + 1) / 2);
@@ -141,13 +119,6 @@ void SweepUpperTriangle(const PackedVecPool& packed, const DistanceSpec& spec,
     const std::size_t j_lo = tiles[t].second * kTile;
     const std::size_t j_hi = std::min(count, j_lo + kTile);
     std::int32_t acc[kTile];
-    // The mirror entries d(j, i) of this tile, staged transposed
-    // ([j - j_lo][i - i_lo]) in a cache-resident buffer. Writing them
-    // straight into d would stride by a full matrix row per j — one
-    // cache-line miss per entry, which profiling shows costs more than
-    // the popcount sweep itself. Staged here and flushed row-wise
-    // below, both matrix write streams are sequential.
-    std::vector<double> staged(mirror != nullptr ? kTile * kTile : 0);
     for (std::size_t i = i_lo; i < i_hi; ++i) {
       // Row i's nonzero words drive the whole tile row (~|q| visited
       // words per pair regardless of universe width), and one kernel
@@ -163,60 +134,12 @@ void SweepUpperTriangle(const PackedVecPool& packed, const DistanceSpec& spec,
                        packed.NumWordIndices(i), packed.Column(0) + j_beg,
                        packed.ColumnPopcount(0) + j_beg, count, acc,
                        j_hi - j_beg);
-      double* drow = upper_row(i, j_beg);
+      double* drow = d.Row(i) + (j_beg - i - 1);
       for (std::size_t j = j_beg; j < j_hi; ++j) {
         drow[j - j_beg] = lut[static_cast<std::size_t>(acc[j - j_beg])];
       }
-      if (mirror == nullptr) continue;
-      double* mcol = staged.data() + (j_beg - j_lo) * kTile + (i - i_lo);
-      for (std::size_t j = j_beg; j < j_hi; ++j) {
-        mcol[(j - j_beg) * kTile] = drow[j - j_beg];
-      }
-    }
-    if (mirror == nullptr) return;
-    // Flush the staged mirror block: for each j, its valid i range is
-    // [i_lo, min(j, i_hi)) — the whole tile edge off the diagonal, a
-    // shrinking prefix on it.
-    for (std::size_t j = j_lo; j < j_hi; ++j) {
-      const std::size_t i_end = std::min(j, i_hi);
-      if (i_end <= i_lo) continue;
-      const double* src = staged.data() + (j - j_lo) * kTile;
-      double* dst = &(*mirror)(j, i_lo);
-      for (std::size_t o = 0; o < i_end - i_lo; ++o) dst[o] = src[o];
     }
   });
-}
-
-}  // namespace
-
-Matrix DistanceMatrix(const PackedVecPool& packed, const DistanceSpec& spec,
-                      ThreadPool* pool) {
-  Matrix d(packed.size(), packed.size());
-  SweepUpperTriangle(
-      packed, spec, pool,
-      [&d](std::size_t i, std::size_t j) { return &d(i, j); }, &d);
-  return d;
-}
-
-CondensedDistances::CondensedDistances(std::size_t n)
-    : n_(n), data_(new double[Entries(n)]) {}
-
-CondensedDistances::CondensedDistances(const Matrix& full)
-    : CondensedDistances(full.rows()) {
-  LOGR_CHECK(full.cols() == n_);
-  for (std::size_t i = 0; i + 1 < n_; ++i) {
-    std::copy(full.Row(i) + i + 1, full.Row(i) + n_, Row(i));
-  }
-}
-
-CondensedDistances CondensedDistanceMatrix(const PackedVecPool& packed,
-                                           const DistanceSpec& spec,
-                                           ThreadPool* pool) {
-  CondensedDistances d(packed.size());
-  SweepUpperTriangle(
-      packed, spec, pool,
-      [&d](std::size_t i, std::size_t j) { return d.Row(i) + (j - i - 1); },
-      /*mirror=*/nullptr);
   return d;
 }
 
@@ -224,25 +147,23 @@ CondensedDistances CondensedDistanceMatrix(
     const std::vector<FeatureVec>& vecs, std::size_t n,
     const DistanceSpec& spec, ThreadPool* pool) {
   if (!PackedPoolFits(vecs.size(), n)) {
-    return CondensedDistances(DistanceMatrixMerge(vecs, n, spec, pool));
+    return DistanceMatrixMerge(vecs, n, spec, pool);
   }
   PackedVecPool packed(vecs, n);
   return CondensedDistanceMatrix(packed, spec, pool);
 }
 
-Matrix DistanceMatrixMerge(const std::vector<FeatureVec>& vecs,
-                           std::size_t n, const DistanceSpec& spec,
-                           ThreadPool* pool) {
+CondensedDistances DistanceMatrixMerge(const std::vector<FeatureVec>& vecs,
+                                       std::size_t n, const DistanceSpec& spec,
+                                       ThreadPool* pool) {
   const std::size_t count = vecs.size();
-  Matrix d(count, count);
-  // Row-parallel over the upper triangle; rows write disjoint entries
-  // ((i, j) and its mirror (j, i) with j > i), so any schedule produces
-  // the same matrix.
+  CondensedDistances d(count);
+  // Row-parallel over the upper triangle; rows write disjoint entries,
+  // so any schedule produces the same store.
   ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
+    double* row = d.Row(i);
     for (std::size_t j = i + 1; j < count; ++j) {
-      double v = Distance(vecs[i], vecs[j], n, spec);
-      d(i, j) = v;
-      d(j, i) = v;
+      row[j - i - 1] = Distance(vecs[i], vecs[j], n, spec);
     }
   });
   return d;

@@ -9,16 +9,15 @@
 //  - the sparse merge kernel walks two sorted id lists
 //    (SymmetricDifference over FeatureVecs — the reference path), and
 //  - the packed kernel XOR+popcounts dense u64 blocks (PackedVecPool),
-//    which is what DistanceMatrix, CondensedDistanceMatrix and
-//    DistancePairs run on.
+//    which is what CondensedDistanceMatrix and DistancePairs run on.
 //
 // Both produce the same exact integer, so every derived metric is
 // bit-identical between them.
 //
-// Pairwise results come in two layouts. Spectral clustering needs the
-// full N x N `Matrix` (N²·8 bytes); hierarchical agglomeration needs
-// only the upper triangle and works in place on a CondensedDistances
-// store (N(N−1)/2·8 bytes).
+// Pairwise results have one layout: the strict upper triangle in a
+// CondensedDistances store (N(N−1)/2·8 bytes). Spectral clustering reads
+// it through the symmetric accessor; hierarchical agglomeration works on
+// it in place.
 #ifndef LOGR_CLUSTER_DISTANCE_H_
 #define LOGR_CLUSTER_DISTANCE_H_
 
@@ -28,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "linalg/matrix.h"
 #include "util/thread_pool.h"
 #include "workload/feature_vec.h"
 
@@ -64,28 +62,9 @@ double DistanceFromSymmetricDifference(std::size_t diff, std::size_t n,
 double Distance(const FeatureVec& a, const FeatureVec& b, std::size_t n,
                 const DistanceSpec& spec);
 
-/// Full pairwise distance matrix of `vecs` (N²·8 bytes), computed
-/// across the shared thread pool (LOGR_THREADS workers). Packs the
-/// vectors once into a PackedVecPool and schedules balanced
-/// upper-triangle tiles over the pool; falls back to the merge kernel
-/// when packing would exceed its memory budget. Bit-identical to
-/// DistanceMatrixMerge for any pool.
-Matrix DistanceMatrix(const std::vector<FeatureVec>& vecs, std::size_t n,
-                      const DistanceSpec& spec);
-
-/// As above but on an explicit pool; `pool == nullptr` runs serially.
-Matrix DistanceMatrix(const std::vector<FeatureVec>& vecs, std::size_t n,
-                      const DistanceSpec& spec, ThreadPool* pool);
-
-/// Pairwise distance matrix over an already-packed pool (callers that
-/// keep the pool alive across stages skip re-packing). The pool must
-/// have been built with columns (the default).
-Matrix DistanceMatrix(const PackedVecPool& packed, const DistanceSpec& spec,
-                      ThreadPool* pool);
-
 /// Symmetric pairwise distances with a zero diagonal, stored as the
-/// strict upper triangle: N(N−1)/2 doubles (N(N−1)/2·8 bytes, half a
-/// full Matrix). Row i holds the entries (i, j) for j > i contiguously;
+/// strict upper triangle: N(N−1)/2 doubles (N(N−1)/2·8 bytes, half an
+/// N x N matrix). Row i holds the entries (i, j) for j > i contiguously;
 /// at(i, j) serves either orientation. Move-only, so a store handed to
 /// an in-place consumer is never copied by accident.
 class CondensedDistances {
@@ -97,10 +76,6 @@ class CondensedDistances {
   /// once, so the first touch of each page happens in the worker that
   /// fills it rather than in a serial zero-fill).
   explicit CondensedDistances(std::size_t n);
-
-  /// The upper triangle of a square matrix (tests, and the merge-kernel
-  /// fallback).
-  explicit CondensedDistances(const Matrix& full);
 
   /// Number of points N.
   std::size_t size() const { return n_; }
@@ -137,44 +112,43 @@ class CondensedDistances {
   std::unique_ptr<double[]> data_;
 };
 
-/// The condensed pairwise store over an already-packed pool (built with
-/// columns): the same tiled XOR+popcount sweep and lookup table as
-/// DistanceMatrix, minus the mirror half. Bit-identical to the upper
-/// triangle of DistanceMatrix(packed, spec, pool) for any pool.
+/// The condensed pairwise store over an already-packed pool, computed
+/// across `pool` (nullptr runs serially). Schedules balanced
+/// upper-triangle tiles of XOR+popcount sweeps over the pool's column
+/// planes and maps each count through a per-call lookup table; every
+/// entry is written exactly once, so the store is bit-identical to
+/// DistanceMatrixMerge for any pool.
 CondensedDistances CondensedDistanceMatrix(const PackedVecPool& packed,
                                            const DistanceSpec& spec,
                                            ThreadPool* pool);
 
 /// As above from raw vectors: packs locally when PackedPoolFits, and
-/// otherwise condenses the merge-kernel matrix.
+/// otherwise runs DistanceMatrixMerge.
 CondensedDistances CondensedDistanceMatrix(
     const std::vector<FeatureVec>& vecs, std::size_t n,
     const DistanceSpec& spec, ThreadPool* pool);
 
-/// Reference merge-kernel matrix (row-parallel upper triangle). Kept as
-/// the bit-identity baseline for tests and benches; DistanceMatrix is
-/// the fast path.
-Matrix DistanceMatrixMerge(const std::vector<FeatureVec>& vecs,
-                           std::size_t n, const DistanceSpec& spec,
-                           ThreadPool* pool);
+/// Merge-kernel store (row-parallel upper triangle). The only path for
+/// universes too wide to pack, and the bit-identity baseline for tests
+/// and benches.
+CondensedDistances DistanceMatrixMerge(const std::vector<FeatureVec>& vecs,
+                                       std::size_t n, const DistanceSpec& spec,
+                                       ThreadPool* pool);
 
 /// Distances for an explicit (i, j) pair list over a packed pool,
 /// for callers that need scattered pairs without materializing a full
 /// matrix (k-means seeding reads the pool's SymmetricDifference
 /// directly since its pairs share one endpoint). out[p] =
-/// distance(pairs[p]). Works on pools built without columns.
+/// distance(pairs[p]).
 std::vector<double> DistancePairs(
     const PackedVecPool& packed,
     const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
     const DistanceSpec& spec, ThreadPool* pool);
 
 /// True when packing `count` vectors over `n` features fits the packed
-/// kernel's memory budget; the matrix/pair entry points consult this and
-/// callers embedding a PackedVecPool of their own should too. Pass
-/// `with_columns = false` when the pool will skip the transposed
-/// planes — the budget then charges only the row-major data.
-bool PackedPoolFits(std::size_t count, std::size_t n,
-                    bool with_columns = true);
+/// kernel's memory budget; CondensedDistanceMatrix consults this and
+/// callers embedding a PackedVecPool of their own should too.
+bool PackedPoolFits(std::size_t count, std::size_t n);
 
 }  // namespace logr
 

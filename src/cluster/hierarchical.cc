@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "cluster/nn_chain.h"
+#include "linalg/matrix.h"
 #include "util/check.h"
 
 namespace logr {
@@ -187,15 +188,21 @@ Dendrogram AgglomerativeAverageLinkage(CondensedDistances d,
 }
 
 Dendrogram AgglomerativeAverageLinkageReference(
-    const Matrix& distances, const std::vector<double>& weights) {
-  const std::size_t n = distances.rows();
-  LOGR_CHECK(distances.cols() == n && n >= 1);
+    const CondensedDistances& distances, const std::vector<double>& weights) {
+  const std::size_t n = distances.size();
+  LOGR_CHECK(n >= 1);
 
   Dendrogram out;
   out.num_leaves = n;
   if (n == 1) return out;
 
-  Matrix d = distances;
+  Matrix d(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      d(i, j) = distances.at(i, j);
+      d(j, i) = distances.at(i, j);
+    }
+  }
   std::vector<double> mass = ResolveMasses(n, weights);
   std::vector<bool> active(n, true);
   std::vector<int> node_of_slot(n);

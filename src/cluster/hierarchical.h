@@ -49,10 +49,10 @@ Dendrogram AgglomerativeAverageLinkage(CondensedDistances distances,
                                        ThreadPool* pool = nullptr);
 
 /// The original serial NN-chain over a full matrix (full nearest scans,
-/// no cache, N²·8 bytes copied). Kept as the bit-identity reference for
-/// tests and benches.
+/// no cache; expands `distances` into an N²·8-byte working copy). Kept
+/// as the bit-identity reference for tests and benches.
 Dendrogram AgglomerativeAverageLinkageReference(
-    const Matrix& distances, const std::vector<double>& weights);
+    const CondensedDistances& distances, const std::vector<double>& weights);
 
 }  // namespace logr
 

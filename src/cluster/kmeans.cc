@@ -75,21 +75,13 @@ ClusteringResult KMeansSparse(const std::vector<FeatureVec>& vecs,
   std::vector<double> best_dist(count);
 
   // Every restart's ++ seeding reads squared point-to-point distances
-  // (= exact symmetric-difference counts) from the XOR+popcount kernel.
-  // A caller-shared pool (opts.packed) is used as-is; otherwise pack
-  // once per call, skipping the transposed planes point pairs never
-  // sweep. Oversized universes keep the merge kernel.
-  const bool pack_local =
-      opts.packed == nullptr && PackedPoolFits(count, n, /*with_columns=*/false);
-  const PackedVecPool local_packed =
-      pack_local ? PackedVecPool(vecs, n, /*build_columns=*/false)
-                 : PackedVecPool();
-  const PackedVecPool* packed =
-      opts.packed ? opts.packed : (pack_local ? &local_packed : nullptr);
+  // (= exact symmetric-difference counts): from the XOR+popcount kernel
+  // when the caller shares a packed pool, otherwise from the merge
+  // kernel over the sparse id lists.
   auto seed_sq_dist = [&](std::size_t i, std::size_t j) {
-    return static_cast<double>(packed
-                                   ? packed->SymmetricDifference(i, j)
-                                   : SymmetricDifference(vecs[i], vecs[j]));
+    return static_cast<double>(
+        opts.packed ? opts.packed->SymmetricDifference(i, j)
+                    : SymmetricDifference(vecs[i], vecs[j]));
   };
 
   for (int init = 0; init < std::max(1, opts.n_init); ++init) {

@@ -30,7 +30,7 @@ struct KMeansOptions {
   ThreadPool* pool = nullptr;
   /// Optional shared packed pool over exactly the input vectors (row i
   /// == vecs[i]); ++-seeding reads its symmetric differences instead of
-  /// packing a private pool. Distances are the same exact integers
+  /// walking the sparse id lists. Distances are the same exact integers
   /// either way.
   const PackedVecPool* packed = nullptr;
 };

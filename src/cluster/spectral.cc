@@ -8,17 +8,19 @@
 
 namespace logr {
 
-double MedianNonzeroDistance(const Matrix& dist, ThreadPool* pool) {
-  const std::size_t count = dist.rows();
+double MedianNonzeroDistance(const CondensedDistances& dist,
+                             ThreadPool* pool) {
+  const std::size_t count = dist.size();
   // Row-parallel gather of the nonzero upper-triangle entries: count per
   // row, prefix-sum the offsets, then fill each row's slice. The filled
   // array is identical for any schedule, so nth_element sees the same
   // multiset (and the same memory layout) every time.
   std::vector<std::size_t> row_count(count, 0);
   ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
+    const double* row = dist.Row(i);
     std::size_t c = 0;
-    for (std::size_t j = i + 1; j < count; ++j) {
-      if (dist(i, j) > 0.0) ++c;
+    for (std::size_t o = 0; o + i + 1 < count; ++o) {
+      if (row[o] > 0.0) ++c;
     }
     row_count[i] = c;
   });
@@ -28,9 +30,10 @@ double MedianNonzeroDistance(const Matrix& dist, ThreadPool* pool) {
   }
   std::vector<double> nonzero(offset[count]);
   ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
+    const double* row = dist.Row(i);
     std::size_t at = offset[i];
-    for (std::size_t j = i + 1; j < count; ++j) {
-      if (dist(i, j) > 0.0) nonzero[at++] = dist(i, j);
+    for (std::size_t o = 0; o + i + 1 < count; ++o) {
+      if (row[o] > 0.0) nonzero[at++] = row[o];
     }
   });
   if (nonzero.empty()) return 1.0;
@@ -40,16 +43,20 @@ double MedianNonzeroDistance(const Matrix& dist, ThreadPool* pool) {
   return sigma > 0.0 ? sigma : 1.0;
 }
 
-Matrix GaussianAffinity(const Matrix& dist, double sigma, Vector* degree,
-                        ThreadPool* pool) {
-  const std::size_t count = dist.rows();
+Matrix GaussianAffinity(const CondensedDistances& dist, double sigma,
+                        Vector* degree, ThreadPool* pool) {
+  const std::size_t count = dist.size();
   Matrix w(count, count);
   degree->assign(count, 0.0);
   const double inv = 1.0 / (2.0 * sigma * sigma);
   ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
     double deg = 0.0;
     for (std::size_t j = 0; j < count; ++j) {
-      double a = (i == j) ? 1.0 : std::exp(-dist(i, j) * dist(i, j) * inv);
+      double a = 1.0;
+      if (i != j) {
+        const double d = dist.at(i, j);
+        a = std::exp(-d * d * inv);
+      }
       w(i, j) = a;
       deg += a;
     }
@@ -74,11 +81,11 @@ ClusteringResult SpectralCluster(const std::vector<FeatureVec>& vecs,
 
   ThreadPool* pool = opts.pool ? opts.pool : ThreadPool::Shared();
 
-  // Pairwise distances (packed kernel) and median bandwidth. A shared
-  // pool skips the re-pack; the distances are identical either way.
-  Matrix dist = (opts.packed && opts.packed->has_columns())
-                    ? DistanceMatrix(*opts.packed, opts.distance, pool)
-                    : DistanceMatrix(vecs, n, opts.distance, pool);
+  // Condensed pairwise distances (packed kernel) and median bandwidth. A
+  // shared pool skips the re-pack; the distances are identical either way.
+  const CondensedDistances dist =
+      opts.packed ? CondensedDistanceMatrix(*opts.packed, opts.distance, pool)
+                  : CondensedDistanceMatrix(vecs, n, opts.distance, pool);
   double sigma = opts.sigma;
   if (sigma <= 0.0) sigma = MedianNonzeroDistance(dist, pool);
 

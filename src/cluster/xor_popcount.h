@@ -1,7 +1,7 @@
 // XOR + popcount accumulation kernel for the tiled distance sweep.
 //
-// The packed DistanceMatrix inner loop is, for one packed row and a
-// j-slice of the word-major column planes:
+// The inner loop of the packed condensed fill (CondensedDistanceMatrix)
+// is, for one packed row and a j-slice of the word-major column planes:
 //
 //   acc[j] += Σ_{t < n_nzw, w = nzw[t]}
 //               popcount(row[w] ^ cols[w*stride + j]) - pcc[w*stride + j]

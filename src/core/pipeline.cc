@@ -136,10 +136,9 @@ CompressionPipeline::CompressionPipeline(const LogView& log,
   // distance / seeding consumer through Request(). Oversized universes
   // skip it and the backends fall back to their merge kernels.
   ctx_.builds_at_start = PackedVecPool::BuildCount();
-  if (PackedPoolFits(log.NumDistinct(), ctx_.num_features,
-                     /*with_columns=*/true)) {
+  if (PackedPoolFits(log.NumDistinct(), ctx_.num_features)) {
     Stopwatch pack_timer;
-    ctx_.packed = log.Pack(/*build_columns=*/true);
+    ctx_.packed = log.Pack();
     ctx_.has_packed = true;
     pack_seconds_ = pack_timer.ElapsedSeconds();
   }

@@ -70,28 +70,24 @@ std::atomic<std::uint64_t> g_pool_builds{0};
 }  // namespace
 
 PackedVecPool::PackedVecPool(const std::vector<FeatureVec>& vecs,
-                             std::size_t n_features, bool build_columns) {
-  Build(
-      vecs.size(), n_features,
-      [&vecs](std::size_t i) {
-        return std::pair<const FeatureId*, std::size_t>(vecs[i].ids.data(),
-                                                        vecs[i].ids.size());
-      },
-      build_columns);
+                             std::size_t n_features) {
+  Build(vecs.size(), n_features, [&vecs](std::size_t i) {
+    return std::pair<const FeatureId*, std::size_t>(vecs[i].ids.data(),
+                                                    vecs[i].ids.size());
+  });
 }
 
 PackedVecPool::PackedVecPool(std::size_t count, std::size_t n_features,
-                             const IdSpanFn& ids_of, bool build_columns) {
-  Build(count, n_features, ids_of, build_columns);
+                             const IdSpanFn& ids_of) {
+  Build(count, n_features, ids_of);
 }
 
 void PackedVecPool::Build(std::size_t count, std::size_t n_features,
-                          const IdSpanFn& ids_of, bool build_columns) {
+                          const IdSpanFn& ids_of) {
   g_pool_builds.fetch_add(1, std::memory_order_relaxed);
   count_ = count;
   words_ = (n_features + 63) / 64;
   n_features_ = n_features;
-  has_columns_ = build_columns;
   data_.assign(count_ * words_, 0);
   bits_.assign(count_, 0);
   word_off_.assign(count_ + 1, 0);
@@ -118,7 +114,6 @@ void PackedVecPool::Build(std::size_t count, std::size_t n_features,
     max_bits_ = std::max<std::size_t>(max_bits_, bits_[i]);
     word_off_[i + 1] = word_idx_.size();
   }
-  if (!build_columns) return;
   // Word-major copy + per-(word, row) popcounts for column sweeps.
   transposed_.resize(words_ * count_);
   pc8_.resize(words_ * count_);
@@ -155,16 +150,15 @@ std::size_t PackedVecPool::SymmetricDifference(std::size_t i,
 }
 
 std::size_t PackedVecPool::StorageWords(std::size_t count,
-                                        std::size_t n_features,
-                                        bool with_columns) {
-  // Row-major u64 data, plus — with columns — the transposed copy and
-  // the u8 popcount plane, plus the fixed per-row metadata (u32
-  // popcount and the u64 CSR offset with its +1 sentinel). The
-  // nonzero-word index list is data-dependent (bounded by the id
-  // count, typically ~15 entries/row) and deliberately excluded.
+                                        std::size_t n_features) {
+  // Row-major u64 data, its transposed copy and the u8 popcount plane,
+  // plus the fixed per-row metadata (u32 popcount and the u64 CSR
+  // offset with its +1 sentinel). The nonzero-word index list is
+  // data-dependent (bounded by the id count, typically ~15 entries/row)
+  // and deliberately excluded.
   const std::size_t words = count * ((n_features + 63) / 64);
   const std::size_t meta = (4 * count + 8 * (count + 1) + 7) / 8;
-  return meta + (with_columns ? 2 * words + (words + 7) / 8 : words);
+  return meta + 2 * words + (words + 7) / 8;
 }
 
 std::vector<double> FeatureVec::ToDense(std::size_t n) const {

@@ -73,12 +73,9 @@ class PackedVecPool {
 
   /// Packs `vecs` over an `n_features`-wide universe. Every id must be
   /// < n_features (checked in debug builds, like FeatureVec::ToDense).
-  /// `build_columns` controls the word-major transposed copy and its
-  /// popcount plane, which only the tiled DistanceMatrix kernel reads —
-  /// point-pair callers (k-means seeding) skip them to halve packing
-  /// cost and memory.
-  PackedVecPool(const std::vector<FeatureVec>& vecs, std::size_t n_features,
-                bool build_columns = true);
+  /// Builds the row-major words and their word-major transposed copy
+  /// with its popcount plane, which the tiled condensed fill sweeps.
+  PackedVecPool(const std::vector<FeatureVec>& vecs, std::size_t n_features);
 
   /// Callback yielding row `i`'s sorted feature-id span: pointer plus
   /// length. The span may borrow from anywhere — heap vectors or an
@@ -90,7 +87,7 @@ class PackedVecPool {
   /// universe — the span twin of the FeatureVec constructor; both build
   /// the identical pool for identical ids.
   PackedVecPool(std::size_t count, std::size_t n_features,
-                const IdSpanFn& ids_of, bool build_columns = true);
+                const IdSpanFn& ids_of);
 
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -117,13 +114,9 @@ class PackedVecPool {
     return word_off_[i + 1] - word_off_[i];
   }
 
-  /// True when the transposed column planes were built.
-  bool has_columns() const { return has_columns_; }
-
   /// Word `w` of every row, contiguous by row index (the transposed
   /// layout): Column(w)[i] == Row(i)[w]. Lets pairwise kernels sweep a
-  /// fixed word across many rows with sequential loads. Only valid when
-  /// has_columns().
+  /// fixed word across many rows with sequential loads.
   const std::uint64_t* Column(std::size_t w) const {
     return transposed_.data() + w * count_;
   }
@@ -140,10 +133,8 @@ class PackedVecPool {
   std::size_t SymmetricDifference(std::size_t i, std::size_t j) const;
 
   /// Words of storage packing `count` vectors over `n_features` would
-  /// take — callers bound memory before building a pool. Column-free
-  /// pools (build_columns = false) cost roughly half.
-  static std::size_t StorageWords(std::size_t count, std::size_t n_features,
-                                  bool with_columns = true);
+  /// take — callers bound memory before building a pool.
+  static std::size_t StorageWords(std::size_t count, std::size_t n_features);
 
   /// Number of pools built process-wide (default-constructed empties
   /// excluded). Tests assert Compress builds exactly one; the pipeline
@@ -151,14 +142,12 @@ class PackedVecPool {
   static std::uint64_t BuildCount();
 
  private:
-  void Build(std::size_t count, std::size_t n_features, const IdSpanFn& ids_of,
-             bool build_columns);
+  void Build(std::size_t count, std::size_t n_features, const IdSpanFn& ids_of);
 
   std::size_t count_ = 0;
   std::size_t words_ = 0;
   std::size_t n_features_ = 0;
   std::size_t max_bits_ = 0;
-  bool has_columns_ = false;
   std::vector<std::uint64_t> data_;
   std::vector<std::uint64_t> transposed_;  // word-major copy of data_
   std::vector<std::uint8_t> pc8_;          // popcount per (word, row)

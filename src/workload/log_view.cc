@@ -91,15 +91,12 @@ LogView LogView::Subview(const std::vector<std::size_t>& indices) const {
   return out;
 }
 
-PackedVecPool LogView::Pack(bool build_columns) const {
+PackedVecPool LogView::Pack() const {
   const LogView& v = *this;
-  return PackedVecPool(
-      NumDistinct(), NumFeatures(),
-      [&v](std::size_t i) {
-        return std::pair<const FeatureId*, std::size_t>(v.VectorIds(i),
-                                                        v.VectorSize(i));
-      },
-      build_columns);
+  return PackedVecPool(NumDistinct(), NumFeatures(), [&v](std::size_t i) {
+    return std::pair<const FeatureId*, std::size_t>(v.VectorIds(i),
+                                                    v.VectorSize(i));
+  });
 }
 
 }  // namespace logr

@@ -108,7 +108,7 @@ class LogView {
 
   /// Packs the view's vectors into a PackedVecPool straight from the
   /// id spans — no intermediate FeatureVec copies.
-  PackedVecPool Pack(bool build_columns = true) const;
+  PackedVecPool Pack() const;
 
  private:
   /// Base row index behind subview row `i` (identity for full views).

@@ -99,15 +99,19 @@ TEST(DistanceTest, IdentityAndSymmetry) {
   }
 }
 
-TEST(DistanceTest, MatrixSymmetricZeroDiagonal) {
+TEST(DistanceTest, CondensedSymmetricMatchesPairDistance) {
   Pcg32 rng(5);
   TwoBlobs blobs = MakeTwoBlobs(6, 10, &rng);
   DistanceSpec spec;
-  Matrix d = DistanceMatrix(blobs.vecs, 10, spec);
-  for (std::size_t i = 0; i < d.rows(); ++i) {
-    EXPECT_DOUBLE_EQ(d(i, i), 0.0);
-    for (std::size_t j = 0; j < d.cols(); ++j) {
-      EXPECT_DOUBLE_EQ(d(i, j), d(j, i));
+  CondensedDistances d =
+      CondensedDistanceMatrix(blobs.vecs, 10, spec, ThreadPool::Shared());
+  ASSERT_EQ(d.size(), blobs.vecs.size());
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    for (std::size_t j = 0; j < d.size(); ++j) {
+      if (i == j) continue;
+      EXPECT_DOUBLE_EQ(d.at(i, j), d.at(j, i));
+      EXPECT_DOUBLE_EQ(d.at(i, j),
+                       Distance(blobs.vecs[i], blobs.vecs[j], 10, spec));
     }
   }
 }
@@ -212,8 +216,8 @@ TEST(HierarchicalTest, CutSizesAreExact) {
   TwoBlobs blobs = MakeTwoBlobs(10, 12, &rng);
   DistanceSpec spec;
   spec.metric = Metric::kHamming;
-  Matrix d = DistanceMatrix(blobs.vecs, 12, spec);
-  Dendrogram dg = AgglomerativeAverageLinkage(CondensedDistances(d), {});
+  Dendrogram dg = AgglomerativeAverageLinkage(
+      CondensedDistanceMatrix(blobs.vecs, 12, spec, nullptr), {});
   for (std::size_t k = 1; k <= blobs.vecs.size(); ++k) {
     std::vector<int> cut = dg.CutToK(k);
     std::set<int> labels(cut.begin(), cut.end());
@@ -227,8 +231,8 @@ TEST(HierarchicalTest, CutsAreMonotone) {
   Pcg32 rng(19);
   TwoBlobs blobs = MakeTwoBlobs(12, 10, &rng);
   DistanceSpec spec;
-  Matrix d = DistanceMatrix(blobs.vecs, 10, spec);
-  Dendrogram dg = AgglomerativeAverageLinkage(CondensedDistances(d), {});
+  Dendrogram dg = AgglomerativeAverageLinkage(
+      CondensedDistanceMatrix(blobs.vecs, 10, spec, nullptr), {});
   for (std::size_t k = 1; k + 1 <= blobs.vecs.size(); ++k) {
     std::vector<int> coarse = dg.CutToK(k);
     std::vector<int> fine = dg.CutToK(k + 1);
@@ -248,15 +252,14 @@ TEST(HierarchicalTest, RecoversTwoBlobsAtK2) {
   TwoBlobs blobs = MakeTwoBlobs(12, 12, &rng);
   DistanceSpec spec;
   spec.metric = Metric::kHamming;
-  Matrix d = DistanceMatrix(blobs.vecs, 12, spec);
-  Dendrogram dg = AgglomerativeAverageLinkage(CondensedDistances(d), {});
+  Dendrogram dg = AgglomerativeAverageLinkage(
+      CondensedDistanceMatrix(blobs.vecs, 12, spec, nullptr), {});
   std::vector<int> cut = dg.CutToK(2);
   EXPECT_GE(RandIndex(cut, blobs.truth), 0.95);
 }
 
 TEST(HierarchicalTest, SingleLeafDegenerate) {
-  Matrix d(1, 1);
-  Dendrogram dg = AgglomerativeAverageLinkage(CondensedDistances(d), {});
+  Dendrogram dg = AgglomerativeAverageLinkage(CondensedDistances(1), {});
   EXPECT_EQ(dg.num_leaves, 1u);
   EXPECT_EQ(dg.CutToK(1), std::vector<int>{0});
 }

@@ -1,15 +1,16 @@
 // Tests for the fast clustering core: packed-kernel vs merge-kernel
-// distance bit-identity (all six metrics, fuzzed vectors), the condensed
-// store vs the full matrix's upper triangle, the pair-list variant,
-// cached-NN agglomeration vs the pre-change serial reference (including
-// the pool-dispatched path), the hierarchical fit's no-pool fallback,
-// spectral bit-determinism across pool sizes, and the multi-core perf
-// guardrail for the parallel distance fill.
+// distance bit-identity of the condensed store (all six metrics, fuzzed
+// vectors, every pool size), the pair-list variant, cached-NN
+// agglomeration vs the pre-change serial reference (including the
+// pool-dispatched path), every backend's no-pool fallback, spectral
+// bit-determinism across pool sizes, and the multi-core perf guardrail
+// for the parallel distance fill.
 #include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/clusterer.h"
@@ -96,68 +97,58 @@ TEST(PackedDistanceTest, SymmetricDifferenceMatchesMergeKernelFuzzed) {
   }
 }
 
-TEST(PackedDistanceTest, MatrixBitIdenticalToMergeKernelAllMetrics) {
-  Pcg32 rng(11);
-  for (int round = 0; round < 6; ++round) {
-    const std::size_t n = 1 + rng.NextBounded(300);
-    std::vector<FeatureVec> vecs = FuzzVectors(&rng, 40, n);
-    for (const DistanceSpec& spec : AllMetrics()) {
-      Matrix reference = DistanceMatrixMerge(vecs, n, spec, /*pool=*/nullptr);
-      Matrix packed = DistanceMatrix(vecs, n, spec, /*pool=*/nullptr);
-      ThreadPool pool(4);
-      Matrix parallel = DistanceMatrix(vecs, n, spec, &pool);
-      ASSERT_EQ(packed.rows(), reference.rows());
-      for (std::size_t i = 0; i < vecs.size(); ++i) {
-        for (std::size_t j = 0; j < vecs.size(); ++j) {
-          // Exact equality: both kernels map the same exact integer
-          // through the same metric function.
-          ASSERT_EQ(packed(i, j), reference(i, j))
-              << spec.Name() << " (" << i << ", " << j << ")";
-          ASSERT_EQ(parallel(i, j), reference(i, j))
-              << spec.Name() << " parallel (" << i << ", " << j << ")";
-        }
-      }
-    }
-  }
-}
-
-TEST(PackedDistanceTest, MatrixBitIdenticalOnRealLogs) {
-  for (const QueryLog& log : {PocketLog(), BankLog()}) {
-    const std::vector<FeatureVec> vecs = Vectors(log);
-    DistanceSpec spec;
-    spec.metric = Metric::kHamming;
-    Matrix reference =
-        DistanceMatrixMerge(vecs, log.NumFeatures(), spec, nullptr);
-    Matrix packed = DistanceMatrix(vecs, log.NumFeatures(), spec, nullptr);
-    for (std::size_t i = 0; i < vecs.size(); ++i) {
-      for (std::size_t j = 0; j < vecs.size(); ++j) {
-        ASSERT_EQ(packed(i, j), reference(i, j)) << i << " " << j;
-      }
-    }
-  }
-}
-
-/// Asserts `condensed` holds exactly the off-diagonal entries of `full`,
+/// Asserts `got` and `want` hold exactly the same off-diagonal entries,
 /// through both the row layout and the symmetric accessor.
-void ExpectCondensedEqualsMatrix(const CondensedDistances& condensed,
-                                 const Matrix& full, const std::string& what) {
-  const std::size_t count = full.rows();
-  ASSERT_EQ(condensed.size(), count) << what;
-  ASSERT_EQ(condensed.bytes(),
+void ExpectCondensedEqual(const CondensedDistances& got,
+                          const CondensedDistances& want,
+                          const std::string& what) {
+  const std::size_t count = want.size();
+  ASSERT_EQ(got.size(), count) << what;
+  ASSERT_EQ(got.bytes(),
             (count < 2 ? 0 : count * (count - 1) / 2) * sizeof(double))
       << what;
   for (std::size_t i = 0; i < count; ++i) {
     for (std::size_t j = i + 1; j < count; ++j) {
-      // Exact: one kernel, one lookup table, two write layouts.
-      ASSERT_EQ(condensed.Row(i)[j - i - 1], full(i, j))
+      // Exact equality: both kernels map the same exact integer through
+      // the same metric function.
+      ASSERT_EQ(got.Row(i)[j - i - 1], want.Row(i)[j - i - 1])
           << what << " (" << i << ", " << j << ")";
-      ASSERT_EQ(condensed.at(j, i), full(j, i))
+      ASSERT_EQ(got.at(j, i), want.at(i, j))
           << what << " mirror (" << j << ", " << i << ")";
     }
   }
 }
 
-TEST(CondensedDistanceTest, FillEqualsMatrixUpperTriangleFuzzed) {
+TEST(PackedDistanceTest, CondensedBitIdenticalToMergeKernelAllMetrics) {
+  Pcg32 rng(11);
+  for (int round = 0; round < 6; ++round) {
+    const std::size_t n = 1 + rng.NextBounded(300);
+    std::vector<FeatureVec> vecs = FuzzVectors(&rng, 40, n);
+    for (const DistanceSpec& spec : AllMetrics()) {
+      const CondensedDistances reference =
+          DistanceMatrixMerge(vecs, n, spec, /*pool=*/nullptr);
+      ExpectCondensedEqual(CondensedDistanceMatrix(vecs, n, spec, nullptr),
+                           reference, spec.Name());
+      ThreadPool pool(4);
+      ExpectCondensedEqual(CondensedDistanceMatrix(vecs, n, spec, &pool),
+                           reference, spec.Name() + " parallel");
+    }
+  }
+}
+
+TEST(PackedDistanceTest, CondensedBitIdenticalOnRealLogs) {
+  for (const QueryLog& log : {PocketLog(), BankLog()}) {
+    const std::vector<FeatureVec> vecs = Vectors(log);
+    DistanceSpec spec;
+    spec.metric = Metric::kHamming;
+    ExpectCondensedEqual(
+        CondensedDistanceMatrix(vecs, log.NumFeatures(), spec, nullptr),
+        DistanceMatrixMerge(vecs, log.NumFeatures(), spec, nullptr),
+        spec.Name());
+  }
+}
+
+TEST(CondensedDistanceTest, FillEqualsMergeKernelFuzzed) {
   Pcg32 rng(13);
   ThreadPool one(1);
   ThreadPool four(4);
@@ -170,34 +161,37 @@ TEST(CondensedDistanceTest, FillEqualsMatrixUpperTriangleFuzzed) {
     if (count > 2) vecs[count / 2] = FeatureVec();
     const PackedVecPool packed(vecs, n);
     for (const DistanceSpec& spec : AllMetrics()) {
-      const Matrix full = DistanceMatrix(packed, spec, nullptr);
+      const CondensedDistances merge =
+          DistanceMatrixMerge(vecs, n, spec, nullptr);
       for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one,
                                &four}) {
         const std::string what =
             spec.Name() + " N=" + std::to_string(count) + " threads=" +
             std::to_string(pool ? pool->NumThreads() : 0);
-        ExpectCondensedEqualsMatrix(CondensedDistanceMatrix(packed, spec, pool),
-                                    full, what);
-        ExpectCondensedEqualsMatrix(
-            CondensedDistanceMatrix(vecs, n, spec, pool), full,
-            what + " (unpacked)");
+        ExpectCondensedEqual(CondensedDistanceMatrix(packed, spec, pool),
+                             merge, what);
+        ExpectCondensedEqual(CondensedDistanceMatrix(vecs, n, spec, pool),
+                             merge, what + " (unpacked)");
+        ExpectCondensedEqual(DistanceMatrixMerge(vecs, n, spec, pool), merge,
+                             what + " (merge)");
       }
     }
   }
 }
 
-TEST(CondensedDistanceTest, FillEqualsMatrixUpperTriangleOnRealLogs) {
+TEST(CondensedDistanceTest, FillEqualsMergeKernelOnRealLogs) {
   ThreadPool one(1);
   ThreadPool four(4);
   for (const QueryLog& log : {PocketLog(), BankLog()}) {
     const std::vector<FeatureVec> vecs = Vectors(log);
     const PackedVecPool packed(vecs, log.NumFeatures());
     for (const DistanceSpec& spec : AllMetrics()) {
-      const Matrix full = DistanceMatrix(packed, spec, nullptr);
+      const CondensedDistances merge =
+          DistanceMatrixMerge(vecs, log.NumFeatures(), spec, nullptr);
       for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one,
                                &four}) {
-        ExpectCondensedEqualsMatrix(CondensedDistanceMatrix(packed, spec, pool),
-                                    full, spec.Name());
+        ExpectCondensedEqual(CondensedDistanceMatrix(packed, spec, pool),
+                             merge, spec.Name());
       }
     }
   }
@@ -205,17 +199,17 @@ TEST(CondensedDistanceTest, FillEqualsMatrixUpperTriangleOnRealLogs) {
 
 TEST(CondensedDistanceTest, MergeKernelFallbackBeyondPackedBudget) {
   // A universe of three billion features: packing even three vectors
-  // would blow PackedPoolFits' budget, so the store is condensed from
-  // the merge-kernel matrix instead — with the same values.
+  // would blow PackedPoolFits' budget, so the store comes from the
+  // merge kernel instead — with the same values.
   const std::size_t n = 3000000000u;
   ASSERT_FALSE(PackedPoolFits(3, n));
   const std::vector<FeatureVec> vecs = {
       FeatureVec({1, 2999999999u}), FeatureVec(),
       FeatureVec({1, 7, 2000000000u})};
   for (const DistanceSpec& spec : AllMetrics()) {
-    ExpectCondensedEqualsMatrix(
-        CondensedDistanceMatrix(vecs, n, spec, nullptr),
-        DistanceMatrixMerge(vecs, n, spec, nullptr), spec.Name());
+    ExpectCondensedEqual(CondensedDistanceMatrix(vecs, n, spec, nullptr),
+                         DistanceMatrixMerge(vecs, n, spec, nullptr),
+                         spec.Name());
   }
 }
 
@@ -255,7 +249,8 @@ TEST(FastAgglomerationTest, MatchesReferenceOnRealLogsAcrossPools) {
     const std::vector<FeatureVec> vecs = Vectors(log);
     DistanceSpec spec;
     spec.metric = Metric::kHamming;
-    Matrix d = DistanceMatrix(vecs, log.NumFeatures(), spec, nullptr);
+    const CondensedDistances d =
+        DistanceMatrixMerge(vecs, log.NumFeatures(), spec, nullptr);
     std::vector<double> weights;
     for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
       weights.push_back(static_cast<double>(log.Multiplicity(i)));
@@ -285,34 +280,49 @@ TEST(FastAgglomerationTest, MatchesReferenceOnRealLogsAcrossPools) {
 }
 
 TEST(FastAgglomerationTest, HierarchicalFitWithoutPackedPoolMatches) {
-  // The fit's fallback when the pipeline hands it no packed pool with
-  // columns (it packs locally) must cut exactly like the pooled path.
+  // Every backend's fallback when the pipeline hands it no packed pool
+  // (spectral and hierarchical pack locally, k-means seeds from the
+  // merge kernel) must cluster exactly like the pooled path.
   const QueryLog log = BankLog();
   const std::vector<FeatureVec> vecs = Vectors(log);
   std::vector<double> weights;
   for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
     weights.push_back(static_cast<double>(log.Multiplicity(i)));
   }
-  const Clusterer* hier = ClustererRegistry::Instance().Find("hierarchical");
-  ASSERT_NE(hier, nullptr);
+  const PackedVecPool packed(vecs, log.NumFeatures());
   ThreadPool four(4);
   ClusterRequest req;
   req.num_features = log.NumFeatures();
   req.pool = &four;
-  const PackedVecPool with_columns(vecs, log.NumFeatures());
-  const PackedVecPool rows_only(vecs, log.NumFeatures(),
-                                /*build_columns=*/false);
-  req.packed = &with_columns;
-  std::unique_ptr<ClusterModel> pooled = hier->Fit(vecs, weights, req);
-  const PackedVecPool* no_pool = nullptr;
-  for (const PackedVecPool* packed : {no_pool, &rows_only}) {
-    req.packed = packed;
-    std::unique_ptr<ClusterModel> local = hier->Fit(vecs, weights, req);
+  req.n_init = 2;
+  // Every registered backend, with the largest K it is cut at: spectral
+  // stops at 40 because dense Lanczos near K = N costs seconds per run.
+  const std::pair<const char*, std::size_t> backends[] = {
+      {"KmeansEuclidean", 200}, {"manhattan", 40}, {"minkowski", 40},
+      {"hamming", 40},          {"hierarchical", 200}};
+  for (const auto& [name, max_k] : backends) {
+    const Clusterer* backend = ClustererRegistry::Instance().Find(name);
+    ASSERT_NE(backend, nullptr) << name;
     for (std::size_t k : {1u, 2u, 7u, 40u, 200u}) {
-      EXPECT_EQ(local->Cut(k), pooled->Cut(k))
-          << "k=" << k << (packed ? " rows-only pool" : " no pool");
+      if (k > max_k) break;
+      req.k = k;
+      req.packed = &packed;
+      const std::vector<int> pooled = backend->Cluster(vecs, weights, req);
+      req.packed = nullptr;
+      EXPECT_EQ(backend->Cluster(vecs, weights, req), pooled)
+          << name << " k=" << k;
     }
   }
+}
+
+/// A second store holding exactly `d`'s entries (the store is
+/// move-only, and AgglomerativeAverageLinkage consumes its input).
+CondensedDistances CopyOf(const CondensedDistances& d) {
+  CondensedDistances out(d.size());
+  for (std::size_t i = 0; i + 1 < d.size(); ++i) {
+    std::copy(d.Row(i), d.Row(i) + (d.size() - i - 1), out.Row(i));
+  }
+  return out;
 }
 
 TEST(FastAgglomerationTest, MatchesReferenceOnFuzzedMatricesWithTies) {
@@ -321,17 +331,15 @@ TEST(FastAgglomerationTest, MatchesReferenceOnFuzzedMatricesWithTies) {
     const std::size_t n = 2 + rng.NextBounded(60);
     // Small integer distances force plenty of exact ties, stressing the
     // deterministic index tie-break in the cached-nearest path.
-    Matrix d(n, n);
+    CondensedDistances d(n);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
-        const double v = static_cast<double>(rng.NextBounded(4));
-        d(i, j) = v;
-        d(j, i) = v;
+        d.at(i, j) = static_cast<double>(rng.NextBounded(4));
       }
     }
     ThreadPool pool(4);
     ExpectDendrogramsEqual(
-        AgglomerativeAverageLinkage(CondensedDistances(d), {}, &pool),
+        AgglomerativeAverageLinkage(CopyOf(d), {}, &pool),
         AgglomerativeAverageLinkageReference(d, {}));
   }
 }
@@ -363,19 +371,10 @@ TEST(FastAgglomerationTest, PoolDispatchedPathMatchesSerialAndReference) {
   ExpectDendrogramsEqual(
       pooled,
       AgglomerativeAverageLinkage(TieHeavyDistances(kN, kSeed), {}, nullptr));
-  // The full-matrix oracle (it copies its input: 2 x 155 MB here).
-  Matrix full(kN, kN);
-  {
-    const CondensedDistances d = TieHeavyDistances(kN, kSeed);
-    for (std::size_t i = 0; i < kN; ++i) {
-      for (std::size_t j = i + 1; j < kN; ++j) {
-        full(i, j) = d.at(i, j);
-        full(j, i) = d.at(i, j);
-      }
-    }
-  }
-  ExpectDendrogramsEqual(pooled,
-                         AgglomerativeAverageLinkageReference(full, {}));
+  // The full-matrix oracle (it expands its input: 155 MB here).
+  ExpectDendrogramsEqual(
+      pooled,
+      AgglomerativeAverageLinkageReference(TieHeavyDistances(kN, kSeed), {}));
 }
 
 TEST(SpectralTest, BitIdenticalAcrossPoolSizes) {
@@ -405,12 +404,10 @@ TEST(SpectralTest, BitIdenticalAcrossPoolSizes) {
 TEST(SpectralTest, MedianAndAffinityMatchSerialAcrossPools) {
   Pcg32 rng(43);
   const std::size_t n = 80;
-  Matrix d(n, n);
+  CondensedDistances d(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      const double v = static_cast<double>(rng.NextBounded(10)) / 3.0;
-      d(i, j) = v;
-      d(j, i) = v;
+      d.at(i, j) = static_cast<double>(rng.NextBounded(10)) / 3.0;
     }
   }
   const double serial_sigma = MedianNonzeroDistance(d, nullptr);

@@ -116,13 +116,23 @@ TEST(DistanceMatrixTest, ParallelBitIdenticalToSerial) {
        {Metric::kEuclidean, Metric::kManhattan, Metric::kHamming}) {
     DistanceSpec spec;
     spec.metric = metric;
-    Matrix serial = DistanceMatrix(vecs, n, spec, /*pool=*/nullptr);
+    const CondensedDistances serial =
+        CondensedDistanceMatrix(vecs, n, spec, /*pool=*/nullptr);
     ThreadPool pool(5);
-    Matrix parallel = DistanceMatrix(vecs, n, spec, &pool);
+    const CondensedDistances parallel =
+        CondensedDistanceMatrix(vecs, n, spec, &pool);
+    const CondensedDistances merge =
+        DistanceMatrixMerge(vecs, n, spec, &pool);
+    ASSERT_EQ(parallel.size(), serial.size());
+    ASSERT_EQ(merge.size(), serial.size());
     for (std::size_t i = 0; i < vecs.size(); ++i) {
-      for (std::size_t j = 0; j < vecs.size(); ++j) {
-        // Exact equality: the parallel schedule must not change a bit.
-        EXPECT_EQ(serial(i, j), parallel(i, j))
+      for (std::size_t j = i + 1; j < vecs.size(); ++j) {
+        // Exact equality: the parallel schedule must not change a bit,
+        // and neither may the kernel.
+        ASSERT_EQ(merge.at(i, j), serial.at(i, j))
+            << "metric=" << static_cast<int>(metric) << " merge (" << i
+            << "," << j << ")";
+        ASSERT_EQ(serial.at(i, j), parallel.at(i, j))
             << "metric=" << static_cast<int>(metric) << " (" << i << ","
             << j << ")";
       }

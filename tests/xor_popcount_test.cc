@@ -3,8 +3,8 @@
 // accumulators of an in-test per-element formula on fuzzed inputs —
 // including empty word lists, empty slices, odd strides, all-zero and
 // all-one columns, and saturated popcounts. A final metric-level pass
-// checks that packed distance matrices stay bit-identical to the sparse
-// merge kernel for all six metrics.
+// checks that the packed condensed store stays bit-identical to the
+// sparse merge kernel's for all six metrics.
 #include <cstdint>
 #include <vector>
 
@@ -172,12 +172,14 @@ TEST(XorPopcountKernelTest, AllSixMetricsBitIdenticalToMergeKernel) {
   for (Metric m : metrics) {
     DistanceSpec spec;
     spec.metric = m;
-    const Matrix packed = DistanceMatrix(vecs, n, spec);
-    const Matrix merge = DistanceMatrixMerge(vecs, n, spec, nullptr);
-    ASSERT_EQ(packed.rows(), merge.rows());
-    for (std::size_t i = 0; i < packed.rows(); ++i) {
-      for (std::size_t j = 0; j < packed.cols(); ++j) {
-        ASSERT_EQ(packed(i, j), merge(i, j))
+    const CondensedDistances packed =
+        CondensedDistanceMatrix(vecs, n, spec, ThreadPool::Shared());
+    const CondensedDistances merge =
+        DistanceMatrixMerge(vecs, n, spec, nullptr);
+    ASSERT_EQ(packed.size(), merge.size());
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+      for (std::size_t j = i + 1; j < packed.size(); ++j) {
+        ASSERT_EQ(packed.at(i, j), merge.at(i, j))
             << spec.Name() << " (" << i << ", " << j << ")";
       }
     }
