@@ -75,6 +75,7 @@
 // adaptive, or any backend name registered in ClustererRegistry.
 #include <cerrno>
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -147,12 +148,16 @@ bool ParseCount(const char* text, long long min_value, long long max_value,
 
 /// Feeds a text log (one statement per line, optional "COUNT<TAB>"
 /// prefix; an explicit count of 0 skips the line) through `loader`.
-/// CRLF line endings read the same as LF. Returns the number of
-/// non-empty lines read.
-std::uint64_t ReadTextLog(std::istream& in, LogLoader* loader) {
+/// CRLF line endings read the same as LF. Sets `*lines` to the number of
+/// non-empty lines read. Returns false, after printing which line did
+/// it, when the counts summed over the log would pass UINT64_MAX.
+bool ReadTextLog(std::istream& in, LogLoader* loader, std::uint64_t* lines) {
   std::string line;
-  std::uint64_t lines = 0;
+  std::uint64_t line_no = 0;
+  std::uint64_t total = 0;
+  *lines = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     std::uint64_t count = 1;
@@ -165,10 +170,19 @@ std::uint64_t ReadTextLog(std::istream& in, LogLoader* loader) {
         sql_text = line.substr(tab + 1);
       }
     }
+    if (count > UINT64_MAX - total) {
+      std::fprintf(stderr,
+                   "line %llu: count %llu takes the log's total past %llu\n",
+                   static_cast<unsigned long long>(line_no),
+                   static_cast<unsigned long long>(count),
+                   static_cast<unsigned long long>(UINT64_MAX));
+      return false;
+    }
+    total += count;
     loader->AddSql(sql_text, count);
-    ++lines;
+    ++*lines;
   }
-  return lines;
+  return true;
 }
 
 void PrintFunnel(std::uint64_t lines, const DatasetSummary& stats) {
@@ -233,7 +247,8 @@ int LoadAnyLog(const std::string& in_path, bool announce_binary,
     in = &file;
   }
   LogLoader loader;
-  std::uint64_t lines = ReadTextLog(*in, &loader);
+  std::uint64_t lines;
+  if (!ReadTextLog(*in, &loader, &lines)) return 1;
   PrintFunnel(lines, loader.Summary("cli"));
   *log = loader.TakeLog();
   *view = LogView(*log);
@@ -406,7 +421,8 @@ int RunConvert(int argc, char** argv) {
     in = &file;
   }
   LogLoader loader;
-  std::uint64_t lines = ReadTextLog(*in, &loader);
+  std::uint64_t lines;
+  if (!ReadTextLog(*in, &loader, &lines)) return 1;
   DatasetSummary stats = loader.Summary(name);
   PrintFunnel(lines, stats);
   std::string error;

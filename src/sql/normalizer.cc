@@ -1,13 +1,13 @@
 #include "sql/normalizer.h"
 
 #include <algorithm>
+#include <cctype>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "sql/printer.h"
 #include "util/check.h"
-#include "util/string_util.h"
 
 namespace logr::sql {
 
@@ -16,9 +16,16 @@ namespace {
 void LowercaseExpr(Expr* e);
 void LowercaseSelect(SelectStmt* s);
 
+/// ASCII-lowercases `s` where it stands: no allocation per identifier.
+void Lowercase(std::string* s) {
+  for (char& c : *s) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+}
+
 void LowercaseTableRef(TableRef* t) {
-  t->table_name = ToLower(t->table_name);
-  t->alias = ToLower(t->alias);
+  Lowercase(&t->table_name);
+  Lowercase(&t->alias);
   if (t->derived) LowercaseSelect(t->derived.get());
   if (t->left) LowercaseTableRef(t->left.get());
   if (t->right) LowercaseTableRef(t->right.get());
@@ -26,9 +33,9 @@ void LowercaseTableRef(TableRef* t) {
 }
 
 void LowercaseExpr(Expr* e) {
-  e->table = ToLower(e->table);
+  Lowercase(&e->table);
   if (e->kind == ExprKind::kColumnRef || e->kind == ExprKind::kFunction) {
-    e->column = ToLower(e->column);
+    Lowercase(&e->column);
   }
   for (auto& c : e->children) {
     if (c) LowercaseExpr(c.get());
@@ -39,7 +46,7 @@ void LowercaseExpr(Expr* e) {
 void LowercaseSelect(SelectStmt* s) {
   for (auto& item : s->items) {
     LowercaseExpr(item.expr.get());
-    item.alias = ToLower(item.alias);
+    Lowercase(&item.alias);
   }
   for (auto& t : s->from) LowercaseTableRef(t.get());
   if (s->where) LowercaseExpr(s->where.get());
@@ -169,8 +176,9 @@ ExprPtr NormalizeNeg(ExprPtr e, bool negate) {
         BinaryOp op = effective_neg ? BinaryOp::kNe : BinaryOp::kEq;
         ExprPtr term =
             MakeBinary(op, lhs->Clone(), std::move(e->children[i]));
-        std::string key = PrintExpr(*term);
-        if (seen.insert(key).second) terms.push_back(std::move(term));
+        if (seen.insert(PrintExpr(*term)).second) {
+          terms.push_back(std::move(term));
+        }
       }
       LOGR_CHECK(!terms.empty());
       ExprPtr out = std::move(terms[0]);
@@ -226,22 +234,30 @@ bool ToDnf(const Expr& e, std::size_t cap,
   return true;
 }
 
-// Rebuilds a conjunction from atoms, deduplicating by printed form and
-// sorting for canonical ordering.
-ExprPtr BuildConjunction(const std::vector<const Expr*>& atoms) {
-  std::vector<std::pair<std::string, const Expr*>> keyed;
-  keyed.reserve(atoms.size());
-  std::set<std::string> seen;
-  for (const Expr* a : atoms) {
-    std::string key = PrintExpr(*a);
-    if (seen.insert(key).second) keyed.emplace_back(std::move(key), a);
+// Appends the conjuncts of the OR-free `e` to `out`, left to right (the
+// order ToDnf lists them in), moving them out of the tree.
+void TakeConjuncts(ExprPtr e, std::vector<ExprPtr>* out) {
+  if (e->kind == ExprKind::kBinary && e->binary_op == BinaryOp::kAnd) {
+    TakeConjuncts(std::move(e->children[0]), out);
+    TakeConjuncts(std::move(e->children[1]), out);
+    return;
   }
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
+  out->push_back(std::move(e));
+}
+
+// Rebuilds a conjunction from atoms, deduplicating by printed form (the
+// first of equal atoms stays) and sorting for canonical ordering.
+ExprPtr BuildConjunction(std::vector<ExprPtr> atoms) {
+  std::vector<std::pair<std::string, ExprPtr>> keyed;
+  keyed.reserve(atoms.size());
+  for (ExprPtr& a : atoms) keyed.emplace_back(PrintExpr(*a), std::move(a));
+  std::stable_sort(
+      keyed.begin(), keyed.end(),
+      [](const auto& x, const auto& y) { return x.first < y.first; });
   ExprPtr out;
-  for (auto& [key, a] : keyed) {
-    (void)key;
-    ExprPtr atom = a->Clone();
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    if (i > 0 && keyed[i].first == keyed[i - 1].first) continue;
+    ExprPtr atom = std::move(keyed[i].second);
     out = out ? MakeBinary(BinaryOp::kAnd, std::move(out), std::move(atom))
               : std::move(atom);
   }
@@ -347,7 +363,15 @@ bool ExprEquals(const Expr& a, const Expr& b) {
 
 StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
                         RegularizeInfo* info) {
-  StatementPtr work = stmt.Clone();
+  return Regularize(stmt.Clone(), opts, info);
+}
+
+StatementPtr Regularize(StatementPtr work, const RegularizeOptions& opts,
+                        RegularizeInfo* info) {
+  // Conjunctive-ness is a property of the original query, judged before
+  // constant removal can merge IN-list items (Table 1 semantics), so it
+  // is read before `work` is rewritten.
+  if (info) info->conjunctive = IsConjunctive(*work);
   LowercaseIdentifiers(work.get());
   if (opts.anonymize_constants) {
     AnonymizeConstants(work.get(), opts.keep_limit_constants);
@@ -364,13 +388,11 @@ StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
     if (!select->where || !ExprHasOr(*select->where)) {
       // Already conjunctive (canonicalize atom order).
       if (select->where) {
-        std::vector<std::vector<const Expr*>> dnf;
-        bool ok = ToDnf(*select->where, opts.max_dnf_disjuncts, &dnf);
-        LOGR_CHECK(ok && dnf.size() == 1);
-        ExprPtr where = BuildConjunction(dnf[0]);
-        select->where = std::move(where);
+        std::vector<ExprPtr> atoms;
+        TakeConjuncts(std::move(select->where), &atoms);
+        select->where = BuildConjunction(std::move(atoms));
       }
-      // `work` is a private clone, so its finished selects move out.
+      // `work` is consumed, so its finished selects move out.
       out->selects.push_back(std::move(select));
       continue;
     }
@@ -380,24 +402,23 @@ StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
       out->selects.push_back(std::move(select));
       continue;
     }
-    // One UNION branch per disjunct; dedupe identical branches.
+    // One UNION branch per disjunct; dedupe identical branches. The dnf
+    // points into `where`, so the branches clone the select without it.
+    const ExprPtr where = std::move(select->where);
     std::set<std::string> seen_branches;
     for (const auto& disjunct : dnf) {
       SelectPtr branch = select->Clone();
-      branch->where = BuildConjunction(disjunct);
-      std::string key = PrintSelect(*branch);
-      if (seen_branches.insert(key).second) {
+      std::vector<ExprPtr> atoms;
+      atoms.reserve(disjunct.size());
+      for (const Expr* a : disjunct) atoms.push_back(a->Clone());
+      branch->where = BuildConjunction(std::move(atoms));
+      if (seen_branches.insert(PrintSelect(*branch)).second) {
         out->selects.push_back(std::move(branch));
       }
     }
   }
 
-  if (info) {
-    info->rewritable = all_rewritable;
-    // Conjunctive-ness is a property of the original query, judged before
-    // constant removal can merge IN-list items (Table 1 semantics).
-    info->conjunctive = IsConjunctive(stmt);
-  }
+  if (info) info->rewritable = all_rewritable;
   return out;
 }
 

@@ -66,6 +66,15 @@ ExprPtr NormalizeBooleanExpr(ExprPtr e);
 /// cap, the original (normalized) statement is returned with
 /// `info->rewritable == false`. `info` may be null, which also skips the
 /// IsConjunctive walk.
+///
+/// This overload consumes `stmt` (non-null): it is rewritten in place and
+/// its blocks move into the result, so a caller that no longer needs the
+/// parse saves the deep Clone the const overload makes. IsConjunctive
+/// reads `stmt` before anything is rewritten.
+StatementPtr Regularize(StatementPtr stmt, const RegularizeOptions& opts,
+                        RegularizeInfo* info);
+
+/// Same as above on a copy: `Regularize(stmt.Clone(), opts, info)`.
 StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
                         RegularizeInfo* info);
 

@@ -6,48 +6,22 @@
 
 namespace logr {
 
-namespace {
-
 /// Everything the fold needs from one queued line, computed on the pool.
 /// Only `kind` is set unless the line is a valid SELECT.
-struct PreparedLine {
+struct LogLoader::PreparedLine {
   sql::StatementKind kind = sql::StatementKind::kParseError;
   sql::RegularizeInfo info;
   std::string canonical;  // constant-free printed form
   std::vector<Feature> features;
-  std::string with_const;  // printed with constants
-  std::vector<std::string> with_const_keys;  // Vocabulary::Key per feature
+  HashedString with_const;  // printed with constants
+  std::vector<HashedString> with_const_keys;  // Vocabulary::Key per feature
 };
 
-PreparedLine Prepare(std::string_view raw_sql,
-                     const LogLoader::Options& opts) {
-  sql::ParseResult parsed = sql::Parse(raw_sql);
-  PreparedLine p;
-  p.kind = parsed.kind;
-  if (!parsed.ok()) return p;
-
-  // Primary pass: constant-free regularization feeding the QueryLog.
-  sql::StatementPtr regular =
-      sql::Regularize(*parsed.statement, opts.regularize, &p.info);
-  p.canonical = sql::PrintStatement(*regular);
-  p.features = ListFeatures(*regular, opts.extract);
-
-  // Secondary pass: with-constants statistics (Table 1 columns
-  // "# Distinct queries" and "# Distinct features").
-  if (opts.track_with_constant_stats) {
-    sql::RegularizeOptions keep_consts = opts.regularize;
-    keep_consts.anonymize_constants = false;
-    sql::StatementPtr with_const =
-        sql::Regularize(*parsed.statement, keep_consts, nullptr);
-    p.with_const = sql::PrintStatement(*with_const);
-    for (const Feature& f : ListFeatures(*with_const, opts.extract)) {
-      p.with_const_keys.push_back(Vocabulary::Key(f));
-    }
-  }
-  return p;
+std::size_t LogLoader::ShardedSet::size() const {
+  std::size_t n = 0;
+  for (const StringSet& shard : shards) n += shard.size();
+  return n;
 }
-
-}  // namespace
 
 LogLoader::LogLoader(Options opts) : opts_(std::move(opts)) {}
 
@@ -59,17 +33,66 @@ void LogLoader::AddSql(std::string_view raw_sql, std::uint64_t count) {
 
 void LogLoader::Flush() const {
   if (pending_.empty()) return;
+  const std::hash<std::string> hasher;
+  const bool with_const = opts_.track_with_constant_stats;
   std::vector<PreparedLine> prepared(pending_.size());
   ThreadPool* pool = opts_.pool ? opts_.pool : ThreadPool::Shared();
   ParallelFor(pool, 0, pending_.size(), kFineGrain, [&](std::size_t i) {
-    prepared[i] = Prepare(pending_[i].sql, opts_);
+    PreparedLine& p = prepared[i];
+    sql::ParseResult parsed = sql::Parse(pending_[i].sql);
+    p.kind = parsed.kind;
+    if (!parsed.ok()) return;
+
+    // Secondary pass, on a clone: with-constants statistics (Table 1
+    // columns "# Distinct queries" and "# Distinct features").
+    if (with_const) {
+      sql::RegularizeOptions keep_consts = opts_.regularize;
+      keep_consts.anonymize_constants = false;
+      sql::StatementPtr constants =
+          sql::Regularize(parsed.statement->Clone(), keep_consts, nullptr);
+      p.with_const.text = sql::PrintStatement(*constants);
+      p.with_const.hash = hasher(p.with_const.text);
+      for (const Feature& f : ListFeatures(*constants, opts_.extract)) {
+        std::string key = Vocabulary::Key(f);
+        const std::size_t hash = hasher(key);
+        p.with_const_keys.push_back({std::move(key), hash});
+      }
+    }
+
+    // Primary pass, consuming the parse: constant-free regularization
+    // feeding the QueryLog.
+    sql::StatementPtr regular = sql::Regularize(
+        std::move(parsed.statement), opts_.regularize, &p.info);
+    p.canonical = sql::PrintStatement(*regular);
+    // A template folded by an earlier batch already has its features:
+    // the fold only needs them for a template it has not seen. Workers
+    // only read `templates_`; the fold alone writes it, after this loop.
+    if (templates_.count(p.canonical) == 0) {
+      p.features = ListFeatures(*regular, opts_.extract);
+    }
   });
+
+  // The with-constants sets are only ever counted, so insertion order
+  // does not matter: one task per shard files that shard's strings from
+  // the whole batch. A string is copied only when it is new to its shard.
+  if (with_const) {
+    ParallelFor(pool, 0, kShards, kCoarseGrain, [&](std::size_t shard) {
+      StringSet& queries = distinct_with_const_.shards[shard];
+      StringSet& features = with_const_features_.shards[shard];
+      for (const PreparedLine& p : prepared) {
+        if (p.kind != sql::StatementKind::kSelect) continue;
+        if (p.with_const.hash % kShards == shard) {
+          queries.insert(p.with_const);
+        }
+        for (const HashedString& key : p.with_const_keys) {
+          if (key.hash % kShards == shard) features.insert(key);
+        }
+      }
+    });
+  }
 
   // Serial fold in input order: interning order fixes the feature ids and
   // Add order fixes the distinct-vector order and sample SQL.
-  // Long-lived strings are copied, not moved, out of `prepared`: a copy is
-  // made only for a new distinct entry, and it keeps the workers' malloc
-  // arenas holding nothing but this batch's scratch.
   Vocabulary* vocab = log_.mutable_vocabulary();
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const PreparedLine& p = prepared[i];
@@ -83,21 +106,23 @@ void LogLoader::Flush() const {
       continue;
     }
     num_queries_ += count;
-    distinct_no_const_.insert(p.canonical);
-    if (p.info.conjunctive) distinct_conjunctive_.insert(p.canonical);
-    if (p.info.rewritable) distinct_rewritable_.insert(p.canonical);
-
-    std::vector<FeatureId> ids;
-    ids.reserve(p.features.size());
-    for (const Feature& f : p.features) ids.push_back(vocab->Intern(f));
-    log_.Add(FeatureVec(std::move(ids)), count, std::move(pending_[i].sql));
-
-    if (opts_.track_with_constant_stats) {
-      distinct_with_const_.insert(p.with_const);
-      for (const std::string& key : p.with_const_keys) {
-        with_const_features_.insert(key);
-      }
+    auto [it, fresh] = templates_.try_emplace(p.canonical);
+    Template& t = it->second;
+    if (fresh) {
+      std::vector<FeatureId> ids;
+      ids.reserve(p.features.size());
+      for (const Feature& f : p.features) ids.push_back(vocab->Intern(f));
+      t.features = FeatureVec(std::move(ids));
     }
+    if (p.info.conjunctive && !t.conjunctive) {
+      t.conjunctive = true;
+      ++num_distinct_conjunctive_;
+    }
+    if (p.info.rewritable && !t.rewritable) {
+      t.rewritable = true;
+      ++num_distinct_rewritable_;
+    }
+    log_.Add(t.features, count, std::move(pending_[i].sql));
   }
   pending_.clear();
 }
@@ -117,10 +142,10 @@ DatasetSummary LogLoader::Summary(std::string name) const {
   s.num_parse_errors = num_parse_errors_;
   s.num_distinct = opts_.track_with_constant_stats
                        ? distinct_with_const_.size()
-                       : distinct_no_const_.size();
-  s.num_distinct_no_const = distinct_no_const_.size();
-  s.num_distinct_conjunctive = distinct_conjunctive_.size();
-  s.num_distinct_rewritable = distinct_rewritable_.size();
+                       : templates_.size();
+  s.num_distinct_no_const = templates_.size();
+  s.num_distinct_conjunctive = num_distinct_conjunctive_;
+  s.num_distinct_rewritable = num_distinct_rewritable_;
   s.max_multiplicity = log_.MaxMultiplicity();
   s.num_features = opts_.track_with_constant_stats
                        ? with_const_features_.size()

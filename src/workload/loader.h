@@ -9,9 +9,11 @@
 #ifndef LOGR_WORKLOAD_LOADER_H_
 #define LOGR_WORKLOAD_LOADER_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -48,6 +50,18 @@ struct DatasetSummary {
 /// byte are therefore the same for any pool size. A pass's last partial
 /// batch is folded by the first reader, usually Summary().
 ///
+/// The fold keeps one record per constant-free template, keyed by its
+/// canonical print: the first line of a template interns its features
+/// and stores the vector, and every later line costs one hash lookup.
+/// The print is injective (Parse(Print(ast)) round-trips), so equal
+/// prints have equal feature lists, and the workers skip featurizing a
+/// template an earlier batch already folded.
+///
+/// The with-constants statistics cost one statement clone and a second
+/// regularization, print and feature listing per SELECT on the workers,
+/// then a second pooled loop with one task per hash shard that files the
+/// batch's strings; none of it runs on the serial fold.
+///
 /// A pooled ParallelFor is not reentrant, so a LogLoader must not be
 /// driven from inside a pool task. Not thread-safe: the const readers
 /// fold the pending batch too.
@@ -58,8 +72,10 @@ class LogLoader {
                                         // the *primary* (w/o const) log
     ExtractOptions extract;
     /// Also maintain the with-constants statistics (distinct queries and
-    /// features including literal values). Costs a second regularization
-    /// pass per query; disable for pure compression workloads.
+    /// features including literal values). Costs a statement clone and a
+    /// second regularization, print and feature listing per query, plus
+    /// a pooled shard fill; all of it runs on the pool, none on the
+    /// serial fold. Disable for pure compression workloads.
     bool track_with_constant_stats = true;
     /// Pool the batched statement work runs on; nullptr selects
     /// ThreadPool::Shared(). Never changes results, only wall-clock.
@@ -106,6 +122,42 @@ class LogLoader {
     std::uint64_t count = 0;
   };
 
+  /// One constant-free template: its interned features, and whether it
+  /// has been counted as conjunctive / rewritable yet. A template counts
+  /// once per flag, on the first line that sets it: `b IN (1, 2)` and
+  /// `b = 3` share a canonical print but only the second is conjunctive.
+  struct Template {
+    FeatureVec features;
+    bool conjunctive = false;
+    bool rewritable = false;
+  };
+
+  /// A string with its hash, computed once on the pool: it picks the
+  /// shard and is the shard's bucket hash, so no string is hashed twice.
+  struct HashedString {
+    std::string text;
+    std::size_t hash = 0;
+  };
+  struct ByHash {
+    std::size_t operator()(const HashedString& s) const { return s.hash; }
+  };
+  struct ByText {
+    bool operator()(const HashedString& a, const HashedString& b) const {
+      return a.text == b.text;
+    }
+  };
+  using StringSet = std::unordered_set<HashedString, ByHash, ByText>;
+
+  /// Shards of each with-constants set: enough to keep four workers busy
+  /// on one batch, few enough that each shard task scans a batch cheaply.
+  static constexpr std::size_t kShards = 16;
+  struct ShardedSet {
+    std::array<StringSet, kShards> shards;
+    std::size_t size() const;
+  };
+
+  struct PreparedLine;
+
   /// Processes the queued lines on the pool and folds them in order.
   void Flush() const;
 
@@ -114,14 +166,15 @@ class LogLoader {
   // is mutable.
   mutable std::vector<PendingLine> pending_;
   mutable QueryLog log_;
+  // Keyed by the canonical (constant-free) print.
+  mutable std::unordered_map<std::string, Template> templates_;
+  mutable std::uint64_t num_distinct_conjunctive_ = 0;
+  mutable std::uint64_t num_distinct_rewritable_ = 0;
   // Only ever counted, so each holds its full strings and nothing else:
   // Vocabulary::Key for the with-constants features, printed statements
-  // for the distinct-query sets.
-  mutable std::unordered_set<std::string> with_const_features_;
-  mutable std::unordered_set<std::string> distinct_with_const_;
-  mutable std::unordered_set<std::string> distinct_no_const_;
-  mutable std::unordered_set<std::string> distinct_conjunctive_;
-  mutable std::unordered_set<std::string> distinct_rewritable_;
+  // for the distinct queries.
+  mutable ShardedSet with_const_features_;
+  mutable ShardedSet distinct_with_const_;
   mutable std::uint64_t num_queries_ = 0;
   mutable std::uint64_t num_non_select_ = 0;
   mutable std::uint64_t num_parse_errors_ = 0;

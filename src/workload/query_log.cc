@@ -10,6 +10,7 @@ namespace logr {
 void QueryLog::Add(const FeatureVec& q, std::uint64_t count,
                    std::string sample_sql) {
   if (count == 0) return;  // zero occurrences: nothing to record
+  LOGR_CHECK_MSG(total_ + count >= total_, "multiplicity total overflows");
   if (!q.ids.empty()) {
     std::size_t bound = static_cast<std::size_t>(q.ids.back()) + 1;
     if (bound > max_feature_bound_) max_feature_bound_ = bound;

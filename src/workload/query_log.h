@@ -29,7 +29,8 @@ class QueryLog {
   /// retained for the first occurrence, for interpretability output.
   /// `count == 0` is a no-op: recording zero occurrences carries no
   /// information, and a zero-count distinct vector would corrupt
-  /// Probability / entropy downstream.
+  /// Probability / entropy downstream. CHECK-fails when the total
+  /// multiplicity would pass UINT64_MAX.
   void Add(const FeatureVec& q, std::uint64_t count = 1,
            std::string sample_sql = {});
 

@@ -245,6 +245,57 @@ TEST(LoaderBatchTest, NoiseOnlyBatches) {
   }
 }
 
+/// Lines that share one constant-free template but not its flags. The
+/// loader keeps one record per canonical print, so each flag must count
+/// once per template, on whichever line first sets it, in any order and
+/// on either side of a batch boundary.
+TEST(LoaderBatchTest, TemplateFlagsCountOncePerCanonical) {
+  // Seven two-way disjunctions expand to 128 DNF disjuncts, over the cap
+  // of 64: neither line of that pair is rewritable.
+  std::string wide = "SELECT a FROM u WHERE c = 0";
+  std::string wide_upper = "SELECT A FROM U WHERE C = 9";
+  for (int i = 1; i <= 7; ++i) {
+    const std::string n = std::to_string(i);
+    wide += " AND (c IN (" + n + ", 2" + n + ") OR d = " + n + ")";
+    wide_upper += " AND (C IN (3" + n + ", 4" + n + ") OR D = 5" + n + ")";
+  }
+  // Each pair shares one template. `b IN (1, 2)` and `b = 3` print alike
+  // once constants go, but only `b = 3` is conjunctive.
+  const std::vector<std::pair<LogEntry, LogEntry>> pairs = {
+      {{"SELECT a FROM t WHERE b IN (1, 2)", 2},
+       {"SELECT a FROM t WHERE b = 3", 1}},
+      {{"SELECT a FROM v WHERE b = 3", 1},
+       {"SELECT a FROM v WHERE b IN (1, 2)", 4}},
+      {{"SELECT A FROM X WHERE B IN (5, 6, 7)", 1},
+       {"select a from x where b = 8", 3}},
+      {{"SELECT A FROM T", 1}, {"select a from t", 2}},
+      {{wide, 1}, {wide_upper, 2}},
+  };
+  // First lines open the first batch; second lines start two lines before
+  // the boundary, so they straddle it; then every pair again, reversed.
+  std::vector<LogEntry> entries;
+  for (const auto& [first, second] : pairs) entries.push_back(first);
+  for (std::size_t i = 0; entries.size() < kBatch - 2; ++i) {
+    entries.push_back({"SELECT f" + std::to_string(i % 50) + " FROM w", 1});
+  }
+  for (const auto& [first, second] : pairs) entries.push_back(second);
+  for (const auto& [first, second] : pairs) {
+    entries.push_back(second);
+    entries.push_back(first);
+  }
+
+  const SerialLoad oracle = LoadSerially(entries, "flags");
+  ASSERT_EQ(oracle.summary.num_distinct_no_const, pairs.size() + 50);
+  ASSERT_EQ(oracle.summary.num_distinct_conjunctive, 4u + 50u);
+  ASSERT_EQ(oracle.summary.num_distinct_rewritable, 4u + 50u);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {&one, &four}) {
+    SCOPED_TRACE("threads=" + std::to_string(pool->NumThreads()));
+    ExpectSameAsSerial(LoadOn(pool, entries), oracle);
+  }
+}
+
 TEST(LoaderBatchTest, EveryReaderFoldsThePendingBatch) {
   // kBatch + 7 SELECTs leave 7 queued; each reader, called first, must
   // fold them before it answers.

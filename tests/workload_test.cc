@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "gtest/gtest.h"
@@ -170,6 +172,16 @@ TEST(QueryLogTest, AddWithZeroCountIsANoOp) {
   EXPECT_EQ(log.TotalQueries(), 3u);
   // The skipped vector's ids must not widen the feature universe.
   EXPECT_EQ(log.NumFeatures(), 3u);
+}
+
+TEST(QueryLogDeathTest, AddRejectsTotalOverflow) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  QueryLog log;
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  log.Add(FeatureVec({1}), max - 1);
+  log.Add(FeatureVec({2}), 1);  // exactly UINT64_MAX: still fits
+  EXPECT_EQ(log.TotalQueries(), max);
+  EXPECT_DEATH(log.Add(FeatureVec({2}), 1), "multiplicity total overflows");
 }
 
 TEST(LoaderTest, AddSqlWithZeroCountRecordsNothing) {
