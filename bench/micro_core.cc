@@ -361,30 +361,41 @@ struct HierarchicalFitInput {
   std::vector<double> weights;
 };
 
+/// The bank log at `scale` times the templates, packed once as the
+/// pipeline would.
+HierarchicalFitInput* MakeHierarchicalFitInput(std::size_t scale) {
+  BankLogOptions opts = BankOptions();
+  opts.num_templates *= scale;
+  const QueryLog log = LoadEntries(GenerateBankLog(opts)).TakeLog();
+  std::vector<FeatureVec> vecs;
+  auto* in = new HierarchicalFitInput();
+  for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
+    vecs.push_back(log.Vector(i));
+    in->weights.push_back(static_cast<double>(log.Multiplicity(i)));
+  }
+  in->packed = PackedVecPool(vecs, log.NumFeatures());
+  return in;
+}
+
 const HierarchicalFitInput& BankHierarchicalFitSingleton() {
-  // The bank log at twice the templates (3,424 by default), packed
-  // once as the pipeline would: the recompress workload's fit input.
-  static const HierarchicalFitInput* kInput = [] {
-    BankLogOptions opts = BankOptions();
-    opts.num_templates *= 2;
-    const QueryLog log = LoadEntries(GenerateBankLog(opts)).TakeLog();
-    std::vector<FeatureVec> vecs;
-    auto* in = new HierarchicalFitInput();
-    for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
-      vecs.push_back(log.Vector(i));
-      in->weights.push_back(static_cast<double>(log.Multiplicity(i)));
-    }
-    in->packed = PackedVecPool(vecs, log.NumFeatures());
-    return in;
-  }();
+  // Twice the templates (3,424 by default): the recompress workload's
+  // fit input.
+  static const HierarchicalFitInput* kInput = MakeHierarchicalFitInput(2);
   return *kInput;
 }
 
-void BM_HierarchicalFit(benchmark::State& state) {
-  // The whole hierarchical fit over a pre-built pool: condensed distance
-  // fill plus in-place agglomeration, as HierarchicalClusterer::Fit runs
-  // it. `bytes` is the condensed store, N(N−1)/2·8.
-  const HierarchicalFitInput& in = BankHierarchicalFitSingleton();
+const HierarchicalFitInput& LargeHierarchicalFitSingleton() {
+  // Four times the templates (6,848 leaves, a ~187 MB store): past the
+  // 4,096-slot list length where the chunk fold goes to the pool.
+  static const HierarchicalFitInput* kInput = MakeHierarchicalFitInput(4);
+  return *kInput;
+}
+
+/// The whole hierarchical fit over a pre-built pool: condensed distance
+/// fill plus in-place agglomeration, as HierarchicalClusterer::Fit runs
+/// it. `bytes` is the condensed store, N(N−1)/2·8.
+void RunHierarchicalFit(benchmark::State& state,
+                        const HierarchicalFitInput& in) {
   DistanceSpec spec;
   spec.metric = Metric::kHamming;
   ThreadPool* pool = ThreadPool::Shared();
@@ -400,7 +411,16 @@ void BM_HierarchicalFit(benchmark::State& state) {
   state.counters["bytes"] = static_cast<double>(bytes);
   state.counters["threads"] = static_cast<double>(pool->NumThreads());
 }
+
+void BM_HierarchicalFit(benchmark::State& state) {
+  RunHierarchicalFit(state, BankHierarchicalFitSingleton());
+}
 BENCHMARK(BM_HierarchicalFit)->Unit(benchmark::kMillisecond);
+
+void BM_HierarchicalFitLarge(benchmark::State& state) {
+  RunHierarchicalFit(state, LargeHierarchicalFitSingleton());
+}
+BENCHMARK(BM_HierarchicalFitLarge)->Unit(benchmark::kMillisecond);
 
 void BM_AgglomerateReference(benchmark::State& state) {
   // The pre-change serial NN-chain (full nearest scans) — the

@@ -55,6 +55,58 @@ std::vector<double> ResolveMasses(std::size_t n,
 /// smallest-index argmin a serial scan would pick, for any pool size.
 constexpr std::size_t kScanChunk = 64;
 
+/// How many slot-list positions ahead the column walk prefetches. Each
+/// column entry sits on its own cache line, so the walk would otherwise
+/// stall on every read.
+constexpr std::size_t kPrefetch = 32;
+
+/// One Argmin chunk over slot `a`'s distances: positions [lo, hi) of the
+/// exact ascending slot list `list`, where position `split` holds `a`.
+/// The column part (j < a) reads the strided entries (j, a) and calls
+/// `prefetch(j')` for the slot kPrefetch positions ahead, up to `split`;
+/// the row part (j > a) then walks Row(a) contiguously. `visit(j, e)`
+/// gets the stored entry e = (a, j) and returns the linkage to fold;
+/// strict < keeps the first (smallest-index) minimum. Returns {best,
+/// arg}, arg == kNone when the chunk holds no slot but `a`.
+template <typename PrefetchFn, typename VisitFn>
+std::pair<double, std::size_t> WalkChunk(CondensedDistances& d,
+                                         const std::uint32_t* list,
+                                         std::size_t a, std::size_t split,
+                                         std::size_t lo, std::size_t hi,
+                                         const PrefetchFn& prefetch,
+                                         const VisitFn& visit) {
+  double best = std::numeric_limits<double>::max();
+  std::size_t arg = NNChainScan::kNone;
+  const std::size_t column_end = std::min(hi, split);
+  for (std::size_t p = lo; p < column_end; ++p) {
+    if (p + kPrefetch < split) prefetch(list[p + kPrefetch]);
+    const std::size_t j = list[p];
+    const double x = visit(j, d.Row(j)[a - j - 1]);
+    if (x < best) {
+      best = x;
+      arg = j;
+    }
+  }
+  double* row = d.Row(a);
+  for (std::size_t p = std::max(lo, split + 1); p < hi; ++p) {
+    const std::size_t j = list[p];
+    const double x = visit(j, row[j - a - 1]);
+    if (x < best) {
+      best = x;
+      arg = j;
+    }
+  }
+  return std::make_pair(best, arg);
+}
+
+/// Position of active slot `a` in the ascending slot list.
+std::size_t SlotPosition(const std::vector<std::uint32_t>& slots,
+                         std::size_t a) {
+  const auto it = std::lower_bound(slots.begin(), slots.end(), a);
+  LOGR_DCHECK(it != slots.end() && *it == a);
+  return static_cast<std::size_t>(it - slots.begin());
+}
+
 }  // namespace
 
 std::vector<int> Dendrogram::CutToK(std::size_t k) const {
@@ -114,8 +166,9 @@ Dendrogram AgglomerativeAverageLinkage(CondensedDistances d,
   std::vector<int> node_of_slot(n);
   std::iota(node_of_slot.begin(), node_of_slot.end(), 0);
 
-  // Chain walk, active-slot list, and deterministic chunked argmin come
-  // from cluster/nn_chain.h (shared with the mixture reconcile).
+  // Chain walk, exact active-slot list, and deterministic chunk fold
+  // come from cluster/nn_chain.h (shared with the mixture reconcile);
+  // the chunk kernel is WalkChunk.
   NNChainScan scan(n, kScanChunk, pool);
 
   // Cached nearest neighbor per slot. A valid entry equals exactly what
@@ -128,13 +181,23 @@ Dendrogram AgglomerativeAverageLinkage(CondensedDistances d,
   std::vector<std::size_t> cached_arg(n, kNone);
   std::vector<double> cached_dist(n, 0.0);
 
-  // Scans read at(a, j): a's column for j < a, its row for j > a.
+  // Scans read at(a, j) through WalkChunk: a's column for j < a, then
+  // its row for j > a.
   auto nearest = [&](std::size_t a) {
     if (cached_arg[a] != kNone) {
       return std::make_pair(cached_arg[a], cached_dist[a]);
     }
+    const std::uint32_t* list = scan.slots().data();
+    const std::size_t split = SlotPosition(scan.slots(), a);
     const std::pair<std::size_t, double> found =
-        scan.Argmin(a, [&d, a](std::size_t j) { return d.at(a, j); });
+        scan.Argmin(a, [&](std::size_t lo, std::size_t hi) {
+          return WalkChunk(
+              d, list, a, split, lo, hi,
+              [&](std::size_t j) {
+                __builtin_prefetch(&d.Row(j)[a - j - 1]);
+              },
+              [](std::size_t, double e) { return e; });
+        });
     cached_arg[a] = found.first;
     cached_dist[a] = found.second;
     return found;
@@ -152,29 +215,38 @@ Dendrogram AgglomerativeAverageLinkage(CondensedDistances d,
   // re-point it.
   //
   // The pass itself is an Argmin over the new distances: it visits the
-  // same active j != a (b is already deactivated) in the same
+  // same active j != a (b is already out of the slot list) in the same
   // ascending, chunk-folded order a rescan would, so its result is
-  // exactly a's new cached nearest neighbor.
+  // exactly a's new cached nearest neighbor. Its column part prefetches
+  // both a's entry (to be written) and b's entry ahead.
   auto merge = [&](std::size_t a, std::size_t b, double dist_ab) {
     out.merge_a.push_back(node_of_slot[a]);
     out.merge_b.push_back(node_of_slot[b]);
     out.height.push_back(dist_ab);
     const double ma = mass[a], mb = mass[b];
+    const std::uint32_t* list = scan.slots().data();
+    const std::size_t split = SlotPosition(scan.slots(), a);
+    auto prefetch = [&](std::size_t j) {
+      __builtin_prefetch(&d.Row(j)[a - j - 1], 1);
+      __builtin_prefetch(&d.at(b, j));
+    };
+    auto update = [&](std::size_t j2, double& d_a) {
+      const double nd = (ma * d_a + mb * d.at(b, j2)) / (ma + mb);
+      d_a = nd;
+      std::size_t& arg = cached_arg[j2];
+      if (arg == a || arg == b) {
+        arg = kNone;
+      } else if (arg != kNone &&
+                 (nd < cached_dist[j2] ||
+                  (nd == cached_dist[j2] && a < arg))) {
+        arg = a;
+        cached_dist[j2] = nd;
+      }
+      return nd;
+    };
     const std::pair<std::size_t, double> found =
-        scan.Argmin(a, [&](std::size_t j2) {
-          double& d_a = d.at(a, j2);
-          const double nd = (ma * d_a + mb * d.at(b, j2)) / (ma + mb);
-          d_a = nd;
-          std::size_t& arg = cached_arg[j2];
-          if (arg == a || arg == b) {
-            arg = kNone;
-          } else if (arg != kNone &&
-                     (nd < cached_dist[j2] ||
-                      (nd == cached_dist[j2] && a < arg))) {
-            arg = a;
-            cached_dist[j2] = nd;
-          }
-          return nd;
+        scan.Argmin(a, [&](std::size_t lo, std::size_t hi) {
+          return WalkChunk(d, list, a, split, lo, hi, prefetch, update);
         });
     mass[a] = ma + mb;
     cached_arg[a] = found.first;

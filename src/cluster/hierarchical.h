@@ -17,7 +17,9 @@ namespace logr {
 
 /// A full merge tree over N leaves. Merge i combines nodes `a[i]` and
 /// `b[i]` (node ids: 0..N-1 = leaves, N+i = result of merge i) at height
-/// `height[i]`, in non-decreasing height order after reordering.
+/// `height[i]`. Merges are recorded in NN-chain order, which is not
+/// height order: consecutive heights can decrease. CutToK sorts a copy
+/// of the order by height.
 struct Dendrogram {
   std::size_t num_leaves = 0;
   std::vector<int> merge_a;
@@ -38,12 +40,14 @@ struct Dendrogram {
 /// array (lazily invalidated when a slot's cached neighbor merges) makes
 /// most nearest() calls O(1). Each merge's Lance-Williams pass writes
 /// every updated pair once and computes the merged slot's new nearest
-/// neighbor on the way, and both it and the remaining full scans run
-/// across `pool` (nullptr = serial). Bit-identical to
-/// AgglomerativeAverageLinkageReference for every pool size: the cache
-/// is exact (deterministic index tie-breaks preserved) and all parallel
-/// stages write index-addressed slots with serial, index-ordered
-/// reductions.
+/// neighbor on the way. Both it and the remaining full scans walk the
+/// exact active-slot list, slot a's strided column (j < a, prefetched
+/// ahead) and then its contiguous row (j > a). Lists longer than 4,096
+/// slots (64 chunks of 64) run across `pool` (nullptr = serial).
+/// Bit-identical to AgglomerativeAverageLinkageReference for every pool
+/// size: the cache is exact (deterministic index tie-breaks preserved)
+/// and all parallel stages write index-addressed slots with serial,
+/// index-ordered reductions.
 Dendrogram AgglomerativeAverageLinkage(CondensedDistances distances,
                                        const std::vector<double>& weights,
                                        ThreadPool* pool = nullptr);

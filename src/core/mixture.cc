@@ -484,9 +484,21 @@ NaiveMixtureEncoding NaiveMixtureEncoding::Reconcile(std::size_t k,
         return std::make_pair(arg, best);
       }
     }
+    const std::vector<std::uint32_t>& list = scan.slots();
     const std::pair<std::size_t, double> found =
-        scan.Argmin(a, [&](std::size_t j) {
-          return FuseDelta(groups[a], groups[j], total);
+        scan.Argmin(a, [&](std::size_t lo, std::size_t hi) {
+          double best = std::numeric_limits<double>::max();
+          std::size_t arg = kNone;
+          for (std::size_t p = lo; p < hi; ++p) {
+            const std::size_t j = list[p];
+            if (j == a) continue;
+            const double delta = FuseDelta(groups[a], groups[j], total);
+            if (delta < best) {
+              best = delta;
+              arg = j;
+            }
+          }
+          return std::make_pair(best, arg);
         });
     cached_arg[a] = found.first;
     cached_delta[a] = found.second;

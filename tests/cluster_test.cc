@@ -258,6 +258,19 @@ TEST(HierarchicalTest, RecoversTwoBlobsAtK2) {
   EXPECT_GE(RandIndex(cut, blobs.truth), 0.95);
 }
 
+TEST(HierarchicalTest, CutToKUsesHeightNotRecordOrder) {
+  // NN-chain order is not height order: the first recorded merge here is
+  // the second lowest, so a cut that undid merges in record order would
+  // split {2, 3} before {0, 1}.
+  Dendrogram dg;
+  dg.num_leaves = 4;
+  dg.merge_a = {0, 2, 4};
+  dg.merge_b = {1, 3, 5};
+  dg.height = {3.0, 1.0, 5.0};
+  EXPECT_EQ(dg.CutToK(3), (std::vector<int>{0, 1, 2, 2}));
+  EXPECT_EQ(dg.CutToK(2), (std::vector<int>{0, 0, 1, 1}));
+}
+
 TEST(HierarchicalTest, SingleLeafDegenerate) {
   Dendrogram dg = AgglomerativeAverageLinkage(CondensedDistances(1), {});
   EXPECT_EQ(dg.num_leaves, 1u);

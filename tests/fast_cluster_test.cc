@@ -2,12 +2,15 @@
 // distance bit-identity of the condensed store (all six metrics, fuzzed
 // vectors, every pool size), the pair-list variant, cached-NN
 // agglomeration vs the pre-change serial reference (including the
-// pool-dispatched path), every backend's no-pool fallback, spectral
+// pool-dispatched path), the NN-chain slot list and chunked argmin
+// fold, every backend's no-pool fallback, spectral
 // bit-determinism across pool sizes, and the multi-core perf guardrail
 // for the parallel distance fill.
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,6 +19,7 @@
 #include "cluster/clusterer.h"
 #include "cluster/distance.h"
 #include "cluster/hierarchical.h"
+#include "cluster/nn_chain.h"
 #include "cluster/spectral.h"
 #include "data/bank.h"
 #include "data/pocketdata.h"
@@ -375,6 +379,87 @@ TEST(FastAgglomerationTest, PoolDispatchedPathMatchesSerialAndReference) {
   ExpectDendrogramsEqual(
       pooled,
       AgglomerativeAverageLinkageReference(TieHeavyDistances(kN, kSeed), {}));
+}
+
+/// Tie-heavy symmetric integer linkage in [0, 4) between slots i != j.
+double TieLinkage(std::size_t i, std::size_t j) {
+  std::uint64_t x = std::min(i, j) * 0x9E3779B97F4A7C15ULL + std::max(i, j);
+  x ^= x >> 31;
+  x *= 0xBF58476D1CE4E5B9ULL;
+  x ^= x >> 29;
+  return static_cast<double>(x % 4);
+}
+
+TEST(NNChainScanTest, ExactSlotListAndArgmin) {
+  // 4,300 slots is 68 chunks of 64, so on the four-thread pool the chunk
+  // fold dispatches until the list drops to 64 chunks.
+  constexpr std::size_t kN = 4300;
+  ThreadPool one(1);
+  ThreadPool four(4);
+  ThreadPool* const pools[] = {nullptr, &one, &four};
+  std::vector<std::unique_ptr<NNChainScan>> scans;
+  for (ThreadPool* pool : pools) {
+    scans.push_back(std::make_unique<NNChainScan>(kN, 64, pool));
+  }
+  std::vector<std::size_t> order(kN);
+  std::iota(order.begin(), order.end(), 0);
+  Pcg32 rng(43);
+  for (std::size_t i = kN; i > 1; --i) {
+    std::swap(order[i - 1],
+              order[rng.NextBounded(static_cast<std::uint32_t>(i))]);
+  }
+
+  std::vector<std::uint8_t> active(kN, 1);
+  for (std::size_t step = 0; step < kN; ++step) {
+    active[order[step]] = 0;
+    std::vector<std::uint32_t> expected;
+    for (std::size_t s = 0; s < kN; ++s) {
+      if (active[s]) expected.push_back(static_cast<std::uint32_t>(s));
+    }
+    for (auto& scan : scans) {
+      scan->Deactivate(order[step]);
+      ASSERT_EQ(scan->slots(), expected) << "step " << step;
+    }
+    if (step % 97 != 0 || expected.empty()) continue;
+
+    const std::size_t a = expected[rng.NextBounded(
+        static_cast<std::uint32_t>(expected.size()))];
+    std::size_t want_arg = a;
+    double want_best = std::numeric_limits<double>::max();
+    for (std::size_t j = 0; j < kN; ++j) {
+      if (!active[j] || j == a) continue;
+      if (TieLinkage(a, j) < want_best) {
+        want_best = TieLinkage(a, j);
+        want_arg = j;
+      }
+    }
+    for (auto& scan : scans) {
+      const std::vector<std::uint32_t>& list = scan->slots();
+      const std::pair<std::size_t, double> got =
+          scan->Argmin(a, [&](std::size_t lo, std::size_t hi) {
+            double best = std::numeric_limits<double>::max();
+            std::size_t arg = NNChainScan::kNone;
+            for (std::size_t p = lo; p < hi; ++p) {
+              if (list[p] == a) continue;
+              const double x = TieLinkage(a, list[p]);
+              if (x < best) {
+                best = x;
+                arg = list[p];
+              }
+            }
+            return std::make_pair(best, arg);
+          });
+      EXPECT_EQ(got.first, want_arg) << "step " << step << " a=" << a;
+      EXPECT_EQ(got.second, want_best) << "step " << step << " a=" << a;
+    }
+  }
+}
+
+TEST(NNChainScanDeathTest, DeactivateTwiceDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  NNChainScan scan(8, 64, nullptr);
+  scan.Deactivate(3);
+  EXPECT_DEATH(scan.Deactivate(3), "LOGR_CHECK");
 }
 
 TEST(SpectralTest, BitIdenticalAcrossPoolSizes) {

@@ -18,12 +18,13 @@ earlier PRs paid for and that a grep can keep honest:
                         shard-order independence with this). Membership
                         tests stay fine.
   4. avx-flag-confinement
-                        Per-source -mavx* compile flags (and
-                        <immintrin.h>) are allowed only in the
-                        src/cluster/xor_popcount_* kernel TUs; the rest
-                        of the tree stays on the portable baseline so a
-                        -mno-avx degradation build keeps meaning
-                        something.
+                        No <immintrin.h>/<x86intrin.h> include in any
+                        file and no -mavx* flag anywhere in
+                        CMakeLists.txt, global or per-source. The tree
+                        has one portable popcount kernel
+                        (XorPopcountAccum, src/cluster/xor_popcount.cc)
+                        built for the baseline ISA, so every build runs
+                        the same code on every x86-64 host.
   5. header-guards      Every header uses the canonical
                         LOGR_<DIR>_<NAME>_H_ include guard derived from
                         its path (no #pragma once, no stale guard after
@@ -41,7 +42,6 @@ import re
 import sys
 
 SRC_EXTENSIONS = (".cc", ".h", ".cpp")
-AVX_ALLOWED = re.compile(r"src/cluster/xor_popcount_\w*\.(cc|h)$")
 GUARD_EXEMPT_DIRS = ()  # every header is held to the guard rule
 
 
@@ -137,10 +137,8 @@ def check_unordered_iteration(path, lines, findings):
 
 
 def check_avx_confinement(root, files, findings):
-    # (a) <immintrin.h> only in the dedicated kernel TUs.
+    # (a) No x86 intrinsics header anywhere.
     for path in files:
-        if AVX_ALLOWED.search(path):
-            continue
         full = os.path.join(root, path)
         try:
             with open(full, errors="replace") as f:
@@ -149,41 +147,25 @@ def check_avx_confinement(root, files, findings):
                                  raw):
                         findings.append(Finding(
                             path, i, raw, "avx-flag-confinement",
-                            "SIMD intrinsics live only in "
-                            "src/cluster/xor_popcount_{avx2,avx512}.cc (per-"
-                            "source -m flags + runtime CPUID dispatch); add "
-                            "a kernel entry point there instead of including "
-                            "<immintrin.h> here"))
+                            "the tree has no intrinsics kernels; write the "
+                            "loop in portable C++ like XorPopcountAccum "
+                            "(src/cluster/xor_popcount.cc), using "
+                            "__builtin_popcountll / __builtin_prefetch "
+                            "rather than this header"))
         except OSError:
             pass
-    # (b) CMake applies -mavx* per-source only to those TUs, never globally.
+    # (b) No -mavx* flag in CMake, global or per-source.
     cmake_path = os.path.join(root, "CMakeLists.txt")
     if not os.path.exists(cmake_path):
         return
     with open(cmake_path) as f:
-        cmake_lines = f.readlines()
-    in_props, prop_files = False, []
-    for i, raw in enumerate(cmake_lines, 1):
-        if "add_compile_options" in raw and re.search(r"-mavx", raw):
-            findings.append(Finding(
-                "CMakeLists.txt", i, raw, "avx-flag-confinement",
-                "never add -mavx* globally — apply it per-source to an "
-                "xor_popcount_* TU via set_source_files_properties so the "
-                "baseline build stays portable"))
-        if "set_source_files_properties" in raw:
-            in_props, prop_files = True, []
-        if in_props:
-            prop_files.extend(re.findall(r"(\S+\.cc)", raw))
-            if "-mavx" in raw:
-                for f_listed in prop_files:
-                    if not AVX_ALLOWED.search(f_listed):
-                        findings.append(Finding(
-                            "CMakeLists.txt", i, raw, "avx-flag-confinement",
-                            f"{os.path.basename(f_listed)} gets per-source "
-                            "-mavx* flags but is not an xor_popcount_* "
-                            "kernel TU; move the SIMD code there"))
-            if ")" in raw:
-                in_props = False
+        for i, raw in enumerate(f, 1):
+            if re.search(r"-mavx", raw.split("#", 1)[0]):
+                findings.append(Finding(
+                    "CMakeLists.txt", i, raw, "avx-flag-confinement",
+                    "drop the -mavx* flag: every TU builds for the portable "
+                    "baseline, so a binary runs on any x86-64 host and "
+                    "there is no runtime CPU dispatch to keep in sync"))
 
 
 def expected_guard(path):
