@@ -21,6 +21,13 @@ BankLogOptions BankOptions() {
 
 namespace {
 
+/// The LOGR_BINLOG switch: set (non-empty, not "0") turns the sidecar
+/// cache on.
+bool SidecarsEnabled() {
+  const char* v = std::getenv("LOGR_BINLOG");
+  return v != nullptr && *v != '\0' && std::string(v) != "0";
+}
+
 // The sidecar cache keys fingerprint the options actually used (the
 // loaders build from the same PocketOptions/BankOptions), so a sidecar
 // written under different options cannot be served stale. Generator
@@ -136,12 +143,12 @@ LogLoader LoadBankLoader() {
 }
 
 QueryLog LoadPocketLog() {
-  if (!BinaryLogEnvEnabled()) return LoadPocketLoader().TakeLog();
+  if (!SidecarsEnabled()) return LoadPocketLoader().TakeLog();
   return LoadViaBinarySidecar(PocketSidecarKey(), &LoadPocketLoader);
 }
 
 QueryLog LoadBankLog() {
-  if (!BinaryLogEnvEnabled()) return LoadBankLoader().TakeLog();
+  if (!SidecarsEnabled()) return LoadBankLoader().TakeLog();
   return LoadViaBinarySidecar(BankSidecarKey(), &LoadBankLoader);
 }
 

@@ -262,7 +262,7 @@ int RunCompress(int argc, char** argv) {
   std::size_t shards = 1;
   ShardPolicy shard_policy = ShardPolicy::kHashDistinct;
   std::string method = "kmeans";
-  std::string encoder_name;  // empty = LOGR_ENCODER env, else "naive"
+  std::string encoder_name = "naive";  // LogROptions::encoder's default
   std::string out_path = "summary.logr";
   std::string in_path;
   for (int i = 2; i < argc; ++i) {
@@ -313,7 +313,7 @@ int RunCompress(int argc, char** argv) {
   opts.refine_patterns = refine;
   opts.num_shards = shards;
   opts.shard_policy = shard_policy;
-  const Encoder* encoder = ResolveEncoderArg(EffectiveEncoderName(opts));
+  const Encoder* encoder = ResolveEncoderArg(opts.encoder);
   if (encoder == nullptr) return 2;
   if (refine_given && std::string(encoder->Name()) != "refined") {
     std::fprintf(stderr,

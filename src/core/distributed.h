@@ -52,7 +52,11 @@ namespace logr {
 /// when set to a shard index, that shard's first-attempt worker
 /// SIGKILLs itself mid-job (after opening its input, before spooling a
 /// summary). Retries are unaffected, so the job must still complete
-/// with the identical summary.
+/// with the identical summary. It is the one test hook the library
+/// reads from the environment, because it has to cross an exec: the
+/// coordinator starts `logr_cli worker` processes that inherit the
+/// environment but see no option of the caller. Carrying it in the
+/// worker argv instead would add a wire-format field and an option.
 inline constexpr char kDistributedCrashEnv[] = "LOGR_DISTRIBUTE_CRASH";
 
 struct DistributedOptions {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 
 #include "core/itemsets.h"
@@ -356,11 +355,6 @@ std::size_t MaxRefinedPatternsPerComponent(std::size_t n_features) {
   const std::size_t multi =
       subsets > n_features + 1 ? subsets - n_features - 1 : 0;
   return std::min(kRefineCandidateCap, multi);
-}
-
-std::string DefaultEncoderName() {
-  const char* env = std::getenv("LOGR_ENCODER");
-  return (env != nullptr && *env != '\0') ? env : "naive";
 }
 
 }  // namespace logr

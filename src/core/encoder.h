@@ -237,12 +237,6 @@ class EncoderRegistry : public NamedRegistry<Encoder> {
   EncoderRegistry();
 };
 
-/// The encoder name used when LogROptions::encoder is empty: the
-/// LOGR_ENCODER environment variable when set, else "naive". Mirrors
-/// how LOGR_THREADS sizes ThreadPool::Shared(), so CI can run the whole
-/// suite under a different encoder.
-std::string DefaultEncoderName();
-
 /// Mines + corr_rank-ranks up to `budget` extra patterns per component
 /// of `mixture` against `log` (Sec. 6.4) and returns the refined model.
 /// The shared implementation behind the "refined" encoder's Encode and

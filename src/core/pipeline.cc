@@ -57,10 +57,6 @@ bool ParseShardPolicy(const std::string& name, ShardPolicy* out) {
   return true;
 }
 
-std::string EffectiveEncoderName(const LogROptions& opts) {
-  return opts.encoder.empty() ? DefaultEncoderName() : opts.encoder;
-}
-
 std::string BackendName(const LogROptions& opts) {
   return opts.backend.empty() ? ClusteringMethodName(opts.method)
                               : opts.backend;
@@ -117,9 +113,8 @@ CompressionPipeline::CompressionPipeline(const LogView& log,
   const std::string name = BackendName(opts);
   ctx_.clusterer = ClustererRegistry::Instance().Find(name);
   LOGR_CHECK_MSG(ctx_.clusterer != nullptr, name.c_str());
-  const std::string encoder_name = EffectiveEncoderName(opts);
-  ctx_.encoder = EncoderRegistry::Instance().Find(encoder_name);
-  LOGR_CHECK_MSG(ctx_.encoder != nullptr, encoder_name.c_str());
+  ctx_.encoder = EncoderRegistry::Instance().Find(opts.encoder);
+  LOGR_CHECK_MSG(ctx_.encoder != nullptr, opts.encoder.c_str());
   ctx_.num_features = log.NumFeatures();
   ctx_.vecs.reserve(log.NumDistinct());
   for (std::size_t i = 0; i < log.NumDistinct(); ++i) {

@@ -77,9 +77,8 @@ struct LogROptions {
   ThreadPool* pool = nullptr;
   /// Encoder backend for the encode stage, resolved through
   /// EncoderRegistry ("naive", "refined", "pattern", or an
-  /// application-registered name). Empty selects DefaultEncoderName()
-  /// (the LOGR_ENCODER environment variable, else "naive").
-  std::string encoder;
+  /// application-registered name).
+  std::string encoder = "naive";
   /// Per-component budget of extra corr_rank-ranked patterns for the
   /// "refined" encoder (Sec. 6.4). 0 uses the encoder's default; other
   /// encoders ignore it.
@@ -97,10 +96,6 @@ struct LogROptions {
   std::size_t num_shards = 1;
   ShardPolicy shard_policy = ShardPolicy::kHashDistinct;
 };
-
-/// The EncoderRegistry name the encode stage resolves for `opts`: the
-/// explicit opts.encoder, else DefaultEncoderName().
-std::string EffectiveEncoderName(const LogROptions& opts);
 
 /// The ClustererRegistry name the cluster stage resolves for `opts`:
 /// opts.backend when set, else ClusteringMethodName(opts.method).

@@ -96,9 +96,8 @@ LogRSummary ShardedCompressor::Run() {
   // resolve the requested encoder up front and fail loudly for
   // non-mergeable ones (e.g. "pattern") instead of silently encoding
   // each shard with something that cannot be pooled.
-  const std::string encoder_name = EffectiveEncoderName(opts_);
-  const Encoder* encoder = EncoderRegistry::Instance().Find(encoder_name);
-  LOGR_CHECK_MSG(encoder != nullptr, encoder_name.c_str());
+  const Encoder* encoder = EncoderRegistry::Instance().Find(opts_.encoder);
+  LOGR_CHECK_MSG(encoder != nullptr, opts_.encoder.c_str());
   LOGR_CHECK_MSG(encoder->Mergeable(),
                  "sharded compression requires a mergeable encoder "
                  "(shard mixtures are pooled through the naive merge); "

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -828,40 +826,6 @@ bool SameDatasetSummary(const DatasetSummary& a, const DatasetSummary& b,
     return mismatch("avg_features_per_query");
   }
   return true;
-}
-
-namespace {
-
-bool EnvFlagSet(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
-
-}  // namespace
-
-bool BinaryLogEnvEnabled() { return EnvFlagSet("LOGR_BINLOG"); }
-
-void VerifyBinaryRoundTripIfEnabled(const QueryLog& log,
-                                    const DatasetSummary& summary) {
-  if (!EnvFlagSet("LOGR_BINLOG_VERIFY")) return;
-  std::ostringstream buffer;
-  std::string error;
-  LOGR_CHECK_MSG(BinaryLogWriter::Write(log, summary, &buffer, &error),
-                 error.c_str());
-  const std::string bytes = buffer.str();
-  LoadedBinaryLog reloaded;
-  LOGR_CHECK_MSG(
-      ReadBinaryLog(bytes.data(), bytes.size(), &reloaded, &error),
-      error.c_str());
-  std::string why;
-  LOGR_CHECK_MSG(SameQueryLog(log, reloaded.log, &why), why.c_str());
-  LOGR_CHECK_MSG(SameDatasetSummary(summary, reloaded.summary, &why),
-                 why.c_str());
-}
-
-void VerifyBinaryRoundTripIfEnabled(const LogLoader& loader) {
-  if (!EnvFlagSet("LOGR_BINLOG_VERIFY")) return;
-  VerifyBinaryRoundTripIfEnabled(loader.log(), loader.Summary("verify"));
 }
 
 }  // namespace logr

@@ -219,25 +219,6 @@ bool SameQueryLog(const QueryLog& a, const QueryLog& b, std::string* why);
 bool SameDatasetSummary(const DatasetSummary& a, const DatasetSummary& b,
                         std::string* why);
 
-/// True when the LOGR_BINLOG env var is set (non-empty and not "0") —
-/// the switch for the bench binary-sidecar cache.
-bool BinaryLogEnvEnabled();
-
-/// When the LOGR_BINLOG_VERIFY env var is set (non-empty and not "0"),
-/// round-trips `log` + `summary` through the binary format in memory and
-/// CHECK-fails unless the reloaded log and summary are identical; no-op
-/// otherwise. LoadEntries calls this, so CI's LOGR_BINLOG_VERIFY=1 leg
-/// proves the binary path agrees with the text path on every log the
-/// test suite loads. (Deliberately a separate knob from LOGR_BINLOG:
-/// the cache exists to remove work, the verification adds it.)
-void VerifyBinaryRoundTripIfEnabled(const QueryLog& log,
-                                    const DatasetSummary& summary);
-
-/// Loader convenience overload: computes the Table-1 summary only when
-/// the env knob is actually on, so the common disabled case costs one
-/// getenv.
-void VerifyBinaryRoundTripIfEnabled(const LogLoader& loader);
-
 }  // namespace logr
 
 #endif  // LOGR_WORKLOAD_BINARY_LOG_H_

@@ -1,18 +1,17 @@
 // Loader-correctness battery for the logr-log v1 binary columnar format
 // (workload/binary_log.h): text-load vs binary-load bit-identity,
-// DatasetSummary round-trips, compression equivalence on both the
-// monolithic and sharded paths, and a corruption/fuzz suite mirroring
+// DatasetSummary round-trips, and a corruption/fuzz suite mirroring
 // the ReadSummary hardening — truncations, bad magic/version,
 // out-of-range ids, offset tables past EOF, and checksum mismatches
-// must fail loudly, never crash or silently load.
+// must fail loudly, never crash or silently load. Compression from the
+// mmap'd file against the text load is equivalence_test's text-vs-mmap
+// axis.
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/logr_compressor.h"
-#include "core/serialization.h"
 #include "data/bank.h"
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
@@ -221,65 +220,6 @@ TEST_F(BinaryLogFileTest, MmapOpenRejectsCorruptFile) {
   std::string error;
   EXPECT_FALSE(MmapQueryLog::Open(path, &mapped, &error));
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
-}
-
-// ------------------------------------- compression path bit-identity
-
-void ExpectCompressIdentical(LogLoader loader, const std::string& tag,
-                             std::size_t num_shards) {
-  const DatasetSummary stats = loader.Summary(tag);
-  const std::string bytes = Serialize(loader.log(), stats);
-  const std::string path = ::testing::TempDir() + tag + "_compress.logrl";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    ASSERT_TRUE(static_cast<bool>(out));
-  }
-  MmapQueryLog mapped;
-  std::string error;
-  ASSERT_TRUE(MmapQueryLog::Open(path, &mapped, &error)) << error;
-
-  LogROptions opts;
-  opts.num_clusters = 6;
-  opts.n_init = 1;
-  opts.num_shards = num_shards;
-  const QueryLog text_log = loader.TakeLog();
-  const LogRSummary from_text = Compress(text_log, opts);
-  // Zero-copy leg: the mmap view feeds the pipeline directly, no
-  // Materialize() — the summary must still match the heap path bit for
-  // bit.
-  const LogRSummary from_mmap = Compress(mapped, opts);
-  std::ostringstream text_bytes, mmap_bytes;
-  std::string werror;
-  ASSERT_TRUE(WriteSummary(text_log.vocabulary(), from_text.Model(),
-                           &text_bytes, &werror))
-      << werror;
-  ASSERT_TRUE(WriteSummary(mapped.vocabulary(), from_mmap.Model(),
-                           &mmap_bytes, &werror))
-      << werror;
-  EXPECT_EQ(text_bytes.str(), mmap_bytes.str());
-  if (num_shards <= 1) {
-    // One Compress = one PackedVecPool build, shared from the distance
-    // matrix through seeding and agglomeration.
-    EXPECT_EQ(from_text.pool_builds, 1u);
-    EXPECT_EQ(from_mmap.pool_builds, 1u);
-  }
-}
-
-TEST(BinaryLogCompressTest, MonolithicBitIdenticalBank) {
-  ExpectCompressIdentical(BankLoader(), "bank_mono", 1);
-}
-
-TEST(BinaryLogCompressTest, MonolithicBitIdenticalPocket) {
-  ExpectCompressIdentical(PocketLoader(), "pocket_mono", 1);
-}
-
-TEST(BinaryLogCompressTest, ShardedBitIdenticalBank) {
-  ExpectCompressIdentical(BankLoader(), "bank_sharded", 4);
-}
-
-TEST(BinaryLogCompressTest, ShardedBitIdenticalPocket) {
-  ExpectCompressIdentical(PocketLoader(), "pocket_sharded", 4);
 }
 
 // ----------------------------------------------------- corruption suite

@@ -363,10 +363,11 @@ CondensedDistances TieHeavyDistances(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(FastAgglomerationTest, PoolDispatchedPathMatchesSerialAndReference) {
-  // 4,400 slots is past the 4,096-slot parallel threshold, so until
-  // compaction halves the slot list every nearest scan and every fused
-  // Lance-Williams pass is split across the pool's workers — a path the
-  // few-hundred-template logs above never reach.
+  // 4,400 slots is past the 4,096-slot parallel threshold (64 chunks of
+  // 64 run inline). The slot list shrinks by one per merge, so for the
+  // first 304 merges, until it is down to 4,096 slots, every nearest
+  // scan and every fused Lance-Williams pass is split across the pool's
+  // workers — a path the few-hundred-template logs above never reach.
   constexpr std::size_t kN = 4400;
   constexpr std::uint64_t kSeed = 37;
   ThreadPool four(4);

@@ -3,6 +3,7 @@
 // serial ones, the registry must cover every built-in method, and a
 // backend registered at runtime must work end to end.
 #include <atomic>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -285,6 +286,19 @@ TEST(PipelineTest, StageTimingsAreOrdered) {
   EXPECT_GE(s.total_seconds, s.cluster_seconds);
 }
 
+TEST(PipelineTest, DefaultEncoderIgnoresEnvironment) {
+  // The library reads no encoder knob from the process environment: a
+  // LOGR_ENCODER left in the shell cannot change what the default
+  // options build.
+  QueryLog log = GroupedLog(3, 8, 13);
+  LogROptions opts;
+  opts.num_clusters = 3;
+  ASSERT_EQ(setenv("LOGR_ENCODER", "pattern", 1), 0);
+  const LogRSummary s = Compress(log, opts);
+  unsetenv("LOGR_ENCODER");
+  EXPECT_STREQ(s.Model().EncoderName(), "naive");
+}
+
 TEST(PipelineTest, RefinedEncoderNeverWorsensError) {
   QueryLog log = GroupedLog(3, 12, 59);
   LogROptions opts;
@@ -292,8 +306,8 @@ TEST(PipelineTest, RefinedEncoderNeverWorsensError) {
   // refine_patterns alone is only the refined encoder's budget: it does
   // not pick the encoder.
   opts.refine_patterns = 4;
-  EXPECT_EQ(EffectiveEncoderName(opts), DefaultEncoderName());
-  EXPECT_EQ(Compress(log, opts).Model().EncoderName(), DefaultEncoderName());
+  EXPECT_EQ(opts.encoder, "naive");
+  EXPECT_STREQ(Compress(log, opts).Model().EncoderName(), "naive");
   opts.encoder = "refined";
   LogRSummary s = Compress(log, opts);
   EXPECT_STREQ(s.Model().EncoderName(), "refined");

@@ -2,9 +2,9 @@
 // by the CLI and the protocol, SummaryRegistry hot-reload semantics
 // (snapshot swap, failed-parse keeps serving, removal), the live
 // daemon's protocol round trip over TCP and Unix sockets, concurrent
-// estimate load across a hot-reload swap (the TSan target), and
-// bit-consistency of served estimates with the in-memory model —
-// pattern summaries included, now that they persist.
+// estimate load across a hot-reload swap (the TSan target), and the
+// chaos and retry harnesses. Bit-consistency of served estimates with
+// the in-memory model, per encoder, is equivalence_test's served path.
 #include <arpa/inet.h>
 #include <dirent.h>
 #include <fcntl.h>
@@ -22,7 +22,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -248,50 +247,6 @@ TEST(ServeDaemonTest, ProtocolRoundTripOverTcp) {
 
   daemon.Stop();
   EXPECT_GE(daemon.ConnectionsAccepted(), 1u);
-}
-
-TEST(ServeDaemonTest, ServedEstimatesMatchTheInMemoryModelBitForBit) {
-  // The acceptance bar for pattern persistence: compress with the
-  // "pattern" encoder, publish with --out's code path, serve from disk,
-  // and the daemon's estimates equal the in-memory model's exactly
-  // (refit-on-load is deterministic; precision-17 rendering is
-  // round-trip exact).
-  const std::string dir = FreshDir("bitexact");
-  QueryLog log = GroupedLog(3, 10, 41);
-  LogROptions opts;
-  opts.num_clusters = 3;
-  opts.encoder = "pattern";
-  LogRSummary s = Compress(log, opts);
-  std::string error;
-  ASSERT_TRUE(WriteSummaryFile(dir + "/pat.logr", log.vocabulary(),
-                               s.Model(), &error))
-      << error;
-
-  SummaryRegistry registry(dir);
-  ServeDaemon daemon(&registry);
-  ServeOptions sopts;
-  sopts.listen = "unix:" + dir + "/sock";
-  sopts.rescan_interval_ms = 0;
-  ASSERT_TRUE(daemon.Start(sopts, &error)) << error;
-
-  ServeClient client;
-  ASSERT_TRUE(client.Connect(daemon.endpoint(), &error)) << error;
-  for (FeatureId f = 0; f < 8; ++f) {
-    std::string response;
-    ASSERT_TRUE(client.Request("estimate pat " + std::to_string(f) + "," +
-                                   std::to_string(f + 8),
-                               &response, &error))
-        << error;
-    ASSERT_EQ(response.rfind("ok count=", 0), 0u) << response;
-    std::istringstream rs(response.substr(9));
-    double served_count = 0.0;
-    rs >> served_count;
-    const double expected =
-        s.Model().EstimateCount(FeatureVec({f, static_cast<FeatureId>(
-                                                   f + 8)}));
-    EXPECT_EQ(served_count, expected) << "feature " << f;
-  }
-  daemon.Stop();
 }
 
 TEST(ServeDaemonTest, HotReloadSwapsUnderConcurrentEstimateLoad) {

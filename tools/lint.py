@@ -29,6 +29,12 @@ earlier PRs paid for and that a grep can keep honest:
                         LOGR_<DIR>_<NAME>_H_ include guard derived from
                         its path (no #pragma once, no stale guard after
                         a file move).
+  6. env-reads-confined getenv in src/ only in util/thread_pool.h
+                        (LOGR_THREADS sizes the shared pool) and
+                        core/distributed.cc (the crash hook, which has to
+                        reach exec'd workers). Library results never
+                        depend on the process environment; an operating
+                        knob is a CLI flag or a bench_common read.
 
 Usage: tools/lint.py [--root DIR] [FILES...]
 With FILES, only those are checked (CI's changed-files mode); otherwise
@@ -168,6 +174,29 @@ def check_avx_confinement(root, files, findings):
                     "there is no runtime CPU dispatch to keep in sync"))
 
 
+# The library's only environment reads.
+ENV_READS_ALLOWED = {
+    "src/util/thread_pool.h",   # LOGR_THREADS
+    "src/core/distributed.cc",  # LOGR_DISTRIBUTE_CRASH
+}
+
+
+def check_env_reads(path, lines, findings):
+    if not path.startswith("src/") or path in ENV_READS_ALLOWED:
+        return
+    for i, raw in enumerate(lines, 1):
+        line = strip_comments_and_strings(raw)
+        if re.search(r"(?<![\w])(?:secure_)?getenv\s*\(", line):
+            findings.append(Finding(
+                path, i, raw, "env-reads-confined",
+                "the library reads only LOGR_THREADS (util/thread_pool.h) "
+                "and the distributed crash hook (core/distributed.cc) from "
+                "the environment. Give an operating knob a CLI flag "
+                "(examples/logr_cli.cpp) or read it in "
+                "bench/bench_common.cc, and pass the value in through "
+                "LogROptions or an argument"))
+
+
 def expected_guard(path):
     # src/cluster/nn_chain.h -> LOGR_CLUSTER_NN_CHAIN_H_
     rel = re.sub(r"^src/", "", path)
@@ -249,6 +278,7 @@ def main():
         check_libc_rand(path, lines, findings)
         check_unordered_iteration(path, lines, findings)
         check_header_guards(path, lines, findings)
+        check_env_reads(path, lines, findings)
     check_avx_confinement(root, files, findings)
 
     for f in findings:
