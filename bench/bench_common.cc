@@ -40,6 +40,14 @@ std::string PocketSidecarKey() {
          std::to_string(opts.zipf_s);
 }
 
+LogLoader LoadPocketLoader() {
+  return LoadEntries(GeneratePocketDataLog(PocketOptions()));
+}
+
+LogLoader LoadBankLoader() {
+  return LoadEntries(GenerateBankLog(BankOptions()));
+}
+
 std::string BankSidecarKey() {
   const BankLogOptions opts = BankOptions();
   return "bank-s" + std::to_string(opts.seed) + "-t" +
@@ -132,14 +140,6 @@ ClusteringMethod EnvMethod(const char* name, ClusteringMethod fallback) {
 
 void Banner(const std::string& artifact, const std::string& description) {
   std::printf("=== %s ===\n%s\n\n", artifact.c_str(), description.c_str());
-}
-
-LogLoader LoadPocketLoader() {
-  return LoadEntries(GeneratePocketDataLog(PocketOptions()));
-}
-
-LogLoader LoadBankLoader() {
-  return LoadEntries(GenerateBankLog(BankOptions()));
 }
 
 QueryLog LoadPocketLog() {

@@ -54,10 +54,6 @@ QueryLog LoadPocketLog();
 /// (default 1.0; LOGR_BANK_SCALE overrides).
 QueryLog LoadBankLog();
 
-/// Both logs with their Table-1 loaders (needed by table1_datasets).
-LogLoader LoadPocketLoader();
-LogLoader LoadBankLoader();
-
 /// Binarized alternative-application datasets (Table 2).
 struct BinaryDataset {
   std::vector<FeatureVec> rows;

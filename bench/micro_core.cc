@@ -29,7 +29,10 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/summary_registry.h"
+#include "sql/lexer.h"
+#include "sql/normalizer.h"
 #include "sql/parser.h"
+#include "sql/printer.h"
 #include "util/check.h"
 #include "workload/binary_log.h"
 #include "workload/extractor.h"
@@ -127,13 +130,16 @@ const std::string& BankBinaryImageSingleton() {
 
 void BM_LoadTextBank(benchmark::State& state) {
   // The full text funnel: lex + parse + regularize + featurize every
-  // statement of the bank log, batched onto a pool of Arg threads (1 is
-  // the serial path). This is the cost the binary format removes from
+  // statement of the bank log, batched onto a pool of Args[0] threads (1
+  // is the serial path). Args[1] = 1 also tracks Table 1's
+  // with-constants statistics, as `logr_cli convert` does; 0 is what
+  // compression pays. This is the cost the binary format removes from
   // every bench and production run.
   const std::vector<LogEntry>& entries = BankEntriesSingleton();
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   LogLoader::Options opts;
   opts.pool = &pool;
+  opts.track_with_constant_stats = state.range(1) != 0;
   std::size_t distinct = 0;
   for (auto _ : state) {
     LogLoader loader(opts);
@@ -144,12 +150,84 @@ void BM_LoadTextBank(benchmark::State& state) {
   state.counters["templates"] = static_cast<double>(distinct);
   state.counters["statements"] = static_cast<double>(entries.size());
   state.counters["threads"] = static_cast<double>(pool.NumThreads());
+  state.counters["tracked"] = static_cast<double>(state.range(1));
 }
 // Pool workers do most of the work, so only real time sees the scaling.
 BENCHMARK(BM_LoadTextBank)
-    ->Arg(1)
-    ->Arg(4)
+    ->ArgNames({"threads", "tracked"})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({4, 0})
+    ->Args({4, 1})
     ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// Stages of the SQL front end BM_SqlFrontEnd times one at a time.
+enum FrontEndStage { kLexStage, kParseStage, kRegularizeStage, kPrintStage };
+
+void BM_SqlFrontEnd(benchmark::State& state) {
+  // One stage of the front end over every line of the bank log, on one
+  // thread: lex; parse (lex included); constant-free regularization of
+  // fresh parses (made with the timer paused, since it consumes them);
+  // canonical print of the regularized SELECTs.
+  const std::vector<LogEntry>& entries = BankEntriesSingleton();
+  const auto stage = static_cast<FrontEndStage>(state.range(0));
+  std::vector<sql::StatementPtr> parsed;
+  auto parse_all = [&] {
+    parsed.clear();
+    for (const LogEntry& e : entries) {
+      sql::ParseResult r = sql::Parse(e.sql);
+      if (r.ok()) parsed.push_back(std::move(r.statement));
+    }
+  };
+  std::vector<sql::StatementPtr> regular;
+  if (stage == kPrintStage) {
+    parse_all();
+    for (sql::StatementPtr& s : parsed) {
+      regular.push_back(sql::Regularize(std::move(s), {}, nullptr));
+    }
+  }
+  std::size_t tokens = 0;
+  for (auto _ : state) {
+    switch (stage) {
+      case kLexStage:
+        tokens = 0;
+        for (const LogEntry& e : entries) {
+          tokens += sql::Lex(e.sql).tokens.size();
+        }
+        break;
+      case kParseStage:
+        parse_all();
+        break;
+      case kRegularizeStage: {
+        state.PauseTiming();
+        parse_all();
+        state.ResumeTiming();
+        sql::RegularizeInfo info;
+        for (sql::StatementPtr& s : parsed) {
+          benchmark::DoNotOptimize(sql::Regularize(std::move(s), {}, &info));
+        }
+        break;
+      }
+      case kPrintStage:
+        for (const sql::StatementPtr& s : regular) {
+          benchmark::DoNotOptimize(sql::PrintStatement(*s));
+        }
+        break;
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["statements"] = static_cast<double>(entries.size());
+  if (stage == kLexStage) {
+    state.counters["tokens"] = static_cast<double>(tokens);
+  }
+}
+BENCHMARK(BM_SqlFrontEnd)
+    ->ArgName("stage")
+    ->Arg(kLexStage)
+    ->Arg(kParseStage)
+    ->Arg(kRegularizeStage)
+    ->Arg(kPrintStage)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LoadBinaryBank(benchmark::State& state) {

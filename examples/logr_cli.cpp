@@ -83,6 +83,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/distributed.h"
@@ -161,13 +162,13 @@ bool ReadTextLog(std::istream& in, LogLoader* loader, std::uint64_t* lines) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     std::uint64_t count = 1;
-    std::string sql_text = line;
+    std::string_view sql_text = line;
     std::size_t tab = line.find('\t');
     if (tab != std::string::npos) {
       long long parsed;
       if (ParseCount(line.substr(0, tab).c_str(), 0, LLONG_MAX, &parsed)) {
         count = static_cast<std::uint64_t>(parsed);
-        sql_text = line.substr(tab + 1);
+        sql_text.remove_prefix(tab + 1);
       }
     }
     if (count > UINT64_MAX - total) {
@@ -420,7 +421,10 @@ int RunConvert(int argc, char** argv) {
     }
     in = &file;
   }
-  LogLoader loader;
+  // The .logrl stores Table 1, with-constants columns included.
+  LogLoader::Options opts;
+  opts.track_with_constant_stats = true;
+  LogLoader loader(opts);
   std::uint64_t lines;
   if (!ReadTextLog(*in, &loader, &lines)) return 1;
   DatasetSummary stats = loader.Summary(name);

@@ -6,6 +6,11 @@
 // classifies them in batches on its workers; the harness then checks the
 // funnel counters against each line parsed on its own by sql::Parse, so
 // batching can neither drop, double nor misfile a line.
+//
+// The low bit of the first byte (still part of the text) turns on the
+// with-constants statistics, so both the plain path and the Table-1 path
+// (statement clone, second regularization, shard fill) are fuzzed; the
+// harness checks that exactly the tracked loaders report them.
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -39,6 +44,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   static logr::ThreadPool pool(2);
   logr::LogLoader::Options opts;
   opts.pool = &pool;
+  opts.track_with_constant_stats = size > 0 && (data[0] & 1) != 0;
   logr::LogLoader loader(opts);
 
   std::uint64_t queries = 0, non_select = 0, parse_errors = 0;
@@ -69,5 +75,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   LOGR_CHECK(s.num_non_select == non_select);
   LOGR_CHECK(s.num_parse_errors == parse_errors);
   LOGR_CHECK(loader.log().TotalQueries() == queries);
+  constexpr std::uint64_t kNotTracked = logr::DatasetSummary::kNotTracked;
+  LOGR_CHECK((s.num_distinct != kNotTracked) ==
+             opts.track_with_constant_stats);
+  LOGR_CHECK((s.num_features != kNotTracked) ==
+             opts.track_with_constant_stats);
+  LOGR_CHECK(!opts.track_with_constant_stats ||
+             (s.num_distinct > 0) == (queries > 0));
   return 0;
 }

@@ -1,16 +1,16 @@
 #include "sql/lexer.h"
 
 #include <algorithm>
-#include <cctype>
 #include <iterator>
 
-#include "util/string_util.h"
+#include "util/check.h"
 
 namespace logr::sql {
 
 namespace {
 
-// Sorted: IsReservedKeyword binary-searches it.
+// Sorted: FindKeyword binary-searches it, and enum Keyword lists it in
+// this order.
 constexpr std::string_view kKeywords[] = {
     "ALL",    "ALTER",  "AND",      "AS",     "ASC",    "BETWEEN",
     "BY",     "CALL",   "CASE",     "CAST",   "CREATE", "CROSS",
@@ -37,35 +37,73 @@ constexpr bool KeywordTableIsValid() {
 }
 static_assert(KeywordTableIsValid(),
               "kKeywords must be sorted and at most kMaxKeywordLength long");
+static_assert(std::size(kKeywords) == static_cast<std::size_t>(Keyword::kWhere),
+              "Keyword must list kKeywords in order, after kNone");
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+// ASCII character classes. In the "C" locale, which no binary here
+// leaves, they agree with <cctype> on every byte (bytes >= 0x80 are in
+// no class), without its per-call locale lookup.
+constexpr bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsAlpha(char c) {
+  const char lower = static_cast<char>(c | 0x20);
+  return lower >= 'a' && lower <= 'z';
+}
+constexpr bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+constexpr char ToUpper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - ('a' - 'A')) : c;
+}
+constexpr bool IsIdentStart(char c) { return IsAlpha(c) || c == '_'; }
+constexpr bool IsIdentChar(char c) { return IsIdentStart(c) || IsDigit(c); }
+
+Keyword FindKeyword(std::string_view upper_word) {
+  const auto* it = std::lower_bound(std::begin(kKeywords),
+                                    std::end(kKeywords), upper_word);
+  if (it == std::end(kKeywords) || *it != upper_word) return Keyword::kNone;
+  return static_cast<Keyword>(it - std::begin(kKeywords) + 1);
 }
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+constexpr std::string_view kUnexpected = "unexpected character '";
 
 }  // namespace
 
 bool IsReservedKeyword(std::string_view upper_word) {
-  return std::binary_search(std::begin(kKeywords), std::end(kKeywords),
-                            upper_word);
+  return FindKeyword(upper_word) != Keyword::kNone;
 }
 
-std::vector<Token> Lex(std::string_view in) {
-  std::vector<Token> out;
-  std::size_t i = 0;
-  const std::size_t n = in.size();
+std::string_view KeywordText(Keyword kw) {
+  LOGR_CHECK(kw != Keyword::kNone);
+  return kKeywords[static_cast<std::size_t>(kw) - 1];
+}
 
-  auto error = [&](std::size_t pos, std::string msg) {
-    out.push_back({TokenType::kError, std::move(msg), pos});
+TokenList Lex(std::string_view in) {
+  TokenList out;
+  std::vector<Token>& tokens = out.tokens;
+  const std::size_t n = in.size();
+  // SQL averages well over four bytes per token, spaces included.
+  tokens.reserve(n / 4 + 2);
+  std::size_t i = 0;
+
+  auto push = [&](TokenType type, std::string_view text, std::size_t pos,
+                  Keyword kw = Keyword::kNone) {
+    tokens.push_back({type, kw, text, pos});
+  };
+  // Owned text goes to one buffer, allocated at first use with room for
+  // everything a line can need: unescaped literals are shorter than
+  // their quoted spans, and an error message ends the line.
+  std::size_t owned_size = 0;
+  auto own = [&](std::size_t len) {
+    const std::size_t capacity = n + kUnexpected.size() + 2;
+    if (!out.owned) out.owned.reset(new char[capacity]);
+    LOGR_CHECK(owned_size + len <= capacity);
+    char* at = out.owned.get() + owned_size;
+    owned_size += len;
+    return at;
   };
 
   while (i < n) {
-    char c = in[i];
+    const char c = in[i];
     // Whitespace.
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
@@ -76,26 +114,27 @@ std::vector<Token> Lex(std::string_view in) {
     }
     // Block comment.
     if (c == '/' && i + 1 < n && in[i + 1] == '*') {
-      std::size_t start = i;
+      const std::size_t start = i;
       i += 2;
       while (i + 1 < n && !(in[i] == '*' && in[i + 1] == '/')) ++i;
       if (i + 1 >= n) {
-        error(start, "unterminated block comment");
+        push(TokenType::kError, "unterminated block comment", start);
         return out;
       }
       i += 2;
       continue;
     }
-    // String literal.
+    // String literal: a view of its body, or an unescaped copy if it
+    // has '' escapes.
     if (c == '\'') {
-      std::size_t start = i;
+      const std::size_t start = i;
       ++i;
-      std::string text;
+      bool escaped = false;
       bool closed = false;
       while (i < n) {
         if (in[i] == '\'') {
-          if (i + 1 < n && in[i + 1] == '\'') {  // escaped quote
-            text.push_back('\'');
+          if (i + 1 < n && in[i + 1] == '\'') {
+            escaped = true;
             i += 2;
             continue;
           }
@@ -103,119 +142,125 @@ std::vector<Token> Lex(std::string_view in) {
           ++i;
           break;
         }
-        text.push_back(in[i]);
         ++i;
       }
       if (!closed) {
-        error(start, "unterminated string literal");
+        push(TokenType::kError, "unterminated string literal", start);
         return out;
       }
-      out.push_back({TokenType::kString, std::move(text), start});
+      std::string_view text = in.substr(start + 1, i - start - 2);
+      if (escaped) {
+        // Every quote in the body is the first of a '' pair.
+        char* at = own(text.size());
+        std::size_t len = 0;
+        for (std::size_t k = 0; k < text.size(); ++k) {
+          at[len++] = text[k];
+          if (text[k] == '\'') ++k;
+        }
+        owned_size -= text.size() - len;
+        text = std::string_view(at, len);
+      }
+      push(TokenType::kString, text, start);
       continue;
     }
     // Quoted identifier: "name" or [name] or `name`.
     if (c == '"' || c == '[' || c == '`') {
-      char close = c == '[' ? ']' : c;
-      std::size_t start = i;
+      const char close = c == '[' ? ']' : c;
+      const std::size_t start = i;
       ++i;
-      std::string text;
-      bool closed = false;
-      while (i < n) {
-        if (in[i] == close) {
-          closed = true;
-          ++i;
-          break;
-        }
-        text.push_back(in[i]);
-        ++i;
-      }
-      if (!closed) {
-        error(start, "unterminated quoted identifier");
+      while (i < n && in[i] != close) ++i;
+      if (i >= n) {
+        push(TokenType::kError, "unterminated quoted identifier", start);
         return out;
       }
-      out.push_back({TokenType::kIdentifier, std::move(text), start});
+      ++i;
+      push(TokenType::kIdentifier, in.substr(start + 1, i - start - 2), start);
       continue;
     }
     // Number.
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(in[i + 1])))) {
-      std::size_t start = i;
+    if (IsDigit(c) || (c == '.' && i + 1 < n && IsDigit(in[i + 1]))) {
+      const std::size_t start = i;
       bool is_float = false;
-      while (i < n && std::isdigit(static_cast<unsigned char>(in[i]))) ++i;
+      while (i < n && IsDigit(in[i])) ++i;
       if (i < n && in[i] == '.') {
         is_float = true;
         ++i;
-        while (i < n && std::isdigit(static_cast<unsigned char>(in[i]))) ++i;
+        while (i < n && IsDigit(in[i])) ++i;
       }
       if (i < n && (in[i] == 'e' || in[i] == 'E')) {
-        std::size_t save = i;
+        const std::size_t save = i;
         ++i;
         if (i < n && (in[i] == '+' || in[i] == '-')) ++i;
-        if (i < n && std::isdigit(static_cast<unsigned char>(in[i]))) {
+        if (i < n && IsDigit(in[i])) {
           is_float = true;
-          while (i < n && std::isdigit(static_cast<unsigned char>(in[i]))) ++i;
+          while (i < n && IsDigit(in[i])) ++i;
         } else {
           i = save;  // not an exponent, e.g. "1e" in "1end"
         }
       }
-      out.push_back({is_float ? TokenType::kFloat : TokenType::kInteger,
-                     std::string(in.substr(start, i - start)), start});
+      push(is_float ? TokenType::kFloat : TokenType::kInteger,
+           in.substr(start, i - start), start);
       continue;
     }
     // Parameters.
     if (c == '?') {
-      out.push_back({TokenType::kParameter, "?", i});
+      push(TokenType::kParameter, "?", i);
       ++i;
       continue;
     }
     if ((c == ':' || c == '$') && i + 1 < n && IsIdentChar(in[i + 1])) {
-      std::size_t start = i;
+      const std::size_t start = i;
       ++i;
       while (i < n && IsIdentChar(in[i])) ++i;
-      out.push_back({TokenType::kParameter, "?", start});
+      push(TokenType::kParameter, "?", start);
       continue;
     }
     // Identifier or keyword.
     if (IsIdentStart(c)) {
-      std::size_t start = i;
+      const std::size_t start = i;
       while (i < n && IsIdentChar(in[i])) ++i;
       const std::string_view word = in.substr(start, i - start);
       if (word.size() <= kMaxKeywordLength) {
         char upper[kMaxKeywordLength];
         for (std::size_t k = 0; k < word.size(); ++k) {
-          upper[k] = static_cast<char>(
-              std::toupper(static_cast<unsigned char>(word[k])));
+          upper[k] = ToUpper(word[k]);
         }
-        const std::string_view upper_word(upper, word.size());
-        if (IsReservedKeyword(upper_word)) {
-          out.push_back({TokenType::kKeyword, std::string(upper_word), start});
+        const Keyword kw = FindKeyword(std::string_view(upper, word.size()));
+        if (kw != Keyword::kNone) {
+          push(TokenType::kKeyword, KeywordText(kw), start, kw);
           continue;
         }
       }
-      out.push_back({TokenType::kIdentifier, std::string(word), start});
+      push(TokenType::kIdentifier, word, start);
       continue;
     }
     // Multi-char operators.
-    auto two = (i + 1 < n) ? in.substr(i, 2) : std::string_view();
+    const std::string_view two =
+        i + 1 < n ? in.substr(i, 2) : std::string_view();
     if (two == "!=" || two == "<>" || two == "<=" || two == ">=" ||
         two == "||") {
-      out.push_back({TokenType::kOperator,
-                     two == "<>" ? "!=" : std::string(two), i});
+      push(TokenType::kOperator, two == "<>" ? "!=" : two, i);
       i += 2;
       continue;
     }
     // Single-char operators.
-    static const std::string kSingle = "=<>+-*/%.,();";
-    if (kSingle.find(c) != std::string::npos) {
-      out.push_back({TokenType::kOperator, std::string(1, c), i});
-      ++i;
-      continue;
+    switch (c) {
+      case '=': case '<': case '>': case '+': case '-': case '*': case '/':
+      case '%': case '.': case ',': case '(': case ')': case ';':
+        push(TokenType::kOperator, in.substr(i, 1), i);
+        ++i;
+        continue;
+      default:
+        break;
     }
-    error(i, StrFormat("unexpected character '%c'", c));
+    char* msg = own(kUnexpected.size() + 2);
+    kUnexpected.copy(msg, kUnexpected.size());
+    msg[kUnexpected.size()] = c;
+    msg[kUnexpected.size() + 1] = '\'';
+    push(TokenType::kError, std::string_view(msg, kUnexpected.size() + 2), i);
     return out;
   }
-  out.push_back({TokenType::kEndOfInput, "", n});
+  push(TokenType::kEndOfInput, std::string_view(), n);
   return out;
 }
 

@@ -7,17 +7,17 @@
 #ifndef LOGR_SQL_LEXER_H_
 #define LOGR_SQL_LEXER_H_
 
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "sql/token.h"
 
 namespace logr::sql {
 
 /// Tokenizes `input`. The final token is always kEndOfInput (or kError at
-/// the failure position, in which case tokenization stops there).
-std::vector<Token> Lex(std::string_view input);
+/// the failure position, in which case tokenization stops there). Token
+/// text views `input`, static tables or the list's own buffer, so it is
+/// valid while `input` and the returned list live.
+TokenList Lex(std::string_view input);
 
 }  // namespace logr::sql
 

@@ -9,36 +9,42 @@ namespace logr::sql {
 
 namespace {
 
+/// The statement kind a leading keyword announces; kOther for SELECT and
+/// anything else the funnel does not classify.
+StatementKind NonSelectKind(Keyword kw) {
+  switch (kw) {
+    case Keyword::kInsert: return StatementKind::kInsert;
+    case Keyword::kUpdate: return StatementKind::kUpdate;
+    case Keyword::kDelete: return StatementKind::kDelete;
+    case Keyword::kCreate: case Keyword::kDrop: case Keyword::kAlter:
+      return StatementKind::kDdl;
+    case Keyword::kExec: case Keyword::kExecute: case Keyword::kCall:
+      return StatementKind::kProcedureCall;
+    default:
+      return StatementKind::kOther;
+  }
+}
+
 /// Recursive-descent parser over the token stream.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(TokenList list) : list_(std::move(list)) {}
 
   ParseResult ParseStatement() {
     ParseResult result;
     if (Check(TokenType::kError)) {
-      return Fail(Peek().text);
+      return Fail(std::string(Peek().text));
     }
     if (Check(TokenType::kEndOfInput)) {
       return Fail("empty statement");
     }
     // Classify non-SELECT statements without full parsing.
-    if (Peek().type == TokenType::kKeyword) {
-      const std::string& kw = Peek().text;
-      StatementKind kind = StatementKind::kOther;
-      if (kw == "INSERT") kind = StatementKind::kInsert;
-      else if (kw == "UPDATE") kind = StatementKind::kUpdate;
-      else if (kw == "DELETE") kind = StatementKind::kDelete;
-      else if (kw == "CREATE" || kw == "DROP" || kw == "ALTER")
-        kind = StatementKind::kDdl;
-      else if (kw == "EXEC" || kw == "EXECUTE" || kw == "CALL")
-        kind = StatementKind::kProcedureCall;
-      if (kind != StatementKind::kOther) {
-        result.kind = kind;
-        return result;
-      }
+    const StatementKind kind = NonSelectKind(Peek().keyword);
+    if (kind != StatementKind::kOther) {
+      result.kind = kind;
+      return result;
     }
-    if (!Peek().IsKeyword("SELECT") && !Peek().IsOperator("(")) {
+    if (!Peek().IsKeyword(Keyword::kSelect) && !Peek().IsOperator("(")) {
       return Fail("expected SELECT");
     }
 
@@ -46,9 +52,9 @@ class Parser {
     SelectPtr first = ParseSelectBlock();
     if (!first) return Fail(error_);
     stmt->selects.push_back(std::move(first));
-    while (Peek().IsKeyword("UNION")) {
+    while (Peek().IsKeyword(Keyword::kUnion)) {
       Advance();
-      if (Peek().IsKeyword("ALL")) {
+      if (Peek().IsKeyword(Keyword::kAll)) {
         stmt->union_all = true;
         Advance();
       }
@@ -59,7 +65,7 @@ class Parser {
     if (Peek().IsOperator(";")) Advance();
     if (!Check(TokenType::kEndOfInput)) {
       return Fail(StrFormat("unexpected trailing token '%s'",
-                            Peek().text.c_str()));
+                            PeekText().c_str()));
     }
     result.kind = StatementKind::kSelect;
     result.statement = std::move(stmt);
@@ -68,14 +74,20 @@ class Parser {
 
  private:
   const Token& Peek(std::size_t ahead = 0) const {
+    const std::vector<Token>& tokens = list_.tokens;
     std::size_t i = pos_ + ahead;
-    if (i >= tokens_.size()) return tokens_.back();
-    return tokens_[i];
+    if (i >= tokens.size()) return tokens.back();
+    return tokens[i];
   }
-  const Token& Advance() { return tokens_[pos_ >= tokens_.size() ? tokens_.size() - 1 : pos_++]; }
+  const Token& Advance() {
+    const std::vector<Token>& tokens = list_.tokens;
+    return tokens[pos_ >= tokens.size() ? tokens.size() - 1 : pos_++];
+  }
   bool Check(TokenType t) const { return Peek().type == t; }
+  /// The next token's text, copied for an error message.
+  std::string PeekText() const { return std::string(Peek().text); }
 
-  bool Accept(std::string_view kw) {
+  bool Accept(Keyword kw) {
     if (Peek().IsKeyword(kw)) {
       Advance();
       return true;
@@ -89,16 +101,17 @@ class Parser {
     }
     return false;
   }
-  bool Expect(std::string_view kw) {
+  bool Expect(Keyword kw) {
     if (Accept(kw)) return true;
-    SetError(StrFormat("expected %s, found '%s'", std::string(kw).c_str(),
-                       Peek().text.c_str()));
+    SetError(StrFormat("expected %s, found '%s'",
+                       std::string(KeywordText(kw)).c_str(),
+                       PeekText().c_str()));
     return false;
   }
   bool ExpectOp(std::string_view op) {
     if (AcceptOp(op)) return true;
     SetError(StrFormat("expected '%s', found '%s'", std::string(op).c_str(),
-                       Peek().text.c_str()));
+                       PeekText().c_str()));
     return false;
   }
 
@@ -121,80 +134,80 @@ class Parser {
 
   SelectPtr ParseSelectBlock() {
     // Parenthesized select block: ( SELECT ... )
-    if (Peek().IsOperator("(") && Peek(1).IsKeyword("SELECT")) {
+    if (Peek().IsOperator("(") && Peek(1).IsKeyword(Keyword::kSelect)) {
       Advance();
       SelectPtr inner = ParseSelectBlock();
       if (!inner) return nullptr;
       if (!ExpectOp(")")) return nullptr;
       return inner;
     }
-    if (!Expect("SELECT")) return nullptr;
+    if (!Expect(Keyword::kSelect)) return nullptr;
     auto select = std::make_unique<SelectStmt>();
-    if (Accept("DISTINCT")) {
+    if (Accept(Keyword::kDistinct)) {
       select->distinct = true;
     } else {
-      Accept("ALL");
+      Accept(Keyword::kAll);
     }
     // Select list.
     do {
       SelectItem item;
       item.expr = ParseExpr();
       if (!item.expr) return nullptr;
-      if (Accept("AS")) {
+      if (Accept(Keyword::kAs)) {
         if (!Check(TokenType::kIdentifier)) {
           SetError("expected alias after AS");
           return nullptr;
         }
-        item.alias = Advance().text;
+        item.alias = std::string(Advance().text);
       } else if (Check(TokenType::kIdentifier)) {
-        item.alias = Advance().text;
+        item.alias = std::string(Advance().text);
       }
       select->items.push_back(std::move(item));
     } while (AcceptOp(","));
 
-    if (Accept("FROM")) {
+    if (Accept(Keyword::kFrom)) {
       do {
         TableRefPtr t = ParseTableRef();
         if (!t) return nullptr;
         select->from.push_back(std::move(t));
       } while (AcceptOp(","));
     }
-    if (Accept("WHERE")) {
+    if (Accept(Keyword::kWhere)) {
       select->where = ParseExpr();
       if (!select->where) return nullptr;
     }
-    if (Peek().IsKeyword("GROUP")) {
+    if (Peek().IsKeyword(Keyword::kGroup)) {
       Advance();
-      if (!Expect("BY")) return nullptr;
+      if (!Expect(Keyword::kBy)) return nullptr;
       do {
         ExprPtr g = ParseExpr();
         if (!g) return nullptr;
         select->group_by.push_back(std::move(g));
       } while (AcceptOp(","));
     }
-    if (Accept("HAVING")) {
+    if (Accept(Keyword::kHaving)) {
       select->having = ParseExpr();
       if (!select->having) return nullptr;
     }
-    if (Peek().IsKeyword("ORDER")) {
+    if (Peek().IsKeyword(Keyword::kOrder)) {
       Advance();
-      if (!Expect("BY")) return nullptr;
+      if (!Expect(Keyword::kBy)) return nullptr;
       do {
         OrderItem o;
         o.expr = ParseExpr();
         if (!o.expr) return nullptr;
-        if (Accept("DESC")) {
+        if (Accept(Keyword::kDesc)) {
           o.ascending = false;
         } else {
-          Accept("ASC");
+          Accept(Keyword::kAsc);
         }
         select->order_by.push_back(std::move(o));
       } while (AcceptOp(","));
     }
-    if (Accept("LIMIT")) {
+    if (Accept(Keyword::kLimit)) {
       select->limit = ParseExpr();
       if (!select->limit) return nullptr;
-      if (Accept("OFFSET")) {
+      if (Accept(Keyword::kOffset)) {
         select->offset = ParseExpr();
         if (!select->offset) return nullptr;
       } else if (AcceptOp(",")) {  // LIMIT offset, count (MySQL form)
@@ -214,28 +227,32 @@ class Parser {
     for (;;) {
       JoinType jt;
       bool is_join = false;
-      if (Peek().IsKeyword("JOIN")) {
+      if (Peek().IsKeyword(Keyword::kJoin)) {
         jt = JoinType::kInner;
         is_join = true;
         Advance();
-      } else if (Peek().IsKeyword("INNER") && Peek(1).IsKeyword("JOIN")) {
+      } else if (Peek().IsKeyword(Keyword::kInner) &&
+                 Peek(1).IsKeyword(Keyword::kJoin)) {
         jt = JoinType::kInner;
         is_join = true;
         Advance();
         Advance();
-      } else if (Peek().IsKeyword("CROSS") && Peek(1).IsKeyword("JOIN")) {
+      } else if (Peek().IsKeyword(Keyword::kCross) &&
+                 Peek(1).IsKeyword(Keyword::kJoin)) {
         jt = JoinType::kCross;
         is_join = true;
         Advance();
         Advance();
-      } else if (Peek().IsKeyword("LEFT") || Peek().IsKeyword("RIGHT") ||
-                 Peek().IsKeyword("FULL")) {
-        const std::string& d = Peek().text;
-        jt = d == "LEFT" ? JoinType::kLeft
-                         : (d == "RIGHT" ? JoinType::kRight : JoinType::kFull);
+      } else if (Peek().IsKeyword(Keyword::kLeft) ||
+                 Peek().IsKeyword(Keyword::kRight) ||
+                 Peek().IsKeyword(Keyword::kFull)) {
+        const Keyword d = Peek().keyword;
+        jt = d == Keyword::kLeft
+                 ? JoinType::kLeft
+                 : (d == Keyword::kRight ? JoinType::kRight : JoinType::kFull);
         std::size_t ahead = 1;
-        if (Peek(1).IsKeyword("OUTER")) ahead = 2;
-        if (!Peek(ahead).IsKeyword("JOIN")) break;
+        if (Peek(1).IsKeyword(Keyword::kOuter)) ahead = 2;
+        if (!Peek(ahead).IsKeyword(Keyword::kJoin)) break;
         is_join = true;
         for (std::size_t i = 0; i <= ahead; ++i) Advance();
       }
@@ -248,7 +265,7 @@ class Parser {
       join->join_type = jt;
       join->left = std::move(left);
       join->right = std::move(right);
-      if (Accept("ON")) {
+      if (Accept(Keyword::kOn)) {
         join->join_condition = ParseExpr();
         if (!join->join_condition) return nullptr;
       }
@@ -260,7 +277,7 @@ class Parser {
   TableRefPtr ParseTablePrimary() {
     auto t = std::make_unique<TableRef>();
     if (Peek().IsOperator("(")) {
-      if (Peek(1).IsKeyword("SELECT")) {
+      if (Peek(1).IsKeyword(Keyword::kSelect)) {
         Advance();
         t->kind = TableRefKind::kDerived;
         t->derived = ParseSelectBlock();
@@ -276,25 +293,26 @@ class Parser {
       }
     } else if (Check(TokenType::kIdentifier)) {
       t->kind = TableRefKind::kBaseTable;
-      t->table_name = Advance().text;
+      t->table_name = std::string(Advance().text);
       // Dotted schema names: schema.table
       while (Peek().IsOperator(".") && Peek(1).type == TokenType::kIdentifier) {
         Advance();
-        t->table_name += "." + Advance().text;
+        t->table_name += '.';
+        t->table_name += Advance().text;
       }
     } else {
       SetError(StrFormat("expected table reference, found '%s'",
-                         Peek().text.c_str()));
+                         PeekText().c_str()));
       return nullptr;
     }
-    if (Accept("AS")) {
+    if (Accept(Keyword::kAs)) {
       if (!Check(TokenType::kIdentifier)) {
         SetError("expected alias after AS");
         return nullptr;
       }
-      t->alias = Advance().text;
+      t->alias = std::string(Advance().text);
     } else if (Check(TokenType::kIdentifier)) {
-      t->alias = Advance().text;
+      t->alias = std::string(Advance().text);
     }
     return t;
   }
@@ -316,7 +334,7 @@ class Parser {
   ExprPtr ParseOr() {
     ExprPtr lhs = ParseAnd();
     if (!lhs) return nullptr;
-    while (Peek().IsKeyword("OR")) {
+    while (Peek().IsKeyword(Keyword::kOr)) {
       Advance();
       ExprPtr rhs = ParseAnd();
       if (!rhs) return nullptr;
@@ -328,7 +346,7 @@ class Parser {
   ExprPtr ParseAnd() {
     ExprPtr lhs = ParseNot();
     if (!lhs) return nullptr;
-    while (Peek().IsKeyword("AND")) {
+    while (Peek().IsKeyword(Keyword::kAnd)) {
       Advance();
       ExprPtr rhs = ParseNot();
       if (!rhs) return nullptr;
@@ -338,7 +356,7 @@ class Parser {
   }
 
   ExprPtr ParseNot() {
-    if (Accept("NOT")) {
+    if (Accept(Keyword::kNot)) {
       ExprPtr operand = ParseNot();
       if (!operand) return nullptr;
       return MakeUnary(UnaryOp::kNot, std::move(operand));
@@ -351,7 +369,7 @@ class Parser {
     if (!lhs) return nullptr;
 
     // Comparison operators.
-    static const std::pair<const char*, BinaryOp> kCmps[] = {
+    static constexpr std::pair<std::string_view, BinaryOp> kCmps[] = {
         {"=", BinaryOp::kEq},  {"!=", BinaryOp::kNe}, {"<=", BinaryOp::kLe},
         {">=", BinaryOp::kGe}, {"<", BinaryOp::kLt},  {">", BinaryOp::kGt},
     };
@@ -365,17 +383,19 @@ class Parser {
     }
 
     bool negated = false;
-    if (Peek().IsKeyword("NOT") &&
-        (Peek(1).IsKeyword("IN") || Peek(1).IsKeyword("BETWEEN") ||
-         Peek(1).IsKeyword("LIKE") || Peek(1).IsKeyword("GLOB") ||
-         Peek(1).IsKeyword("REGEXP"))) {
+    if (Peek().IsKeyword(Keyword::kNot) &&
+        (Peek(1).IsKeyword(Keyword::kIn) ||
+         Peek(1).IsKeyword(Keyword::kBetween) ||
+         Peek(1).IsKeyword(Keyword::kLike) ||
+         Peek(1).IsKeyword(Keyword::kGlob) ||
+         Peek(1).IsKeyword(Keyword::kRegexp))) {
       negated = true;
       Advance();
     }
 
-    if (Accept("IN")) {
+    if (Accept(Keyword::kIn)) {
       if (!ExpectOp("(")) return nullptr;
-      if (Peek().IsKeyword("SELECT")) {
+      if (Peek().IsKeyword(Keyword::kSelect)) {
         auto e = std::make_unique<Expr>(ExprKind::kInSubquery);
         e->negated = negated;
         e->children.push_back(std::move(lhs));
@@ -395,21 +415,21 @@ class Parser {
       if (!ExpectOp(")")) return nullptr;
       return e;
     }
-    if (Accept("BETWEEN")) {
+    if (Accept(Keyword::kBetween)) {
       auto e = std::make_unique<Expr>(ExprKind::kBetween);
       e->negated = negated;
       e->children.push_back(std::move(lhs));
       ExprPtr lo = ParseConcat();
       if (!lo) return nullptr;
       e->children.push_back(std::move(lo));
-      if (!Expect("AND")) return nullptr;
+      if (!Expect(Keyword::kAnd)) return nullptr;
       ExprPtr hi = ParseConcat();
       if (!hi) return nullptr;
       e->children.push_back(std::move(hi));
       return e;
     }
-    if (Peek().IsKeyword("LIKE") || Peek().IsKeyword("GLOB") ||
-        Peek().IsKeyword("REGEXP")) {
+    if (Peek().IsKeyword(Keyword::kLike) || Peek().IsKeyword(Keyword::kGlob) ||
+        Peek().IsKeyword(Keyword::kRegexp)) {
       Advance();
       auto e = std::make_unique<Expr>(ExprKind::kLike);
       e->negated = negated;
@@ -417,16 +437,16 @@ class Parser {
       ExprPtr pattern = ParseConcat();
       if (!pattern) return nullptr;
       e->children.push_back(std::move(pattern));
-      if (Accept("ESCAPE")) {
+      if (Accept(Keyword::kEscape)) {
         ExprPtr esc = ParseConcat();
         if (!esc) return nullptr;
         e->children.push_back(std::move(esc));
       }
       return e;
     }
-    if (Accept("IS")) {
-      bool is_not = Accept("NOT");
-      if (!Expect("NULL")) return nullptr;
+    if (Accept(Keyword::kIs)) {
+      bool is_not = Accept(Keyword::kNot);
+      if (!Expect(Keyword::kNull)) return nullptr;
       auto e = std::make_unique<Expr>(ExprKind::kIsNull);
       e->negated = is_not;
       e->children.push_back(std::move(lhs));
@@ -502,39 +522,39 @@ class Parser {
       case TokenType::kInteger: {
         auto e = std::make_unique<Expr>(ExprKind::kLiteral);
         e->literal_kind = LiteralKind::kInteger;
-        e->literal_text = Advance().text;
+        e->literal_text = std::string(Advance().text);
         return e;
       }
       case TokenType::kFloat: {
         auto e = std::make_unique<Expr>(ExprKind::kLiteral);
         e->literal_kind = LiteralKind::kFloat;
-        e->literal_text = Advance().text;
+        e->literal_text = std::string(Advance().text);
         return e;
       }
       case TokenType::kString: {
         auto e = std::make_unique<Expr>(ExprKind::kLiteral);
         e->literal_kind = LiteralKind::kString;
-        e->literal_text = Advance().text;
+        e->literal_text = std::string(Advance().text);
         return e;
       }
       case TokenType::kParameter:
         Advance();
         return MakeParameter();
       case TokenType::kKeyword: {
-        if (t.text == "NULL") {
+        if (t.keyword == Keyword::kNull) {
           Advance();
           return MakeNullLiteral();
         }
-        if (t.text == "TRUE" || t.text == "FALSE") {
+        if (t.keyword == Keyword::kTrue || t.keyword == Keyword::kFalse) {
           auto e = std::make_unique<Expr>(ExprKind::kLiteral);
           e->literal_kind = LiteralKind::kBool;
-          e->bool_value = (t.text == "TRUE");
-          e->literal_text = t.text;
+          e->bool_value = t.keyword == Keyword::kTrue;
+          e->literal_text = std::string(t.text);
           Advance();
           return e;
         }
-        if (t.text == "CASE") return ParseCase();
-        if (t.text == "EXISTS") {
+        if (t.keyword == Keyword::kCase) return ParseCase();
+        if (t.keyword == Keyword::kExists) {
           Advance();
           if (!ExpectOp("(")) return nullptr;
           auto e = std::make_unique<Expr>(ExprKind::kExists);
@@ -543,7 +563,7 @@ class Parser {
           if (!ExpectOp(")")) return nullptr;
           return e;
         }
-        if (t.text == "CAST") {
+        if (t.keyword == Keyword::kCast) {
           Advance();
           if (!ExpectOp("(")) return nullptr;
           auto e = std::make_unique<Expr>(ExprKind::kFunction);
@@ -551,10 +571,10 @@ class Parser {
           ExprPtr inner = ParseExpr();
           if (!inner) return nullptr;
           e->children.push_back(std::move(inner));
-          if (!Expect("AS")) return nullptr;
+          if (!Expect(Keyword::kAs)) return nullptr;
           // Type name: one identifier/keyword plus optional (n[,m]).
           if (Check(TokenType::kIdentifier) || Check(TokenType::kKeyword)) {
-            e->table = Advance().text;  // store type name in `table`
+            e->table = std::string(Advance().text);  // type name in `table`
           } else {
             SetError("expected type name in CAST");
             return nullptr;
@@ -569,13 +589,14 @@ class Parser {
           if (!ExpectOp(")")) return nullptr;
           return e;
         }
-        SetError(StrFormat("unexpected keyword '%s'", t.text.c_str()));
+        SetError(StrFormat("unexpected keyword '%s'",
+                           std::string(t.text).c_str()));
         return nullptr;
       }
       case TokenType::kOperator: {
         if (t.text == "(") {
           Advance();
-          if (Peek().IsKeyword("SELECT")) {
+          if (Peek().IsKeyword(Keyword::kSelect)) {
             auto e = std::make_unique<Expr>(ExprKind::kSubquery);
             e->subquery = ParseSelectBlock();
             if (!e->subquery) return nullptr;
@@ -591,11 +612,12 @@ class Parser {
           Advance();
           return MakeStar();
         }
-        SetError(StrFormat("unexpected token '%s'", t.text.c_str()));
+        SetError(
+            StrFormat("unexpected token '%s'", std::string(t.text).c_str()));
         return nullptr;
       }
       case TokenType::kIdentifier: {
-        std::string first = Advance().text;
+        std::string first(Advance().text);
         // Function call?
         if (Peek().IsOperator("(")) {
           return ParseFunctionCall(std::move(first));
@@ -611,10 +633,12 @@ class Parser {
           }
           if (Check(TokenType::kIdentifier) ||
               Check(TokenType::kKeyword)) {
-            std::string col = Advance().text;
+            std::string col(Advance().text);
             if (Peek().IsOperator("(")) {
               // schema-qualified function, e.g. upper(name)
-              return ParseFunctionCall(first + "." + col);
+              first += '.';
+              first += col;
+              return ParseFunctionCall(std::move(first));
             }
             return MakeColumnRef(std::move(first), std::move(col));
           }
@@ -624,25 +648,26 @@ class Parser {
         return MakeColumnRef("", std::move(first));
       }
       default:
-        SetError(StrFormat("unexpected token '%s'", t.text.c_str()));
+        SetError(
+            StrFormat("unexpected token '%s'", std::string(t.text).c_str()));
         return nullptr;
     }
   }
 
   ExprPtr ParseCase() {
     // Consume CASE.
-    Accept("CASE");
+    Accept(Keyword::kCase);
     auto e = std::make_unique<Expr>(ExprKind::kCase);
-    if (!Peek().IsKeyword("WHEN")) {
+    if (!Peek().IsKeyword(Keyword::kWhen)) {
       e->has_case_operand = true;
       ExprPtr operand = ParseExpr();
       if (!operand) return nullptr;
       e->children.push_back(std::move(operand));
     }
-    while (Accept("WHEN")) {
+    while (Accept(Keyword::kWhen)) {
       ExprPtr cond = ParseExpr();
       if (!cond) return nullptr;
-      if (!Expect("THEN")) return nullptr;
+      if (!Expect(Keyword::kThen)) return nullptr;
       ExprPtr value = ParseExpr();
       if (!value) return nullptr;
       e->children.push_back(std::move(cond));
@@ -653,13 +678,13 @@ class Parser {
       SetError("CASE requires at least one WHEN branch");
       return nullptr;
     }
-    if (Accept("ELSE")) {
+    if (Accept(Keyword::kElse)) {
       e->has_else = true;
       ExprPtr value = ParseExpr();
       if (!value) return nullptr;
       e->children.push_back(std::move(value));
     }
-    if (!Expect("END")) return nullptr;
+    if (!Expect(Keyword::kEnd)) return nullptr;
     return e;
   }
 
@@ -668,7 +693,7 @@ class Parser {
     AcceptOp("(");
     auto e = std::make_unique<Expr>(ExprKind::kFunction);
     e->column = std::move(name);
-    if (Accept("DISTINCT")) e->distinct_arg = true;
+    if (Accept(Keyword::kDistinct)) e->distinct_arg = true;
     if (!Peek().IsOperator(")")) {
       do {
         ExprPtr arg = ParseExpr();
@@ -680,7 +705,7 @@ class Parser {
     return e;
   }
 
-  std::vector<Token> tokens_;
+  TokenList list_;
   std::size_t pos_ = 0;
   std::string error_;
   std::size_t error_pos_ = 0;

@@ -37,6 +37,10 @@
 //     off 136  summary_size   u64
 //     off 144  reserved       u64      0
 //
+// A log loaded without the with-constants statistics stores
+// DatasetSummary::kNotTracked (UINT64_MAX) in the trailer's num_distinct
+// and num_features counters, as plain u64s.
+//
 // Vector i's feature ids are ids[offsets[i] .. offsets[i+1]). The header
 // itself is not checksummed, so structural fields (counts, bounds,
 // section offsets) are fully re-validated on load; the payload checksum

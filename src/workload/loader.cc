@@ -140,16 +140,15 @@ DatasetSummary LogLoader::Summary(std::string name) const {
   s.num_queries = num_queries_;
   s.num_non_select = num_non_select_;
   s.num_parse_errors = num_parse_errors_;
-  s.num_distinct = opts_.track_with_constant_stats
-                       ? distinct_with_const_.size()
-                       : templates_.size();
+  const bool tracked = opts_.track_with_constant_stats;
+  s.num_distinct = tracked ? distinct_with_const_.size()
+                           : DatasetSummary::kNotTracked;
   s.num_distinct_no_const = templates_.size();
   s.num_distinct_conjunctive = num_distinct_conjunctive_;
   s.num_distinct_rewritable = num_distinct_rewritable_;
   s.max_multiplicity = log_.MaxMultiplicity();
-  s.num_features = opts_.track_with_constant_stats
-                       ? with_const_features_.size()
-                       : log_.NumFeatures();
+  s.num_features = tracked ? with_const_features_.size()
+                           : DatasetSummary::kNotTracked;
   s.num_features_no_const = log_.NumFeatures();
   s.avg_features_per_query = log_.AvgFeaturesPerQuery();
   return s;

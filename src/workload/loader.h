@@ -26,6 +26,11 @@ namespace logr {
 
 /// Table 1 of the paper, computed over everything fed to a LogLoader.
 struct DatasetSummary {
+  /// The value of `num_distinct` and `num_features` when the loader did
+  /// not track the with-constants statistics. A .logrl stores it as the
+  /// plain u64 it is.
+  static constexpr std::uint64_t kNotTracked = UINT64_MAX;
+
   std::string name;
   std::uint64_t num_queries = 0;              // valid SELECTs
   std::uint64_t num_non_select = 0;           // stored procs / DML / DDL
@@ -57,10 +62,10 @@ struct DatasetSummary {
 /// prints have equal feature lists, and the workers skip featurizing a
 /// template an earlier batch already folded.
 ///
-/// The with-constants statistics cost one statement clone and a second
-/// regularization, print and feature listing per SELECT on the workers,
-/// then a second pooled loop with one task per hash shard that files the
-/// batch's strings; none of it runs on the serial fold.
+/// The with-constants statistics (Table 1's "# Distinct queries" and
+/// "# Distinct features") are opt-in: only a caller that reports Table 1
+/// sets Options::track_with_constant_stats. Compression reads only the
+/// log and the funnel counters, and pays none of that work.
 ///
 /// A pooled ParallelFor is not reentrant, so a LogLoader must not be
 /// driven from inside a pool task. Not thread-safe: the const readers
@@ -72,11 +77,12 @@ class LogLoader {
                                         // the *primary* (w/o const) log
     ExtractOptions extract;
     /// Also maintain the with-constants statistics (distinct queries and
-    /// features including literal values). Costs a statement clone and a
-    /// second regularization, print and feature listing per query, plus
-    /// a pooled shard fill; all of it runs on the pool, none on the
-    /// serial fold. Disable for pure compression workloads.
-    bool track_with_constant_stats = true;
+    /// features including literal values). Opt in for Table 1: it costs
+    /// a statement clone and a second regularization, print and feature
+    /// listing per SELECT, plus a pooled shard fill, all on the pool.
+    /// Left off, Summary() reports DatasetSummary::kNotTracked in
+    /// `num_distinct` and `num_features`.
+    bool track_with_constant_stats = false;
     /// Pool the batched statement work runs on; nullptr selects
     /// ThreadPool::Shared(). Never changes results, only wall-clock.
     ThreadPool* pool = nullptr;

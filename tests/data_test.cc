@@ -27,6 +27,14 @@ BankLogOptions SmallBank() {
   return o;
 }
 
+/// Loader options for the tests that read Table 1's with-constants
+/// columns, which a loader tracks only on request.
+LogLoader::Options WithConstantStats() {
+  LogLoader::Options o;
+  o.track_with_constant_stats = true;
+  return o;
+}
+
 TEST(PocketDataTest, DeterministicForSeed) {
   std::vector<LogEntry> a = GeneratePocketDataLog(SmallPocket());
   std::vector<LogEntry> b = GeneratePocketDataLog(SmallPocket());
@@ -59,7 +67,8 @@ TEST(PocketDataTest, MachineWorkloadShape) {
   // constant-free distinct counts coincide (605 = 605 in Table 1), and
   // most queries are non-conjunctive (IN lists) yet all rewritable.
   PocketDataOptions o = SmallPocket();
-  LogLoader loader = LoadEntries(GeneratePocketDataLog(o));
+  LogLoader loader =
+      LoadEntries(GeneratePocketDataLog(o), WithConstantStats());
   DatasetSummary s = loader.Summary("pocket");
   EXPECT_EQ(s.num_distinct, s.num_distinct_no_const);
   EXPECT_EQ(s.num_distinct_rewritable, s.num_distinct_no_const);
@@ -84,7 +93,7 @@ TEST(BankTest, ConstantRemovalCollapsesDistinct) {
   // constant-free distinct by a large factor (188,184 vs 1,712 in the
   // paper).
   BankLogOptions o = SmallBank();
-  LogLoader loader = LoadEntries(GenerateBankLog(o));
+  LogLoader loader = LoadEntries(GenerateBankLog(o), WithConstantStats());
   DatasetSummary s = loader.Summary("bank");
   EXPECT_GT(s.num_distinct, 2 * s.num_distinct_no_const);
   EXPECT_GT(s.num_features, s.num_features_no_const);

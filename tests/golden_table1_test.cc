@@ -29,7 +29,9 @@ LogLoader LoadGoldenFixture() {
   const std::string path = std::string(LOGR_TESTDATA_DIR) + "/golden.sql";
   std::ifstream in(path);
   EXPECT_TRUE(static_cast<bool>(in)) << "missing fixture: " << path;
-  LogLoader loader;
+  LogLoader::Options opts;
+  opts.track_with_constant_stats = true;
+  LogLoader loader(opts);
   std::string line;
   while (std::getline(in, line)) {
     if (!line.empty()) loader.AddSql(line);

@@ -85,6 +85,7 @@ SerialLoad LoadSerially(const std::vector<LogEntry>& entries,
 
 LogLoader LoadOn(ThreadPool* pool, const std::vector<LogEntry>& entries) {
   LogLoader::Options opts;
+  opts.track_with_constant_stats = true;
   opts.pool = pool;
   return LoadEntries(entries, opts);
 }
@@ -187,6 +188,7 @@ TEST(LoaderBatchTest, MidStreamReadsMatchOneUninterruptedPass) {
   const std::vector<LogEntry> entries = BoundaryLog(2 * kBatch + 100);
   ThreadPool four(4);
   LogLoader::Options opts;
+  opts.track_with_constant_stats = true;
   opts.pool = &four;
   LogLoader loader(opts);
   // Every queued line counts toward a batch, so line kBatch, the first
@@ -293,6 +295,58 @@ TEST(LoaderBatchTest, TemplateFlagsCountOncePerCanonical) {
   for (ThreadPool* pool : {&one, &four}) {
     SCOPED_TRACE("threads=" + std::to_string(pool->NumThreads()));
     ExpectSameAsSerial(LoadOn(pool, entries), oracle);
+  }
+}
+
+/// Compression reads only the log and the funnel. A loader that skips the
+/// with-constants statistics must build the same log and counters as one
+/// that tracks them, report the two columns it skipped as not tracked,
+/// and write a .logrl that opens and keeps that value.
+TEST(LoaderBatchTest, UntrackedMatchesTrackedLog) {
+  BankLogOptions gen;
+  gen.num_templates = 500;
+  gen.total_queries = 200000;
+  const std::vector<LogEntry> entries = GenerateBankLog(gen);
+  constexpr std::uint64_t kNotTracked = DatasetSummary::kNotTracked;
+  ThreadPool degenerate(0);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {&degenerate, &four}) {
+    SCOPED_TRACE("threads=" + std::to_string(pool->NumThreads()));
+    LogLoader::Options opts;
+    opts.pool = pool;
+    LogLoader untracked = LoadEntries(entries, opts);
+    opts.track_with_constant_stats = true;
+    LogLoader tracked = LoadEntries(entries, opts);
+    const DatasetSummary u = untracked.Summary("bank");
+    const DatasetSummary t = tracked.Summary("bank");
+    std::string why;
+    EXPECT_TRUE(SameQueryLog(untracked.log(), tracked.log(), &why)) << why;
+    EXPECT_EQ(u.num_queries, t.num_queries);
+    EXPECT_EQ(u.num_non_select, t.num_non_select);
+    EXPECT_EQ(u.num_parse_errors, t.num_parse_errors);
+    EXPECT_EQ(u.num_distinct_no_const, t.num_distinct_no_const);
+    EXPECT_EQ(u.num_distinct_conjunctive, t.num_distinct_conjunctive);
+    EXPECT_EQ(u.num_distinct_rewritable, t.num_distinct_rewritable);
+    EXPECT_EQ(u.max_multiplicity, t.max_multiplicity);
+    EXPECT_EQ(u.num_features_no_const, t.num_features_no_const);
+    EXPECT_EQ(u.avg_features_per_query, t.avg_features_per_query);
+    EXPECT_EQ(u.num_distinct, kNotTracked);
+    EXPECT_EQ(u.num_features, kNotTracked);
+    EXPECT_GT(t.num_distinct, t.num_distinct_no_const);
+    EXPECT_GT(t.num_features, t.num_features_no_const);
+
+    const std::string path = ::testing::TempDir() + "loader_test_untracked_" +
+                             std::to_string(::getpid()) + ".logrl";
+    std::string error;
+    ASSERT_TRUE(untracked.WriteBinary(path, "bank", &error)) << error;
+    MmapQueryLog reloaded;
+    ASSERT_TRUE(MmapQueryLog::Open(path, &reloaded, &error)) << error;
+    EXPECT_EQ(reloaded.summary().num_distinct, kNotTracked);
+    EXPECT_EQ(reloaded.summary().num_features, kNotTracked);
+    EXPECT_TRUE(SameDatasetSummary(reloaded.summary(), u, &why)) << why;
+    EXPECT_TRUE(SameQueryLog(reloaded.Materialize(), tracked.log(), &why))
+        << why;
+    std::remove(path.c_str());
   }
 }
 

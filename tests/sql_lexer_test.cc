@@ -9,19 +9,21 @@
 namespace logr::sql {
 namespace {
 
-std::vector<Token> LexOk(std::string_view s) {
-  std::vector<Token> t = Lex(s);
-  EXPECT_FALSE(t.empty());
-  EXPECT_EQ(t.back().type, TokenType::kEndOfInput) << "input: " << s;
+/// Lexes `s`, which must outlive the returned list (tokens view it).
+TokenList LexOk(std::string_view s) {
+  TokenList t = Lex(s);
+  EXPECT_FALSE(t.tokens.empty());
+  EXPECT_EQ(t.tokens.back().type, TokenType::kEndOfInput) << "input: " << s;
   return t;
 }
 
 TEST(LexerTest, KeywordsUppercasedAndRecognized) {
-  auto t = LexOk("select From WHERE");
+  const TokenList lexed = LexOk("select From WHERE");
+  const std::vector<Token>& t = lexed.tokens;
   ASSERT_EQ(t.size(), 4u);
-  EXPECT_TRUE(t[0].IsKeyword("SELECT"));
-  EXPECT_TRUE(t[1].IsKeyword("FROM"));
-  EXPECT_TRUE(t[2].IsKeyword("WHERE"));
+  EXPECT_TRUE(t[0].IsKeyword(Keyword::kSelect));
+  EXPECT_TRUE(t[1].IsKeyword(Keyword::kFrom));
+  EXPECT_TRUE(t[2].IsKeyword(Keyword::kWhere));
 }
 
 TEST(LexerTest, EveryKeywordInMixedCase) {
@@ -45,10 +47,12 @@ TEST(LexerTest, EveryKeywordInMixedCase) {
           std::tolower(static_cast<unsigned char>(mixed[i])));
     }
     for (const std::string& spelling : {kw, mixed, ToLower(kw)}) {
-      auto t = LexOk(spelling);
+      const TokenList lexed = LexOk(spelling);
+      const std::vector<Token>& t = lexed.tokens;
       ASSERT_EQ(t.size(), 2u) << spelling;
       EXPECT_EQ(t[0].type, TokenType::kKeyword) << spelling;
       EXPECT_EQ(t[0].text, kw) << spelling;
+      EXPECT_EQ(KeywordText(t[0].keyword), kw) << spelling;
     }
     EXPECT_TRUE(IsReservedKeyword(kw));
   }
@@ -60,7 +64,8 @@ TEST(LexerTest, KeywordNearMissesStayIdentifiers) {
   for (std::string_view word :
        {"selected", "from_id", "Wheres", "ORDERS", "Distinct1", "distincts",
         "ExecuteNow", "_select", "SEL", "BETWEENX", "NaturalLy"}) {
-    auto t = LexOk(word);
+    const TokenList lexed = LexOk(word);
+    const std::vector<Token>& t = lexed.tokens;
     ASSERT_EQ(t.size(), 2u) << word;
     EXPECT_EQ(t[0].type, TokenType::kIdentifier) << word;
     EXPECT_EQ(t[0].text, word);
@@ -70,14 +75,16 @@ TEST(LexerTest, KeywordNearMissesStayIdentifiers) {
 }
 
 TEST(LexerTest, IdentifiersKeepCase) {
-  auto t = LexOk("MyTable _col2");
+  const TokenList lexed = LexOk("MyTable _col2");
+  const std::vector<Token>& t = lexed.tokens;
   EXPECT_EQ(t[0].type, TokenType::kIdentifier);
   EXPECT_EQ(t[0].text, "MyTable");
   EXPECT_EQ(t[1].text, "_col2");
 }
 
 TEST(LexerTest, Numbers) {
-  auto t = LexOk("42 4.5 .5 1e9 2E-3");
+  const TokenList lexed = LexOk("42 4.5 .5 1e9 2E-3");
+  const std::vector<Token>& t = lexed.tokens;
   EXPECT_EQ(t[0].type, TokenType::kInteger);
   EXPECT_EQ(t[1].type, TokenType::kFloat);
   EXPECT_EQ(t[2].type, TokenType::kFloat);
@@ -86,13 +93,15 @@ TEST(LexerTest, Numbers) {
 }
 
 TEST(LexerTest, StringsWithEscapes) {
-  auto t = LexOk("'it''s'");
+  const TokenList lexed = LexOk("'it''s'");
+  const std::vector<Token>& t = lexed.tokens;
   EXPECT_EQ(t[0].type, TokenType::kString);
   EXPECT_EQ(t[0].text, "it's");
 }
 
 TEST(LexerTest, QuotedIdentifiers) {
-  auto t = LexOk("\"My Col\" [Another] `third`");
+  const TokenList lexed = LexOk("\"My Col\" [Another] `third`");
+  const std::vector<Token>& t = lexed.tokens;
   EXPECT_EQ(t[0].type, TokenType::kIdentifier);
   EXPECT_EQ(t[0].text, "My Col");
   EXPECT_EQ(t[1].text, "Another");
@@ -100,7 +109,8 @@ TEST(LexerTest, QuotedIdentifiers) {
 }
 
 TEST(LexerTest, ParametersNormalizedToQuestionMark) {
-  auto t = LexOk("? :name $1");
+  const TokenList lexed = LexOk("? :name $1");
+  const std::vector<Token>& t = lexed.tokens;
   EXPECT_EQ(t[0].type, TokenType::kParameter);
   EXPECT_EQ(t[1].type, TokenType::kParameter);
   EXPECT_EQ(t[1].text, "?");
@@ -108,7 +118,8 @@ TEST(LexerTest, ParametersNormalizedToQuestionMark) {
 }
 
 TEST(LexerTest, OperatorsIncludingTwoChar) {
-  auto t = LexOk("a != b <> c <= d >= e || f");
+  const TokenList lexed = LexOk("a != b <> c <= d >= e || f");
+  const std::vector<Token>& t = lexed.tokens;
   EXPECT_TRUE(t[1].IsOperator("!="));
   EXPECT_TRUE(t[3].IsOperator("!="));  // <> normalized
   EXPECT_TRUE(t[5].IsOperator("<="));
@@ -117,30 +128,106 @@ TEST(LexerTest, OperatorsIncludingTwoChar) {
 }
 
 TEST(LexerTest, CommentsSkipped) {
-  auto t = LexOk("select -- a comment\n x /* block\n comment */ y");
+  const TokenList lexed =
+      LexOk("select -- a comment\n x /* block\n comment */ y");
+  const std::vector<Token>& t = lexed.tokens;
   ASSERT_EQ(t.size(), 4u);
-  EXPECT_TRUE(t[0].IsKeyword("SELECT"));
+  EXPECT_TRUE(t[0].IsKeyword(Keyword::kSelect));
   EXPECT_EQ(t[1].text, "x");
   EXPECT_EQ(t[2].text, "y");
 }
 
 TEST(LexerTest, UnterminatedStringIsError) {
-  auto t = Lex("select 'oops");
+  const TokenList lexed = Lex("select 'oops");
+  const std::vector<Token>& t = lexed.tokens;
   EXPECT_EQ(t.back().type, TokenType::kError);
 }
 
 TEST(LexerTest, UnterminatedCommentIsError) {
-  auto t = Lex("select /* oops");
+  const TokenList lexed = Lex("select /* oops");
+  const std::vector<Token>& t = lexed.tokens;
   EXPECT_EQ(t.back().type, TokenType::kError);
 }
 
 TEST(LexerTest, UnexpectedCharacterIsError) {
-  auto t = Lex("select @bad");
+  const TokenList lexed = Lex("select @bad");
+  const std::vector<Token>& t = lexed.tokens;
   EXPECT_EQ(t.back().type, TokenType::kError);
 }
 
+TEST(LexerTest, EscapedStringOwnsItsTextAndSurvivesAMove) {
+  const std::string input = "'it''s' 'plain' '''' 'a''b''c'";
+  TokenList lexed = LexOk(input);
+  ASSERT_EQ(lexed.tokens.size(), 5u);
+  const auto in_input = [&](const Token& t) {
+    return t.text.data() >= input.data() &&
+           t.text.data() + t.text.size() <= input.data() + input.size();
+  };
+  // Only the escaped literals are copies; a plain one views the input.
+  EXPECT_FALSE(in_input(lexed.tokens[0]));
+  EXPECT_TRUE(in_input(lexed.tokens[1]));
+  EXPECT_FALSE(in_input(lexed.tokens[2]));
+  const TokenList moved = std::move(lexed);
+  const std::vector<Token>& t = moved.tokens;
+  EXPECT_EQ(t[0].type, TokenType::kString);
+  EXPECT_EQ(t[0].text, "it's");
+  EXPECT_EQ(t[0].position, 0u);
+  EXPECT_EQ(t[1].text, "plain");
+  EXPECT_EQ(t[1].position, 8u);
+  EXPECT_EQ(t[2].text, "'");
+  EXPECT_EQ(t[3].text, "a'b'c");
+  EXPECT_EQ(t[3].position, 21u);
+}
+
+TEST(LexerTest, ErrorTokenCarriesMessageAndPosition) {
+  struct Case {
+    std::string input;
+    std::size_t position;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {"select a, @b", 10, "unexpected character '@'"},
+      {"select 'it''s", 7, "unterminated string literal"},
+      {"select x /* oops", 9, "unterminated block comment"},
+      {"select [a b", 7, "unterminated quoted identifier"},
+  };
+  for (const Case& c : cases) {
+    const TokenList lexed = Lex(c.input);
+    const Token& last = lexed.tokens.back();
+    EXPECT_EQ(last.type, TokenType::kError) << c.input;
+    EXPECT_EQ(last.position, c.position) << c.input;
+    EXPECT_EQ(last.text, c.message) << c.input;
+  }
+}
+
+TEST(LexerTest, NonAsciiByteEndsAnIdentifierWithAnError) {
+  // Bytes >= 0x80 are in no character class: "café" lexes as the
+  // identifier "caf", then an error on the first byte of the UTF-8 é.
+  const std::string input = "select caf\xc3\xa9 from t";
+  const TokenList lexed = Lex(input);
+  const std::vector<Token>& t = lexed.tokens;
+  ASSERT_EQ(t.size(), 3u);
+  EXPECT_EQ(t[1].type, TokenType::kIdentifier);
+  EXPECT_EQ(t[1].text, "caf");
+  EXPECT_EQ(t[2].type, TokenType::kError);
+  EXPECT_EQ(t[2].position, 10u);
+  EXPECT_EQ(t[2].text, "unexpected character '\xc3'");
+}
+
+TEST(LexerTest, NotEqualsSpellingsReadAsBang) {
+  const TokenList lexed = LexOk("a<>b != c");
+  const std::vector<Token>& t = lexed.tokens;
+  ASSERT_EQ(t.size(), 6u);
+  EXPECT_EQ(t[1].type, TokenType::kOperator);
+  EXPECT_EQ(t[1].text, "!=");
+  EXPECT_EQ(t[1].position, 1u);
+  EXPECT_EQ(t[3].text, "!=");
+  EXPECT_EQ(t[3].position, 5u);
+}
+
 TEST(LexerTest, PositionsTracked) {
-  auto t = LexOk("select x");
+  const TokenList lexed = LexOk("select x");
+  const std::vector<Token>& t = lexed.tokens;
   EXPECT_EQ(t[0].position, 0u);
   EXPECT_EQ(t[1].position, 7u);
 }

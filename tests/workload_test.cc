@@ -185,7 +185,9 @@ TEST(QueryLogDeathTest, AddRejectsTotalOverflow) {
 }
 
 TEST(LoaderTest, AddSqlWithZeroCountRecordsNothing) {
-  LogLoader loader;
+  LogLoader::Options opts;
+  opts.track_with_constant_stats = true;
+  LogLoader loader(opts);
   loader.AddSql("SELECT a FROM t WHERE x = 5", 2);
   // A zero-count record carries no information: not a query, not a
   // distinct template, not even a funnel classification.
@@ -282,7 +284,9 @@ TEST(QueryLogTest, SubsetPreservesCounts) {
 }
 
 TEST(LoaderTest, FunnelClassifiesInputs) {
-  LogLoader loader;
+  LogLoader::Options opts;
+  opts.track_with_constant_stats = true;
+  LogLoader loader(opts);
   loader.AddSql("SELECT a FROM t WHERE x = 5", 10);
   loader.AddSql("SELECT a FROM t WHERE x = 9", 5);
   loader.AddSql("EXEC sp_thing 42", 3);
@@ -301,7 +305,9 @@ TEST(LoaderTest, FunnelClassifiesInputs) {
 }
 
 TEST(LoaderTest, FeatureCountsWithAndWithoutConstants) {
-  LogLoader loader;
+  LogLoader::Options opts;
+  opts.track_with_constant_stats = true;
+  LogLoader loader(opts);
   loader.AddSql("SELECT a FROM t WHERE x = 5");
   loader.AddSql("SELECT a FROM t WHERE x = 6");
   DatasetSummary s = loader.Summary("test");
