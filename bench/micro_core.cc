@@ -646,27 +646,13 @@ const std::vector<std::string>& DistributedShardsSingleton() {
     const QueryLog& log = Synthetic50kLogSingleton();
     const std::string dir =
         "/tmp/logr_micro_dist." + std::to_string(::getpid());
+    std::vector<ShardFile> files;
     std::string error;
-    LOGR_CHECK_MSG(EnsureDirectory(dir, &error), error.c_str());
-    LogView view(log);
-    const std::vector<std::vector<std::size_t>> parts =
-        ShardedCompressor::PartitionIndices(view, 8,
-                                            ShardPolicy::kHashDistinct);
+    LOGR_CHECK_MSG(WriteShardFiles(LogView(log), 8, ShardPolicy::kHashDistinct,
+                                   dir, "dist", &files, &error),
+                   error.c_str());
     auto* paths = new std::vector<std::string>();
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      QueryLog sublog = view.MaterializeSubset(parts[s]);
-      DatasetSummary stats;
-      stats.name = "dist-s" + std::to_string(s);
-      stats.num_queries = sublog.TotalQueries();
-      stats.num_distinct = sublog.NumDistinct();
-      stats.num_features = sublog.NumFeatures();
-      stats.max_multiplicity = sublog.MaxMultiplicity();
-      const std::string path =
-          dir + "/shard-" + std::to_string(s) + ".logrl";
-      LOGR_CHECK_MSG(BinaryLogWriter::WriteFile(path, sublog, stats, &error),
-                     error.c_str());
-      paths->push_back(path);
-    }
+    for (const ShardFile& f : files) paths->push_back(f.path);
     return paths;
   }();
   return *kPaths;

@@ -73,15 +73,17 @@
 //
 // Methods: kmeans (default), manhattan, minkowski, hamming, hierarchical,
 // adaptive, or any backend name registered in ClustererRegistry.
-#include <cerrno>
-#include <climits>
+//
+// Every subcommand parses its flags with one strict rule (util/flags.h):
+// an integer flag takes decimal digits only, within the range its error
+// names; an unknown flag, a missing or bad value, or a stray argument
+// exits 2 with the subcommand's usage line.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -95,6 +97,7 @@
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
 #include "serve/client.h"
+#include "util/flags.h"
 #include "util/subprocess.h"
 #include "workload/binary_log.h"
 #include "workload/loader.h"
@@ -104,108 +107,89 @@ namespace {
 
 using namespace logr;
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: logr_cli compress [--clusters K] [--method NAME] "
-               "[--encoder NAME] [--refine-patterns N] [--shards S] "
-               "[--shard-policy hash|range] [--out FILE] [LOG|LOG.logrl]\n"
-               "       logr_cli convert [--name NAME] [--out FILE.logrl] "
-               "[LOG]\n"
-               "       logr_cli split [--shards N] "
-               "[--shard-policy hash|range] [--out-dir DIR] [--name NAME] "
-               "[LOG|LOG.logrl]\n"
-               "       logr_cli distribute [--workers W] [--clusters K] "
-               "[--method NAME] [--spool DIR] [--retries R] "
-               "[--timeout SEC] [--no-resume] [--no-fallback] "
-               "[--out FILE] SHARD.logrl...|SHARD_DIR\n"
-               "       logr_cli merge [--clusters K] [--out FILE] "
-               "SUMMARY...\n"
-               "       logr_cli info SUMMARY\n"
-               "       logr_cli estimate SUMMARY TERM...\n"
-               "       logr_cli query [--timeout MS] [--retries N] "
-               "ENDPOINT REQUEST...\n"
-               "       logr_cli visualize SUMMARY\n"
-               "       logr_cli demo\n");
-  return 2;
-}
+/// One row of the subcommand table.
+struct Command {
+  const char* name;
+  /// The usage line after "logr_cli "; nullptr hides the row from Usage().
+  const char* usage;
+  /// The body. It opens with its flag table and positional bounds for
+  /// ParseArgs, and returns the exit code.
+  int (*run)(const Command& self, int argc, char** argv);
+};
 
-// Strict integer parse into [min_value, max_value]: rejects trailing
-// garbage ("8x"), non-numbers ("five"), which atoll would silently read
-// as 0, and out-of-range values, which strtoll would silently clamp to
-// LLONG_MAX. Int-typed flags pass INT_MAX so their static_cast<int>
-// cannot wrap.
-bool ParseCount(const char* text, long long min_value, long long max_value,
-                long long* out) {
-  char* end = nullptr;
-  errno = 0;
-  long long parsed = std::strtoll(text, &end, 10);
-  if (errno == ERANGE || end == text || *end != '\0' ||
-      parsed < min_value || parsed > max_value) {
-    return false;
+/// Parses a subcommand's argv[2..] against its flag table and positional
+/// bounds. On a usage error prints it with the row's usage line and
+/// returns false; the caller exits 2.
+bool ParseArgs(const Command& self, int argc, char** argv,
+               const std::vector<Flag>& flags, const Positionals& positional) {
+  std::string error;
+  if (ParseFlags({argv + 2, argv + argc}, flags, positional, &error)) {
+    return true;
   }
-  *out = parsed;
-  return true;
+  std::fprintf(stderr, "logr_cli %s: %s\nusage: logr_cli %s\n", self.name,
+               error.c_str(), self.usage);
+  return false;
 }
 
-/// Feeds a text log (one statement per line, optional "COUNT<TAB>"
-/// prefix; an explicit count of 0 skips the line) through `loader`.
-/// CRLF line endings read the same as LF. Sets `*lines` to the number of
-/// non-empty lines read. Returns false, after printing which line did
-/// it, when the counts summed over the log would pass UINT64_MAX.
-bool ReadTextLog(std::istream& in, LogLoader* loader, std::uint64_t* lines) {
-  std::string line;
-  std::uint64_t line_no = 0;
-  std::uint64_t total = 0;
-  *lines = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    std::uint64_t count = 1;
-    std::string_view sql_text = line;
-    std::size_t tab = line.find('\t');
-    if (tab != std::string::npos) {
-      long long parsed;
-      if (ParseCount(line.substr(0, tab).c_str(), 0, LLONG_MAX, &parsed)) {
-        count = static_cast<std::uint64_t>(parsed);
-        sql_text.remove_prefix(tab + 1);
-      }
+/// Prints a runtime error; returns its exit code.
+int Fail(const std::string& error) {
+  std::fprintf(stderr, "%s\n", error.c_str());
+  return 1;
+}
+
+/// Prints that `name` is no registered `kind`, and the names that are.
+void PrintUnknown(const char* kind, const std::string& name,
+                  const char* registered,
+                  const std::vector<std::string>& names) {
+  std::fprintf(stderr, "unknown %s %s; registered %s:\n", kind, name.c_str(),
+               registered);
+  for (const std::string& n : names) std::fprintf(stderr, "  %s\n", n.c_str());
+}
+
+/// Resolves --method into `opts`, listing the backends on failure.
+bool ResolveMethodArg(const std::string& method, LogROptions* opts) {
+  if (ParseBackendName(method, opts)) return true;
+  PrintUnknown("method", method, "backends",
+               ClustererRegistry::Instance().Names());
+  return false;
+}
+
+/// Resolves --shard-policy.
+bool ResolveShardPolicyArg(const std::string& name, ShardPolicy* policy) {
+  if (ParseShardPolicy(name, policy)) return true;
+  std::fprintf(stderr, "--shard-policy must be hash or range\n");
+  return false;
+}
+
+/// Reads the text log at `path` (stdin when empty) into `loader` and
+/// prints its funnel line. Returns 0 on success, the exit code otherwise.
+int ReadText(const std::string& path, LogLoader* loader) {
+  std::ifstream file;
+  if (!path.empty()) {
+    file.open(path);
+    if (!file) {
+      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      return 1;
     }
-    if (count > UINT64_MAX - total) {
-      std::fprintf(stderr,
-                   "line %llu: count %llu takes the log's total past %llu\n",
-                   static_cast<unsigned long long>(line_no),
-                   static_cast<unsigned long long>(count),
-                   static_cast<unsigned long long>(UINT64_MAX));
-      return false;
-    }
-    total += count;
-    loader->AddSql(sql_text, count);
-    ++*lines;
   }
-  return true;
-}
-
-void PrintFunnel(std::uint64_t lines, const DatasetSummary& stats) {
+  std::uint64_t lines = 0;
+  std::string error;
+  if (!ReadTextLog(path.empty() ? std::cin : file,
+                   [&](std::string_view sql, std::uint64_t count) {
+                     loader->AddSql(sql, count);
+                     ++lines;
+                   },
+                   &error)) {
+    return Fail(error);
+  }
+  const DatasetSummary stats = loader->Summary("cli");
   std::printf("read %llu lines: %llu SELECT queries, %llu non-SELECT, "
               "%llu unparseable\n",
               static_cast<unsigned long long>(lines),
               static_cast<unsigned long long>(stats.num_queries),
               static_cast<unsigned long long>(stats.num_non_select),
               static_cast<unsigned long long>(stats.num_parse_errors));
-}
-
-/// Resolves --encoder, printing the registered names on failure.
-const Encoder* ResolveEncoderArg(const std::string& name) {
-  const Encoder* encoder = EncoderRegistry::Instance().Find(name);
-  if (encoder == nullptr) {
-    std::fprintf(stderr, "unknown encoder %s; registered encoders:\n",
-                 name.c_str());
-    for (const std::string& n : EncoderRegistry::Instance().Names()) {
-      std::fprintf(stderr, "  %s\n", n.c_str());
-    }
-  }
-  return encoder;
+  return 0;
 }
 
 /// Loads LOG (text SQL or binary .logrl) into `log`/`binary`, binding
@@ -217,10 +201,7 @@ int LoadAnyLog(const std::string& in_path, bool announce_binary,
                QueryLog* log, MmapQueryLog* binary, LogView* view) {
   if (!in_path.empty() && IsBinaryLogFile(in_path)) {
     std::string error;
-    if (!MmapQueryLog::Open(in_path, binary, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
+    if (!MmapQueryLog::Open(in_path, binary, &error)) return Fail(error);
     if (announce_binary) {
       const DatasetSummary& stats = binary->summary();
       std::printf("loaded binary log %s (%s): %llu SELECT queries, %zu "
@@ -237,99 +218,65 @@ int LoadAnyLog(const std::string& in_path, bool announce_binary,
     *view = LogView(*binary);
     return 0;
   }
-  std::ifstream file;
-  std::istream* in = &std::cin;
-  if (!in_path.empty()) {
-    file.open(in_path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
-      return 1;
-    }
-    in = &file;
-  }
   LogLoader loader;
-  std::uint64_t lines;
-  if (!ReadTextLog(*in, &loader, &lines)) return 1;
-  PrintFunnel(lines, loader.Summary("cli"));
+  if (int rc = ReadText(in_path, &loader)) return rc;
   *log = loader.TakeLog();
   *view = LogView(*log);
   return 0;
 }
 
-int RunCompress(int argc, char** argv) {
-  std::size_t clusters = 8;
-  std::size_t refine = 0;
-  bool refine_given = false;
-  std::size_t shards = 1;
-  ShardPolicy shard_policy = ShardPolicy::kHashDistinct;
-  std::string method = "kmeans";
-  std::string encoder_name = "naive";  // LogROptions::encoder's default
-  std::string out_path = "summary.logr";
-  std::string in_path;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--clusters" && i + 1 < argc) {
-      long long parsed;
-      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
-        std::fprintf(stderr, "--clusters must be an integer >= 1\n");
-        return 2;
-      }
-      clusters = static_cast<std::size_t>(parsed);
-    } else if (arg == "--method" && i + 1 < argc) {
-      method = argv[++i];
-    } else if (arg == "--encoder" && i + 1 < argc) {
-      encoder_name = argv[++i];
-    } else if (arg == "--refine-patterns" && i + 1 < argc) {
-      long long parsed;
-      if (!ParseCount(argv[++i], 0, LLONG_MAX, &parsed)) {
-        std::fprintf(stderr, "--refine-patterns must be an integer >= 0\n");
-        return 2;
-      }
-      refine = static_cast<std::size_t>(parsed);
-      refine_given = true;
-    } else if (arg == "--shards" && i + 1 < argc) {
-      long long parsed;
-      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
-        std::fprintf(stderr, "--shards must be an integer >= 1\n");
-        return 2;
-      }
-      shards = static_cast<std::size_t>(parsed);
-    } else if (arg == "--shard-policy" && i + 1 < argc) {
-      if (!ParseShardPolicy(argv[++i], &shard_policy)) {
-        std::fprintf(stderr, "--shard-policy must be hash or range\n");
-        return 2;
-      }
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (!arg.empty() && arg[0] != '-') {
-      in_path = arg;
-    } else {
-      return Usage();
-    }
-  }
+/// The one LOG argument compress, convert and split take ("" = stdin).
+std::string OnlyPath(const std::vector<std::string>& paths) {
+  return paths.empty() ? std::string() : paths[0];
+}
 
+int RunCompress(const Command& self, int argc, char** argv) {
   LogROptions opts;
-  opts.num_clusters = clusters;
-  opts.encoder = encoder_name;
-  opts.refine_patterns = refine;
-  opts.num_shards = shards;
-  opts.shard_policy = shard_policy;
-  const Encoder* encoder = ResolveEncoderArg(opts.encoder);
-  if (encoder == nullptr) return 2;
-  if (refine_given && std::string(encoder->Name()) != "refined") {
+  opts.num_clusters = 8;
+  std::optional<std::size_t> refine;
+  std::string method = "kmeans";
+  std::string policy = "hash";
+  std::string out_path = "summary.logr";
+  std::vector<std::string> paths;
+  if (!ParseArgs(self, argc, argv,
+                 {{"--clusters", &opts.num_clusters, 1},
+                  {"--method", &method},
+                  {"--encoder", &opts.encoder},
+                  {"--refine-patterns", &refine},
+                  {"--shards", &opts.num_shards, 1},
+                  {"--shard-policy", &policy},
+                  {"--out", &out_path}},
+                 {&paths, 0, 1})) {
+    return 2;
+  }
+  opts.refine_patterns = refine.value_or(0);
+  if (!ResolveShardPolicyArg(policy, &opts.shard_policy)) return 2;
+  const Encoder* encoder = EncoderRegistry::Instance().Find(opts.encoder);
+  if (encoder == nullptr) {
+    PrintUnknown("encoder", opts.encoder, "encoders",
+                 EncoderRegistry::Instance().Names());
+    return 2;
+  }
+  if (refine && std::string(encoder->Name()) != "refined") {
     std::fprintf(stderr,
                  "--refine-patterns applies only to --encoder refined "
                  "(the encoder is %s)\n",
                  encoder->Name());
     return 2;
   }
-  if (shards > 1 && !encoder->Mergeable()) {
+  if (opts.num_shards > 1 && !encoder->Mergeable()) {
     std::fprintf(stderr,
                  "--shards requires a mergeable encoder (naive, refined); "
                  "%s summaries cannot be pooled\n",
                  encoder->Name());
     return 2;
   }
+  const bool adaptive = method == "adaptive";
+  if (adaptive && opts.num_shards > 1) {
+    std::fprintf(stderr, "--shards does not combine with adaptive yet\n");
+    return 2;
+  }
+  if (!adaptive && !ResolveMethodArg(method, &opts)) return 2;
 
   // One of `log` / `binary` backs `view`; both outlive the compression.
   // A binary log is mmap'd and compressed straight off the mapping,
@@ -337,32 +284,17 @@ int RunCompress(int argc, char** argv) {
   QueryLog log;
   MmapQueryLog binary;
   LogView view;
-  if (int rc = LoadAnyLog(in_path, /*announce_binary=*/true, &log, &binary,
-                          &view)) {
+  if (int rc = LoadAnyLog(OnlyPath(paths), /*announce_binary=*/true, &log,
+                          &binary, &view)) {
     return rc;
   }
   if (view.TotalQueries() == 0) {
     std::fprintf(stderr, "no usable queries\n");
     return 1;
   }
-  LogRSummary summary;
-  if (method == "adaptive") {
-    if (shards > 1) {
-      std::fprintf(stderr, "--shards does not combine with adaptive yet\n");
-      return 2;
-    }
-    summary = CompressAdaptive(view, clusters, opts);
-  } else {
-    if (!ParseBackendName(method, &opts)) {
-      std::fprintf(stderr, "unknown method %s; registered backends:\n",
-                   method.c_str());
-      for (const std::string& name : ClustererRegistry::Instance().Names()) {
-        std::fprintf(stderr, "  %s\n", name.c_str());
-      }
-      return 2;
-    }
-    summary = Compress(view, opts);
-  }
+  const LogRSummary summary =
+      adaptive ? CompressAdaptive(view, opts.num_clusters, opts)
+               : Compress(view, opts);
   const WorkloadModel& model = summary.Model();
   std::printf("compressed [%s]: %zu clusters, error %.4f nats, verbosity "
               "%zu (from %zu distinct templates, %zu features)\n",
@@ -380,29 +312,21 @@ int RunCompress(int argc, char** argv) {
 
   std::string error;
   if (!WriteSummaryFile(out_path, view.vocabulary(), model, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
+    return Fail(error);
   }
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }
 
-int RunConvert(int argc, char** argv) {
+int RunConvert(const Command& self, int argc, char** argv) {
   std::string out_path;
-  std::string in_path;
   std::string name = "cli";
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--name" && i + 1 < argc) {
-      name = argv[++i];
-    } else if (!arg.empty() && arg[0] != '-') {
-      in_path = arg;
-    } else {
-      return Usage();
-    }
+  std::vector<std::string> paths;
+  if (!ParseArgs(self, argc, argv, {{"--out", &out_path}, {"--name", &name}},
+                 {&paths, 0, 1})) {
+    return 2;
   }
+  const std::string in_path = OnlyPath(paths);
   if (!in_path.empty() && IsBinaryLogFile(in_path)) {
     std::fprintf(stderr, "%s is already a binary log\n", in_path.c_str());
     return 2;
@@ -411,29 +335,13 @@ int RunConvert(int argc, char** argv) {
     out_path = in_path.empty() ? "log.logrl" : in_path + ".logrl";
   }
 
-  std::ifstream file;
-  std::istream* in = &std::cin;
-  if (!in_path.empty()) {
-    file.open(in_path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
-      return 1;
-    }
-    in = &file;
-  }
   // The .logrl stores Table 1, with-constants columns included.
   LogLoader::Options opts;
   opts.track_with_constant_stats = true;
   LogLoader loader(opts);
-  std::uint64_t lines;
-  if (!ReadTextLog(*in, &loader, &lines)) return 1;
-  DatasetSummary stats = loader.Summary(name);
-  PrintFunnel(lines, stats);
+  if (int rc = ReadText(in_path, &loader)) return rc;
   std::string error;
-  if (!loader.WriteBinary(out_path, name, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
+  if (!loader.WriteBinary(out_path, name, &error)) return Fail(error);
   std::printf("wrote %s (%zu distinct templates, %zu features) — feed it "
               "back to `logr_cli compress` to skip the parse stage\n",
               out_path.c_str(), loader.log().NumDistinct(),
@@ -441,42 +349,25 @@ int RunConvert(int argc, char** argv) {
   return 0;
 }
 
-int RunMerge(int argc, char** argv) {
+int RunMerge(const Command& self, int argc, char** argv) {
   std::size_t clusters = 0;  // 0 = keep every pooled component
   std::string out_path = "merged.logr";
   std::vector<std::string> inputs;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--clusters" && i + 1 < argc) {
-      long long parsed;
-      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
-        std::fprintf(stderr, "--clusters must be an integer >= 1\n");
-        return 2;
-      }
-      clusters = static_cast<std::size_t>(parsed);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (!arg.empty() && arg[0] != '-') {
-      inputs.push_back(arg);
-    } else {
-      return Usage();
-    }
+  if (!ParseArgs(self, argc, argv,
+                 {{"--clusters", &clusters, 1}, {"--out", &out_path}},
+                 {&inputs, 1, SIZE_MAX})) {
+    return 2;
   }
-  if (inputs.empty()) return Usage();
 
   LogROptions opts;
   std::vector<PersistedSummary> parts(inputs.size());
   std::string error;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (!ReadSummaryFile(inputs[i], &parts[i], &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
+    if (!ReadSummaryFile(inputs[i], &parts[i], &error)) return Fail(error);
   }
   PersistedSummary merged;
   if (!MergeSummaries(parts, clusters, opts, &merged, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
+    return Fail(error);
   }
   const WorkloadModel& model = *merged.model;
   std::printf("merged %zu summaries: %zu clusters, %llu queries, error "
@@ -485,151 +376,85 @@ int RunMerge(int argc, char** argv) {
               static_cast<unsigned long long>(model.LogSize()),
               model.Error(), model.TotalVerbosity());
   if (!WriteSummaryFile(out_path, merged.vocabulary, model, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
+    return Fail(error);
   }
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }
 
-int RunSplit(int argc, char** argv) {
+int RunSplit(const Command& self, int argc, char** argv) {
   std::size_t shards = 4;
-  ShardPolicy shard_policy = ShardPolicy::kHashDistinct;
+  std::string policy = "hash";
   std::string out_dir = "shards";
   std::string name = "cli";
-  std::string in_path;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--shards" && i + 1 < argc) {
-      long long parsed;
-      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
-        std::fprintf(stderr, "--shards must be an integer >= 1\n");
-        return 2;
-      }
-      shards = static_cast<std::size_t>(parsed);
-    } else if (arg == "--shard-policy" && i + 1 < argc) {
-      if (!ParseShardPolicy(argv[++i], &shard_policy)) {
-        std::fprintf(stderr, "--shard-policy must be hash or range\n");
-        return 2;
-      }
-    } else if (arg == "--out-dir" && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else if (arg == "--name" && i + 1 < argc) {
-      name = argv[++i];
-    } else if (!arg.empty() && arg[0] != '-') {
-      in_path = arg;
-    } else {
-      return Usage();
-    }
+  std::vector<std::string> paths;
+  if (!ParseArgs(self, argc, argv,
+                 {{"--shards", &shards, 1},
+                  {"--shard-policy", &policy},
+                  {"--out-dir", &out_dir},
+                  {"--name", &name}},
+                 {&paths, 0, 1})) {
+    return 2;
   }
+  ShardPolicy shard_policy;
+  if (!ResolveShardPolicyArg(policy, &shard_policy)) return 2;
 
   QueryLog log;
   MmapQueryLog binary;
   LogView view;
-  if (int rc = LoadAnyLog(in_path, /*announce_binary=*/false, &log, &binary,
-                          &view)) {
+  if (int rc = LoadAnyLog(OnlyPath(paths), /*announce_binary=*/false, &log,
+                          &binary, &view)) {
     return rc;
   }
   if (view.NumDistinct() == 0) {
     std::fprintf(stderr, "no usable queries\n");
     return 1;
   }
-
-  std::string dir_error;
-  if (!EnsureDirectory(out_dir, &dir_error)) {
-    std::fprintf(stderr, "%s\n", dir_error.c_str());
-    return 1;
+  std::vector<ShardFile> files;
+  std::string error;
+  if (!WriteShardFiles(view, shards, shard_policy, out_dir, name, &files,
+                       &error)) {
+    return Fail(error);
   }
-  const std::vector<std::vector<std::size_t>> parts =
-      ShardedCompressor::PartitionIndices(view, shards, shard_policy);
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    QueryLog sublog = view.MaterializeSubset(parts[s]);
-    DatasetSummary stats;
-    char suffix[32];
-    std::snprintf(suffix, sizeof(suffix), "-s%03zu", s);
-    stats.name = name + suffix;
-    stats.num_queries = sublog.TotalQueries();
-    stats.num_distinct = sublog.NumDistinct();
-    stats.num_distinct_no_const = sublog.NumDistinct();
-    stats.max_multiplicity = sublog.MaxMultiplicity();
-    stats.num_features = sublog.NumFeatures();
-    stats.num_features_no_const = sublog.NumFeatures();
-    stats.avg_features_per_query = sublog.AvgFeaturesPerQuery();
-    char file_name[64];
-    std::snprintf(file_name, sizeof(file_name), "/shard-%03zu.logrl", s);
-    const std::string path = out_dir + file_name;
-    std::string error;
-    if (!BinaryLogWriter::WriteFile(path, sublog, stats, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%zu distinct, %llu queries)\n", path.c_str(),
-                sublog.NumDistinct(),
-                static_cast<unsigned long long>(sublog.TotalQueries()));
+  for (const ShardFile& f : files) {
+    std::printf("wrote %s (%zu distinct, %llu queries)\n", f.path.c_str(),
+                f.num_distinct,
+                static_cast<unsigned long long>(f.num_queries));
   }
   std::printf("split %zu distinct templates into %zu shards under %s — "
               "compress them with `logr_cli distribute %s`\n",
-              view.NumDistinct(), parts.size(), out_dir.c_str(),
+              view.NumDistinct(), files.size(), out_dir.c_str(),
               out_dir.c_str());
   return 0;
 }
 
-int RunDistribute(int argc, char** argv) {
+int RunDistribute(const Command& self, int argc, char** argv) {
   DistributedOptions opts;
   opts.compression.num_clusters = 8;
   opts.spool_dir = "spool";
   std::string method = "kmeans";
   std::string out_path = "distributed.logr";
+  std::uint64_t timeout_s = 0;
+  bool no_resume = false;
+  bool no_fallback = false;
   std::vector<std::string> inputs;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    long long parsed;
-    if (arg == "--workers" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
-        std::fprintf(stderr, "--workers must be an integer >= 1\n");
-        return 2;
-      }
-      opts.num_workers = static_cast<std::size_t>(parsed);
-    } else if (arg == "--clusters" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
-        std::fprintf(stderr, "--clusters must be an integer >= 1\n");
-        return 2;
-      }
-      opts.compression.num_clusters = static_cast<std::size_t>(parsed);
-    } else if (arg == "--method" && i + 1 < argc) {
-      method = argv[++i];
-    } else if (arg == "--spool" && i + 1 < argc) {
-      opts.spool_dir = argv[++i];
-    } else if (arg == "--retries" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], 0, INT_MAX, &parsed)) {
-        std::fprintf(stderr, "--retries must be an integer in [0, %d]\n",
-                     INT_MAX);
-        return Usage();
-      }
-      opts.max_retries = static_cast<int>(parsed);
-    } else if (arg == "--timeout" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], 1, LLONG_MAX, &parsed)) {
-        std::fprintf(stderr, "--timeout must be an integer >= 1 (seconds)\n");
-        return 2;
-      }
-      opts.worker_timeout_seconds = static_cast<double>(parsed);
-    } else if (arg == "--no-resume") {
-      opts.reuse_spool = false;
-    } else if (arg == "--no-fallback") {
-      opts.inprocess_fallback = false;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (!arg.empty() && arg[0] != '-') {
-      inputs.push_back(arg);
-    } else {
-      return Usage();
-    }
-  }
-  if (inputs.empty()) return Usage();
-  if (!ParseBackendName(method, &opts.compression)) {
-    std::fprintf(stderr, "unknown method %s\n", method.c_str());
+  if (!ParseArgs(self, argc, argv,
+                 {{"--workers", &opts.num_workers, 1},
+                  {"--clusters", &opts.compression.num_clusters, 1},
+                  {"--method", &method},
+                  {"--spool", &opts.spool_dir},
+                  {"--retries", &opts.max_retries},
+                  {"--timeout", &timeout_s, 1},
+                  {"--no-resume", &no_resume},
+                  {"--no-fallback", &no_fallback},
+                  {"--out", &out_path}},
+                 {&inputs, 1, SIZE_MAX})) {
     return 2;
   }
+  opts.worker_timeout_seconds = static_cast<double>(timeout_s);
+  opts.reuse_spool = !no_resume;
+  opts.inprocess_fallback = !no_fallback;
+  if (!ResolveMethodArg(method, &opts.compression)) return 2;
 
   // Positional arguments: .logrl shard files, or directories of them.
   std::vector<std::string> shard_paths;
@@ -651,15 +476,14 @@ int RunDistribute(int argc, char** argv) {
   }
 
   // Workers re-exec this binary in the hidden `worker` mode.
-  std::string self = CurrentExecutablePath();
-  if (self.empty()) self = argv[0];
-  opts.worker_command = {self};
+  std::string program = CurrentExecutablePath();
+  if (program.empty()) program = argv[0];
+  opts.worker_command = {program};
 
   DistributedResult result;
   std::string error;
   if (!CompressDistributed(shard_paths, opts, &result, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
+    return Fail(error);
   }
   for (const ShardReport& r : result.shards) {
     const char* how = r.reused ? "reused spooled summary"
@@ -680,42 +504,44 @@ int RunDistribute(int argc, char** argv) {
               model.Error());
   if (!WriteSummaryFile(out_path, result.summary.vocabulary, model,
                         &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
+    return Fail(error);
   }
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }
 
-/// Hidden subcommand: one scatter worker (spawned by `distribute`,
-/// never typed by hand — absent from Usage() on purpose).
-int RunWorker(int argc, char** argv) {
-  std::vector<std::string> args;
-  for (int i = 2; i < argc; ++i) args.push_back(argv[i]);
+/// Hidden subcommand: one scatter worker, spawned by `distribute` and
+/// never typed by hand. Its flags are the WorkerArgv wire format.
+int RunWorker(const Command&, int argc, char** argv) {
   DistributedWorkerOptions opts;
   std::string error;
-  if (!ParseWorkerArgv(args, &opts, &error)) {
+  if (!ParseWorkerArgv({argv + 2, argv + argc}, &opts, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
-  if (!RunDistributedWorker(opts, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
+  if (!RunDistributedWorker(opts, &error)) return Fail(error);
   return 0;
 }
 
-int RunInfo(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  PersistedSummary s;
+/// Parses the one SUMMARY argument of info and visualize and reads it
+/// into `s`. Returns 0 on success, the exit code otherwise.
+int ReadSummaryArg(const Command& self, int argc, char** argv,
+                   std::string* path, PersistedSummary* s) {
+  std::vector<std::string> paths;
+  if (!ParseArgs(self, argc, argv, {}, {&paths, 1, 1})) return 2;
+  *path = paths[0];
   std::string error;
-  if (!ReadSummaryFile(argv[2], &s, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
+  if (!ReadSummaryFile(*path, s, &error)) return Fail(error);
+  return 0;
+}
+
+int RunInfo(const Command& self, int argc, char** argv) {
+  std::string path;
+  PersistedSummary s;
+  if (int rc = ReadSummaryArg(self, argc, argv, &path, &s)) return rc;
   const WorkloadModel& model = *s.model;
   std::printf("summary %s [%s]: %zu features, %zu clusters, %llu queries\n",
-              argv[2], model.EncoderName(), s.vocabulary.size(),
+              path.c_str(), model.EncoderName(), s.vocabulary.size(),
               model.NumComponents(),
               static_cast<unsigned long long>(model.LogSize()));
   for (std::size_t c = 0; c < model.NumComponents(); ++c) {
@@ -727,21 +553,19 @@ int RunInfo(int argc, char** argv) {
   return 0;
 }
 
-int RunEstimate(int argc, char** argv) {
-  if (argc < 4) return Usage();
+int RunEstimate(const Command& self, int argc, char** argv) {
+  std::vector<std::string> args;
+  if (!ParseArgs(self, argc, argv, {}, {&args, 2, SIZE_MAX, true})) return 2;
   PersistedSummary s;
   std::string error;
-  if (!ReadSummaryFile(argv[2], &s, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
+  if (!ReadSummaryFile(args[0], &s, &error)) return Fail(error);
   // The canonical parser (shared with the serve protocol) accepts both
   // CLAUSE:TEXT terms and numeric feature ids, rejects malformed terms
   // loudly, and sorts + dedupes the result. Each argument may itself be
   // a comma-separated list, the same syntax the protocol accepts.
   std::vector<std::string> terms;
-  for (int i = 3; i < argc; ++i) {
-    for (std::string& t : SplitPredicateList(argv[i])) {
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    for (std::string& t : SplitPredicateList(args[i])) {
       terms.push_back(std::move(t));
     }
   }
@@ -765,42 +589,28 @@ int RunEstimate(int argc, char** argv) {
   return 0;
 }
 
-int RunQuery(int argc, char** argv) {
+int RunQuery(const Command& self, int argc, char** argv) {
   RetryOptions retry;
-  int i = 2;
-  for (; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--timeout" && i + 1 < argc) {
-      long long ms = 0;
-      if (!ParseCount(argv[++i], 0, INT_MAX, &ms)) {
-        std::fprintf(stderr, "query: bad --timeout '%s'\n", argv[i]);
-        return Usage();
-      }
-      // One deadline covers both phases: a hung connect and a hung
-      // response are the same outage to the caller.
-      retry.connect_timeout_ms = static_cast<int>(ms);
-      retry.request_timeout_ms = static_cast<int>(ms);
-    } else if (arg == "--retries" && i + 1 < argc) {
-      long long n = 0;
-      if (!ParseCount(argv[++i], 0, INT_MAX, &n)) {
-        std::fprintf(stderr, "query: bad --retries '%s'\n", argv[i]);
-        return Usage();
-      }
-      retry.max_retries = static_cast<int>(n);
-    } else {
-      break;
-    }
+  int timeout_ms = 0;
+  std::vector<std::string> args;
+  if (!ParseArgs(self, argc, argv,
+                 {{"--timeout", &timeout_ms},
+                  {"--retries", &retry.max_retries}},
+                 {&args, 2, SIZE_MAX, true})) {
+    return 2;
   }
-  if (argc - i < 2) return Usage();
-  const std::string endpoint = argv[i++];
-  // The remaining args are one request line; joining them back lets the
-  // shell split "estimate prod WHERE:status = ?" naturally.
+  // One deadline covers both phases: a hung connect and a hung response
+  // are the same outage to the caller.
+  retry.connect_timeout_ms = timeout_ms;
+  retry.request_timeout_ms = timeout_ms;
+  // The arguments after ENDPOINT are one request line; joining them back
+  // lets the shell split "estimate prod WHERE:status = ?" naturally.
   std::string request;
-  for (int first = i; i < argc; ++i) {
-    if (i > first) request += " ";
-    request += argv[i];
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    if (i > 1) request += " ";
+    request += args[i];
   }
-  const QueryOutcome outcome = QueryWithRetry(endpoint, request, retry);
+  const QueryOutcome outcome = QueryWithRetry(args[0], request, retry);
   if (!outcome.ok) {
     std::fprintf(stderr, "%s (after %d attempt%s)\n",
                  outcome.error.c_str(), outcome.attempts,
@@ -811,19 +621,16 @@ int RunQuery(int argc, char** argv) {
   return outcome.response.rfind("ok", 0) == 0 ? 0 : 1;
 }
 
-int RunVisualize(int argc, char** argv) {
-  if (argc < 3) return Usage();
+int RunVisualize(const Command& self, int argc, char** argv) {
+  std::string path;
   PersistedSummary s;
-  std::string error;
-  if (!ReadSummaryFile(argv[2], &s, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
+  if (int rc = ReadSummaryArg(self, argc, argv, &path, &s)) return rc;
   std::fputs(RenderMixture(s.vocabulary, *s.model).c_str(), stdout);
   return 0;
 }
 
-int RunDemo() {
+int RunDemo(const Command& self, int argc, char** argv) {
+  if (!ParseArgs(self, argc, argv, {}, {})) return 2;
   PocketDataOptions gen;
   gen.num_distinct = 200;
   gen.total_queries = 100000;
@@ -841,8 +648,7 @@ int RunDemo() {
   std::string error;
   if (!WriteSummaryFile("demo_summary.logr", log.vocabulary(), model,
                         &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
+    return Fail(error);
   }
   std::printf("wrote demo_summary.logr — try:\n"
               "  logr_cli info demo_summary.logr\n"
@@ -850,22 +656,50 @@ int RunDemo() {
   return 0;
 }
 
+const Command kCommands[] = {
+    {"compress",
+     "compress [--clusters K] [--method NAME] [--encoder NAME] "
+     "[--refine-patterns N] [--shards S] [--shard-policy hash|range] "
+     "[--out FILE] [LOG|LOG.logrl]",
+     RunCompress},
+    {"convert", "convert [--name NAME] [--out FILE.logrl] [LOG]", RunConvert},
+    {"split",
+     "split [--shards N] [--shard-policy hash|range] [--out-dir DIR] "
+     "[--name NAME] [LOG|LOG.logrl]",
+     RunSplit},
+    {"distribute",
+     "distribute [--workers W] [--clusters K] [--method NAME] [--spool DIR] "
+     "[--retries R] [--timeout SEC] [--no-resume] [--no-fallback] "
+     "[--out FILE] SHARD.logrl...|SHARD_DIR",
+     RunDistribute},
+    {"worker", nullptr, RunWorker},
+    {"merge", "merge [--clusters K] [--out FILE] SUMMARY...", RunMerge},
+    {"info", "info SUMMARY", RunInfo},
+    {"estimate", "estimate SUMMARY TERM...", RunEstimate},
+    {"query", "query [--timeout MS] [--retries N] ENDPOINT REQUEST...",
+     RunQuery},
+    {"visualize", "visualize SUMMARY", RunVisualize},
+    {"demo", "demo", RunDemo},
+};
+
+int Usage() {
+  const char* lead = "usage:";
+  for (const Command& command : kCommands) {
+    if (command.usage == nullptr) continue;
+    std::fprintf(stderr, "%s logr_cli %s\n", lead, command.usage);
+    lead = "      ";
+  }
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  if (std::strcmp(argv[1], "compress") == 0) return RunCompress(argc, argv);
-  if (std::strcmp(argv[1], "convert") == 0) return RunConvert(argc, argv);
-  if (std::strcmp(argv[1], "split") == 0) return RunSplit(argc, argv);
-  if (std::strcmp(argv[1], "distribute") == 0) {
-    return RunDistribute(argc, argv);
+  for (const Command& command : kCommands) {
+    if (std::strcmp(argv[1], command.name) == 0) {
+      return command.run(command, argc, argv);
+    }
   }
-  if (std::strcmp(argv[1], "worker") == 0) return RunWorker(argc, argv);
-  if (std::strcmp(argv[1], "merge") == 0) return RunMerge(argc, argv);
-  if (std::strcmp(argv[1], "info") == 0) return RunInfo(argc, argv);
-  if (std::strcmp(argv[1], "estimate") == 0) return RunEstimate(argc, argv);
-  if (std::strcmp(argv[1], "query") == 0) return RunQuery(argc, argv);
-  if (std::strcmp(argv[1], "visualize") == 0) return RunVisualize(argc, argv);
-  if (std::strcmp(argv[1], "demo") == 0) return RunDemo();
   return Usage();
 }

@@ -38,27 +38,13 @@
 
 #include "serve/server.h"
 #include "serve/summary_registry.h"
+#include "util/flags.h"
 
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
-
-/// Parses a flag value strictly: decimal digits only, at most INT_MAX.
-/// Rejects what std::atoi would quietly accept — "abc" (0), "3O000"
-/// (3) and "-1" (a wrapped, near-infinite cap).
-bool ParseFlag(const char* text, int* out) {
-  if (*text == '\0') return false;
-  long long value = 0;
-  for (const char* c = text; *c != '\0'; ++c) {
-    if (*c < '0' || *c > '9') return false;
-    value = value * 10 + (*c - '0');
-    if (value > INT_MAX) return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
 
 int Usage() {
   std::fprintf(stderr,
@@ -82,34 +68,23 @@ int Usage() {
 int main(int argc, char** argv) {
   std::string dir;
   logr::ServeOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--dir" && i + 1 < argc) {
-      dir = argv[++i];
-    } else if (arg == "--listen" && i + 1 < argc) {
-      opts.listen = argv[++i];
-    } else if (i + 1 < argc &&
-               (arg == "--rescan-ms" || arg == "--max-conns" ||
-                arg == "--idle-ms" || arg == "--drain-ms")) {
-      int value = 0;
-      if (!ParseFlag(argv[++i], &value)) {
-        std::fprintf(stderr, "%s must be an integer in [0, %d]\n",
-                     arg.c_str(), INT_MAX);
-        return Usage();
-      }
-      if (arg == "--rescan-ms") opts.rescan_interval_ms = value;
-      if (arg == "--max-conns") opts.max_connections = value;
-      if (arg == "--idle-ms") opts.idle_timeout_ms = value;
-      if (arg == "--drain-ms") opts.drain_timeout_ms = value;
-    } else {
-      return Usage();
-    }
+  std::string error;
+  if (!logr::ParseFlags(
+          {argv + 1, argv + argc},
+          {{"--dir", &dir},
+           {"--listen", &opts.listen},
+           {"--rescan-ms", &opts.rescan_interval_ms},
+           {"--max-conns", &opts.max_connections, 0, INT_MAX},
+           {"--idle-ms", &opts.idle_timeout_ms},
+           {"--drain-ms", &opts.drain_timeout_ms}},
+          {}, &error)) {
+    std::fprintf(stderr, "logr_serve: %s\n", error.c_str());
+    return Usage();
   }
   if (dir.empty()) return Usage();
 
   logr::SummaryRegistry registry(dir);
   logr::ServeDaemon daemon(&registry);
-  std::string error;
   if (!daemon.Start(opts, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;

@@ -1,11 +1,13 @@
 // Fuzz harness for the SQL text log loader (workload/loader.h).
 //
-// The input is a text log as `logr_cli compress` reads it: one statement
-// per line, CRLF or LF, with an optional all-digit "COUNT<TAB>" prefix.
-// The lines go through a LogLoader on a 2-thread pool, which parses and
-// classifies them in batches on its workers; the harness then checks the
-// funnel counters against each line parsed on its own by sql::Parse, so
-// batching can neither drop, double nor misfile a line.
+// The input is a text log, read by ReadTextLog as `logr_cli compress`
+// reads it: one statement per line, CRLF or LF, with an optional
+// all-digit "COUNT<TAB>" prefix. The lines go through a LogLoader on a
+// 2-thread pool, which parses and classifies them in batches on its
+// workers; the harness then checks the funnel counters against each line
+// parsed on its own by sql::Parse, so batching can neither drop, double
+// nor misfile a line. A log the reader refuses (a count past 64 bits, or
+// counts summing past UINT64_MAX) must name the line it stopped at.
 //
 // The low bit of the first byte (still part of the text) turns on the
 // with-constants statistics, so both the plain path and the Table-1 path
@@ -13,31 +15,14 @@
 // harness checks that exactly the tracked loaders report them.
 #include <cstddef>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <string_view>
 
 #include "sql/parser.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 #include "workload/loader.h"
-
-namespace {
-
-/// Splits an all-digit "COUNT<TAB>" prefix off `line`. Counts are capped
-/// at nine digits so a few lines cannot overflow the totals.
-std::string_view SplitCount(std::string_view line, std::uint64_t* count) {
-  *count = 1;
-  const std::size_t tab = line.find('\t');
-  if (tab == std::string_view::npos || tab == 0 || tab > 9) return line;
-  std::uint64_t value = 0;
-  for (char c : line.substr(0, tab)) {
-    if (c < '0' || c > '9') return line;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *count = value;
-  return line.substr(tab + 1);
-}
-
-}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -48,27 +33,25 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   logr::LogLoader loader(opts);
 
   std::uint64_t queries = 0, non_select = 0, parse_errors = 0;
-  std::string_view text(reinterpret_cast<const char*>(data), size);
-  while (!text.empty()) {
-    const std::size_t nl = text.find('\n');
-    std::string_view line = text.substr(0, nl);
-    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-
-    std::uint64_t count = 1;
-    const std::string_view sql = SplitCount(line, &count);
-    loader.AddSql(sql, count);
-    if (count == 0) continue;
-    const logr::sql::ParseResult parsed = logr::sql::Parse(sql);
-    if (parsed.kind == logr::sql::StatementKind::kParseError) {
-      parse_errors += count;
-    } else if (parsed.ok()) {
-      queries += count;
-    } else {
-      non_select += count;
-    }
-  }
+  std::istringstream text(
+      std::string(reinterpret_cast<const char*>(data), size));
+  std::string error;
+  const bool read = logr::ReadTextLog(
+      text,
+      [&](std::string_view sql, std::uint64_t count) {
+        loader.AddSql(sql, count);
+        if (count == 0) return;
+        const logr::sql::ParseResult parsed = logr::sql::Parse(sql);
+        if (parsed.kind == logr::sql::StatementKind::kParseError) {
+          parse_errors += count;
+        } else if (parsed.ok()) {
+          queries += count;
+        } else {
+          non_select += count;
+        }
+      },
+      &error);
+  LOGR_CHECK(read || error.rfind("line ", 0) == 0);
 
   const logr::DatasetSummary s = loader.Summary("fuzz");
   LOGR_CHECK(s.num_queries == queries);

@@ -14,6 +14,7 @@
 #include "core/logr_compressor.h"
 #include "core/sharded.h"
 #include "util/check.h"
+#include "util/flags.h"
 #include "util/stopwatch.h"
 #include "util/subprocess.h"
 #include "workload/binary_log.h"
@@ -41,11 +42,10 @@ bool Fail(std::string* error, const std::string& message) {
 void MaybeCrashForTest(std::size_t shard_index, int attempt) {
   if (attempt != 0) return;
   const char* env = std::getenv(kDistributedCrashEnv);
-  if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0') return;
-  if (v != static_cast<long>(shard_index)) return;
+  if (env == nullptr) return;
+  std::uint64_t index = 0;
+  if (!ParseUint64(env, 0, UINT64_MAX, &index)) return;
+  if (index != shard_index) return;
 #if !defined(_WIN32)
   ::raise(SIGKILL);
 #else
@@ -56,17 +56,6 @@ void MaybeCrashForTest(std::size_t shard_index, int attempt) {
 std::string Basename(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-/// Unsigned decimal parse used by the worker argv round-trip.
-bool ParseUnsigned(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == text.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -91,6 +80,45 @@ bool EnsureDirectory(const std::string& dir, std::string* error) {
 #endif
 }
 
+DatasetSummary LogStatistics(const QueryLog& log, std::string name) {
+  DatasetSummary stats;
+  stats.name = std::move(name);
+  stats.num_queries = log.TotalQueries();
+  stats.num_distinct = log.NumDistinct();
+  stats.num_distinct_no_const = log.NumDistinct();
+  stats.max_multiplicity = log.MaxMultiplicity();
+  stats.num_features = log.NumFeatures();
+  stats.num_features_no_const = log.NumFeatures();
+  stats.avg_features_per_query = log.AvgFeaturesPerQuery();
+  return stats;
+}
+
+bool WriteShardFiles(const LogView& log, std::size_t num_shards,
+                     ShardPolicy policy, const std::string& dir,
+                     const std::string& name, std::vector<ShardFile>* files,
+                     std::string* error) {
+  files->clear();
+  if (!EnsureDirectory(dir, error)) return false;
+  const std::vector<std::vector<std::size_t>> parts =
+      ShardedCompressor::PartitionIndices(log, num_shards, policy);
+  for (std::size_t s = 0; s < parts.size(); ++s) {
+    const QueryLog part = log.MaterializeSubset(parts[s]);
+    char index[32];
+    std::snprintf(index, sizeof(index), "%03zu", s);
+    ShardFile file;
+    file.path = dir + "/shard-" + index + ".logrl";
+    file.num_distinct = part.NumDistinct();
+    file.num_queries = part.TotalQueries();
+    if (!BinaryLogWriter::WriteFile(
+            file.path, part, LogStatistics(part, name + "-s" + index),
+            error)) {
+      return false;
+    }
+    files->push_back(std::move(file));
+  }
+  return true;
+}
+
 std::vector<std::string> WorkerArgv(const DistributedWorkerOptions& opts) {
   return {
       "--shard",       opts.shard_path,
@@ -107,34 +135,19 @@ std::vector<std::string> WorkerArgv(const DistributedWorkerOptions& opts) {
 bool ParseWorkerArgv(const std::vector<std::string>& args,
                      DistributedWorkerOptions* opts, std::string* error) {
   *opts = DistributedWorkerOptions();
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (i + 1 >= args.size()) {
-      return Fail(error, "worker flag " + arg + " needs a value");
-    }
-    const std::string& value = args[++i];
-    std::uint64_t parsed = 0;
-    if (arg == "--shard") {
-      opts->shard_path = value;
-    } else if (arg == "--out") {
-      opts->out_path = value;
-    } else if (arg == "--method") {
-      opts->method = value;
-    } else if (arg == "--clusters" && ParseUnsigned(value, &parsed) &&
-               parsed >= 1) {
-      opts->num_clusters = static_cast<std::size_t>(parsed);
-    } else if (arg == "--seed" && ParseUnsigned(value, &parsed)) {
-      opts->seed = parsed;
-    } else if (arg == "--n-init" && ParseUnsigned(value, &parsed) &&
-               parsed >= 1) {
-      opts->n_init = static_cast<int>(parsed);
-    } else if (arg == "--shard-index" && ParseUnsigned(value, &parsed)) {
-      opts->shard_index = static_cast<std::size_t>(parsed);
-    } else if (arg == "--attempt" && ParseUnsigned(value, &parsed)) {
-      opts->attempt = static_cast<int>(parsed);
-    } else {
-      return Fail(error, "bad worker flag or value: " + arg + " " + value);
-    }
+  const std::vector<Flag> flags = {
+      {"--shard", &opts->shard_path},
+      {"--out", &opts->out_path},
+      {"--clusters", &opts->num_clusters, 1},
+      {"--method", &opts->method},
+      {"--seed", &opts->seed},
+      {"--n-init", &opts->n_init, 1},
+      {"--shard-index", &opts->shard_index},
+      {"--attempt", &opts->attempt},
+  };
+  std::string flag_error;
+  if (!ParseFlags(args, flags, Positionals(), &flag_error)) {
+    return Fail(error, "worker argv: " + flag_error);
   }
   if (opts->shard_path.empty() || opts->out_path.empty()) {
     return Fail(error, "worker needs --shard and --out");

@@ -45,6 +45,8 @@
 
 #include "core/pipeline.h"
 #include "core/serialization.h"
+#include "workload/loader.h"
+#include "workload/log_view.h"
 
 namespace logr {
 
@@ -187,6 +189,32 @@ bool CompressDistributed(const std::vector<std::string>& shard_paths,
 /// missing parents, tolerating ones that already exist. Returns false
 /// (and fills `error`) on a filesystem refusal.
 bool EnsureDirectory(const std::string& dir, std::string* error);
+
+/// The Table-1 block of a log that never went through the SQL funnel,
+/// as a shard file's trailer carries it: queries, distinct templates
+/// and features (the constant-free values fill the with-constants
+/// columns too), max multiplicity and features per query; the funnel
+/// and conjunctive/rewritable counts stay 0.
+DatasetSummary LogStatistics(const QueryLog& log, std::string name);
+
+/// One .logrl file written by WriteShardFiles.
+struct ShardFile {
+  std::string path;
+  std::size_t num_distinct = 0;
+  std::uint64_t num_queries = 0;
+};
+
+/// Writes `log` as the shard files `distribute` scatters: its distinct
+/// templates are partitioned by ShardedCompressor::PartitionIndices (the
+/// split `compress --shards` compresses), and each non-empty part is
+/// written as `<dir>/shard-NNN.logrl` (NNN its index, three digits or
+/// more) with the trailer LogStatistics(part, "<name>-sNNN"). `dir` is
+/// created if missing. Fills `files` in shard order. Returns false (and
+/// fills `error`) on a filesystem failure.
+bool WriteShardFiles(const LogView& log, std::size_t num_shards,
+                     ShardPolicy policy, const std::string& dir,
+                     const std::string& name, std::vector<ShardFile>* files,
+                     std::string* error);
 
 }  // namespace logr
 

@@ -19,10 +19,6 @@ double BinaryEntropy(double p) {
   return -p * std::log(p) - (1.0 - p) * std::log(1.0 - p);
 }
 
-double XLogX(double x) {
-  return x > 0.0 ? x * std::log(x) : 0.0;
-}
-
 double KlDivergence(const std::vector<double>& p,
                     const std::vector<double>& q, double epsilon) {
   LOGR_CHECK(p.size() == q.size());

@@ -13,9 +13,6 @@ double Entropy(const std::vector<double>& p);
 /// Binary entropy h(p) = -p ln p - (1-p) ln (1-p), with h(0)=h(1)=0.
 double BinaryEntropy(double p);
 
-/// x * ln(x) with 0 ln 0 = 0.
-double XLogX(double x);
-
 /// Kullback-Leibler divergence KL(p || q) = sum p ln(p/q).
 ///
 /// Whenever p_i > 0 but q_i == 0 the divergence is undefined (the paper

@@ -32,11 +32,6 @@ class OmegaSampler {
   /// constraints up to the repair tolerance.
   std::vector<double> Sample(Pcg32* rng) const;
 
-  /// Non-empty classes participating in sampling.
-  const std::vector<std::uint32_t>& live_classes() const {
-    return live_classes_;
-  }
-
  private:
   const SignatureSpace* space_;
   std::vector<double> marginals_;

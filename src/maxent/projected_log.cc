@@ -80,14 +80,6 @@ double ProjectedLog::Marginal(const FeatureVec& b) const {
   return acc;
 }
 
-std::vector<double> ProjectedLog::FeatureMarginals() const {
-  std::vector<double> m(n_features_, 0.0);
-  for (std::size_t i = 0; i < vecs_.size(); ++i) {
-    for (FeatureId f : vecs_[i].ids) m[f] += probs_[i];
-  }
-  return m;
-}
-
 std::vector<FeatureId> ProjectedLog::SelectFeaturesInBand(const QueryLog& log,
                                                           double lo,
                                                           double hi) {

@@ -39,9 +39,6 @@ class ProjectedLog {
   /// Empirical marginal p(Q ⊇ b) in the projected space.
   double Marginal(const FeatureVec& b) const;
 
-  /// Per-feature marginals (the naive encoding of the projection).
-  std::vector<double> FeatureMarginals() const;
-
   /// Features with marginal in [lo, hi] — the paper's Sec. 7.1 filter.
   static std::vector<FeatureId> SelectFeaturesInBand(const QueryLog& log,
                                                      double lo, double hi);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/check.h"
 
@@ -90,15 +89,6 @@ double MaxEntModel::EntropyNats() const {
     h += st.mass * space_->LogClassSize(st.sig);
   }
   return h;
-}
-
-double MaxEntModel::LogProbabilityOf(const FeatureVec& q) const {
-  std::uint32_t s = space_->SignatureOf(q);
-  double ps = class_prob_[s];
-  if (ps <= 0.0 || space_->ClassFraction(s) <= 0.0) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  return std::log(ps) - space_->LogClassSize(s);
 }
 
 double MaxEntModel::MarginalOf(const FeatureVec& b) const {

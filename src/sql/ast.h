@@ -100,8 +100,6 @@ using ExprPtr = std::unique_ptr<Expr>;
 // Convenience constructors.
 ExprPtr MakeColumnRef(std::string table, std::string column);
 ExprPtr MakeParameter();
-ExprPtr MakeIntLiteral(long long v);
-ExprPtr MakeStringLiteral(std::string v);
 ExprPtr MakeNullLiteral();
 ExprPtr MakeBinary(BinaryOp op, ExprPtr lhs, ExprPtr rhs);
 ExprPtr MakeUnary(UnaryOp op, ExprPtr operand);

@@ -358,10 +358,6 @@ ExprPtr NormalizeBooleanExpr(ExprPtr e) {
   return NormalizeNeg(std::move(e), /*negate=*/false);
 }
 
-bool ExprEquals(const Expr& a, const Expr& b) {
-  return PrintExpr(a) == PrintExpr(b);
-}
-
 StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
                         RegularizeInfo* info) {
   return Regularize(stmt.Clone(), opts, info);

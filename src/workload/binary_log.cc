@@ -285,8 +285,7 @@ void MmapQueryLog::Reset() {
   summary_ = DatasetSummary();
 }
 
-bool MmapQueryLog::Parse(const BinaryLogReadOptions& options,
-                         std::string* error) {
+bool MmapQueryLog::Parse(std::string* error) {
   if (!HostIsLittleEndian()) {
     return Fail(error, "big-endian hosts are not supported by logr-log v1");
   }
@@ -314,12 +313,10 @@ bool MmapQueryLog::Parse(const BinaryLogReadOptions& options,
                            "over-long file");
   }
   const std::uint64_t checksum = LoadU64(base_ + kBinaryLogChecksumOffset);
-  if (options.verify_checksum) {
-    const std::uint64_t actual = BinaryLogChecksum(
-        base_ + kBinaryLogHeaderSize, size_ - kBinaryLogHeaderSize);
-    if (actual != checksum) {
-      return Fail(error, "payload checksum mismatch (file is corrupt)");
-    }
+  const std::uint64_t actual = BinaryLogChecksum(
+      base_ + kBinaryLogHeaderSize, size_ - kBinaryLogHeaderSize);
+  if (actual != checksum) {
+    return Fail(error, "payload checksum mismatch (file is corrupt)");
   }
 
   const std::uint64_t n = LoadU64(base_ + 32);
@@ -543,7 +540,7 @@ bool MmapQueryLog::Open(const std::string& path,
       out->map_size_ = size;
       out->base_ = static_cast<const char*>(map);
       out->size_ = size;
-      if (!out->Parse(options, error)) {
+      if (!out->Parse(error)) {
         out->Reset();
         return false;
       }
@@ -569,7 +566,7 @@ bool MmapQueryLog::Open(const std::string& path,
   out->owned_ = std::move(buffer);
   out->base_ = out->owned_.data();
   out->size_ = out->owned_.size();
-  if (!out->Parse(options, error)) {
+  if (!out->Parse(error)) {
     out->Reset();
     return false;
   }
@@ -583,7 +580,7 @@ bool MmapQueryLog::OpenBuffer(const void* data, std::size_t size,
   out->owned_.assign(p, p + size);
   out->base_ = out->owned_.data();
   out->size_ = out->owned_.size();
-  if (!out->Parse(BinaryLogReadOptions(), error)) {
+  if (!out->Parse(error)) {
     out->Reset();
     return false;
   }
@@ -705,18 +702,7 @@ bool ReadBinaryLog(const void* data, std::size_t size, LoadedBinaryLog* out,
   MmapQueryLog view;
   view.base_ = static_cast<const char*>(data);
   view.size_ = size;
-  if (!view.Parse(BinaryLogReadOptions(), error)) return false;
-  out->log = view.Materialize();
-  out->summary = view.summary();
-  return true;
-}
-
-bool ReadBinaryLogFile(const std::string& path, LoadedBinaryLog* out,
-                       std::string* error) {
-  BinaryLogReadOptions options;
-  options.prefer_mmap = false;  // the portable eager path
-  MmapQueryLog view;
-  if (!MmapQueryLog::Open(path, options, &view, error)) return false;
+  if (!view.Parse(error)) return false;
   out->log = view.Materialize();
   out->summary = view.summary();
   return true;

@@ -89,15 +89,14 @@ class BinaryLogWriter {
 };
 
 struct BinaryLogReadOptions {
-  /// Verify the payload checksum at open. Costs one sequential pass
-  /// over the file; disable only for trusted same-process round-trips.
-  bool verify_checksum = true;
   /// Map the file instead of reading it eagerly. Ignored (treated as
   /// false) on platforms without mmap.
   bool prefer_mmap = true;
 };
 
 struct LoadedBinaryLog;
+/// Eager read of a .logrl image into an owning QueryLog, borrowing the
+/// caller's buffer: the portable path, no mmap involved.
 bool ReadBinaryLog(const void* data, std::size_t size, LoadedBinaryLog* out,
                    std::string* error);
 
@@ -169,7 +168,7 @@ class MmapQueryLog {
                             LoadedBinaryLog* out, std::string* error);
 
   void Reset();
-  bool Parse(const BinaryLogReadOptions& options, std::string* error);
+  bool Parse(std::string* error);
 
   void* map_ = nullptr;  // mmap'd region (POSIX); null for eager opens
   std::size_t map_size_ = 0;
@@ -195,13 +194,6 @@ struct LoadedBinaryLog {
   QueryLog log;
   DatasetSummary summary;
 };
-
-/// ReadBinaryLog (declared above MmapQueryLog): eager read of a .logrl
-/// image into an owning QueryLog, borrowing the caller's buffer — the
-/// portable fallback path, no mmap involved. ReadBinaryLogFile is the
-/// file variant.
-bool ReadBinaryLogFile(const std::string& path, LoadedBinaryLog* out,
-                       std::string* error);
 
 /// True when `path` starts with the .logrl magic (used by the CLI to
 /// accept binary logs wherever text logs are accepted).

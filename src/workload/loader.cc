@@ -1,7 +1,11 @@
 #include "workload/loader.h"
 
+#include <istream>
+
 #include "sql/parser.h"
 #include "sql/printer.h"
+#include "util/flags.h"
+#include "util/string_util.h"
 #include "workload/binary_log.h"
 
 namespace logr {
@@ -152,6 +156,54 @@ DatasetSummary LogLoader::Summary(std::string name) const {
   s.num_features_no_const = log_.NumFeatures();
   s.avg_features_per_query = log_.AvgFeaturesPerQuery();
   return s;
+}
+
+bool SplitCountPrefix(std::string_view line, std::string_view* sql,
+                      std::uint64_t* count) {
+  const std::size_t tab = line.find('\t');
+  const std::string_view prefix = line.substr(0, tab);
+  if (tab == std::string_view::npos || prefix.empty() ||
+      prefix.find_first_not_of("0123456789") != std::string_view::npos) {
+    *sql = line;
+    *count = 1;
+    return true;
+  }
+  if (!ParseUint64(prefix, 0, UINT64_MAX, count)) return false;
+  *sql = line.substr(tab + 1);
+  return true;
+}
+
+bool ReadTextLog(std::istream& in,
+                 const std::function<void(std::string_view sql,
+                                          std::uint64_t count)>& add,
+                 std::string* error) {
+  std::string line;
+  std::uint64_t line_no = 0;
+  std::uint64_t total = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    std::string_view sql;
+    std::uint64_t count = 0;
+    if (!SplitCountPrefix(line, &sql, &count)) {
+      *error = StrFormat("line %llu: count %s does not fit in 64 bits",
+                         static_cast<unsigned long long>(line_no),
+                         line.substr(0, line.find('\t')).c_str());
+      return false;
+    }
+    if (count > UINT64_MAX - total) {
+      *error = StrFormat(
+          "line %llu: count %llu takes the log's total past %llu",
+          static_cast<unsigned long long>(line_no),
+          static_cast<unsigned long long>(count),
+          static_cast<unsigned long long>(UINT64_MAX));
+      return false;
+    }
+    total += count;
+    add(sql, count);
+  }
+  return true;
 }
 
 }  // namespace logr

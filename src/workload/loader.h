@@ -11,6 +11,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -185,6 +187,25 @@ class LogLoader {
   mutable std::uint64_t num_non_select_ = 0;
   mutable std::uint64_t num_parse_errors_ = 0;
 };
+
+/// Splits one line of a text log into its SQL text and count. The
+/// format is one statement per line with an optional "COUNT<TAB>"
+/// prefix: an all-digit prefix before the first tab is the count, and
+/// anything else (no tab, an empty prefix, a space or a sign in it)
+/// leaves the whole line as SQL with count 1. Returns false, with `sql`
+/// and `count` unset, when an all-digit prefix does not fit in 64 bits.
+bool SplitCountPrefix(std::string_view line, std::string_view* sql,
+                      std::uint64_t* count);
+
+/// Reads a text log from `in` and calls `add(sql, count)` for each
+/// non-empty line, in order; a count of 0 is passed on too, and
+/// LogLoader::AddSql skips it. CRLF line endings read as LF. Returns
+/// false, with `error` naming the line, when a count does not fit in 64
+/// bits or the counts summed over the log would pass UINT64_MAX.
+bool ReadTextLog(std::istream& in,
+                 const std::function<void(std::string_view sql,
+                                          std::uint64_t count)>& add,
+                 std::string* error);
 
 }  // namespace logr
 

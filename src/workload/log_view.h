@@ -98,14 +98,6 @@ class LogView {
   /// outlive the subview and every copy of it. Subviews do not nest.
   LogView Subview(const std::vector<std::size_t>& indices) const;
 
-  /// True when this view windows a subset of its backing log.
-  bool IsSubview() const { return subset_ != nullptr; }
-
-  /// The backing QueryLog, or nullptr for an mmap-backed view or a
-  /// subview (whose rows are not the backing log's). Escape hatch for
-  /// paths that genuinely need owning heap storage.
-  const QueryLog* AsQueryLog() const { return subset_ ? nullptr : log_; }
-
   /// Packs the view's vectors into a PackedVecPool straight from the
   /// id spans — no intermediate FeatureVec copies.
   PackedVecPool Pack() const;

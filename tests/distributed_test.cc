@@ -3,8 +3,9 @@
 // in-process sharded compression and the offline summary merge on the
 // paper-shaped generators, worker crash-retry (SIGKILL mid-job loses an
 // attempt, never the job), coordinator resume from a warm spool,
-// exec-mode spawn-failure fallback, and the coordinator/worker argv
-// wire format.
+// exec-mode spawn-failure fallback, the coordinator/worker argv wire
+// format, and the shard files `logr_cli split` writes.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -54,38 +55,18 @@ std::string UniqueDir(const std::string& tag) {
   return ::testing::TempDir() + "logr_dist_" + tag + "_" + pid;
 }
 
-/// Splits `log` the way `logr_cli split` does — the same
-/// PartitionIndices policy the in-process sharded path uses — and
-/// writes one .logrl per shard under a fresh directory.
+/// Writes `log` as `logr_cli split` does, under a fresh directory.
 std::vector<std::string> WriteShards(const QueryLog& log,
                                      std::size_t num_shards,
                                      const std::string& tag) {
-  const std::string dir = UniqueDir(tag);
+  std::vector<ShardFile> files;
   std::string error;
-  EXPECT_TRUE(EnsureDirectory(dir, &error)) << error;
-  LogView view(log);
-  const std::vector<std::vector<std::size_t>> parts =
-      ShardedCompressor::PartitionIndices(view, num_shards,
-                                          ShardPolicy::kHashDistinct);
+  EXPECT_TRUE(WriteShardFiles(LogView(log), num_shards,
+                              ShardPolicy::kHashDistinct, UniqueDir(tag), tag,
+                              &files, &error))
+      << error;
   std::vector<std::string> paths;
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    QueryLog sublog = view.MaterializeSubset(parts[s]);
-    DatasetSummary stats;
-    stats.name = tag + "-s" + std::to_string(s);
-    stats.num_queries = sublog.TotalQueries();
-    stats.num_distinct = sublog.NumDistinct();
-    stats.num_distinct_no_const = sublog.NumDistinct();
-    stats.max_multiplicity = sublog.MaxMultiplicity();
-    stats.num_features = sublog.NumFeatures();
-    stats.num_features_no_const = sublog.NumFeatures();
-    stats.avg_features_per_query = sublog.AvgFeaturesPerQuery();
-    char name[64];
-    std::snprintf(name, sizeof(name), "/shard-%03zu.logrl", s);
-    const std::string path = dir + name;
-    EXPECT_TRUE(BinaryLogWriter::WriteFile(path, sublog, stats, &error))
-        << error;
-    paths.push_back(path);
-  }
+  for (const ShardFile& f : files) paths.push_back(f.path);
   return paths;
 }
 
@@ -295,6 +276,68 @@ TEST(DistributedTest, WorkerArgvRoundTrips) {
   DistributedWorkerOptions bad;
   EXPECT_FALSE(ParseWorkerArgv({"--bogus", "1"}, &bad, &error));
   EXPECT_FALSE(ParseWorkerArgv({"--out", "/tmp/x"}, &bad, &error));
+}
+
+/// The int-typed worker flags are bounded at INT_MAX: 2^32 + 1 would
+/// otherwise narrow to 1 and run silently.
+TEST(DistributedTest, WorkerArgvRejectsIntOverflow) {
+  DistributedWorkerOptions opts;
+  opts.shard_path = "in.logrl";
+  opts.out_path = "out.summary";
+  opts.n_init = INT_MAX;
+  opts.attempt = INT_MAX;
+  DistributedWorkerOptions parsed;
+  std::string error;
+  ASSERT_TRUE(ParseWorkerArgv(WorkerArgv(opts), &parsed, &error)) << error;
+  EXPECT_EQ(parsed.n_init, INT_MAX);
+  EXPECT_EQ(parsed.attempt, INT_MAX);
+
+  for (const char* flag : {"--n-init", "--attempt"}) {
+    std::vector<std::string> args = WorkerArgv(opts);
+    args.push_back(flag);
+    args.push_back("4294967297");
+    error.clear();
+    EXPECT_FALSE(ParseWorkerArgv(args, &parsed, &error)) << flag;
+    EXPECT_NE(error.find(flag), std::string::npos) << error;
+    EXPECT_NE(error.find("2147483647]"), std::string::npos) << error;
+  }
+}
+
+/// Each shard file reopens by mmap as exactly its part of the split,
+/// with the part's statistics as its trailer.
+TEST(DistributedTest, ShardFilesHoldTheirParts) {
+  const QueryLog log = BankLog();
+  const LogView view(log);
+  const std::string dir = UniqueDir("shard_files") + "/nested";
+  std::vector<ShardFile> files;
+  std::string error;
+  ASSERT_TRUE(WriteShardFiles(view, 3, ShardPolicy::kContiguousRange, dir,
+                              "bank", &files, &error))
+      << error;
+  const std::vector<std::vector<std::size_t>> parts =
+      ShardedCompressor::PartitionIndices(view, 3,
+                                          ShardPolicy::kContiguousRange);
+  ASSERT_EQ(files.size(), parts.size());
+  for (std::size_t s = 0; s < files.size(); ++s) {
+    SCOPED_TRACE(files[s].path);
+    const std::string index = "00" + std::to_string(s);
+    EXPECT_EQ(files[s].path, dir + "/shard-" + index + ".logrl");
+    MmapQueryLog shard;
+    ASSERT_TRUE(MmapQueryLog::Open(files[s].path, &shard, &error)) << error;
+    const QueryLog part = view.MaterializeSubset(parts[s]);
+    std::string why;
+    EXPECT_TRUE(SameQueryLog(shard.Materialize(), part, &why)) << why;
+    EXPECT_TRUE(SameDatasetSummary(shard.summary(),
+                                   LogStatistics(part, "bank-s" + index),
+                                   &why))
+        << why;
+    EXPECT_EQ(shard.summary().num_queries, part.TotalQueries());
+    EXPECT_EQ(shard.summary().num_distinct, part.NumDistinct());
+    EXPECT_EQ(shard.summary().num_features_no_const, part.NumFeatures());
+    EXPECT_EQ(shard.summary().max_multiplicity, part.MaxMultiplicity());
+    EXPECT_EQ(files[s].num_distinct, part.NumDistinct());
+    EXPECT_EQ(files[s].num_queries, part.TotalQueries());
+  }
 }
 
 TEST(DistributedTest, ClustersPerShardMatchesShardedContract) {

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <ostream>
@@ -47,21 +46,6 @@ struct Dataset {
   /// K and restarts; each case sets the encoder.
   LogROptions opts;
 };
-
-/// The Table-1 block of a log built without the SQL funnel: the fields
-/// `logr_cli split` fills in for its shard files.
-DatasetSummary StatsOf(const QueryLog& log, const std::string& name) {
-  DatasetSummary stats;
-  stats.name = name;
-  stats.num_queries = log.TotalQueries();
-  stats.num_distinct = log.NumDistinct();
-  stats.num_distinct_no_const = log.NumDistinct();
-  stats.max_multiplicity = log.MaxMultiplicity();
-  stats.num_features = log.NumFeatures();
-  stats.num_features_no_const = log.NumFeatures();
-  stats.avg_features_per_query = log.AvgFeaturesPerQuery();
-  return stats;
-}
 
 Dataset FromLoader(LogLoader loader, const std::string& name) {
   Dataset d;
@@ -108,7 +92,7 @@ Dataset Grouped() {
       d.log.Add(FeatureVec(std::move(ids)), 1 + rng.NextBounded(30));
     }
   }
-  d.stats = StatsOf(d.log, "grouped");
+  d.stats = LogStatistics(d.log, "grouped");
   d.opts.num_clusters = 3;
   return d;
 }
@@ -304,21 +288,18 @@ class EquivalenceTest : public ::testing::TestWithParam<Case> {
     EXPECT_EQ(Bytes(merged.vocabulary, *merged.model), naive_sharded);
   }
 
-  /// Fork-mode workers over `logr_cli split`-shaped shard files gather
-  /// to the in-process S=4 bytes.
+  /// Fork-mode workers over the shard files `logr_cli split` writes
+  /// gather to the in-process S=4 bytes.
   void ExpectDistributedMatches(const std::string& sharded_bytes) const {
     if (!SubprocessSupported()) return;
-    const std::vector<QueryLog> shards = ShardLogs();
-    std::vector<std::string> paths;
+    std::vector<ShardFile> files;
     std::string error;
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      char name[64];
-      std::snprintf(name, sizeof(name), "shard-%03zu", s);
-      paths.push_back(dir_ + "/shards/" + name + ".logrl");
-      ASSERT_TRUE(BinaryLogWriter::WriteFile(paths.back(), shards[s],
-                                             StatsOf(shards[s], name), &error))
-          << error;
-    }
+    ASSERT_TRUE(WriteShardFiles(LogView(log()), kShards, opts_.shard_policy,
+                                dir_ + "/shards", Label(GetParam()), &files,
+                                &error))
+        << error;
+    std::vector<std::string> paths;
+    for (const ShardFile& f : files) paths.push_back(f.path);
     DistributedOptions dopts;
     dopts.num_workers = 2;
     dopts.compression = opts_;

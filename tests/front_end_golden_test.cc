@@ -4,8 +4,8 @@
 // printer and normalizer were rewritten for speed.
 //
 // One record per distinct line of tests/testdata/golden.sql and of every
-// file under fuzz/corpus/sql_loader/ (an all-digit "COUNT<TAB>" prefix
-// and a trailing CR are stripped, as the loader's readers do):
+// file under fuzz/corpus/sql_loader/, read by ReadTextLog as the CLI
+// reads a text log (count prefix and trailing CR stripped):
 //
 //   select <c|-><r|-> <digest>\t<constant-free print>\t<with-constants print>
 //   error <position> <digest>\t<message>
@@ -42,6 +42,7 @@
 #include "util/string_util.h"
 #include "workload/extractor.h"
 #include "workload/feature.h"
+#include "workload/loader.h"
 
 namespace logr {
 namespace {
@@ -119,17 +120,6 @@ std::string Record(std::string_view sql_text) {
                    sql::PrintStatement(*constants).c_str());
 }
 
-/// Strips a trailing CR and an all-digit "COUNT<TAB>" prefix.
-std::string_view SqlPart(std::string_view line) {
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  const std::size_t tab = line.find('\t');
-  if (tab == std::string_view::npos || tab == 0) return line;
-  for (char c : line.substr(0, tab)) {
-    if (c < '0' || c > '9') return line;
-  }
-  return line.substr(tab + 1);
-}
-
 /// The records of `lines`, or for a long list one digest line over them.
 void AppendRecords(const std::string& label,
                    const std::vector<std::string>& lines, std::string* out) {
@@ -153,12 +143,15 @@ void AppendFile(const std::string& path, const std::string& label,
   ASSERT_TRUE(static_cast<bool>(in)) << "missing fixture: " << path;
   std::vector<std::string> lines;
   std::set<std::string> seen;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string sql_text(SqlPart(line));
-    if (sql_text.empty() || !seen.insert(sql_text).second) continue;
-    lines.push_back(std::move(sql_text));
-  }
+  std::string error;
+  ASSERT_TRUE(ReadTextLog(
+      in,
+      [&](std::string_view sql_text, std::uint64_t) {
+        if (sql_text.empty() || !seen.emplace(sql_text).second) return;
+        lines.emplace_back(sql_text);
+      },
+      &error))
+      << error;
   AppendRecords(label, lines, out);
 }
 

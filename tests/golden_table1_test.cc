@@ -14,9 +14,11 @@
 //     4x count(*) FROM sessions
 //   4 non-SELECTs (UPDATE / INSERT / EXEC / DELETE)
 //   2 unparseable lines
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "gtest/gtest.h"
 #include "workload/binary_log.h"
@@ -32,10 +34,14 @@ LogLoader LoadGoldenFixture() {
   LogLoader::Options opts;
   opts.track_with_constant_stats = true;
   LogLoader loader(opts);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) loader.AddSql(line);
-  }
+  std::string error;
+  EXPECT_TRUE(ReadTextLog(
+      in,
+      [&](std::string_view sql, std::uint64_t count) {
+        loader.AddSql(sql, count);
+      },
+      &error))
+      << error;
   return loader;
 }
 

@@ -3,12 +3,15 @@
 // boundary position, and pattern of mid-stream reads.
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/bank.h"
@@ -363,6 +366,106 @@ TEST(LoaderBatchTest, EveryReaderFoldsThePendingBatch) {
       << why;
   EXPECT_EQ(WriteBinaryBytes(LoadOn(nullptr, entries), "reader"),
             OracleBytes(oracle));
+}
+
+/// One line read back by ReadTextLog.
+struct ReadLine {
+  std::string sql;
+  std::uint64_t count;
+  bool operator==(const ReadLine& o) const {
+    return sql == o.sql && count == o.count;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const ReadLine& l) {
+  return os << l.count << " x \"" << l.sql << "\"";
+}
+
+/// Reads `text` as a text log; returns false with `error` on refusal.
+bool ReadLines(const std::string& text, std::vector<ReadLine>* lines,
+               std::string* error) {
+  std::istringstream in(text);
+  lines->clear();
+  return ReadTextLog(
+      in,
+      [&](std::string_view sql, std::uint64_t count) {
+        lines->push_back({std::string(sql), count});
+      },
+      error);
+}
+
+TEST(TextLogTest, CountPrefixClasses) {
+  struct Case {
+    const char* line;
+    const char* sql;
+    std::uint64_t count;
+  };
+  const Case cases[] = {
+      {"7\tSELECT a", "SELECT a", 7},
+      {"SELECT a", "SELECT a", 1},                    // no tab
+      {" 7\tSELECT a", " 7\tSELECT a", 1},            // space
+      {"7 \tSELECT a", "7 \tSELECT a", 1},            // trailing space
+      {"+7\tSELECT a", "+7\tSELECT a", 1},            // sign
+      {"-7\tSELECT a", "-7\tSELECT a", 1},            // sign
+      {"\tSELECT a", "\tSELECT a", 1},                // tab at column 0
+      {"7x\tSELECT a", "7x\tSELECT a", 1},            // not all digits
+      {"0\tSELECT a", "SELECT a", 0},                 // explicit zero
+      {"007\tSELECT a", "SELECT a", 7},               // leading zeros
+      {"SELECT a\t3", "SELECT a\t3", 1},              // tab after SQL
+      {"4\tSELECT a\tb", "SELECT a\tb", 4},           // first tab only
+      {"18446744073709551615\tSELECT a", "SELECT a", UINT64_MAX},
+  };
+  for (const Case& c : cases) {
+    std::string_view sql;
+    std::uint64_t count = 99;
+    ASSERT_TRUE(SplitCountPrefix(c.line, &sql, &count)) << c.line;
+    EXPECT_EQ(sql, c.sql) << c.line;
+    EXPECT_EQ(count, c.count) << c.line;
+  }
+  // One past UINT64_MAX is an error, not SQL text.
+  std::string_view sql;
+  std::uint64_t count = 0;
+  EXPECT_FALSE(
+      SplitCountPrefix("18446744073709551616\tSELECT a", &sql, &count));
+}
+
+TEST(TextLogTest, ReaderSkipsEmptyLinesAndReadsCrlfAsLf) {
+  std::vector<ReadLine> lf, crlf;
+  std::string error;
+  ASSERT_TRUE(ReadLines("2\tSELECT a\n\n0\tSELECT b\nSELECT c\n", &lf,
+                        &error))
+      << error;
+  ASSERT_TRUE(ReadLines("2\tSELECT a\r\n\r\n0\tSELECT b\r\nSELECT c", &crlf,
+                        &error))
+      << error;
+  const std::vector<ReadLine> expected = {
+      {"SELECT a", 2}, {"SELECT b", 0}, {"SELECT c", 1}};
+  EXPECT_EQ(lf, expected);
+  EXPECT_EQ(crlf, expected);
+}
+
+TEST(TextLogTest, ReaderRefusesOverflowNamingTheLine) {
+  std::vector<ReadLine> lines;
+  std::string error;
+  EXPECT_FALSE(ReadLines("SELECT a\n\n18446744073709551616\tSELECT b\n",
+                         &lines, &error));
+  EXPECT_EQ(error, "line 3: count 18446744073709551616 does not fit in 64 "
+                   "bits");
+  EXPECT_EQ(lines.size(), 1u);
+
+  // Each count fits, but the total would pass UINT64_MAX.
+  EXPECT_FALSE(ReadLines("9223372036854775807\tSELECT a\n"
+                         "9223372036854775807\tSELECT a\n"
+                         "2\tSELECT a\n",
+                         &lines, &error));
+  EXPECT_EQ(error, "line 3: count 2 takes the log's total past "
+                   "18446744073709551615");
+  EXPECT_EQ(lines.size(), 2u);
+
+  // Exactly UINT64_MAX in total is fine.
+  ASSERT_TRUE(ReadLines("18446744073709551614\tSELECT a\n1\tSELECT a\n",
+                        &lines, &error))
+      << error;
 }
 
 }  // namespace

@@ -1,8 +1,14 @@
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "util/flags.h"
 #include "util/prng.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
@@ -163,6 +169,146 @@ TEST(TablePrinterTest, FormatsAlignedColumns) {
   std::string out(buf, n);
   EXPECT_NE(out.find("col_a"), std::string::npos);
   EXPECT_NE(out.find("long_value"), std::string::npos);
+}
+
+TEST(ParseUint64Test, DigitsOnly) {
+  std::uint64_t v = 99;
+  for (const char* bad : {"", " 7", "7 ", "+7", "-7", "7x", "0x10", "1e3"}) {
+    EXPECT_FALSE(ParseUint64(bad, 0, UINT64_MAX, &v)) << '"' << bad << '"';
+  }
+  EXPECT_EQ(v, 99u);  // untouched on failure
+  ASSERT_TRUE(ParseUint64("007", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, 7u);
+  ASSERT_TRUE(ParseUint64("18446744073709551615", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  // ERANGE: one past UINT64_MAX, and far past it.
+  EXPECT_FALSE(ParseUint64("18446744073709551616", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(ParseUint64("99999999999999999999999", 0, UINT64_MAX, &v));
+}
+
+TEST(ParseUint64Test, RangeEdges) {
+  std::uint64_t v = 0;
+  EXPECT_FALSE(ParseUint64("2", 3, 9, &v));   // min - 1
+  EXPECT_TRUE(ParseUint64("3", 3, 9, &v));    // min
+  EXPECT_TRUE(ParseUint64("9", 3, 9, &v));    // max
+  EXPECT_FALSE(ParseUint64("10", 3, 9, &v));  // max + 1
+}
+
+/// Runs ParseFlags over `args` with one flag of each kind.
+struct FlagFixture {
+  int count = 5;
+  std::size_t size = 0;
+  std::uint64_t seed = 0;
+  std::optional<std::size_t> given;
+  std::string name = "default";
+  bool on = false;
+  std::vector<std::string> positional;
+  std::string error;
+
+  bool Parse(const std::vector<std::string>& args, std::size_t min_pos = 0,
+             std::size_t max_pos = 1, bool verbatim_tail = false) {
+    return ParseFlags(args,
+                      {{"--count", &count, 1, 100},
+                       {"--size", &size},
+                       {"--seed", &seed},
+                       {"--given", &given},
+                       {"--name", &name},
+                       {"--on", &on}},
+                      {&positional, min_pos, max_pos, verbatim_tail}, &error);
+  }
+};
+
+TEST(FlagsTest, IntegerBoundsAndDefaults) {
+  FlagFixture f;
+  ASSERT_TRUE(f.Parse({})) << f.error;
+  EXPECT_EQ(f.count, 5);
+  EXPECT_FALSE(f.given.has_value());
+  EXPECT_FALSE(f.on);
+  EXPECT_EQ(f.name, "default");
+
+  EXPECT_FALSE(FlagFixture().Parse({"--count", "0"}));    // min - 1
+  EXPECT_TRUE(FlagFixture().Parse({"--count", "1"}));     // min
+  EXPECT_TRUE(FlagFixture().Parse({"--count", "100"}));   // max
+  EXPECT_FALSE(FlagFixture().Parse({"--count", "101"}));  // max + 1
+  for (const char* bad : {"", " 3", "+3", "-3", "3x", "18446744073709551616"}) {
+    FlagFixture g;
+    EXPECT_FALSE(g.Parse({"--count", bad})) << '"' << bad << '"';
+    EXPECT_EQ(g.count, 5);
+    EXPECT_EQ(g.error, "--count: expected an integer in [1, 100], got \"" +
+                           std::string(bad) + "\"");
+  }
+}
+
+TEST(FlagsTest, TargetTypeCapsTheRange) {
+  // An int flag stops at INT_MAX before narrowing; a u64 flag takes the
+  // full range.
+  FlagFixture f;
+  ASSERT_TRUE(f.Parse({"--given", "7", "--seed", "18446744073709551615",
+                       "--size", "18446744073709551615"}))
+      << f.error;
+  EXPECT_EQ(f.given, std::optional<std::size_t>(7));
+  EXPECT_EQ(f.seed, UINT64_MAX);
+  EXPECT_EQ(f.size, SIZE_MAX);
+
+  int wide = 0;
+  std::string error;
+  const std::vector<Flag> flags = {{"--wide", &wide}};
+  EXPECT_TRUE(ParseFlags({"--wide", "2147483647"}, flags, {}, &error));
+  EXPECT_EQ(wide, INT_MAX);
+  EXPECT_FALSE(ParseFlags({"--wide", "2147483648"}, flags, {}, &error));
+  EXPECT_FALSE(ParseFlags({"--wide", "4294967297"}, flags, {}, &error));
+  EXPECT_EQ(error,
+            "--wide: expected an integer in [0, 2147483647], got "
+            "\"4294967297\"");
+  EXPECT_EQ(wide, INT_MAX);
+}
+
+TEST(FlagsTest, MissingValueAndUnknownFlag) {
+  FlagFixture f;
+  EXPECT_FALSE(f.Parse({"--count"}));
+  EXPECT_EQ(f.error, "--count: expected an integer in [1, 100], got none");
+  EXPECT_FALSE(f.Parse({"--name"}));
+  EXPECT_EQ(f.error, "--name: expected a value, got none");
+  EXPECT_FALSE(f.Parse({"--bogus", "1"}));
+  EXPECT_EQ(f.error, "unknown flag \"--bogus\"");
+  EXPECT_FALSE(f.Parse({"-"}));
+  EXPECT_FALSE(f.Parse({""}));
+}
+
+TEST(FlagsTest, StringAndPresenceFlags) {
+  FlagFixture f;
+  // A value is taken verbatim, even when it looks like a flag.
+  ASSERT_TRUE(f.Parse({"--name", "--on", "--on", "--name", "x"})) << f.error;
+  EXPECT_EQ(f.name, "x");  // the last occurrence wins
+  EXPECT_TRUE(f.on);
+  FlagFixture g;
+  ASSERT_TRUE(g.Parse({"--name", "-1"})) << g.error;
+  EXPECT_EQ(g.name, "-1");
+}
+
+TEST(FlagsTest, PositionalCollection) {
+  FlagFixture f;
+  ASSERT_TRUE(f.Parse({"a", "--on", "b", "--count", "3"}, 0, 2)) << f.error;
+  EXPECT_EQ(f.positional, (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(f.on);
+  EXPECT_EQ(f.count, 3);
+
+  FlagFixture one;
+  EXPECT_FALSE(one.Parse({"a.sql", "b.sql"}));
+  EXPECT_EQ(one.error, "unexpected argument \"b.sql\" (at most 1)");
+  FlagFixture none;
+  EXPECT_FALSE(none.Parse({}, 1, 1));
+  EXPECT_EQ(none.error, "expected at least 1 argument, got 0");
+
+  // After the first positional of a verbatim tail, nothing is a flag.
+  FlagFixture tail;
+  ASSERT_TRUE(tail.Parse({"--on", "ep", "--count", "-1", ""}, 2, SIZE_MAX,
+                         /*verbatim_tail=*/true))
+      << tail.error;
+  EXPECT_EQ(tail.positional,
+            (std::vector<std::string>{"ep", "--count", "-1", ""}));
+  EXPECT_TRUE(tail.on);
+  EXPECT_EQ(tail.count, 5);
 }
 
 }  // namespace

@@ -191,10 +191,10 @@ def check_env_reads(path, lines, findings):
                 path, i, raw, "env-reads-confined",
                 "the library reads only LOGR_THREADS (util/thread_pool.h) "
                 "and the distributed crash hook (core/distributed.cc) from "
-                "the environment. Give an operating knob a CLI flag "
-                "(examples/logr_cli.cpp) or read it in "
-                "bench/bench_common.cc, and pass the value in through "
-                "LogROptions or an argument"))
+                "the environment. Give an operating knob a CLI flag (an "
+                "entry in its subcommand's flag table, parsed by "
+                "util/flags.h) or read it in bench/bench_common.cc, and "
+                "pass the value in through LogROptions or an argument"))
 
 
 def expected_guard(path):
