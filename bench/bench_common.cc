@@ -8,6 +8,7 @@
 #include <string>
 
 #include "workload/binary_log.h"
+#include "workload/log_view.h"
 
 namespace logr::bench {
 
@@ -74,7 +75,7 @@ QueryLog LoadViaBinarySidecar(const std::string& key, LogLoader (*make)()) {
   if (MmapQueryLog::Open(path, &cached, &error)) {
     std::fprintf(stderr, "[binlog] %s: %s sidecar %s\n", key.c_str(),
                  cached.mapped() ? "mmap'd" : "read", path.c_str());
-    return cached.Materialize();
+    return LogView(cached).Materialize();
   }
 
   LogLoader loader = make();
@@ -112,7 +113,7 @@ QueryLog LoadViaBinarySidecar(const std::string& key, LogLoader (*make)()) {
                  key.c_str(), error.c_str());
     return loader.TakeLog();
   }
-  return fresh.Materialize();
+  return LogView(fresh).Materialize();
 }
 
 }  // namespace

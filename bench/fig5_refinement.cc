@@ -22,6 +22,7 @@
 #include "summarize/mtv.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
+#include "workload/log_view.h"
 
 namespace {
 
@@ -86,7 +87,7 @@ int main() {
     for (std::size_t c = 0; c < mix.NumComponents(); ++c) {
       const MixtureComponent& comp = mix.Component(c);
       ClusterRows cr;
-      cr.sublog = log.Subset(comp.members);
+      cr.sublog = LogView(log).MaterializeSubset(comp.members);
       for (std::size_t m : comp.members) {
         cr.rows.push_back(log.Vector(m));
         cr.weights.push_back(static_cast<double>(log.Multiplicity(m)));

@@ -280,7 +280,7 @@ int RunCompress(const Command& self, int argc, char** argv) {
 
   // One of `log` / `binary` backs `view`; both outlive the compression.
   // A binary log is mmap'd and compressed straight off the mapping,
-  // skipping the SQL parse stage and any Materialize() copy.
+  // skipping the SQL parse stage and any heap copy.
   QueryLog log;
   MmapQueryLog binary;
   LogView view;
@@ -359,14 +359,13 @@ int RunMerge(const Command& self, int argc, char** argv) {
     return 2;
   }
 
-  LogROptions opts;
   std::vector<PersistedSummary> parts(inputs.size());
   std::string error;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     if (!ReadSummaryFile(inputs[i], &parts[i], &error)) return Fail(error);
   }
   PersistedSummary merged;
-  if (!MergeSummaries(parts, clusters, opts, &merged, &error)) {
+  if (!MergeSummaries(parts, clusters, /*pool=*/nullptr, &merged, &error)) {
     return Fail(error);
   }
   const WorkloadModel& model = *merged.model;

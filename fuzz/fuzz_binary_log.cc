@@ -6,7 +6,7 @@
 // security boundary: an input that passes validation must be fully
 // servable without out-of-bounds column reads. The harness drives the
 // in-memory OpenBuffer path (same Parse as mmap, no file needed) and,
-// on accepted inputs, walks the whole read API.
+// on accepted inputs, walks every column and materializes the log.
 #include <cstddef>
 #include <cstdint>
 #include <cmath>
@@ -15,6 +15,7 @@
 #include "util/check.h"
 #include "workload/binary_log.h"
 #include "workload/feature_vec.h"
+#include "workload/log_view.h"
 #include "workload/query_log.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -45,12 +46,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   logr::FeatureVec probe;
   if (log.NumFeatures() > 0) probe.ids.push_back(0);
   LOGR_CHECK(log.CountContaining(probe) <= log.TotalQueries());
-  LOGR_CHECK(std::isfinite(log.Marginal(probe)));
-  LOGR_CHECK(std::isfinite(log.EmpiricalEntropy()));
 
-  // Materialize() rebuilds a heap QueryLog through the same columns.
-  const logr::QueryLog rebuilt = log.Materialize();
+  // The view materializer rebuilds a heap QueryLog through the same
+  // columns; its statistics must be finite on any accepted input.
+  const logr::QueryLog rebuilt = logr::LogView(log).Materialize();
   LOGR_CHECK(rebuilt.NumDistinct() == n);
   LOGR_CHECK(rebuilt.TotalQueries() == log.TotalQueries());
+  LOGR_CHECK(std::isfinite(rebuilt.Marginal(probe)));
+  LOGR_CHECK(std::isfinite(rebuilt.EmpiricalEntropy()));
   return 0;
 }

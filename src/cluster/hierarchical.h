@@ -44,19 +44,14 @@ struct Dendrogram {
 /// exact active-slot list, slot a's strided column (j < a, prefetched
 /// ahead) and then its contiguous row (j > a). Lists longer than 4,096
 /// slots (64 chunks of 64) run across `pool` (nullptr = serial).
-/// Bit-identical to AgglomerativeAverageLinkageReference for every pool
+/// Bit-identical to the serial full-matrix NN-chain the tests keep as an
+/// oracle (AgglomerativeAverageLinkageReference) for every pool
 /// size: the cache is exact (deterministic index tie-breaks preserved)
 /// and all parallel stages write index-addressed slots with serial,
 /// index-ordered reductions.
 Dendrogram AgglomerativeAverageLinkage(CondensedDistances distances,
                                        const std::vector<double>& weights,
                                        ThreadPool* pool = nullptr);
-
-/// The original serial NN-chain over a full matrix (full nearest scans,
-/// no cache; expands `distances` into an N²·8-byte working copy). Kept
-/// as the bit-identity reference for tests and benches.
-Dendrogram AgglomerativeAverageLinkageReference(
-    const CondensedDistances& distances, const std::vector<double>& weights);
 
 }  // namespace logr
 

@@ -195,14 +195,6 @@ DistributedCompressor::DistributedCompressor(
     std::vector<std::string> shard_paths, DistributedOptions opts)
     : shard_paths_(std::move(shard_paths)), opts_(std::move(opts)) {}
 
-std::size_t DistributedCompressor::ClustersPerShard(std::size_t num_clusters,
-                                                    std::size_t num_shards) {
-  LogROptions effective;
-  effective.num_clusters = num_clusters;
-  effective.num_shards = num_shards;
-  return ShardedCompressor::ClustersPerShard(effective);
-}
-
 std::string DistributedCompressor::SummaryPathFor(
     const std::string& spool_dir, const std::string& shard_path) {
   std::string name = Basename(shard_path);
@@ -240,7 +232,7 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
   }
 
   const std::size_t shard_k =
-      ClustersPerShard(opts_.compression.num_clusters, n);
+      ShardedCompressor::ClustersPerShard(opts_.compression.num_clusters, n);
   const std::string method = BackendName(opts_.compression);
 
   enum class State { kPending, kRunning, kDone };
@@ -398,9 +390,8 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
   // Gather: every shard is spooled; merge + reconcile down to K. Part
   // order is shard order, but MergeSummaries orders components
   // canonically, so any order gives the same bits.
-  LogROptions merge_opts = opts_.compression;
-  if (!MergeSummaries(parts, opts_.compression.num_clusters, merge_opts,
-                      &out->summary, error)) {
+  if (!MergeSummaries(parts, opts_.compression.num_clusters,
+                      opts_.compression.pool, &out->summary, error)) {
     return false;
   }
   out->total_seconds = timer.ElapsedSeconds();

@@ -163,13 +163,6 @@ class DistributedCompressor {
   /// reconciled summary and `out->shards` the per-shard provenance.
   bool Run(DistributedResult* out, std::string* error);
 
-  /// The K each worker compresses its shard to — identical to
-  /// ShardedCompressor::ClustersPerShard over `num_shards` so the
-  /// gathered merge reproduces the in-process sharded result bit for
-  /// bit.
-  static std::size_t ClustersPerShard(std::size_t num_clusters,
-                                      std::size_t num_shards);
-
   /// Spool path for a shard: <spool_dir>/<shard basename>.summary
   /// (".logrl" stripped). Stable across runs — the resume contract.
   static std::string SummaryPathFor(const std::string& spool_dir,

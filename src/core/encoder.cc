@@ -34,6 +34,13 @@ constexpr std::size_t kMaxEncoderPatterns =
 /// component can retain more patterns than the miner ever surfaces.
 constexpr std::size_t kRefineCandidateCap = 256;
 
+/// The request's worker pool: nullptr selects ThreadPool::Shared(), as
+/// EncodeRequest documents (the lower-level FromPartition,
+/// RefineMixture and ParallelFor read nullptr as serial).
+ThreadPool* PoolFor(const EncodeRequest& req) {
+  return req.pool ? req.pool : ThreadPool::Shared();
+}
+
 /// Member index lists per component of a [0, k) assignment.
 std::vector<std::vector<std::size_t>> MembersByComponent(
     const std::vector<int>& assignment, std::size_t k) {
@@ -94,7 +101,7 @@ class NaiveEncoder : public Encoder {
       const EncodeRequest& req) const override {
     return std::make_shared<NaiveMixtureModel>(
         NaiveMixtureEncoding::FromPartition(log, assignment, req.k,
-                                            req.pool));
+                                            PoolFor(req)));
   }
 
   std::shared_ptr<const WorkloadModel> WrapMixture(
@@ -116,7 +123,8 @@ class RefinedEncoder : public Encoder {
       const EncodeRequest& req) const override {
     return WrapMixture(log,
                        NaiveMixtureEncoding::FromPartition(log, assignment,
-                                                           req.k, req.pool),
+                                                           req.k,
+                                                           PoolFor(req)),
                        req);
   }
 
@@ -125,7 +133,7 @@ class RefinedEncoder : public Encoder {
       const EncodeRequest& req) const override {
     const std::size_t budget =
         req.refine_patterns > 0 ? req.refine_patterns : kDefaultRefinePatterns;
-    return RefineMixture(log, std::move(mixture), budget, req.pool);
+    return RefineMixture(log, std::move(mixture), budget, PoolFor(req));
   }
 };
 
@@ -168,7 +176,7 @@ class PatternEncoder : public Encoder {
       fitted[c] = std::make_unique<PatternMixtureModel::Component>(
           weight, PatternEncoding(sublog, SelectPatterns(sublog, budget)));
     };
-    ParallelFor(req.pool, 0, req.k, kCoarseGrain, fit_component);
+    ParallelFor(PoolFor(req), 0, req.k, kCoarseGrain, fit_component);
     std::vector<PatternMixtureModel::Component> components;
     components.reserve(req.k);
     for (std::size_t c = 0; c < req.k; ++c) {

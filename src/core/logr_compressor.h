@@ -25,7 +25,7 @@ namespace logr {
 /// the registry-resolved encoder (opts.encoder; "naive" by default).
 /// The log is read through a LogView: pass a QueryLog or an
 /// MmapQueryLog (both convert implicitly) — an mmap'd .logrl is
-/// compressed in place, no Materialize() on the hot path, with a
+/// compressed in place, no heap copy on the hot path, with a
 /// bit-identical summary either way. When opts.num_shards > 1 the log
 /// is compressed shard-wise (one pipeline per shard, merged and
 /// reconciled back to num_clusters; see core/sharded.h — mergeable

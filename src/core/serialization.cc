@@ -516,7 +516,7 @@ bool ReadSummaryFile(const std::string& path, PersistedSummary* summary,
 }
 
 bool MergeSummaries(const std::vector<PersistedSummary>& parts,
-                    std::size_t max_components, const LogROptions& opts,
+                    std::size_t max_components, ThreadPool* pool,
                     PersistedSummary* out, std::string* error) {
   if (parts.empty()) return Fail(error, "nothing to merge");
   // Pooling operates on the naive payload, so every part's encoder must
@@ -579,7 +579,7 @@ bool MergeSummaries(const std::vector<PersistedSummary>& parts,
   NaiveMixtureEncoding merged = NaiveMixtureEncoding::Merge(ptrs);
 
   if (max_components > 0 && merged.NumComponents() > max_components) {
-    merged = merged.Reconcile(max_components, opts.pool);
+    merged = merged.Reconcile(max_components, pool);
   }
   out->encoding = std::move(merged);
   // Patterns are log-dependent and cannot be re-ranked offline, so the

@@ -54,7 +54,7 @@
 
 #include "core/encoder.h"
 #include "core/mixture.h"
-#include "core/pipeline.h"
+#include "util/thread_pool.h"
 #include "workload/query_log.h"
 
 namespace logr {
@@ -110,18 +110,19 @@ bool ReadSummaryFile(const std::string& path, PersistedSummary* summary,
 /// Merges loaded summaries (one per shard, day, or node) into one:
 /// unions the codebooks, remaps feature ids, pools the components
 /// (NaiveMixtureEncoding::Merge, exact for summaries of disjoint query
-/// populations), and — when `max_components` > 0 and the pool exceeds
-/// it — reconciles down with the clustering backend selected by `opts`
-/// (method/backend, seed, n_init). `max_components` == 0 keeps every
-/// pooled component. Returns false (and fills `error`) on an unknown
-/// backend, empty input, or a part whose encoder is not mergeable
+/// populations), and — when `max_components` > 0 and the pooled count
+/// exceeds it — reconciles down with NaiveMixtureEncoding::Reconcile
+/// (backend-free; runs across `pool`, nullptr = serial, with the same
+/// bits for any pool). `max_components` == 0 keeps every pooled
+/// component. Returns false (and fills `error`) on empty input, an
+/// unknown encoder tag, or a part whose encoder is not mergeable
 /// ("pattern" summaries cannot be pooled). Refined parts merge through
 /// their naive payload; the output is always tagged "naive" because
 /// patterns are log-dependent and cannot be re-ranked offline.
 /// Component order in the result is canonical, so the merge is
 /// independent of the order of `parts`.
 bool MergeSummaries(const std::vector<PersistedSummary>& parts,
-                    std::size_t max_components, const LogROptions& opts,
+                    std::size_t max_components, ThreadPool* pool,
                     PersistedSummary* out, std::string* error);
 
 }  // namespace logr

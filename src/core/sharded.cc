@@ -43,8 +43,9 @@ ShardedCompressor::ShardedCompressor(const LogView& log,
   LOGR_CHECK(opts.num_shards >= 1);
 }
 
-std::size_t ShardedCompressor::ClustersPerShard(const LogROptions& opts) {
-  return opts.num_shards > 1 ? 2 * opts.num_clusters : opts.num_clusters;
+std::size_t ShardedCompressor::ClustersPerShard(std::size_t num_clusters,
+                                                std::size_t num_shards) {
+  return num_shards > 1 ? 2 * num_clusters : num_clusters;
 }
 
 std::vector<std::vector<std::size_t>> ShardedCompressor::PartitionIndices(
@@ -107,9 +108,7 @@ LogRSummary ShardedCompressor::Run() {
   shard_opts.num_shards = 1;
   shard_opts.pool = SerialPool();
   shard_opts.encoder = "naive";  // shards merge through the naive family
-  LogROptions effective = opts_;
-  effective.num_shards = S;
-  shard_opts.num_clusters = ClustersPerShard(effective);
+  shard_opts.num_clusters = ClustersPerShard(opts_.num_clusters, S);
 
   // One pipeline per shard, each writing only its own slot: the schedule
   // never affects the result, so any thread count gives the same bits.

@@ -45,14 +45,15 @@ class ShardedCompressor {
   /// seconds summed across shards).
   LogRSummary Run();
 
-  /// Effective per-shard cluster count for `opts`: opts.num_clusters for
-  /// a single shard (so S = 1 reproduces the monolithic fit bit for
-  /// bit), 2× that otherwise — pooling finer pieces lets the reconcile
+  /// Effective per-shard cluster count: `num_clusters` for a single
+  /// shard (so S = 1 reproduces the monolithic fit bit for bit), 2× that
+  /// otherwise — pooling finer pieces lets the reconcile
   /// regroup across shard boundaries (the chunked cluster-then-merge
   /// recipe of Logzip / LogShrink). An offline workflow that compresses
   /// shards separately for a later merge should compress each part at
-  /// this K to match the in-process result.
-  static std::size_t ClustersPerShard(const LogROptions& opts);
+  /// this K to match the in-process result; distributed workers do.
+  static std::size_t ClustersPerShard(std::size_t num_clusters,
+                                      std::size_t num_shards);
 
   /// The distinct-index partition for `policy`: every index in
   /// [0, log.NumDistinct()) appears in exactly one shard; empty shards

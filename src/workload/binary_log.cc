@@ -619,94 +619,15 @@ std::string_view MmapQueryLog::SampleSql(std::size_t i) const {
   return std::string_view(sqls_[i].first, sqls_[i].second);
 }
 
-std::uint64_t MmapQueryLog::MaxMultiplicity() const {
-  std::uint64_t best = 0;
-  for (std::size_t i = 0; i < num_distinct_; ++i) {
-    best = std::max(best, Multiplicity(i));
-  }
-  return best;
-}
-
-double MmapQueryLog::Probability(std::size_t i) const {
-  LOGR_CHECK(total_ > 0);
-  return static_cast<double>(Multiplicity(i)) / static_cast<double>(total_);
-}
-
 std::uint64_t MmapQueryLog::CountContaining(const FeatureVec& b) const {
   std::uint64_t count = 0;
   for (std::size_t i = 0; i < num_distinct_; ++i) {
-    const FeatureId* ids = VectorIds(i);
-    const std::size_t size = VectorSize(i);
-    // Two-pointer containment over the sorted spans.
-    std::size_t j = 0;
-    for (FeatureId want : b.ids) {
-      while (j < size && ids[j] < want) ++j;
-      if (j == size || ids[j] != want) {
-        j = size + 1;  // marks "not contained"
-        break;
-      }
-    }
-    if (j <= size) count += Multiplicity(i);
+    if (ContainsAll(VectorIds(i), VectorSize(i), b)) count += Multiplicity(i);
   }
   return count;
 }
 
-double MmapQueryLog::Marginal(const FeatureVec& b) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(CountContaining(b)) /
-         static_cast<double>(total_);
-}
-
-double MmapQueryLog::EmpiricalEntropy() const {
-  if (total_ == 0) return 0.0;
-  double h = 0.0;
-  for (std::size_t i = 0; i < num_distinct_; ++i) {
-    const double p = static_cast<double>(Multiplicity(i)) /
-                     static_cast<double>(total_);
-    h -= p * std::log(p);
-  }
-  return h;
-}
-
-double MmapQueryLog::AvgFeaturesPerQuery() const {
-  if (total_ == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < num_distinct_; ++i) {
-    acc += static_cast<double>(Multiplicity(i)) *
-           static_cast<double>(VectorSize(i));
-  }
-  return acc / static_cast<double>(total_);
-}
-
-QueryLog MmapQueryLog::Materialize() const {
-  std::vector<FeatureVec> vectors(num_distinct_);
-  std::vector<std::uint64_t> counts(num_distinct_);
-  std::vector<std::string> sqls(num_distinct_);
-  for (std::size_t i = 0; i < num_distinct_; ++i) {
-    vectors[i] = VectorAt(i);
-    counts[i] = Multiplicity(i);
-    if (!sqls_.empty()) {
-      sqls[i].assign(sqls_[i].first, sqls_[i].second);
-    }
-  }
-  return QueryLog::FromColumns(vocab_, std::move(vectors), std::move(counts),
-                               std::move(sqls));
-}
-
 // ------------------------------------------------------------ free helpers
-
-bool ReadBinaryLog(const void* data, std::size_t size, LoadedBinaryLog* out,
-                   std::string* error) {
-  // Borrow the caller's buffer directly (it outlives this call), so the
-  // eager load path skips a full-image copy.
-  MmapQueryLog view;
-  view.base_ = static_cast<const char*>(data);
-  view.size_ = size;
-  if (!view.Parse(error)) return false;
-  out->log = view.Materialize();
-  out->summary = view.summary();
-  return true;
-}
 
 bool IsBinaryLogFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

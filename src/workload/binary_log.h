@@ -94,17 +94,13 @@ struct BinaryLogReadOptions {
   bool prefer_mmap = true;
 };
 
-struct LoadedBinaryLog;
-/// Eager read of a .logrl image into an owning QueryLog, borrowing the
-/// caller's buffer: the portable path, no mmap involved.
-bool ReadBinaryLog(const void* data, std::size_t size, LoadedBinaryLog* out,
-                   std::string* error);
-
 /// Read-only query log served straight from a mapped (or, as a
-/// fallback, eagerly read) .logrl file. Exposes the QueryLog statistics
-/// the analytics paths need without materializing per-vector heap
-/// storage; `Materialize()` builds a full QueryLog for the compression
-/// pipeline, skipping the SQL parse stage entirely.
+/// fallback, eagerly read) .logrl file. It serves columns only — id
+/// spans, multiplicities, sample SQL, vocabulary — which LogView wraps
+/// so the compression pipeline runs on them without a heap copy and
+/// without touching SQL. Statistics live on QueryLog: an owning copy is
+/// `LogView(log).Materialize()`. An in-memory image opens through
+/// OpenBuffer.
 class MmapQueryLog {
  public:
   MmapQueryLog() = default;
@@ -124,7 +120,7 @@ class MmapQueryLog {
                    std::string* error);
 
   /// Validates an in-memory image (copied; no file involved). The
-  /// corruption tests drive this directly.
+  /// corruption tests and the fuzz harness drive this directly.
   static bool OpenBuffer(const void* data, std::size_t size,
                          MmapQueryLog* out, std::string* error);
 
@@ -132,7 +128,7 @@ class MmapQueryLog {
   /// the eager-read fallback (or a buffer open).
   bool mapped() const { return map_ != nullptr; }
 
-  // --- QueryLog-shaped read API, served from the mapped columns ---
+  // --- column read API, served from the mapped columns ---
   std::size_t NumDistinct() const { return num_distinct_; }
   std::uint64_t TotalQueries() const { return total_; }
   std::size_t NumFeatures() const { return num_features_; }
@@ -145,28 +141,18 @@ class MmapQueryLog {
   FeatureVec VectorAt(std::size_t i) const;
   /// Sample SQL for vector `i` ("" when the block is absent).
   std::string_view SampleSql(std::size_t i) const;
-  std::uint64_t MaxMultiplicity() const;
-  double Probability(std::size_t i) const;
+  /// Γ_b over the mapped columns. Kept only because the end-to-end
+  /// benchmark (bench/e2e/logr_e2e.cc) calls it for its count oracle;
+  /// every other statistic lives on QueryLog. Delete once that program
+  /// counts through a materialized log.
   std::uint64_t CountContaining(const FeatureVec& b) const;
-  double Marginal(const FeatureVec& b) const;
-  double EmpiricalEntropy() const;
-  double AvgFeaturesPerQuery() const;
   const Vocabulary& vocabulary() const { return vocab_; }
   /// The Table-1 statistics persisted at write time. The with-constants
   /// columns are not recomputable from the constant-free log, which is
   /// exactly why the trailer exists.
   const DatasetSummary& summary() const { return summary_; }
 
-  /// Builds a full owning QueryLog (vectors, counts, sample SQL,
-  /// vocabulary, dedup index) — the object the compression pipeline
-  /// consumes. Bit-identical to the text-loaded log it was written from.
-  QueryLog Materialize() const;
-
  private:
-  // Parses a borrowed image in place (no copy); see ReadBinaryLog.
-  friend bool ReadBinaryLog(const void* data, std::size_t size,
-                            LoadedBinaryLog* out, std::string* error);
-
   void Reset();
   bool Parse(std::string* error);
 
@@ -186,13 +172,6 @@ class MmapQueryLog {
   std::vector<std::pair<const char*, std::uint32_t>> sqls_;
   Vocabulary vocab_;
   DatasetSummary summary_;
-};
-
-/// Eagerly loaded binary log: the fully materialized QueryLog plus the
-/// persisted Table-1 summary.
-struct LoadedBinaryLog {
-  QueryLog log;
-  DatasetSummary summary;
 };
 
 /// True when `path` starts with the .logrl magic (used by the CLI to

@@ -19,8 +19,7 @@ bool FeatureVec::Contains(FeatureId f) const {
 }
 
 bool FeatureVec::ContainsAll(const FeatureVec& pattern) const {
-  return std::includes(ids.begin(), ids.end(), pattern.ids.begin(),
-                       pattern.ids.end());
+  return logr::ContainsAll(ids.data(), ids.size(), pattern);
 }
 
 std::size_t FeatureVec::IntersectionSize(const FeatureVec& o) const {

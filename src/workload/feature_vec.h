@@ -6,6 +6,7 @@
 #ifndef LOGR_WORKLOAD_FEATURE_VEC_H_
 #define LOGR_WORKLOAD_FEATURE_VEC_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -49,6 +50,15 @@ struct FeatureVec {
   /// Dense 0/1 expansion of width `n`.
   std::vector<double> ToDense(std::size_t n) const;
 };
+
+/// True iff the sorted id span [ids, ids + size) contains every id of
+/// `pattern` (b ⊆ q, Sec. 2.1). The one containment test: FeatureVec,
+/// heap logs and mmap'd columns all call it.
+inline bool ContainsAll(const FeatureId* ids, std::size_t size,
+                        const FeatureVec& pattern) {
+  return std::includes(ids, ids + size, pattern.ids.begin(),
+                       pattern.ids.end());
+}
 
 /// A set of FeatureVecs bit-packed once into dense u64 blocks, so pairwise
 /// symmetric-difference counts become XOR + popcount over words instead of

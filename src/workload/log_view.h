@@ -1,22 +1,25 @@
 // Non-owning read view over a query log's distinct-vector columns.
 //
-// The compression pipeline only ever reads three columns — per-vector
-// feature-id spans, multiplicities, and the feature-universe width —
-// plus the vocabulary for reporting. Both the heap QueryLog and the
-// mmap-backed MmapQueryLog serve those columns, so a LogView lets
-// Compress run straight off an mmap'd .logrl without Materialize()
-// copying every vector onto the heap first. The view borrows; the
-// backing log must outlive it.
+// A view serves columns only: per-vector feature-id spans,
+// multiplicities, sample SQL, the feature-universe width and the
+// vocabulary. Both the heap QueryLog and the mmap-backed MmapQueryLog
+// serve those columns, so a LogView lets Compress run straight off an
+// mmap'd .logrl without copying every vector onto the heap first. The
+// view borrows; the backing log must outlive it. Log statistics
+// (marginals, entropy, ...) live on QueryLog alone; MaterializeSubset
+// is the one function that copies a view's rows into an owning
+// QueryLog, whatever the backing.
 //
 // A view can also window a *subset* of the backing log's distinct
 // vectors (Subview): row i of the subview is row indices[i] of the
 // base. Sharded compression hands each shard such a subview instead of
 // materializing a per-shard QueryLog copy — same vocabulary, same
-// feature universe as QueryLog::Subset would report, zero copies.
+// feature universe as MaterializeSubset would report, zero copies.
 #ifndef LOGR_WORKLOAD_LOG_VIEW_H_
 #define LOGR_WORKLOAD_LOG_VIEW_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "workload/binary_log.h"
@@ -54,10 +57,6 @@ class LogView {
     i = Map(i);
     return log_ ? log_->Multiplicity(i) : mmap_->Multiplicity(i);
   }
-  std::uint64_t MaxMultiplicity() const {
-    if (subset_) return subset_max_multiplicity_;
-    return log_ ? log_->MaxMultiplicity() : mmap_->MaxMultiplicity();
-  }
 
   /// Number of feature ids in distinct vector `i`.
   std::size_t VectorSize(std::size_t i) const {
@@ -72,30 +71,36 @@ class LogView {
   }
   /// Owning copy of vector `i`.
   FeatureVec VectorAt(std::size_t i) const;
-
-  /// Marginal p(Q ⊇ b | L) — over the windowed rows for a subview,
-  /// otherwise delegated to the backing log.
-  double Marginal(const FeatureVec& b) const;
+  /// Sample SQL of vector `i` ("" when the backing log kept none).
+  std::string_view SampleSql(std::size_t i) const {
+    i = Map(i);
+    return log_ ? std::string_view(log_->SampleSql(i)) : mmap_->SampleSql(i);
+  }
 
   const Vocabulary& vocabulary() const {
     return log_ ? log_->vocabulary() : mmap_->vocabulary();
   }
 
-  /// Builds an owning sub-log of the given distinct-vector indices —
-  /// the per-component logs the refine / pattern encoders mine. For a
-  /// QueryLog backend this is exactly QueryLog::Subset; the mmap
-  /// backend assembles the same columns (vectors, counts, sample SQL,
-  /// vocabulary copy), so both paths produce identical sub-logs.
+  /// Builds an owning sub-log of the given distinct-vector indices
+  /// (vectors, counts, sample SQL, a vocabulary copy, the dedup index)
+  /// through QueryLog::FromColumns — the per-component logs the refine /
+  /// pattern encoders mine and the per-shard logs `split` writes. Reads
+  /// only the view's columns, so every backing yields the same log.
+  /// Indices must be distinct (FromColumns CHECK-fails on duplicates).
   QueryLog MaterializeSubset(const std::vector<std::size_t>& indices) const;
+
+  /// Owning copy of the whole view: MaterializeSubset over every row.
+  QueryLog Materialize() const;
 
   /// Non-owning window over a subset of this view's distinct vectors:
   /// row i of the subview is row indices[i] of this view. The subview
-  /// reports the same vocabulary and the feature universe QueryLog::
-  /// Subset would (max of the vocabulary size and the windowed rows'
-  /// largest id + 1), with totals computed once here — so a pipeline
-  /// run over the subview is bit-identical to one over the materialized
-  /// subset. Borrows `indices` alongside the backing log; both must
-  /// outlive the subview and every copy of it. Subviews do not nest.
+  /// reports the same vocabulary and the feature universe
+  /// MaterializeSubset would (max of the vocabulary size and the
+  /// windowed rows' largest id + 1), with totals computed once here — so
+  /// a pipeline run over the subview is bit-identical to one over the
+  /// materialized subset. Borrows `indices` alongside the backing log;
+  /// both must outlive the subview and every copy of it. Subviews do not
+  /// nest.
   LogView Subview(const std::vector<std::size_t>& indices) const;
 
   /// Packs the view's vectors into a PackedVecPool straight from the
@@ -115,7 +120,6 @@ class LogView {
   /// stay O(1).
   const std::vector<std::size_t>* subset_ = nullptr;
   std::uint64_t subset_total_ = 0;
-  std::uint64_t subset_max_multiplicity_ = 0;
   std::size_t subset_num_features_ = 0;
 };
 

@@ -68,7 +68,8 @@ double QueryLog::Probability(std::size_t i) const {
 std::uint64_t QueryLog::CountContaining(const FeatureVec& b) const {
   std::uint64_t count = 0;
   for (std::size_t i = 0; i < distinct_.size(); ++i) {
-    if (distinct_[i].ContainsAll(b)) count += counts_[i];
+    const std::vector<FeatureId>& ids = distinct_[i].ids;
+    if (ContainsAll(ids.data(), ids.size(), b)) count += counts_[i];
   }
   return count;
 }
@@ -97,16 +98,6 @@ double QueryLog::AvgFeaturesPerQuery() const {
            static_cast<double>(distinct_[i].size());
   }
   return acc / static_cast<double>(total_);
-}
-
-QueryLog QueryLog::Subset(const std::vector<std::size_t>& indices) const {
-  QueryLog out;
-  out.vocab_ = vocab_;
-  for (std::size_t i : indices) {
-    LOGR_CHECK(i < distinct_.size());
-    out.Add(distinct_[i], counts_[i], sql_[i]);
-  }
-  return out;
 }
 
 }  // namespace logr

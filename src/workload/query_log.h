@@ -6,6 +6,12 @@
 // collapse from 1.2M queries to at most 1,712 distinct vectors after
 // constant removal (Table 1), and the clustering / encoding experiments
 // run on that distinct set.
+//
+// The log statistics every encoder and oracle reads (the marginal
+// p(Q ⊇ b) of Sec. 6.2, the empirical entropy H(ρ*) of Sec. 5.2, and
+// the Table-1 counters) live here and only here. The mmap reader and
+// LogView serve columns; a caller that needs a statistic of a view
+// materializes it first (LogView::Materialize / MaterializeSubset).
 #ifndef LOGR_WORKLOAD_QUERY_LOG_H_
 #define LOGR_WORKLOAD_QUERY_LOG_H_
 
@@ -35,11 +41,11 @@ class QueryLog {
            std::string sample_sql = {});
 
   /// Bulk-assembles a log from parallel columns of *distinct* vectors —
-  /// the binary loader's path (workload/binary_log.h), which skips the
-  /// per-Add dedup probe ordering. `sample_sql` may be empty or one
-  /// entry per vector. CHECK-fails on duplicate vectors, zero counts,
-  /// or column length mismatches; callers feeding untrusted data must
-  /// validate first (MmapQueryLog does).
+  /// the path LogView::MaterializeSubset copies a view's rows through,
+  /// which skips the per-Add dedup probe ordering. `sample_sql` may be
+  /// empty or one entry per vector. CHECK-fails on duplicate vectors,
+  /// zero counts, or column length mismatches; callers feeding untrusted
+  /// data must validate first (MmapQueryLog does).
   static QueryLog FromColumns(Vocabulary vocab,
                               std::vector<FeatureVec> vectors,
                               std::vector<std::uint64_t> counts,
@@ -89,10 +95,6 @@ class QueryLog {
 
   /// Multiplicity-weighted mean of per-query feature counts.
   double AvgFeaturesPerQuery() const;
-
-  /// Builds the sub-log of the given distinct-vector indices (shares the
-  /// vocabulary by copy). Used to materialize cluster partitions.
-  QueryLog Subset(const std::vector<std::size_t>& indices) const;
 
  private:
   Vocabulary vocab_;

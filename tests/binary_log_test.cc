@@ -3,11 +3,12 @@
 // DatasetSummary round-trips, and a corruption/fuzz suite mirroring
 // the ReadSummary hardening — truncations, bad magic/version,
 // out-of-range ids, offset tables past EOF, and checksum mismatches
-// must fail loudly, never crash or silently load. Compression from the
-// mmap'd file against the text load is equivalence_test's text-vs-mmap
-// axis.
+// must fail loudly, never crash or silently load — and the one view
+// materializer over every backing. Compression from the mmap'd file
+// against the text load is equivalence_test's text-vs-mmap axis.
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "util/prng.h"
 #include "workload/binary_log.h"
+#include "workload/log_view.h"
 
 namespace logr {
 namespace {
@@ -45,8 +47,20 @@ std::string Serialize(const QueryLog& log, const DatasetSummary& summary) {
 }
 
 bool TryRead(const std::string& bytes, std::string* error) {
-  LoadedBinaryLog loaded;
-  return ReadBinaryLog(bytes.data(), bytes.size(), &loaded, error);
+  MmapQueryLog log;
+  return MmapQueryLog::OpenBuffer(bytes.data(), bytes.size(), &log, error);
+}
+
+/// Eager read of an in-memory image: open, then materialize the view.
+bool ReadImage(const std::string& bytes, QueryLog* log,
+               DatasetSummary* summary, std::string* error) {
+  MmapQueryLog mapped;
+  if (!MmapQueryLog::OpenBuffer(bytes.data(), bytes.size(), &mapped, error)) {
+    return false;
+  }
+  *log = LogView(mapped).Materialize();
+  *summary = mapped.summary();
+  return true;
 }
 
 std::uint64_t HeaderU64(const std::string& bytes, std::size_t off) {
@@ -77,14 +91,14 @@ void Restamp(std::string* bytes) {
 void ExpectRoundTrip(const LogLoader& loader, const std::string& name) {
   const DatasetSummary summary = loader.Summary(name);
   const std::string bytes = Serialize(loader.log(), summary);
-  LoadedBinaryLog reloaded;
+  QueryLog reloaded;
+  DatasetSummary reloaded_summary;
   std::string error;
-  ASSERT_TRUE(
-      ReadBinaryLog(bytes.data(), bytes.size(), &reloaded, &error))
+  ASSERT_TRUE(ReadImage(bytes, &reloaded, &reloaded_summary, &error))
       << error;
   std::string why;
-  EXPECT_TRUE(SameQueryLog(loader.log(), reloaded.log, &why)) << why;
-  EXPECT_TRUE(SameDatasetSummary(summary, reloaded.summary, &why)) << why;
+  EXPECT_TRUE(SameQueryLog(loader.log(), reloaded, &why)) << why;
+  EXPECT_TRUE(SameDatasetSummary(summary, reloaded_summary, &why)) << why;
 }
 
 TEST(BinaryLogTest, RoundTripBitIdenticalPocket) {
@@ -110,28 +124,27 @@ TEST(BinaryLogTest, RoundTripRawVectorLogWithoutVocabulary) {
   summary.name = "raw";
   summary.num_queries = 8;
   const std::string bytes = Serialize(log, summary);
-  LoadedBinaryLog reloaded;
+  QueryLog reloaded;
   std::string error;
-  ASSERT_TRUE(ReadBinaryLog(bytes.data(), bytes.size(), &reloaded, &error))
-      << error;
+  ASSERT_TRUE(ReadImage(bytes, &reloaded, &summary, &error)) << error;
   std::string why;
-  EXPECT_TRUE(SameQueryLog(log, reloaded.log, &why)) << why;
-  EXPECT_EQ(reloaded.log.NumFeatures(), 10u);
+  EXPECT_TRUE(SameQueryLog(log, reloaded, &why)) << why;
+  EXPECT_EQ(reloaded.NumFeatures(), 10u);
 }
 
 TEST(BinaryLogTest, ReaderDedupIndexStaysLive) {
   // Adding to a binary-loaded log must keep collapsing duplicates.
   LogLoader loader = PocketLoader();
   const std::string bytes = Serialize(loader.log(), loader.Summary("p"));
-  LoadedBinaryLog reloaded;
+  QueryLog reloaded;
+  DatasetSummary summary;
   std::string error;
-  ASSERT_TRUE(ReadBinaryLog(bytes.data(), bytes.size(), &reloaded, &error))
-      << error;
-  const std::size_t distinct = reloaded.log.NumDistinct();
-  const std::uint64_t total = reloaded.log.TotalQueries();
-  reloaded.log.Add(reloaded.log.Vector(0), 2);
-  EXPECT_EQ(reloaded.log.NumDistinct(), distinct);
-  EXPECT_EQ(reloaded.log.TotalQueries(), total + 2);
+  ASSERT_TRUE(ReadImage(bytes, &reloaded, &summary, &error)) << error;
+  const std::size_t distinct = reloaded.NumDistinct();
+  const std::uint64_t total = reloaded.TotalQueries();
+  reloaded.Add(reloaded.Vector(0), 2);
+  EXPECT_EQ(reloaded.NumDistinct(), distinct);
+  EXPECT_EQ(reloaded.TotalQueries(), total + 2);
 }
 
 // -------------------------------------------------- mmap vs eager reads
@@ -163,9 +176,6 @@ TEST_F(BinaryLogFileTest, MmapMatchesTextLoadedLog) {
   ASSERT_EQ(mapped.NumDistinct(), log.NumDistinct());
   EXPECT_EQ(mapped.TotalQueries(), log.TotalQueries());
   EXPECT_EQ(mapped.NumFeatures(), log.NumFeatures());
-  EXPECT_EQ(mapped.MaxMultiplicity(), log.MaxMultiplicity());
-  EXPECT_DOUBLE_EQ(mapped.EmpiricalEntropy(), log.EmpiricalEntropy());
-  EXPECT_DOUBLE_EQ(mapped.AvgFeaturesPerQuery(), log.AvgFeaturesPerQuery());
   for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
     EXPECT_EQ(mapped.VectorAt(i), log.Vector(i));
     EXPECT_EQ(mapped.Multiplicity(i), log.Multiplicity(i));
@@ -173,10 +183,80 @@ TEST_F(BinaryLogFileTest, MmapMatchesTextLoadedLog) {
   }
   const FeatureVec probe = log.Vector(0);
   EXPECT_EQ(mapped.CountContaining(probe), log.CountContaining(probe));
-  EXPECT_DOUBLE_EQ(mapped.Marginal(probe), log.Marginal(probe));
   std::string why;
   EXPECT_TRUE(SameDatasetSummary(mapped.summary(), summary, &why)) << why;
-  EXPECT_TRUE(SameQueryLog(mapped.Materialize(), log, &why)) << why;
+  EXPECT_TRUE(SameQueryLog(LogView(mapped).Materialize(), log, &why)) << why;
+}
+
+/// The reference sub-log: the vocabulary copied, then one Add per row.
+QueryLog AddRows(const QueryLog& log, const std::vector<std::size_t>& rows) {
+  QueryLog out;
+  *out.mutable_vocabulary() = log.vocabulary();
+  for (std::size_t i : rows) {
+    out.Add(log.Vector(i), log.Multiplicity(i), log.SampleSql(i));
+  }
+  return out;
+}
+
+TEST_F(BinaryLogFileTest, MaterializeSubsetMatchesAddOverEveryBacking) {
+  LogLoader loader = BankLoader();
+  const QueryLog& log = loader.log();
+  const std::string path = WriteTempFile(
+      Serialize(log, loader.Summary("bank")), "materialize.logrl");
+  MmapQueryLog mapped;
+  std::string error;
+  ASSERT_TRUE(MmapQueryLog::Open(path, &mapped, &error)) << error;
+
+  // Every third row in descending order, so the copy reorders the base;
+  // then three rows of that window, addressed through a subview.
+  std::vector<std::size_t> window;
+  for (std::size_t i = log.NumDistinct(); i-- > 0;) {
+    if (i % 3 == 0) window.push_back(i);
+  }
+  ASSERT_GE(window.size(), 3u);
+  const std::vector<std::size_t> picks = {window.size() - 1, 0, 2};
+  std::vector<std::size_t> picks_in_base;
+  for (std::size_t p : picks) picks_in_base.push_back(window[p]);
+
+  // No vocabulary: NumFeatures comes from the largest id of the rows
+  // taken (10 for {0, 4, 9}, 3 for {2} alone).
+  QueryLog raw;
+  raw.Add(FeatureVec({0, 4, 9}), 3, "SELECT raw");
+  raw.Add(FeatureVec({2}), 5);
+  raw.Add(FeatureVec({1, 7}), 1);
+
+  struct Case {
+    const char* name;
+    LogView view;
+    std::vector<std::size_t> rows;
+    QueryLog expect;
+  };
+  const Case cases[] = {
+      {"heap", LogView(log), window, AddRows(log, window)},
+      {"mmap", LogView(mapped), window, AddRows(log, window)},
+      {"heap subview", LogView(log).Subview(window), picks,
+       AddRows(log, picks_in_base)},
+      {"mmap subview", LogView(mapped).Subview(window), picks,
+       AddRows(log, picks_in_base)},
+      {"heap empty", LogView(log), {}, AddRows(log, {})},
+      {"mmap empty", LogView(mapped), {}, AddRows(log, {})},
+      {"raw", LogView(raw), {2, 0}, AddRows(raw, {2, 0})},
+      {"raw narrow", LogView(raw), {1}, AddRows(raw, {1})},
+  };
+  for (const Case& c : cases) {
+    QueryLog got = c.view.MaterializeSubset(c.rows);
+    std::string why;
+    EXPECT_TRUE(SameQueryLog(got, c.expect, &why)) << c.name << ": " << why;
+    if (got.NumDistinct() > 0) {
+      // The dedup index is live: re-adding a row folds into it.
+      got.Add(got.Vector(0), 1);
+      EXPECT_EQ(got.NumDistinct(), c.expect.NumDistinct()) << c.name;
+    }
+  }
+  EXPECT_EQ(LogView(raw).MaterializeSubset({2, 0}).NumFeatures(), 10u);
+  EXPECT_EQ(LogView(raw).MaterializeSubset({1}).NumFeatures(), 3u);
+  EXPECT_EQ(LogView(log).MaterializeSubset({}).NumFeatures(),
+            log.vocabulary().size());
 }
 
 TEST_F(BinaryLogFileTest, EagerFallbackMatchesMmap) {
@@ -193,7 +273,8 @@ TEST_F(BinaryLogFileTest, EagerFallbackMatchesMmap) {
   EXPECT_TRUE(mapped.mapped());
   EXPECT_FALSE(eager.mapped());
   std::string why;
-  EXPECT_TRUE(SameQueryLog(mapped.Materialize(), eager.Materialize(), &why))
+  EXPECT_TRUE(SameQueryLog(LogView(mapped).Materialize(),
+                           LogView(eager).Materialize(), &why))
       << why;
   EXPECT_TRUE(SameDatasetSummary(mapped.summary(), eager.summary(), &why))
       << why;
@@ -447,12 +528,13 @@ TEST_F(BinaryLogCorruptionTest, FuzzByteFlipsNeverCrash) {
       mutated[pos] ^= static_cast<char>(1u << rng.NextBounded(8));
     }
     std::string error;
-    LoadedBinaryLog loaded;
-    if (ReadBinaryLog(mutated.data(), mutated.size(), &loaded, &error)) {
+    QueryLog loaded;
+    DatasetSummary summary;
+    if (ReadImage(mutated, &loaded, &summary, &error)) {
       // A flip the validators accept (e.g. in the unchecked reserved
       // word) must still yield a structurally sound log.
-      EXPECT_EQ(loaded.log.NumDistinct(), 3u);
-      EXPECT_GT(loaded.log.TotalQueries(), 0u);
+      EXPECT_EQ(loaded.NumDistinct(), 3u);
+      EXPECT_GT(loaded.TotalQueries(), 0u);
     } else {
       EXPECT_FALSE(error.empty());
     }

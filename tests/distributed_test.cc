@@ -27,6 +27,7 @@
 #include "gtest/gtest.h"
 #include "util/subprocess.h"
 #include "workload/binary_log.h"
+#include "workload/log_view.h"
 
 namespace logr {
 namespace {
@@ -133,7 +134,7 @@ TEST(DistributedTest, MatchesInProcessShardingBitForBitPocket) {
   }
   PersistedSummary merged;
   ASSERT_TRUE(
-      MergeSummaries(parts, 6, opts.compression, &merged, &error))
+      MergeSummaries(parts, 6, opts.compression.pool, &merged, &error))
       << error;
   EXPECT_EQ(Bytes(merged.vocabulary, *merged.model),
             ShardedReferenceBytes(log, 6, 4));
@@ -326,7 +327,8 @@ TEST(DistributedTest, ShardFilesHoldTheirParts) {
     ASSERT_TRUE(MmapQueryLog::Open(files[s].path, &shard, &error)) << error;
     const QueryLog part = view.MaterializeSubset(parts[s]);
     std::string why;
-    EXPECT_TRUE(SameQueryLog(shard.Materialize(), part, &why)) << why;
+    EXPECT_TRUE(SameQueryLog(LogView(shard).Materialize(), part, &why))
+        << why;
     EXPECT_TRUE(SameDatasetSummary(shard.summary(),
                                    LogStatistics(part, "bank-s" + index),
                                    &why))
@@ -337,21 +339,6 @@ TEST(DistributedTest, ShardFilesHoldTheirParts) {
     EXPECT_EQ(shard.summary().max_multiplicity, part.MaxMultiplicity());
     EXPECT_EQ(files[s].num_distinct, part.NumDistinct());
     EXPECT_EQ(files[s].num_queries, part.TotalQueries());
-  }
-}
-
-TEST(DistributedTest, ClustersPerShardMatchesShardedContract) {
-  // Workers must compress at the exact K the in-process sharded path
-  // would, or the gathered merge stops being bit-identical.
-  for (std::size_t k : {1u, 4u, 9u}) {
-    for (std::size_t s : {1u, 2u, 8u}) {
-      LogROptions opts;
-      opts.num_clusters = k;
-      opts.num_shards = s;
-      EXPECT_EQ(DistributedCompressor::ClustersPerShard(k, s),
-                ShardedCompressor::ClustersPerShard(opts))
-          << "K=" << k << " S=" << s;
-    }
   }
 }
 

@@ -305,6 +305,36 @@ TEST(EncoderTest, PatternEncoderParallelBitIdenticalToSerial) {
   }
 }
 
+TEST(EncoderTest, NullPoolEncodesLikeAnExplicitPool) {
+  // EncodeRequest::pool == nullptr selects ThreadPool::Shared(); the
+  // model must not depend on the pool, so a direct Encode without one
+  // matches a serial-pool Encode exactly.
+  QueryLog log = GroupedLog(4, 10, 29);
+  std::vector<int> assignment(log.NumDistinct());
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    assignment[i] = static_cast<int>(i % 3);
+  }
+  ThreadPool serial(1);
+  for (const char* name : {"naive", "refined", "pattern"}) {
+    const Encoder* encoder = EncoderRegistry::Instance().Find(name);
+    ASSERT_NE(encoder, nullptr) << name;
+    EncodeRequest req;
+    req.k = 3;
+    req.pattern_budget = 4;
+    const auto shared = encoder->Encode(log, assignment, req);
+    req.pool = &serial;
+    const auto serial_model = encoder->Encode(log, assignment, req);
+    EXPECT_EQ(shared->Error(), serial_model->Error()) << name;
+    EXPECT_EQ(shared->TotalVerbosity(), serial_model->TotalVerbosity())
+        << name;
+    for (std::size_t i = 0; i < 10; ++i) {
+      EXPECT_EQ(shared->EstimateMarginal(log.Vector(i)),
+                serial_model->EstimateMarginal(log.Vector(i)))
+          << name << " probe " << i;
+    }
+  }
+}
+
 TEST(EncoderTest, PatternEncoderCapsPerComponentBudget) {
   QueryLog log = GroupedLog(3, 12, 91);
   LogROptions opts;
@@ -408,14 +438,14 @@ TEST(EncoderTest, MergeSummariesRejectsNonMergeableTags) {
   PersistedSummary out;
   std::vector<PersistedSummary> parts(1, part);
   parts[0].encoder = "pattern";
-  EXPECT_FALSE(MergeSummaries(parts, 0, LogROptions(), &out, &error));
+  EXPECT_FALSE(MergeSummaries(parts, 0, nullptr, &out, &error));
   EXPECT_NE(error.find("cannot be merged"), std::string::npos) << error;
   parts[0].encoder = "no-such-encoder";
-  EXPECT_FALSE(MergeSummaries(parts, 0, LogROptions(), &out, &error));
+  EXPECT_FALSE(MergeSummaries(parts, 0, nullptr, &out, &error));
   EXPECT_NE(error.find("unknown encoder"), std::string::npos) << error;
   // The untampered tag merges fine.
   parts[0].encoder = part.encoder;
-  EXPECT_TRUE(MergeSummaries(parts, 0, LogROptions(), &out, &error))
+  EXPECT_TRUE(MergeSummaries(parts, 0, nullptr, &out, &error))
       << error;
 }
 

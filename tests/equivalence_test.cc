@@ -211,7 +211,8 @@ class EquivalenceTest : public ::testing::TestWithParam<Case> {
   void ExpectBinaryLogMatchesText(const MmapQueryLog& mapped) const {
     EXPECT_TRUE(mapped.mapped());
     std::string why;
-    EXPECT_TRUE(SameQueryLog(mapped.Materialize(), log(), &why)) << why;
+    EXPECT_TRUE(SameQueryLog(LogView(mapped).Materialize(), log(), &why))
+        << why;
     EXPECT_TRUE(SameDatasetSummary(mapped.summary(), data_->stats, &why))
         << why;
   }
@@ -271,7 +272,8 @@ class EquivalenceTest : public ::testing::TestWithParam<Case> {
   void ExpectOfflineMergeMatches(const std::string& naive_sharded) const {
     const LogROptions sharded = Sharded(opts_.encoder);
     LogROptions per_shard = sharded;
-    per_shard.num_clusters = ShardedCompressor::ClustersPerShard(sharded);
+    per_shard.num_clusters = ShardedCompressor::ClustersPerShard(
+        sharded.num_clusters, sharded.num_shards);
     per_shard.num_shards = 1;
     const std::vector<QueryLog> shards = ShardLogs();
     std::vector<PersistedSummary> loaded(shards.size());
@@ -282,8 +284,8 @@ class EquivalenceTest : public ::testing::TestWithParam<Case> {
       ASSERT_TRUE(ReadSummary(&in, &loaded[s], &error)) << error;
     }
     PersistedSummary merged;
-    ASSERT_TRUE(MergeSummaries(loaded, opts_.num_clusters, sharded, &merged,
-                               &error))
+    ASSERT_TRUE(MergeSummaries(loaded, opts_.num_clusters, sharded.pool,
+                               &merged, &error))
         << error;
     EXPECT_EQ(Bytes(merged.vocabulary, *merged.model), naive_sharded);
   }
@@ -332,7 +334,7 @@ TEST_P(EquivalenceTest, EveryPathAgrees) {
   }
 
   // Monolithic: the zero-copy mmap view feeds the pipeline directly, no
-  // Materialize(), and one Compress builds one packed pool.
+  // heap copy, and one Compress builds one packed pool.
   const LogRSummary from_text = Compress(log(), opts_);
   const LogRSummary from_mmap = Compress(mapped, opts_);
   const std::string bytes = Bytes(log().vocabulary(), from_text.Model());

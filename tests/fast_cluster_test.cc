@@ -25,6 +25,7 @@
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
 #include "gtest/gtest.h"
+#include "oracles/hierarchical_reference.h"
 #include "util/prng.h"
 #include "workload/loader.h"
 

@@ -23,6 +23,7 @@
 #include "gtest/gtest.h"
 #include "workload/binary_log.h"
 #include "workload/loader.h"
+#include "workload/log_view.h"
 
 namespace logr {
 namespace {
@@ -86,12 +87,15 @@ TEST(GoldenTable1Test, BinaryRoundTripPreservesGoldenStatistics) {
                                      &buffer, &error))
       << error;
   const std::string bytes = buffer.str();
-  LoadedBinaryLog reloaded;
-  ASSERT_TRUE(ReadBinaryLog(bytes.data(), bytes.size(), &reloaded, &error))
+  MmapQueryLog reloaded;
+  ASSERT_TRUE(MmapQueryLog::OpenBuffer(bytes.data(), bytes.size(), &reloaded,
+                                       &error))
       << error;
-  ExpectGoldenSummary(reloaded.summary);
+  ExpectGoldenSummary(reloaded.summary());
   std::string why;
-  EXPECT_TRUE(SameQueryLog(loader.log(), reloaded.log, &why)) << why;
+  EXPECT_TRUE(
+      SameQueryLog(loader.log(), LogView(reloaded).Materialize(), &why))
+      << why;
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "workload/binary_log.h"
 #include "workload/extractor.h"
 #include "workload/loader.h"
+#include "workload/log_view.h"
 
 namespace logr {
 namespace {
@@ -347,7 +348,8 @@ TEST(LoaderBatchTest, UntrackedMatchesTrackedLog) {
     EXPECT_EQ(reloaded.summary().num_distinct, kNotTracked);
     EXPECT_EQ(reloaded.summary().num_features, kNotTracked);
     EXPECT_TRUE(SameDatasetSummary(reloaded.summary(), u, &why)) << why;
-    EXPECT_TRUE(SameQueryLog(reloaded.Materialize(), tracked.log(), &why))
+    EXPECT_TRUE(SameQueryLog(LogView(reloaded).Materialize(), tracked.log(),
+                             &why))
         << why;
     std::remove(path.c_str());
   }

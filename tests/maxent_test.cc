@@ -23,6 +23,7 @@
 #include "maxent/scaling.h"
 #include "maxent/signature_space.h"
 #include "util/prng.h"
+#include "workload/log_view.h"
 
 namespace logr {
 namespace {
@@ -1034,7 +1035,8 @@ TEST(FactoredKernelOracleTest, RefinedPocketComponentsMatchLegacyFit) {
       if (patterns.empty()) continue;
       // The refined encoder's inputs for this component: the naive
       // singletons plus its retained patterns at their measured marginals.
-      const QueryLog sublog = log.Subset(mixture->Component(c).members);
+      const QueryLog sublog =
+          LogView(log).MaterializeSubset(mixture->Component(c).members);
       const NaiveEncoding naive = NaiveEncoding::FromLog(sublog);
       std::vector<std::pair<FeatureId, double>> singletons;
       for (std::size_t i = 0; i < naive.features().size(); ++i) {

@@ -482,7 +482,7 @@ TEST(SerializationTest, PatternSummariesRefuseToMerge) {
   std::vector<PersistedSummary> parts;
   parts.push_back(std::move(loaded));
   PersistedSummary merged;
-  EXPECT_FALSE(MergeSummaries(parts, 0, LogROptions(), &merged, &error));
+  EXPECT_FALSE(MergeSummaries(parts, 0, nullptr, &merged, &error));
   EXPECT_NE(error.find("cannot be merged"), std::string::npos) << error;
 }
 

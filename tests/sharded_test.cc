@@ -16,6 +16,7 @@
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
 #include "gtest/gtest.h"
+#include "workload/log_view.h"
 
 namespace logr {
 namespace {
@@ -189,7 +190,7 @@ TEST(ShardedTest, MergeIsIndependentOfPartOrder) {
   ASSERT_EQ(shards.size(), 3u);
   std::vector<NaiveMixtureEncoding> parts;
   for (const auto& indices : shards) {
-    QueryLog sub = log.Subset(indices);
+    QueryLog sub = LogView(log).MaterializeSubset(indices);
     LogROptions opts;
     opts.num_clusters = 3;
     opts.encoder = "naive";
@@ -259,12 +260,11 @@ TEST(ShardedTest, OfflineSummaryMergeMatchesInProcessSharding) {
   auto shards = ShardedCompressor::PartitionIndices(
       log, 3, ShardPolicy::kHashDistinct);
   LogROptions per_shard = opts;
-  per_shard.num_shards = 3;
-  per_shard.num_clusters = ShardedCompressor::ClustersPerShard(per_shard);
-  per_shard.num_shards = 1;
+  per_shard.num_clusters =
+      ShardedCompressor::ClustersPerShard(opts.num_clusters, 3);
   std::vector<PersistedSummary> parts(shards.size());
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    QueryLog sub = log.Subset(shards[s]);
+    QueryLog sub = LogView(log).MaterializeSubset(shards[s]);
     LogRSummary summary = Compress(sub, per_shard);
     std::stringstream buffer;
     WriteSummary(sub.vocabulary(), Mix(summary), &buffer);
@@ -274,7 +274,7 @@ TEST(ShardedTest, OfflineSummaryMergeMatchesInProcessSharding) {
 
   std::string error;
   PersistedSummary merged;
-  ASSERT_TRUE(MergeSummaries(parts, opts.num_clusters, opts, &merged,
+  ASSERT_TRUE(MergeSummaries(parts, opts.num_clusters, opts.pool, &merged,
                              &error))
       << error;
 
@@ -316,7 +316,7 @@ TEST(ShardedTest, MergeSummariesUnionsDistinctVocabularies) {
     ASSERT_TRUE(ReadSummary(&buffer, &parts[i], &error)) << error;
   }
   PersistedSummary merged;
-  ASSERT_TRUE(MergeSummaries(parts, 0, opts, &merged, &error)) << error;
+  ASSERT_TRUE(MergeSummaries(parts, 0, opts.pool, &merged, &error)) << error;
   EXPECT_EQ(merged.vocabulary.size(), 3u);
   EXPECT_EQ(merged.encoding.LogSize(), 40u);
 
@@ -358,7 +358,7 @@ TEST(ShardedTest, MergingOverlappingSummariesKeepsErrorNonNegative) {
     ASSERT_TRUE(ReadSummary(&buffer, &parts[i], &error)) << error;
   }
   PersistedSummary merged;
-  ASSERT_TRUE(MergeSummaries(parts, 1, opts, &merged, &error)) << error;
+  ASSERT_TRUE(MergeSummaries(parts, 1, opts.pool, &merged, &error)) << error;
   EXPECT_EQ(merged.encoding.LogSize(), 30u);
   EXPECT_GE(merged.encoding.Error(), 0.0);
   // Marginal estimates are exact regardless of the overlap.
@@ -442,17 +442,16 @@ TEST(ShardedTest, ReconcileBitIdenticalAcrossPoolSizes) {
 }
 
 TEST(ShardedTest, MergeSummariesRejectsBadInput) {
-  LogROptions opts;
   PersistedSummary out;
   std::string error;
-  EXPECT_FALSE(MergeSummaries({}, 0, opts, &out, &error));
+  EXPECT_FALSE(MergeSummaries({}, 0, nullptr, &out, &error));
   EXPECT_FALSE(error.empty());
   // Unknown and non-mergeable encoder tags are rejected loudly.
   std::vector<PersistedSummary> one(1);
   one[0].encoder = "no-such-encoder";
-  EXPECT_FALSE(MergeSummaries(one, 0, opts, &out, &error));
+  EXPECT_FALSE(MergeSummaries(one, 0, nullptr, &out, &error));
   one[0].encoder = "pattern";
-  EXPECT_FALSE(MergeSummaries(one, 0, opts, &out, &error));
+  EXPECT_FALSE(MergeSummaries(one, 0, nullptr, &out, &error));
 }
 
 }  // namespace

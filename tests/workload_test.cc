@@ -9,6 +9,7 @@
 #include "workload/extractor.h"
 #include "workload/feature_vec.h"
 #include "workload/loader.h"
+#include "workload/log_view.h"
 #include "workload/query_log.h"
 
 namespace logr {
@@ -61,6 +62,22 @@ TEST(FeatureVecTest, Containment) {
   EXPECT_FALSE(q.ContainsAll(FeatureVec({3, 4})));
   EXPECT_TRUE(q.Contains(5));
   EXPECT_FALSE(q.Contains(4));
+}
+
+TEST(FeatureVecTest, SpanContainment) {
+  // The sorted-span form every log type's containment test calls.
+  const std::vector<FeatureId> ids = {2, 5, 9};
+  EXPECT_TRUE(ContainsAll(ids.data(), ids.size(), FeatureVec()));
+  EXPECT_TRUE(ContainsAll(ids.data(), 0, FeatureVec()));
+  EXPECT_FALSE(ContainsAll(ids.data(), 0, FeatureVec({2})));
+  // A pattern ending at the span's last id, and one past it.
+  EXPECT_TRUE(ContainsAll(ids.data(), ids.size(), FeatureVec({9})));
+  EXPECT_TRUE(ContainsAll(ids.data(), ids.size(), FeatureVec({5, 9})));
+  EXPECT_FALSE(ContainsAll(ids.data(), ids.size(), FeatureVec({10})));
+  EXPECT_FALSE(ContainsAll(ids.data(), ids.size(), FeatureVec({9, 10})));
+  // The span's length bounds the test, not the storage behind it.
+  EXPECT_FALSE(ContainsAll(ids.data(), ids.size() - 1, FeatureVec({9})));
+  EXPECT_FALSE(ContainsAll(ids.data(), ids.size(), FeatureVec({3})));
 }
 
 TEST(FeatureVecTest, SetOperations) {
@@ -273,12 +290,12 @@ TEST(QueryLogTest, EmpiricalEntropy) {
   EXPECT_DOUBLE_EQ(single.EmpiricalEntropy(), 0.0);
 }
 
-TEST(QueryLogTest, SubsetPreservesCounts) {
+TEST(QueryLogTest, MaterializeSubsetPreservesCounts) {
   QueryLog log;
   log.Add(FeatureVec({1}), 5);
   log.Add(FeatureVec({2}), 3);
   log.Add(FeatureVec({3}), 2);
-  QueryLog sub = log.Subset({0, 2});
+  QueryLog sub = LogView(log).MaterializeSubset({0, 2});
   EXPECT_EQ(sub.NumDistinct(), 2u);
   EXPECT_EQ(sub.TotalQueries(), 7u);
 }
