@@ -543,6 +543,15 @@ int RunInfo(const Command& self, int argc, char** argv) {
               path.c_str(), model.EncoderName(), s.vocabulary.size(),
               model.NumComponents(),
               static_cast<unsigned long long>(model.LogSize()));
+  const SummarySize& size = s.size;
+  if (size.version == 4) {
+    std::printf("  bytes %zu (v4): codebook %zu, components %zu, patterns "
+                "%zu, header %zu\n",
+                size.total, size.codebook, size.components, size.patterns,
+                size.total - size.codebook - size.components - size.patterns);
+  } else {
+    std::printf("  bytes %zu (text v%d)\n", size.total, size.version);
+  }
   for (std::size_t c = 0; c < model.NumComponents(); ++c) {
     std::printf("  cluster %zu: weight %.4f, |L| %llu, verbosity %zu\n", c,
                 model.ComponentWeight(c),

@@ -1,17 +1,21 @@
-// Fuzz harness for the summary text parser (core/serialization.h).
+// Fuzz harness for the summary reader (core/serialization.h): binary
+// summary v4 and the read-only v1-v3 text formats.
 //
 // ReadSummary consumes whole files that may come from other machines
 // (offline merge pulls per-day summaries off shared storage), so it
 // must reject arbitrary bytes loudly — never crash, never accept a
 // summary whose model then misbehaves. On accepted inputs the harness
-// also exercises the loaded WorkloadModel and round-trips it through
-// WriteSummary, so "parses but produces a poisoned model" counts as a
-// finding too.
+// also exercises the loaded WorkloadModel and rewrites it as v4, which
+// must load again and answer a small estimate battery bit-identically
+// to the first load: every v1-v3 seed is thereby a conversion oracle.
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cmath>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/serialization.h"
 #include "util/check.h"
@@ -45,12 +49,31 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   LOGR_CHECK(std::isfinite(marginal));
 
   // Round-trip: what ReadSummary accepted, WriteSummary must be able to
-  // persist, and the rewrite must load again.
+  // persist, the rewrite must load again, and it must answer the battery
+  // (no features, each of the first 32 features, the pairs among the
+  // first 8) with the same bits.
   std::ostringstream out;
-  if (logr::WriteSummary(summary.vocabulary, model, &out, &error)) {
-    std::istringstream in2(out.str());
-    logr::PersistedSummary reparsed;
-    LOGR_CHECK(logr::ReadSummary(&in2, &reparsed, &error));
+  LOGR_CHECK(logr::WriteSummary(summary.vocabulary, model, &out, &error));
+  std::istringstream in2(out.str());
+  logr::PersistedSummary reparsed;
+  LOGR_CHECK_MSG(logr::ReadSummary(&in2, &reparsed, &error), error.c_str());
+  const auto n = static_cast<logr::FeatureId>(
+      std::min<std::size_t>(summary.vocabulary.size(), 32));
+  std::vector<logr::FeatureVec> battery(1);
+  for (logr::FeatureId a = 0; a < n; ++a) {
+    battery.push_back(logr::FeatureVec({a}));
+    for (logr::FeatureId b = a + 1; b < std::min<logr::FeatureId>(n, 8); ++b) {
+      battery.push_back(logr::FeatureVec({a, b}));
+    }
+  }
+  for (const logr::FeatureVec& q : battery) {
+    const double counts[2] = {model.EstimateCount(q),
+                              reparsed.model->EstimateCount(q)};
+    const double marginals[2] = {model.EstimateMarginal(q),
+                                 reparsed.model->EstimateMarginal(q)};
+    LOGR_CHECK(std::memcmp(&counts[0], &counts[1], sizeof(double)) == 0);
+    LOGR_CHECK(std::memcmp(&marginals[0], &marginals[1], sizeof(double)) ==
+               0);
   }
   return 0;
 }

@@ -1,52 +1,95 @@
 // Persistence for LogR summaries.
 //
-// A compressed log is only useful if it can replace the log on disk: the
-// text format below stores the feature codebook once plus each cluster's
-// (weight, |L_i|, sparse marginals) — the entire content of a naive
-// mixture encoding — and, since v2, which encoder produced the summary
-// plus that encoder's extras (the refined encoder's per-cluster
-// patterns and refined Error). Loading reconstructs a WorkloadModel
-// that answers every statistic query identically. v1 files (no encoder
-// tag) still load and are treated as "naive".
+// A compressed log is only useful if it can replace the log on disk. A
+// summary stores the feature codebook once plus each cluster's
+// (weight, |L_i|, H(rho*), sparse marginals) — the entire content of a
+// naive mixture encoding — together with the encoder that produced it
+// and that encoder's extras: the refined encoder's per-cluster patterns
+// and refined Errors, or the pattern encoder's per-component patterns
+// with their measured marginals. Loading reconstructs a WorkloadModel
+// that answers every statistic query bit-identically.
 //
-// Format (line-oriented, "#"-comments ignored):
-//   logr-summary v2
-//   encoder <name>                  (v2 only; v1 implies "naive")
+// Summary v4 is the only format written. It is binary; fixed-width
+// values are little-endian, "varint" is unsigned LEB128 (util/bytes.h):
+//
+//   header (32 bytes):
+//     off  0  magic     8 bytes  "logrsumm"
+//     off  8  version   u32      4
+//     off 12  flags     u32      0 (reserved; nonzero rejected)
+//     off 16  file_size u64      total bytes (rejects truncation)
+//     off 24  checksum  u64      FNV-1a 64 (BinaryLogChecksum) over
+//                                the payload [32, file_size)
+//   payload:
+//     u8 encoder                 0 naive, 1 refined, 2 pattern
+//     codebook:
+//       varint n_tokens, then per token: varint length, bytes
+//       varint n_features, then per feature (id = order):
+//         u8 clause, varint n_refs, n_refs x varint token id
+//     components (naive, refined):
+//       varint n_components, then per component:
+//         f64 weight, varint log_size, f64 empirical_entropy,
+//         varint n_marginals, n_marginals x marginal entry
+//     components (pattern):
+//       varint n_components, then per component:
+//         f64 weight, varint log_size, f64 empirical_entropy,
+//         varint n_features (the fit's universe width), varint n_patterns,
+//         n_patterns x { pattern-marginal entry, n_ids x varint id gap }
+//     patterns (refined only), per component:
+//       varint n_patterns; when nonzero: f64 refined component Error,
+//       then per pattern: varint n_ids, n_ids x varint id gap
+//
+// The codebook is a token dictionary: each feature text is split
+// losslessly into maximal runs of word bytes [A-Za-z0-9_], whitespace,
+// and other bytes; each distinct run is stored once, most frequent
+// first (first occurrence breaks ties), so equal models write equal
+// bytes. Any byte, "\n" included, round-trips. Feature ids are never
+// remapped.
+//
+// Ids within a list ascend strictly and are stored as gaps: each id
+// minus (previous id + 1), the first id as itself. A marginal entry is
+// varint (gap << 1 | raw), then the marginal; a pattern-marginal entry
+// is varint (n_ids << 1 | raw), then the marginal. raw = 0 stores a
+// varint count c, used when double(c) / double(log_size) reproduces the
+// marginal bit for bit; raw = 1 stores the f64 itself.
+//
+// The reader loads the whole file, checks magic, version, size and
+// checksum, and bounds every count by the bytes that remain before it
+// allocates; reconstructed codebook text is capped at 64 bytes per file
+// byte (16 MiB for small files).
+//
+// Summaries v1-v3 are line-oriented text, still read (never written) so
+// files already on disk load ("#"-comments and blank lines ignored):
+//   logr-summary v2                 (v1: no encoder line, implies naive)
+//   encoder <naive|refined>
 //   features <count>
-//   f <clause> <text...>            (one per feature, id = line order)
+//   f <clause 0-5> <text...>        (one per feature, id = line order)
 //   clusters <count>
 //   cluster <weight> <log_size> <empirical_entropy> <n_marginals>
 //   m <feature_id> <marginal>       (n_marginals lines)
-//   ... then, for "refined" summaries only:
-//   patterns <cluster> <count> <refined_component_error>
+//   patterns <cluster> <count> <refined_component_error>   (refined)
 //   p <n_ids> <id...>               (count lines per patterns block)
-//   refined_error <value>           (informational; the loaded model
-//                                    recomputes the weighted sum)
-//
-// The naive mixture family ("naive", "refined" — any model whose
-// AsNaiveMixture() is non-null) serializes as above. A runtime-
-// registered mergeable encoder persists as its naive payload under the
-// "naive" tag, so its files always load.
-//
-// "pattern" models (Sec. 2.3.1 — per-component max-ent lattices) have
-// no naive payload; they persist as summary v3, which stores each
-// component's patterns with the marginals that were measured on the
-// log, plus the stored empirical entropy / log size / universe width:
+//   refined_error <value>           (informational; recomputed)
+// and, for "pattern" models,
 //   logr-summary v3
 //   encoder pattern
-//   features <count>
-//   f <clause> <text...>
+//   features / f lines as above
 //   clusters <count>
 //   pcluster <weight> <log_size> <empirical_entropy> <n_features>
 //            <n_patterns>
 //   pm <marginal> <n_ids> <id...>   (n_patterns lines per pcluster)
-// Loading refits each component's max-ent representative by iterative
+//
+// The naive mixture family ("naive", "refined" — any model whose
+// AsNaiveMixture() is non-null) persists its naive payload; a runtime-
+// registered mergeable encoder persists under the "naive" tag, so its
+// files always load. A "pattern" model has no naive payload. Loading
+// refits each of its components' max-ent representative by iterative
 // scaling over exactly the stored (patterns, marginals, n_features) —
 // a deterministic fit, so a disk round trip reproduces every estimate
 // of the in-memory model bit for bit without the original log.
 #ifndef LOGR_CORE_SERIALIZATION_H_
 #define LOGR_CORE_SERIALIZATION_H_
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -58,6 +101,24 @@
 #include "workload/query_log.h"
 
 namespace logr {
+
+inline constexpr char kSummaryMagic[8] = {'l', 'o', 'g', 'r',
+                                          's', 'u', 'm', 'm'};
+inline constexpr std::uint32_t kSummaryVersion = 4;
+inline constexpr std::size_t kSummaryHeaderSize = 32;
+/// Byte offset of the u64 payload checksum within the header.
+inline constexpr std::size_t kSummaryChecksumOffset = 24;
+
+/// Where a loaded summary's bytes went (`logr_cli info` prints it).
+struct SummarySize {
+  int version = 0;  // 1-3: text, 4: binary
+  std::size_t total = 0;
+  /// v4 sections; zero for text files. The rest of `total` is the
+  /// 32-byte header and the encoder byte.
+  std::size_t codebook = 0;    // token dictionary + features
+  std::size_t components = 0;  // component headers + naive marginals
+  std::size_t patterns = 0;    // refined patterns, or pattern entries
+};
 
 /// A loaded summary: the codebook, the naive-family payload, and the
 /// analytics facade built over it. The original log is not needed to
@@ -73,11 +134,12 @@ struct PersistedSummary {
   /// The analytics facade over the payload; never null after a
   /// successful ReadSummary.
   std::shared_ptr<const WorkloadModel> model;
+  /// Filled by ReadSummary.
+  SummarySize size;
 };
 
-/// Writes `model` (with `vocab` as its codebook) to `out`: summary v2
-/// for the naive mixture family, summary v3 for "pattern" models.
-/// Returns false (and fills `error`) for models that are neither — a
+/// Writes `model` (with `vocab` as its codebook) to `out` as summary
+/// v4. Returns false (and fills `error`) for models that are neither — a
 /// runtime-registered encoder whose model exposes no serializable
 /// payload.
 bool WriteSummary(const Vocabulary& vocab, const WorkloadModel& model,
@@ -87,9 +149,9 @@ bool WriteSummary(const Vocabulary& vocab, const WorkloadModel& model,
 void WriteSummary(const Vocabulary& vocab,
                   const NaiveMixtureEncoding& encoding, std::ostream* out);
 
-/// Parses a summary written by WriteSummary (v2/v3) or by the
-/// pre-encoder v1 writer. Returns false (and fills `error`) on
-/// malformed input.
+/// Parses a summary written by WriteSummary (v4) or by an earlier
+/// writer (v1-v3 text), reading `in` to its end. Returns false (and
+/// fills `error`) on malformed input.
 bool ReadSummary(std::istream* in, PersistedSummary* summary,
                  std::string* error);
 

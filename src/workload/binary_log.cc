@@ -9,6 +9,7 @@
 #include <ostream>
 #include <unordered_set>
 
+#include "util/bytes.h"
 #include "util/check.h"
 
 #if !defined(_WIN32)
@@ -29,66 +30,8 @@ bool Fail(std::string* error, const std::string& message) {
   return false;
 }
 
-bool HostIsLittleEndian() {
-  const std::uint16_t probe = 1;
-  unsigned char first;
-  std::memcpy(&first, &probe, 1);
-  return first == 1;
-}
-
-std::uint32_t LoadU32(const char* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-std::uint64_t LoadU64(const char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-double LoadF64(const char* p) {
-  double v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-void AppendU8(std::string* out, std::uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::string* out, std::uint32_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendU64(std::string* out, std::uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendF64(std::string* out, double v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
 void PadTo8(std::string* out) {
   while (out->size() % 8 != 0) out->push_back('\0');
-}
-
-FeatureClause ClauseFromByte(std::uint8_t v) {
-  switch (v) {
-    case 0: return FeatureClause::kSelect;
-    case 1: return FeatureClause::kFrom;
-    case 2: return FeatureClause::kWhere;
-    case 3: return FeatureClause::kGroupBy;
-    case 4: return FeatureClause::kOrderBy;
-    default: return FeatureClause::kLimit;
-  }
 }
 
 /// Returns false unless [off, off + size) lies inside [kHeaderSize,
@@ -433,14 +376,16 @@ bool MmapQueryLog::Parse(std::string* error) {
     const char* limit = p + vocab_size;
     for (std::uint64_t f = 0; f < vocab_count; ++f) {
       if (limit - p < 5) return Fail(error, "truncated vocabulary block");
-      const std::uint8_t clause = static_cast<std::uint8_t>(*p);
-      if (clause > 5) return Fail(error, "invalid feature clause byte");
+      Feature feat;
+      if (!ClauseFromCode(static_cast<std::uint8_t>(*p), &feat.clause)) {
+        return Fail(error, "invalid feature clause byte");
+      }
       const std::uint32_t len = LoadU32(p + 1);
       p += 5;
       if (static_cast<std::uint64_t>(limit - p) < len) {
         return Fail(error, "truncated vocabulary block");
       }
-      Feature feat{ClauseFromByte(clause), std::string(p, p + len)};
+      feat.text.assign(p, p + len);
       p += len;
       if (vocab_.Intern(feat) != f) {
         return Fail(error, "duplicate feature in vocabulary: " + feat.text);

@@ -16,6 +16,14 @@ const char* FeatureClauseName(FeatureClause clause) {
   return "?";
 }
 
+bool ClauseFromCode(std::int64_t code, FeatureClause* clause) {
+  if (code < 0 || code > static_cast<std::int64_t>(FeatureClause::kLimit)) {
+    return false;
+  }
+  *clause = static_cast<FeatureClause>(code);
+  return true;
+}
+
 std::string Feature::ToString() const {
   return "<" + text + ", " + FeatureClauseName(clause) + ">";
 }

@@ -28,6 +28,11 @@ enum class FeatureClause : std::uint8_t {
 /// Human-readable clause tag ("SELECT", "FROM", ...).
 const char* FeatureClauseName(FeatureClause clause);
 
+/// Decodes a stored clause number (the enum value, as the .logrl and
+/// summary formats write it) into `*clause`. Returns false, leaving
+/// `*clause` untouched, for any value outside 0-5.
+bool ClauseFromCode(std::int64_t code, FeatureClause* clause);
+
 /// One structural query element, e.g. <status=?, WHERE>.
 struct Feature {
   FeatureClause clause = FeatureClause::kSelect;

@@ -1,13 +1,17 @@
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "core/logr_compressor.h"
 #include "core/serialization.h"
 #include "gtest/gtest.h"
+#include "util/bytes.h"
 #include "util/prng.h"
+#include "workload/binary_log.h"
 
 namespace logr {
 namespace {
@@ -271,15 +275,21 @@ TEST(SerializationTest, FuzzedInputNeverCrashesTheReader) {
 }
 
 TEST(SerializationTest, CommentsAndBlankLinesIgnored) {
-  QueryLog log = MakeLog();
-  LogRSummary summary = Compress(log, LogROptions());
-  std::stringstream buffer;
-  buffer << "# produced by test\n";
-  std::string error;
-  ASSERT_TRUE(WriteSummary(log.vocabulary(), summary.Model(), &buffer,
-                           &error))
-      << error;
+  // Comments and blank lines belong to the read-only text formats.
+  std::stringstream buffer(
+      "# produced by test\n"
+      "logr-summary v2\n"
+      "\n"
+      "encoder naive\n"
+      "features 1\n"
+      "# the codebook\n"
+      "f 0 a\n"
+      "clusters 1\n"
+      "cluster 1.0 10 0.0 1\n"
+      "\n"
+      "m 0 0.5\n");
   PersistedSummary loaded;
+  std::string error;
   EXPECT_TRUE(ReadSummary(&buffer, &loaded, &error)) << error;
 }
 
@@ -484,6 +494,357 @@ TEST(SerializationTest, PatternSummariesRefuseToMerge) {
   PersistedSummary merged;
   EXPECT_FALSE(MergeSummaries(parts, 0, nullptr, &merged, &error));
   EXPECT_NE(error.find("cannot be merged"), std::string::npos) << error;
+}
+
+// ------------------------------------------------------------ summary v4
+
+/// Every single feature, every pair among the first 24, and seeded
+/// random subsets: what a reload must answer bit for bit.
+std::vector<FeatureVec> Battery(std::size_t n_features) {
+  std::vector<FeatureVec> out;
+  out.emplace_back();
+  for (FeatureId f = 0; f < n_features; ++f) out.push_back(FeatureVec({f}));
+  const FeatureId pairs = static_cast<FeatureId>(std::min<std::size_t>(
+      n_features, 24));
+  for (FeatureId a = 0; a < pairs; ++a) {
+    for (FeatureId b = a + 1; b < pairs; ++b) {
+      out.push_back(FeatureVec({a, b}));
+    }
+  }
+  Pcg32 rng(41);
+  for (int trial = 0; trial < 200 && n_features > 0; ++trial) {
+    std::vector<FeatureId> ids;
+    for (int k = 0; k < 4; ++k) {
+      ids.push_back(static_cast<FeatureId>(
+          rng.NextBounded(static_cast<std::uint32_t>(n_features))));
+    }
+    out.push_back(FeatureVec(std::move(ids)));
+  }
+  return out;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSameEstimates(const WorkloadModel& expected,
+                         const WorkloadModel& actual,
+                         std::size_t n_features) {
+  std::size_t differing = 0;
+  for (const FeatureVec& q : Battery(n_features)) {
+    if (!SameBits(expected.EstimateCount(q), actual.EstimateCount(q)) ||
+        !SameBits(expected.EstimateMarginal(q), actual.EstimateMarginal(q))) {
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u);
+}
+
+std::string SummaryBytes(const Vocabulary& vocab, const WorkloadModel& model) {
+  std::ostringstream out;
+  std::string error;
+  EXPECT_TRUE(WriteSummary(vocab, model, &out, &error)) << error;
+  return out.str();
+}
+
+PersistedSummary LoadBytes(const std::string& bytes) {
+  std::istringstream in(bytes);
+  PersistedSummary loaded;
+  std::string error;
+  EXPECT_TRUE(ReadSummary(&in, &loaded, &error)) << error;
+  return loaded;
+}
+
+/// A 20-feature log with two correlated feature groups.
+QueryLog GroupLog() {
+  Pcg32 rng(29);
+  QueryLog log;
+  for (FeatureId f = 0; f < 20; ++f) {
+    log.mutable_vocabulary()->Intern(
+        {f < 10 ? FeatureClause::kSelect : FeatureClause::kWhere,
+         "t" + std::to_string(f % 3) + ".col_" + std::to_string(f) +
+             (f < 10 ? "" : " = ?")});
+  }
+  for (int i = 0; i < 80; ++i) {
+    const FeatureId base = i % 2 == 0 ? 0 : 10;
+    std::vector<FeatureId> ids;
+    for (FeatureId f = base; f < base + 10; ++f) {
+      if (rng.NextBernoulli(f - base < 4 ? 0.8 : 0.25)) ids.push_back(f);
+    }
+    if (ids.empty()) ids.push_back(base);
+    log.Add(FeatureVec(std::move(ids)), 1 + rng.NextBounded(9));
+  }
+  return log;
+}
+
+TEST(SerializationTest, V4RoundTripIsBitExactForEveryEncoder) {
+  const QueryLog log = GroupLog();
+  for (const char* encoder : {"naive", "refined", "pattern"}) {
+    SCOPED_TRACE(encoder);
+    LogROptions opts;
+    opts.num_clusters = 3;
+    opts.encoder = encoder;
+    if (std::string(encoder) == "refined") opts.refine_patterns = 4;
+    if (std::string(encoder) == "pattern") opts.pattern_budget = 6;
+    const LogRSummary summary = Compress(log, opts);
+    const WorkloadModel& model = summary.Model();
+
+    const std::string bytes = SummaryBytes(log.vocabulary(), model);
+    ASSERT_GE(bytes.size(), kSummaryHeaderSize);
+    EXPECT_EQ(std::memcmp(bytes.data(), kSummaryMagic, sizeof(kSummaryMagic)),
+              0);
+    const PersistedSummary loaded = LoadBytes(bytes);
+    ASSERT_NE(loaded.model, nullptr);
+    EXPECT_EQ(loaded.encoder, encoder);
+    EXPECT_STREQ(loaded.model->EncoderName(), encoder);
+    EXPECT_EQ(loaded.size.version, 4);
+    ASSERT_EQ(loaded.vocabulary.size(), log.vocabulary().size());
+    for (FeatureId f = 0; f < log.vocabulary().size(); ++f) {
+      EXPECT_EQ(loaded.vocabulary.Get(f), log.vocabulary().Get(f)) << f;
+    }
+    EXPECT_TRUE(SameBits(loaded.model->Error(), model.Error()));
+    EXPECT_TRUE(SameBits(loaded.model->BaseError(), model.BaseError()));
+    EXPECT_EQ(loaded.model->LogSize(), model.LogSize());
+    EXPECT_EQ(loaded.model->TotalVerbosity(), model.TotalVerbosity());
+    ASSERT_EQ(loaded.model->NumComponents(), model.NumComponents());
+    for (std::size_t c = 0; c < model.NumComponents(); ++c) {
+      EXPECT_TRUE(SameBits(loaded.model->ComponentWeight(c),
+                           model.ComponentWeight(c)));
+      EXPECT_TRUE(SameBits(loaded.model->ComponentError(c),
+                           model.ComponentError(c)));
+      EXPECT_EQ(loaded.model->ComponentLogSize(c), model.ComponentLogSize(c));
+      EXPECT_EQ(loaded.model->ComponentPatterns(c),
+                model.ComponentPatterns(c));
+      for (FeatureId f = 0; f < log.vocabulary().size(); ++f) {
+        EXPECT_TRUE(SameBits(loaded.model->ComponentMarginal(c, f),
+                             model.ComponentMarginal(c, f)));
+      }
+    }
+    ExpectSameEstimates(model, *loaded.model, log.vocabulary().size());
+    // Fixed point: the loaded model writes the same bytes.
+    EXPECT_EQ(SummaryBytes(loaded.vocabulary, *loaded.model), bytes);
+  }
+}
+
+TEST(SerializationTest, V4StoresCountAndRawMarginals) {
+  // Reconciling a merge fuses components into weighted averages, which
+  // are no longer count / log_size: the file then holds both marginal
+  // forms, and both reload bit for bit.
+  const QueryLog log = GroupLog();
+  LogROptions opts;
+  opts.num_clusters = 4;
+  std::vector<PersistedSummary> parts;
+  for (int seed = 0; seed < 2; ++seed) {
+    opts.seed = 11 + seed;
+    const LogRSummary summary = Compress(log, opts);
+    parts.push_back(
+        LoadBytes(SummaryBytes(log.vocabulary(), summary.Model())));
+  }
+  PersistedSummary merged;
+  std::string error;
+  ASSERT_TRUE(MergeSummaries(parts, 3, nullptr, &merged, &error)) << error;
+
+  std::size_t exact = 0, raw = 0;
+  for (std::size_t c = 0; c < merged.encoding.NumComponents(); ++c) {
+    const NaiveEncoding& enc = merged.encoding.Component(c).encoding;
+    const double n = static_cast<double>(enc.LogSize());
+    for (double p : enc.marginals()) {
+      const double back = std::nearbyint(p * n) / n;
+      ++(SameBits(back, p) ? exact : raw);
+    }
+  }
+  EXPECT_GT(exact, 0u);
+  EXPECT_GT(raw, 0u);
+
+  const std::string bytes = SummaryBytes(merged.vocabulary, *merged.model);
+  const PersistedSummary loaded = LoadBytes(bytes);
+  ASSERT_NE(loaded.model, nullptr);
+  for (std::size_t c = 0; c < merged.encoding.NumComponents(); ++c) {
+    const NaiveEncoding& want = merged.encoding.Component(c).encoding;
+    const NaiveEncoding& got = loaded.encoding.Component(c).encoding;
+    EXPECT_EQ(got.features(), want.features());
+    ASSERT_EQ(got.marginals().size(), want.marginals().size());
+    for (std::size_t i = 0; i < want.marginals().size(); ++i) {
+      EXPECT_TRUE(SameBits(got.marginals()[i], want.marginals()[i])) << i;
+    }
+  }
+  ExpectSameEstimates(*merged.model, *loaded.model, merged.vocabulary.size());
+  EXPECT_EQ(SummaryBytes(loaded.vocabulary, *loaded.model), bytes);
+}
+
+TEST(SerializationTest, V4RoundTripsAnyFeatureText) {
+  // v2 split lines on "\n" and ate one leading space; v4 stores tokens,
+  // so every byte string survives, in every clause.
+  const std::vector<std::string> texts = {
+      "  leading", "trailing  ", "repeated   inner  spaces", "", " ",
+      "carriage\rreturn", "new\nline", "\xc3\xa9t\xc3\xa9 \xff\x80",
+      "tab\there", "f(a, b) >= ?", "__id_9"};
+  QueryLog log;
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    log.mutable_vocabulary()->Intern(
+        {static_cast<FeatureClause>(i % 6), texts[i]});
+  }
+  const FeatureId n = static_cast<FeatureId>(texts.size());
+  for (FeatureId f = 0; f + 1 < n; ++f) log.Add(FeatureVec({f, f + 1}), f + 1);
+  const LogRSummary summary = Compress(log, LogROptions());
+
+  const std::string bytes = SummaryBytes(log.vocabulary(), summary.Model());
+  const PersistedSummary loaded = LoadBytes(bytes);
+  ASSERT_EQ(loaded.vocabulary.size(), texts.size());
+  for (FeatureId f = 0; f < n; ++f) {
+    EXPECT_EQ(loaded.vocabulary.Get(f), log.vocabulary().Get(f)) << f;
+  }
+  ExpectSameEstimates(summary.Model(), *loaded.model, texts.size());
+}
+
+TEST(SerializationTest, TextReaderRejectsClauseOutsideRange) {
+  for (const char* clause : {"6", "9", "-1"}) {
+    std::stringstream buffer(std::string("logr-summary v2\nencoder naive\n"
+                                         "features 1\nf ") +
+                             clause + " x\nclusters 0\n");
+    PersistedSummary loaded;
+    std::string error;
+    EXPECT_FALSE(ReadSummary(&buffer, &loaded, &error)) << clause;
+    EXPECT_NE(error.find("invalid feature clause"), std::string::npos)
+        << error;
+  }
+}
+
+TEST(SerializationTest, CheckedInTextSummariesConvertToV4) {
+  // Each text-format seed loads, rewrites as v4, and answers every
+  // estimate of the battery unchanged.
+  for (const char* name : {"demo_v1", "golden_naive", "golden_refined",
+                           "golden_pattern_v3"}) {
+    SCOPED_TRACE(name);
+    const std::string path = std::string(LOGR_FUZZ_CORPUS_DIR) +
+                             "/read_summary/" + name + ".logr";
+    PersistedSummary text;
+    std::string error;
+    ASSERT_TRUE(ReadSummaryFile(path, &text, &error)) << error;
+    EXPECT_GE(text.size.version, 1);
+    EXPECT_LE(text.size.version, 3);
+
+    const std::string bytes = SummaryBytes(text.vocabulary, *text.model);
+    const PersistedSummary v4 = LoadBytes(bytes);
+    ASSERT_NE(v4.model, nullptr);
+    EXPECT_EQ(v4.size.version, 4);
+    EXPECT_LT(bytes.size(), text.size.total);
+    EXPECT_EQ(v4.encoder, text.encoder);
+    ASSERT_EQ(v4.vocabulary.size(), text.vocabulary.size());
+    for (FeatureId f = 0; f < text.vocabulary.size(); ++f) {
+      EXPECT_EQ(v4.vocabulary.Get(f), text.vocabulary.Get(f)) << f;
+    }
+    EXPECT_TRUE(SameBits(v4.model->Error(), text.model->Error()));
+    ExpectSameEstimates(*text.model, *v4.model, text.vocabulary.size());
+  }
+}
+
+TEST(SerializationTest, V4SizeBreakdownCoversTheFile) {
+  const QueryLog log = GroupLog();
+  for (const char* encoder : {"naive", "refined", "pattern"}) {
+    SCOPED_TRACE(encoder);
+    LogROptions opts;
+    opts.num_clusters = 2;
+    opts.encoder = encoder;
+    if (std::string(encoder) == "refined") opts.refine_patterns = 3;
+    const LogRSummary summary = Compress(log, opts);
+    const std::string bytes = SummaryBytes(log.vocabulary(), summary.Model());
+    const SummarySize size = LoadBytes(bytes).size;
+    EXPECT_EQ(size.total, bytes.size());
+    EXPECT_EQ(size.total, kSummaryHeaderSize + 1 + size.codebook +
+                              size.components + size.patterns);
+    EXPECT_GT(size.codebook, 0u);
+    EXPECT_GT(size.components, 0u);
+    EXPECT_EQ(size.patterns > 0, std::string(encoder) != "naive");
+  }
+}
+
+/// Frames `payload` as a v4 file with a correct size and checksum.
+std::string Framed(const std::string& payload) {
+  std::string out(kSummaryMagic, sizeof(kSummaryMagic));
+  AppendU32(&out, kSummaryVersion);
+  AppendU32(&out, 0);
+  AppendU64(&out, kSummaryHeaderSize + payload.size());
+  AppendU64(&out, BinaryLogChecksum(payload.data(), payload.size()));
+  return out + payload;
+}
+
+/// A one-feature naive payload: codebook {"a"}, one component of ten
+/// queries whose marginal is the count `count`.
+std::string TinyPayload(std::uint64_t count) {
+  std::string p;
+  AppendU8(&p, 0);  // naive
+  AppendVarint(&p, 1);
+  AppendVarint(&p, 1);
+  p += "a";
+  AppendVarint(&p, 1);  // features
+  AppendU8(&p, 0);
+  AppendVarint(&p, 1);
+  AppendVarint(&p, 0);
+  AppendVarint(&p, 1);  // components
+  AppendF64(&p, 1.0);
+  AppendVarint(&p, 10);
+  AppendF64(&p, 0.0);
+  AppendVarint(&p, 1);
+  AppendVarint(&p, 0);  // feature 0, count form
+  AppendVarint(&p, count);
+  return p;
+}
+
+TEST(SerializationTest, V4ReaderRejectsCorruptFiles) {
+  {
+    const PersistedSummary tiny = LoadBytes(Framed(TinyPayload(5)));
+    ASSERT_NE(tiny.model, nullptr);
+    EXPECT_EQ(tiny.model->EstimateCount(FeatureVec({0})), 5.0);
+  }
+  const QueryLog log = GroupLog();
+  const std::string valid =
+      SummaryBytes(log.vocabulary(), Compress(log, LogROptions()).Model());
+
+  std::string bad_checksum = valid;
+  bad_checksum[kSummaryHeaderSize + 3] ^= 0x20;
+  std::string bad_version = valid;
+  bad_version[8] = 5;
+  std::string bad_flags = valid;
+  bad_flags[12] = 1;
+
+  std::string count_bomb;  // a token dictionary of 2^40 entries
+  AppendU8(&count_bomb, 0);
+  AppendVarint(&count_bomb, std::uint64_t{1} << 40);
+
+  std::string token_past = TinyPayload(5);
+  token_past[7] = 7;  // the feature's one token id
+  std::string bad_clause = TinyPayload(5);
+  bad_clause[5] = 6;
+  std::string bad_encoder = TinyPayload(5);
+  bad_encoder[0] = 3;
+
+  struct Case {
+    std::string bytes;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {valid.substr(0, valid.size() / 2), "file size mismatch"},
+      {valid.substr(0, 20), "truncated header"},
+      {bad_checksum, "checksum mismatch"},
+      {bad_version, "unsupported version"},
+      {bad_flags, "flags"},
+      {Framed(count_bomb), "exceeds the bytes that remain"},
+      {Framed(token_past), "past the dictionary"},
+      {Framed(bad_clause), "invalid feature clause"},
+      {Framed(bad_encoder), "unknown encoder code"},
+      {Framed(TinyPayload(11)), "exceeds the component's log size"},
+      {Framed(TinyPayload(5) + "x"), "trailing bytes"},
+      {Framed(TinyPayload(5).substr(0, 4)), "truncated feature list"},
+  };
+  for (const Case& c : cases) {
+    std::istringstream in(c.bytes);
+    PersistedSummary loaded;
+    std::string error;
+    EXPECT_FALSE(ReadSummary(&in, &loaded, &error)) << c.expect;
+    EXPECT_NE(error.find(c.expect), std::string::npos)
+        << c.expect << " -> " << error;
+  }
 }
 
 }  // namespace
