@@ -468,8 +468,8 @@ const HierarchicalFitInput& BankHierarchicalFitSingleton() {
 }
 
 const HierarchicalFitInput& LargeHierarchicalFitSingleton() {
-  // Four times the templates (6,848 leaves, a ~187 MB store): past the
-  // 4,096-slot list length where the chunk fold goes to the pool.
+  // Four times the templates (6,848 leaves, a ~187 MB store): a store
+  // far past the caches, so the scan team's chunks are memory-bound.
   static const HierarchicalFitInput* kInput = MakeHierarchicalFitInput(4);
   return *kInput;
 }

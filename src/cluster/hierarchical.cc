@@ -1,8 +1,8 @@
 #include "cluster/hierarchical.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
+#include <utility>
 
 #include "cluster/nn_chain.h"
 #include "util/check.h"
@@ -48,10 +48,8 @@ std::vector<double> ResolveMasses(std::size_t n,
   return mass;
 }
 
-/// Chunk edge for the parallel nearest() scan. Each chunk reduces to a
-/// local (dist, arg) minimum in ascending index order; the chunk minima
-/// are then folded serially in chunk order, so the winner is the exact
-/// smallest-index argmin a serial scan would pick, for any pool size.
+/// Chunk edge of the nearest() scans and merge passes: the unit the
+/// scan team claims, and the unit of the serial chunk-order fold.
 constexpr std::size_t kScanChunk = 64;
 
 /// How many slot-list positions ahead the column walk prefetches. Each
@@ -59,43 +57,36 @@ constexpr std::size_t kScanChunk = 64;
 /// stall on every read.
 constexpr std::size_t kPrefetch = 32;
 
-/// One Argmin chunk over slot `a`'s distances: positions [lo, hi) of the
+/// One scan chunk over slot `a`'s distances: positions [lo, hi) of the
 /// exact ascending slot list `list`, where position `split` holds `a`.
 /// The column part (j < a) reads the strided entries (j, a) and calls
 /// `prefetch(j')` for the slot kPrefetch positions ahead, up to `split`;
 /// the row part (j > a) then walks Row(a) contiguously. `visit(j, e)`
-/// gets the stored entry e = (a, j) and returns the linkage to fold;
-/// strict < keeps the first (smallest-index) minimum. Returns {best,
-/// arg}, arg == kNone when the chunk holds no slot but `a`.
+/// gets the stored entry e = (a, j) and returns the linkage to fold.
+/// Returns the chunk's top two (empty when it holds no slot but `a`).
 template <typename PrefetchFn, typename VisitFn>
-std::pair<double, std::size_t> WalkChunk(CondensedDistances& d,
-                                         const std::uint32_t* list,
-                                         std::size_t a, std::size_t split,
-                                         std::size_t lo, std::size_t hi,
-                                         const PrefetchFn& prefetch,
-                                         const VisitFn& visit) {
-  double best = std::numeric_limits<double>::max();
-  std::size_t arg = NNChainScan::kNone;
+NearestTwo WalkChunk(CondensedDistances& d, const std::uint32_t* list,
+                     std::size_t a, std::size_t split, std::size_t lo,
+                     std::size_t hi, const PrefetchFn& prefetch,
+                     const VisitFn& visit) {
+  NearestTwo top;
   const std::size_t column_end = std::min(hi, split);
   for (std::size_t p = lo; p < column_end; ++p) {
     if (p + kPrefetch < split) prefetch(list[p + kPrefetch]);
     const std::size_t j = list[p];
-    const double x = visit(j, d.Row(j)[a - j - 1]);
-    if (x < best) {
-      best = x;
-      arg = j;
-    }
+    top.Push(visit(j, d.Row(j)[a - j - 1]), j);
   }
   double* row = d.Row(a);
   for (std::size_t p = std::max(lo, split + 1); p < hi; ++p) {
     const std::size_t j = list[p];
-    const double x = visit(j, row[j - a - 1]);
-    if (x < best) {
-      best = x;
-      arg = j;
-    }
+    top.Push(visit(j, row[j - a - 1]), j);
   }
-  return std::make_pair(best, arg);
+  return top;
+}
+
+/// Lexicographic (linkage, slot) order of the top-two cache.
+bool Before(double x, std::size_t i, double y, std::size_t j) {
+  return x < y || (x == y && i < j);
 }
 
 /// Position of active slot `a` in the ascending slot list.
@@ -165,59 +156,53 @@ Dendrogram AgglomerativeAverageLinkage(CondensedDistances d,
   std::vector<int> node_of_slot(n);
   std::iota(node_of_slot.begin(), node_of_slot.end(), 0);
 
-  // Chain walk, exact active-slot list, and deterministic chunk fold
-  // come from cluster/nn_chain.h (shared with the mixture reconcile);
-  // the chunk kernel is WalkChunk.
+  // Chain walk, exact active-slot list, deterministic chunk fold and
+  // scan team come from cluster/nn_chain.h (shared with the mixture
+  // reconcile); the chunk kernel is WalkChunk.
   NNChainScan scan(n, kScanChunk, pool);
 
-  // Cached nearest neighbor per slot. A valid entry equals exactly what
-  // a full serial scan would return — value and smallest-index tie-break
-  // — so the merge sequence matches the reference bit for bit. Entries
-  // go stale only when their cached neighbor itself merges (lazy
-  // invalidation, rescanned on next use); the Lance-Williams pass keeps
-  // all other entries exact in place (see the update rule below).
+  // Exact top-two cache per slot. A valid `best` equals exactly what a
+  // full serial scan would return — value and smallest-index tie-break
+  // — so the merge sequence matches the reference bit for bit. A known
+  // `second` is the exact minimum over every other slot but `best`.
+  // Each merge keeps both exact in place (see the update rule below); a
+  // slot is rescanned only when no best survives.
   constexpr std::size_t kNone = NNChainScan::kNone;
-  std::vector<std::size_t> cached_arg(n, kNone);
-  std::vector<double> cached_dist(n, 0.0);
+  std::vector<NearestTwo> cache(n);
 
   // Scans read at(a, j) through WalkChunk: a's column for j < a, then
   // its row for j > a.
   auto nearest = [&](std::size_t a) {
-    if (cached_arg[a] != kNone) {
-      return std::make_pair(cached_arg[a], cached_dist[a]);
+    NearestTwo& c = cache[a];
+    if (c.best == kNone) {
+      const std::uint32_t* list = scan.slots().data();
+      const std::size_t split = SlotPosition(scan.slots(), a);
+      c = scan.Scan([&](std::size_t lo, std::size_t hi) {
+        return WalkChunk(
+            d, list, a, split, lo, hi,
+            [&](std::size_t j) { __builtin_prefetch(&d.Row(j)[a - j - 1]); },
+            [](std::size_t, double e) { return e; });
+      });
     }
-    const std::uint32_t* list = scan.slots().data();
-    const std::size_t split = SlotPosition(scan.slots(), a);
-    const std::pair<std::size_t, double> found =
-        scan.Argmin(a, [&](std::size_t lo, std::size_t hi) {
-          return WalkChunk(
-              d, list, a, split, lo, hi,
-              [&](std::size_t j) {
-                __builtin_prefetch(&d.Row(j)[a - j - 1]);
-              },
-              [](std::size_t, double e) { return e; });
-        });
-    cached_arg[a] = found.first;
-    cached_dist[a] = found.second;
-    return found;
+    return std::make_pair(c.best, c.best_dist);
   };
 
   // Reciprocal pair (a, b) found: record the merge, then the
   // Lance-Williams weighted average-linkage update into slot a — one
   // write per pair, at(a, j) — fused with the exact cache maintenance.
   // Each iteration writes only its own j-indexed slots, so the schedule
-  // never changes a bit. Cache rule: entries pointing at a or b go
-  // stale (their distance changed / their node vanished); any other
-  // valid entry stays the true minimum because the updated at(j, a) is
-  // a weighted average of two old distances, both >= the cached minimum
-  // — only an exact tie with a smaller index (a < cached_arg[j]) can
-  // re-point it.
+  // never changes a bit. Cache rule for every other active slot j: drop
+  // a and b from j's pair (a's distance changed, b is gone); if the
+  // best was dropped, promote the second, which is exact because the
+  // second is the minimum over every slot but the old best; then offer
+  // the updated pair (nd, a). An offer that does not beat the best
+  // leaves an unknown second unknown.
   //
-  // The pass itself is an Argmin over the new distances: it visits the
+  // The pass itself is a scan over the new distances: it visits the
   // same active j != a (b is already out of the slot list) in the same
   // ascending, chunk-folded order a rescan would, so its result is
-  // exactly a's new cached nearest neighbor. Its column part prefetches
-  // both a's entry (to be written) and b's entry ahead.
+  // exactly a's new top two. Its column part prefetches both a's entry
+  // (to be written) and b's entry ahead.
   auto merge = [&](std::size_t a, std::size_t b, double dist_ab) {
     out.merge_a.push_back(node_of_slot[a]);
     out.merge_b.push_back(node_of_slot[b]);
@@ -232,24 +217,30 @@ Dendrogram AgglomerativeAverageLinkage(CondensedDistances d,
     auto update = [&](std::size_t j2, double& d_a) {
       const double nd = (ma * d_a + mb * d.at(b, j2)) / (ma + mb);
       d_a = nd;
-      std::size_t& arg = cached_arg[j2];
-      if (arg == a || arg == b) {
-        arg = kNone;
-      } else if (arg != kNone &&
-                 (nd < cached_dist[j2] ||
-                  (nd == cached_dist[j2] && a < arg))) {
-        arg = a;
-        cached_dist[j2] = nd;
+      NearestTwo& c = cache[j2];
+      if (c.second == a || c.second == b) c.second = kNone;
+      if (c.best == a || c.best == b) {
+        c.best = c.second;
+        c.best_dist = c.second_dist;
+        c.second = kNone;
+      }
+      if (c.best == kNone) return nd;
+      if (Before(nd, a, c.best_dist, c.best)) {
+        c.second = c.best;
+        c.second_dist = c.best_dist;
+        c.best = a;
+        c.best_dist = nd;
+      } else if (c.second != kNone &&
+                 Before(nd, a, c.second_dist, c.second)) {
+        c.second = a;
+        c.second_dist = nd;
       }
       return nd;
     };
-    const std::pair<std::size_t, double> found =
-        scan.Argmin(a, [&](std::size_t lo, std::size_t hi) {
-          return WalkChunk(d, list, a, split, lo, hi, prefetch, update);
-        });
+    cache[a] = scan.Scan([&](std::size_t lo, std::size_t hi) {
+      return WalkChunk(d, list, a, split, lo, hi, prefetch, update);
+    });
     mass[a] = ma + mb;
-    cached_arg[a] = found.first;
-    cached_dist[a] = found.second;
     node_of_slot[a] = static_cast<int>(n + out.merge_a.size() - 1);
   };
 

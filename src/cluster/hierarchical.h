@@ -36,14 +36,16 @@ struct Dendrogram {
 ///
 /// Works in place on the condensed store it is handed (taken by value —
 /// move it in; N(N−1)/2·8 bytes, the only O(N²) allocation of the fit).
-/// The fast path of the NN-chain algorithm: a per-slot cached-nearest
-/// array (lazily invalidated when a slot's cached neighbor merges) makes
-/// most nearest() calls O(1). Each merge's Lance-Williams pass writes
-/// every updated pair once and computes the merged slot's new nearest
-/// neighbor on the way. Both it and the remaining full scans walk the
-/// exact active-slot list, slot a's strided column (j < a, prefetched
-/// ahead) and then its contiguous row (j > a). Lists longer than 4,096
-/// slots (64 chunks of 64) run across `pool` (nullptr = serial).
+/// The fast path of the NN-chain algorithm: a per-slot exact top-two
+/// cache (best and second-best neighbor, kept exact by every merge)
+/// makes most nearest() calls O(1); a slot is rescanned only when both
+/// cached neighbors merged. Each merge's Lance-Williams pass writes
+/// every updated pair once and computes the merged slot's new top two
+/// on the way. Both it and the rescans walk the exact active-slot list,
+/// slot a's strided column (j < a, prefetched ahead) and then its
+/// contiguous row (j > a). While the fit runs, `pool`'s threads form a
+/// scan team (cluster/nn_chain.h) that splits every scan of at least
+/// 512 slots; shorter ones run inline (nullptr = serial).
 /// Bit-identical to the serial full-matrix NN-chain the tests keep as an
 /// oracle (AgglomerativeAverageLinkageReference) for every pool
 /// size: the cache is exact (deterministic index tie-breaks preserved)

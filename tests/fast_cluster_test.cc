@@ -2,8 +2,8 @@
 // distance bit-identity of the condensed store (all six metrics, fuzzed
 // vectors, every pool size), the pair-list variant, cached-NN
 // agglomeration vs the pre-change serial reference (including the
-// pool-dispatched path), the NN-chain slot list and chunked argmin
-// fold, every backend's no-pool fallback, spectral
+// scan team, alone and sharing a pool), the NN-chain slot list and
+// chunked argmin fold, every backend's no-pool fallback, spectral
 // bit-determinism across pool sizes, and the multi-core perf guardrail
 // for the parallel distance fill.
 #include <algorithm>
@@ -364,11 +364,11 @@ CondensedDistances TieHeavyDistances(std::size_t n, std::uint64_t seed) {
 }
 
 TEST(FastAgglomerationTest, PoolDispatchedPathMatchesSerialAndReference) {
-  // 4,400 slots is past the 4,096-slot parallel threshold (64 chunks of
-  // 64 run inline). The slot list shrinks by one per merge, so for the
-  // first 304 merges, until it is down to 4,096 slots, every nearest
-  // scan and every fused Lance-Williams pass is split across the pool's
-  // workers — a path the few-hundred-template logs above never reach.
+  // 4,400 slots is 69 chunks of 64. On the four-thread pool every
+  // nearest scan and every fused Lance-Williams pass of at least 8
+  // chunks is split across the scan team, so for the first
+  // 3,951 merges (down to 449 slots) the team runs every scan — list
+  // lengths the few-hundred-template logs above never reach.
   constexpr std::size_t kN = 4400;
   constexpr std::uint64_t kSeed = 37;
   ThreadPool four(4);
@@ -383,6 +383,72 @@ TEST(FastAgglomerationTest, PoolDispatchedPathMatchesSerialAndReference) {
       AgglomerativeAverageLinkageReference(TieHeavyDistances(kN, kSeed), {}));
 }
 
+TEST(FastAgglomerationTest, ScanTeamMatchesSerialAndReferenceOnTies) {
+  // 600 and 1,500 slots are 10 and 24 chunks of 64: the scan team splits
+  // the scans from the first merge on, and ties everywhere stress the
+  // top-two cache's index tie-breaks and its promotions.
+  for (const std::size_t n : {600u, 1500u}) {
+    const std::uint64_t seed = 40 + n;
+    const Dendrogram serial =
+        AgglomerativeAverageLinkage(TieHeavyDistances(n, seed), {}, nullptr);
+    ExpectDendrogramsEqual(
+        serial, AgglomerativeAverageLinkageReference(TieHeavyDistances(n, seed),
+                                                     {}));
+    for (const std::size_t threads : {2u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads);
+      ThreadPool pool(threads);
+      ExpectDendrogramsEqual(
+          AgglomerativeAverageLinkage(TieHeavyDistances(n, seed), {}, &pool),
+          serial);
+    }
+  }
+}
+
+TEST(FastAgglomerationTest, TopTwoCacheMatchesReferenceOnSmallTieStores) {
+  // Hundreds of small stores at 2-4 distinct distances. A merge's
+  // updated distance ties a slot's cached second-best only now and then,
+  // so it takes many stores to reach the offer's index tie-break and the
+  // promotions that follow it.
+  Pcg32 rng(59);
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t n = 20 + rng.NextBounded(280);
+    const std::uint32_t values = 2 + rng.NextBounded(3);
+    CondensedDistances d(n);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        d.at(i, j) = static_cast<double>(rng.NextBounded(values));
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "round " << round << " n=" << n);
+    ExpectDendrogramsEqual(AgglomerativeAverageLinkage(CopyOf(d), {}, nullptr),
+                           AgglomerativeAverageLinkageReference(d, {}));
+    if (HasFailure()) return;
+  }
+}
+
+TEST(FastAgglomerationTest, ConcurrentFitsShareOnePool) {
+  // Two fits on one four-thread pool at once: each team gets whichever
+  // workers are free, possibly none, so a scan must never wait for a
+  // helper that has not arrived. Both must finish and match the oracle.
+  constexpr std::size_t kN = 1500;
+  ThreadPool four(4);
+  Dendrogram got[2];
+  std::thread fits[2];
+  for (int t = 0; t < 2; ++t) {
+    fits[t] = std::thread([&, t] {
+      got[t] = AgglomerativeAverageLinkage(TieHeavyDistances(kN, 50 + t), {},
+                                           &four);
+    });
+  }
+  for (std::thread& f : fits) f.join();
+  for (int t = 0; t < 2; ++t) {
+    ExpectDendrogramsEqual(
+        got[t],
+        AgglomerativeAverageLinkageReference(TieHeavyDistances(kN, 50 + t),
+                                             {}));
+  }
+}
+
 /// Tie-heavy symmetric integer linkage in [0, 4) between slots i != j.
 double TieLinkage(std::size_t i, std::size_t j) {
   std::uint64_t x = std::min(i, j) * 0x9E3779B97F4A7C15ULL + std::max(i, j);
@@ -393,12 +459,14 @@ double TieLinkage(std::size_t i, std::size_t j) {
 }
 
 TEST(NNChainScanTest, ExactSlotListAndArgmin) {
-  // 4,300 slots is 68 chunks of 64, so on the four-thread pool the chunk
-  // fold dispatches until the list drops to 64 chunks.
+  // 4,300 slots is 68 chunks of 64. Outside a team every scan runs
+  // inline whatever the pool; the last scan below is the team's leader
+  // on the four-thread pool, so its scans of at least 8 chunks are split
+  // across the team until the list drops below 449 slots.
   constexpr std::size_t kN = 4300;
   ThreadPool one(1);
   ThreadPool four(4);
-  ThreadPool* const pools[] = {nullptr, &one, &four};
+  ThreadPool* const pools[] = {nullptr, &one, &four, &four};
   std::vector<std::unique_ptr<NNChainScan>> scans;
   for (ThreadPool* pool : pools) {
     scans.push_back(std::make_unique<NNChainScan>(kN, 64, pool));
@@ -412,49 +480,51 @@ TEST(NNChainScanTest, ExactSlotListAndArgmin) {
   }
 
   std::vector<std::uint8_t> active(kN, 1);
-  for (std::size_t step = 0; step < kN; ++step) {
-    active[order[step]] = 0;
-    std::vector<std::uint32_t> expected;
-    for (std::size_t s = 0; s < kN; ++s) {
-      if (active[s]) expected.push_back(static_cast<std::uint32_t>(s));
-    }
-    for (auto& scan : scans) {
-      scan->Deactivate(order[step]);
-      ASSERT_EQ(scan->slots(), expected) << "step " << step;
-    }
-    if (step % 97 != 0 || expected.empty()) continue;
+  scans.back()->RunTeam([&] {
+    for (std::size_t step = 0; step < kN; ++step) {
+      active[order[step]] = 0;
+      std::vector<std::uint32_t> expected;
+      for (std::size_t s = 0; s < kN; ++s) {
+        if (active[s]) expected.push_back(static_cast<std::uint32_t>(s));
+      }
+      for (auto& scan : scans) {
+        scan->Deactivate(order[step]);
+        ASSERT_EQ(scan->slots(), expected) << "step " << step;
+      }
+      if (step % 97 != 0 || expected.empty()) continue;
 
-    const std::size_t a = expected[rng.NextBounded(
-        static_cast<std::uint32_t>(expected.size()))];
-    std::size_t want_arg = a;
-    double want_best = std::numeric_limits<double>::max();
-    for (std::size_t j = 0; j < kN; ++j) {
-      if (!active[j] || j == a) continue;
-      if (TieLinkage(a, j) < want_best) {
-        want_best = TieLinkage(a, j);
-        want_arg = j;
+      const std::size_t a = expected[rng.NextBounded(
+          static_cast<std::uint32_t>(expected.size()))];
+      std::size_t want_arg = a;
+      double want_best = std::numeric_limits<double>::max();
+      for (std::size_t j = 0; j < kN; ++j) {
+        if (!active[j] || j == a) continue;
+        if (TieLinkage(a, j) < want_best) {
+          want_best = TieLinkage(a, j);
+          want_arg = j;
+        }
+      }
+      for (auto& scan : scans) {
+        const std::vector<std::uint32_t>& list = scan->slots();
+        const std::pair<std::size_t, double> got =
+            scan->Argmin(a, [&](std::size_t lo, std::size_t hi) {
+              double best = std::numeric_limits<double>::max();
+              std::size_t arg = NNChainScan::kNone;
+              for (std::size_t p = lo; p < hi; ++p) {
+                if (list[p] == a) continue;
+                const double x = TieLinkage(a, list[p]);
+                if (x < best) {
+                  best = x;
+                  arg = list[p];
+                }
+              }
+              return std::make_pair(best, arg);
+            });
+        EXPECT_EQ(got.first, want_arg) << "step " << step << " a=" << a;
+        EXPECT_EQ(got.second, want_best) << "step " << step << " a=" << a;
       }
     }
-    for (auto& scan : scans) {
-      const std::vector<std::uint32_t>& list = scan->slots();
-      const std::pair<std::size_t, double> got =
-          scan->Argmin(a, [&](std::size_t lo, std::size_t hi) {
-            double best = std::numeric_limits<double>::max();
-            std::size_t arg = NNChainScan::kNone;
-            for (std::size_t p = lo; p < hi; ++p) {
-              if (list[p] == a) continue;
-              const double x = TieLinkage(a, list[p]);
-              if (x < best) {
-                best = x;
-                arg = list[p];
-              }
-            }
-            return std::make_pair(best, arg);
-          });
-      EXPECT_EQ(got.first, want_arg) << "step " << step << " a=" << a;
-      EXPECT_EQ(got.second, want_best) << "step " << step << " a=" << a;
-    }
-  }
+  });
 }
 
 TEST(NNChainScanDeathTest, DeactivateTwiceDies) {
