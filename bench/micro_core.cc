@@ -22,7 +22,6 @@
 #include "core/mixture.h"
 #include "core/serialization.h"
 #include "core/sharded.h"
-#include "core/streaming.h"
 #include "core/naive_encoding.h"
 #include "core/pattern_model.h"
 #include "maxent/deviation.h"
@@ -475,8 +474,8 @@ const HierarchicalFitInput& LargeHierarchicalFitSingleton() {
 }
 
 /// The whole hierarchical fit over a pre-built pool: condensed distance
-/// fill plus in-place agglomeration, as HierarchicalClusterer::Fit runs
-/// it. `bytes` is the condensed store, N(N−1)/2·8.
+/// fill plus in-place agglomeration, as HierarchicalClusterer::Cluster
+/// runs it. `bytes` is the condensed store, N(N−1)/2·8.
 void RunHierarchicalFit(benchmark::State& state,
                         const HierarchicalFitInput& in) {
   DistanceSpec spec;
@@ -545,19 +544,24 @@ const NaiveMixtureEncoding& PooledComponentsSingleton() {
     comps.reserve(kComponents);
     std::uint64_t grand_total = 0;
     for (std::size_t c = 0; c < kComponents; ++c) {
-      ComponentAccumulator acc;
+      QueryLog part;
       // Three templates around a per-component anchor feature; counts
       // and offsets vary with c so components are (mostly) distinct and
-      // fused groups keep a nonzero error.
+      // fused groups keep a nonzero error. When c % 5 == 1 the first two
+      // templates coincide and the log merges them.
       const FeatureId base = static_cast<FeatureId>((c * 37) % kFeatures);
-      acc.Add(FeatureVec({base, static_cast<FeatureId>(
-                                    (base + 1 + c % 5) % kFeatures)}),
-              1 + (c % 7));
-      acc.Add(FeatureVec({base, static_cast<FeatureId>((base + 2) % kFeatures)}),
-              2);
-      acc.Add(FeatureVec({static_cast<FeatureId>((base + 3) % kFeatures)}), 1);
-      grand_total += acc.total();
-      comps.push_back(acc.FinalizeComponent(1));  // weights fixed below
+      part.Add(FeatureVec({base, static_cast<FeatureId>(
+                                     (base + 1 + c % 5) % kFeatures)}),
+               1 + (c % 7));
+      part.Add(
+          FeatureVec({base, static_cast<FeatureId>((base + 2) % kFeatures)}),
+          2);
+      part.Add(FeatureVec({static_cast<FeatureId>((base + 3) % kFeatures)}),
+               1);
+      grand_total += part.TotalQueries();
+      MixtureComponent comp;  // weight fixed below
+      comp.encoding = NaiveEncoding::FromLog(part);
+      comps.push_back(std::move(comp));
     }
     for (MixtureComponent& comp : comps) {
       comp.weight = static_cast<double>(comp.encoding.LogSize()) /
@@ -1029,26 +1033,6 @@ void BM_ServeEstimateOverload(benchmark::State& state) {
 BENCHMARK(BM_ServeEstimateOverload)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-void BM_StreamingAdd(benchmark::State& state) {
-  // Throughput of routing one query into a live streaming summary
-  // (the online-monitoring path).
-  const QueryLog& log = PocketLogSingleton();
-  StreamingOptions opts;
-  opts.max_clusters = static_cast<std::size_t>(state.range(0));
-  opts.split_threshold = 0.5;
-  StreamingCompressor stream(opts);
-  // Pre-warm with the whole log so routing sees realistic components.
-  for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
-    stream.Add(log.Vector(i), log.Multiplicity(i));
-  }
-  std::size_t next = 0;
-  for (auto _ : state) {
-    stream.Add(log.Vector(next));
-    next = (next + 1) % log.NumDistinct();
-  }
-}
-BENCHMARK(BM_StreamingAdd)->Arg(4)->Arg(16);
 
 void BM_DeviationSample(benchmark::State& state) {
   const QueryLog& log = PocketLogSingleton();

@@ -1,36 +1,16 @@
 #include "cluster/clusterer.h"
 
-#include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "cluster/distance.h"
 #include "cluster/hierarchical.h"
 #include "cluster/kmeans.h"
 #include "cluster/spectral.h"
-#include "util/check.h"
 
 namespace logr {
 
 namespace {
-
-/// Default ClusterModel: no reusable state, every cut re-clusters.
-class RefitModel : public ClusterModel {
- public:
-  RefitModel(const Clusterer* impl, const std::vector<FeatureVec>* vecs,
-             const std::vector<double>* weights, ClusterRequest req)
-      : impl_(impl), vecs_(vecs), weights_(weights), req_(req) {}
-
-  std::vector<int> Cut(std::size_t k) override {
-    ClusterRequest req = req_;
-    req.k = k;
-    return impl_->Cluster(*vecs_, *weights_, req);
-  }
-
- private:
-  const Clusterer* impl_;
-  const std::vector<FeatureVec>* vecs_;
-  const std::vector<double>* weights_;
-  ClusterRequest req_;
-};
 
 class KMeansClusterer : public Clusterer {
  public:
@@ -74,18 +54,6 @@ class SpectralClusterer : public Clusterer {
   DistanceSpec spec_;
 };
 
-/// Dendrogram-backed model: one agglomeration serves every K.
-class DendrogramModel : public ClusterModel {
- public:
-  explicit DendrogramModel(Dendrogram dg) : dg_(std::move(dg)) {}
-
-  std::vector<int> Cut(std::size_t k) override { return dg_.CutToK(k); }
-  bool MonotoneCuts() const override { return true; }
-
- private:
-  Dendrogram dg_;
-};
-
 class HierarchicalClusterer : public Clusterer {
  public:
   const char* Name() const override { return "hierarchical"; }
@@ -93,12 +61,6 @@ class HierarchicalClusterer : public Clusterer {
   std::vector<int> Cluster(const std::vector<FeatureVec>& vecs,
                            const std::vector<double>& weights,
                            const ClusterRequest& req) const override {
-    return Fit(vecs, weights, req)->Cut(req.k);
-  }
-
-  std::unique_ptr<ClusterModel> Fit(
-      const std::vector<FeatureVec>& vecs, const std::vector<double>& weights,
-      const ClusterRequest& req) const override {
     DistanceSpec spec;
     spec.metric = Metric::kHamming;
     // Honor the ClusterRequest contract: nullptr means the shared pool,
@@ -108,18 +70,12 @@ class HierarchicalClusterer : public Clusterer {
         req.packed
             ? CondensedDistanceMatrix(*req.packed, spec, pool)
             : CondensedDistanceMatrix(vecs, req.num_features, spec, pool);
-    return std::make_unique<DendrogramModel>(
-        AgglomerativeAverageLinkage(std::move(d), weights, pool));
+    return AgglomerativeAverageLinkage(std::move(d), weights, pool)
+        .CutToK(req.k);
   }
 };
 
 }  // namespace
-
-std::unique_ptr<ClusterModel> Clusterer::Fit(
-    const std::vector<FeatureVec>& vecs, const std::vector<double>& weights,
-    const ClusterRequest& req) const {
-  return std::make_unique<RefitModel>(this, &vecs, &weights, req);
-}
 
 ClustererRegistry::ClustererRegistry() {
   auto add = [this](const std::shared_ptr<Clusterer>& c) {

@@ -3,14 +3,15 @@
 // Every partitioning algorithm the compressor can use (k-means, the
 // spectral variants, hierarchical average-linkage, and any backend an
 // application registers at runtime) implements the Clusterer interface
-// and is resolved by name through ClustererRegistry. The compression
+// and is resolved by name through ClustererRegistry. A backend is a
+// name plus one call, Cluster, that partitions the vectors at one K;
+// there is no fitted state kept between calls. The compression
 // pipeline never names a concrete algorithm: it looks the backend up,
 // so new methods plug in without touching src/core/.
 #ifndef LOGR_CLUSTER_CLUSTERER_H_
 #define LOGR_CLUSTER_CLUSTERER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,21 +39,6 @@ struct ClusterRequest {
   const PackedVecPool* packed = nullptr;
 };
 
-/// Fitted per-dataset state supporting repeated cuts at different K.
-/// Models may reference the vectors/weights passed to Clusterer::Fit and
-/// must not outlive them.
-class ClusterModel {
- public:
-  virtual ~ClusterModel() = default;
-
-  /// Flat assignment (cluster ids dense in [0, k)) for a K-cluster cut.
-  virtual std::vector<int> Cut(std::size_t k) = 0;
-
-  /// True when Cut(k+1) always refines Cut(k) (hierarchical backends);
-  /// such models make error-target searches a single fit plus cheap cuts.
-  virtual bool MonotoneCuts() const { return false; }
-};
-
 /// A clustering algorithm over sparse binary feature vectors.
 class Clusterer {
  public:
@@ -67,13 +53,6 @@ class Clusterer {
   virtual std::vector<int> Cluster(const std::vector<FeatureVec>& vecs,
                                    const std::vector<double>& weights,
                                    const ClusterRequest& req) const = 0;
-
-  /// Fits reusable state for repeated cuts. The default adapter simply
-  /// re-runs Cluster for every requested K; hierarchical backends
-  /// override it with a dendrogram-backed model (MonotoneCuts() == true).
-  virtual std::unique_ptr<ClusterModel> Fit(
-      const std::vector<FeatureVec>& vecs, const std::vector<double>& weights,
-      const ClusterRequest& req) const;
 };
 
 /// Process-wide name -> backend table. Thread-safe. The five built-in

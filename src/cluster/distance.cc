@@ -24,25 +24,9 @@ constexpr std::size_t kPackedBudgetWords = std::size_t{1} << 27;
 /// parallelism, where row i carries count-i columns).
 constexpr std::size_t kTile = 128;
 
-}  // namespace
-
-std::string DistanceSpec::Name() const {
-  switch (metric) {
-    case Metric::kEuclidean: return "euclidean";
-    case Metric::kManhattan: return "manhattan";
-    case Metric::kMinkowski: return StrFormat("minkowski(p=%.0f)", p);
-    case Metric::kHamming: return "hamming";
-    case Metric::kChebyshev: return "chebyshev";
-    case Metric::kCanberra: return "canberra";
-  }
-  return "?";
-}
-
-std::size_t SymmetricDifference(const FeatureVec& a, const FeatureVec& b) {
-  std::size_t inter = a.IntersectionSize(b);
-  return a.size() + b.size() - 2 * inter;
-}
-
+/// Maps an exact symmetric-difference count to the metric value. Shared
+/// by the merge and packed kernels, so the two are bit-identical by
+/// construction.
 double DistanceFromSymmetricDifference(std::size_t count, std::size_t n,
                                        const DistanceSpec& spec) {
   double diff = static_cast<double>(count);
@@ -69,6 +53,25 @@ double DistanceFromSymmetricDifference(std::size_t count, std::size_t n,
       return diff;
   }
   return 0.0;
+}
+
+}  // namespace
+
+std::string DistanceSpec::Name() const {
+  switch (metric) {
+    case Metric::kEuclidean: return "euclidean";
+    case Metric::kManhattan: return "manhattan";
+    case Metric::kMinkowski: return StrFormat("minkowski(p=%.0f)", p);
+    case Metric::kHamming: return "hamming";
+    case Metric::kChebyshev: return "chebyshev";
+    case Metric::kCanberra: return "canberra";
+  }
+  return "?";
+}
+
+std::size_t SymmetricDifference(const FeatureVec& a, const FeatureVec& b) {
+  std::size_t inter = a.IntersectionSize(b);
+  return a.size() + b.size() - 2 * inter;
 }
 
 double Distance(const FeatureVec& a, const FeatureVec& b, std::size_t n,

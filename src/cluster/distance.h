@@ -52,12 +52,6 @@ struct DistanceSpec {
 /// kernel — the packed pool computes the identical integer).
 std::size_t SymmetricDifference(const FeatureVec& a, const FeatureVec& b);
 
-/// Maps an exact symmetric-difference count to the metric value. Shared
-/// by the merge and packed kernels, so the two are bit-identical by
-/// construction.
-double DistanceFromSymmetricDifference(std::size_t diff, std::size_t n,
-                                       const DistanceSpec& spec);
-
 /// Distance between two binary sparse vectors in an `n`-feature universe.
 double Distance(const FeatureVec& a, const FeatureVec& b, std::size_t n,
                 const DistanceSpec& spec);

@@ -58,6 +58,20 @@ std::string Basename(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
+/// Spool path for a shard: <spool_dir>/<shard basename>.summary
+/// (".logrl" stripped). Stable across runs — the resume contract.
+std::string SummaryPathFor(const std::string& spool_dir,
+                           const std::string& shard_path) {
+  std::string name = Basename(shard_path);
+  const std::string ext = ".logrl";
+  if (name.size() > ext.size() &&
+      name.compare(name.size() - ext.size(), ext.size(), ext) == 0) {
+    name.resize(name.size() - ext.size());
+  }
+  const bool needs_slash = !spool_dir.empty() && spool_dir.back() != '/';
+  return spool_dir + (needs_slash ? "/" : "") + name + ".summary";
+}
+
 }  // namespace
 
 bool EnsureDirectory(const std::string& dir, std::string* error) {
@@ -100,7 +114,7 @@ bool WriteShardFiles(const LogView& log, std::size_t num_shards,
   files->clear();
   if (!EnsureDirectory(dir, error)) return false;
   const std::vector<std::vector<std::size_t>> parts =
-      ShardedCompressor::PartitionIndices(log, num_shards, policy);
+      PartitionIndices(log, num_shards, policy);
   for (std::size_t s = 0; s < parts.size(); ++s) {
     const QueryLog part = log.MaterializeSubset(parts[s]);
     char index[32];
@@ -164,7 +178,7 @@ bool RunDistributedWorker(const DistributedWorkerOptions& opts,
     return Fail(error, "empty shard " + opts.shard_path);
   }
 
-  // The per-shard fit mirrors ShardedCompressor's shard pipelines
+  // The per-shard fit mirrors CompressSharded's shard pipelines
   // exactly: naive encoder, serial pool, no refinement — so the
   // gathered merge is bit-identical to the in-process sharded run.
   // The serial pool is also the fork-safety requirement: a fork-mode
@@ -191,40 +205,26 @@ bool RunDistributedWorker(const DistributedWorkerOptions& opts,
                           error);
 }
 
-DistributedCompressor::DistributedCompressor(
-    std::vector<std::string> shard_paths, DistributedOptions opts)
-    : shard_paths_(std::move(shard_paths)), opts_(std::move(opts)) {}
-
-std::string DistributedCompressor::SummaryPathFor(
-    const std::string& spool_dir, const std::string& shard_path) {
-  std::string name = Basename(shard_path);
-  const std::string ext = ".logrl";
-  if (name.size() > ext.size() &&
-      name.compare(name.size() - ext.size(), ext.size(), ext) == 0) {
-    name.resize(name.size() - ext.size());
-  }
-  const bool needs_slash = !spool_dir.empty() && spool_dir.back() != '/';
-  return spool_dir + (needs_slash ? "/" : "") + name + ".summary";
-}
-
-bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
+bool CompressDistributed(const std::vector<std::string>& shard_paths,
+                         const DistributedOptions& opts,
+                         DistributedResult* out, std::string* error) {
   Stopwatch timer;
   *out = DistributedResult();
-  const std::size_t n = shard_paths_.size();
+  const std::size_t n = shard_paths.size();
   if (n == 0) return Fail(error, "no shard files to scatter");
-  if (opts_.spool_dir.empty()) return Fail(error, "spool_dir is required");
-  if (opts_.num_workers == 0) return Fail(error, "num_workers must be >= 1");
-  if (!opts_.worker_command.empty() && !SubprocessSupported()) {
+  if (opts.spool_dir.empty()) return Fail(error, "spool_dir is required");
+  if (opts.num_workers == 0) return Fail(error, "num_workers must be >= 1");
+  if (!opts.worker_command.empty() && !SubprocessSupported()) {
     return Fail(error, "worker processes are unsupported on this platform");
   }
-  if (!EnsureDirectory(opts_.spool_dir, error)) return false;
+  if (!EnsureDirectory(opts.spool_dir, error)) return false;
 
   out->shards.resize(n);
   std::set<std::string> seen;
   for (std::size_t s = 0; s < n; ++s) {
-    out->shards[s].shard_path = shard_paths_[s];
+    out->shards[s].shard_path = shard_paths[s];
     out->shards[s].summary_path =
-        SummaryPathFor(opts_.spool_dir, shard_paths_[s]);
+        SummaryPathFor(opts.spool_dir, shard_paths[s]);
     if (!seen.insert(out->shards[s].summary_path).second) {
       return Fail(error, "shard basenames collide in the spool: " +
                              out->shards[s].summary_path);
@@ -232,8 +232,8 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
   }
 
   const std::size_t shard_k =
-      ShardedCompressor::ClustersPerShard(opts_.compression.num_clusters, n);
-  const std::string method = BackendName(opts_.compression);
+      ClustersPerShard(opts.compression.num_clusters, n);
+  const std::string method = BackendName(opts.compression);
 
   enum class State { kPending, kRunning, kDone };
   std::vector<State> state(n, State::kPending);
@@ -241,7 +241,7 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
 
   // Resume pass: anything a previous run spooled (and that still parses
   // as a summary) is done before a single worker spawns.
-  if (opts_.reuse_spool) {
+  if (opts.reuse_spool) {
     for (std::size_t s = 0; s < n; ++s) {
       std::string ignored;
       if (ReadSummaryFile(out->shards[s].summary_path, &parts[s],
@@ -261,12 +261,12 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
 
   auto worker_opts = [&](std::size_t s) {
     DistributedWorkerOptions w;
-    w.shard_path = shard_paths_[s];
+    w.shard_path = shard_paths[s];
     w.out_path = out->shards[s].summary_path;
     w.num_clusters = shard_k;
     w.method = method;
-    w.seed = opts_.compression.seed;
-    w.n_init = opts_.compression.n_init;
+    w.seed = opts.compression.seed;
+    w.n_init = opts.compression.n_init;
     w.shard_index = s;
     w.attempt = out->shards[s].attempts;
     return w;
@@ -278,8 +278,8 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
     ++out->workers_launched;
     long pid = -1;
     std::string spawn_error;
-    if (!opts_.worker_command.empty()) {
-      std::vector<std::string> argv = opts_.worker_command;
+    if (!opts.worker_command.empty()) {
+      std::vector<std::string> argv = opts.worker_command;
       argv.push_back("worker");
       for (std::string& flag : WorkerArgv(w)) argv.push_back(std::move(flag));
       pid = SpawnProcess(argv, &spawn_error);
@@ -312,11 +312,11 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
     ++out->workers_failed;
     if (timed_out) out->shards[s].timed_out = true;
     std::remove(out->shards[s].summary_path.c_str());
-    if (out->shards[s].attempts <= opts_.max_retries) {
+    if (out->shards[s].attempts <= opts.max_retries) {
       state[s] = State::kPending;
       return true;
     }
-    if (opts_.inprocess_fallback) {
+    if (opts.inprocess_fallback) {
       // Last resort: the coordinator compresses the shard itself. The
       // attempt counter advances so fault injection cannot re-fire.
       DistributedWorkerOptions w = worker_opts(s);
@@ -329,10 +329,10 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
         out->shards[s].inprocess = true;
         return true;
       }
-      return Fail(error, "shard " + shard_paths_[s] +
+      return Fail(error, "shard " + shard_paths[s] +
                              " failed even in-process: " + worker_error);
     }
-    return Fail(error, "shard " + shard_paths_[s] + " exhausted " +
+    return Fail(error, "shard " + shard_paths[s] + " exhausted " +
                            std::to_string(out->shards[s].attempts) +
                            " attempts");
   };
@@ -340,7 +340,7 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
   for (;;) {
     // Scatter: top the running set up to num_workers from the pending
     // shards, in shard order.
-    for (std::size_t s = 0; s < n && running.size() < opts_.num_workers;
+    for (std::size_t s = 0; s < n && running.size() < opts.num_workers;
          ++s) {
       if (state[s] != State::kPending) continue;
       if (!launch(s)) {
@@ -359,9 +359,9 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
       bool timed_out = false;
       if (TryWaitProcess(running[r].pid, &status)) {
         finished = true;
-      } else if (opts_.worker_timeout_seconds > 0.0 &&
+      } else if (opts.worker_timeout_seconds > 0.0 &&
                  timer.ElapsedSeconds() - running[r].started >
-                     opts_.worker_timeout_seconds) {
+                     opts.worker_timeout_seconds) {
         KillProcess(running[r].pid);
         finished = true;
         timed_out = true;
@@ -390,18 +390,12 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
   // Gather: every shard is spooled; merge + reconcile down to K. Part
   // order is shard order, but MergeSummaries orders components
   // canonically, so any order gives the same bits.
-  if (!MergeSummaries(parts, opts_.compression.num_clusters,
-                      opts_.compression.pool, &out->summary, error)) {
+  if (!MergeSummaries(parts, opts.compression.num_clusters,
+                      opts.compression.pool, &out->summary, error)) {
     return false;
   }
   out->total_seconds = timer.ElapsedSeconds();
   return true;
-}
-
-bool CompressDistributed(const std::vector<std::string>& shard_paths,
-                         const DistributedOptions& opts,
-                         DistributedResult* out, std::string* error) {
-  return DistributedCompressor(shard_paths, opts).Run(out, error);
 }
 
 }  // namespace logr

@@ -34,7 +34,7 @@
 // directly, which tests and benches use to avoid depending on an
 // installed binary). Forked children never touch the parent's thread
 // pools (pthreads do not survive fork); every worker compresses with a
-// serial pool, exactly like ShardedCompressor's per-shard pipelines, so
+// serial pool, exactly like CompressSharded's per-shard pipelines, so
 // the distributed result is bit-deterministic for any worker count.
 #ifndef LOGR_CORE_DISTRIBUTED_H_
 #define LOGR_CORE_DISTRIBUTED_H_
@@ -66,7 +66,7 @@ struct DistributedOptions {
   std::size_t num_workers = 4;
   /// Compression parameters: num_clusters is the final K after the
   /// gather-side reconcile; method/backend/seed/n_init are forwarded to
-  /// every worker so per-shard fits match ShardedCompressor's. The
+  /// every worker so per-shard fits match CompressSharded's. The
   /// encoder is ignored — shards merge through the naive family, and
   /// the merged output is always a naive summary (like `merge`).
   LogROptions compression;
@@ -144,36 +144,21 @@ bool ParseWorkerArgv(const std::vector<std::string>& args,
 /// Worker entry point, shared by the CLI `worker` subcommand, fork-mode
 /// children, and the coordinator's in-process fallback: compress the
 /// shard and spool the summary. Runs with a serial pool uncondition-
-/// ally (fork-safe, and bit-identical to ShardedCompressor's per-shard
+/// ally (fork-safe, and bit-identical to CompressSharded's per-shard
 /// pipelines). Returns false (and fills `error`) on any I/O or
 /// validation failure.
 bool RunDistributedWorker(const DistributedWorkerOptions& opts,
                           std::string* error);
 
-class DistributedCompressor {
- public:
-  /// `shard_paths` are .logrl files, typically from `logr_cli split` or
-  /// ListBinaryLogShards; scatter order follows the given order.
-  DistributedCompressor(std::vector<std::string> shard_paths,
-                        DistributedOptions opts);
-
-  /// Scatter, watch, retry, gather. Returns false (and fills `error`)
-  /// when a shard exhausts its retries with the fallback disabled, or
-  /// on spool/merge I/O failures. On success `out->summary` holds the
-  /// reconciled summary and `out->shards` the per-shard provenance.
-  bool Run(DistributedResult* out, std::string* error);
-
-  /// Spool path for a shard: <spool_dir>/<shard basename>.summary
-  /// (".logrl" stripped). Stable across runs — the resume contract.
-  static std::string SummaryPathFor(const std::string& spool_dir,
-                                    const std::string& shard_path);
-
- private:
-  std::vector<std::string> shard_paths_;
-  DistributedOptions opts_;
-};
-
-/// Convenience wrapper: DistributedCompressor(shards, opts).Run(...).
+/// Scatter, watch, retry, gather. `shard_paths` are .logrl files,
+/// typically from `logr_cli split` or ListBinaryLogShards; scatter order
+/// follows the given order, and each shard spools to
+/// <spool_dir>/<shard basename>.summary (".logrl" stripped), a path
+/// stable across runs (the resume contract). Returns false (and fills
+/// `error`) when a shard exhausts its retries with the fallback
+/// disabled, or on spool/merge I/O failures. On success `out->summary`
+/// holds the reconciled summary and `out->shards` the per-shard
+/// provenance.
 bool CompressDistributed(const std::vector<std::string>& shard_paths,
                          const DistributedOptions& opts,
                          DistributedResult* out, std::string* error);
@@ -198,7 +183,7 @@ struct ShardFile {
 };
 
 /// Writes `log` as the shard files `distribute` scatters: its distinct
-/// templates are partitioned by ShardedCompressor::PartitionIndices (the
+/// templates are partitioned by PartitionIndices (core/sharded.h; the
 /// split `compress --shards` compresses), and each non-empty part is
 /// written as `<dir>/shard-NNN.logrl` (NNN its index, three digits or
 /// more) with the trailer LogStatistics(part, "<name>-sNNN"). `dir` is

@@ -6,11 +6,11 @@
 // any EncoderRegistry backend ("naive", "refined", "pattern", or
 // application-registered; LogROptions::encoder). The tunable parameter
 // is the number of clusters K (more clusters -> lower Error, higher
-// Total Verbosity), or equivalently an Error target reached by growing
-// K. Every summary exposes the WorkloadModel analytics facade
-// (LogRSummary::Model()) — consumers never touch a concrete encoding.
+// Total Verbosity). Every summary exposes the WorkloadModel analytics
+// facade (LogRSummary::Model()) — consumers never touch a concrete
+// encoding.
 //
-// The three entry points below are thin strategy wrappers over the one
+// The two entry points below are thin strategy wrappers over the one
 // staged engine in core/pipeline.h (cluster -> encode).
 #ifndef LOGR_CORE_LOGR_COMPRESSOR_H_
 #define LOGR_CORE_LOGR_COMPRESSOR_H_
@@ -32,25 +32,6 @@ namespace logr {
 /// encoders only) with bit-deterministic results for any thread count
 /// and shard order.
 LogRSummary Compress(const LogView& log, const LogROptions& opts);
-
-/// Grows K until the generalized Reproduction Error drops to
-/// `error_target` or K reaches `max_clusters`, returning the first
-/// summary meeting the target. Runs on the hierarchical backend (one
-/// agglomeration, monotone cuts) unless `opts.backend` names another.
-LogRSummary CompressToErrorTarget(const LogView& log, double error_target,
-                                  std::size_t max_clusters,
-                                  const LogROptions& opts);
-
-/// CompressToErrorTarget for several targets at once, over one pipeline:
-/// the backend is fitted once and the distinct vectors are packed once
-/// (LogRSummary::pool_builds stays 1 for every returned summary), so an
-/// error/verbosity trade-off sweep costs one fit plus cheap re-cuts
-/// instead of targets.size() full compressions. Summaries are returned
-/// in target order; each meets its target exactly as the single-target
-/// entry point would.
-std::vector<LogRSummary> CompressToErrorTargets(
-    const LogView& log, const std::vector<double>& error_targets,
-    std::size_t max_clusters, const LogROptions& opts);
 
 /// Adaptive top-down refinement: starting from one cluster, repeatedly
 /// bisect (configured backend, k = 2) the component contributing the most

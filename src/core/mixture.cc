@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <unordered_map>
+#include <utility>
 
 #include "cluster/nn_chain.h"
 #include "maxent/entropy.h"
@@ -189,87 +191,6 @@ void FuseInto(ReconcileGroup* a, const ReconcileGroup& b,
 }
 
 }  // namespace
-
-void ComponentAccumulator::Add(const FeatureVec& q, std::uint64_t count) {
-  LOGR_CHECK(count > 0);
-  total_ += count;
-  for (FeatureId f : q.ids) feature_counts_[f] += count;
-  auto [it, inserted] =
-      members_.try_emplace(q.HashKey(), std::make_pair(q, count));
-  if (!inserted) it->second.second += count;
-}
-
-double ComponentAccumulator::MarginalSquaredDistance(
-    const FeatureVec& q) const {
-  // ||q - p||^2 over the union of q's features and the component's
-  // support: features of q contribute (1 - p_f)^2, support features
-  // absent from q contribute p_f^2.
-  double acc = 0.0;
-  for (const auto& [f, c] : feature_counts_) {
-    double p = SafeRatio(c, total_);
-    acc += p * p;
-  }
-  for (FeatureId f : q.ids) {
-    auto it = feature_counts_.find(f);
-    double p = it == feature_counts_.end() ? 0.0 : SafeRatio(it->second, total_);
-    acc -= p * p;                  // remove the support term...
-    acc += (1.0 - p) * (1.0 - p);  // ...and add the presence term
-  }
-  return acc;
-}
-
-double ComponentAccumulator::ReproductionError() const {
-  if (total_ == 0) return 0.0;
-  double maxent = 0.0;
-  for (const auto& [f, c] : feature_counts_) {
-    maxent += BinaryEntropy(SafeRatio(c, total_));
-  }
-  double empirical = 0.0;
-  for (const auto& [key, member] : members_) {
-    double p = SafeRatio(member.second, total_);
-    if (p > 0.0) empirical -= p * std::log(p);
-  }
-  return maxent - empirical;
-}
-
-std::vector<std::pair<FeatureVec, std::uint64_t>>
-ComponentAccumulator::SortedMembers() const {
-  std::vector<std::pair<FeatureVec, std::uint64_t>> out;
-  out.reserve(members_.size());
-  for (const auto& [key, member] : members_) out.push_back(member);
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
-NaiveEncoding ComponentAccumulator::Finalize() const {
-  std::vector<FeatureId> features;
-  features.reserve(feature_counts_.size());
-  for (const auto& [f, c] : feature_counts_) {
-    if (c > 0) features.push_back(f);
-  }
-  std::sort(features.begin(), features.end());
-  std::vector<double> marginals;
-  marginals.reserve(features.size());
-  for (FeatureId f : features) {
-    marginals.push_back(SafeRatio(feature_counts_.at(f), total_));
-  }
-  double empirical = 0.0;
-  for (const auto& [key, member] : members_) {
-    double p = SafeRatio(member.second, total_);
-    if (p > 0.0) empirical -= p * std::log(p);
-  }
-  return NaiveEncoding::FromMarginals(std::move(features),
-                                      std::move(marginals), empirical, total_);
-}
-
-MixtureComponent ComponentAccumulator::FinalizeComponent(
-    std::uint64_t grand_total) const {
-  MixtureComponent out;
-  out.weight = SafeRatio(total_, grand_total);
-  out.encoding = Finalize();
-  return out;
-}
 
 NaiveMixtureEncoding NaiveMixtureEncoding::FromPartition(
     const LogView& log, const std::vector<int>& assignment, std::size_t k,

@@ -3,18 +3,15 @@
 // combined with weights w_i = |L_i| / |L|.
 //
 // This header is also the shared materialization point for every
-// compression path: batch (FromPartition), sharded (Merge + Reconcile
-// over per-shard mixtures), and streaming (ComponentAccumulator, whose
-// Finalize produces the same NaiveEncoding a batch fit would). Merging
+// compression path: batch (FromPartition) and sharded, distributed or
+// offline-merged (Merge + Reconcile over per-shard mixtures). Merging
 // is exact whenever the merged parts encode disjoint query populations,
-// which every shard policy and streaming split maintains: marginals
-// combine as log-size-weighted averages and the empirical entropy obeys
-// the grouping property H(∪L_i) = Σ w_i·H(L_i) − Σ w_i·log w_i.
+// which every shard policy maintains: marginals combine as
+// log-size-weighted averages and the empirical entropy obeys the
+// grouping property H(∪L_i) = Σ w_i·H(L_i) − Σ w_i·log w_i.
 #ifndef LOGR_CORE_MIXTURE_H_
 #define LOGR_CORE_MIXTURE_H_
 
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/naive_encoding.h"
@@ -28,49 +25,6 @@ struct MixtureComponent {
   double weight = 0.0;           // w_i = |L_i| / |L|
   NaiveEncoding encoding;
   std::vector<std::size_t> members;  // distinct-vector indices of the log
-};
-
-/// Mutable accumulator for one mixture component: the shared component
-/// representation behind the streaming and split paths. Tracks the
-/// multiset of distinct vectors plus feature occurrence counts, so the
-/// routed queries' weights, marginals, and entropies stay exact, and
-/// Finalize() materializes the same NaiveEncoding a batch fit of the
-/// accumulated sub-log would produce.
-class ComponentAccumulator {
- public:
-  /// Routes `count` copies of `q` into the accumulator.
-  void Add(const FeatureVec& q, std::uint64_t count = 1);
-
-  std::uint64_t total() const { return total_; }
-  std::size_t NumDistinct() const { return members_.size(); }
-
-  /// ||q - p||² between the 0/1 vector q and the component centroid (the
-  /// marginal vector), over the union of q's features and the support.
-  double MarginalSquaredDistance(const FeatureVec& q) const;
-
-  /// Exact Reproduction Error e(E) of the accumulated sub-log.
-  double ReproductionError() const;
-
-  /// The accumulated (vector, count) multiset in canonical (sorted
-  /// vector) order — a deterministic input for split clustering
-  /// regardless of hash-map iteration order.
-  std::vector<std::pair<FeatureVec, std::uint64_t>> SortedMembers() const;
-
-  /// The naive encoding of everything accumulated so far.
-  NaiveEncoding Finalize() const;
-
-  /// Finalize() wrapped as a mixture component weighted against
-  /// `grand_total` queries (members are left empty: the accumulator has
-  /// no global distinct-index space).
-  MixtureComponent FinalizeComponent(std::uint64_t grand_total) const;
-
- private:
-  // Distinct vectors with counts, keyed by FeatureVec::HashKey().
-  std::unordered_map<std::string, std::pair<FeatureVec, std::uint64_t>>
-      members_;
-  // Feature occurrence counts (marginal numerators).
-  std::unordered_map<FeatureId, std::uint64_t> feature_counts_;
-  std::uint64_t total_ = 0;
 };
 
 class NaiveMixtureEncoding {
@@ -89,7 +43,7 @@ class NaiveMixtureEncoding {
                                             ThreadPool* pool = nullptr);
 
   /// Assembles a mixture from pre-built components (deserialization or
-  /// incremental construction). Weights should sum to ~1.
+  /// shard pooling). Weights should sum to ~1.
   static NaiveMixtureEncoding FromComponents(
       std::vector<MixtureComponent> components);
 

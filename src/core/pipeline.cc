@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "cluster/distance.h"
 #include "util/check.h"
@@ -166,112 +165,6 @@ LogRSummary CompressionPipeline::RunFixedK() {
   const std::size_t k =
       std::min(ctx_.opts.num_clusters, ctx_.log.NumDistinct());
   return EncodeStage(ClusterStage(k), k);
-}
-
-ClusterModel& CompressionPipeline::FittedModel() {
-  if (!fitted_) {
-    Stopwatch fit_timer;
-    fitted_ = ctx_.clusterer->Fit(ctx_.vecs, ctx_.weights, ctx_.Request(1));
-    cluster_seconds_ += fit_timer.ElapsedSeconds();
-  }
-  return *fitted_;
-}
-
-LogRSummary CompressionPipeline::RunErrorTarget(double error_target,
-                                                std::size_t max_clusters) {
-  max_clusters = std::min(max_clusters, ctx_.log.NumDistinct());
-  ClusterModel* model = &FittedModel();
-
-  // The K search measures the naive-mixture Error (the historic target
-  // semantics); the winning partition is encoded once at the end with
-  // the configured encoder.
-  std::vector<int> assignment;
-  NaiveMixtureEncoding best;
-  std::size_t chosen = 1;
-  for (std::size_t k = 1; k <= max_clusters; ++k) {
-    Stopwatch cut_timer;
-    std::vector<int> cut = model->Cut(k);
-    cluster_seconds_ += cut_timer.ElapsedSeconds();
-    best = NaiveMixtureEncoding::FromPartition(ctx_.log, cut, k, ctx_.pool);
-    assignment = std::move(cut);
-    chosen = k;
-    if (best.Error() <= error_target) break;
-  }
-  if (ctx_.encoder->Mergeable()) {
-    // Mergeable encoders wrap the search's own mixture instead of
-    // re-encoding the identical partition from scratch. The naive-family
-    // wrap can only tighten the mixture's Error (refinement adds
-    // patterns to the same marginals), so the naive search result still
-    // meets the target.
-    LogRSummary out;
-    out.assignment = std::move(assignment);
-    out.model = ctx_.encoder->WrapMixture(ctx_.log, std::move(best),
-                                          ctx_.EncodeReq(chosen));
-    out.cluster_seconds = cluster_seconds_;
-    out.pack_seconds = pack_seconds_;
-    out.pool_builds = PackedVecPool::BuildCount() - ctx_.builds_at_start;
-    out.total_seconds = ctx_.timer.ElapsedSeconds();
-    return out;
-  }
-  // Non-mergeable encoders (e.g. "pattern") model each component
-  // differently from the naive mixture the search measured, so the
-  // encoded summary can miss the target the naive Error met. Evaluate
-  // the actual encoder in the search — but each evaluation is a full
-  // (expensive) encode, so probe K geometrically and then bisect:
-  // O(log max_clusters) encodes instead of O(max_clusters) when the
-  // target is distant or unreachable. Only a K whose encoded Error was
-  // measured at or under the target is ever returned as "met"; if none
-  // exists by max_clusters, the last (largest-K) encode is the best
-  // effort, like the naive search's own endgame.
-  auto encode_at = [&](std::size_t k) {
-    Stopwatch cut_timer;
-    std::vector<int> cut = model->Cut(k);
-    cluster_seconds_ += cut_timer.ElapsedSeconds();
-    return EncodeStage(std::move(cut), k);
-  };
-  LogRSummary out = EncodeStage(std::move(assignment), chosen);
-  if (out.Model().Error() <= error_target) return out;
-  std::size_t lo = chosen;  // largest K known to miss the target
-  std::size_t probe = 1;
-  std::size_t hi = 0;
-  bool found = false;
-  while (lo < max_clusters) {
-    const std::size_t k = std::min(max_clusters, lo + probe);
-    LogRSummary cand = encode_at(k);
-    if (cand.Model().Error() <= error_target) {
-      hi = k;
-      out = std::move(cand);
-      found = true;
-      break;
-    }
-    lo = k;
-    probe *= 2;
-    out = std::move(cand);  // best effort if the budget runs out
-  }
-  if (!found) return out;
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    LogRSummary cand = encode_at(mid);
-    if (cand.Model().Error() <= error_target) {
-      hi = mid;
-      out = std::move(cand);
-    } else {
-      lo = mid;
-    }
-  }
-  return out;
-}
-
-std::vector<LogRSummary> CompressionPipeline::RunErrorTargets(
-    const std::vector<double>& targets, std::size_t max_clusters) {
-  std::vector<LogRSummary> out;
-  out.reserve(targets.size());
-  // Each search re-cuts the one cached fit; stage timers accumulate, so
-  // a summary's cluster_seconds covers the sweep up to and including it.
-  for (double target : targets) {
-    out.push_back(RunErrorTarget(target, max_clusters));
-  }
-  return out;
 }
 
 LogRSummary CompressionPipeline::RunAdaptive(std::size_t num_clusters) {

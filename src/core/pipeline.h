@@ -10,9 +10,9 @@
 //            backend ("naive", "refined", "pattern", or an
 //            application-registered one) into a WorkloadModel.
 //
-// The public compression modes — fixed K, error target, adaptive
-// bisection — are thin strategies over this one engine; see
-// core/logr_compressor.h for their contracts.
+// The public compression modes — fixed K and adaptive bisection — are
+// thin strategies over this one engine; see core/logr_compressor.h for
+// their contracts.
 #ifndef LOGR_CORE_PIPELINE_H_
 #define LOGR_CORE_PIPELINE_H_
 
@@ -47,7 +47,7 @@ const char* ClusteringMethodName(ClusteringMethod m);
 /// untouched) for unknown names.
 bool ParseClusteringMethod(const std::string& name, ClusteringMethod* out);
 
-/// How a ShardedCompressor partitions a log's distinct vectors into
+/// How CompressSharded partitions a log's distinct vectors into
 /// shards (core/sharded.h). Both policies assign every distinct vector
 /// to exactly one shard, so per-shard mixtures merge exactly.
 enum class ShardPolicy {
@@ -88,7 +88,7 @@ struct LogROptions {
   /// practical ceiling (12, below PatternEncoding::kMaxPatterns — the
   /// fit is exponential in the pattern count).
   std::size_t pattern_budget = 0;
-  /// When > 1, Compress routes through ShardedCompressor: the log is
+  /// When > 1, Compress routes through CompressSharded: the log is
   /// split into this many shards, one pipeline runs per shard, and the
   /// per-shard mixtures are merged and reconciled back to num_clusters
   /// (core/sharded.h). Results are bit-deterministic for any thread
@@ -120,7 +120,8 @@ struct LogRSummary {
   double pack_seconds = 0.0;
   /// PackedVecPool builds observed during this pipeline (a delta of the
   /// process-wide counter, so concurrent pipelines overlap). The
-  /// zero-copy contract is exactly 1 per single-shard Compress.
+  /// zero-copy contract is exactly 1 per single-shard Compress and one
+  /// per non-empty shard of a sharded run.
   std::uint64_t pool_builds = 0;
   double total_seconds = 0.0;    // wall-clock of the whole pipeline
 
@@ -179,41 +180,17 @@ class CompressionPipeline {
   /// summary carrying the stage timings accumulated so far.
   LogRSummary EncodeStage(std::vector<int> assignment, std::size_t k);
 
-  // --- strategies (one engine, three drivers) -------------------------
+  // --- strategies (one engine, two drivers) ---------------------------
 
   /// Compress: cluster at opts.num_clusters, encode.
   LogRSummary RunFixedK();
-
-  /// CompressToErrorTarget: fit the backend once, then grow K until the
-  /// naive-mixture Error drops to `error_target` or K reaches
-  /// `max_clusters`; the chosen partition is then encoded with the
-  /// configured encoder. The search always evaluates the naive Error so
-  /// expensive encoders (pattern fitting) run once, not once per K.
-  /// Single-fit-cheap for backends with monotone cuts (hierarchical);
-  /// other backends re-cluster per K.
-  LogRSummary RunErrorTarget(double error_target, std::size_t max_clusters);
-
-  /// CompressToErrorTargets: RunErrorTarget for each target in order,
-  /// over ONE fitted model and ONE packed pool — a multi-target sweep
-  /// packs and fits once instead of once per target (pool_builds stays
-  /// 1 for every summary when the universe fits the pool).
-  std::vector<LogRSummary> RunErrorTargets(const std::vector<double>& targets,
-                                           std::size_t max_clusters);
 
   /// CompressAdaptive: top-down bisection of the worst component until
   /// `num_clusters` components exist or all are error-free.
   LogRSummary RunAdaptive(std::size_t num_clusters);
 
-  PipelineContext& context() { return ctx_; }
-
  private:
-  /// The fitted backend model, built on first use and cached so every
-  /// error-target search (and every target of a sweep) re-cuts the same
-  /// fit — sharing the context's packed pool through Request().
-  ClusterModel& FittedModel();
-
   PipelineContext ctx_;
-  std::unique_ptr<ClusterModel> fitted_;
   double cluster_seconds_ = 0.0;
   double pack_seconds_ = 0.0;
 };

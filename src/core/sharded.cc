@@ -36,20 +36,14 @@ ThreadPool* SerialPool() {
 
 }  // namespace
 
-ShardedCompressor::ShardedCompressor(const LogView& log,
-                                     const LogROptions& opts)
-    : log_(log), opts_(opts) {
-  LOGR_CHECK(log.NumDistinct() > 0);
-  LOGR_CHECK(opts.num_shards >= 1);
-}
-
-std::size_t ShardedCompressor::ClustersPerShard(std::size_t num_clusters,
-                                                std::size_t num_shards) {
+std::size_t ClustersPerShard(std::size_t num_clusters,
+                             std::size_t num_shards) {
   return num_shards > 1 ? 2 * num_clusters : num_clusters;
 }
 
-std::vector<std::vector<std::size_t>> ShardedCompressor::PartitionIndices(
-    const LogView& log, std::size_t num_shards, ShardPolicy policy) {
+std::vector<std::vector<std::size_t>> PartitionIndices(const LogView& log,
+                                                       std::size_t num_shards,
+                                                       ShardPolicy policy) {
   LOGR_CHECK(num_shards >= 1);
   const std::size_t n = log.NumDistinct();
   std::vector<std::vector<std::size_t>> shards(num_shards);
@@ -77,11 +71,15 @@ std::vector<std::vector<std::size_t>> ShardedCompressor::PartitionIndices(
   return shards;
 }
 
-LogRSummary ShardedCompressor::Run() {
+LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
+  LOGR_CHECK(log.NumDistinct() > 0);
+  LOGR_CHECK(opts.num_shards >= 1);
   Stopwatch timer;
-  const LogView& log = log_;
+  // Concurrent shard pipelines overlap in the process-wide counter, so
+  // the run reports one delta rather than a sum of per-shard deltas.
+  const std::uint64_t builds_at_start = PackedVecPool::BuildCount();
   const std::vector<std::vector<std::size_t>> shards =
-      PartitionIndices(log, opts_.num_shards, opts_.shard_policy);
+      PartitionIndices(log, opts.num_shards, opts.shard_policy);
   const std::size_t S = shards.size();
 
   // Each shard pipeline reads through a zero-copy subview of the input
@@ -97,22 +95,22 @@ LogRSummary ShardedCompressor::Run() {
   // resolve the requested encoder up front and fail loudly for
   // non-mergeable ones (e.g. "pattern") instead of silently encoding
   // each shard with something that cannot be pooled.
-  const Encoder* encoder = EncoderRegistry::Instance().Find(opts_.encoder);
-  LOGR_CHECK_MSG(encoder != nullptr, opts_.encoder.c_str());
+  const Encoder* encoder = EncoderRegistry::Instance().Find(opts.encoder);
+  LOGR_CHECK_MSG(encoder != nullptr, opts.encoder.c_str());
   LOGR_CHECK_MSG(encoder->Mergeable(),
                  "sharded compression requires a mergeable encoder "
                  "(shard mixtures are pooled through the naive merge); "
                  "compress monolithically or pick naive/refined");
 
-  LogROptions shard_opts = opts_;
+  LogROptions shard_opts = opts;
   shard_opts.num_shards = 1;
   shard_opts.pool = SerialPool();
   shard_opts.encoder = "naive";  // shards merge through the naive family
-  shard_opts.num_clusters = ClustersPerShard(opts_.num_clusters, S);
+  shard_opts.num_clusters = ClustersPerShard(opts.num_clusters, S);
 
   // One pipeline per shard, each writing only its own slot: the schedule
   // never affects the result, so any thread count gives the same bits.
-  ThreadPool* pool = opts_.pool ? opts_.pool : ThreadPool::Shared();
+  ThreadPool* pool = opts.pool ? opts.pool : ThreadPool::Shared();
   std::vector<LogRSummary> results(S);
   ParallelFor(pool, 0, S, kCoarseGrain, [&](std::size_t s) {
     results[s] = CompressionPipeline(shard_views[s], shard_opts).RunFixedK();
@@ -122,10 +120,12 @@ LogRSummary ShardedCompressor::Run() {
   // indices. Subview() preserves index order, so shard-local distinct i
   // is global shards[s][i].
   double shard_cluster_seconds = 0.0;
+  double shard_pack_seconds = 0.0;
   std::vector<NaiveMixtureEncoding> parts;
   parts.reserve(S);
   for (std::size_t s = 0; s < S; ++s) {
     shard_cluster_seconds += results[s].cluster_seconds;
+    shard_pack_seconds += results[s].pack_seconds;
     const NaiveMixtureEncoding& shard_mix =
         *results[s].Model().AsNaiveMixture();
     std::vector<MixtureComponent> comps;
@@ -145,7 +145,7 @@ LogRSummary ShardedCompressor::Run() {
   // Reconcile the pooled components down to the requested K with the
   // nearest-centroid-chain agglomeration (deterministic, backend-free).
   const std::size_t k = std::max<std::size_t>(
-      1, std::min(opts_.num_clusters, log.NumDistinct()));
+      1, std::min(opts.num_clusters, log.NumDistinct()));
   Stopwatch reconcile_timer;
   NaiveMixtureEncoding reconciled = merged.Reconcile(k, pool);
   // Read before WrapMixture: encode/refine time is not clustering time.
@@ -163,17 +163,15 @@ LogRSummary ShardedCompressor::Run() {
   EncodeRequest enc_req;
   enc_req.k = reconciled.NumComponents();
   enc_req.pool = pool;
-  enc_req.refine_patterns = opts_.refine_patterns;
-  enc_req.pattern_budget = opts_.pattern_budget;
-  enc_req.seed = opts_.seed;
+  enc_req.refine_patterns = opts.refine_patterns;
+  enc_req.pattern_budget = opts.pattern_budget;
+  enc_req.seed = opts.seed;
   out.model = encoder->WrapMixture(log, std::move(reconciled), enc_req);
   out.cluster_seconds = shard_cluster_seconds + reconcile_seconds;
+  out.pack_seconds = shard_pack_seconds;
+  out.pool_builds = PackedVecPool::BuildCount() - builds_at_start;
   out.total_seconds = timer.ElapsedSeconds();
   return out;
-}
-
-LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
-  return ShardedCompressor(log, opts).Run();
 }
 
 }  // namespace logr

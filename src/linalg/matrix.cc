@@ -36,29 +36,6 @@ Vector Matrix::TransposeMatVec(const Vector& x) const {
   return y;
 }
 
-Matrix Matrix::MatMul(const Matrix& other) const {
-  LOGR_CHECK(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      double v = (*this)(i, k);
-      if (v == 0.0) continue;
-      const double* brow = other.Row(k);
-      double* orow = out.Row(i);
-      for (std::size_t j = 0; j < other.cols_; ++j) orow[j] += v * brow[j];
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::Transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  }
-  return out;
-}
-
 double Matrix::OffDiagonalNorm() const {
   double acc = 0.0;
   for (std::size_t r = 0; r < rows_; ++r) {

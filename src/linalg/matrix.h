@@ -45,12 +45,6 @@ class Matrix {
   /// Transposed matrix-vector product (this^T * x).
   Vector TransposeMatVec(const Vector& x) const;
 
-  /// Matrix-matrix product (this * other).
-  Matrix MatMul(const Matrix& other) const;
-
-  /// Transpose.
-  Matrix Transposed() const;
-
   /// Frobenius norm of the off-diagonal part (Jacobi convergence test).
   double OffDiagonalNorm() const;
 

@@ -6,28 +6,12 @@
 
 namespace logr {
 
-std::string ToLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
 std::string ToUpper(std::string_view s) {
   std::string out(s);
   for (char& c : out) {
     c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   }
   return out;
-}
-
-std::string_view Trim(std::string_view s) {
-  std::size_t b = 0;
-  while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  std::size_t e = s.size();
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
 }
 
 std::string Join(const std::vector<std::string>& parts,
@@ -38,34 +22,6 @@ std::string Join(const std::vector<std::string>& parts,
     out.append(parts[i]);
   }
   return out;
-}
-
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-bool StartsWithIgnoreCase(std::string_view s, std::string_view prefix) {
-  if (s.size() < prefix.size()) return false;
-  return EqualsIgnoreCase(s.substr(0, prefix.size()), prefix);
-}
-
-bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::string StrFormat(const char* fmt, ...) {

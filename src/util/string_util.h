@@ -9,26 +9,11 @@
 
 namespace logr {
 
-/// Returns `s` with ASCII letters lowered.
-std::string ToLower(std::string_view s);
-
 /// Returns `s` with ASCII letters uppered.
 std::string ToUpper(std::string_view s);
 
-/// Strips leading and trailing ASCII whitespace.
-std::string_view Trim(std::string_view s);
-
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// Splits `s` on the single character `sep` (no empty-token suppression).
-std::vector<std::string> Split(std::string_view s, char sep);
-
-/// True if `s` starts with `prefix` ignoring ASCII case.
-bool StartsWithIgnoreCase(std::string_view s, std::string_view prefix);
-
-/// Case-insensitive ASCII equality.
-bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

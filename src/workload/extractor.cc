@@ -116,15 +116,4 @@ FeatureVec ExtractFeatures(const sql::Statement& stmt,
   return FeatureVec(std::move(ids));
 }
 
-FeatureVec ExtractFeaturesFrozen(const sql::Statement& stmt,
-                                 const ExtractOptions& opts,
-                                 const Vocabulary& vocab) {
-  std::vector<FeatureId> ids;
-  for (const Feature& f : ListFeatures(stmt, opts)) {
-    FeatureId id = vocab.Find(f);
-    if (id != Vocabulary::kNotFound) ids.push_back(id);
-  }
-  return FeatureVec(std::move(ids));
-}
-
 }  // namespace logr

@@ -28,13 +28,6 @@ struct ExtractOptions {
 FeatureVec ExtractFeatures(const sql::Statement& stmt,
                            const ExtractOptions& opts, Vocabulary* vocab);
 
-/// Extracts features without interning: features absent from `vocab` are
-/// dropped. Used when replaying validation queries against a frozen
-/// codebook.
-FeatureVec ExtractFeaturesFrozen(const sql::Statement& stmt,
-                                 const ExtractOptions& opts,
-                                 const Vocabulary& vocab);
-
 /// Lists the features of `stmt` without touching a vocabulary.
 std::vector<Feature> ListFeatures(const sql::Statement& stmt,
                                   const ExtractOptions& opts);

@@ -160,13 +160,4 @@ std::size_t PackedVecPool::StorageWords(std::size_t count,
   return meta + 2 * words + (words + 7) / 8;
 }
 
-std::vector<double> FeatureVec::ToDense(std::size_t n) const {
-  std::vector<double> out(n, 0.0);
-  for (FeatureId f : ids) {
-    LOGR_DCHECK(f < n);
-    out[f] = 1.0;
-  }
-  return out;
-}
-
 }  // namespace logr

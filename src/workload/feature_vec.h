@@ -46,9 +46,6 @@ struct FeatureVec {
 
   /// Hash key (the ids memcpy'd into a string) for hash-map indexing.
   std::string HashKey() const;
-
-  /// Dense 0/1 expansion of width `n`.
-  std::vector<double> ToDense(std::size_t n) const;
 };
 
 /// True iff the sorted id span [ids, ids + size) contains every id of
@@ -82,7 +79,7 @@ class PackedVecPool {
   PackedVecPool() = default;
 
   /// Packs `vecs` over an `n_features`-wide universe. Every id must be
-  /// < n_features (checked in debug builds, like FeatureVec::ToDense).
+  /// < n_features (checked in debug builds).
   /// Builds the row-major words and their word-major transposed copy
   /// with its popcount plane, which the tiled condensed fill sweeps.
   PackedVecPool(const std::vector<FeatureVec>& vecs, std::size_t n_features);

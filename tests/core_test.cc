@@ -407,24 +407,5 @@ TEST(CompressorTest, AllMethodsProduceValidAssignments) {
   }
 }
 
-TEST(CompressorTest, ErrorTargetReached) {
-  Pcg32 rng(37);
-  QueryLog log;
-  for (int g = 0; g < 4; ++g) {
-    for (int i = 0; i < 5; ++i) {
-      std::vector<FeatureId> ids = {static_cast<FeatureId>(g * 4)};
-      for (int f = 1; f < 4; ++f) {
-        if (rng.NextBernoulli(0.5)) {
-          ids.push_back(static_cast<FeatureId>(g * 4 + f));
-        }
-      }
-      log.Add(FeatureVec(std::move(ids)), 1);
-    }
-  }
-  LogROptions opts;
-  LogRSummary s = CompressToErrorTarget(log, 0.5, 100, opts);
-  EXPECT_LE(s.Model().Error(), 0.5 + 1e-9);
-}
-
 }  // namespace
 }  // namespace logr

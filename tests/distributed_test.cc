@@ -316,8 +316,7 @@ TEST(DistributedTest, ShardFilesHoldTheirParts) {
                               "bank", &files, &error))
       << error;
   const std::vector<std::vector<std::size_t>> parts =
-      ShardedCompressor::PartitionIndices(view, 3,
-                                          ShardPolicy::kContiguousRange);
+      PartitionIndices(view, 3, ShardPolicy::kContiguousRange);
   ASSERT_EQ(files.size(), parts.size());
   for (std::size_t s = 0; s < files.size(); ++s) {
     SCOPED_TRACE(files[s].path);

@@ -529,38 +529,5 @@ TEST(EncoderTest, V2RoundTripsEncoderTagAndPatterns) {
   EXPECT_STREQ(loaded2.model->EncoderName(), "naive");
 }
 
-TEST(EncoderTest, ErrorTargetHonoredUnderPatternEncoder) {
-  // Regression for the ROADMAP known issue: the K search used to
-  // measure only the naive mixture's Error, so a non-mergeable encoder
-  // ("pattern") could return a summary that silently missed the target.
-  // The search now keeps raising K until the wrapped encoder's own
-  // Error honors it.
-  QueryLog log = GroupedLog(4, 6, 23);
-  LogROptions opts;
-  opts.encoder = "pattern";
-  opts.pattern_budget = 6;
-  opts.n_init = 1;
-  // Pattern models keep an error floor a naive-style target can sit far
-  // below, so use a target the pattern encoder provably reaches: its
-  // own Error at K = 4 under the same (hierarchical) backend the
-  // error-target search rides.
-  opts.backend = "hierarchical";
-  LogROptions fixed = opts;
-  fixed.num_clusters = 4;
-  const double reachable = Compress(log, fixed).Model().Error();
-  const double target = reachable + 1e-6;
-  LogRSummary s = CompressToErrorTarget(log, target, log.NumDistinct(), opts);
-  EXPECT_STREQ(s.Model().EncoderName(), "pattern");
-  EXPECT_LE(s.Model().Error(), target + 1e-9);
-
-  // The mergeable family keeps its historic semantics.
-  LogROptions refined = opts;
-  refined.encoder = "refined";
-  LogRSummary r =
-      CompressToErrorTarget(log, target, log.NumDistinct(), refined);
-  EXPECT_STREQ(r.Model().EncoderName(), "refined");
-  EXPECT_LE(r.Model().Error(), target + 1e-9);
-}
-
 }  // namespace
 }  // namespace logr

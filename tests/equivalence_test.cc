@@ -199,8 +199,7 @@ class EquivalenceTest : public ::testing::TestWithParam<Case> {
     const LogView view(log());
     std::vector<QueryLog> shards;
     for (const std::vector<std::size_t>& part :
-         ShardedCompressor::PartitionIndices(view, kShards,
-                                             opts_.shard_policy)) {
+         PartitionIndices(view, kShards, opts_.shard_policy)) {
       shards.push_back(view.MaterializeSubset(part));
     }
     return shards;
@@ -272,7 +271,7 @@ class EquivalenceTest : public ::testing::TestWithParam<Case> {
   void ExpectOfflineMergeMatches(const std::string& naive_sharded) const {
     const LogROptions sharded = Sharded(opts_.encoder);
     LogROptions per_shard = sharded;
-    per_shard.num_clusters = ShardedCompressor::ClustersPerShard(
+    per_shard.num_clusters = ClustersPerShard(
         sharded.num_clusters, sharded.num_shards);
     per_shard.num_shards = 1;
     const std::vector<QueryLog> shards = ShardLogs();

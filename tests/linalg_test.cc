@@ -15,19 +15,7 @@ TEST(MatrixTest, IdentityMatVec) {
   EXPECT_EQ(i.MatVec(x), x);
 }
 
-TEST(MatrixTest, MatMulKnown) {
-  Matrix a(2, 2);
-  a(0, 0) = 1; a(0, 1) = 2; a(1, 0) = 3; a(1, 1) = 4;
-  Matrix b(2, 2);
-  b(0, 0) = 5; b(0, 1) = 6; b(1, 0) = 7; b(1, 1) = 8;
-  Matrix c = a.MatMul(b);
-  EXPECT_DOUBLE_EQ(c(0, 0), 19);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22);
-  EXPECT_DOUBLE_EQ(c(1, 0), 43);
-  EXPECT_DOUBLE_EQ(c(1, 1), 50);
-}
-
-TEST(MatrixTest, TransposeMatVecMatchesTransposed) {
+TEST(MatrixTest, TransposeMatVecMatchesElementSums) {
   Pcg32 rng(3);
   Matrix a(4, 6);
   for (std::size_t r = 0; r < 4; ++r) {
@@ -36,7 +24,10 @@ TEST(MatrixTest, TransposeMatVecMatchesTransposed) {
   Vector x(4);
   for (double& v : x) v = rng.NextGaussian();
   Vector y1 = a.TransposeMatVec(x);
-  Vector y2 = a.Transposed().MatVec(x);
+  Vector y2(6, 0.0);
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 6; ++c) y2[c] += a(r, c) * x[r];
+  }
   for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-12);
 }
 

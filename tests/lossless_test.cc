@@ -2,9 +2,9 @@
 // E_max determines the exact query distribution.
 #include <cmath>
 
-#include "core/lossless.h"
 #include "core/naive_encoding.h"
 #include "gtest/gtest.h"
+#include "oracles/lossless.h"
 #include "util/prng.h"
 
 namespace logr {

@@ -1,4 +1,4 @@
-#include "core/lossless.h"
+#include "oracles/lossless.h"
 
 #include "util/check.h"
 

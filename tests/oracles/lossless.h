@@ -9,10 +9,11 @@
 //   p(X_F = q) = Σ_{S ⊆ F \ q} (-1)^{|S|} · p(Q ⊇ q ∪ S)
 //
 // This is the paper's argument that pattern encodings are lossless in
-// the limit; the implementation doubles as a test oracle for encoding
-// fidelity.
-#ifndef LOGR_CORE_LOSSLESS_H_
-#define LOGR_CORE_LOSSLESS_H_
+// the limit; the implementation is a test oracle for encoding fidelity,
+// linked into the tests through the logr_oracles library and not part
+// of `logr`.
+#ifndef LOGR_ORACLES_LOSSLESS_H_
+#define LOGR_ORACLES_LOSSLESS_H_
 
 #include <functional>
 
@@ -38,4 +39,4 @@ double ExactProbabilityFromLog(const QueryLog& log, const FeatureVec& q,
 
 }  // namespace logr
 
-#endif  // LOGR_CORE_LOSSLESS_H_
+#endif  // LOGR_ORACLES_LOSSLESS_H_

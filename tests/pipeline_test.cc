@@ -209,37 +209,6 @@ TEST(ClustererRegistryTest, BackendsProduceValidAssignments) {
   }
 }
 
-TEST(ClustererRegistryTest, HierarchicalModelHasMonotoneCuts) {
-  Pcg32 rng(11);
-  std::vector<FeatureVec> vecs = RandomVectors(25, 10, &rng);
-  const Clusterer* hier = ClustererRegistry::Instance().Find("hierarchical");
-  ASSERT_NE(hier, nullptr);
-  ClusterRequest req;
-  req.num_features = 10;
-  std::unique_ptr<ClusterModel> model = hier->Fit(vecs, {}, req);
-  EXPECT_TRUE(model->MonotoneCuts());
-  // Cutting at K+1 refines the cut at K: equal labels stay together.
-  std::vector<int> coarse = model->Cut(3);
-  std::vector<int> fine = model->Cut(4);
-  for (std::size_t i = 0; i < vecs.size(); ++i) {
-    for (std::size_t j = i + 1; j < vecs.size(); ++j) {
-      if (fine[i] == fine[j]) {
-        EXPECT_EQ(coarse[i], coarse[j]);
-      }
-    }
-  }
-  // A non-hierarchical backend's default model re-fits and is honest
-  // about not being monotone. The default model references the weights
-  // passed to Fit, so they must outlive the Cut call.
-  const Clusterer* km =
-      ClustererRegistry::Instance().Find("KmeansEuclidean");
-  req.k = 2;
-  std::vector<double> uniform;
-  std::unique_ptr<ClusterModel> refit = km->Fit(vecs, uniform, req);
-  EXPECT_FALSE(refit->MonotoneCuts());
-  EXPECT_EQ(refit->Cut(2).size(), vecs.size());
-}
-
 TEST(PipelineTest, DeterministicAcrossThreadCounts) {
   QueryLog log = GroupedLog(4, 10, 23);
   auto run = [&](ThreadPool* pool) {
@@ -370,54 +339,6 @@ TEST(PipelineTest, RuntimeRegisteredBackendWorksEndToEnd) {
   // The backend also drives the adaptive strategy's bisection stage.
   LogRSummary adaptive = CompressAdaptive(log, 4, opts);
   EXPECT_LE(adaptive.Model().NumComponents(), 4u);
-}
-
-TEST(PipelineTest, ErrorTargetSweepFitsAndPacksOnce) {
-  QueryLog log = GroupedLog(6, 10, 77);
-  LogROptions opts;
-  opts.seed = 11;
-  const std::vector<double> targets = {2.0, 1.0, 0.25};
-  const std::vector<LogRSummary> sweep =
-      CompressToErrorTargets(log, targets, 32, opts);
-  ASSERT_EQ(sweep.size(), targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    // The whole sweep shares one pipeline: the distinct vectors are
-    // packed exactly once and the backend fitted once, so every
-    // summary observes a single pool build — the zero-copy contract.
-    EXPECT_EQ(sweep[i].pool_builds, 1u) << "target " << targets[i];
-    // Each target's result must be bit-identical to the single-target
-    // entry point — the sweep is a cost optimization, not a new mode.
-    const LogRSummary single =
-        CompressToErrorTarget(log, targets[i], 32, opts);
-    EXPECT_EQ(sweep[i].assignment, single.assignment)
-        << "target " << targets[i];
-    EXPECT_EQ(sweep[i].Model().Error(), single.Model().Error())
-        << "target " << targets[i];
-    EXPECT_EQ(sweep[i].Model().NumComponents(),
-              single.Model().NumComponents())
-        << "target " << targets[i];
-    // A target is met unless the search ran into the cluster cap.
-    if (sweep[i].Model().NumComponents() < 32) {
-      EXPECT_LE(sweep[i].Model().Error(), targets[i] + 1e-9);
-    }
-  }
-}
-
-TEST(PipelineTest, ErrorTargetHonorsExplicitBackend) {
-  QueryLog log = GroupedLog(4, 6, 19);
-  LogROptions opts;
-  opts.backend = "test_roundrobin";
-  if (ClustererRegistry::Instance().Find("test_roundrobin") == nullptr) {
-    ASSERT_TRUE(ClustererRegistry::Instance().Register(
-        "test_roundrobin", std::make_shared<RoundRobinClusterer>()));
-  }
-  // With a 0-nat target the search runs to max_clusters on the fake
-  // backend; with the default (empty) backend it rides hierarchical cuts.
-  LogRSummary fake = CompressToErrorTarget(log, 0.0, 3, opts);
-  EXPECT_EQ(fake.Model().NumComponents(), 3u);
-  LogROptions plain;
-  LogRSummary hier = CompressToErrorTarget(log, 0.5, 100, plain);
-  EXPECT_LE(hier.Model().Error(), 0.5 + 1e-9);
 }
 
 }  // namespace

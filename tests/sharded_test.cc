@@ -84,7 +84,7 @@ TEST(ShardedTest, PartitionCoversEveryIndexExactlyOnce) {
   for (ShardPolicy policy :
        {ShardPolicy::kHashDistinct, ShardPolicy::kContiguousRange}) {
     for (std::size_t s : {1u, 2u, 4u, 8u}) {
-      auto shards = ShardedCompressor::PartitionIndices(log, s, policy);
+      auto shards = PartitionIndices(log, s, policy);
       std::vector<int> hits(log.NumDistinct(), 0);
       for (const auto& shard : shards) {
         EXPECT_FALSE(shard.empty());
@@ -183,10 +183,27 @@ TEST(ShardedTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ShardedTest, ReportsPackTimeAndOnePoolBuildPerShard) {
+  // Every shard pipeline packs its own pool once; the run reports the
+  // builds and the summed pack time like a monolithic Compress does.
+  QueryLog log = BankLog();
+  LogROptions opts;
+  opts.num_clusters = 4;
+  opts.num_shards = 4;
+  opts.shard_policy = ShardPolicy::kHashDistinct;
+  ThreadPool four(4);
+  opts.pool = &four;
+  const std::size_t non_empty =
+      PartitionIndices(log, opts.num_shards, opts.shard_policy).size();
+  ASSERT_GT(non_empty, 1u);
+  const LogRSummary s = Compress(log, opts);
+  EXPECT_EQ(s.pool_builds, non_empty);
+  EXPECT_GT(s.pack_seconds, 0.0);
+}
+
 TEST(ShardedTest, MergeIsIndependentOfPartOrder) {
   QueryLog log = PocketLog();
-  auto shards = ShardedCompressor::PartitionIndices(
-      log, 3, ShardPolicy::kHashDistinct);
+  auto shards = PartitionIndices(log, 3, ShardPolicy::kHashDistinct);
   ASSERT_EQ(shards.size(), 3u);
   std::vector<NaiveMixtureEncoding> parts;
   for (const auto& indices : shards) {
@@ -257,11 +274,9 @@ TEST(ShardedTest, OfflineSummaryMergeMatchesInProcessSharding) {
 
   // Compress each shard separately and round-trip it through the text
   // format — the "compress each day's log, merge the week" workflow.
-  auto shards = ShardedCompressor::PartitionIndices(
-      log, 3, ShardPolicy::kHashDistinct);
+  auto shards = PartitionIndices(log, 3, ShardPolicy::kHashDistinct);
   LogROptions per_shard = opts;
-  per_shard.num_clusters =
-      ShardedCompressor::ClustersPerShard(opts.num_clusters, 3);
+  per_shard.num_clusters = ClustersPerShard(opts.num_clusters, 3);
   std::vector<PersistedSummary> parts(shards.size());
   for (std::size_t s = 0; s < shards.size(); ++s) {
     QueryLog sub = LogView(log).MaterializeSubset(shards[s]);
@@ -377,14 +392,16 @@ TEST(ShardedTest, ReconcileScalesPastFourThousandComponents) {
   comps.reserve(kComponents);
   std::uint64_t grand_total = 0;
   for (std::size_t c = 0; c < kComponents; ++c) {
-    ComponentAccumulator acc;
+    QueryLog part;
     const FeatureId base = static_cast<FeatureId>((c * 11) % kFeatures);
-    acc.Add(FeatureVec({base, static_cast<FeatureId>(
-                                  (base + 1 + c % 3) % kFeatures)}),
-            1 + (c % 4));
-    acc.Add(FeatureVec({static_cast<FeatureId>((base + 2) % kFeatures)}), 1);
-    grand_total += acc.total();
-    comps.push_back(acc.FinalizeComponent(1));
+    part.Add(FeatureVec({base, static_cast<FeatureId>(
+                                   (base + 1 + c % 3) % kFeatures)}),
+             1 + (c % 4));
+    part.Add(FeatureVec({static_cast<FeatureId>((base + 2) % kFeatures)}), 1);
+    grand_total += part.TotalQueries();
+    MixtureComponent comp;
+    comp.encoding = NaiveEncoding::FromLog(part);
+    comps.push_back(std::move(comp));
   }
   for (MixtureComponent& comp : comps) {
     comp.weight = static_cast<double>(comp.encoding.LogSize()) /
@@ -417,14 +434,16 @@ TEST(ShardedTest, ReconcileBitIdenticalAcrossPoolSizes) {
   std::vector<MixtureComponent> comps;
   std::uint64_t grand_total = 0;
   for (std::size_t c = 0; c < kComponents; ++c) {
-    ComponentAccumulator acc;
+    QueryLog part;
     const FeatureId base = static_cast<FeatureId>((c * 13) % kFeatures);
-    acc.Add(FeatureVec({base, static_cast<FeatureId>(
-                                  (base + 1 + c % 4) % kFeatures)}),
-            1 + (c % 6));
-    acc.Add(FeatureVec({static_cast<FeatureId>((base + 2) % kFeatures)}), 2);
-    grand_total += acc.total();
-    comps.push_back(acc.FinalizeComponent(1));
+    part.Add(FeatureVec({base, static_cast<FeatureId>(
+                                   (base + 1 + c % 4) % kFeatures)}),
+             1 + (c % 6));
+    part.Add(FeatureVec({static_cast<FeatureId>((base + 2) % kFeatures)}), 2);
+    grand_total += part.TotalQueries();
+    MixtureComponent comp;
+    comp.encoding = NaiveEncoding::FromLog(part);
+    comps.push_back(std::move(comp));
   }
   for (MixtureComponent& comp : comps) {
     comp.weight = static_cast<double>(comp.encoding.LogSize()) /

@@ -124,29 +124,13 @@ TEST(ZipfSamplerTest, SampleMatchesProbability) {
   }
 }
 
-TEST(StringUtilTest, ToLowerUpper) {
-  EXPECT_EQ(ToLower("SeLeCt * FROM t"), "select * from t");
+TEST(StringUtilTest, ToUpper) {
   EXPECT_EQ(ToUpper("select"), "SELECT");
 }
 
-TEST(StringUtilTest, Trim) {
-  EXPECT_EQ(Trim("  x y  "), "x y");
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim("   "), "");
-}
-
-TEST(StringUtilTest, JoinAndSplit) {
+TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");
-  std::vector<std::string> parts = Split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[2], "");
-}
-
-TEST(StringUtilTest, EqualsIgnoreCase) {
-  EXPECT_TRUE(EqualsIgnoreCase("SELECT", "select"));
-  EXPECT_FALSE(EqualsIgnoreCase("SELECT", "selec"));
-  EXPECT_TRUE(StartsWithIgnoreCase("SELECT x", "sel"));
 }
 
 TEST(StringUtilTest, StrFormat) {

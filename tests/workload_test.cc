@@ -89,12 +89,6 @@ TEST(FeatureVecTest, SetOperations) {
   EXPECT_EQ(a.IntersectionSize(b), 2u);
 }
 
-TEST(FeatureVecTest, DenseRoundTrip) {
-  FeatureVec v({0, 3});
-  std::vector<double> dense = v.ToDense(5);
-  EXPECT_EQ(dense, (std::vector<double>{1, 0, 0, 1, 0}));
-}
-
 // Paper Example 1: the exact feature set of the running-example query.
 TEST(ExtractorTest, PaperExampleOne) {
   auto stmt = ParseAndRegularize(
@@ -154,18 +148,6 @@ TEST(ExtractorTest, ExtendedClausesCaptured) {
   EXPECT_TRUE(got.count("<g, GROUPBY>"));
   EXPECT_TRUE(got.count("<desc o, ORDERBY>"));
   EXPECT_TRUE(got.count("<limit 10, LIMIT>"));
-}
-
-TEST(ExtractorTest, FrozenVocabularyDropsUnknown) {
-  Vocabulary vocab;
-  auto stmt1 = ParseAndRegularize("SELECT a FROM t");
-  ExtractFeatures(*stmt1, {}, &vocab);
-  std::size_t size_before = vocab.size();
-  auto stmt2 = ParseAndRegularize("SELECT b FROM t");
-  FeatureVec v = ExtractFeaturesFrozen(*stmt2, {}, vocab);
-  EXPECT_EQ(vocab.size(), size_before);
-  // Only <t, FROM> is known.
-  EXPECT_EQ(v.size(), 1u);
 }
 
 TEST(QueryLogTest, AddMergesDuplicates) {

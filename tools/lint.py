@@ -35,6 +35,16 @@ earlier PRs paid for and that a grep can keep honest:
                         reach exec'd workers). Library results never
                         depend on the process environment; an operating
                         knob is a CLI flag or a bench_common read.
+  7. paper-code-confinement
+                        No src/ file built into `logr` includes a header
+                        of the `logr_paper` library: the sources the
+                        paper's figure programs use (baseline
+                        summarizers, deviation sampler, synthesis,
+                        tabular datasets, ...) stay out of what the
+                        shipped tools link. The `logr_paper` source list
+                        is read from LOGR_PAPER_PATTERNS in
+                        CMakeLists.txt; a listed .cc's header is the
+                        .h beside it.
 
 Usage: tools/lint.py [--root DIR] [FILES...]
 With FILES, only those are checked (CI's changed-files mode); otherwise
@@ -43,6 +53,7 @@ path:line, the offending source line, and a fix hint.
 """
 
 import argparse
+import glob
 import os
 import re
 import sys
@@ -197,6 +208,44 @@ def check_env_reads(path, lines, findings):
                 "pass the value in through LogROptions or an argument"))
 
 
+def paper_sources(root):
+    """Repo-relative paths of the `logr_paper` sources and their headers,
+    expanded from the LOGR_PAPER_PATTERNS list in CMakeLists.txt."""
+    cmake_path = os.path.join(root, "CMakeLists.txt")
+    if not os.path.exists(cmake_path):
+        return None
+    with open(cmake_path) as f:
+        text = f.read()
+    m = re.search(r"set\(LOGR_PAPER_PATTERNS\s+([^)]*)\)", text)
+    if not m:
+        return None
+    paths = set()
+    for pattern in m.group(1).split():
+        for full in glob.glob(os.path.join(root, pattern)):
+            rel = os.path.relpath(full, root)
+            paths.add(rel)
+            paths.add(os.path.splitext(rel)[0] + ".h")
+    return paths or None
+
+
+INCLUDE_LINE = re.compile(r'#\s*include\s*"([^"]+)"')
+
+
+def check_paper_confinement(path, lines, paper, findings):
+    if not path.startswith("src/") or path in paper:
+        return
+    for i, raw in enumerate(lines, 1):
+        m = INCLUDE_LINE.search(raw)
+        if m and "src/" + m.group(1) in paper:
+            findings.append(Finding(
+                path, i, raw, "paper-code-confinement",
+                f"{m.group(1)} belongs to the logr_paper library "
+                "(LOGR_PAPER_PATTERNS in CMakeLists.txt), which `logr` "
+                "does not link. Keep paper-only code out of the shipped "
+                "library: move the caller into bench/ or a logr_paper "
+                "source, or move the code it needs out of that list"))
+
+
 def expected_guard(path):
     # src/cluster/nn_chain.h -> LOGR_CLUSTER_NN_CHAIN_H_
     rel = re.sub(r"^src/", "", path)
@@ -266,6 +315,13 @@ def main():
         files = collect_files(root)
 
     findings = []
+    paper = paper_sources(root)
+    if paper is None:
+        findings.append(Finding(
+            "CMakeLists.txt", 0, "", "paper-code-confinement",
+            "no set(LOGR_PAPER_PATTERNS ...) list naming existing "
+            "sources; rule 7 reads the logr_paper sources from it"))
+        paper = set()
     for path in files:
         full = os.path.join(root, path)
         try:
@@ -279,6 +335,7 @@ def main():
         check_unordered_iteration(path, lines, findings)
         check_header_guards(path, lines, findings)
         check_env_reads(path, lines, findings)
+        check_paper_confinement(path, lines, paper, findings)
     check_avx_confinement(root, files, findings)
 
     for f in findings:
