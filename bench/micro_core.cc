@@ -803,7 +803,7 @@ BENCHMARK(BM_PatternEstimate)->Arg(8)->Arg(12)->Unit(benchmark::kMicrosecond);
 
 void BM_PatternRefit(benchmark::State& state) {
   // The refit a reload pays: every component of a PocketData K = 8
-  // pattern summary rebuilt through the v3 reload constructor from its
+  // pattern summary rebuilt through the reload constructor from its
   // stored (patterns, marginals), as ReadSummaryFile does. One
   // iteration refits all components.
   const QueryLog& log = PocketLogSingleton();

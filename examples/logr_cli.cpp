@@ -544,14 +544,10 @@ int RunInfo(const Command& self, int argc, char** argv) {
               model.NumComponents(),
               static_cast<unsigned long long>(model.LogSize()));
   const SummarySize& size = s.size;
-  if (size.version == 4) {
-    std::printf("  bytes %zu (v4): codebook %zu, components %zu, patterns "
-                "%zu, header %zu\n",
-                size.total, size.codebook, size.components, size.patterns,
-                size.total - size.codebook - size.components - size.patterns);
-  } else {
-    std::printf("  bytes %zu (text v%d)\n", size.total, size.version);
-  }
+  std::printf("  bytes %zu (v4): codebook %zu, components %zu, patterns "
+              "%zu, header %zu\n",
+              size.total, size.codebook, size.components, size.patterns,
+              size.total - size.codebook - size.components - size.patterns);
   for (std::size_t c = 0; c < model.NumComponents(); ++c) {
     std::printf("  cluster %zu: weight %.4f, |L| %llu, verbosity %zu\n", c,
                 model.ComponentWeight(c),

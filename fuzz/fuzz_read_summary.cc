@@ -1,13 +1,14 @@
-// Fuzz harness for the summary reader (core/serialization.h): binary
-// summary v4 and the read-only v1-v3 text formats.
+// Fuzz harness for the summary reader (core/serialization.h, summary
+// v4).
 //
 // ReadSummary consumes whole files that may come from other machines
 // (offline merge pulls per-day summaries off shared storage), so it
 // must reject arbitrary bytes loudly — never crash, never accept a
 // summary whose model then misbehaves. On accepted inputs the harness
-// also exercises the loaded WorkloadModel and rewrites it as v4, which
-// must load again and answer a small estimate battery bit-identically
-// to the first load: every v1-v3 seed is thereby a conversion oracle.
+// also exercises the loaded WorkloadModel and writes it back out: the
+// write must load again, writing that load must reproduce the same
+// bytes, and the reload must answer a small estimate battery
+// bit-identically to the first load.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -49,14 +50,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   LOGR_CHECK(std::isfinite(marginal));
 
   // Round-trip: what ReadSummary accepted, WriteSummary must be able to
-  // persist, the rewrite must load again, and it must answer the battery
-  // (no features, each of the first 32 features, the pairs among the
-  // first 8) with the same bits.
+  // persist, the write must load again and write the same bytes, and
+  // the reload must answer the battery (no features, each of the first
+  // 32 features, the pairs among the first 8) with the same bits.
   std::ostringstream out;
   LOGR_CHECK(logr::WriteSummary(summary.vocabulary, model, &out, &error));
   std::istringstream in2(out.str());
   logr::PersistedSummary reparsed;
   LOGR_CHECK_MSG(logr::ReadSummary(&in2, &reparsed, &error), error.c_str());
+  std::ostringstream again;
+  LOGR_CHECK(logr::WriteSummary(reparsed.vocabulary, *reparsed.model, &again,
+                                &error));
+  LOGR_CHECK(again.str() == out.str());
   const auto n = static_cast<logr::FeatureId>(
       std::min<std::size_t>(summary.vocabulary.size(), 32));
   std::vector<logr::FeatureVec> battery(1);

@@ -1,6 +1,8 @@
 #include "core/naive_encoding.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "maxent/entropy.h"
 #include "util/check.h"
@@ -57,6 +59,18 @@ NaiveEncoding NaiveEncoding::FromMarginals(std::vector<FeatureId> features,
                                            double empirical_entropy,
                                            std::uint64_t log_size) {
   LOGR_CHECK(features.size() == marginals.size());
+  if (!std::is_sorted(features.begin(), features.end())) {
+    std::vector<std::pair<FeatureId, double>> pairs;
+    pairs.reserve(features.size());
+    for (std::size_t i = 0; i < features.size(); ++i) {
+      pairs.emplace_back(features[i], marginals[i]);
+    }
+    std::sort(pairs.begin(), pairs.end());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      features[i] = pairs[i].first;
+      marginals[i] = pairs[i].second;
+    }
+  }
   NaiveEncoding out;
   out.log_size_ = log_size;
   out.empirical_entropy_ = empirical_entropy;

@@ -31,9 +31,11 @@ class NaiveEncoding {
                                     std::size_t n_features,
                                     std::uint64_t total_count);
 
-  /// Reconstructs an encoding from stored state (deserialization). The
-  /// max-ent entropy is recomputed from the marginals; the empirical
-  /// entropy cannot be derived from a lossy summary and must be given.
+  /// Reconstructs an encoding from stored state (deserialization, merged
+  /// id spaces). `features` may come in any order; they are put in
+  /// ascending order with their marginals before the max-ent entropy is
+  /// summed from them. The empirical entropy cannot be derived from a
+  /// lossy summary and must be given.
   static NaiveEncoding FromMarginals(std::vector<FeatureId> features,
                                      std::vector<double> marginals,
                                      double empirical_entropy,

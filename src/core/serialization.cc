@@ -10,7 +10,6 @@
 #include <istream>
 #include <iterator>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <unordered_map>
 
@@ -161,18 +160,11 @@ void AppendNaiveComponents(const NaiveMixtureEncoding& encoding,
     AppendF64(out, comp.weight);
     AppendVarint(out, enc.LogSize());
     AppendF64(out, enc.EmpiricalEntropy());
-    // Every encoder lists features ascending, but a text file may not;
-    // estimates look marginals up by id, so the order carries nothing.
-    std::vector<std::pair<FeatureId, double>> entries;
-    entries.reserve(enc.features().size());
-    for (std::size_t i = 0; i < enc.features().size(); ++i) {
-      entries.emplace_back(enc.features()[i], enc.marginals()[i]);
-    }
-    std::sort(entries.begin(), entries.end());
-    AppendVarint(out, entries.size());
+    AppendVarint(out, enc.features().size());
     std::uint64_t next = 0;
-    for (const auto& [f, p] : entries) {
-      AppendTaggedMarginal(f - next, p, enc.LogSize(), out);
+    for (std::size_t i = 0; i < enc.features().size(); ++i) {
+      const FeatureId f = enc.features()[i];
+      AppendTaggedMarginal(f - next, enc.marginals()[i], enc.LogSize(), out);
       next = static_cast<std::uint64_t>(f) + 1;
     }
   }
@@ -227,16 +219,6 @@ void WriteFramed(const std::string& payload, std::ostream* out) {
   LOGR_CHECK(header.size() == kSummaryHeaderSize);
   out->write(header.data(), static_cast<std::streamsize>(header.size()));
   out->write(payload.data(), static_cast<std::streamsize>(payload.size()));
-}
-
-std::string NaivePayload(const Vocabulary& vocab,
-                         const NaiveMixtureEncoding& encoding,
-                         EncoderCode code) {
-  std::string payload;
-  AppendU8(&payload, static_cast<std::uint8_t>(code));
-  AppendCodebook(vocab, &payload);
-  AppendNaiveComponents(encoding, &payload);
-  return payload;
 }
 
 // ---------------------------------------------------------- v4 reader
@@ -351,32 +333,12 @@ class PayloadReader {
   std::string error_;
 };
 
-/// Component weight and entropy checks shared by every reader; the
-/// negated comparisons also reject NaN.
+/// Component weight and entropy checks shared by ReadNaiveFamily and
+/// ReadPatternComponents; the negated comparisons also reject NaN.
 bool ValidWeight(double weight) {
   return weight >= 0.0 && weight <= 1.0 + 1e-9;
 }
 bool ValidEntropy(double h) { return h >= 0.0 && std::isfinite(h); }
-
-/// The naive-family model both readers rebuild. `errors[c]` is component
-/// c's stored refined Error, or NaN where no patterns block stored one
-/// (the naive Reproduction Error then stands).
-void InstallNaiveFamily(std::vector<MixtureComponent> components,
-                        std::vector<std::vector<FeatureVec>> patterns,
-                        std::vector<double> errors, PersistedSummary* s) {
-  s->encoding = NaiveMixtureEncoding::FromComponents(std::move(components));
-  if (s->encoder != "refined") {
-    s->model = std::make_shared<NaiveMixtureModel>(s->encoding);
-    return;
-  }
-  for (std::size_t c = 0; c < errors.size(); ++c) {
-    if (std::isnan(errors[c])) {
-      errors[c] = s->encoding.Component(c).encoding.ReproductionError();
-    }
-  }
-  s->model = std::make_shared<RefinedMixtureModel>(
-      s->encoding, std::move(patterns), std::move(errors));
-}
 
 /// Rebuilds the codebook. Reconstructed text is capped (a few tokens can
 /// otherwise be referenced into gigabytes of text) at 64 bytes per file
@@ -466,10 +428,13 @@ bool ReadNaiveFamily(PayloadReader& in, std::size_t n_features,
   if (!in.ok()) return false;
   s->size.components = in.offset() - s->size.codebook - 1;
 
+  const bool refined = s->encoder == "refined";
   std::vector<std::vector<FeatureVec>> patterns(components.size());
-  std::vector<double> errors(components.size(), std::nan(""));
-  if (s->encoder == "refined") {
+  std::vector<double> errors;  // per component, its refined Error
+  if (refined) {
     for (std::size_t c = 0; c < components.size() && in.ok(); ++c) {
+      // A component stored without patterns keeps its naive Error.
+      errors.push_back(components[c].encoding.ReproductionError());
       const std::uint64_t count = in.Count(2, "pattern list");
       if (count == 0) continue;
       // Bound derived from the miner: the refined encoder never retains
@@ -492,13 +457,18 @@ bool ReadNaiveFamily(PayloadReader& in, std::size_t n_features,
     }
     if (!in.ok()) return false;
   }
-  InstallNaiveFamily(std::move(components), std::move(patterns),
-                     std::move(errors), s);
+  s->encoding = NaiveMixtureEncoding::FromComponents(std::move(components));
+  if (refined) {
+    s->model = std::make_shared<RefinedMixtureModel>(
+        s->encoding, std::move(patterns), std::move(errors));
+  } else {
+    s->model = std::make_shared<NaiveMixtureModel>(s->encoding);
+  }
   return true;
 }
 
-/// Pattern components. Validation mirrors v3's, including the
-/// kMaxServablePatterns cap the encoder itself is clamped to.
+/// Pattern components, including the kMaxServablePatterns cap the
+/// encoder itself is clamped to.
 bool ReadPatternComponents(PayloadReader& in, std::size_t n_features,
                            PersistedSummary* s) {
   // Smallest component: weight, log size, entropy, width, pattern count.
@@ -555,8 +525,16 @@ bool ReadPatternComponents(PayloadReader& in, std::size_t n_features,
   return true;
 }
 
-bool ReadSummaryV4(std::string_view bytes, PersistedSummary* s,
-                   std::string* error) {
+/// Reads a whole summary v4 file; anything without its magic is refused
+/// with the one error that names the fix.
+bool ReadSummaryBytes(std::string_view bytes, PersistedSummary* s,
+                      std::string* error) {
+  if (bytes.size() < sizeof(kSummaryMagic) ||
+      std::memcmp(bytes.data(), kSummaryMagic, sizeof(kSummaryMagic)) != 0) {
+    return Fail(error,
+                "not a summary v4 file (summary v1-v3 text is no longer read; "
+                "re-run `logr_cli compress` on the log)");
+  }
   if (!HostIsLittleEndian()) {
     return Fail(error, "summary v4: big-endian hosts are not supported");
   }
@@ -586,7 +564,6 @@ bool ReadSummaryV4(std::string_view bytes, PersistedSummary* s,
 
   PayloadReader in(payload, payload + payload_size);
   s->size = SummarySize();
-  s->size.version = 4;
   s->size.total = bytes.size();
   const std::uint8_t code = in.U8("encoder");
   if (code == static_cast<std::uint8_t>(EncoderCode::kNaive)) {
@@ -619,334 +596,13 @@ bool ReadSummaryV4(std::string_view bytes, PersistedSummary* s,
   return true;
 }
 
-// ------------------------------------------------- v1-v3 text reader
-
-bool ReadTextSummary(std::istream& is, PersistedSummary* summary,
-                     std::string* error) {
-  std::string line;
-
-  auto next_line = [&](std::string* out_line) {
-    while (std::getline(is, *out_line)) {
-      if (!out_line->empty() && (*out_line)[0] != '#') return true;
-    }
-    return false;
-  };
-
-  if (!next_line(&line)) return Fail(error, "missing or unsupported header");
-  int version = 0;
-  if (line == "logr-summary v1") {
-    version = 1;
-  } else if (line == "logr-summary v2") {
-    version = 2;
-  } else if (line == "logr-summary v3") {
-    version = 3;
-  } else {
-    return Fail(error, "missing or unsupported header");
-  }
-  summary->size.version = version;
-
-  summary->encoder = "naive";
-  if (version >= 2) {
-    if (!next_line(&line)) return Fail(error, "truncated: encoder");
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag >> summary->encoder) || tag != "encoder") {
-      return Fail(error, "malformed encoder line: " + line);
-    }
-    // v3 exists solely to carry pattern components; v2 carries the
-    // naive family.
-    if (version == 3) {
-      if (summary->encoder != "pattern") {
-        return Fail(error, "summary v3 requires encoder pattern, got: " +
-                               summary->encoder);
-      }
-    } else if (summary->encoder != "naive" && summary->encoder != "refined") {
-      return Fail(error, "unsupported encoder tag: " + summary->encoder);
-    }
-  }
-
-  if (!next_line(&line)) return Fail(error, "truncated: features");
-  std::size_t n_features = 0;
-  {
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag >> n_features) || tag != "features") {
-      return Fail(error, "malformed features line: " + line);
-    }
-  }
-  for (std::size_t f = 0; f < n_features; ++f) {
-    if (!next_line(&line)) return Fail(error, "truncated feature list");
-    std::istringstream ls(line);
-    std::string tag;
-    int clause = 0;
-    if (!(ls >> tag >> clause) || tag != "f") {
-      return Fail(error, "malformed feature line: " + line);
-    }
-    Feature feat;
-    if (!ClauseFromCode(clause, &feat.clause)) {
-      return Fail(error, "invalid feature clause: " + line);
-    }
-    std::getline(ls, feat.text);
-    if (!feat.text.empty() && feat.text[0] == ' ') feat.text.erase(0, 1);
-    FeatureId id = summary->vocabulary.Intern(feat);
-    if (id != f) {
-      return Fail(error, "duplicate feature in codebook: " + feat.text);
-    }
-  }
-
-  if (!next_line(&line)) return Fail(error, "truncated: clusters");
-  std::size_t n_clusters = 0;
-  {
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag >> n_clusters) || tag != "clusters") {
-      return Fail(error, "malformed clusters line: " + line);
-    }
-  }
-  if (version == 3) {
-    // Pattern components: refit each max-ent representative from the
-    // stored (patterns, measured marginals, universe width). The fit is
-    // deterministic, so the loaded model answers every estimate bit-for-
-    // bit like the in-memory one. Validation mirrors the v2 battery,
-    // plus the kMaxServablePatterns cap the encoder itself is clamped
-    // to: a hostile file cannot demand an exponential lattice fit.
-    std::vector<PatternMixtureModel::Component> components;
-    components.reserve(n_clusters);
-    std::uint64_t total_log_size = 0;
-    for (std::size_t c = 0; c < n_clusters; ++c) {
-      if (!next_line(&line)) return Fail(error, "truncated pcluster header");
-      std::istringstream ls(line);
-      std::string tag;
-      double weight = 0.0, empirical = 0.0;
-      std::uint64_t log_size = 0;
-      std::size_t comp_features = 0, n_patterns = 0;
-      if (!(ls >> tag >> weight >> log_size >> empirical >> comp_features >>
-            n_patterns) ||
-          tag != "pcluster") {
-        return Fail(error, "malformed pcluster line: " + line);
-      }
-      if (!ValidWeight(weight)) {
-        return Fail(error, "pcluster weight outside [0,1]: " + line);
-      }
-      if (!ValidEntropy(empirical)) {
-        return Fail(error,
-                    "pcluster entropy not finite/non-negative: " + line);
-      }
-      if (comp_features > n_features) {
-        return Fail(error, "pcluster universe exceeds the codebook: " + line);
-      }
-      if (n_patterns > PatternMixtureModel::kMaxServablePatterns) {
-        return Fail(error, "implausible pattern count: " + line);
-      }
-      std::vector<FeatureVec> patterns;
-      std::vector<double> marginals;
-      patterns.reserve(n_patterns);
-      marginals.reserve(n_patterns);
-      for (std::size_t i = 0; i < n_patterns; ++i) {
-        if (!next_line(&line)) return Fail(error, "truncated pattern list");
-        std::istringstream ps(line);
-        std::string ptag;
-        double p = 0.0;
-        std::size_t n_ids = 0;
-        if (!(ps >> ptag >> p >> n_ids) || ptag != "pm" || n_ids == 0 ||
-            n_ids > comp_features) {
-          return Fail(error, "malformed pattern-marginal line: " + line);
-        }
-        if (!(p >= 0.0 && p <= 1.0)) {
-          return Fail(error, "pattern marginal out of [0,1]: " + line);
-        }
-        std::vector<FeatureId> ids(n_ids);
-        for (std::size_t j = 0; j < n_ids; ++j) {
-          if (!(ps >> ids[j]) || ids[j] >= comp_features) {
-            return Fail(error,
-                        "pattern references unknown feature id: " + line);
-          }
-        }
-        FeatureVec b(std::move(ids));
-        if (b.size() != n_ids) {
-          return Fail(error, "duplicate id within pattern: " + line);
-        }
-        for (const FeatureVec& prev : patterns) {
-          if (prev.ids == b.ids) {
-            return Fail(error, "duplicate pattern in pcluster: " + line);
-          }
-        }
-        patterns.push_back(std::move(b));
-        marginals.push_back(p);
-      }
-      total_log_size += log_size;
-      components.emplace_back(
-          weight, PatternEncoding(std::move(patterns), std::move(marginals),
-                                  comp_features, empirical, log_size));
-    }
-    if (next_line(&line)) {
-      return Fail(error, "unexpected trailer line: " + line);
-    }
-    summary->encoding = NaiveMixtureEncoding();
-    summary->model = std::make_shared<PatternMixtureModel>(
-        std::move(components), total_log_size);
-    return true;
-  }
-
-  std::vector<MixtureComponent> components;
-  for (std::size_t c = 0; c < n_clusters; ++c) {
-    if (!next_line(&line)) return Fail(error, "truncated cluster header");
-    std::istringstream ls(line);
-    std::string tag;
-    double weight = 0.0, empirical = 0.0;
-    std::uint64_t log_size = 0;
-    std::size_t n_marginals = 0;
-    if (!(ls >> tag >> weight >> log_size >> empirical >> n_marginals) ||
-        tag != "cluster") {
-      return Fail(error, "malformed cluster line: " + line);
-    }
-    if (!ValidWeight(weight)) {
-      return Fail(error, "cluster weight outside [0,1]: " + line);
-    }
-    if (!ValidEntropy(empirical)) {
-      return Fail(error, "cluster entropy not finite/non-negative: " + line);
-    }
-    if (n_marginals > n_features) {
-      return Fail(error, "cluster claims more marginals than features: " +
-                             line);
-    }
-    std::vector<FeatureId> features;
-    std::vector<double> marginals;
-    features.reserve(n_marginals);
-    marginals.reserve(n_marginals);
-    std::vector<bool> seen(n_features, false);
-    for (std::size_t i = 0; i < n_marginals; ++i) {
-      if (!next_line(&line)) return Fail(error, "truncated marginal list");
-      std::istringstream ms(line);
-      std::string mtag;
-      FeatureId f = 0;
-      double p = 0.0;
-      if (!(ms >> mtag >> f >> p) || mtag != "m") {
-        return Fail(error, "malformed marginal line: " + line);
-      }
-      if (f >= n_features) {
-        return Fail(error, "marginal references unknown feature id");
-      }
-      if (seen[f]) {
-        return Fail(error, "duplicate feature id in cluster: " + line);
-      }
-      seen[f] = true;
-      if (!(p >= 0.0 && p <= 1.0)) {
-        return Fail(error, "marginal out of [0,1]: " + line);
-      }
-      features.push_back(f);
-      marginals.push_back(p);
-    }
-    MixtureComponent comp;
-    comp.weight = weight;
-    comp.encoding = NaiveEncoding::FromMarginals(
-        std::move(features), std::move(marginals), empirical, log_size);
-    components.push_back(std::move(comp));
-  }
-
-  // v2 extras: per-cluster pattern blocks (with the component's refined
-  // Error) and the informational total refined Error, which the loaded
-  // model recomputes from the per-component errors.
-  std::vector<std::vector<FeatureVec>> patterns(n_clusters);
-  std::vector<double> component_errors(n_clusters, std::nan(""));
-  bool saw_refined_error = false;
-  while (version >= 2 && next_line(&line)) {
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "patterns") {
-      std::size_t cluster = 0, count = 0;
-      double comp_error = 0.0;
-      if (!(ls >> cluster >> count >> comp_error)) {
-        return Fail(error, "malformed patterns line: " + line);
-      }
-      if (cluster >= n_clusters) {
-        return Fail(error, "patterns block references unknown cluster: " +
-                               line);
-      }
-      if (!patterns[cluster].empty()) {
-        return Fail(error, "duplicate patterns block for cluster: " + line);
-      }
-      // Bound derived from the miner: the refined encoder can never
-      // retain more patterns than its candidate cap or than distinct
-      // multi-feature subsets exist.
-      if (count == 0 || count > MaxRefinedPatternsPerComponent(n_features)) {
-        return Fail(error, "implausible pattern count: " + line);
-      }
-      if (!ValidEntropy(comp_error)) {
-        return Fail(error, "component error not finite/non-negative: " +
-                               line);
-      }
-      component_errors[cluster] = comp_error;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (!next_line(&line)) return Fail(error, "truncated pattern list");
-        std::istringstream ps(line);
-        std::string ptag;
-        std::size_t n_ids = 0;
-        if (!(ps >> ptag >> n_ids) || ptag != "p" || n_ids == 0 ||
-            n_ids > n_features) {
-          return Fail(error, "malformed pattern line: " + line);
-        }
-        std::vector<FeatureId> ids(n_ids);
-        for (std::size_t j = 0; j < n_ids; ++j) {
-          if (!(ps >> ids[j]) || ids[j] >= n_features) {
-            return Fail(error, "pattern references unknown feature id: " +
-                                   line);
-          }
-        }
-        patterns[cluster].push_back(FeatureVec(std::move(ids)));
-      }
-    } else if (tag == "refined_error") {
-      double refined_error = 0.0;
-      if (!(ls >> refined_error) || !ValidEntropy(refined_error)) {
-        return Fail(error, "malformed refined_error line: " + line);
-      }
-      saw_refined_error = true;
-    } else {
-      return Fail(error, "unexpected trailer line: " + line);
-    }
-  }
-
-  if (summary->encoder != "refined") {
-    bool any = false;
-    for (const auto& p : patterns) any = any || !p.empty();
-    if (any || saw_refined_error) {
-      return Fail(error, "pattern/refined_error trailer on a non-refined "
-                         "summary");
-    }
-  }
-  InstallNaiveFamily(std::move(components), std::move(patterns),
-                     std::move(component_errors), summary);
-  return true;
-}
-
-/// Dispatches on the leading bytes: summary v4, or a v1-v3 text file.
-bool ReadSummaryBytes(const std::string& bytes, PersistedSummary* summary,
-                      std::string* error) {
-  if (bytes.size() >= sizeof(kSummaryMagic) &&
-      std::memcmp(bytes.data(), kSummaryMagic, sizeof(kSummaryMagic)) == 0) {
-    return ReadSummaryV4(bytes, summary, error);
-  }
-  summary->size = SummarySize();
-  summary->size.total = bytes.size();
-  std::istringstream in(bytes);
-  return ReadTextSummary(in, summary, error);
-}
-
 }  // namespace
 
 bool WriteSummary(const Vocabulary& vocab, const WorkloadModel& model,
                   std::ostream* out, std::string* error) {
-  if (const PatternMixtureModel* pattern = model.AsPatternMixture()) {
-    std::string payload;
-    AppendU8(&payload, static_cast<std::uint8_t>(EncoderCode::kPattern));
-    AppendCodebook(vocab, &payload);
-    AppendPatternComponents(*pattern, &payload);
-    WriteFramed(payload, out);
-    return true;
-  }
-  const NaiveMixtureEncoding* payload = model.AsNaiveMixture();
-  if (payload == nullptr) {
+  const PatternMixtureModel* pattern = model.AsPatternMixture();
+  const NaiveMixtureEncoding* naive = model.AsNaiveMixture();
+  if (pattern == nullptr && naive == nullptr) {
     return Fail(error, std::string("summaries produced by encoder '") +
                            model.EncoderName() +
                            "' expose neither a naive-mixture nor a pattern "
@@ -955,17 +611,23 @@ bool WriteSummary(const Vocabulary& vocab, const WorkloadModel& model,
   // Only tags the reader understands are written: a runtime-registered
   // mergeable encoder persists as its naive payload, so its files stay
   // loadable everywhere.
-  const bool refined = std::string(model.EncoderName()) == "refined";
-  std::string bytes = NaivePayload(
-      vocab, *payload, refined ? EncoderCode::kRefined : EncoderCode::kNaive);
-  if (refined) AppendRefinedPatterns(model, &bytes);
-  WriteFramed(bytes, out);
+  EncoderCode code = EncoderCode::kNaive;
+  if (pattern != nullptr) {
+    code = EncoderCode::kPattern;
+  } else if (std::string(model.EncoderName()) == "refined") {
+    code = EncoderCode::kRefined;
+  }
+  std::string payload;
+  AppendU8(&payload, static_cast<std::uint8_t>(code));
+  AppendCodebook(vocab, &payload);
+  if (pattern != nullptr) {
+    AppendPatternComponents(*pattern, &payload);
+  } else {
+    AppendNaiveComponents(*naive, &payload);
+    if (code == EncoderCode::kRefined) AppendRefinedPatterns(model, &payload);
+  }
+  WriteFramed(payload, out);
   return true;
-}
-
-void WriteSummary(const Vocabulary& vocab,
-                  const NaiveMixtureEncoding& encoding, std::ostream* out) {
-  WriteFramed(NaivePayload(vocab, encoding, EncoderCode::kNaive), out);
 }
 
 bool ReadSummary(std::istream* in, PersistedSummary* summary,
@@ -975,32 +637,11 @@ bool ReadSummary(std::istream* in, PersistedSummary* summary,
   return ReadSummaryBytes(bytes, summary, error);
 }
 
-namespace {
-
-/// Both file writers stage into a same-directory temporary and rename
-/// over the target — rename(2) is atomic within a filesystem, so a
-/// concurrent reader (the serve daemon's directory watch, a parallel
-/// merge job) sees either the old complete summary or the new one,
-/// never a torn prefix, and a crashed writer never leaves a
-/// valid-looking partial at the published path.
-std::string StagingPathFor(const std::string& path) {
-  return path + ".tmp." + std::to_string(::getpid());
-}
-
-bool CommitStagedFile(const std::string& tmp, const std::string& path,
-                      std::string* error) {
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Fail(error, "cannot publish summary (rename failed): " + path);
-  }
-  return true;
-}
-
-}  // namespace
-
 bool WriteSummaryFile(const std::string& path, const Vocabulary& vocab,
                       const WorkloadModel& model, std::string* error) {
-  const std::string tmp = StagingPathFor(path);
+  // rename(2) is atomic within a filesystem, so the temporary sits in
+  // the same directory as `path`.
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) return Fail(error, "cannot open for writing: " + tmp);
@@ -1016,25 +657,11 @@ bool WriteSummaryFile(const std::string& path, const Vocabulary& vocab,
       return Fail(error, "write failed: " + tmp);
     }
   }
-  return CommitStagedFile(tmp, path, error);
-}
-
-bool WriteSummaryFile(const std::string& path, const Vocabulary& vocab,
-                      const NaiveMixtureEncoding& encoding,
-                      std::string* error) {
-  const std::string tmp = StagingPathFor(path);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Fail(error, "cannot open for writing: " + tmp);
-    WriteSummary(vocab, encoding, &out);
-    out.flush();
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return Fail(error, "write failed: " + tmp);
-    }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Fail(error, "cannot publish summary (rename failed): " + path);
   }
-  return CommitStagedFile(tmp, path, error);
+  return true;
 }
 
 bool ReadSummaryFile(const std::string& path, PersistedSummary* summary,
@@ -1069,7 +696,7 @@ bool MergeSummaries(const std::vector<PersistedSummary>& parts,
   }
 
   // Union the codebooks and rebuild each component's encoding in the
-  // merged id space (feature lists stay sorted ascending).
+  // merged id space (FromMarginals restores the ascending order).
   out->vocabulary = Vocabulary();
   std::vector<NaiveMixtureEncoding> remapped;
   remapped.reserve(parts.size());
@@ -1082,25 +709,15 @@ bool MergeSummaries(const std::vector<PersistedSummary>& parts,
     comps.reserve(part.encoding.NumComponents());
     for (std::size_t c = 0; c < part.encoding.NumComponents(); ++c) {
       const MixtureComponent& comp = part.encoding.Component(c);
-      std::vector<std::pair<FeatureId, double>> pairs;
-      pairs.reserve(comp.encoding.features().size());
-      for (std::size_t i = 0; i < comp.encoding.features().size(); ++i) {
-        pairs.emplace_back(id_map[comp.encoding.features()[i]],
-                           comp.encoding.marginals()[i]);
-      }
-      std::sort(pairs.begin(), pairs.end());
       std::vector<FeatureId> features;
-      std::vector<double> marginals;
-      features.reserve(pairs.size());
-      marginals.reserve(pairs.size());
-      for (const auto& [f, p] : pairs) {
-        features.push_back(f);
-        marginals.push_back(p);
+      features.reserve(comp.encoding.features().size());
+      for (FeatureId f : comp.encoding.features()) {
+        features.push_back(id_map[f]);
       }
       MixtureComponent rebuilt;
       rebuilt.weight = comp.weight;
       rebuilt.encoding = NaiveEncoding::FromMarginals(
-          std::move(features), std::move(marginals),
+          std::move(features), comp.encoding.marginals(),
           comp.encoding.EmpiricalEntropy(), comp.encoding.LogSize());
       comps.push_back(std::move(rebuilt));
     }

@@ -9,8 +9,9 @@
 // with their measured marginals. Loading reconstructs a WorkloadModel
 // that answers every statistic query bit-identically.
 //
-// Summary v4 is the only format written. It is binary; fixed-width
-// values are little-endian, "varint" is unsigned LEB128 (util/bytes.h):
+// Summary v4 is the only format, written and read. It is binary;
+// fixed-width values are little-endian, "varint" is unsigned LEB128
+// (util/bytes.h):
 //
 //   header (32 bytes):
 //     off  0  magic     8 bytes  "logrsumm"
@@ -55,28 +56,9 @@
 // The reader loads the whole file, checks magic, version, size and
 // checksum, and bounds every count by the bytes that remain before it
 // allocates; reconstructed codebook text is capped at 64 bytes per file
-// byte (16 MiB for small files).
-//
-// Summaries v1-v3 are line-oriented text, still read (never written) so
-// files already on disk load ("#"-comments and blank lines ignored):
-//   logr-summary v2                 (v1: no encoder line, implies naive)
-//   encoder <naive|refined>
-//   features <count>
-//   f <clause 0-5> <text...>        (one per feature, id = line order)
-//   clusters <count>
-//   cluster <weight> <log_size> <empirical_entropy> <n_marginals>
-//   m <feature_id> <marginal>       (n_marginals lines)
-//   patterns <cluster> <count> <refined_component_error>   (refined)
-//   p <n_ids> <id...>               (count lines per patterns block)
-//   refined_error <value>           (informational; recomputed)
-// and, for "pattern" models,
-//   logr-summary v3
-//   encoder pattern
-//   features / f lines as above
-//   clusters <count>
-//   pcluster <weight> <log_size> <empirical_entropy> <n_features>
-//            <n_patterns>
-//   pm <marginal> <n_ids> <id...>   (n_patterns lines per pcluster)
+// byte (16 MiB for small files). The line-oriented text summaries that
+// earlier writers produced (v1-v3) are refused: re-run
+// `logr_cli compress` on the log to get a v4 file.
 //
 // The naive mixture family ("naive", "refined" — any model whose
 // AsNaiveMixture() is non-null) persists its naive payload; a runtime-
@@ -111,10 +93,9 @@ inline constexpr std::size_t kSummaryChecksumOffset = 24;
 
 /// Where a loaded summary's bytes went (`logr_cli info` prints it).
 struct SummarySize {
-  int version = 0;  // 1-3: text, 4: binary
   std::size_t total = 0;
-  /// v4 sections; zero for text files. The rest of `total` is the
-  /// 32-byte header and the encoder byte.
+  /// Sections; the rest of `total` is the 32-byte header and the
+  /// encoder byte.
   std::size_t codebook = 0;    // token dictionary + features
   std::size_t components = 0;  // component headers + naive marginals
   std::size_t patterns = 0;    // refined patterns, or pattern entries
@@ -125,7 +106,7 @@ struct SummarySize {
 /// answer statistic queries — consumers go through `model`.
 struct PersistedSummary {
   Vocabulary vocabulary;
-  /// Encoder tag ("naive" for v1 files).
+  /// Encoder tag: "naive", "refined" or "pattern".
   std::string encoder = "naive";
   /// The naive mixture payload (what the merge machinery operates on).
   /// Empty for "pattern" summaries, which have no naive payload — the
@@ -145,27 +126,21 @@ struct PersistedSummary {
 bool WriteSummary(const Vocabulary& vocab, const WorkloadModel& model,
                   std::ostream* out, std::string* error);
 
-/// Naive-mixture convenience overload (always serializable).
-void WriteSummary(const Vocabulary& vocab,
-                  const NaiveMixtureEncoding& encoding, std::ostream* out);
-
-/// Parses a summary written by WriteSummary (v4) or by an earlier
-/// writer (v1-v3 text), reading `in` to its end. Returns false (and
-/// fills `error`) on malformed input.
+/// Parses a summary v4 written by WriteSummary, reading `in` to its end.
+/// Returns false (and fills `error`) on malformed input; input without
+/// the v4 magic, such as a v1-v3 text summary, fails with an error that
+/// says to re-run `logr_cli compress` on the log.
 bool ReadSummary(std::istream* in, PersistedSummary* summary,
                  std::string* error);
 
-/// Convenience file wrappers. Writes are atomic: the summary is
-/// written to a same-directory temporary file and renamed over `path`
-/// (the discipline the distributed spool has always used), so a
-/// concurrent reader — the serve daemon's directory watch, a CI `cmp`
-/// leg — can never observe a torn summary, and a crashed writer never
-/// leaves a valid-looking partial behind.
+/// File wrappers. Writes are atomic: the summary is written to a
+/// same-directory temporary file and renamed over `path` (the discipline
+/// the distributed spool has always used), so a concurrent reader — the
+/// serve daemon's directory watch, a CI `cmp` leg — can never observe a
+/// torn summary, and a crashed writer never leaves a valid-looking
+/// partial behind.
 bool WriteSummaryFile(const std::string& path, const Vocabulary& vocab,
                       const WorkloadModel& model, std::string* error);
-bool WriteSummaryFile(const std::string& path, const Vocabulary& vocab,
-                      const NaiveMixtureEncoding& encoding,
-                      std::string* error);
 bool ReadSummaryFile(const std::string& path, PersistedSummary* summary,
                      std::string* error);
 

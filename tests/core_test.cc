@@ -1,4 +1,8 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "core/itemsets.h"
 #include "core/logr_compressor.h"
@@ -74,6 +78,44 @@ TEST(NaiveEncodingTest, EstimateMarginalProductForm) {
   EXPECT_NEAR(enc.EstimateCount(FeatureVec({0, 3})), 3.0 * 2.0 / 9.0, 1e-12);
   // Unknown feature -> zero.
   EXPECT_DOUBLE_EQ(enc.EstimateMarginal(FeatureVec({9})), 0.0);
+}
+
+TEST(NaiveEncodingTest, FromMarginalsPutsShuffledFeaturesInAscendingOrder) {
+  // Merged id spaces hand FromMarginals their features out of order; the
+  // encoding must list them ascending and sum its entropy in that order.
+  Pcg32 rng(17);
+  std::vector<std::pair<FeatureId, double>> entries;
+  for (FeatureId f = 0; f < 200; f += 1 + rng.NextBounded(4)) {
+    entries.emplace_back(f, rng.NextDouble(1e-9, 1.0));
+  }
+  std::vector<FeatureId> features;
+  std::vector<double> marginals;
+  for (const auto& [f, p] : entries) {
+    features.push_back(f);
+    marginals.push_back(p);
+  }
+  const NaiveEncoding sorted =
+      NaiveEncoding::FromMarginals(features, marginals, 0.5, 1000);
+  rng.Shuffle(&entries);
+  features.clear();
+  marginals.clear();
+  for (const auto& [f, p] : entries) {
+    features.push_back(f);
+    marginals.push_back(p);
+  }
+  ASSERT_FALSE(std::is_sorted(features.begin(), features.end()));
+  const NaiveEncoding shuffled =
+      NaiveEncoding::FromMarginals(features, marginals, 0.5, 1000);
+
+  EXPECT_TRUE(std::is_sorted(shuffled.features().begin(),
+                             shuffled.features().end()));
+  EXPECT_EQ(shuffled.features(), sorted.features());
+  const double h[2] = {sorted.MaxEntEntropy(), shuffled.MaxEntEntropy()};
+  EXPECT_EQ(std::memcmp(&h[0], &h[1], sizeof(double)), 0);
+  for (const auto& [f, p] : entries) {
+    const double m[2] = {sorted.Marginal(f), shuffled.Marginal(f)};
+    EXPECT_EQ(std::memcmp(&m[0], &m[1], sizeof(double)), 0) << f;
+  }
 }
 
 TEST(MixtureTest, PaperSection51PartitionIsLossless) {

@@ -359,7 +359,7 @@ TEST(EncoderTest, PatternEncoderCapsPerComponentBudget) {
   }
   EXPECT_EQ(s.Model().TotalVerbosity(), total_patterns);
   // Pattern summaries are not backed by a naive mixture; they expose
-  // their concrete components through AsPatternMixture for the v3
+  // their concrete components through AsPatternMixture for the
   // serializer instead.
   EXPECT_EQ(s.Model().AsNaiveMixture(), nullptr);
   EXPECT_NE(s.Model().AsPatternMixture(), nullptr);
@@ -449,9 +449,9 @@ TEST(EncoderTest, MergeSummariesRejectsNonMergeableTags) {
       << error;
 }
 
-TEST(EncoderTest, V1SummariesStillLoadAsNaive) {
-  // A pre-encoder v1 file (no encoder line, no trailer) must load and
-  // answer estimates through the facade.
+TEST(EncoderTest, TextSummariesAreRefusedWithTheFix) {
+  // A pre-encoder v1 text file is no longer read; the error says how to
+  // get a summary that is.
   const char* v1 =
       "logr-summary v1\n"
       "features 3\n"
@@ -467,16 +467,13 @@ TEST(EncoderTest, V1SummariesStillLoadAsNaive) {
   std::stringstream in(v1);
   PersistedSummary s;
   std::string error;
-  ASSERT_TRUE(ReadSummary(&in, &s, &error)) << error;
-  EXPECT_EQ(s.encoder, "naive");
-  ASSERT_NE(s.model, nullptr);
-  EXPECT_STREQ(s.model->EncoderName(), "naive");
-  EXPECT_EQ(s.model->NumComponents(), 2u);
-  EXPECT_EQ(s.model->LogSize(), 100u);
-  EXPECT_NEAR(s.model->EstimateCount(FeatureVec({0})), 60.0, 1e-9);
+  EXPECT_FALSE(ReadSummary(&in, &s, &error));
+  EXPECT_EQ(error,
+            "not a summary v4 file (summary v1-v3 text is no longer read; "
+            "re-run `logr_cli compress` on the log)");
 
-  // The checked-in demo summary (written by the v1 tool) still loads
-  // when the test runs from the build tree.
+  // The demo summary (`logr_cli demo` writes it as v4) loads when the
+  // test runs from the build tree.
   for (const char* path :
        {"demo_summary.logr", "../demo_summary.logr",
         "../../demo_summary.logr"}) {

@@ -198,6 +198,11 @@ TEST(SummaryRegistryTest, FailedParseKeepsServingTheOldSnapshot) {
   SummaryRegistry::ScanResult r = registry.Rescan();
   EXPECT_EQ(r.failed, 1u);
   ASSERT_EQ(r.errors.size(), 1u);
+  EXPECT_NE(r.errors[0].find("a.logr: not a summary v4 file"),
+            std::string::npos)
+      << r.errors[0];
+  EXPECT_NE(r.errors[0].find("re-run `logr_cli compress`"), std::string::npos)
+      << r.errors[0];
   EXPECT_EQ(registry.Find("a"), good);
 }
 

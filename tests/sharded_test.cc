@@ -282,8 +282,9 @@ TEST(ShardedTest, OfflineSummaryMergeMatchesInProcessSharding) {
     QueryLog sub = LogView(log).MaterializeSubset(shards[s]);
     LogRSummary summary = Compress(sub, per_shard);
     std::stringstream buffer;
-    WriteSummary(sub.vocabulary(), Mix(summary), &buffer);
     std::string error;
+    WriteSummary(sub.vocabulary(), NaiveMixtureModel(Mix(summary)), &buffer,
+                 &error);
     ASSERT_TRUE(ReadSummary(&buffer, &parts[s], &error)) << error;
   }
 
@@ -327,7 +328,8 @@ TEST(ShardedTest, MergeSummariesUnionsDistinctVocabularies) {
     const QueryLog& day = i == 0 ? day1 : day2;
     LogRSummary summary = Compress(day, opts);
     std::stringstream buffer;
-    WriteSummary(day.vocabulary(), Mix(summary), &buffer);
+    WriteSummary(day.vocabulary(), NaiveMixtureModel(Mix(summary)), &buffer,
+                 &error);
     ASSERT_TRUE(ReadSummary(&buffer, &parts[i], &error)) << error;
   }
   PersistedSummary merged;
@@ -369,7 +371,8 @@ TEST(ShardedTest, MergingOverlappingSummariesKeepsErrorNonNegative) {
   std::string error;
   for (int i = 0; i < 2; ++i) {
     std::stringstream buffer;
-    WriteSummary(log.vocabulary(), Mix(summary), &buffer);
+    WriteSummary(log.vocabulary(), NaiveMixtureModel(Mix(summary)), &buffer,
+                 &error);
     ASSERT_TRUE(ReadSummary(&buffer, &parts[i], &error)) << error;
   }
   PersistedSummary merged;
