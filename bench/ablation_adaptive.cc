@@ -38,7 +38,7 @@ int main() {
       double km = Compress(d.log, opts).Model().Error();
       opts.method = ClusteringMethod::kHierarchicalAverage;
       double hier = Compress(d.log, opts).Model().Error();
-      // Adaptive bisects with the configured backend; this ablation's
+      // Adaptive bisects with the configured method; this ablation's
       // third arm is k-means bisection, so say so explicitly.
       opts.method = ClusteringMethod::kKMeansEuclidean;
       double adaptive = CompressAdaptive(d.log, k, opts).Model().Error();

@@ -422,7 +422,7 @@ const CondensedDistances& BankDistancesSingleton() {
 
 void BM_Agglomerate(benchmark::State& state) {
   // Cached-nearest NN-chain agglomeration over the bank distances (the
-  // hierarchical backend's fit stage minus the distance fill). Each
+  // hierarchical method's fit stage minus the distance fill). Each
   // iteration consumes a fresh condensed store, built untimed.
   ThreadPool* pool = ThreadPool::Shared();
   std::size_t leaves = 0;
@@ -474,8 +474,9 @@ const HierarchicalFitInput& LargeHierarchicalFitSingleton() {
 }
 
 /// The whole hierarchical fit over a pre-built pool: condensed distance
-/// fill plus in-place agglomeration, as HierarchicalClusterer::Cluster
-/// runs it. `bytes` is the condensed store, N(N−1)/2·8.
+/// fill plus in-place agglomeration, as Cluster runs it for
+/// ClusteringMethod::kHierarchicalAverage. `bytes` is the condensed
+/// store, N(N−1)/2·8.
 void RunHierarchicalFit(benchmark::State& state,
                         const HierarchicalFitInput& in) {
   DistanceSpec spec;
@@ -729,7 +730,7 @@ LogROptions EncoderBenchOptions(const char* encoder) {
 }
 
 void BM_EncoderCompress(benchmark::State& state, const char* encoder) {
-  // Full compression cost per encoder backend at equal K: the price of
+  // Full compression cost per encoder at equal K: the price of
   // trading naive marginals for refined / fitted pattern encodings.
   const QueryLog& log = EncoderBenchLogSingleton();
   const LogROptions opts = EncoderBenchOptions(encoder);

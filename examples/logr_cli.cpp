@@ -10,7 +10,7 @@
 //       --refine-patterns caps the per-cluster budget and applies to
 //       this encoder only), pattern
 //       (per-cluster max-ent pattern encodings, Sec. 2.3.1; in-memory
-//       only), or any encoder registered in EncoderRegistry.
+//       only).
 //       --shards S > 1 compresses shard-wise in parallel and merges the
 //       per-shard mixtures (bit-deterministic for any thread count;
 //       mergeable encoders only).
@@ -71,8 +71,8 @@
 //   logr_cli demo
 //       Compresses a built-in synthetic workload end to end.
 //
-// Methods: kmeans (default), manhattan, minkowski, hamming, hierarchical,
-// adaptive, or any backend name registered in ClustererRegistry.
+// Methods: kmeans (default; also spelled KmeansEuclidean), manhattan,
+// minkowski, hamming, hierarchical, adaptive.
 //
 // Every subcommand parses its flags with one strict rule (util/flags.h):
 // an integer flag takes decimal digits only, within the range its error
@@ -137,20 +137,27 @@ int Fail(const std::string& error) {
   return 1;
 }
 
-/// Prints that `name` is no registered `kind`, and the names that are.
+/// Prints that `name` is no known `kind`, and the names that are.
 void PrintUnknown(const char* kind, const std::string& name,
-                  const char* registered,
-                  const std::vector<std::string>& names) {
-  std::fprintf(stderr, "unknown %s %s; registered %s:\n", kind, name.c_str(),
-               registered);
-  for (const std::string& n : names) std::fprintf(stderr, "  %s\n", n.c_str());
+                  const std::vector<const char*>& names) {
+  std::fprintf(stderr, "unknown %s %s; known %ss:\n", kind, name.c_str(),
+               kind);
+  for (const char* n : names) std::fprintf(stderr, "  %s\n", n);
 }
 
-/// Resolves --method into `opts`, listing the backends on failure.
+/// Resolves --method into `opts`, listing the methods on failure.
 bool ResolveMethodArg(const std::string& method, LogROptions* opts) {
-  if (ParseBackendName(method, opts)) return true;
-  PrintUnknown("method", method, "backends",
-               ClustererRegistry::Instance().Names());
+  if (ParseClusteringMethod(method, &opts->method)) return true;
+  std::vector<const char*> names;
+  for (ClusteringMethod m :
+       {ClusteringMethod::kKMeansEuclidean,
+        ClusteringMethod::kSpectralManhattan,
+        ClusteringMethod::kSpectralMinkowski,
+        ClusteringMethod::kSpectralHamming,
+        ClusteringMethod::kHierarchicalAverage}) {
+    names.push_back(ClusteringMethodName(m));
+  }
+  PrintUnknown("method", method, names);
   return false;
 }
 
@@ -251,10 +258,9 @@ int RunCompress(const Command& self, int argc, char** argv) {
   }
   opts.refine_patterns = refine.value_or(0);
   if (!ResolveShardPolicyArg(policy, &opts.shard_policy)) return 2;
-  const Encoder* encoder = EncoderRegistry::Instance().Find(opts.encoder);
+  const Encoder* encoder = FindEncoder(opts.encoder);
   if (encoder == nullptr) {
-    PrintUnknown("encoder", opts.encoder, "encoders",
-                 EncoderRegistry::Instance().Names());
+    PrintUnknown("encoder", opts.encoder, {"naive", "refined", "pattern"});
     return 2;
   }
   if (refine && std::string(encoder->Name()) != "refined") {

@@ -42,9 +42,9 @@ int main() {
               static_cast<unsigned long long>(stats.num_distinct_no_const),
               static_cast<unsigned long long>(stats.num_non_select));
 
-  // 2. Compress: partition the log (any ClustererRegistry backend) and
-  //    summarize each partition (any EncoderRegistry backend — "naive"
-  //    here; try "refined" or "pattern").
+  // 2. Compress: partition the log (any ClusteringMethod) and summarize
+  //    each partition (any encoder — "naive" here; try "refined" or
+  //    "pattern").
   QueryLog log = loader.TakeLog();
   LogROptions options;
   options.method = ClusteringMethod::kKMeansEuclidean;

@@ -40,7 +40,7 @@ int main() {
   options.num_clusters = 12;
   LogRSummary summary = Compress(log, options);
   // Joint-frequency estimates come from the encoding-agnostic facade;
-  // any registered encoder serves this advisor unchanged.
+  // every encoder serves this advisor unchanged.
   const WorkloadModel& model = summary.Model();
   const double total = static_cast<double>(log.TotalQueries());
   std::printf("Compressed %llu queries; advising from the %zu-cluster "

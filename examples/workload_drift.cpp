@@ -48,7 +48,7 @@ int main() {
   options.num_clusters = 10;
   LogRSummary summary = Compress(baseline, options);
   // The monitor only ever needs facade estimates, so the baseline can
-  // be summarized by any registered encoder.
+  // be summarized by any encoder.
   const WorkloadModel& model = summary.Model();
   const double baseline_total =
       static_cast<double>(baseline.TotalQueries());

@@ -1,103 +1,90 @@
 #include "cluster/clusterer.h"
 
-#include <memory>
 #include <utility>
 
 #include "cluster/distance.h"
 #include "cluster/hierarchical.h"
 #include "cluster/kmeans.h"
 #include "cluster/spectral.h"
+#include "util/check.h"
 
 namespace logr {
 
-namespace {
-
-class KMeansClusterer : public Clusterer {
- public:
-  const char* Name() const override { return "KmeansEuclidean"; }
-
-  std::vector<int> Cluster(const std::vector<FeatureVec>& vecs,
-                           const std::vector<double>& weights,
-                           const ClusterRequest& req) const override {
-    KMeansOptions km;
-    km.k = req.k;
-    km.seed = req.seed;
-    km.n_init = req.n_init;
-    km.pool = req.pool;
-    km.packed = req.packed;
-    return KMeansSparse(vecs, weights, req.num_features, km).assignment;
+const char* ClusteringMethodName(ClusteringMethod m) {
+  switch (m) {
+    case ClusteringMethod::kKMeansEuclidean: return "KmeansEuclidean";
+    case ClusteringMethod::kSpectralManhattan: return "manhattan";
+    case ClusteringMethod::kSpectralMinkowski: return "minkowski";
+    case ClusteringMethod::kSpectralHamming: return "hamming";
+    case ClusteringMethod::kHierarchicalAverage: return "hierarchical";
   }
-};
-
-class SpectralClusterer : public Clusterer {
- public:
-  SpectralClusterer(const char* name, DistanceSpec spec)
-      : name_(name), spec_(spec) {}
-
-  const char* Name() const override { return name_; }
-
-  std::vector<int> Cluster(const std::vector<FeatureVec>& vecs,
-                           const std::vector<double>& weights,
-                           const ClusterRequest& req) const override {
-    SpectralOptions so;
-    so.k = req.k;
-    so.seed = req.seed;
-    so.n_init = req.n_init;
-    so.distance = spec_;
-    so.pool = req.pool;
-    so.packed = req.packed;
-    return SpectralCluster(vecs, weights, req.num_features, so).assignment;
-  }
-
- private:
-  const char* name_;
-  DistanceSpec spec_;
-};
-
-class HierarchicalClusterer : public Clusterer {
- public:
-  const char* Name() const override { return "hierarchical"; }
-
-  std::vector<int> Cluster(const std::vector<FeatureVec>& vecs,
-                           const std::vector<double>& weights,
-                           const ClusterRequest& req) const override {
-    DistanceSpec spec;
-    spec.metric = Metric::kHamming;
-    // Honor the ClusterRequest contract: nullptr means the shared pool,
-    // not the serial path (which nullptr selects in the distance fill).
-    ThreadPool* pool = req.pool ? req.pool : ThreadPool::Shared();
-    CondensedDistances d =
-        req.packed
-            ? CondensedDistanceMatrix(*req.packed, spec, pool)
-            : CondensedDistanceMatrix(vecs, req.num_features, spec, pool);
-    return AgglomerativeAverageLinkage(std::move(d), weights, pool)
-        .CutToK(req.k);
-  }
-};
-
-}  // namespace
-
-ClustererRegistry::ClustererRegistry() {
-  auto add = [this](const std::shared_ptr<Clusterer>& c) {
-    Register(c->Name(), c);
-  };
-  add(std::make_shared<KMeansClusterer>());
-  DistanceSpec manhattan;
-  manhattan.metric = Metric::kManhattan;
-  add(std::make_shared<SpectralClusterer>("manhattan", manhattan));
-  DistanceSpec minkowski;
-  minkowski.metric = Metric::kMinkowski;
-  minkowski.p = 4.0;
-  add(std::make_shared<SpectralClusterer>("minkowski", minkowski));
-  DistanceSpec hamming;
-  hamming.metric = Metric::kHamming;
-  add(std::make_shared<SpectralClusterer>("hamming", hamming));
-  add(std::make_shared<HierarchicalClusterer>());
+  return "?";
 }
 
-ClustererRegistry& ClustererRegistry::Instance() {
-  static ClustererRegistry* registry = new ClustererRegistry();
-  return *registry;
+bool ParseClusteringMethod(const std::string& name, ClusteringMethod* out) {
+  LOGR_CHECK(out != nullptr);
+  if (name == "KmeansEuclidean" || name == "kmeans") {
+    *out = ClusteringMethod::kKMeansEuclidean;
+  } else if (name == "manhattan") {
+    *out = ClusteringMethod::kSpectralManhattan;
+  } else if (name == "minkowski") {
+    *out = ClusteringMethod::kSpectralMinkowski;
+  } else if (name == "hamming") {
+    *out = ClusteringMethod::kSpectralHamming;
+  } else if (name == "hierarchical") {
+    *out = ClusteringMethod::kHierarchicalAverage;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+std::vector<int> Cluster(ClusteringMethod method,
+                         const std::vector<FeatureVec>& vecs,
+                         const std::vector<double>& weights,
+                         const ClusterRequest& req) {
+  DistanceSpec spec;
+  switch (method) {
+    case ClusteringMethod::kKMeansEuclidean: {
+      KMeansOptions km;
+      km.k = req.k;
+      km.seed = req.seed;
+      km.n_init = req.n_init;
+      km.pool = req.pool;
+      km.packed = req.packed;
+      return KMeansSparse(vecs, weights, req.num_features, km).assignment;
+    }
+    case ClusteringMethod::kHierarchicalAverage: {
+      spec.metric = Metric::kHamming;
+      // Honor the ClusterRequest contract: nullptr means the shared pool,
+      // not the serial path (which nullptr selects in the distance fill).
+      ThreadPool* pool = req.pool ? req.pool : ThreadPool::Shared();
+      CondensedDistances d =
+          req.packed
+              ? CondensedDistanceMatrix(*req.packed, spec, pool)
+              : CondensedDistanceMatrix(vecs, req.num_features, spec, pool);
+      return AgglomerativeAverageLinkage(std::move(d), weights, pool)
+          .CutToK(req.k);
+    }
+    case ClusteringMethod::kSpectralManhattan:
+      spec.metric = Metric::kManhattan;
+      break;
+    case ClusteringMethod::kSpectralMinkowski:
+      spec.metric = Metric::kMinkowski;
+      spec.p = 4.0;
+      break;
+    case ClusteringMethod::kSpectralHamming:
+      spec.metric = Metric::kHamming;
+      break;
+  }
+  SpectralOptions so;
+  so.k = req.k;
+  so.seed = req.seed;
+  so.n_init = req.n_init;
+  so.distance = spec;
+  so.pool = req.pool;
+  so.packed = req.packed;
+  return SpectralCluster(vecs, weights, req.num_features, so).assignment;
 }
 
 }  // namespace logr

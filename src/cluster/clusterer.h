@@ -1,13 +1,11 @@
-// Pluggable clustering back-ends.
+// The clustering methods the compressor can partition a log with.
 //
-// Every partitioning algorithm the compressor can use (k-means, the
-// spectral variants, hierarchical average-linkage, and any backend an
-// application registers at runtime) implements the Clusterer interface
-// and is resolved by name through ClustererRegistry. A backend is a
-// name plus one call, Cluster, that partitions the vectors at one K;
-// there is no fitted state kept between calls. The compression
-// pipeline never names a concrete algorithm: it looks the backend up,
-// so new methods plug in without touching src/core/.
+// The paper compares a fixed set of partitioning methods (Sec. 6.1):
+// k-means under Euclidean distance, spectral clustering under
+// Manhattan, Minkowski (p = 4) and Hamming distance, and hierarchical
+// average linkage. ClusteringMethod names each one, and Cluster runs
+// it: one call that partitions the vectors at one K, with no fitted
+// state kept between calls.
 #ifndef LOGR_CLUSTER_CLUSTERER_H_
 #define LOGR_CLUSTER_CLUSTERER_H_
 
@@ -15,13 +13,28 @@
 #include <string>
 #include <vector>
 
-#include "util/named_registry.h"
 #include "util/thread_pool.h"
 #include "workload/feature_vec.h"
 
 namespace logr {
 
-/// Everything a backend needs besides the data itself.
+enum class ClusteringMethod {
+  kKMeansEuclidean,      // paper: "KmeansEuclidean"
+  kSpectralManhattan,    // paper: "manhattan"
+  kSpectralMinkowski,    // paper: "minkowski" (p = 4)
+  kSpectralHamming,      // paper: "hamming"
+  kHierarchicalAverage,  // paper Sec. 6.1.1 (monotone assignments)
+};
+
+/// Stable name of `m` (also the paper's label for the method).
+const char* ClusteringMethodName(ClusteringMethod m);
+
+/// Inverse of ClusteringMethodName. Also accepts "kmeans", the CLI
+/// spelling of "KmeansEuclidean". Returns false (leaving `*out`
+/// untouched) for unknown names.
+bool ParseClusteringMethod(const std::string& name, ClusteringMethod* out);
+
+/// Everything a method needs besides the data itself.
 struct ClusterRequest {
   std::size_t k = 1;
   /// Size of the feature universe the sparse vectors index into.
@@ -33,38 +46,19 @@ struct ClusterRequest {
   /// ThreadPool::Shared(). Results never depend on the pool size.
   ThreadPool* pool = nullptr;
   /// Optional pre-built packed pool over exactly the same vectors (row i
-  /// == vecs[i]), shared so backends skip re-packing. Without it the
-  /// spectral and hierarchical backends pack locally and k-means seeds
+  /// == vecs[i]), shared so methods skip re-packing. Without it the
+  /// spectral and hierarchical methods pack locally and k-means seeds
   /// from the merge kernel; every distance is bit-identical either way.
   const PackedVecPool* packed = nullptr;
 };
 
-/// A clustering algorithm over sparse binary feature vectors.
-class Clusterer {
- public:
-  virtual ~Clusterer() = default;
-
-  /// Registry name (stable; used in options files and CLIs).
-  virtual const char* Name() const = 0;
-
-  /// Partitions `vecs` into `req.k` clusters. `weights` is empty
-  /// (uniform) or one non-negative weight per vector. Returns one
-  /// cluster id per input index, dense in [0, k).
-  virtual std::vector<int> Cluster(const std::vector<FeatureVec>& vecs,
-                                   const std::vector<double>& weights,
-                                   const ClusterRequest& req) const = 0;
-};
-
-/// Process-wide name -> backend table. Thread-safe. The five built-in
-/// backends ("KmeansEuclidean", "manhattan", "minkowski", "hamming",
-/// "hierarchical") are registered on first access, one name each.
-class ClustererRegistry : public NamedRegistry<Clusterer> {
- public:
-  static ClustererRegistry& Instance();
-
- private:
-  ClustererRegistry();
-};
+/// Partitions `vecs` into `req.k` clusters with `method`. `weights` is
+/// empty (uniform) or one non-negative weight per vector. Returns one
+/// cluster id per input index, dense in [0, k).
+std::vector<int> Cluster(ClusteringMethod method,
+                         const std::vector<FeatureVec>& vecs,
+                         const std::vector<double>& weights,
+                         const ClusterRequest& req);
 
 }  // namespace logr
 

@@ -43,14 +43,6 @@ double DistanceFromSymmetricDifference(std::size_t count, std::size_t n,
       // coordinates — the paper's normalized Hamming distance.
       LOGR_CHECK(n > 0);
       return diff / static_cast<double>(n);
-    case Metric::kChebyshev:
-      // Max per-coordinate difference of 0/1 vectors: 0 or 1.
-      return diff > 0.0 ? 1.0 : 0.0;
-    case Metric::kCanberra:
-      // Per-coordinate |x-y|/(|x|+|y|) is 1 where the vectors differ and
-      // 0 elsewhere (0/0 := 0), so Canberra equals the unnormalized
-      // Hamming count on binary data.
-      return diff;
   }
   return 0.0;
 }
@@ -63,8 +55,6 @@ std::string DistanceSpec::Name() const {
     case Metric::kManhattan: return "manhattan";
     case Metric::kMinkowski: return StrFormat("minkowski(p=%.0f)", p);
     case Metric::kHamming: return "hamming";
-    case Metric::kChebyshev: return "chebyshev";
-    case Metric::kCanberra: return "canberra";
   }
   return "?";
 }

@@ -1,10 +1,9 @@
 // Distance measures over binary sparse feature vectors (paper Sec. 6.1).
 //
 // The paper evaluates KMeans with Euclidean distance and Spectral
-// clustering with Manhattan, Minkowski (p=4) and Hamming distances, and
-// mentions Chebyshev and Canberra as also-rans. On 0/1 vectors every one
-// of these is a function of the symmetric-difference count, which both
-// kernels exploit:
+// clustering with Manhattan, Minkowski (p=4) and Hamming distances. On
+// 0/1 vectors every one of these is a function of the
+// symmetric-difference count, which both kernels exploit:
 //
 //  - the sparse merge kernel walks two sorted id lists
 //    (SymmetricDifference over FeatureVecs — the reference path), and
@@ -37,8 +36,6 @@ enum class Metric {
   kManhattan,
   kMinkowski,  // l_p, parameterized by DistanceSpec::p
   kHamming,    // count(x != y) / n  (paper's normalized form)
-  kChebyshev,
-  kCanberra,
 };
 
 struct DistanceSpec {

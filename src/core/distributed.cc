@@ -191,8 +191,8 @@ bool RunDistributedWorker(const DistributedWorkerOptions& opts,
   copts.n_init = opts.n_init;
   copts.encoder = "naive";
   copts.pool = &serial;
-  if (!ParseBackendName(opts.method, &copts)) {
-    return Fail(error, "unknown clustering backend " + opts.method);
+  if (!ParseClusteringMethod(opts.method, &copts.method)) {
+    return Fail(error, "unknown clustering method " + opts.method);
   }
 
   LogView view(shard);
@@ -233,7 +233,7 @@ bool CompressDistributed(const std::vector<std::string>& shard_paths,
 
   const std::size_t shard_k =
       ClustersPerShard(opts.compression.num_clusters, n);
-  const std::string method = BackendName(opts.compression);
+  const std::string method = ClusteringMethodName(opts.compression.method);
 
   enum class State { kPending, kRunning, kDone };
   std::vector<State> state(n, State::kPending);

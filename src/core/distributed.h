@@ -65,7 +65,7 @@ struct DistributedOptions {
   /// Maximum concurrently running worker processes.
   std::size_t num_workers = 4;
   /// Compression parameters: num_clusters is the final K after the
-  /// gather-side reconcile; method/backend/seed/n_init are forwarded to
+  /// gather-side reconcile; method/seed/n_init are forwarded to
   /// every worker so per-shard fits match CompressSharded's. The
   /// encoder is ignored — shards merge through the naive family, and
   /// the merged output is always a naive summary (like `merge`).
@@ -120,7 +120,7 @@ struct DistributedWorkerOptions {
   std::string shard_path;
   std::string out_path;
   std::size_t num_clusters = 1;
-  /// Clustering backend name (ClusteringMethodName or a registry name).
+  /// Clustering method name (a ParseClusteringMethod spelling).
   std::string method = "KmeansEuclidean";
   std::uint64_t seed = 17;
   int n_init = 4;

@@ -338,20 +338,16 @@ std::shared_ptr<const WorkloadModel> Encoder::WrapMixture(
   return nullptr;
 }
 
-// -------------------------------------------------------------- registry
+// ----------------------------------------------------------- FindEncoder
 
-EncoderRegistry::EncoderRegistry() {
-  auto add = [this](const std::shared_ptr<Encoder>& e) {
-    Register(e->Name(), e);
-  };
-  add(std::make_shared<NaiveEncoder>());
-  add(std::make_shared<RefinedEncoder>());
-  add(std::make_shared<PatternEncoder>());
-}
-
-EncoderRegistry& EncoderRegistry::Instance() {
-  static EncoderRegistry* registry = new EncoderRegistry();
-  return *registry;
+const Encoder* FindEncoder(const std::string& name) {
+  // Leaked, so no exit-time destructor can race a late Encode call.
+  static const Encoder* const kBuiltIns[] = {
+      new NaiveEncoder(), new RefinedEncoder(), new PatternEncoder()};
+  for (const Encoder* encoder : kBuiltIns) {
+    if (name == encoder->Name()) return encoder;
+  }
+  return nullptr;
 }
 
 std::size_t MaxRefinedPatternsPerComponent(std::size_t n_features) {

@@ -1,16 +1,15 @@
-// Pluggable encoders and the WorkloadModel analytics facade.
+// Encoders and the WorkloadModel analytics facade.
 //
 // The paper compares three encoding families as log summarizers: naive
 // mixtures (Sec. 5/6), pattern-refined mixtures (Sec. 6.4), and general
 // pattern encodings fitted by iterative scaling (Sec. 2.3.1 / 7.2 —
 // the Laserlight/MTV family). All of them answer the same analytics
 // questions — marginal / count estimation, Reproduction Error, Total
-// Verbosity — so the encode stage mirrors the clustering stage's
-// design: every summarizer implements the Encoder interface, is
-// resolved by name through EncoderRegistry, and produces a
-// WorkloadModel, the polymorphic facade every downstream consumer
-// (index/view advisors, drift monitoring, visualization, the CLI,
-// serialization) talks to instead of a concrete encoding class.
+// Verbosity — so each implements the Encoder interface, is found by
+// name through FindEncoder, and produces a WorkloadModel, the
+// polymorphic facade every downstream consumer (index/view advisors,
+// drift monitoring, visualization, the CLI, serialization) talks to
+// instead of a concrete encoding class.
 #ifndef LOGR_CORE_ENCODER_H_
 #define LOGR_CORE_ENCODER_H_
 
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "core/mixture.h"
-#include "util/named_registry.h"
 #include "util/thread_pool.h"
 #include "workload/log_view.h"
 #include "workload/query_log.h"
@@ -57,7 +55,7 @@ class WorkloadModel {
  public:
   virtual ~WorkloadModel() = default;
 
-  /// Registry name of the encoder that produced this model.
+  /// Name of the encoder that produced this model.
   virtual const char* EncoderName() const = 0;
 
   /// Generalized Reproduction Error Σ_i w_i · e(S_i) in nats (Sec. 5.2).
@@ -195,14 +193,14 @@ class RefinedMixtureModel : public NaiveMixtureModel {
 
 /// A log summarizer: encodes a clustering partition of a log (seen
 /// through a LogView — heap QueryLog or mmap'd .logrl alike) into a
-/// WorkloadModel. Implementations plug in through EncoderRegistry the
-/// same way Clusterer backends plug into ClustererRegistry — the
-/// compression pipeline never names a concrete encoding class.
+/// WorkloadModel. The three built-ins are "naive", "refined" and
+/// "pattern"; callers reach them through FindEncoder, never through a
+/// concrete encoding class.
 class Encoder {
  public:
   virtual ~Encoder() = default;
 
-  /// Registry name (stable; used in options files and CLIs).
+  /// Stable name (used in options, summaries and CLIs).
   virtual const char* Name() const = 0;
 
   /// Whether this encoder's models ride the naive merge/reconcile
@@ -226,16 +224,10 @@ class Encoder {
       const EncodeRequest& req) const;
 };
 
-/// Process-wide name -> encoder table. Thread-safe. The three built-in
-/// backends ("naive", "refined", "pattern") are registered on first
-/// access; applications register additional encoders at runtime.
-class EncoderRegistry : public NamedRegistry<Encoder> {
- public:
-  static EncoderRegistry& Instance();
-
- private:
-  EncoderRegistry();
-};
+/// The built-in encoder whose Name() is `name` ("naive", "refined" or
+/// "pattern"), or nullptr for any other name. The encoders are
+/// stateless and live for the whole process.
+const Encoder* FindEncoder(const std::string& name);
 
 /// Mines + corr_rank-ranks up to `budget` extra patterns per component
 /// of `mixture` against `log` (Sec. 6.4) and returns the refined model.

@@ -1,10 +1,10 @@
 // LogR: the paper's pattern-mixture compression scheme (Section 6).
 //
 // Compression = partition the log's distinct queries by feature overlap
-// (any ClustererRegistry backend: k-means / spectral / hierarchical /
-// application-registered, Sec. 6.1), then summarize each partition with
-// any EncoderRegistry backend ("naive", "refined", "pattern", or
-// application-registered; LogROptions::encoder). The tunable parameter
+// (one ClusteringMethod: k-means / spectral / hierarchical, Sec. 6.1;
+// LogROptions::method), then summarize each partition with one of the
+// built-in encoders ("naive", "refined", "pattern";
+// LogROptions::encoder). The tunable parameter
 // is the number of clusters K (more clusters -> lower Error, higher
 // Total Verbosity). Every summary exposes the WorkloadModel analytics
 // facade (LogRSummary::Model()) — consumers never touch a concrete
@@ -22,7 +22,7 @@
 namespace logr {
 
 /// Compresses `log` into `opts.num_clusters` partitions summarized by
-/// the registry-resolved encoder (opts.encoder; "naive" by default).
+/// the encoder FindEncoder(opts.encoder) ("naive" by default).
 /// The log is read through a LogView: pass a QueryLog or an
 /// MmapQueryLog (both convert implicitly) — an mmap'd .logrl is
 /// compressed in place, no heap copy on the hot path, with a
@@ -34,7 +34,7 @@ namespace logr {
 LogRSummary Compress(const LogView& log, const LogROptions& opts);
 
 /// Adaptive top-down refinement: starting from one cluster, repeatedly
-/// bisect (configured backend, k = 2) the component contributing the most
+/// bisect (configured method, k = 2) the component contributing the most
 /// weighted Reproduction Error, until `num_clusters` components exist or
 /// all components are error-free. This realizes the paper's Appendix-E
 /// observation that messy clusters "need further sub-clustering", spends

@@ -7,35 +7,6 @@
 
 namespace logr {
 
-const char* ClusteringMethodName(ClusteringMethod m) {
-  switch (m) {
-    case ClusteringMethod::kKMeansEuclidean: return "KmeansEuclidean";
-    case ClusteringMethod::kSpectralManhattan: return "manhattan";
-    case ClusteringMethod::kSpectralMinkowski: return "minkowski";
-    case ClusteringMethod::kSpectralHamming: return "hamming";
-    case ClusteringMethod::kHierarchicalAverage: return "hierarchical";
-  }
-  return "?";
-}
-
-bool ParseClusteringMethod(const std::string& name, ClusteringMethod* out) {
-  LOGR_CHECK(out != nullptr);
-  if (name == "KmeansEuclidean" || name == "kmeans") {
-    *out = ClusteringMethod::kKMeansEuclidean;
-  } else if (name == "manhattan") {
-    *out = ClusteringMethod::kSpectralManhattan;
-  } else if (name == "minkowski") {
-    *out = ClusteringMethod::kSpectralMinkowski;
-  } else if (name == "hamming") {
-    *out = ClusteringMethod::kSpectralHamming;
-  } else if (name == "hierarchical") {
-    *out = ClusteringMethod::kHierarchicalAverage;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* ShardPolicyName(ShardPolicy p) {
   switch (p) {
     case ShardPolicy::kHashDistinct: return "hash";
@@ -56,21 +27,15 @@ bool ParseShardPolicy(const std::string& name, ShardPolicy* out) {
   return true;
 }
 
-std::string BackendName(const LogROptions& opts) {
-  return opts.backend.empty() ? ClusteringMethodName(opts.method)
-                              : opts.backend;
-}
-
-bool ParseBackendName(const std::string& name, LogROptions* opts) {
-  LOGR_CHECK(opts != nullptr);
-  if (ParseClusteringMethod(name, &opts->method)) {
-    opts->backend.clear();
-  } else if (ClustererRegistry::Instance().Find(name) != nullptr) {
-    opts->backend = name;
-  } else {
-    return false;
-  }
-  return true;
+EncodeRequest EncodeRequestFor(const LogROptions& opts, std::size_t k,
+                               ThreadPool* pool) {
+  EncodeRequest req;
+  req.k = k;
+  req.pool = pool;
+  req.refine_patterns = opts.refine_patterns;
+  req.pattern_budget = opts.pattern_budget;
+  req.seed = opts.seed;
+  return req;
 }
 
 const WorkloadModel& LogRSummary::Model() const {
@@ -92,16 +57,6 @@ ClusterRequest PipelineContext::Request(std::size_t k) const {
   return req;
 }
 
-EncodeRequest PipelineContext::EncodeReq(std::size_t k) const {
-  EncodeRequest req;
-  req.k = k;
-  req.pool = pool;
-  req.refine_patterns = opts.refine_patterns;
-  req.pattern_budget = opts.pattern_budget;
-  req.seed = opts.seed;
-  return req;
-}
-
 CompressionPipeline::CompressionPipeline(const LogView& log,
                                          const LogROptions& opts) {
   LOGR_CHECK(log.NumDistinct() > 0);
@@ -109,26 +64,21 @@ CompressionPipeline::CompressionPipeline(const LogView& log,
   ctx_.opts = opts;
   ctx_.rng = Pcg32(opts.seed);
   ctx_.pool = opts.pool ? opts.pool : ThreadPool::Shared();
-  const std::string name = BackendName(opts);
-  ctx_.clusterer = ClustererRegistry::Instance().Find(name);
-  LOGR_CHECK_MSG(ctx_.clusterer != nullptr, name.c_str());
-  ctx_.encoder = EncoderRegistry::Instance().Find(opts.encoder);
+  ctx_.encoder = FindEncoder(opts.encoder);
   LOGR_CHECK_MSG(ctx_.encoder != nullptr, opts.encoder.c_str());
   ctx_.num_features = log.NumFeatures();
   ctx_.vecs.reserve(log.NumDistinct());
   for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
     ctx_.vecs.push_back(log.VectorAt(i));
   }
-  if (opts.multiplicity_weighted) {
-    ctx_.weights.reserve(log.NumDistinct());
-    for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
-      ctx_.weights.push_back(static_cast<double>(log.Multiplicity(i)));
-    }
+  ctx_.weights.reserve(log.NumDistinct());
+  for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
+    ctx_.weights.push_back(static_cast<double>(log.Multiplicity(i)));
   }
   // The one pool per compression: packed straight from the view's id
   // spans (zero copies off an mmap'd log) and shared with every
   // distance / seeding consumer through Request(). Oversized universes
-  // skip it and the backends fall back to their merge kernels.
+  // skip it and the methods fall back to their merge kernels.
   ctx_.builds_at_start = PackedVecPool::BuildCount();
   if (PackedPoolFits(log.NumDistinct(), ctx_.num_features)) {
     Stopwatch pack_timer;
@@ -141,7 +91,7 @@ CompressionPipeline::CompressionPipeline(const LogView& log,
 std::vector<int> CompressionPipeline::ClusterStage(std::size_t k) {
   Stopwatch stage;
   std::vector<int> assignment =
-      ctx_.clusterer->Cluster(ctx_.vecs, ctx_.weights, ctx_.Request(k));
+      Cluster(ctx_.opts.method, ctx_.vecs, ctx_.weights, ctx_.Request(k));
   cluster_seconds_ += stage.ElapsedSeconds();
   return assignment;
 }
@@ -150,8 +100,8 @@ LogRSummary CompressionPipeline::EncodeStage(std::vector<int> assignment,
                                              std::size_t k) {
   LogRSummary out;
   out.assignment = std::move(assignment);
-  out.model = ctx_.encoder->Encode(ctx_.log, out.assignment,
-                                   ctx_.EncodeReq(k));
+  out.model = ctx_.encoder->Encode(
+      ctx_.log, out.assignment, EncodeRequestFor(ctx_.opts, k, ctx_.pool));
   out.cluster_seconds = cluster_seconds_;
   out.pack_seconds = pack_seconds_;
   out.pool_builds = PackedVecPool::BuildCount() - ctx_.builds_at_start;
@@ -194,7 +144,7 @@ LogRSummary CompressionPipeline::RunAdaptive(std::size_t num_clusters) {
     }
     if (worst < 0 || worst_err <= 1e-12) break;  // nothing left to gain
 
-    // Bisect the worst cluster with the configured backend.
+    // Bisect the worst cluster with the configured method.
     std::vector<std::size_t> members;
     std::vector<FeatureVec> vecs;
     std::vector<double> weights;
@@ -202,9 +152,7 @@ LogRSummary CompressionPipeline::RunAdaptive(std::size_t num_clusters) {
       if (assignment[i] == worst) {
         members.push_back(i);
         vecs.push_back(log.VectorAt(i));
-        if (ctx_.opts.multiplicity_weighted) {
-          weights.push_back(static_cast<double>(log.Multiplicity(i)));
-        }
+        weights.push_back(static_cast<double>(log.Multiplicity(i)));
       }
     }
     ClusterRequest req = ctx_.Request(2);
@@ -219,7 +167,7 @@ LogRSummary CompressionPipeline::RunAdaptive(std::size_t num_clusters) {
     const std::uint64_t seed_lo = ctx_.rng.Next();
     req.seed = (seed_hi << 32) | seed_lo;
     Stopwatch stage;
-    std::vector<int> split = ctx_.clusterer->Cluster(vecs, weights, req);
+    std::vector<int> split = Cluster(ctx_.opts.method, vecs, weights, req);
     cluster_seconds_ += stage.ElapsedSeconds();
     bool moved_any = false;
     for (std::size_t j = 0; j < members.size(); ++j) {

@@ -4,11 +4,10 @@
 // PipelineContext (options, PRNG, stopwatch, thread pool, cached
 // distinct vectors):
 //
-//   cluster  partition the distinct queries with a registry-resolved
-//            Clusterer backend (never a hardwired algorithm),
-//   encode   summarize the partition with a registry-resolved Encoder
-//            backend ("naive", "refined", "pattern", or an
-//            application-registered one) into a WorkloadModel.
+//   cluster  partition the distinct queries with one ClusteringMethod
+//            (cluster/clusterer.h),
+//   encode   summarize the partition with one of the built-in Encoders
+//            ("naive", "refined", "pattern") into a WorkloadModel.
 //
 // The public compression modes — fixed K and adaptive bisection — are
 // thin strategies over this one engine; see core/logr_compressor.h for
@@ -31,22 +30,6 @@
 
 namespace logr {
 
-enum class ClusteringMethod {
-  kKMeansEuclidean,      // paper: "KmeansEuclidean"
-  kSpectralManhattan,    // paper: "manhattan"
-  kSpectralMinkowski,    // paper: "minkowski" (p = 4)
-  kSpectralHamming,      // paper: "hamming"
-  kHierarchicalAverage,  // paper Sec. 6.1.1 (monotone assignments)
-};
-
-/// Registry name of `m` (also the paper's label for the method).
-const char* ClusteringMethodName(ClusteringMethod m);
-
-/// Inverse of ClusteringMethodName. Also accepts "kmeans", the CLI
-/// spelling of "KmeansEuclidean". Returns false (leaving `*out`
-/// untouched) for unknown names.
-bool ParseClusteringMethod(const std::string& name, ClusteringMethod* out);
-
 /// How CompressSharded partitions a log's distinct vectors into
 /// shards (core/sharded.h). Both policies assign every distinct vector
 /// to exactly one shard, so per-shard mixtures merge exactly.
@@ -63,21 +46,15 @@ bool ParseShardPolicy(const std::string& name, ShardPolicy* out);
 
 struct LogROptions {
   ClusteringMethod method = ClusteringMethod::kKMeansEuclidean;
-  /// When non-empty, overrides `method` with any name registered in
-  /// ClustererRegistry — the hook for application-defined backends.
-  std::string backend;
   std::size_t num_clusters = 1;
   std::uint64_t seed = 17;
   /// Random restarts for k-means style stages.
   int n_init = 4;
-  /// Weight distinct queries by multiplicity during clustering.
-  bool multiplicity_weighted = true;
   /// Worker pool for data-parallel stages; nullptr selects
   /// ThreadPool::Shared(). Never changes results, only wall-clock.
   ThreadPool* pool = nullptr;
-  /// Encoder backend for the encode stage, resolved through
-  /// EncoderRegistry ("naive", "refined", "pattern", or an
-  /// application-registered name).
+  /// Encoder for the encode stage, resolved through FindEncoder
+  /// ("naive", "refined" or "pattern").
   std::string encoder = "naive";
   /// Per-component budget of extra corr_rank-ranked patterns for the
   /// "refined" encoder (Sec. 6.4). 0 uses the encoder's default; other
@@ -97,15 +74,10 @@ struct LogROptions {
   ShardPolicy shard_policy = ShardPolicy::kHashDistinct;
 };
 
-/// The ClustererRegistry name the cluster stage resolves for `opts`:
-/// opts.backend when set, else ClusteringMethodName(opts.method).
-std::string BackendName(const LogROptions& opts);
-
-/// Points `opts` at the clustering backend called `name`: a
-/// ParseClusteringMethod spelling sets opts.method (and clears
-/// opts.backend), any other ClustererRegistry name sets opts.backend.
-/// Returns false, leaving `opts` untouched, for an unknown name.
-bool ParseBackendName(const std::string& name, LogROptions* opts);
+/// EncodeRequest for a K-component encode under `opts`, run on `pool`.
+/// The one place LogROptions' encoder settings reach an encoder.
+EncodeRequest EncodeRequestFor(const LogROptions& opts, std::size_t k,
+                               ThreadPool* pool);
 
 struct LogRSummary {
   /// The compressed workload: every analytics consumer goes through
@@ -140,10 +112,9 @@ struct PipelineContext {
   Pcg32 rng;
   Stopwatch timer;    // started at pipeline construction
   ThreadPool* pool = nullptr;
-  const Clusterer* clusterer = nullptr;  // registry-resolved backend
-  const Encoder* encoder = nullptr;      // registry-resolved backend
-  std::vector<FeatureVec> vecs;     // the log's distinct vectors
-  std::vector<double> weights;      // multiplicity weights (may be empty)
+  const Encoder* encoder = nullptr;  // FindEncoder(opts.encoder)
+  std::vector<FeatureVec> vecs;      // the log's distinct vectors
+  std::vector<double> weights;       // multiplicity weights
   std::size_t num_features = 0;
   /// The one packed pool per compression, built in the constructor
   /// straight from the log view's id spans and shared (via Request)
@@ -157,17 +128,14 @@ struct PipelineContext {
 
   /// ClusterRequest for a K-cluster run under these options.
   ClusterRequest Request(std::size_t k) const;
-
-  /// EncodeRequest for a K-component encode under these options.
-  EncodeRequest EncodeReq(std::size_t k) const;
 };
 
 class CompressionPipeline {
  public:
-  /// Resolves the clustering and encoder backends (aborts on an unknown
-  /// name), caches the log's distinct vectors and weights, and builds
-  /// the shared packed pool. The log behind `log` (QueryLog or
-  /// MmapQueryLog — both convert implicitly) must outlive the pipeline.
+  /// Resolves the encoder (aborts on an unknown name), caches the log's
+  /// distinct vectors and weights, and builds the shared packed pool.
+  /// The log behind `log` (QueryLog or MmapQueryLog — both convert
+  /// implicitly) must outlive the pipeline.
   CompressionPipeline(const LogView& log, const LogROptions& opts);
 
   // --- stages ---------------------------------------------------------
@@ -176,7 +144,7 @@ class CompressionPipeline {
   /// elapsed time to the clustering stage.
   std::vector<int> ClusterStage(std::size_t k);
 
-  /// Encodes `assignment` with the registry-resolved encoder into a
+  /// Encodes `assignment` with the options' encoder into a
   /// summary carrying the stage timings accumulated so far.
   LogRSummary EncodeStage(std::vector<int> assignment, std::size_t k);
 

@@ -608,9 +608,8 @@ bool WriteSummary(const Vocabulary& vocab, const WorkloadModel& model,
                            "' expose neither a naive-mixture nor a pattern "
                            "payload and cannot be serialized");
   }
-  // Only tags the reader understands are written: a runtime-registered
-  // mergeable encoder persists as its naive payload, so its files stay
-  // loadable everywhere.
+  // Only tags the reader understands are written: any naive-backed model
+  // that is not "refined" is written as naive.
   EncoderCode code = EncoderCode::kNaive;
   if (pattern != nullptr) {
     code = EncoderCode::kPattern;
@@ -685,7 +684,7 @@ bool MergeSummaries(const std::vector<PersistedSummary>& parts,
   // belong to the mergeable (naive) family — reject e.g. "pattern"
   // summaries loudly instead of silently merging something else.
   for (const PersistedSummary& part : parts) {
-    const Encoder* encoder = EncoderRegistry::Instance().Find(part.encoder);
+    const Encoder* encoder = FindEncoder(part.encoder);
     if (encoder == nullptr) {
       return Fail(error, "unknown encoder tag in summary: " + part.encoder);
     }

@@ -61,9 +61,9 @@
 // `logr_cli compress` on the log to get a v4 file.
 //
 // The naive mixture family ("naive", "refined" — any model whose
-// AsNaiveMixture() is non-null) persists its naive payload; a runtime-
-// registered mergeable encoder persists under the "naive" tag, so its
-// files always load. A "pattern" model has no naive payload. Loading
+// AsNaiveMixture() is non-null) persists its naive payload; any
+// naive-backed model that is not "refined" is written under the "naive"
+// tag, so its files always load. A "pattern" model has no naive payload. Loading
 // refits each of its components' max-ent representative by iterative
 // scaling over exactly the stored (patterns, marginals, n_features) —
 // a deterministic fit, so a disk round trip reproduces every estimate
@@ -120,9 +120,8 @@ struct PersistedSummary {
 };
 
 /// Writes `model` (with `vocab` as its codebook) to `out` as summary
-/// v4. Returns false (and fills `error`) for models that are neither — a
-/// runtime-registered encoder whose model exposes no serializable
-/// payload.
+/// v4. Returns false (and fills `error`) for a model that exposes
+/// neither a naive-mixture nor a pattern payload.
 bool WriteSummary(const Vocabulary& vocab, const WorkloadModel& model,
                   std::ostream* out, std::string* error);
 

@@ -95,7 +95,7 @@ LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
   // resolve the requested encoder up front and fail loudly for
   // non-mergeable ones (e.g. "pattern") instead of silently encoding
   // each shard with something that cannot be pooled.
-  const Encoder* encoder = EncoderRegistry::Instance().Find(opts.encoder);
+  const Encoder* encoder = FindEncoder(opts.encoder);
   LOGR_CHECK_MSG(encoder != nullptr, opts.encoder.c_str());
   LOGR_CHECK_MSG(encoder->Mergeable(),
                  "sharded compression requires a mergeable encoder "
@@ -160,12 +160,8 @@ LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
   }
   // The requested encoder wraps (and, for "refined", re-refines) the
   // reconciled mixture — refinement runs once, on the merge result.
-  EncodeRequest enc_req;
-  enc_req.k = reconciled.NumComponents();
-  enc_req.pool = pool;
-  enc_req.refine_patterns = opts.refine_patterns;
-  enc_req.pattern_budget = opts.pattern_budget;
-  enc_req.seed = opts.seed;
+  const EncodeRequest enc_req =
+      EncodeRequestFor(opts, reconciled.NumComponents(), pool);
   out.model = encoder->WrapMixture(log, std::move(reconciled), enc_req);
   out.cluster_seconds = shard_cluster_seconds + reconcile_seconds;
   out.pack_seconds = shard_pack_seconds;

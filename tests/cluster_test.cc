@@ -74,10 +74,6 @@ TEST(DistanceTest, MetricFormulas) {
   EXPECT_NEAR(Distance(a, b, n, spec), std::pow(3.0, 0.25), 1e-12);
   spec.metric = Metric::kHamming;
   EXPECT_NEAR(Distance(a, b, n, spec), 0.3, 1e-12);
-  spec.metric = Metric::kChebyshev;
-  EXPECT_NEAR(Distance(a, b, n, spec), 1.0, 1e-12);
-  spec.metric = Metric::kCanberra;
-  EXPECT_NEAR(Distance(a, b, n, spec), 3.0, 1e-12);
 }
 
 TEST(DistanceTest, IdentityAndSymmetry) {

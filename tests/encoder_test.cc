@@ -1,12 +1,11 @@
-// Tests for the pluggable encoder stage: EncoderRegistry resolution
-// (built-ins plus a runtime-registered fake), bit-identity of the
-// "naive" backend with the direct cluster->FromPartition pipeline,
+// Tests for the encoder stage: FindEncoder resolution of the three
+// built-ins, bit-identity of the "naive" encoder with the direct
+// cluster->FromPartition pipeline,
 // cross-encoder invariants (refined Error <= naive Error, facade
 // consistency), the PatternEncoding lattice cap, and serialization
 // v1 compatibility / v2 encoder-tag round-trips.
 #include <cmath>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -62,33 +61,21 @@ QueryLog SmallBankLog() {
   return LoadEntries(GenerateBankLog(gen)).TakeLog();
 }
 
-TEST(EncoderRegistryTest, ResolvesEveryBuiltInBackend) {
-  EncoderRegistry& registry = EncoderRegistry::Instance();
-  const Encoder* naive = registry.Find("naive");
-  const Encoder* refined = registry.Find("refined");
-  const Encoder* pattern = registry.Find("pattern");
-  ASSERT_NE(naive, nullptr);
-  ASSERT_NE(refined, nullptr);
-  ASSERT_NE(pattern, nullptr);
-  // The naive family merges; general pattern encodings do not.
-  EXPECT_TRUE(naive->Mergeable());
-  EXPECT_TRUE(refined->Mergeable());
-  EXPECT_FALSE(pattern->Mergeable());
-  EXPECT_EQ(registry.Find("no-such-encoder"), nullptr);
-  std::vector<std::string> names = registry.Names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "naive"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "refined"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "pattern"), names.end());
-  // Every registered name is a distinct encoder: no aliases.
-  std::set<const Encoder*> encoders;
-  for (const std::string& name : names) {
-    EXPECT_TRUE(encoders.insert(registry.Find(name)).second) << name;
+TEST(FindEncoderTest, ResolvesEveryBuiltInEncoder) {
+  for (const char* name : {"naive", "refined", "pattern"}) {
+    const Encoder* encoder = FindEncoder(name);
+    ASSERT_NE(encoder, nullptr) << name;
+    EXPECT_STREQ(encoder->Name(), name);
   }
+  // The naive family merges; general pattern encodings do not.
+  EXPECT_TRUE(FindEncoder("naive")->Mergeable());
+  EXPECT_TRUE(FindEncoder("refined")->Mergeable());
+  EXPECT_FALSE(FindEncoder("pattern")->Mergeable());
+  EXPECT_EQ(FindEncoder("no-such-encoder"), nullptr);
 }
 
-/// A deliberately trivial model + encoder pair registered at runtime to
-/// prove third-party summarizers plug into the compressor without
-/// touching src/core/.
+/// A model with neither a naive nor a pattern payload: WorkloadModel is
+/// a public facade, so WriteSummary can be handed one.
 class ConstantModel : public WorkloadModel {
  public:
   explicit ConstantModel(std::uint64_t log_size) : log_size_(log_size) {}
@@ -115,47 +102,19 @@ class ConstantModel : public WorkloadModel {
   std::uint64_t log_size_ = 0;
 };
 
-class ConstantEncoder : public Encoder {
- public:
-  const char* Name() const override { return "test_constant"; }
-  std::shared_ptr<const WorkloadModel> Encode(
-      const LogView& log, const std::vector<int>&,
-      const EncodeRequest&) const override {
-    return std::make_shared<ConstantModel>(log.TotalQueries());
-  }
-};
-
-TEST(EncoderRegistryTest, RuntimeRegisteredEncoderWorksEndToEnd) {
-  EncoderRegistry& registry = EncoderRegistry::Instance();
-  if (registry.Find("test_constant") == nullptr) {
-    ASSERT_TRUE(registry.Register("test_constant",
-                                  std::make_shared<ConstantEncoder>()));
-  }
-  // Duplicate registration is rejected, not silently replaced.
-  EXPECT_FALSE(registry.Register("test_constant",
-                                 std::make_shared<ConstantEncoder>()));
-
+TEST(EncoderTest, WriteSummaryRefusesModelWithoutPayload) {
   QueryLog log = GroupedLog(3, 10, 77);
-  LogROptions opts;
-  opts.encoder = "test_constant";
-  opts.num_clusters = 4;
-  LogRSummary s = Compress(log, opts);
-  EXPECT_STREQ(s.Model().EncoderName(), "test_constant");
-  EXPECT_EQ(s.Model().NumComponents(), 1u);
-  EXPECT_EQ(s.Model().LogSize(), log.TotalQueries());
-  EXPECT_NEAR(s.Model().EstimateCount(FeatureVec({0})),
-              0.5 * static_cast<double>(log.TotalQueries()), 1e-9);
-  // Non-mergeable custom models cannot be serialized.
+  const ConstantModel model(log.TotalQueries());
   std::stringstream buffer;
   std::string error;
-  EXPECT_FALSE(WriteSummary(log.vocabulary(), s.Model(), &buffer, &error));
-  EXPECT_NE(error.find("test_constant"), std::string::npos) << error;
+  EXPECT_FALSE(WriteSummary(log.vocabulary(), model, &buffer, &error));
+  EXPECT_NE(error.find(model.EncoderName()), std::string::npos) << error;
 }
 
-TEST(EncoderTest, NaiveViaRegistryBitIdenticalToDirectPipeline) {
-  // The registry-resolved "naive" backend must reproduce the
-  // pre-registry pipeline — cluster with the registry backend, encode
-  // with FromPartition — to the bit, same seed / threads.
+TEST(EncoderTest, NaiveViaFindEncoderBitIdenticalToDirectPipeline) {
+  // The "naive" encoder must reproduce the hand-built pipeline —
+  // cluster with k-means, encode with FromPartition — to the bit, same
+  // seed / threads.
   QueryLog log = SmallPocketLog();
   LogROptions opts;
   opts.encoder = "naive";
@@ -170,16 +129,14 @@ TEST(EncoderTest, NaiveViaRegistryBitIdenticalToDirectPipeline) {
     vecs.push_back(log.Vector(i));
     weights.push_back(static_cast<double>(log.Multiplicity(i)));
   }
-  const Clusterer* kmeans =
-      ClustererRegistry::Instance().Find("KmeansEuclidean");
-  ASSERT_NE(kmeans, nullptr);
   ClusterRequest req;
   req.k = 7;
   req.num_features = log.NumFeatures();
   req.seed = 31;
   req.n_init = opts.n_init;
   req.pool = ThreadPool::Shared();
-  std::vector<int> assignment = kmeans->Cluster(vecs, weights, req);
+  std::vector<int> assignment =
+      Cluster(ClusteringMethod::kKMeansEuclidean, vecs, weights, req);
   NaiveMixtureEncoding direct =
       NaiveMixtureEncoding::FromPartition(log, assignment, 7,
                                           ThreadPool::Shared());
@@ -316,7 +273,7 @@ TEST(EncoderTest, NullPoolEncodesLikeAnExplicitPool) {
   }
   ThreadPool serial(1);
   for (const char* name : {"naive", "refined", "pattern"}) {
-    const Encoder* encoder = EncoderRegistry::Instance().Find(name);
+    const Encoder* encoder = FindEncoder(name);
     ASSERT_NE(encoder, nullptr) << name;
     EncodeRequest req;
     req.k = 3;

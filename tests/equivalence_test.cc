@@ -350,7 +350,7 @@ TEST_P(EquivalenceTest, EveryPathAgrees) {
     ExpectServedMatches(from_text.Model());
   }
 
-  if (!EncoderRegistry::Instance().Find(opts_.encoder)->Mergeable()) return;
+  if (!FindEncoder(opts_.encoder)->Mergeable()) return;
   const std::string sharded = Bytes(
       log().vocabulary(), Compress(log(), Sharded(opts_.encoder)).Model());
   EXPECT_EQ(Bytes(mapped.vocabulary(),

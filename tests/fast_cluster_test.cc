@@ -1,9 +1,9 @@
 // Tests for the fast clustering core: packed-kernel vs merge-kernel
-// distance bit-identity of the condensed store (all six metrics, fuzzed
+// distance bit-identity of the condensed store (all four metrics, fuzzed
 // vectors, every pool size), the pair-list variant, cached-NN
 // agglomeration vs the pre-change serial reference (including the
 // scan team, alone and sharing a pool), the NN-chain slot list and
-// chunked argmin fold, every backend's no-pool fallback, spectral
+// chunked argmin fold, every method's no-pool fallback, spectral
 // bit-determinism across pool sizes, and the multi-core perf guardrail
 // for the parallel distance fill.
 #include <algorithm>
@@ -59,7 +59,7 @@ std::vector<FeatureVec> Vectors(const QueryLog& log) {
 std::vector<DistanceSpec> AllMetrics() {
   std::vector<DistanceSpec> specs;
   for (Metric m : {Metric::kEuclidean, Metric::kManhattan, Metric::kMinkowski,
-                   Metric::kHamming, Metric::kChebyshev, Metric::kCanberra}) {
+                   Metric::kHamming}) {
     DistanceSpec s;
     s.metric = m;
     specs.push_back(s);
@@ -285,7 +285,7 @@ TEST(FastAgglomerationTest, MatchesReferenceOnRealLogsAcrossPools) {
 }
 
 TEST(FastAgglomerationTest, HierarchicalFitWithoutPackedPoolMatches) {
-  // Every backend's fallback when the pipeline hands it no packed pool
+  // Every method's fallback when the pipeline hands it no packed pool
   // (spectral and hierarchical pack locally, k-means seeds from the
   // merge kernel) must cluster exactly like the pooled path.
   const QueryLog log = BankLog();
@@ -300,21 +300,23 @@ TEST(FastAgglomerationTest, HierarchicalFitWithoutPackedPoolMatches) {
   req.num_features = log.NumFeatures();
   req.pool = &four;
   req.n_init = 2;
-  // Every registered backend, with the largest K it is cut at: spectral
-  // stops at 40 because dense Lanczos near K = N costs seconds per run.
-  const std::pair<const char*, std::size_t> backends[] = {
-      {"KmeansEuclidean", 200}, {"manhattan", 40}, {"minkowski", 40},
-      {"hamming", 40},          {"hierarchical", 200}};
-  for (const auto& [name, max_k] : backends) {
-    const Clusterer* backend = ClustererRegistry::Instance().Find(name);
-    ASSERT_NE(backend, nullptr) << name;
+  // Every method, with the largest K it is cut at: spectral stops at 40
+  // because dense Lanczos near K = N costs seconds per run.
+  const std::pair<ClusteringMethod, std::size_t> methods[] = {
+      {ClusteringMethod::kKMeansEuclidean, 200},
+      {ClusteringMethod::kSpectralManhattan, 40},
+      {ClusteringMethod::kSpectralMinkowski, 40},
+      {ClusteringMethod::kSpectralHamming, 40},
+      {ClusteringMethod::kHierarchicalAverage, 200}};
+  for (const auto& [method, max_k] : methods) {
+    const char* name = ClusteringMethodName(method);
     for (std::size_t k : {1u, 2u, 7u, 40u, 200u}) {
       if (k > max_k) break;
       req.k = k;
       req.packed = &packed;
-      const std::vector<int> pooled = backend->Cluster(vecs, weights, req);
+      const std::vector<int> pooled = Cluster(method, vecs, weights, req);
       req.packed = nullptr;
-      EXPECT_EQ(backend->Cluster(vecs, weights, req), pooled)
+      EXPECT_EQ(Cluster(method, vecs, weights, req), pooled)
           << name << " k=" << k;
     }
   }

@@ -1,10 +1,8 @@
-// Tests for the pluggable Clusterer registry, the thread pool, and the
-// staged CompressionPipeline: parallel paths must be bit-identical to
-// serial ones, the registry must cover every built-in method, and a
-// backend registered at runtime must work end to end.
+// Tests for the clustering methods, the thread pool, and the staged
+// CompressionPipeline: parallel paths must be bit-identical to serial
+// ones, and every method name must round-trip and cluster.
 #include <atomic>
 #include <cstdlib>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -141,7 +139,7 @@ TEST(DistanceMatrixTest, ParallelBitIdenticalToSerial) {
   }
 }
 
-TEST(ClustererRegistryTest, RoundTripsEveryBuiltInMethod) {
+TEST(ClusteringMethodTest, RoundTripsEveryBuiltInMethod) {
   for (ClusteringMethod m :
        {ClusteringMethod::kKMeansEuclidean,
         ClusteringMethod::kSpectralManhattan,
@@ -152,55 +150,32 @@ TEST(ClustererRegistryTest, RoundTripsEveryBuiltInMethod) {
     ClusteringMethod parsed;
     ASSERT_TRUE(ParseClusteringMethod(name, &parsed)) << name;
     EXPECT_EQ(parsed, m) << name;
-    EXPECT_NE(ClustererRegistry::Instance().Find(name), nullptr) << name;
   }
-  // "kmeans" is a CLI spelling of the method, not a second registry
-  // name for the backend.
-  ClusteringMethod parsed;
+  // "kmeans" is the CLI spelling of "KmeansEuclidean".
+  ClusteringMethod parsed = ClusteringMethod::kSpectralHamming;
   ASSERT_TRUE(ParseClusteringMethod("kmeans", &parsed));
   EXPECT_EQ(parsed, ClusteringMethod::kKMeansEuclidean);
-  EXPECT_EQ(ClustererRegistry::Instance().Find("kmeans"), nullptr);
+  EXPECT_STREQ(ClusteringMethodName(parsed), "KmeansEuclidean");
+  // An unknown name leaves the output untouched.
+  parsed = ClusteringMethod::kSpectralHamming;
   EXPECT_FALSE(ParseClusteringMethod("no-such-method", &parsed));
-  EXPECT_EQ(ClustererRegistry::Instance().Find("no-such-method"), nullptr);
-  // Every registered name is a distinct backend: no aliases.
-  const ClustererRegistry& registry = ClustererRegistry::Instance();
-  std::set<const Clusterer*> backends;
-  for (const std::string& name : registry.Names()) {
-    EXPECT_TRUE(backends.insert(registry.Find(name)).second) << name;
-  }
+  EXPECT_EQ(parsed, ClusteringMethod::kSpectralHamming);
 }
 
-TEST(ClustererRegistryTest, BackendNameRoundTripsThroughOptions) {
-  LogROptions opts;
-  for (const char* name :
-       {"KmeansEuclidean", "manhattan", "minkowski", "hamming",
-        "hierarchical"}) {
-    ASSERT_TRUE(ParseBackendName(name, &opts)) << name;
-    EXPECT_TRUE(opts.backend.empty()) << name;
-    EXPECT_EQ(BackendName(opts), name);
-  }
-  ASSERT_TRUE(ParseBackendName("kmeans", &opts));
-  EXPECT_EQ(opts.method, ClusteringMethod::kKMeansEuclidean);
-  EXPECT_EQ(BackendName(opts), "KmeansEuclidean");
-  // An unknown name leaves the options untouched.
-  opts.method = ClusteringMethod::kSpectralHamming;
-  EXPECT_FALSE(ParseBackendName("no-such-method", &opts));
-  EXPECT_EQ(opts.method, ClusteringMethod::kSpectralHamming);
-  EXPECT_EQ(BackendName(opts), "hamming");
-}
-
-TEST(ClustererRegistryTest, BackendsProduceValidAssignments) {
+TEST(ClusteringMethodTest, BackendsProduceValidAssignments) {
   Pcg32 rng(7);
   std::vector<FeatureVec> vecs = RandomVectors(30, 12, &rng);
   ClusterRequest req;
   req.k = 3;
   req.num_features = 12;
-  for (const char* name :
-       {"KmeansEuclidean", "manhattan", "minkowski", "hamming",
-        "hierarchical"}) {
-    const Clusterer* c = ClustererRegistry::Instance().Find(name);
-    ASSERT_NE(c, nullptr) << name;
-    std::vector<int> assignment = c->Cluster(vecs, {}, req);
+  for (ClusteringMethod m :
+       {ClusteringMethod::kKMeansEuclidean,
+        ClusteringMethod::kSpectralManhattan,
+        ClusteringMethod::kSpectralMinkowski,
+        ClusteringMethod::kSpectralHamming,
+        ClusteringMethod::kHierarchicalAverage}) {
+    const char* name = ClusteringMethodName(m);
+    std::vector<int> assignment = Cluster(m, vecs, {}, req);
     ASSERT_EQ(assignment.size(), vecs.size()) << name;
     for (int a : assignment) {
       EXPECT_GE(a, 0) << name;
@@ -294,51 +269,6 @@ TEST(PipelineTest, RefinedEncoderNeverWorsensError) {
   EXPECT_STREQ(plain.Model().EncoderName(), "naive");
   EXPECT_EQ(plain.Model().Error(), plain.Model().BaseError());
   EXPECT_TRUE(plain.Model().ComponentPatterns(0).empty());
-}
-
-// A deliberately trivial backend: assigns vector i to cluster i % k.
-// Registered once at runtime to prove third-party backends plug into the
-// compressor without touching src/core/.
-class RoundRobinClusterer : public Clusterer {
- public:
-  const char* Name() const override { return "test_roundrobin"; }
-
-  std::vector<int> Cluster(const std::vector<FeatureVec>& vecs,
-                           const std::vector<double>& /*weights*/,
-                           const ClusterRequest& req) const override {
-    std::vector<int> assignment(vecs.size());
-    for (std::size_t i = 0; i < vecs.size(); ++i) {
-      assignment[i] = static_cast<int>(i % std::max<std::size_t>(1, req.k));
-    }
-    return assignment;
-  }
-};
-
-TEST(PipelineTest, RuntimeRegisteredBackendWorksEndToEnd) {
-  ClustererRegistry& registry = ClustererRegistry::Instance();
-  if (registry.Find("test_roundrobin") == nullptr) {
-    ASSERT_TRUE(registry.Register("test_roundrobin",
-                                  std::make_shared<RoundRobinClusterer>()));
-  }
-  // Duplicate registration is rejected, not silently replaced.
-  EXPECT_FALSE(registry.Register("test_roundrobin",
-                                 std::make_shared<RoundRobinClusterer>()));
-
-  QueryLog log = GroupedLog(3, 10, 77);
-  LogROptions opts;
-  opts.backend = "test_roundrobin";
-  opts.num_clusters = 5;
-  LogRSummary s = Compress(log, opts);
-  ASSERT_EQ(s.assignment.size(), log.NumDistinct());
-  for (std::size_t i = 0; i < s.assignment.size(); ++i) {
-    EXPECT_EQ(s.assignment[i], static_cast<int>(i % 5));
-  }
-  EXPECT_EQ(s.Model().NumComponents(), 5u);
-  EXPECT_GE(s.Model().Error(), -1e-9);
-  EXPECT_GT(s.Model().TotalVerbosity(), 0u);
-  // The backend also drives the adaptive strategy's bisection stage.
-  LogRSummary adaptive = CompressAdaptive(log, 4, opts);
-  EXPECT_LE(adaptive.Model().NumComponents(), 4u);
 }
 
 }  // namespace
