@@ -41,7 +41,7 @@ int main() {
       // Adaptive bisects with the configured method; this ablation's
       // third arm is k-means bisection, so say so explicitly.
       opts.method = ClusteringMethod::kKMeansEuclidean;
-      double adaptive = CompressAdaptive(d.log, k, opts).Model().Error();
+      double adaptive = CompressAdaptive(d.log, opts).Model().Error();
 
       table.AddRow({d.name, TablePrinter::Fmt(k), TablePrinter::Fmt(km),
                     TablePrinter::Fmt(hier), TablePrinter::Fmt(adaptive)});

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.h"
+#include "core/logr_compressor.h"
 #include "data/bank.h"
 #include "data/income.h"
 #include "data/mushroom.h"

@@ -299,8 +299,7 @@ int RunCompress(const Command& self, int argc, char** argv) {
     return 1;
   }
   const LogRSummary summary =
-      adaptive ? CompressAdaptive(view, opts.num_clusters, opts)
-               : Compress(view, opts);
+      adaptive ? CompressAdaptive(view, opts) : Compress(view, opts);
   const WorkloadModel& model = summary.Model();
   std::printf("compressed [%s]: %zu clusters, error %.4f nats, verbosity "
               "%zu (from %zu distinct templates, %zu features)\n",

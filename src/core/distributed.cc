@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "cluster/clusterer.h"
-#include "core/logr_compressor.h"
 #include "core/sharded.h"
 #include "util/check.h"
 #include "util/flags.h"
@@ -178,25 +177,20 @@ bool RunDistributedWorker(const DistributedWorkerOptions& opts,
     return Fail(error, "empty shard " + opts.shard_path);
   }
 
-  // The per-shard fit mirrors CompressSharded's shard pipelines
-  // exactly: naive encoder, serial pool, no refinement — so the
-  // gathered merge is bit-identical to the in-process sharded run.
-  // The serial pool is also the fork-safety requirement: a fork-mode
-  // child must never wait on the parent's pool threads, which do not
-  // exist after fork.
-  ThreadPool serial(0);
+  // The same per-shard fit as CompressSharded's, so the gathered merge
+  // is bit-identical to the in-process sharded run. Its thread-free
+  // pool is also the fork-safety requirement: a fork-mode child must
+  // never wait on the parent's pool threads, which do not exist after
+  // fork.
   LogROptions copts;
-  copts.num_clusters = opts.num_clusters;
   copts.seed = opts.seed;
   copts.n_init = opts.n_init;
-  copts.encoder = "naive";
-  copts.pool = &serial;
   if (!ParseClusteringMethod(opts.method, &copts.method)) {
     return Fail(error, "unknown clustering method " + opts.method);
   }
 
   LogView view(shard);
-  const LogRSummary summary = Compress(view, copts);
+  const LogRSummary summary = CompressShard(view, copts, opts.num_clusters);
 
   // WriteSummaryFile spools atomically (pid-suffixed temp + rename), so
   // a worker killed at any instant leaves either nothing or a temp file

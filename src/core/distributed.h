@@ -33,9 +33,9 @@
 // fork mode (empty worker_command; the child runs RunDistributedWorker
 // directly, which tests and benches use to avoid depending on an
 // installed binary). Forked children never touch the parent's thread
-// pools (pthreads do not survive fork); every worker compresses with a
-// serial pool, exactly like CompressSharded's per-shard pipelines, so
-// the distributed result is bit-deterministic for any worker count.
+// pools (pthreads do not survive fork); every worker fits its shard
+// with CompressShard, exactly like CompressSharded, so the distributed
+// result is bit-deterministic for any worker count.
 #ifndef LOGR_CORE_DISTRIBUTED_H_
 #define LOGR_CORE_DISTRIBUTED_H_
 
@@ -43,7 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.h"
+#include "core/logr_compressor.h"
 #include "core/serialization.h"
 #include "workload/loader.h"
 #include "workload/log_view.h"
@@ -143,10 +143,9 @@ bool ParseWorkerArgv(const std::vector<std::string>& args,
 
 /// Worker entry point, shared by the CLI `worker` subcommand, fork-mode
 /// children, and the coordinator's in-process fallback: compress the
-/// shard and spool the summary. Runs with a serial pool uncondition-
-/// ally (fork-safe, and bit-identical to CompressSharded's per-shard
-/// pipelines). Returns false (and fills `error`) on any I/O or
-/// validation failure.
+/// shard with CompressShard (fork-safe, and bit-identical to
+/// CompressSharded's per-shard fits) and spool the summary. Returns
+/// false (and fills `error`) on any I/O or validation failure.
 bool RunDistributedWorker(const DistributedWorkerOptions& opts,
                           std::string* error);
 

@@ -43,7 +43,6 @@ struct EncodeRequest {
   /// count, and PatternEncoding hard-errors above
   /// SignatureSpace::kMaxPatterns).
   std::size_t pattern_budget = 0;
-  std::uint64_t seed = 17;
 };
 
 /// The analytics facade over a compressed workload: everything the

@@ -10,38 +10,121 @@
 // facade (LogRSummary::Model()) — consumers never touch a concrete
 // encoding.
 //
-// The two entry points below are thin strategy wrappers over the one
-// staged engine in core/pipeline.h (cluster -> encode).
+// Compress picks the partition in one Cluster call; CompressAdaptive
+// picks it by bisecting the worst cluster (Appendix E). Both hand the
+// partition to the encoder, which turns it into the summary.
 #ifndef LOGR_CORE_LOGR_COMPRESSOR_H_
 #define LOGR_CORE_LOGR_COMPRESSOR_H_
 
-#include "core/pipeline.h"
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "cluster/clusterer.h"
+#include "core/encoder.h"
+#include "core/mixture.h"
+#include "util/thread_pool.h"
 #include "workload/log_view.h"
 #include "workload/query_log.h"
 
 namespace logr {
 
+/// How CompressSharded partitions a log's distinct vectors into
+/// shards (core/sharded.h). Both policies assign every distinct vector
+/// to exactly one shard, so per-shard mixtures merge exactly.
+enum class ShardPolicy {
+  kHashDistinct,      // stable hash of the distinct vector ("hash")
+  kContiguousRange,   // equal contiguous ranges of distinct index ("range")
+};
+
+/// CLI name of `p` ("hash" / "range").
+const char* ShardPolicyName(ShardPolicy p);
+
+/// Inverse of ShardPolicyName. Returns false for unknown names.
+bool ParseShardPolicy(const std::string& name, ShardPolicy* out);
+
+struct LogROptions {
+  ClusteringMethod method = ClusteringMethod::kKMeansEuclidean;
+  std::size_t num_clusters = 1;
+  std::uint64_t seed = 17;
+  /// Random restarts for k-means style stages.
+  int n_init = 4;
+  /// Worker pool for data-parallel stages; nullptr selects
+  /// ThreadPool::Shared(). Never changes results, only wall-clock.
+  ThreadPool* pool = nullptr;
+  /// Encoder for the encode stage, resolved through FindEncoder
+  /// ("naive", "refined" or "pattern").
+  std::string encoder = "naive";
+  /// Per-component budget of extra corr_rank-ranked patterns for the
+  /// "refined" encoder (Sec. 6.4). 0 uses the encoder's default; other
+  /// encoders ignore it.
+  std::size_t refine_patterns = 0;
+  /// Per-component pattern count for the "pattern" encoder. 0 uses the
+  /// encoder's default; larger requests are clamped to the encoder's
+  /// practical ceiling (12, below PatternEncoding::kMaxPatterns — the
+  /// fit is exponential in the pattern count).
+  std::size_t pattern_budget = 0;
+  /// When > 1, Compress routes through CompressSharded: the log is
+  /// split into this many shards, each shard is compressed on its own,
+  /// and the per-shard mixtures are merged and reconciled back to
+  /// num_clusters (core/sharded.h). Results are bit-deterministic for
+  /// any thread count and shard order.
+  std::size_t num_shards = 1;
+  ShardPolicy shard_policy = ShardPolicy::kHashDistinct;
+};
+
+/// EncodeRequest for a K-component encode under `opts`, run on `pool`.
+/// The one place LogROptions' encoder settings reach an encoder.
+EncodeRequest EncodeRequestFor(const LogROptions& opts, std::size_t k,
+                               ThreadPool* pool);
+
+struct LogRSummary {
+  /// The compressed workload: every analytics consumer goes through
+  /// this facade (never a concrete encoding class). Shared so summaries
+  /// stay cheap to copy; the model itself is immutable.
+  std::shared_ptr<const WorkloadModel> model;
+  std::vector<int> assignment;   // cluster per distinct vector
+  double cluster_seconds = 0.0;  // wall-clock of the clustering stage
+  /// Wall-clock of building the shared PackedVecPool — reported apart
+  /// from cluster_seconds so packing cost is no longer silently folded
+  /// into clustering time.
+  double pack_seconds = 0.0;
+  /// PackedVecPool builds observed during this compression (a delta of
+  /// the process-wide counter, so concurrent compressions overlap). The
+  /// zero-copy contract is exactly 1 per single-shard Compress and one
+  /// per non-empty shard of a sharded run. CompressAdaptive builds no
+  /// shared pool and reports 0, plus any pool its method packs locally
+  /// for a bisected subset (spectral and hierarchical do).
+  std::uint64_t pool_builds = 0;
+  double total_seconds = 0.0;    // wall-clock of the whole compression
+
+  /// Checked facade access: aborts when the summary was never filled.
+  const WorkloadModel& Model() const;
+};
+
 /// Compresses `log` into `opts.num_clusters` partitions summarized by
-/// the encoder FindEncoder(opts.encoder) ("naive" by default).
-/// The log is read through a LogView: pass a QueryLog or an
-/// MmapQueryLog (both convert implicitly) — an mmap'd .logrl is
+/// the encoder FindEncoder(opts.encoder) ("naive" by default; aborts on
+/// an unknown name). The log is read through a LogView: pass a QueryLog
+/// or an MmapQueryLog (both convert implicitly) — an mmap'd .logrl is
 /// compressed in place, no heap copy on the hot path, with a
-/// bit-identical summary either way. When opts.num_shards > 1 the log
-/// is compressed shard-wise (one pipeline per shard, merged and
-/// reconciled back to num_clusters; see core/sharded.h — mergeable
+/// bit-identical summary either way. The log's distinct vectors are
+/// packed once into the PackedVecPool every distance consumer shares.
+/// When opts.num_shards > 1 the log is compressed shard-wise (merged
+/// and reconciled back to num_clusters; see core/sharded.h — mergeable
 /// encoders only) with bit-deterministic results for any thread count
 /// and shard order.
 LogRSummary Compress(const LogView& log, const LogROptions& opts);
 
 /// Adaptive top-down refinement: starting from one cluster, repeatedly
-/// bisect (configured method, k = 2) the component contributing the most
-/// weighted Reproduction Error, until `num_clusters` components exist or
-/// all components are error-free. This realizes the paper's Appendix-E
-/// observation that messy clusters "need further sub-clustering", spends
-/// the cluster budget where the Error lives, and yields monotone
-/// refinements like hierarchical cuts while keeping k-means locality.
-LogRSummary CompressAdaptive(const LogView& log, std::size_t num_clusters,
-                             const LogROptions& opts);
+/// bisect (opts.method, k = 2) the component contributing the most
+/// weighted Reproduction Error, until `opts.num_clusters` components
+/// exist or all components are error-free. This realizes the paper's
+/// Appendix-E observation that messy clusters "need further
+/// sub-clustering", spends the cluster budget where the Error lives, and
+/// yields monotone refinements like hierarchical cuts while keeping
+/// k-means locality. Each bisection draws its seed from Pcg32(opts.seed)
+/// in a fixed order. Requires opts.num_shards <= 1.
+LogRSummary CompressAdaptive(const LogView& log, const LogROptions& opts);
 
 }  // namespace logr
 

@@ -385,7 +385,7 @@ bool ReadCodebook(PayloadReader& in, std::size_t file_size,
 }
 
 /// Naive-family components and, for "refined", the patterns section.
-bool ReadNaiveFamily(PayloadReader& in, std::size_t n_features,
+bool ReadNaiveFamily(PayloadReader& in, std::size_t n_features, bool refined,
                      PersistedSummary* s) {
   // Smallest component: weight, log size, entropy, marginal count.
   const std::uint64_t n_clusters = in.Count(18, "component list");
@@ -428,7 +428,6 @@ bool ReadNaiveFamily(PayloadReader& in, std::size_t n_features,
   if (!in.ok()) return false;
   s->size.components = in.offset() - s->size.codebook - 1;
 
-  const bool refined = s->encoder == "refined";
   std::vector<std::vector<FeatureVec>> patterns(components.size());
   std::vector<double> errors;  // per component, its refined Error
   if (refined) {
@@ -457,12 +456,13 @@ bool ReadNaiveFamily(PayloadReader& in, std::size_t n_features,
     }
     if (!in.ok()) return false;
   }
-  s->encoding = NaiveMixtureEncoding::FromComponents(std::move(components));
+  NaiveMixtureEncoding mixture =
+      NaiveMixtureEncoding::FromComponents(std::move(components));
   if (refined) {
     s->model = std::make_shared<RefinedMixtureModel>(
-        s->encoding, std::move(patterns), std::move(errors));
+        std::move(mixture), std::move(patterns), std::move(errors));
   } else {
-    s->model = std::make_shared<NaiveMixtureModel>(s->encoding);
+    s->model = std::make_shared<NaiveMixtureModel>(std::move(mixture));
   }
   return true;
 }
@@ -519,7 +519,6 @@ bool ReadPatternComponents(PayloadReader& in, std::size_t n_features,
                                 empirical, log_size));
   }
   if (!in.ok()) return false;
-  s->encoding = NaiveMixtureEncoding();
   s->model = std::make_shared<PatternMixtureModel>(std::move(components),
                                                    total_log_size);
   return true;
@@ -566,29 +565,26 @@ bool ReadSummaryBytes(std::string_view bytes, PersistedSummary* s,
   s->size = SummarySize();
   s->size.total = bytes.size();
   const std::uint8_t code = in.U8("encoder");
-  if (code == static_cast<std::uint8_t>(EncoderCode::kNaive)) {
-    s->encoder = "naive";
-  } else if (code == static_cast<std::uint8_t>(EncoderCode::kRefined)) {
-    s->encoder = "refined";
-  } else if (code == static_cast<std::uint8_t>(EncoderCode::kPattern)) {
-    s->encoder = "pattern";
-  } else {
+  const bool pattern = code == static_cast<std::uint8_t>(EncoderCode::kPattern);
+  const bool refined = code == static_cast<std::uint8_t>(EncoderCode::kRefined);
+  if (!pattern && !refined &&
+      code != static_cast<std::uint8_t>(EncoderCode::kNaive)) {
     in.Fail("unknown encoder code " + std::to_string(code));
   }
   if (in.ok() && ReadCodebook(in, bytes.size(), &s->vocabulary)) {
     s->size.codebook = in.offset() - 1;
     const std::size_t n_features = s->vocabulary.size();
-    if (s->encoder == "pattern") {
+    if (pattern) {
       ReadPatternComponents(in, n_features, s);
     } else {
-      ReadNaiveFamily(in, n_features, s);
+      ReadNaiveFamily(in, n_features, refined, s);
     }
   }
   if (in.ok() && in.remaining() != 0) in.Fail("trailing bytes");
   if (!in.ok()) return Fail(error, in.error());
   // Each component reader measured one section; the other is the rest.
   const std::size_t body = in.offset() - 1 - s->size.codebook;
-  if (s->encoder == "pattern") {
+  if (pattern) {
     s->size.components = body - s->size.patterns;
   } else {
     s->size.patterns = body - s->size.components;
@@ -680,16 +676,14 @@ bool MergeSummaries(const std::vector<PersistedSummary>& parts,
                     std::size_t max_components, ThreadPool* pool,
                     PersistedSummary* out, std::string* error) {
   if (parts.empty()) return Fail(error, "nothing to merge");
-  // Pooling operates on the naive payload, so every part's encoder must
-  // belong to the mergeable (naive) family — reject e.g. "pattern"
-  // summaries loudly instead of silently merging something else.
+  // Pooling operates on the naive payload, so every part must carry
+  // one — reject e.g. "pattern" summaries loudly instead of silently
+  // merging something else.
   for (const PersistedSummary& part : parts) {
-    const Encoder* encoder = FindEncoder(part.encoder);
-    if (encoder == nullptr) {
-      return Fail(error, "unknown encoder tag in summary: " + part.encoder);
-    }
-    if (!encoder->Mergeable()) {
-      return Fail(error, "summaries produced by encoder '" + part.encoder +
+    LOGR_CHECK_MSG(part.model != nullptr, "merging a summary never read");
+    if (part.model->AsNaiveMixture() == nullptr) {
+      return Fail(error, std::string("summaries produced by encoder '") +
+                             part.model->EncoderName() +
                              "' cannot be merged (no naive payload)");
     }
   }
@@ -704,10 +698,11 @@ bool MergeSummaries(const std::vector<PersistedSummary>& parts,
     for (FeatureId f = 0; f < part.vocabulary.size(); ++f) {
       id_map[f] = out->vocabulary.Intern(part.vocabulary.Get(f));
     }
+    const NaiveMixtureEncoding& mixture = *part.model->AsNaiveMixture();
     std::vector<MixtureComponent> comps;
-    comps.reserve(part.encoding.NumComponents());
-    for (std::size_t c = 0; c < part.encoding.NumComponents(); ++c) {
-      const MixtureComponent& comp = part.encoding.Component(c);
+    comps.reserve(mixture.NumComponents());
+    for (std::size_t c = 0; c < mixture.NumComponents(); ++c) {
+      const MixtureComponent& comp = mixture.Component(c);
       std::vector<FeatureId> features;
       features.reserve(comp.encoding.features().size());
       for (FeatureId f : comp.encoding.features()) {
@@ -732,11 +727,9 @@ bool MergeSummaries(const std::vector<PersistedSummary>& parts,
   if (max_components > 0 && merged.NumComponents() > max_components) {
     merged = merged.Reconcile(max_components, pool);
   }
-  out->encoding = std::move(merged);
   // Patterns are log-dependent and cannot be re-ranked offline, so the
   // merge result is always a plain naive summary.
-  out->encoder = "naive";
-  out->model = std::make_shared<NaiveMixtureModel>(out->encoding);
+  out->model = std::make_shared<NaiveMixtureModel>(std::move(merged));
   return true;
 }
 

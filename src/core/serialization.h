@@ -101,19 +101,14 @@ struct SummarySize {
   std::size_t patterns = 0;    // refined patterns, or pattern entries
 };
 
-/// A loaded summary: the codebook, the naive-family payload, and the
-/// analytics facade built over it. The original log is not needed to
-/// answer statistic queries — consumers go through `model`.
+/// A loaded summary: the codebook and the analytics facade over the
+/// payload. The original log is not needed to answer statistic queries
+/// — consumers go through `model`. The encoder tag is
+/// model->EncoderName(); the naive payload the merge machinery
+/// operates on is model->AsNaiveMixture() (null for "pattern").
 struct PersistedSummary {
   Vocabulary vocabulary;
-  /// Encoder tag: "naive", "refined" or "pattern".
-  std::string encoder = "naive";
-  /// The naive mixture payload (what the merge machinery operates on).
-  /// Empty for "pattern" summaries, which have no naive payload — the
-  /// merge machinery rejects them up front via Encoder::Mergeable().
-  NaiveMixtureEncoding encoding;
-  /// The analytics facade over the payload; never null after a
-  /// successful ReadSummary.
+  /// Never null after a successful ReadSummary.
   std::shared_ptr<const WorkloadModel> model;
   /// Filled by ReadSummary.
   SummarySize size;
@@ -150,9 +145,9 @@ bool ReadSummaryFile(const std::string& path, PersistedSummary* summary,
 /// exceeds it — reconciles down with NaiveMixtureEncoding::Reconcile
 /// (backend-free; runs across `pool`, nullptr = serial, with the same
 /// bits for any pool). `max_components` == 0 keeps every pooled
-/// component. Returns false (and fills `error`) on empty input, an
-/// unknown encoder tag, or a part whose encoder is not mergeable
-/// ("pattern" summaries cannot be pooled). Refined parts merge through
+/// component. Returns false (and fills `error`) on empty input or a
+/// part without a naive payload ("pattern" summaries cannot be
+/// pooled). Refined parts merge through
 /// their naive payload; the output is always tagged "naive" because
 /// patterns are log-dependent and cannot be re-ranked offline.
 /// Component order in the result is canonical, so the merge is

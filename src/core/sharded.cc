@@ -26,15 +26,22 @@ std::uint64_t StableVectorHash(const FeatureId* ids, std::size_t len) {
   return h;
 }
 
-/// Degenerate pool for the per-shard pipelines: the shard loop already
-/// occupies the shared pool's workers, and a pooled ParallelFor is
-/// not reentrant from inside a worker.
-ThreadPool* SerialPool() {
-  static ThreadPool* pool = new ThreadPool(0);
-  return pool;
-}
-
 }  // namespace
+
+LogRSummary CompressShard(const LogView& shard, const LogROptions& opts,
+                          std::size_t shard_k) {
+  // Leaked like ThreadPool::Shared(). With no threads every ParallelFor
+  // runs inline; a pooled one is not reentrant from the shard loop's
+  // workers.
+  static ThreadPool* const serial = new ThreadPool(0);
+  LogROptions shard_opts;
+  shard_opts.method = opts.method;
+  shard_opts.seed = opts.seed;
+  shard_opts.n_init = opts.n_init;
+  shard_opts.num_clusters = shard_k;
+  shard_opts.pool = serial;
+  return Compress(shard, shard_opts);
+}
 
 std::size_t ClustersPerShard(std::size_t num_clusters,
                              std::size_t num_shards) {
@@ -75,16 +82,16 @@ LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
   LOGR_CHECK(log.NumDistinct() > 0);
   LOGR_CHECK(opts.num_shards >= 1);
   Stopwatch timer;
-  // Concurrent shard pipelines overlap in the process-wide counter, so
+  // Concurrent shard fits overlap in the process-wide counter, so
   // the run reports one delta rather than a sum of per-shard deltas.
   const std::uint64_t builds_at_start = PackedVecPool::BuildCount();
   const std::vector<std::vector<std::size_t>> shards =
       PartitionIndices(log, opts.num_shards, opts.shard_policy);
   const std::size_t S = shards.size();
 
-  // Each shard pipeline reads through a zero-copy subview of the input
+  // Each shard fit reads through a zero-copy subview of the input
   // (mmap or heap alike) — no per-shard QueryLog materialization. The
-  // subviews borrow `shards`, which outlives the pipeline loop below.
+  // subviews borrow `shards`, which outlives the shard loop below.
   std::vector<LogView> shard_views;
   shard_views.reserve(S);
   for (const std::vector<std::size_t>& indices : shards) {
@@ -102,18 +109,13 @@ LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
                  "(shard mixtures are pooled through the naive merge); "
                  "compress monolithically or pick naive/refined");
 
-  LogROptions shard_opts = opts;
-  shard_opts.num_shards = 1;
-  shard_opts.pool = SerialPool();
-  shard_opts.encoder = "naive";  // shards merge through the naive family
-  shard_opts.num_clusters = ClustersPerShard(opts.num_clusters, S);
-
-  // One pipeline per shard, each writing only its own slot: the schedule
+  // One fit per shard, each writing only its own slot: the schedule
   // never affects the result, so any thread count gives the same bits.
+  const std::size_t shard_k = ClustersPerShard(opts.num_clusters, S);
   ThreadPool* pool = opts.pool ? opts.pool : ThreadPool::Shared();
   std::vector<LogRSummary> results(S);
   ParallelFor(pool, 0, S, kCoarseGrain, [&](std::size_t s) {
-    results[s] = CompressionPipeline(shard_views[s], shard_opts).RunFixedK();
+    results[s] = CompressShard(shard_views[s], opts, shard_k);
   });
 
   // Pool the per-shard mixtures with members remapped to global distinct

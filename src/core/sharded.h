@@ -1,10 +1,10 @@
-// Sharded compression: partition → per-shard pipelines → mixture
+// Sharded compression: partition → per-shard fits → mixture
 // merge/reconcile.
 //
-// The paper's target workloads are far larger than one pipeline pass
+// The paper's target workloads are far larger than one compression pass
 // wants to hold (the bank log alone is 73M operations, Sec. 7).
 // CompressSharded splits a log's distinct vectors into S shards,
-// runs one CompressionPipeline per shard across the thread pool, then
+// fits each shard with CompressShard across the thread pool, then
 // merges the per-shard mixtures (NaiveMixtureEncoding::Merge) and
 // reconciles the pooled components back down to the requested K
 // (NaiveMixtureEncoding::Reconcile) by nearest-component-chain
@@ -12,7 +12,7 @@
 //
 // Determinism contract: both shard policies assign each distinct vector
 // to exactly one shard from the data alone (never from thread timing),
-// every shard pipeline runs with a serial inner pool into its own
+// every shard fit runs with a serial inner pool into its own
 // result slot, and the merge orders components canonically — so the
 // output is bit-identical for any thread count and any shard order.
 // Because shards partition the distinct vectors, the merge itself is
@@ -23,13 +23,13 @@
 
 #include <vector>
 
-#include "core/pipeline.h"
+#include "core/logr_compressor.h"
 #include "workload/log_view.h"
 #include "workload/query_log.h"
 
 namespace logr {
 
-/// Partition → per-shard pipelines → merge → reconcile → (refine).
+/// Partition → per-shard fits → merge → reconcile → (refine).
 /// Shard count and policy come from `opts` (num_shards, shard_policy);
 /// each shard is compressed to ClustersPerShard components and the
 /// merged pool is reconciled back to opts.num_clusters. The summary has
@@ -39,6 +39,17 @@ namespace logr {
 /// summed across shards; pool_builds counted over the whole run).
 /// Compress() routes here when opts.num_shards > 1.
 LogRSummary CompressSharded(const LogView& log, const LogROptions& opts);
+
+/// One shard's fit, shared by CompressSharded and distributed workers
+/// (core/distributed.h) so both merge the same mixtures: a single-shard
+/// Compress of `shard` into `shard_k` clusters with opts' method, seed
+/// and n_init, the naive encoder (shards merge through the naive
+/// family) and a pool with no threads. The thread-free pool lets the
+/// fit run inside a shard loop that already occupies the shared pool's
+/// workers, and is fork-safe: a forked worker never waits on threads
+/// that did not survive the fork.
+LogRSummary CompressShard(const LogView& shard, const LogROptions& opts,
+                          std::size_t shard_k);
 
 /// Effective per-shard cluster count: `num_clusters` for a single
 /// shard (so S = 1 reproduces the monolithic fit bit for bit), 2× that

@@ -48,7 +48,7 @@ std::string HandleInfo(const ServedSummary& s) {
   const WorkloadModel& m = *s.summary.model;
   std::ostringstream os;
   os.precision(17);
-  os << "ok encoder=" << s.summary.encoder << " features="
+  os << "ok encoder=" << m.EncoderName() << " features="
      << s.summary.vocabulary.size() << " clusters=" << m.NumComponents()
      << " queries=" << m.LogSize() << " error=" << m.Error()
      << " verbosity=" << m.TotalVerbosity() << " generation="

@@ -59,12 +59,12 @@ void LowercaseSelect(SelectStmt* s) {
 }
 
 void AnonymizeExpr(Expr* e);
-void AnonymizeSelect(SelectStmt* s, bool keep_limit);
+void AnonymizeSelect(SelectStmt* s);
 
-void AnonymizeTableRef(TableRef* t, bool keep_limit) {
-  if (t->derived) AnonymizeSelect(t->derived.get(), keep_limit);
-  if (t->left) AnonymizeTableRef(t->left.get(), keep_limit);
-  if (t->right) AnonymizeTableRef(t->right.get(), keep_limit);
+void AnonymizeTableRef(TableRef* t) {
+  if (t->derived) AnonymizeSelect(t->derived.get());
+  if (t->left) AnonymizeTableRef(t->left.get());
+  if (t->right) AnonymizeTableRef(t->right.get());
   if (t->join_condition) AnonymizeExpr(t->join_condition.get());
 }
 
@@ -76,20 +76,17 @@ void AnonymizeExpr(Expr* e) {
   for (auto& c : e->children) {
     if (c) AnonymizeExpr(c.get());
   }
-  if (e->subquery) AnonymizeSelect(e->subquery.get(), /*keep_limit=*/true);
+  if (e->subquery) AnonymizeSelect(e->subquery.get());
 }
 
-void AnonymizeSelect(SelectStmt* s, bool keep_limit) {
+/// LIMIT / OFFSET constants are kept.
+void AnonymizeSelect(SelectStmt* s) {
   for (auto& item : s->items) AnonymizeExpr(item.expr.get());
-  for (auto& t : s->from) AnonymizeTableRef(t.get(), keep_limit);
+  for (auto& t : s->from) AnonymizeTableRef(t.get());
   if (s->where) AnonymizeExpr(s->where.get());
   for (auto& g : s->group_by) AnonymizeExpr(g.get());
   if (s->having) AnonymizeExpr(s->having.get());
   for (auto& o : s->order_by) AnonymizeExpr(o.expr.get());
-  if (!keep_limit) {
-    if (s->limit) AnonymizeExpr(s->limit.get());
-    if (s->offset) AnonymizeExpr(s->offset.get());
-  }
 }
 
 BinaryOp InvertComparison(BinaryOp op) {
@@ -202,24 +199,23 @@ ExprPtr NormalizeNeg(ExprPtr e, bool negate) {
 }
 
 // DNF expansion. Each inner vector is one conjunct list (a disjunct of the
-// DNF). Returns false if the expansion exceeds `cap`.
-bool ToDnf(const Expr& e, std::size_t cap,
-           std::vector<std::vector<const Expr*>>* out) {
+// DNF). Returns false if the expansion exceeds kMaxDnfDisjuncts.
+bool ToDnf(const Expr& e, std::vector<std::vector<const Expr*>>* out) {
   if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kOr) {
     std::vector<std::vector<const Expr*>> l, r;
-    if (!ToDnf(*e.children[0], cap, &l)) return false;
-    if (!ToDnf(*e.children[1], cap, &r)) return false;
+    if (!ToDnf(*e.children[0], &l)) return false;
+    if (!ToDnf(*e.children[1], &r)) return false;
     out->clear();
     out->reserve(l.size() + r.size());
     for (auto& d : l) out->push_back(std::move(d));
     for (auto& d : r) out->push_back(std::move(d));
-    return out->size() <= cap;
+    return out->size() <= kMaxDnfDisjuncts;
   }
   if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kAnd) {
     std::vector<std::vector<const Expr*>> l, r;
-    if (!ToDnf(*e.children[0], cap, &l)) return false;
-    if (!ToDnf(*e.children[1], cap, &r)) return false;
-    if (l.size() * r.size() > cap) return false;
+    if (!ToDnf(*e.children[0], &l)) return false;
+    if (!ToDnf(*e.children[1], &r)) return false;
+    if (l.size() * r.size() > kMaxDnfDisjuncts) return false;
     out->clear();
     out->reserve(l.size() * r.size());
     for (const auto& dl : l) {
@@ -348,10 +344,8 @@ void LowercaseIdentifiers(Statement* stmt) {
   for (auto& s : stmt->selects) LowercaseSelect(s.get());
 }
 
-void AnonymizeConstants(Statement* stmt, bool keep_limit_constants) {
-  for (auto& s : stmt->selects) {
-    AnonymizeSelect(s.get(), keep_limit_constants);
-  }
+void AnonymizeConstants(Statement* stmt) {
+  for (auto& s : stmt->selects) AnonymizeSelect(s.get());
 }
 
 ExprPtr NormalizeBooleanExpr(ExprPtr e) {
@@ -370,9 +364,7 @@ StatementPtr Regularize(StatementPtr work, const RegularizeOptions& opts,
   // is read before `work` is rewritten.
   if (info) info->conjunctive = IsConjunctive(*work);
   LowercaseIdentifiers(work.get());
-  if (opts.anonymize_constants) {
-    AnonymizeConstants(work.get(), opts.keep_limit_constants);
-  }
+  if (opts.anonymize_constants) AnonymizeConstants(work.get());
 
   auto out = std::make_unique<Statement>();
   out->union_all = work->union_all;
@@ -394,7 +386,7 @@ StatementPtr Regularize(StatementPtr work, const RegularizeOptions& opts,
       continue;
     }
     std::vector<std::vector<const Expr*>> dnf;
-    if (!ToDnf(*select->where, opts.max_dnf_disjuncts, &dnf)) {
+    if (!ToDnf(*select->where, &dnf)) {
       all_rewritable = false;
       out->selects.push_back(std::move(select));
       continue;

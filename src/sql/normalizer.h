@@ -26,14 +26,14 @@
 
 namespace logr::sql {
 
+/// Maximum number of DNF disjuncts before giving up on the rewrite.
+inline constexpr std::size_t kMaxDnfDisjuncts = 64;
+
 struct RegularizeOptions {
-  /// Replace literal constants with `?`.
+  /// Replace literal constants with `?`. Integer constants in LIMIT /
+  /// OFFSET are always kept (they carry workload information, cf. the
+  /// "Limit 500" cluster of Fig. 10).
   bool anonymize_constants = true;
-  /// Keep integer constants in LIMIT / OFFSET (they carry workload
-  /// information, cf. the "Limit 500" cluster of Fig. 10).
-  bool keep_limit_constants = true;
-  /// Maximum number of DNF disjuncts before giving up on the rewrite.
-  std::size_t max_dnf_disjuncts = 64;
 };
 
 struct RegularizeInfo {
@@ -55,15 +55,16 @@ bool IsConjunctive(const Statement& stmt);
 /// Lowercases all table / column / function / alias identifiers in place.
 void LowercaseIdentifiers(Statement* stmt);
 
-/// Replaces literals with `?` in place (recursing into subqueries).
-void AnonymizeConstants(Statement* stmt, bool keep_limit_constants);
+/// Replaces literals with `?` in place (recursing into subqueries),
+/// keeping LIMIT / OFFSET constants.
+void AnonymizeConstants(Statement* stmt);
 
 /// Returns an equivalent expression with NOT pushed down to atoms,
 /// BETWEEN split, and IN-lists expanded to equality disjunctions.
 ExprPtr NormalizeBooleanExpr(ExprPtr e);
 
 /// Full regularization pipeline. Never fails: if DNF expansion blows the
-/// cap, the original (normalized) statement is returned with
+/// kMaxDnfDisjuncts cap, the original (normalized) statement is returned with
 /// `info->rewritable == false`. `info` may be null, which also skips the
 /// IsConjunctive walk.
 ///

@@ -144,8 +144,8 @@ class PackedVecPool {
   static std::size_t StorageWords(std::size_t count, std::size_t n_features);
 
   /// Number of pools built process-wide (default-constructed empties
-  /// excluded). Tests assert Compress builds exactly one; the pipeline
-  /// reports it alongside pack_seconds.
+  /// excluded). Tests assert Compress builds exactly one; Compress
+  /// reports the delta as LogRSummary::pool_builds.
   static std::uint64_t BuildCount();
 
  private:

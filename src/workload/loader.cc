@@ -50,7 +50,7 @@ void LogLoader::Flush() const {
     // Secondary pass, on a clone: with-constants statistics (Table 1
     // columns "# Distinct queries" and "# Distinct features").
     if (with_const) {
-      sql::RegularizeOptions keep_consts = opts_.regularize;
+      sql::RegularizeOptions keep_consts;
       keep_consts.anonymize_constants = false;
       sql::StatementPtr constants =
           sql::Regularize(parsed.statement->Clone(), keep_consts, nullptr);
@@ -66,7 +66,7 @@ void LogLoader::Flush() const {
     // Primary pass, consuming the parse: constant-free regularization
     // feeding the QueryLog.
     sql::StatementPtr regular = sql::Regularize(
-        std::move(parsed.statement), opts_.regularize, &p.info);
+        std::move(parsed.statement), sql::RegularizeOptions(), &p.info);
     p.canonical = sql::PrintStatement(*regular);
     // A template folded by an earlier batch already has its features:
     // the fold only needs them for a template it has not seen. Workers

@@ -75,8 +75,6 @@ struct DatasetSummary {
 class LogLoader {
  public:
   struct Options {
-    sql::RegularizeOptions regularize;  // anonymize_constants applies to
-                                        // the *primary* (w/o const) log
     ExtractOptions extract;
     /// Also maintain the with-constants statistics (distinct queries and
     /// features including literal values). Opt in for Table 1: it costs

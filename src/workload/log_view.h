@@ -35,8 +35,8 @@ namespace logr {
 class LogView {
  public:
   /// Unbound view; every accessor is invalid until one of the binding
-  /// constructors replaces it. Exists so owning structs (e.g. the
-  /// pipeline context) can default-construct before binding.
+  /// constructors replaces it. Exists so a caller (e.g. logr_cli, which
+  /// loads text or .logrl) can declare a view before binding it.
   LogView() = default;
   LogView(const QueryLog& log) : log_(&log) {}          // NOLINT(runtime/explicit)
   LogView(const MmapQueryLog& log) : mmap_(&log) {}     // NOLINT(runtime/explicit)

@@ -363,7 +363,7 @@ TEST(DistributedTest, WorkerSpoolsALoadableSummary) {
   PersistedSummary loaded;
   ASSERT_TRUE(ReadSummaryFile(opts.out_path, &loaded, &error)) << error;
   ASSERT_NE(loaded.model, nullptr);
-  EXPECT_EQ(loaded.encoder, "naive");
+  EXPECT_STREQ(loaded.model->EncoderName(), "naive");
   EXPECT_LE(loaded.model->NumComponents(), 4u);
   EXPECT_GT(loaded.model->LogSize(), 0u);
 }

@@ -91,7 +91,8 @@ TEST(IntegrationTest, AdaptiveNeverWorseThanSingleCluster) {
                   o.num_clusters = 1;
                   return o;
                 }()).Model().Error();
-  LogRSummary adaptive = CompressAdaptive(log, 16, opts);
+  opts.num_clusters = 16;
+  LogRSummary adaptive = CompressAdaptive(log, opts);
   EXPECT_LE(adaptive.Model().Error(), base + 1e-9);
   EXPECT_LE(adaptive.Model().NumComponents(), 16u);
 }
@@ -105,7 +106,7 @@ TEST(IntegrationTest, AdaptiveMatchesOrBeatsFlatKMeansOnMixtures) {
   opts.num_clusters = 12;
   opts.encoder = "naive";  // compare naive errors at equal K
   double flat = Compress(log, opts).Model().Error();
-  double adaptive = CompressAdaptive(log, 12, opts).Model().Error();
+  double adaptive = CompressAdaptive(log, opts).Model().Error();
   EXPECT_LT(adaptive, flat * 1.25);
 }
 
@@ -114,7 +115,9 @@ TEST(IntegrationTest, AdaptiveStopsAtZeroError) {
   QueryLog log;
   log.Add(FeatureVec({0, 1, 2}), 100);
   log.Add(FeatureVec({0, 1, 2}), 50);
-  LogRSummary s = CompressAdaptive(log, 8, LogROptions());
+  LogROptions opts;
+  opts.num_clusters = 8;
+  LogRSummary s = CompressAdaptive(log, opts);
   EXPECT_EQ(s.Model().NumComponents(), 1u);
   EXPECT_NEAR(s.Model().Error(), 0.0, 1e-12);
 }

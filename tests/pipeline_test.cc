@@ -1,5 +1,5 @@
-// Tests for the clustering methods, the thread pool, and the staged
-// CompressionPipeline: parallel paths must be bit-identical to serial
+// Tests for the clustering methods, the thread pool, and Compress /
+// CompressAdaptive: parallel paths must be bit-identical to serial
 // ones, and every method name must round-trip and cluster.
 #include <atomic>
 #include <cstdlib>
@@ -209,9 +209,10 @@ TEST(PipelineTest, AdaptiveDeterministicAcrossThreadCounts) {
   QueryLog log = GroupedLog(5, 8, 41);
   auto run = [&](ThreadPool* pool) {
     LogROptions opts;
+    opts.num_clusters = 8;
     opts.seed = 9;
     opts.pool = pool;
-    return CompressAdaptive(log, 8, opts);
+    return CompressAdaptive(log, opts);
   };
   ThreadPool serial(1);
   ThreadPool wide(6);
@@ -219,6 +220,18 @@ TEST(PipelineTest, AdaptiveDeterministicAcrossThreadCounts) {
   LogRSummary b = run(&wide);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_EQ(a.Model().Error(), b.Model().Error());
+}
+
+TEST(PipelineTest, AdaptiveBuildsNoPackedPool) {
+  // Every bisection clusters a subset, which a pool over the whole log
+  // cannot serve, so the adaptive path packs nothing.
+  QueryLog log = GroupedLog(5, 8, 41);
+  LogROptions opts;
+  opts.num_clusters = 8;
+  LogRSummary s = CompressAdaptive(log, opts);
+  EXPECT_GT(s.Model().NumComponents(), 1u);
+  EXPECT_EQ(s.pool_builds, 0u);
+  EXPECT_EQ(s.pack_seconds, 0.0);
 }
 
 TEST(PipelineTest, StageTimingsAreOrdered) {

@@ -69,6 +69,10 @@ const NaiveMixtureEncoding& Mix(const LogRSummary& s) {
   return *s.Model().AsNaiveMixture();
 }
 
+const NaiveMixtureEncoding& Mix(const PersistedSummary& s) {
+  return *s.model->AsNaiveMixture();
+}
+
 std::vector<ComponentKey> SortedKeys(const NaiveMixtureEncoding& e) {
   std::vector<ComponentKey> keys;
   keys.reserve(e.NumComponents());
@@ -298,14 +302,14 @@ TEST(ShardedTest, OfflineSummaryMergeMatchesInProcessSharding) {
   sharded_opts.num_shards = 3;
   LogRSummary in_process = CompressSharded(log, sharded_opts);
 
-  ASSERT_EQ(merged.encoding.NumComponents(),
+  ASSERT_EQ(Mix(merged).NumComponents(),
             Mix(in_process).NumComponents());
-  for (std::size_t c = 0; c < merged.encoding.NumComponents(); ++c) {
-    EXPECT_EQ(ComponentKey::Of(merged.encoding.Component(c)),
+  for (std::size_t c = 0; c < Mix(merged).NumComponents(); ++c) {
+    EXPECT_EQ(ComponentKey::Of(Mix(merged).Component(c)),
               ComponentKey::Of(Mix(in_process).Component(c)))
         << "component " << c;
   }
-  EXPECT_EQ(merged.encoding.Error(), Mix(in_process).Error());
+  EXPECT_EQ(Mix(merged).Error(), Mix(in_process).Error());
   EXPECT_EQ(merged.vocabulary.size(), log.vocabulary().size());
 }
 
@@ -335,7 +339,7 @@ TEST(ShardedTest, MergeSummariesUnionsDistinctVocabularies) {
   PersistedSummary merged;
   ASSERT_TRUE(MergeSummaries(parts, 0, opts.pool, &merged, &error)) << error;
   EXPECT_EQ(merged.vocabulary.size(), 3u);
-  EXPECT_EQ(merged.encoding.LogSize(), 40u);
+  EXPECT_EQ(Mix(merged).LogSize(), 40u);
 
   // "FROM messages" occurred in all 40 queries of the merged week. The
   // loaded facade answers identically to the payload.
@@ -377,10 +381,10 @@ TEST(ShardedTest, MergingOverlappingSummariesKeepsErrorNonNegative) {
   }
   PersistedSummary merged;
   ASSERT_TRUE(MergeSummaries(parts, 1, opts.pool, &merged, &error)) << error;
-  EXPECT_EQ(merged.encoding.LogSize(), 30u);
-  EXPECT_GE(merged.encoding.Error(), 0.0);
+  EXPECT_EQ(Mix(merged).LogSize(), 30u);
+  EXPECT_GE(Mix(merged).Error(), 0.0);
   // Marginal estimates are exact regardless of the overlap.
-  EXPECT_NEAR(merged.encoding.EstimateMarginal(FeatureVec({0})), 10.0 / 15.0,
+  EXPECT_NEAR(Mix(merged).EstimateMarginal(FeatureVec({0})), 10.0 / 15.0,
               1e-12);
 }
 
@@ -468,12 +472,6 @@ TEST(ShardedTest, MergeSummariesRejectsBadInput) {
   std::string error;
   EXPECT_FALSE(MergeSummaries({}, 0, nullptr, &out, &error));
   EXPECT_FALSE(error.empty());
-  // Unknown and non-mergeable encoder tags are rejected loudly.
-  std::vector<PersistedSummary> one(1);
-  one[0].encoder = "no-such-encoder";
-  EXPECT_FALSE(MergeSummaries(one, 0, nullptr, &out, &error));
-  one[0].encoder = "pattern";
-  EXPECT_FALSE(MergeSummaries(one, 0, nullptr, &out, &error));
 }
 
 }  // namespace

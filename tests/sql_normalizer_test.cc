@@ -13,11 +13,11 @@ StatementPtr ParseOk(std::string_view s) {
 }
 
 std::string RegularizedText(std::string_view sql,
-                            RegularizeInfo* info = nullptr,
-                            RegularizeOptions opts = {}) {
+                            RegularizeInfo* info = nullptr) {
   auto stmt = ParseOk(sql);
   RegularizeInfo local;
-  StatementPtr out = Regularize(*stmt, opts, info ? info : &local);
+  StatementPtr out =
+      Regularize(*stmt, RegularizeOptions(), info ? info : &local);
   return PrintStatement(*out);
 }
 
@@ -34,11 +34,6 @@ TEST(NormalizerTest, AnonymizesConstants) {
 TEST(NormalizerTest, KeepsLimitConstantsByDefault) {
   EXPECT_EQ(RegularizedText("SELECT a FROM t WHERE x = 5 LIMIT 10"),
             "SELECT a FROM t WHERE x = ? LIMIT 10");
-  RegularizeOptions opts;
-  opts.keep_limit_constants = false;
-  EXPECT_EQ(RegularizedText("SELECT a FROM t WHERE x = 5 LIMIT 10",
-                            nullptr, opts),
-            "SELECT a FROM t WHERE x = ? LIMIT ?");
 }
 
 TEST(NormalizerTest, PushesNotThroughComparisons) {
@@ -146,9 +141,7 @@ TEST(NormalizerTest, DnfCapMarksUnrewritable) {
   }
   auto stmt = ParseOk(sql);
   RegularizeInfo info;
-  RegularizeOptions opts;
-  opts.max_dnf_disjuncts = 64;
-  Regularize(*stmt, opts, &info);
+  Regularize(*stmt, RegularizeOptions(), &info);
   EXPECT_FALSE(info.rewritable);
 }
 
