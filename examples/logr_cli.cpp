@@ -258,23 +258,25 @@ int RunCompress(const Command& self, int argc, char** argv) {
   }
   opts.refine_patterns = refine.value_or(0);
   if (!ResolveShardPolicyArg(policy, &opts.shard_policy)) return 2;
-  const Encoder* encoder = FindEncoder(opts.encoder);
-  if (encoder == nullptr) {
-    PrintUnknown("encoder", opts.encoder, {"naive", "refined", "pattern"});
+  Encoder encoder = Encoder::kNaive;
+  if (!ParseEncoder(opts.encoder, &encoder)) {
+    PrintUnknown("encoder", opts.encoder,
+                 {EncoderName(Encoder::kNaive), EncoderName(Encoder::kRefined),
+                  EncoderName(Encoder::kPattern)});
     return 2;
   }
-  if (refine && std::string(encoder->Name()) != "refined") {
+  if (refine && encoder != Encoder::kRefined) {
     std::fprintf(stderr,
                  "--refine-patterns applies only to --encoder refined "
                  "(the encoder is %s)\n",
-                 encoder->Name());
+                 EncoderName(encoder));
     return 2;
   }
-  if (opts.num_shards > 1 && !encoder->Mergeable()) {
+  if (opts.num_shards > 1 && !Mergeable(encoder)) {
     std::fprintf(stderr,
                  "--shards requires a mergeable encoder (naive, refined); "
                  "%s summaries cannot be pooled\n",
-                 encoder->Name());
+                 EncoderName(encoder));
     return 2;
   }
   const bool adaptive = method == "adaptive";

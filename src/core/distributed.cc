@@ -1,5 +1,8 @@
 #include "core/distributed.h"
 
+#include <signal.h>
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -17,13 +20,6 @@
 #include "util/stopwatch.h"
 #include "util/subprocess.h"
 #include "workload/binary_log.h"
-
-#if !defined(_WIN32)
-#include <signal.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-#endif
 
 namespace logr {
 
@@ -45,11 +41,7 @@ void MaybeCrashForTest(std::size_t shard_index, int attempt) {
   std::uint64_t index = 0;
   if (!ParseUint64(env, 0, UINT64_MAX, &index)) return;
   if (index != shard_index) return;
-#if !defined(_WIN32)
   ::raise(SIGKILL);
-#else
-  std::abort();
-#endif
 }
 
 std::string Basename(const std::string& path) {
@@ -74,7 +66,6 @@ std::string SummaryPathFor(const std::string& spool_dir,
 }  // namespace
 
 bool EnsureDirectory(const std::string& dir, std::string* error) {
-#if !defined(_WIN32)
   std::string partial;
   std::size_t pos = 0;
   while (pos <= dir.size()) {
@@ -87,10 +78,6 @@ bool EnsureDirectory(const std::string& dir, std::string* error) {
     }
   }
   return true;
-#else
-  (void)dir;
-  return Fail(error, "directory creation needs a POSIX filesystem");
-#endif
 }
 
 DatasetSummary LogStatistics(const QueryLog& log, std::string name) {
@@ -208,9 +195,6 @@ bool CompressDistributed(const std::vector<std::string>& shard_paths,
   if (n == 0) return Fail(error, "no shard files to scatter");
   if (opts.spool_dir.empty()) return Fail(error, "spool_dir is required");
   if (opts.num_workers == 0) return Fail(error, "num_workers must be >= 1");
-  if (!opts.worker_command.empty() && !SubprocessSupported()) {
-    return Fail(error, "worker processes are unsupported on this platform");
-  }
   if (!EnsureDirectory(opts.spool_dir, error)) return false;
 
   out->shards.resize(n);

@@ -113,7 +113,7 @@ struct DistributedResult {
 
 /// What one worker does: mmap-open `shard_path` (.logrl), compress it
 /// zero-copy with the naive encoder at `num_clusters`, and atomically
-/// write the v2 summary to `out_path`. The coordinator builds these
+/// write its summary (v4) to `out_path`. The coordinator builds these
 /// from DistributedOptions; the CLI's hidden `worker` subcommand parses
 /// them back off argv (see WorkerArgv / ParseWorkerArgv).
 struct DistributedWorkerOptions {

@@ -14,15 +14,14 @@ namespace logr {
 
 namespace {
 
-/// Per-component budget the "refined" encoder uses when the request
-/// leaves refine_patterns at 0 (an explicitly selected refined encoder
-/// should refine, not silently degenerate to naive).
+/// Per-component budget RefineMixture uses for a budget of 0 (an
+/// explicitly selected refined encoder should refine, not silently
+/// degenerate to naive).
 constexpr std::size_t kDefaultRefinePatterns = 4;
 
-/// Per-component pattern count the "pattern" encoder uses when the
-/// request leaves pattern_budget at 0. 2^budget lattice classes are
-/// materialized per component, so the default stays well under
-/// PatternEncoding::kMaxPatterns.
+/// Per-component pattern count EncodePatterns uses for a budget of 0.
+/// 2^budget lattice classes are materialized per component, so the
+/// default stays well under PatternEncoding::kMaxPatterns.
 constexpr std::size_t kDefaultPatternBudget = 8;
 
 /// Practical per-component ceiling for the "pattern" encoder (shared
@@ -33,13 +32,6 @@ constexpr std::size_t kMaxEncoderPatterns =
 /// Apriori candidate cap the refined miner passes as max_results: no
 /// component can retain more patterns than the miner ever surfaces.
 constexpr std::size_t kRefineCandidateCap = 256;
-
-/// The request's worker pool: nullptr selects ThreadPool::Shared(), as
-/// EncodeRequest documents (the lower-level FromPartition,
-/// RefineMixture and ParallelFor read nullptr as serial).
-ThreadPool* PoolFor(const EncodeRequest& req) {
-  return req.pool ? req.pool : ThreadPool::Shared();
-}
 
 /// Member index lists per component of a [0, k) assignment.
 std::vector<std::vector<std::size_t>> MembersByComponent(
@@ -89,152 +81,77 @@ std::vector<FeatureVec> SelectRefinementPatterns(const QueryLog& sublog,
   return extra;
 }
 
-// ----------------------------------------------------------------- naive
-
-class NaiveEncoder : public Encoder {
- public:
-  const char* Name() const override { return "naive"; }
-  bool Mergeable() const override { return true; }
-
-  std::shared_ptr<const WorkloadModel> Encode(
-      const LogView& log, const std::vector<int>& assignment,
-      const EncodeRequest& req) const override {
-    return std::make_shared<NaiveMixtureModel>(
-        NaiveMixtureEncoding::FromPartition(log, assignment, req.k,
-                                            PoolFor(req)));
+/// Top-`budget` frequent itemsets of the component (singletons
+/// included: they are the pattern-encoding analogue of naive
+/// marginals). Deterministic: the miner orders by support desc, size
+/// desc, then lexicographically.
+std::vector<FeatureVec> SelectPatterns(const QueryLog& sublog,
+                                       std::size_t budget) {
+  std::vector<double> row_weights;
+  row_weights.reserve(sublog.NumDistinct());
+  for (std::size_t i = 0; i < sublog.NumDistinct(); ++i) {
+    row_weights.push_back(static_cast<double>(sublog.Multiplicity(i)));
   }
-
-  std::shared_ptr<const WorkloadModel> WrapMixture(
-      const LogView& /*log*/, NaiveMixtureEncoding mixture,
-      const EncodeRequest& /*req*/) const override {
-    return std::make_shared<NaiveMixtureModel>(std::move(mixture));
+  AprioriOptions mine;
+  mine.min_size = 1;
+  mine.max_size = 4;
+  mine.min_support = 0.05;
+  mine.max_results = std::max<std::size_t>(4 * budget, 32);
+  std::vector<FeatureVec> patterns;
+  for (FrequentItemset& fi : MineFrequentItemsets(
+           sublog.DistinctVectors(), row_weights, mine)) {
+    if (patterns.size() >= budget) break;
+    patterns.push_back(std::move(fi.items));
   }
-};
-
-// --------------------------------------------------------------- refined
-
-class RefinedEncoder : public Encoder {
- public:
-  const char* Name() const override { return "refined"; }
-  bool Mergeable() const override { return true; }
-
-  std::shared_ptr<const WorkloadModel> Encode(
-      const LogView& log, const std::vector<int>& assignment,
-      const EncodeRequest& req) const override {
-    return WrapMixture(log,
-                       NaiveMixtureEncoding::FromPartition(log, assignment,
-                                                           req.k,
-                                                           PoolFor(req)),
-                       req);
-  }
-
-  std::shared_ptr<const WorkloadModel> WrapMixture(
-      const LogView& log, NaiveMixtureEncoding mixture,
-      const EncodeRequest& req) const override {
-    const std::size_t budget =
-        req.refine_patterns > 0 ? req.refine_patterns : kDefaultRefinePatterns;
-    return RefineMixture(log, std::move(mixture), budget, PoolFor(req));
-  }
-};
-
-// --------------------------------------------------------------- pattern
-
-class PatternEncoder : public Encoder {
- public:
-  const char* Name() const override { return "pattern"; }
-
-  std::shared_ptr<const WorkloadModel> Encode(
-      const LogView& log, const std::vector<int>& assignment,
-      const EncodeRequest& req) const override {
-    // Selection is capped below the lattice-materialization ceiling:
-    // PatternEncoding hard-errors above kMaxPatterns, and fit cost is
-    // exponential in the pattern count, so the encoder clamps
-    // over-budget requests instead of aborting (or crawling).
-    static_assert(kMaxEncoderPatterns <= PatternEncoding::kMaxPatterns,
-                  "encoder ceiling must respect the lattice hard cap");
-    const std::size_t budget = std::min(
-        req.pattern_budget > 0 ? req.pattern_budget : kDefaultPatternBudget,
-        kMaxEncoderPatterns);
-    const std::vector<std::vector<std::size_t>> members =
-        MembersByComponent(assignment, req.k);
-    const double total = static_cast<double>(log.TotalQueries());
-
-    // Component fits are independent (each mines and scales only its own
-    // sub-log), so they fan out across the request's pool into disjoint
-    // index-addressed slots — bit-identical for any thread count. The
-    // slots hold pointers because PatternEncoding has no empty state to
-    // pre-size a vector with.
-    std::vector<std::unique_ptr<PatternMixtureModel::Component>> fitted(
-        req.k);
-    auto fit_component = [&](std::size_t c) {
-      // Per-component mining needs an owning sub-log either way; the
-      // full log itself is never materialized.
-      QueryLog sublog = log.MaterializeSubset(members[c]);
-      const double weight =
-          total > 0.0 ? static_cast<double>(sublog.TotalQueries()) / total
-                      : 0.0;
-      fitted[c] = std::make_unique<PatternMixtureModel::Component>(
-          weight, PatternEncoding(sublog, SelectPatterns(sublog, budget)));
-    };
-    ParallelFor(PoolFor(req), 0, req.k, kCoarseGrain, fit_component);
-    std::vector<PatternMixtureModel::Component> components;
-    components.reserve(req.k);
-    for (std::size_t c = 0; c < req.k; ++c) {
-      components.push_back(std::move(*fitted[c]));
+  if (!patterns.empty() || sublog.TotalQueries() == 0) return patterns;
+  // Extremely diffuse component: nothing reaches 5% support. Fall back
+  // to the highest-mass single features so the encoding is never empty.
+  std::map<FeatureId, double> mass;
+  for (std::size_t i = 0; i < sublog.NumDistinct(); ++i) {
+    for (FeatureId f : sublog.Vector(i).ids) {
+      mass[f] += static_cast<double>(sublog.Multiplicity(i));
     }
-    return std::make_shared<PatternMixtureModel>(std::move(components),
-                                                 log.TotalQueries());
   }
-
- private:
-  /// Top-`budget` frequent itemsets of the component (singletons
-  /// included: they are the pattern-encoding analogue of naive
-  /// marginals). Deterministic: the miner orders by support desc, size
-  /// desc, then lexicographically.
-  static std::vector<FeatureVec> SelectPatterns(const QueryLog& sublog,
-                                                std::size_t budget) {
-    std::vector<double> row_weights;
-    row_weights.reserve(sublog.NumDistinct());
-    for (std::size_t i = 0; i < sublog.NumDistinct(); ++i) {
-      row_weights.push_back(static_cast<double>(sublog.Multiplicity(i)));
-    }
-    AprioriOptions mine;
-    mine.min_size = 1;
-    mine.max_size = 4;
-    mine.min_support = 0.05;
-    mine.max_results = std::max<std::size_t>(4 * budget, 32);
-    std::vector<FeatureVec> patterns;
-    for (FrequentItemset& fi : MineFrequentItemsets(
-             sublog.DistinctVectors(), row_weights, mine)) {
-      if (patterns.size() >= budget) break;
-      patterns.push_back(std::move(fi.items));
-    }
-    if (!patterns.empty() || sublog.TotalQueries() == 0) return patterns;
-    // Extremely diffuse component: nothing reaches 5% support. Fall back
-    // to the highest-mass single features so the encoding is never empty.
-    std::map<FeatureId, double> mass;
-    for (std::size_t i = 0; i < sublog.NumDistinct(); ++i) {
-      for (FeatureId f : sublog.Vector(i).ids) {
-        mass[f] += static_cast<double>(sublog.Multiplicity(i));
-      }
-    }
-    std::vector<std::pair<double, FeatureId>> ranked;
-    ranked.reserve(mass.size());
-    for (const auto& [f, m] : mass) ranked.emplace_back(m, f);
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first > b.first;
-                return a.second < b.second;
-              });
-    for (const auto& [m, f] : ranked) {
-      if (patterns.size() >= budget) break;
-      patterns.push_back(FeatureVec({f}));
-    }
-    return patterns;
+  std::vector<std::pair<double, FeatureId>> ranked;
+  ranked.reserve(mass.size());
+  for (const auto& [f, m] : mass) ranked.emplace_back(m, f);
+  std::sort(ranked.begin(), ranked.end(),
+            [](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;
+            });
+  for (const auto& [m, f] : ranked) {
+    if (patterns.size() >= budget) break;
+    patterns.push_back(FeatureVec({f}));
   }
-};
+  return patterns;
+}
 
 }  // namespace
+
+// --------------------------------------------------------------- Encoder
+
+const char* EncoderName(Encoder e) {
+  switch (e) {
+    case Encoder::kNaive: return "naive";
+    case Encoder::kRefined: return "refined";
+    case Encoder::kPattern: return "pattern";
+  }
+  return "?";
+}
+
+bool ParseEncoder(const std::string& name, Encoder* out) {
+  LOGR_CHECK(out != nullptr);
+  for (Encoder e : {Encoder::kNaive, Encoder::kRefined, Encoder::kPattern}) {
+    if (name == EncoderName(e)) {
+      *out = e;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Mergeable(Encoder e) { return e != Encoder::kPattern; }
 
 // ----------------------------------------------------- NaiveMixtureModel
 
@@ -300,6 +217,7 @@ std::vector<FeatureVec> RefinedMixtureModel::ComponentPatterns(
 std::shared_ptr<const RefinedMixtureModel> RefineMixture(
     const LogView& log, NaiveMixtureEncoding mixture, std::size_t budget,
     ThreadPool* pool) {
+  if (budget == 0) budget = kDefaultRefinePatterns;
   std::vector<std::vector<FeatureVec>> retained(mixture.NumComponents());
   std::vector<double> errors(mixture.NumComponents(), 0.0);
   // Every component is an independent mine + rank + max-ent fit writing
@@ -310,9 +228,7 @@ std::shared_ptr<const RefinedMixtureModel> RefineMixture(
     const MixtureComponent& comp = mixture.Component(c);
     const double naive_err = comp.encoding.ReproductionError();
     errors[c] = naive_err;
-    if (comp.members.size() < 2 || naive_err <= 1e-12 || budget == 0) {
-      return;
-    }
+    if (comp.members.size() < 2 || naive_err <= 1e-12) return;
     QueryLog sublog = log.MaterializeSubset(comp.members);
     std::vector<FeatureVec> extra =
         SelectRefinementPatterns(sublog, comp.encoding, budget);
@@ -329,25 +245,47 @@ std::shared_ptr<const RefinedMixtureModel> RefineMixture(
       std::move(mixture), std::move(retained), std::move(errors));
 }
 
-// ------------------------------------------------------------ base class
+// ---------------------------------------------------------- EncodePatterns
 
-std::shared_ptr<const WorkloadModel> Encoder::WrapMixture(
-    const LogView& /*log*/, NaiveMixtureEncoding /*mixture*/,
-    const EncodeRequest& /*req*/) const {
-  LOGR_CHECK_MSG(false, Name());  // non-mergeable encoder cannot wrap
-  return nullptr;
-}
+std::shared_ptr<const WorkloadModel> EncodePatterns(
+    const LogView& log, const std::vector<int>& assignment, std::size_t k,
+    std::size_t budget, ThreadPool* pool) {
+  // Selection is capped below the lattice-materialization ceiling:
+  // PatternEncoding hard-errors above kMaxPatterns, and fit cost is
+  // exponential in the pattern count, so the encoder clamps over-budget
+  // requests instead of aborting (or crawling).
+  static_assert(kMaxEncoderPatterns <= PatternEncoding::kMaxPatterns,
+                "encoder ceiling must respect the lattice hard cap");
+  budget = std::min(budget > 0 ? budget : kDefaultPatternBudget,
+                    kMaxEncoderPatterns);
+  const std::vector<std::vector<std::size_t>> members =
+      MembersByComponent(assignment, k);
+  const double total = static_cast<double>(log.TotalQueries());
 
-// ----------------------------------------------------------- FindEncoder
-
-const Encoder* FindEncoder(const std::string& name) {
-  // Leaked, so no exit-time destructor can race a late Encode call.
-  static const Encoder* const kBuiltIns[] = {
-      new NaiveEncoder(), new RefinedEncoder(), new PatternEncoder()};
-  for (const Encoder* encoder : kBuiltIns) {
-    if (name == encoder->Name()) return encoder;
+  // Component fits are independent (each mines and scales only its own
+  // sub-log), so they fan out across the pool into disjoint
+  // index-addressed slots — bit-identical for any thread count. The
+  // slots hold pointers because PatternEncoding has no empty state to
+  // pre-size a vector with.
+  std::vector<std::unique_ptr<PatternMixtureModel::Component>> fitted(k);
+  auto fit_component = [&](std::size_t c) {
+    // Per-component mining needs an owning sub-log either way; the full
+    // log itself is never materialized.
+    QueryLog sublog = log.MaterializeSubset(members[c]);
+    const double weight =
+        total > 0.0 ? static_cast<double>(sublog.TotalQueries()) / total
+                    : 0.0;
+    fitted[c] = std::make_unique<PatternMixtureModel::Component>(
+        weight, PatternEncoding(sublog, SelectPatterns(sublog, budget)));
+  };
+  ParallelFor(pool, 0, k, kCoarseGrain, fit_component);
+  std::vector<PatternMixtureModel::Component> components;
+  components.reserve(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    components.push_back(std::move(*fitted[c]));
   }
-  return nullptr;
+  return std::make_shared<PatternMixtureModel>(std::move(components),
+                                               log.TotalQueries());
 }
 
 std::size_t MaxRefinedPatternsPerComponent(std::size_t n_features) {

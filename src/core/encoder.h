@@ -1,15 +1,15 @@
-// Encoders and the WorkloadModel analytics facade.
+// The encoders and the WorkloadModel analytics facade.
 //
-// The paper compares three encoding families as log summarizers: naive
-// mixtures (Sec. 5/6), pattern-refined mixtures (Sec. 6.4), and general
-// pattern encodings fitted by iterative scaling (Sec. 2.3.1 / 7.2 —
-// the Laserlight/MTV family). All of them answer the same analytics
-// questions — marginal / count estimation, Reproduction Error, Total
-// Verbosity — so each implements the Encoder interface, is found by
-// name through FindEncoder, and produces a WorkloadModel, the
-// polymorphic facade every downstream consumer (index/view advisors,
-// drift monitoring, visualization, the CLI, serialization) talks to
-// instead of a concrete encoding class.
+// The paper compares three encodings of a partitioned log: naive
+// mixtures (Sec. 5/6), naive mixtures refined by corr_rank patterns
+// (Sec. 6.4), and general pattern encodings fitted by iterative scaling
+// (Sec. 2.3.1 / 7.2 — the Laserlight/MTV family). Encoder names each
+// one; FromPartition (naive), RefineMixture (refined) and EncodePatterns
+// (pattern) build them. All of them answer the same analytics questions
+// — marginal / count estimation, Reproduction Error, Total Verbosity —
+// through WorkloadModel, the polymorphic facade every downstream
+// consumer (index/view advisors, drift monitoring, visualization, the
+// CLI, serialization) talks to instead of a concrete encoding class.
 #ifndef LOGR_CORE_ENCODER_H_
 #define LOGR_CORE_ENCODER_H_
 
@@ -27,23 +27,23 @@ namespace logr {
 
 class PatternMixtureModel;
 
-/// Everything an encoder needs besides the log and the partition.
-struct EncodeRequest {
-  /// Number of mixture components the assignment was cut to.
-  std::size_t k = 1;
-  /// Worker pool for data-parallel stages; nullptr selects
-  /// ThreadPool::Shared(). Never changes results, only wall-clock.
-  ThreadPool* pool = nullptr;
-  /// "refined": per-component budget of extra corr_rank-ranked patterns.
-  /// 0 selects the encoder's default budget.
-  std::size_t refine_patterns = 0;
-  /// "pattern": per-component pattern count. 0 selects the encoder's
-  /// default; larger requests are clamped to the encoder's practical
-  /// scaling ceiling (12 — fit cost is exponential in the pattern
-  /// count, and PatternEncoding hard-errors above
-  /// SignatureSpace::kMaxPatterns).
-  std::size_t pattern_budget = 0;
+enum class Encoder {
+  kNaive,    // "naive": one naive encoding per component
+  kRefined,  // "refined": naive plus corr_rank patterns per component
+  kPattern,  // "pattern": a max-ent pattern encoding per component
 };
+
+/// Stable name of `e` (used in options, summaries and CLIs).
+const char* EncoderName(Encoder e);
+
+/// Inverse of EncoderName. Returns false (leaving `*out` untouched) for
+/// unknown names.
+bool ParseEncoder(const std::string& name, Encoder* out);
+
+/// Whether `e`'s models ride the naive merge/reconcile machinery
+/// (sharded compression, offline MergeSummaries): true for naive and
+/// refined, whose models' AsNaiveMixture() is non-null.
+bool Mergeable(Encoder e);
 
 /// The analytics facade over a compressed workload: everything the
 /// paper's use cases (Sec. 2) need from a summary, independent of the
@@ -190,54 +190,28 @@ class RefinedMixtureModel : public NaiveMixtureModel {
   double refined_error_ = 0.0;
 };
 
-/// A log summarizer: encodes a clustering partition of a log (seen
-/// through a LogView — heap QueryLog or mmap'd .logrl alike) into a
-/// WorkloadModel. The three built-ins are "naive", "refined" and
-/// "pattern"; callers reach them through FindEncoder, never through a
-/// concrete encoding class.
-class Encoder {
- public:
-  virtual ~Encoder() = default;
-
-  /// Stable name (used in options, summaries and CLIs).
-  virtual const char* Name() const = 0;
-
-  /// Whether this encoder's models ride the naive merge/reconcile
-  /// machinery (sharded compression, offline MergeSummaries). Mergeable
-  /// encoders must support WrapMixture and produce models whose
-  /// AsNaiveMixture() is non-null.
-  virtual bool Mergeable() const { return false; }
-
-  /// Encodes the `req.k`-way partition `assignment` of `log`'s distinct
-  /// vectors (values in [0, req.k)).
-  virtual std::shared_ptr<const WorkloadModel> Encode(
-      const LogView& log, const std::vector<int>& assignment,
-      const EncodeRequest& req) const = 0;
-
-  /// Wraps an already-materialized naive mixture (the merge/reconcile
-  /// output of the sharded path) in this encoder's model, re-refining
-  /// against `log` when applicable. Aborts for non-mergeable encoders —
-  /// callers must check Mergeable() and fail loudly first.
-  virtual std::shared_ptr<const WorkloadModel> WrapMixture(
-      const LogView& log, NaiveMixtureEncoding mixture,
-      const EncodeRequest& req) const;
-};
-
-/// The built-in encoder whose Name() is `name` ("naive", "refined" or
-/// "pattern"), or nullptr for any other name. The encoders are
-/// stateless and live for the whole process.
-const Encoder* FindEncoder(const std::string& name);
-
 /// Mines + corr_rank-ranks up to `budget` extra patterns per component
-/// of `mixture` against `log` (Sec. 6.4) and returns the refined model.
-/// The shared implementation behind the "refined" encoder's Encode and
-/// WrapMixture; exposed for callers that already hold a naive mixture.
+/// of `mixture` against `log` (Sec. 6.4) and returns the refined model:
+/// the "refined" encoder, on a fresh partition's mixture or on the
+/// sharded path's reconciled one. A budget of 0 selects the default of
+/// 4 (a refined encode should refine, not degenerate to naive).
 /// Components are independent fits, so they run across `pool` (nullptr
 /// = serial) into disjoint per-component slots — bit-identical output
 /// for any thread count.
 std::shared_ptr<const RefinedMixtureModel> RefineMixture(
     const LogView& log, NaiveMixtureEncoding mixture, std::size_t budget,
     ThreadPool* pool = nullptr);
+
+/// The "pattern" encoder: fits a max-ent pattern encoding of up to
+/// `budget` frequent itemsets to each component of the `k`-way partition
+/// `assignment` of `log`'s distinct vectors (values in [0, k)). A budget
+/// of 0 selects the default of 8; larger budgets are clamped to
+/// PatternMixtureModel::kMaxServablePatterns (12 — fit cost is
+/// exponential in the pattern count). Component fits run across `pool`
+/// (nullptr = serial), bit-identical for any thread count.
+std::shared_ptr<const WorkloadModel> EncodePatterns(
+    const LogView& log, const std::vector<int>& assignment, std::size_t k,
+    std::size_t budget, ThreadPool* pool = nullptr);
 
 /// Most patterns the refined encoder can retain for one component of an
 /// `n_features`-wide summary: the miner's candidate cap (256), further

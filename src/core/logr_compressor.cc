@@ -12,11 +12,30 @@ namespace logr {
 
 namespace {
 
-/// FindEncoder(opts.encoder); aborts on an unknown name.
-const Encoder* EncoderFor(const LogROptions& opts) {
-  const Encoder* encoder = FindEncoder(opts.encoder);
-  LOGR_CHECK_MSG(encoder != nullptr, opts.encoder.c_str());
+/// The Encoder opts.encoder names; aborts on an unknown name.
+Encoder EncoderFor(const LogROptions& opts) {
+  Encoder encoder = Encoder::kNaive;
+  LOGR_CHECK_MSG(ParseEncoder(opts.encoder, &encoder), opts.encoder.c_str());
   return encoder;
+}
+
+/// Encodes the `k`-way partition `assignment` of `log` with `encoder`,
+/// taking the pattern budgets from `opts`.
+std::shared_ptr<const WorkloadModel> Encode(
+    Encoder encoder, const LogView& log, const std::vector<int>& assignment,
+    std::size_t k, const LogROptions& opts, ThreadPool* pool) {
+  switch (encoder) {
+    case Encoder::kNaive:
+      return std::make_shared<NaiveMixtureModel>(
+          NaiveMixtureEncoding::FromPartition(log, assignment, k, pool));
+    case Encoder::kRefined:
+      return RefineMixture(
+          log, NaiveMixtureEncoding::FromPartition(log, assignment, k, pool),
+          opts.refine_patterns, pool);
+    case Encoder::kPattern:
+      break;
+  }
+  return EncodePatterns(log, assignment, k, opts.pattern_budget, pool);
 }
 
 /// ClusterRequest for a K-cluster run under `opts`, carrying no packed
@@ -54,16 +73,6 @@ bool ParseShardPolicy(const std::string& name, ShardPolicy* out) {
   return true;
 }
 
-EncodeRequest EncodeRequestFor(const LogROptions& opts, std::size_t k,
-                               ThreadPool* pool) {
-  EncodeRequest req;
-  req.k = k;
-  req.pool = pool;
-  req.refine_patterns = opts.refine_patterns;
-  req.pattern_budget = opts.pattern_budget;
-  return req;
-}
-
 const WorkloadModel& LogRSummary::Model() const {
   LOGR_CHECK_MSG(model != nullptr, "summary holds no model");
   return *model;
@@ -75,7 +84,7 @@ LogRSummary Compress(const LogView& log, const LogROptions& opts) {
   const std::size_t n = log.NumDistinct();
   LOGR_CHECK(n > 0);
   ThreadPool* pool = opts.pool ? opts.pool : ThreadPool::Shared();
-  const Encoder* encoder = EncoderFor(opts);
+  const Encoder encoder = EncoderFor(opts);
   std::vector<FeatureVec> vecs;
   std::vector<double> weights;
   vecs.reserve(n);
@@ -106,8 +115,7 @@ LogRSummary Compress(const LogView& log, const LogROptions& opts) {
   Stopwatch cluster_timer;
   out.assignment = Cluster(opts.method, vecs, weights, req);
   out.cluster_seconds = cluster_timer.ElapsedSeconds();
-  out.model = encoder->Encode(log, out.assignment,
-                              EncodeRequestFor(opts, k, pool));
+  out.model = Encode(encoder, log, out.assignment, k, opts, pool);
   out.pool_builds = PackedVecPool::BuildCount() - builds_at_start;
   out.total_seconds = timer.ElapsedSeconds();
   return out;
@@ -122,7 +130,7 @@ LogRSummary CompressAdaptive(const LogView& log, const LogROptions& opts) {
   Stopwatch timer;
   LOGR_CHECK(log.NumDistinct() > 0);
   ThreadPool* pool = opts.pool ? opts.pool : ThreadPool::Shared();
-  const Encoder* encoder = EncoderFor(opts);
+  const Encoder encoder = EncoderFor(opts);
   const std::uint64_t builds_at_start = PackedVecPool::BuildCount();
   Pcg32 rng(opts.seed);
   const std::size_t num_clusters =
@@ -202,7 +210,7 @@ LogRSummary CompressAdaptive(const LogView& log, const LogROptions& opts) {
     ++k;
   }
 
-  out.model = encoder->Encode(log, assignment, EncodeRequestFor(opts, k, pool));
+  out.model = Encode(encoder, log, assignment, k, opts, pool);
   out.pool_builds = PackedVecPool::BuildCount() - builds_at_start;
   out.total_seconds = timer.ElapsedSeconds();
   return out;

@@ -3,16 +3,16 @@
 // Compression = partition the log's distinct queries by feature overlap
 // (one ClusteringMethod: k-means / spectral / hierarchical, Sec. 6.1;
 // LogROptions::method), then summarize each partition with one of the
-// built-in encoders ("naive", "refined", "pattern";
-// LogROptions::encoder). The tunable parameter
-// is the number of clusters K (more clusters -> lower Error, higher
-// Total Verbosity). Every summary exposes the WorkloadModel analytics
-// facade (LogRSummary::Model()) — consumers never touch a concrete
-// encoding.
+// three encoders (an Encoder: "naive", "refined" or "pattern";
+// LogROptions::encoder). The tunable parameter is the number of
+// clusters K (more clusters -> lower Error, higher Total Verbosity).
+// Every summary exposes the WorkloadModel analytics facade
+// (LogRSummary::Model()) — consumers never touch a concrete encoding.
 //
 // Compress picks the partition in one Cluster call; CompressAdaptive
-// picks it by bisecting the worst cluster (Appendix E). Both hand the
-// partition to the encoder, which turns it into the summary.
+// picks it by bisecting the worst cluster (Appendix E). Both parse
+// LogROptions::encoder into an Encoder once and call that encoder's
+// function (core/encoder.h) on the partition to build the summary.
 #ifndef LOGR_CORE_LOGR_COMPRESSOR_H_
 #define LOGR_CORE_LOGR_COMPRESSOR_H_
 
@@ -52,17 +52,14 @@ struct LogROptions {
   /// Worker pool for data-parallel stages; nullptr selects
   /// ThreadPool::Shared(). Never changes results, only wall-clock.
   ThreadPool* pool = nullptr;
-  /// Encoder for the encode stage, resolved through FindEncoder
-  /// ("naive", "refined" or "pattern").
+  /// Encoder for the encode stage, an EncoderName spelling ("naive",
+  /// "refined" or "pattern"); ParseEncoder reads it.
   std::string encoder = "naive";
-  /// Per-component budget of extra corr_rank-ranked patterns for the
-  /// "refined" encoder (Sec. 6.4). 0 uses the encoder's default; other
+  /// RefineMixture's budget for the "refined" encoder (Sec. 6.4); other
   /// encoders ignore it.
   std::size_t refine_patterns = 0;
-  /// Per-component pattern count for the "pattern" encoder. 0 uses the
-  /// encoder's default; larger requests are clamped to the encoder's
-  /// practical ceiling (12, below PatternEncoding::kMaxPatterns — the
-  /// fit is exponential in the pattern count).
+  /// EncodePatterns' budget for the "pattern" encoder; other encoders
+  /// ignore it.
   std::size_t pattern_budget = 0;
   /// When > 1, Compress routes through CompressSharded: the log is
   /// split into this many shards, each shard is compressed on its own,
@@ -72,11 +69,6 @@ struct LogROptions {
   std::size_t num_shards = 1;
   ShardPolicy shard_policy = ShardPolicy::kHashDistinct;
 };
-
-/// EncodeRequest for a K-component encode under `opts`, run on `pool`.
-/// The one place LogROptions' encoder settings reach an encoder.
-EncodeRequest EncodeRequestFor(const LogROptions& opts, std::size_t k,
-                               ThreadPool* pool);
 
 struct LogRSummary {
   /// The compressed workload: every analytics consumer goes through
@@ -103,8 +95,8 @@ struct LogRSummary {
 };
 
 /// Compresses `log` into `opts.num_clusters` partitions summarized by
-/// the encoder FindEncoder(opts.encoder) ("naive" by default; aborts on
-/// an unknown name). The log is read through a LogView: pass a QueryLog
+/// the encoder opts.encoder names ("naive" by default; aborts on an
+/// unknown name). The log is read through a LogView: pass a QueryLog
 /// or an MmapQueryLog (both convert implicitly) — an mmap'd .logrl is
 /// compressed in place, no heap copy on the hot path, with a
 /// bit-identical summary either way. The log's distinct vectors are

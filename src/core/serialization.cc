@@ -1,12 +1,8 @@
 #include "core/serialization.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <iterator>
 #include <ostream>
@@ -16,6 +12,7 @@
 #include "core/pattern_model.h"
 #include "util/bytes.h"
 #include "util/check.h"
+#include "util/file_io.h"
 #include "workload/binary_log.h"
 
 namespace logr {
@@ -634,42 +631,18 @@ bool ReadSummary(std::istream* in, PersistedSummary* summary,
 
 bool WriteSummaryFile(const std::string& path, const Vocabulary& vocab,
                       const WorkloadModel& model, std::string* error) {
-  // rename(2) is atomic within a filesystem, so the temporary sits in
-  // the same directory as `path`.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Fail(error, "cannot open for writing: " + tmp);
-    if (!WriteSummary(vocab, model, &out, error)) {
-      out.close();
-      std::remove(tmp.c_str());
-      return false;
-    }
-    out.flush();
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return Fail(error, "write failed: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Fail(error, "cannot publish summary (rename failed): " + path);
-  }
-  return true;
+  return WriteFileAtomically(
+      path, "summary",
+      [&](std::ostream* out) { return WriteSummary(vocab, model, out, error); },
+      error);
 }
 
 bool ReadSummaryFile(const std::string& path, PersistedSummary* summary,
                      std::string* error) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Fail(error, "cannot open for reading: " + path);
-  const std::streamoff end = in.tellg();
-  if (end < 0) return Fail(error, "cannot determine size of: " + path);
-  std::string bytes(static_cast<std::size_t>(end), '\0');
-  in.seekg(0);
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  if (in.gcount() != end) return Fail(error, "read failed: " + path);
-  return ReadSummaryBytes(bytes, summary, error);
+  std::vector<char> bytes;
+  if (!ReadWholeFile(path, &bytes, error)) return false;
+  return ReadSummaryBytes(std::string_view(bytes.data(), bytes.size()),
+                          summary, error);
 }
 
 bool MergeSummaries(const std::vector<PersistedSummary>& parts,

@@ -127,9 +127,9 @@ bool WriteSummary(const Vocabulary& vocab, const WorkloadModel& model,
 bool ReadSummary(std::istream* in, PersistedSummary* summary,
                  std::string* error);
 
-/// File wrappers. Writes are atomic: the summary is written to a
-/// same-directory temporary file and renamed over `path` (the discipline
-/// the distributed spool has always used), so a concurrent reader — the
+/// File wrappers over util/file_io.h. Writes are atomic: the summary is
+/// written to a same-directory temporary file and renamed over `path`
+/// (WriteFileAtomically, which .logrl writes share), so a concurrent reader — the
 /// serve daemon's directory watch, a CI `cmp` leg — can never observe a
 /// torn summary, and a crashed writer never leaves a valid-looking
 /// partial behind.
@@ -143,8 +143,8 @@ bool ReadSummaryFile(const std::string& path, PersistedSummary* summary,
 /// (NaiveMixtureEncoding::Merge, exact for summaries of disjoint query
 /// populations), and — when `max_components` > 0 and the pooled count
 /// exceeds it — reconciles down with NaiveMixtureEncoding::Reconcile
-/// (backend-free; runs across `pool`, nullptr = serial, with the same
-/// bits for any pool). `max_components` == 0 keeps every pooled
+/// (the same whatever clustering method fitted the parts; runs across
+/// `pool`, nullptr = serial, with the same bits for any pool). `max_components` == 0 keeps every pooled
 /// component. Returns false (and fills `error`) on empty input or a
 /// part without a naive payload ("pattern" summaries cannot be
 /// pooled). Refined parts merge through

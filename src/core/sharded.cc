@@ -102,9 +102,9 @@ LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
   // resolve the requested encoder up front and fail loudly for
   // non-mergeable ones (e.g. "pattern") instead of silently encoding
   // each shard with something that cannot be pooled.
-  const Encoder* encoder = FindEncoder(opts.encoder);
-  LOGR_CHECK_MSG(encoder != nullptr, opts.encoder.c_str());
-  LOGR_CHECK_MSG(encoder->Mergeable(),
+  Encoder encoder = Encoder::kNaive;
+  LOGR_CHECK_MSG(ParseEncoder(opts.encoder, &encoder), opts.encoder.c_str());
+  LOGR_CHECK_MSG(Mergeable(encoder),
                  "sharded compression requires a mergeable encoder "
                  "(shard mixtures are pooled through the naive merge); "
                  "compress monolithically or pick naive/refined");
@@ -145,12 +145,13 @@ LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
   NaiveMixtureEncoding merged = NaiveMixtureEncoding::Merge(part_ptrs);
 
   // Reconcile the pooled components down to the requested K with the
-  // nearest-centroid-chain agglomeration (deterministic, backend-free).
+  // nearest-centroid-chain agglomeration (deterministic, and the same
+  // whatever clustering method fitted the shards).
   const std::size_t k = std::max<std::size_t>(
       1, std::min(opts.num_clusters, log.NumDistinct()));
   Stopwatch reconcile_timer;
   NaiveMixtureEncoding reconciled = merged.Reconcile(k, pool);
-  // Read before WrapMixture: encode/refine time is not clustering time.
+  // Read before RefineMixture: refine time is not clustering time.
   const double reconcile_seconds = reconcile_timer.ElapsedSeconds();
 
   LogRSummary out;
@@ -160,11 +161,14 @@ LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
       out.assignment[m] = static_cast<int>(c);
     }
   }
-  // The requested encoder wraps (and, for "refined", re-refines) the
-  // reconciled mixture — refinement runs once, on the merge result.
-  const EncodeRequest enc_req =
-      EncodeRequestFor(opts, reconciled.NumComponents(), pool);
-  out.model = encoder->WrapMixture(log, std::move(reconciled), enc_req);
+  // The reconciled mixture is the naive model; "refined" refines it
+  // here, so refinement runs once, on the merge result.
+  if (encoder == Encoder::kRefined) {
+    out.model =
+        RefineMixture(log, std::move(reconciled), opts.refine_patterns, pool);
+  } else {
+    out.model = std::make_shared<NaiveMixtureModel>(std::move(reconciled));
+  }
   out.cluster_seconds = shard_cluster_seconds + reconcile_seconds;
   out.pack_seconds = shard_pack_seconds;
   out.pool_builds = PackedVecPool::BuildCount() - builds_at_start;

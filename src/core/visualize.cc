@@ -9,13 +9,21 @@ namespace logr {
 
 namespace {
 
+/// Features below this marginal are omitted from the rendering.
+constexpr double kMinMarginal = 0.15;
+/// At most this many features are listed per clause.
+constexpr std::size_t kMaxPerClause = 8;
+/// Shading thresholds: '#' at >= kSolid, '+' at >= kStrong, '.' below.
+constexpr double kSolid = 0.95;
+constexpr double kStrong = 0.50;
+
 struct Annotated {
   double marginal;
   std::string line;
 };
 
 void AppendClause(const char* label, std::vector<Annotated>* items,
-                  const VisualizeOptions& opts, std::string* out) {
+                  std::string* out) {
   if (items->empty()) return;
   std::sort(items->begin(), items->end(),
             [](const Annotated& a, const Annotated& b) {
@@ -24,110 +32,60 @@ void AppendClause(const char* label, std::vector<Annotated>* items,
   out->append("  ");
   out->append(label);
   out->append("\n");
-  for (std::size_t i = 0; i < items->size() && i < opts.max_per_clause;
-       ++i) {
+  for (std::size_t i = 0; i < items->size() && i < kMaxPerClause; ++i) {
     out->append("    ");
     out->append((*items)[i].line);
     out->append("\n");
   }
-  if (items->size() > opts.max_per_clause) {
-    out->append(StrFormat("    ... %zu more\n",
-                          items->size() - opts.max_per_clause));
+  if (items->size() > kMaxPerClause) {
+    out->append(
+        StrFormat("    ... %zu more\n", items->size() - kMaxPerClause));
   }
-}
-
-/// Shared rendering body: the cluster header plus per-clause feature
-/// listings, from whatever representation supplied the marginals.
-std::string RenderClusterImpl(const Vocabulary& vocab, double weight,
-                              std::uint64_t log_size, std::size_t verbosity,
-                              double error,
-                              const std::vector<FeatureId>& features,
-                              const std::vector<double>& marginals,
-                              const VisualizeOptions& opts) {
-  std::string out = StrFormat(
-      "cluster: weight %.1f%%, |L| %llu, verbosity %zu, error %.3f\n",
-      100.0 * weight, static_cast<unsigned long long>(log_size), verbosity,
-      error);
-
-  std::vector<Annotated> select_items, from_items, where_items, misc_items;
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    double m = marginals[i];
-    if (m < opts.min_marginal) continue;
-    const Feature& f = vocab.Get(features[i]);
-    Annotated a;
-    a.marginal = m;
-    a.line = StrFormat("%c %s", MarginalGlyph(m, opts), f.text.c_str());
-    switch (f.clause) {
-      case FeatureClause::kSelect: select_items.push_back(std::move(a)); break;
-      case FeatureClause::kFrom: from_items.push_back(std::move(a)); break;
-      case FeatureClause::kWhere: where_items.push_back(std::move(a)); break;
-      default: misc_items.push_back(std::move(a)); break;
-    }
-  }
-  if (select_items.empty() && from_items.empty() && where_items.empty() &&
-      misc_items.empty()) {
-    out += "  (features too diffuse to visualize — needs sub-clustering, "
-           "cf. App. E)\n";
-    return out;
-  }
-  AppendClause("SELECT", &select_items, opts, &out);
-  AppendClause("FROM", &from_items, opts, &out);
-  AppendClause("WHERE (conjunctive atoms)", &where_items, opts, &out);
-  AppendClause("OTHER", &misc_items, opts, &out);
-  return out;
 }
 
 }  // namespace
 
-char MarginalGlyph(double marginal, const VisualizeOptions& opts) {
-  if (marginal >= opts.solid_threshold) return '#';
-  if (marginal >= opts.strong_threshold) return '+';
+char MarginalGlyph(double marginal) {
+  if (marginal >= kSolid) return '#';
+  if (marginal >= kStrong) return '+';
   return '.';
 }
 
-std::string RenderCluster(const Vocabulary& vocab,
-                          const MixtureComponent& component,
-                          const VisualizeOptions& opts) {
-  const NaiveEncoding& enc = component.encoding;
-  return RenderClusterImpl(vocab, component.weight, enc.LogSize(),
-                           enc.Verbosity(), enc.ReproductionError(),
-                           enc.features(), enc.marginals(), opts);
-}
+std::string RenderCluster(const Vocabulary& vocab, const WorkloadModel& model,
+                          std::size_t component) {
+  std::string out = StrFormat(
+      "cluster: weight %.1f%%, |L| %llu, verbosity %zu, error %.3f\n",
+      100.0 * model.ComponentWeight(component),
+      static_cast<unsigned long long>(model.ComponentLogSize(component)),
+      model.ComponentVerbosity(component), model.ComponentError(component));
 
-std::string RenderMixture(const Vocabulary& vocab,
-                          const NaiveMixtureEncoding& encoding,
-                          const VisualizeOptions& opts) {
-  std::vector<std::size_t> order(encoding.NumComponents());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return encoding.Component(a).weight > encoding.Component(b).weight;
-  });
-  std::string out;
-  for (std::size_t i : order) {
-    out += RenderCluster(vocab, encoding.Component(i), opts);
-    out += "\n";
+  // One listing per clause: SELECT, FROM, WHERE, then every other clause
+  // (the enum's stored order puts those three first).
+  static const char* const kLabels[] = {"SELECT", "FROM",
+                                        "WHERE (conjunctive atoms)", "OTHER"};
+  std::vector<Annotated> clauses[4];
+  bool any = false;
+  for (FeatureId id : model.ComponentFeatures(component)) {
+    const double m = model.ComponentMarginal(component, id);
+    if (m < kMinMarginal) continue;
+    const Feature& f = vocab.Get(id);
+    clauses[std::min<std::size_t>(static_cast<std::size_t>(f.clause), 3)]
+        .push_back({m, StrFormat("%c %s", MarginalGlyph(m), f.text.c_str())});
+    any = true;
+  }
+  if (!any) {
+    out += "  (features too diffuse to visualize — needs sub-clustering, "
+           "cf. App. E)\n";
+    return out;
+  }
+  for (std::size_t c = 0; c < 4; ++c) {
+    AppendClause(kLabels[c], &clauses[c], &out);
   }
   return out;
 }
 
-std::string RenderCluster(const Vocabulary& vocab, const WorkloadModel& model,
-                          std::size_t component,
-                          const VisualizeOptions& opts) {
-  const std::vector<FeatureId> features = model.ComponentFeatures(component);
-  std::vector<double> marginals;
-  marginals.reserve(features.size());
-  for (FeatureId f : features) {
-    marginals.push_back(model.ComponentMarginal(component, f));
-  }
-  return RenderClusterImpl(vocab, model.ComponentWeight(component),
-                           model.ComponentLogSize(component),
-                           model.ComponentVerbosity(component),
-                           model.ComponentError(component), features,
-                           marginals, opts);
-}
-
-std::string RenderMixture(const Vocabulary& vocab, const WorkloadModel& model,
-                          const VisualizeOptions& opts) {
+std::string RenderMixture(const Vocabulary& vocab,
+                          const WorkloadModel& model) {
   std::vector<std::size_t> order(model.NumComponents());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -135,7 +93,7 @@ std::string RenderMixture(const Vocabulary& vocab, const WorkloadModel& model,
   });
   std::string out;
   for (std::size_t i : order) {
-    out += RenderCluster(vocab, model, i, opts);
+    out += RenderCluster(vocab, model, i);
     out += "\n";
   }
   return out;

@@ -1,21 +1,14 @@
 #include "util/subprocess.h"
 
-#include <cerrno>
-#include <cstring>
-
-#if !defined(_WIN32)
-#define LOGR_HAS_SUBPROCESS 1
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
+
+#include <cerrno>
+#include <cstring>
 
 namespace logr {
-
-#if defined(LOGR_HAS_SUBPROCESS)
-
-bool SubprocessSupported() { return true; }
 
 long SpawnProcess(const std::vector<std::string>& argv, std::string* error) {
   if (argv.empty()) {
@@ -101,26 +94,5 @@ std::string CurrentExecutablePath() {
   buf[n] = '\0';
   return std::string(buf);
 }
-
-#else  // !LOGR_HAS_SUBPROCESS
-
-bool SubprocessSupported() { return false; }
-
-long SpawnProcess(const std::vector<std::string>&, std::string* error) {
-  if (error) *error = "subprocesses are not supported on this platform";
-  return -1;
-}
-
-long ForkProcess(const std::function<int()>&, std::string* error) {
-  if (error) *error = "subprocesses are not supported on this platform";
-  return -1;
-}
-
-bool TryWaitProcess(long, ProcessStatus*) { return false; }
-bool WaitProcess(long, ProcessStatus*) { return false; }
-void KillProcess(long) {}
-std::string CurrentExecutablePath() { return ""; }
-
-#endif  // LOGR_HAS_SUBPROCESS
 
 }  // namespace logr

@@ -2,10 +2,8 @@
 // (core/distributed.h): spawn a worker (fork+exec of an argv, or a
 // plain fork running a callable), poll or wait for its exit, and kill
 // stragglers. Everything here is wait()-reap-safe: every spawned pid is
-// reaped exactly once, by TryWait, WaitProcess, or KillProcess.
-//
-// Non-POSIX builds compile but every spawn fails loudly with an error
-// string, so callers degrade to their in-process fallback paths.
+// reaped exactly once, by TryWait, WaitProcess, or KillProcess. The
+// library is POSIX-only, like the serve daemon's sockets.
 #ifndef LOGR_UTIL_SUBPROCESS_H_
 #define LOGR_UTIL_SUBPROCESS_H_
 
@@ -24,10 +22,6 @@ struct ProcessStatus {
 
   bool Success() const { return exited && exit_code == 0; }
 };
-
-/// True when this platform can fork/exec (POSIX). When false, SpawnProcess
-/// and ForkProcess always fail.
-bool SubprocessSupported();
 
 /// fork+execv of `argv` (argv[0] is the binary path; PATH is not
 /// searched). Returns the child pid, or -1 with `error` filled. The

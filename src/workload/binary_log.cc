@@ -1,5 +1,11 @@
 #include "workload/binary_log.h"
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -11,15 +17,7 @@
 
 #include "util/bytes.h"
 #include "util/check.h"
-
-#if !defined(_WIN32)
-#define LOGR_BINARY_LOG_HAS_MMAP 1
-#include <dirent.h>
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include "util/file_io.h"
 
 namespace logr {
 
@@ -168,12 +166,16 @@ bool BinaryLogWriter::Write(const QueryLog& log,
 bool BinaryLogWriter::WriteFile(const std::string& path, const QueryLog& log,
                                 const DatasetSummary& summary,
                                 std::string* error) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(error, "cannot open for writing: " + path);
-  if (!Write(log, summary, &out, error)) return false;
-  out.flush();
-  if (!out) return Fail(error, "write failed: " + path);
-  return true;
+  // `Write` sets `error` itself; only the publish steps need the prefix.
+  std::string why;
+  if (WriteFileAtomically(
+          path, "log",
+          [&](std::ostream* out) { return Write(log, summary, out, error); },
+          &why)) {
+    return true;
+  }
+  if (!why.empty()) Fail(error, why);
+  return false;
 }
 
 // ----------------------------------------------------------------- reader
@@ -209,9 +211,7 @@ MmapQueryLog& MmapQueryLog::operator=(MmapQueryLog&& other) noexcept {
 }
 
 void MmapQueryLog::Reset() {
-#if LOGR_BINARY_LOG_HAS_MMAP
   if (map_ != nullptr) munmap(map_, map_size_);
-#endif
   map_ = nullptr;
   map_size_ = 0;
   owned_.clear();
@@ -226,6 +226,15 @@ void MmapQueryLog::Reset() {
   sqls_.clear();
   vocab_ = Vocabulary();
   summary_ = DatasetSummary();
+}
+
+bool MmapQueryLog::Adopt(const char* base, std::size_t size,
+                         std::string* error) {
+  base_ = base;
+  size_ = size;
+  if (Parse(error)) return true;
+  Reset();
+  return false;
 }
 
 bool MmapQueryLog::Parse(std::string* error) {
@@ -464,7 +473,6 @@ bool MmapQueryLog::Open(const std::string& path,
                         const BinaryLogReadOptions& options,
                         MmapQueryLog* out, std::string* error) {
   out->Reset();
-#if LOGR_BINARY_LOG_HAS_MMAP
   if (options.prefer_mmap) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) return Fail(error, "cannot open for reading: " + path);
@@ -483,39 +491,15 @@ bool MmapQueryLog::Open(const std::string& path,
     if (map != MAP_FAILED) {
       out->map_ = map;
       out->map_size_ = size;
-      out->base_ = static_cast<const char*>(map);
-      out->size_ = size;
-      if (!out->Parse(error)) {
-        out->Reset();
-        return false;
-      }
-      return true;
+      return out->Adopt(static_cast<const char*>(map), size, error);
     }
     // Some filesystems (FUSE/network mounts) refuse mmap; fall through
     // to the eager read — the documented fallback — instead of failing.
   }
-#endif
-  // Eager fallback: read the whole file into memory in one sized read.
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Fail(error, "cannot open for reading: " + path);
-  const std::streamoff end = in.tellg();
-  if (end < 0) return Fail(error, "cannot determine size of: " + path);
-  std::vector<char> buffer(static_cast<std::size_t>(end));
-  in.seekg(0);
-  if (!buffer.empty()) {
-    in.read(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  }
-  if (!in || in.gcount() != end) {
-    return Fail(error, "read failed: " + path);
-  }
-  out->owned_ = std::move(buffer);
-  out->base_ = out->owned_.data();
-  out->size_ = out->owned_.size();
-  if (!out->Parse(error)) {
-    out->Reset();
-    return false;
-  }
-  return true;
+  // Eager fallback: read the whole file into memory.
+  std::string why;
+  if (!ReadWholeFile(path, &out->owned_, &why)) return Fail(error, why);
+  return out->Adopt(out->owned_.data(), out->owned_.size(), error);
 }
 
 bool MmapQueryLog::OpenBuffer(const void* data, std::size_t size,
@@ -523,13 +507,7 @@ bool MmapQueryLog::OpenBuffer(const void* data, std::size_t size,
   out->Reset();
   const char* p = static_cast<const char*>(data);
   out->owned_.assign(p, p + size);
-  out->base_ = out->owned_.data();
-  out->size_ = out->owned_.size();
-  if (!out->Parse(error)) {
-    out->Reset();
-    return false;
-  }
-  return true;
+  return out->Adopt(out->owned_.data(), out->owned_.size(), error);
 }
 
 std::uint64_t MmapQueryLog::Multiplicity(std::size_t i) const {
@@ -587,7 +565,6 @@ bool ListBinaryLogShards(const std::string& dir,
                          std::vector<std::string>* paths,
                          std::string* error) {
   paths->clear();
-#if defined(LOGR_BINARY_LOG_HAS_MMAP)
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) {
     if (error) *error = "cannot read directory " + dir;
@@ -608,11 +585,6 @@ bool ListBinaryLogShards(const std::string& dir,
   ::closedir(d);
   std::sort(paths->begin(), paths->end());
   return true;
-#else
-  (void)dir;
-  if (error) *error = "directory enumeration is not supported here";
-  return false;
-#endif
 }
 
 bool SameQueryLog(const QueryLog& a, const QueryLog& b, std::string* why) {

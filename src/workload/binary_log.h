@@ -83,14 +83,16 @@ class BinaryLogWriter {
   static bool Write(const QueryLog& log, const DatasetSummary& summary,
                     std::ostream* out, std::string* error);
 
-  /// Writes to `path`, replacing any existing file.
+  /// Writes to `path`, replacing any existing file atomically
+  /// (WriteFileAtomically, util/file_io.h): a log already mapped from
+  /// `path` keeps its bytes.
   static bool WriteFile(const std::string& path, const QueryLog& log,
                         const DatasetSummary& summary, std::string* error);
 };
 
 struct BinaryLogReadOptions {
-  /// Map the file instead of reading it eagerly. Ignored (treated as
-  /// false) on platforms without mmap.
+  /// Map the file instead of reading it eagerly. When the filesystem
+  /// refuses mmap (FUSE and network mounts), Open reads eagerly anyway.
   bool prefer_mmap = true;
 };
 
@@ -154,9 +156,12 @@ class MmapQueryLog {
 
  private:
   void Reset();
+  /// Serves the image [base, base + size) (mapped or owned_): validates
+  /// it with Parse, or resets and returns false.
+  bool Adopt(const char* base, std::size_t size, std::string* error);
   bool Parse(std::string* error);
 
-  void* map_ = nullptr;  // mmap'd region (POSIX); null for eager opens
+  void* map_ = nullptr;  // mmap'd region; null for eager opens
   std::size_t map_size_ = 0;
   std::vector<char> owned_;  // eager-read / buffer fallback storage
   const char* base_ = nullptr;

@@ -6,6 +6,9 @@
 // must fail loudly, never crash or silently load — and the one view
 // materializer over every backing. Compression from the mmap'd file
 // against the text load is equivalence_test's text-vs-mmap axis.
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <numeric>
@@ -186,6 +189,41 @@ TEST_F(BinaryLogFileTest, MmapMatchesTextLoadedLog) {
   std::string why;
   EXPECT_TRUE(SameDatasetSummary(mapped.summary(), summary, &why)) << why;
   EXPECT_TRUE(SameQueryLog(LogView(mapped).Materialize(), log, &why)) << why;
+}
+
+TEST(BinaryLogTest, MappedLogSurvivesRewrite) {
+  // `split` rewrites shard files that `distribute` workers map, and
+  // `convert` the .logrl that `compress` maps. A rewrite must publish a
+  // new file, not change the bytes under an open mapping: the same
+  // vectors with other counts rewrite the file at the same size.
+  QueryLog before;
+  before.Add(FeatureVec({0, 2}), 5);
+  before.Add(FeatureVec({1}), 7);
+  QueryLog after;
+  after.Add(FeatureVec({0, 2}), 50);
+  after.Add(FeatureVec({1}), 70);
+  const std::string path =
+      ::testing::TempDir() + "logr_rewrite_" + std::to_string(::getpid()) +
+      ".logrl";
+  std::string error;
+  ASSERT_TRUE(BinaryLogWriter::WriteFile(path, before, DatasetSummary(),
+                                         &error))
+      << error;
+  MmapQueryLog mapped;
+  ASSERT_TRUE(MmapQueryLog::Open(path, &mapped, &error)) << error;
+  ASSERT_TRUE(mapped.mapped());
+  ASSERT_TRUE(BinaryLogWriter::WriteFile(path, after, DatasetSummary(),
+                                         &error))
+      << error;
+
+  std::string why;
+  EXPECT_TRUE(SameQueryLog(LogView(mapped).Materialize(), before, &why))
+      << why;
+  MmapQueryLog reopened;
+  ASSERT_TRUE(MmapQueryLog::Open(path, &reopened, &error)) << error;
+  EXPECT_TRUE(SameQueryLog(LogView(reopened).Materialize(), after, &why))
+      << why;
+  std::remove(path.c_str());
 }
 
 /// The reference sub-log: the vocabulary copied, then one Add per row.

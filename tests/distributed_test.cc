@@ -5,6 +5,8 @@
 // attempt, never the job), coordinator resume from a warm spool,
 // exec-mode spawn-failure fallback, the coordinator/worker argv wire
 // format, and the shard files `logr_cli split` writes.
+#include <unistd.h>
+
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -12,10 +14,6 @@
 #include <sstream>
 #include <string>
 #include <vector>
-
-#if !defined(_WIN32)
-#include <unistd.h>
-#endif
 
 #include "core/distributed.h"
 #include "core/logr_compressor.h"
@@ -25,7 +23,6 @@
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
 #include "gtest/gtest.h"
-#include "util/subprocess.h"
 #include "workload/binary_log.h"
 #include "workload/log_view.h"
 
@@ -48,12 +45,8 @@ QueryLog BankLog() {
 }
 
 std::string UniqueDir(const std::string& tag) {
-#if defined(_WIN32)
-  const std::string pid = "0";
-#else
-  const std::string pid = std::to_string(::getpid());
-#endif
-  return ::testing::TempDir() + "logr_dist_" + tag + "_" + pid;
+  return ::testing::TempDir() + "logr_dist_" + tag + "_" +
+         std::to_string(::getpid());
 }
 
 /// Writes `log` as `logr_cli split` does, under a fresh directory.
@@ -103,7 +96,6 @@ std::string ShardedReferenceBytes(const QueryLog& log,
 }
 
 TEST(DistributedTest, MatchesInProcessShardingBitForBitPocket) {
-  if (!SubprocessSupported()) GTEST_SKIP() << "no subprocess support";
   QueryLog log = PocketLog();
   const std::vector<std::string> shards = WriteShards(log, 4, "pocket_id");
   DistributedOptions opts = ForkModeOptions(6, "pocket_id_spool");
@@ -141,7 +133,6 @@ TEST(DistributedTest, MatchesInProcessShardingBitForBitPocket) {
 }
 
 TEST(DistributedTest, MatchesInProcessShardingBitForBitBank) {
-  if (!SubprocessSupported()) GTEST_SKIP() << "no subprocess support";
   QueryLog log = BankLog();
   const std::vector<std::string> shards = WriteShards(log, 3, "bank_id");
   DistributedOptions opts = ForkModeOptions(5, "bank_id_spool");
@@ -153,7 +144,6 @@ TEST(DistributedTest, MatchesInProcessShardingBitForBitBank) {
 }
 
 TEST(DistributedTest, WorkerKilledMidJobRetriesToIdenticalSummary) {
-  if (!SubprocessSupported()) GTEST_SKIP() << "no subprocess support";
   QueryLog log = PocketLog();
   const std::vector<std::string> shards = WriteShards(log, 4, "crash");
 
@@ -187,7 +177,6 @@ TEST(DistributedTest, WorkerKilledMidJobRetriesToIdenticalSummary) {
 }
 
 TEST(DistributedTest, ResumeReusesWarmSpool) {
-  if (!SubprocessSupported()) GTEST_SKIP() << "no subprocess support";
   QueryLog log = PocketLog();
   const std::vector<std::string> shards = WriteShards(log, 4, "resume");
   DistributedOptions opts = ForkModeOptions(6, "resume_spool");
@@ -222,7 +211,6 @@ TEST(DistributedTest, ResumeReusesWarmSpool) {
 }
 
 TEST(DistributedTest, ExecSpawnFailureFallsBackInProcess) {
-  if (!SubprocessSupported()) GTEST_SKIP() << "no subprocess support";
   QueryLog log = PocketLog();
   const std::vector<std::string> shards = WriteShards(log, 2, "noexec");
   DistributedOptions opts = ForkModeOptions(4, "noexec_spool");

@@ -1,6 +1,6 @@
-// Tests for the encoder stage: FindEncoder resolution of the three
-// built-ins, bit-identity of the "naive" encoder with the direct
-// cluster->FromPartition pipeline,
+// Tests for the encoder stage: the Encoder names and Mergeable, the
+// refined and pattern budget defaults, bit-identity of the "naive"
+// encoder with the direct cluster->FromPartition pipeline,
 // cross-encoder invariants (refined Error <= naive Error, facade
 // consistency), the PatternEncoding lattice cap, and serialization
 // v1 compatibility / v2 encoder-tag round-trips.
@@ -61,17 +61,48 @@ QueryLog SmallBankLog() {
   return LoadEntries(GenerateBankLog(gen)).TakeLog();
 }
 
-TEST(FindEncoderTest, ResolvesEveryBuiltInEncoder) {
-  for (const char* name : {"naive", "refined", "pattern"}) {
-    const Encoder* encoder = FindEncoder(name);
-    ASSERT_NE(encoder, nullptr) << name;
-    EXPECT_STREQ(encoder->Name(), name);
+TEST(EncoderTest, NamesRoundTrip) {
+  for (Encoder e : {Encoder::kNaive, Encoder::kRefined, Encoder::kPattern}) {
+    Encoder parsed = Encoder::kNaive;
+    ASSERT_TRUE(ParseEncoder(EncoderName(e), &parsed)) << EncoderName(e);
+    EXPECT_EQ(parsed, e) << EncoderName(e);
   }
+  EXPECT_STREQ(EncoderName(Encoder::kNaive), "naive");
+  EXPECT_STREQ(EncoderName(Encoder::kRefined), "refined");
+  EXPECT_STREQ(EncoderName(Encoder::kPattern), "pattern");
   // The naive family merges; general pattern encodings do not.
-  EXPECT_TRUE(FindEncoder("naive")->Mergeable());
-  EXPECT_TRUE(FindEncoder("refined")->Mergeable());
-  EXPECT_FALSE(FindEncoder("pattern")->Mergeable());
-  EXPECT_EQ(FindEncoder("no-such-encoder"), nullptr);
+  EXPECT_TRUE(Mergeable(Encoder::kNaive));
+  EXPECT_TRUE(Mergeable(Encoder::kRefined));
+  EXPECT_FALSE(Mergeable(Encoder::kPattern));
+  // An unknown name leaves the output untouched.
+  Encoder out = Encoder::kRefined;
+  EXPECT_FALSE(ParseEncoder("no-such-encoder", &out));
+  EXPECT_EQ(out, Encoder::kRefined);
+}
+
+TEST(EncoderTest, RefineMixtureZeroBudgetUsesDefault) {
+  // A budget of 0 selects the default budget rather than refining
+  // nothing: the refined model retains patterns, as many as budget 4.
+  QueryLog log = SmallBankLog();
+  std::vector<int> assignment(log.NumDistinct());
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    assignment[i] = static_cast<int>(i % 3);
+  }
+  auto patterns = [&](std::size_t budget) {
+    const auto model = RefineMixture(
+        log, NaiveMixtureEncoding::FromPartition(log, assignment, 3),
+        budget);
+    std::vector<std::vector<FeatureVec>> out;
+    for (std::size_t c = 0; c < model->NumComponents(); ++c) {
+      out.push_back(model->ComponentPatterns(c));
+    }
+    return out;
+  };
+  const std::vector<std::vector<FeatureVec>> by_default = patterns(0);
+  std::size_t retained = 0;
+  for (const std::vector<FeatureVec>& p : by_default) retained += p.size();
+  EXPECT_GT(retained, 0u);
+  EXPECT_EQ(by_default, patterns(4));
 }
 
 /// A model with neither a naive nor a pattern payload: WorkloadModel is
@@ -111,7 +142,7 @@ TEST(EncoderTest, WriteSummaryRefusesModelWithoutPayload) {
   EXPECT_NE(error.find(model.EncoderName()), std::string::npos) << error;
 }
 
-TEST(EncoderTest, NaiveViaFindEncoderBitIdenticalToDirectPipeline) {
+TEST(EncoderTest, NaiveEncoderBitIdenticalToDirectPipeline) {
   // The "naive" encoder must reproduce the hand-built pipeline —
   // cluster with k-means, encode with FromPartition — to the bit, same
   // seed / threads.
@@ -262,33 +293,38 @@ TEST(EncoderTest, PatternEncoderParallelBitIdenticalToSerial) {
   }
 }
 
-TEST(EncoderTest, NullPoolEncodesLikeAnExplicitPool) {
-  // EncodeRequest::pool == nullptr selects ThreadPool::Shared(); the
-  // model must not depend on the pool, so a direct Encode without one
-  // matches a serial-pool Encode exactly.
+TEST(EncoderTest, EncodeDoesNotDependOnThePool) {
+  // The model must not depend on the pool: every encoder gives the same
+  // summary on the shared pool and on a one-thread pool.
   QueryLog log = GroupedLog(4, 10, 29);
-  std::vector<int> assignment(log.NumDistinct());
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    assignment[i] = static_cast<int>(i % 3);
-  }
   ThreadPool serial(1);
-  for (const char* name : {"naive", "refined", "pattern"}) {
-    const Encoder* encoder = FindEncoder(name);
-    ASSERT_NE(encoder, nullptr) << name;
-    EncodeRequest req;
-    req.k = 3;
-    req.pattern_budget = 4;
-    const auto shared = encoder->Encode(log, assignment, req);
-    req.pool = &serial;
-    const auto serial_model = encoder->Encode(log, assignment, req);
-    EXPECT_EQ(shared->Error(), serial_model->Error()) << name;
-    EXPECT_EQ(shared->TotalVerbosity(), serial_model->TotalVerbosity())
+  for (Encoder e : {Encoder::kNaive, Encoder::kRefined, Encoder::kPattern}) {
+    const char* name = EncoderName(e);
+    LogROptions opts;
+    opts.encoder = name;
+    opts.num_clusters = 3;
+    opts.pattern_budget = 4;
+    const LogRSummary shared = Compress(log, opts);
+    opts.pool = &serial;
+    const LogRSummary one = Compress(log, opts);
+    EXPECT_EQ(shared.assignment, one.assignment) << name;
+    EXPECT_EQ(shared.Model().Error(), one.Model().Error()) << name;
+    EXPECT_EQ(shared.Model().TotalVerbosity(), one.Model().TotalVerbosity())
         << name;
     for (std::size_t i = 0; i < 10; ++i) {
-      EXPECT_EQ(shared->EstimateMarginal(log.Vector(i)),
-                serial_model->EstimateMarginal(log.Vector(i)))
+      EXPECT_EQ(shared.Model().EstimateMarginal(log.Vector(i)),
+                one.Model().EstimateMarginal(log.Vector(i)))
           << name << " probe " << i;
     }
+    std::ostringstream bytes_shared, bytes_one;
+    std::string error;
+    ASSERT_TRUE(WriteSummary(log.vocabulary(), shared.Model(), &bytes_shared,
+                             &error))
+        << error;
+    ASSERT_TRUE(
+        WriteSummary(log.vocabulary(), one.Model(), &bytes_one, &error))
+        << error;
+    EXPECT_EQ(bytes_shared.str(), bytes_one.str()) << name;
   }
 }
 

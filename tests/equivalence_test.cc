@@ -30,7 +30,6 @@
 #include "serve/server.h"
 #include "serve/summary_registry.h"
 #include "util/prng.h"
-#include "util/subprocess.h"
 #include "workload/binary_log.h"
 #include "workload/log_view.h"
 
@@ -292,7 +291,6 @@ class EquivalenceTest : public ::testing::TestWithParam<Case> {
   /// Fork-mode workers over the shard files `logr_cli split` writes
   /// gather to the in-process S=4 bytes.
   void ExpectDistributedMatches(const std::string& sharded_bytes) const {
-    if (!SubprocessSupported()) return;
     std::vector<ShardFile> files;
     std::string error;
     ASSERT_TRUE(WriteShardFiles(LogView(log()), kShards, opts_.shard_policy,
@@ -350,7 +348,9 @@ TEST_P(EquivalenceTest, EveryPathAgrees) {
     ExpectServedMatches(from_text.Model());
   }
 
-  if (!FindEncoder(opts_.encoder)->Mergeable()) return;
+  Encoder encoder = Encoder::kNaive;
+  ASSERT_TRUE(ParseEncoder(opts_.encoder, &encoder)) << opts_.encoder;
+  if (!Mergeable(encoder)) return;
   const std::string sharded = Bytes(
       log().vocabulary(), Compress(log(), Sharded(opts_.encoder)).Model());
   EXPECT_EQ(Bytes(mapped.vocabulary(),

@@ -17,19 +17,26 @@ QueryLog MakeLog() {
   return log;
 }
 
+/// The naive model of `log` under `assignment` (k components).
+NaiveMixtureModel Model(const QueryLog& log,
+                        const std::vector<int>& assignment, std::size_t k) {
+  return NaiveMixtureModel(
+      NaiveMixtureEncoding::FromPartition(log, assignment, k));
+}
+
 TEST(VisualizeTest, GlyphThresholds) {
-  VisualizeOptions opts;
-  EXPECT_EQ(MarginalGlyph(1.0, opts), '#');
-  EXPECT_EQ(MarginalGlyph(0.96, opts), '#');
-  EXPECT_EQ(MarginalGlyph(0.6, opts), '+');
-  EXPECT_EQ(MarginalGlyph(0.2, opts), '.');
+  EXPECT_EQ(MarginalGlyph(1.0), '#');
+  EXPECT_EQ(MarginalGlyph(0.96), '#');
+  EXPECT_EQ(MarginalGlyph(0.95), '#');
+  EXPECT_EQ(MarginalGlyph(0.6), '+');
+  EXPECT_EQ(MarginalGlyph(0.5), '+');
+  EXPECT_EQ(MarginalGlyph(0.2), '.');
 }
 
 TEST(VisualizeTest, RenderContainsClausesAndFeatures) {
   QueryLog log = MakeLog();
-  NaiveMixtureEncoding mix =
-      NaiveMixtureEncoding::FromPartition(log, {0, 0, 0}, 1);
-  std::string out = RenderCluster(log.vocabulary(), mix.Component(0));
+  std::string out =
+      RenderCluster(log.vocabulary(), Model(log, {0, 0, 0}, 1), 0);
   EXPECT_NE(out.find("SELECT"), std::string::npos);
   EXPECT_NE(out.find("FROM"), std::string::npos);
   EXPECT_NE(out.find("WHERE"), std::string::npos);
@@ -40,13 +47,11 @@ TEST(VisualizeTest, RenderContainsClausesAndFeatures) {
 
 TEST(VisualizeTest, OmitsLowMarginalFeatures) {
   QueryLog log = MakeLog();
-  NaiveMixtureEncoding mix =
-      NaiveMixtureEncoding::FromPartition(log, {0, 0, 0}, 1);
-  VisualizeOptions opts;
-  opts.min_marginal = 0.5;
-  std::string out = RenderCluster(log.vocabulary(), mix.Component(0), opts);
-  // sms_type has marginal 10/110 < 0.5 -> omitted.
+  std::string out =
+      RenderCluster(log.vocabulary(), Model(log, {0, 0, 0}, 1), 0);
+  // sms_type has marginal 10/110 < 0.15 -> omitted; id (100/110) stays.
   EXPECT_EQ(out.find("sms_type"), std::string::npos);
+  EXPECT_NE(out.find("+ id"), std::string::npos);
 }
 
 TEST(VisualizeTest, DiffuseClusterGetsSubclusterNote) {
@@ -55,22 +60,19 @@ TEST(VisualizeTest, DiffuseClusterGetsSubclusterNote) {
   for (FeatureId f = 0; f < 20; ++f) {
     log.Add(FeatureVec({f}), 1);
   }
-  NaiveMixtureEncoding mix = NaiveMixtureEncoding::FromPartition(
-      log, std::vector<int>(20, 0), 1);
   // No vocabulary entries exist; construct one matching ids.
   Vocabulary vocab;
   for (FeatureId f = 0; f < 20; ++f) {
     vocab.Intern({FeatureClause::kSelect, "col" + std::to_string(f)});
   }
-  std::string out = RenderCluster(vocab, mix.Component(0));
+  std::string out =
+      RenderCluster(vocab, Model(log, std::vector<int>(20, 0), 1), 0);
   EXPECT_NE(out.find("sub-clustering"), std::string::npos);
 }
 
 TEST(VisualizeTest, MixtureOrderedByWeight) {
   QueryLog log = MakeLog();
-  NaiveMixtureEncoding mix =
-      NaiveMixtureEncoding::FromPartition(log, {0, 0, 1}, 2);
-  std::string out = RenderMixture(log.vocabulary(), mix);
+  std::string out = RenderMixture(log.vocabulary(), Model(log, {0, 0, 1}, 2));
   std::size_t first = out.find("weight 90.9%");
   std::size_t second = out.find("weight 9.1%");
   ASSERT_NE(first, std::string::npos);
@@ -87,12 +89,9 @@ TEST(VisualizeTest, MaxPerClauseTruncates) {
         {FeatureClause::kSelect, "col" + std::to_string(i)}));
   }
   log.Add(FeatureVec(ids), 10);
-  NaiveMixtureEncoding mix =
-      NaiveMixtureEncoding::FromPartition(log, {0}, 1);
-  VisualizeOptions opts;
-  opts.max_per_clause = 4;
-  std::string out = RenderCluster(log.vocabulary(), mix.Component(0), opts);
-  EXPECT_NE(out.find("... 8 more"), std::string::npos);
+  std::string out = RenderCluster(log.vocabulary(), Model(log, {0}, 1), 0);
+  // 8 features per clause are listed; the other 4 are counted.
+  EXPECT_NE(out.find("... 4 more"), std::string::npos);
 }
 
 }  // namespace

@@ -45,6 +45,11 @@ earlier PRs paid for and that a grep can keep honest:
                         is read from LOGR_PAPER_PATTERNS in
                         CMakeLists.txt; a listed .cc's header is the
                         .h beside it.
+  8. posix-only         No _WIN32 conditional in src/. The library is
+                        POSIX-only (the serve daemon's sockets and poll,
+                        the registry's directory scan, fork/exec, mmap
+                        and rename are used unconditionally), so a
+                        non-POSIX branch is dead code no build compiles.
 
 Usage: tools/lint.py [--root DIR] [FILES...]
 With FILES, only those are checked (CI's changed-files mode); otherwise
@@ -246,6 +251,20 @@ def check_paper_confinement(path, lines, paper, findings):
                 "source, or move the code it needs out of that list"))
 
 
+WIN32_CONDITIONAL = re.compile(r"^\s*#\s*(?:if|ifdef|ifndef|elif)\b.*\b_WIN32\b")
+
+
+def check_posix_only(path, lines, findings):
+    if not path.startswith("src/"):
+        return
+    for i, raw in enumerate(lines, 1):
+        if WIN32_CONDITIONAL.search(raw):
+            findings.append(Finding(
+                path, i, raw, "posix-only",
+                "logr builds only on POSIX: delete the non-POSIX branch and "
+                "include the POSIX headers unconditionally"))
+
+
 def expected_guard(path):
     # src/cluster/nn_chain.h -> LOGR_CLUSTER_NN_CHAIN_H_
     rel = re.sub(r"^src/", "", path)
@@ -336,6 +355,7 @@ def main():
         check_header_guards(path, lines, findings)
         check_env_reads(path, lines, findings)
         check_paper_confinement(path, lines, paper, findings)
+        check_posix_only(path, lines, findings)
     check_avx_confinement(root, files, findings)
 
     for f in findings:
