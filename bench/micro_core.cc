@@ -669,7 +669,7 @@ const std::vector<std::string>& DistributedShardsSingleton() {
 }
 
 void BM_DistributedCompress(benchmark::State& state) {
-  // Scatter/gather over fork-mode worker processes (Arg = concurrent
+  // Scatter/gather over forked worker processes (Arg = concurrent
   // workers) on the same 8-shard split as BM_ShardedCompress. The spool
   // is cold every iteration (reuse_spool off), so each iteration pays
   // the full per-shard compression; on multi-core hardware wall-clock

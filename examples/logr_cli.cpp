@@ -34,7 +34,7 @@
 //                       SHARD.logrl...|SHARD_DIR
 //       Scatter/gather compression over worker processes: each .logrl
 //       shard (listed explicitly or enumerated from a directory) is
-//       compressed by a separate worker process that mmap-reads it
+//       compressed by a forked worker process that mmap-reads it
 //       zero-copy and spools a summary into --spool; the coordinator
 //       retries crashed or hung workers (--retries per shard, --timeout
 //       watchdog), reuses valid spooled summaries on re-run (resume),
@@ -98,7 +98,6 @@
 #include "data/sql_log.h"
 #include "serve/client.h"
 #include "util/flags.h"
-#include "util/subprocess.h"
 #include "workload/binary_log.h"
 #include "workload/loader.h"
 #include "workload/predicate.h"
@@ -110,7 +109,7 @@ using namespace logr;
 /// One row of the subcommand table.
 struct Command {
   const char* name;
-  /// The usage line after "logr_cli "; nullptr hides the row from Usage().
+  /// The usage line after "logr_cli ".
   const char* usage;
   /// The body. It opens with its flag table and positional bounds for
   /// ParseArgs, and returns the exit code.
@@ -481,11 +480,6 @@ int RunDistribute(const Command& self, int argc, char** argv) {
     for (std::string& p : listed) shard_paths.push_back(std::move(p));
   }
 
-  // Workers re-exec this binary in the hidden `worker` mode.
-  std::string program = CurrentExecutablePath();
-  if (program.empty()) program = argv[0];
-  opts.worker_command = {program};
-
   DistributedResult result;
   std::string error;
   if (!CompressDistributed(shard_paths, opts, &result, &error)) {
@@ -513,19 +507,6 @@ int RunDistribute(const Command& self, int argc, char** argv) {
     return Fail(error);
   }
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
-}
-
-/// Hidden subcommand: one scatter worker, spawned by `distribute` and
-/// never typed by hand. Its flags are the WorkerArgv wire format.
-int RunWorker(const Command&, int argc, char** argv) {
-  DistributedWorkerOptions opts;
-  std::string error;
-  if (!ParseWorkerArgv({argv + 2, argv + argc}, &opts, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
-  if (!RunDistributedWorker(opts, &error)) return Fail(error);
   return 0;
 }
 
@@ -683,7 +664,6 @@ const Command kCommands[] = {
      "[--retries R] [--timeout SEC] [--no-resume] [--no-fallback] "
      "[--out FILE] SHARD.logrl...|SHARD_DIR",
      RunDistribute},
-    {"worker", nullptr, RunWorker},
     {"merge", "merge [--clusters K] [--out FILE] SUMMARY...", RunMerge},
     {"info", "info SUMMARY", RunInfo},
     {"estimate", "estimate SUMMARY TERM...", RunEstimate},
@@ -696,7 +676,6 @@ const Command kCommands[] = {
 int Usage() {
   const char* lead = "usage:";
   for (const Command& command : kCommands) {
-    if (command.usage == nullptr) continue;
     std::fprintf(stderr, "%s logr_cli %s\n", lead, command.usage);
     lead = "      ";
   }

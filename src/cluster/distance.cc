@@ -162,17 +162,4 @@ CondensedDistances DistanceMatrixMerge(const std::vector<FeatureVec>& vecs,
   return d;
 }
 
-std::vector<double> DistancePairs(
-    const PackedVecPool& packed,
-    const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
-    const DistanceSpec& spec, ThreadPool* pool) {
-  std::vector<double> out(pairs.size());
-  ParallelFor(pool, 0, pairs.size(), kFineGrain, [&](std::size_t p) {
-    out[p] = DistanceFromSymmetricDifference(
-        packed.SymmetricDifference(pairs[p].first, pairs[p].second),
-        packed.num_features(), spec);
-  });
-  return out;
-}
-
 }  // namespace logr

@@ -8,7 +8,7 @@
 //  - the sparse merge kernel walks two sorted id lists
 //    (SymmetricDifference over FeatureVecs — the reference path), and
 //  - the packed kernel XOR+popcounts dense u64 blocks (PackedVecPool),
-//    which is what CondensedDistanceMatrix and DistancePairs run on.
+//    which is what CondensedDistanceMatrix runs on.
 //
 // Both produce the same exact integer, so every derived metric is
 // bit-identical between them.
@@ -125,16 +125,6 @@ CondensedDistances CondensedDistanceMatrix(
 CondensedDistances DistanceMatrixMerge(const std::vector<FeatureVec>& vecs,
                                        std::size_t n, const DistanceSpec& spec,
                                        ThreadPool* pool);
-
-/// Distances for an explicit (i, j) pair list over a packed pool,
-/// for callers that need scattered pairs without materializing a full
-/// matrix (k-means seeding reads the pool's SymmetricDifference
-/// directly since its pairs share one endpoint). out[p] =
-/// distance(pairs[p]).
-std::vector<double> DistancePairs(
-    const PackedVecPool& packed,
-    const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
-    const DistanceSpec& spec, ThreadPool* pool);
 
 /// True when packing `count` vectors over `n` features fits the packed
 /// kernel's memory budget; CondensedDistanceMatrix consults this and

@@ -13,7 +13,6 @@
 #include <thread>
 #include <utility>
 
-#include "cluster/clusterer.h"
 #include "core/sharded.h"
 #include "util/check.h"
 #include "util/flags.h"
@@ -119,42 +118,6 @@ bool WriteShardFiles(const LogView& log, std::size_t num_shards,
   return true;
 }
 
-std::vector<std::string> WorkerArgv(const DistributedWorkerOptions& opts) {
-  return {
-      "--shard",       opts.shard_path,
-      "--out",         opts.out_path,
-      "--clusters",    std::to_string(opts.num_clusters),
-      "--method",      opts.method,
-      "--seed",        std::to_string(opts.seed),
-      "--n-init",      std::to_string(opts.n_init),
-      "--shard-index", std::to_string(opts.shard_index),
-      "--attempt",     std::to_string(opts.attempt),
-  };
-}
-
-bool ParseWorkerArgv(const std::vector<std::string>& args,
-                     DistributedWorkerOptions* opts, std::string* error) {
-  *opts = DistributedWorkerOptions();
-  const std::vector<Flag> flags = {
-      {"--shard", &opts->shard_path},
-      {"--out", &opts->out_path},
-      {"--clusters", &opts->num_clusters, 1},
-      {"--method", &opts->method},
-      {"--seed", &opts->seed},
-      {"--n-init", &opts->n_init, 1},
-      {"--shard-index", &opts->shard_index},
-      {"--attempt", &opts->attempt},
-  };
-  std::string flag_error;
-  if (!ParseFlags(args, flags, Positionals(), &flag_error)) {
-    return Fail(error, "worker argv: " + flag_error);
-  }
-  if (opts->shard_path.empty() || opts->out_path.empty()) {
-    return Fail(error, "worker needs --shard and --out");
-  }
-  return true;
-}
-
 bool RunDistributedWorker(const DistributedWorkerOptions& opts,
                           std::string* error) {
   MmapQueryLog shard;
@@ -166,15 +129,13 @@ bool RunDistributedWorker(const DistributedWorkerOptions& opts,
 
   // The same per-shard fit as CompressSharded's, so the gathered merge
   // is bit-identical to the in-process sharded run. Its thread-free
-  // pool is also the fork-safety requirement: a fork-mode child must
+  // pool is also the fork-safety requirement: a forked child must
   // never wait on the parent's pool threads, which do not exist after
   // fork.
   LogROptions copts;
+  copts.method = opts.method;
   copts.seed = opts.seed;
   copts.n_init = opts.n_init;
-  if (!ParseClusteringMethod(opts.method, &copts.method)) {
-    return Fail(error, "unknown clustering method " + opts.method);
-  }
 
   LogView view(shard);
   const LogRSummary summary = CompressShard(view, copts, opts.num_clusters);
@@ -211,7 +172,6 @@ bool CompressDistributed(const std::vector<std::string>& shard_paths,
 
   const std::size_t shard_k =
       ClustersPerShard(opts.compression.num_clusters, n);
-  const std::string method = ClusteringMethodName(opts.compression.method);
 
   enum class State { kPending, kRunning, kDone };
   std::vector<State> state(n, State::kPending);
@@ -242,7 +202,7 @@ bool CompressDistributed(const std::vector<std::string>& shard_paths,
     w.shard_path = shard_paths[s];
     w.out_path = out->shards[s].summary_path;
     w.num_clusters = shard_k;
-    w.method = method;
+    w.method = opts.compression.method;
     w.seed = opts.compression.seed;
     w.n_init = opts.compression.n_init;
     w.shard_index = s;
@@ -254,24 +214,16 @@ bool CompressDistributed(const std::vector<std::string>& shard_paths,
     const DistributedWorkerOptions w = worker_opts(s);
     ++out->shards[s].attempts;
     ++out->workers_launched;
-    long pid = -1;
     std::string spawn_error;
-    if (!opts.worker_command.empty()) {
-      std::vector<std::string> argv = opts.worker_command;
-      argv.push_back("worker");
-      for (std::string& flag : WorkerArgv(w)) argv.push_back(std::move(flag));
-      pid = SpawnProcess(argv, &spawn_error);
-    } else {
-      pid = ForkProcess(
-          [w]() -> int {
-            std::string worker_error;
-            if (RunDistributedWorker(w, &worker_error)) return 0;
-            std::fprintf(stderr, "worker (shard %zu): %s\n", w.shard_index,
-                         worker_error.c_str());
-            return 1;
-          },
-          &spawn_error);
-    }
+    const long pid = ForkProcess(
+        [w]() -> int {
+          std::string worker_error;
+          if (RunDistributedWorker(w, &worker_error)) return 0;
+          std::fprintf(stderr, "worker (shard %zu): %s\n", w.shard_index,
+                       worker_error.c_str());
+          return 1;
+        },
+        &spawn_error);
     if (pid < 0) return Fail(error, spawn_error);
     state[s] = State::kRunning;
     running.push_back({s, pid, timer.ElapsedSeconds()});

@@ -28,14 +28,11 @@
 //
 // Workers are processes, not threads, for fault isolation: a worker
 // that crashes, hangs, or is OOM-killed loses one shard attempt, never
-// the job. Two spawn modes exist — exec mode (worker_command names a
-// binary re-invoked as `... worker <flags>`, the CLI's arrangement) and
-// fork mode (empty worker_command; the child runs RunDistributedWorker
-// directly, which tests and benches use to avoid depending on an
-// installed binary). Forked children never touch the parent's thread
-// pools (pthreads do not survive fork); every worker fits its shard
-// with CompressShard, exactly like CompressSharded, so the distributed
-// result is bit-deterministic for any worker count.
+// the job. The coordinator forks each worker, and the child calls
+// RunDistributedWorker directly. Forked children never touch the
+// parent's thread pools (pthreads do not survive fork); every worker
+// fits its shard with CompressShard, exactly like CompressSharded, so
+// the distributed result is bit-deterministic for any worker count.
 #ifndef LOGR_CORE_DISTRIBUTED_H_
 #define LOGR_CORE_DISTRIBUTED_H_
 
@@ -55,10 +52,10 @@ namespace logr {
 /// SIGKILLs itself mid-job (after opening its input, before spooling a
 /// summary). Retries are unaffected, so the job must still complete
 /// with the identical summary. It is the one test hook the library
-/// reads from the environment, because it has to cross an exec: the
-/// coordinator starts `logr_cli worker` processes that inherit the
-/// environment but see no option of the caller. Carrying it in the
-/// worker argv instead would add a wire-format field and an option.
+/// reads from the environment, because `logr_cli distribute` has no
+/// option for it: the CI smoke sets it on the CLI's environment, which
+/// forked workers inherit. An option would widen the public API for a
+/// test.
 inline constexpr char kDistributedCrashEnv[] = "LOGR_DISTRIBUTE_CRASH";
 
 struct DistributedOptions {
@@ -68,16 +65,15 @@ struct DistributedOptions {
   /// gather-side reconcile; method/seed/n_init are forwarded to
   /// every worker so per-shard fits match CompressSharded's. The
   /// encoder is ignored — shards merge through the naive family, and
-  /// the merged output is always a naive summary (like `merge`).
+  /// the merged output is always a naive summary (like `merge`). `pool`
+  /// serves only the gather's reconcile, where null means serial
+  /// (MergeSummaries' rule); workers fit on CompressShard's thread-free
+  /// pool.
   LogROptions compression;
   /// Directory the workers spool summaries into (created if absent).
   /// Re-running a coordinator over a warm spool reuses every valid
   /// summary already present (the resume path).
   std::string spool_dir;
-  /// Exec-mode worker argv prefix, e.g. {"/path/to/logr_cli"}: shard
-  /// workers run `<prefix...> worker <flags>`. Empty selects fork mode
-  /// (the child calls RunDistributedWorker in-process).
-  std::vector<std::string> worker_command;
   /// Retries per shard after its first failed attempt.
   int max_retries = 2;
   /// Wall-clock budget per worker attempt; a worker past it is killed
@@ -114,14 +110,12 @@ struct DistributedResult {
 /// What one worker does: mmap-open `shard_path` (.logrl), compress it
 /// zero-copy with the naive encoder at `num_clusters`, and atomically
 /// write its summary (v4) to `out_path`. The coordinator builds these
-/// from DistributedOptions; the CLI's hidden `worker` subcommand parses
-/// them back off argv (see WorkerArgv / ParseWorkerArgv).
+/// from DistributedOptions for each shard attempt.
 struct DistributedWorkerOptions {
   std::string shard_path;
   std::string out_path;
   std::size_t num_clusters = 1;
-  /// Clustering method name (a ParseClusteringMethod spelling).
-  std::string method = "KmeansEuclidean";
+  ClusteringMethod method = ClusteringMethod::kKMeansEuclidean;
   std::uint64_t seed = 17;
   int n_init = 4;
   /// Position of the shard in the coordinator's scatter order — only
@@ -132,20 +126,11 @@ struct DistributedWorkerOptions {
   int attempt = 0;
 };
 
-/// The worker flag list for `opts` (no argv0 / subcommand): the wire
-/// format between coordinator and exec-mode workers.
-std::vector<std::string> WorkerArgv(const DistributedWorkerOptions& opts);
-
-/// Parses what WorkerArgv produced. Returns false (and fills `error`)
-/// on unknown flags or missing required ones (--shard, --out).
-bool ParseWorkerArgv(const std::vector<std::string>& args,
-                     DistributedWorkerOptions* opts, std::string* error);
-
-/// Worker entry point, shared by the CLI `worker` subcommand, fork-mode
-/// children, and the coordinator's in-process fallback: compress the
-/// shard with CompressShard (fork-safe, and bit-identical to
-/// CompressSharded's per-shard fits) and spool the summary. Returns
-/// false (and fills `error`) on any I/O or validation failure.
+/// Worker entry point, shared by the forked children and the
+/// coordinator's in-process fallback: compress the shard with
+/// CompressShard (fork-safe, and bit-identical to CompressSharded's
+/// per-shard fits) and spool the summary. Returns false (and fills
+/// `error`) on any I/O or validation failure.
 bool RunDistributedWorker(const DistributedWorkerOptions& opts,
                           std::string* error);
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "util/check.h"
-
 namespace logr {
 
 double Entropy(const std::vector<double>& p) {
@@ -17,18 +15,6 @@ double Entropy(const std::vector<double>& p) {
 double BinaryEntropy(double p) {
   if (p <= 0.0 || p >= 1.0) return 0.0;
   return -p * std::log(p) - (1.0 - p) * std::log(1.0 - p);
-}
-
-double KlDivergence(const std::vector<double>& p,
-                    const std::vector<double>& q, double epsilon) {
-  LOGR_CHECK(p.size() == q.size());
-  double d = 0.0;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (p[i] <= 0.0) continue;
-    double qi = q[i] > epsilon ? q[i] : epsilon;
-    d += p[i] * std::log(p[i] / qi);
-  }
-  return d;
 }
 
 }  // namespace logr

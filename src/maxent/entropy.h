@@ -1,4 +1,4 @@
-// Entropy and divergence helpers (all in nats).
+// Entropy helpers (all in nats).
 #ifndef LOGR_MAXENT_ENTROPY_H_
 #define LOGR_MAXENT_ENTROPY_H_
 
@@ -12,14 +12,6 @@ double Entropy(const std::vector<double>& p);
 
 /// Binary entropy h(p) = -p ln p - (1-p) ln (1-p), with h(0)=h(1)=0.
 double BinaryEntropy(double p);
-
-/// Kullback-Leibler divergence KL(p || q) = sum p ln(p/q).
-///
-/// Whenever p_i > 0 but q_i == 0 the divergence is undefined (the paper
-/// notes the absolute-continuity caveat in Sec. 3.3); `epsilon` smoothing
-/// substitutes max(q_i, epsilon) to keep estimates finite.
-double KlDivergence(const std::vector<double>& p,
-                    const std::vector<double>& q, double epsilon = 1e-12);
 
 }  // namespace logr
 

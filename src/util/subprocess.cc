@@ -10,31 +10,6 @@
 
 namespace logr {
 
-long SpawnProcess(const std::vector<std::string>& argv, std::string* error) {
-  if (argv.empty()) {
-    if (error) *error = "SpawnProcess: empty argv";
-    return -1;
-  }
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const std::string& a : argv) {
-    cargv.push_back(const_cast<char*>(a.c_str()));
-  }
-  cargv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    if (error) *error = std::string("fork: ") + std::strerror(errno);
-    return -1;
-  }
-  if (pid == 0) {
-    ::execv(cargv[0], cargv.data());
-    // exec failed: exit through _exit so no parent-owned atexit handlers
-    // or stream flushes run twice. 127 mirrors the shell convention.
-    ::_exit(127);
-  }
-  return static_cast<long>(pid);
-}
-
 long ForkProcess(const std::function<int()>& child_main, std::string* error) {
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -85,14 +60,6 @@ void KillProcess(long pid) {
   ::kill(static_cast<pid_t>(pid), SIGKILL);
   ProcessStatus ignored;
   WaitProcess(pid, &ignored);
-}
-
-std::string CurrentExecutablePath() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  return std::string(buf);
 }
 
 }  // namespace logr

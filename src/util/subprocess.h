@@ -1,15 +1,14 @@
 // Minimal POSIX process helpers for the distributed coordinator
-// (core/distributed.h): spawn a worker (fork+exec of an argv, or a
-// plain fork running a callable), poll or wait for its exit, and kill
-// stragglers. Everything here is wait()-reap-safe: every spawned pid is
-// reaped exactly once, by TryWait, WaitProcess, or KillProcess. The
-// library is POSIX-only, like the serve daemon's sockets.
+// (core/distributed.h): fork a worker that runs a callable, poll or
+// wait for its exit, and kill stragglers. Everything here is
+// wait()-reap-safe: every forked pid is reaped exactly once, by
+// TryWaitProcess, WaitProcess, or KillProcess. The library is
+// POSIX-only, like the serve daemon's sockets.
 #ifndef LOGR_UTIL_SUBPROCESS_H_
 #define LOGR_UTIL_SUBPROCESS_H_
 
 #include <functional>
 #include <string>
-#include <vector>
 
 namespace logr {
 
@@ -23,13 +22,9 @@ struct ProcessStatus {
   bool Success() const { return exited && exit_code == 0; }
 };
 
-/// fork+execv of `argv` (argv[0] is the binary path; PATH is not
-/// searched). Returns the child pid, or -1 with `error` filled. The
-/// child inherits the parent's environment and stdio.
-long SpawnProcess(const std::vector<std::string>& argv, std::string* error);
-
 /// Plain fork: the child runs `child_main` and _exit()s with its return
-/// value, never returning to the caller's code. The child must not touch
+/// value, never returning to the caller's code. The child inherits the
+/// parent's environment and stdio. The child must not touch
 /// the parent's thread pools — pthreads do not survive fork (only the
 /// forking thread exists in the child), so any ParallelFor dispatched to
 /// a pre-fork pool would wait forever. Returns the child pid, or -1 with
@@ -46,11 +41,6 @@ bool WaitProcess(long pid, ProcessStatus* status);
 /// SIGKILLs `pid` and reaps it (blocking). Safe on already-dead pids
 /// that have not been reaped yet.
 void KillProcess(long pid);
-
-/// Absolute path of the running executable (/proc/self/exe), or "" when
-/// the platform cannot tell. The CLI uses it so `distribute` can re-exec
-/// itself as workers without trusting argv[0].
-std::string CurrentExecutablePath();
 
 }  // namespace logr
 

@@ -2,12 +2,11 @@
 // (core/distributed.h): bit-identity of the process-per-shard path with
 // in-process sharded compression and the offline summary merge on the
 // paper-shaped generators, worker crash-retry (SIGKILL mid-job loses an
-// attempt, never the job), coordinator resume from a warm spool,
-// exec-mode spawn-failure fallback, the coordinator/worker argv wire
-// format, and the shard files `logr_cli split` writes.
+// attempt, never the job), coordinator resume from a warm spool, the
+// in-process fallback after the last failed attempt, and the shard
+// files `logr_cli split` writes.
 #include <unistd.h>
 
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -71,14 +70,13 @@ std::string Bytes(const Vocabulary& vocab, const WorkloadModel& model) {
   return out.str();
 }
 
-DistributedOptions ForkModeOptions(std::size_t num_clusters,
-                                   const std::string& spool_tag) {
+DistributedOptions WorkerOptions(std::size_t num_clusters,
+                                 const std::string& spool_tag) {
   DistributedOptions opts;
   opts.num_workers = 2;
   opts.compression.num_clusters = num_clusters;
   opts.compression.encoder = "naive";
   opts.spool_dir = UniqueDir(spool_tag);
-  // Empty worker_command = fork mode: no installed binary needed.
   return opts;
 }
 
@@ -98,7 +96,7 @@ std::string ShardedReferenceBytes(const QueryLog& log,
 TEST(DistributedTest, MatchesInProcessShardingBitForBitPocket) {
   QueryLog log = PocketLog();
   const std::vector<std::string> shards = WriteShards(log, 4, "pocket_id");
-  DistributedOptions opts = ForkModeOptions(6, "pocket_id_spool");
+  DistributedOptions opts = WorkerOptions(6, "pocket_id_spool");
   DistributedResult result;
   std::string error;
   ASSERT_TRUE(CompressDistributed(shards, opts, &result, &error)) << error;
@@ -135,7 +133,7 @@ TEST(DistributedTest, MatchesInProcessShardingBitForBitPocket) {
 TEST(DistributedTest, MatchesInProcessShardingBitForBitBank) {
   QueryLog log = BankLog();
   const std::vector<std::string> shards = WriteShards(log, 3, "bank_id");
-  DistributedOptions opts = ForkModeOptions(5, "bank_id_spool");
+  DistributedOptions opts = WorkerOptions(5, "bank_id_spool");
   DistributedResult result;
   std::string error;
   ASSERT_TRUE(CompressDistributed(shards, opts, &result, &error)) << error;
@@ -151,14 +149,14 @@ TEST(DistributedTest, WorkerKilledMidJobRetriesToIdenticalSummary) {
   // worker SIGKILLs itself mid-job via the fault-injection hook.
   DistributedResult clean;
   std::string error;
-  ASSERT_TRUE(CompressDistributed(shards, ForkModeOptions(6, "crash_clean"),
+  ASSERT_TRUE(CompressDistributed(shards, WorkerOptions(6, "crash_clean"),
                                   &clean, &error))
       << error;
 
   ASSERT_EQ(::setenv(kDistributedCrashEnv, "2", 1), 0);
   DistributedResult crashed;
   const bool ok = CompressDistributed(
-      shards, ForkModeOptions(6, "crash_spool"), &crashed, &error);
+      shards, WorkerOptions(6, "crash_spool"), &crashed, &error);
   ::unsetenv(kDistributedCrashEnv);
   ASSERT_TRUE(ok) << error;
 
@@ -179,7 +177,7 @@ TEST(DistributedTest, WorkerKilledMidJobRetriesToIdenticalSummary) {
 TEST(DistributedTest, ResumeReusesWarmSpool) {
   QueryLog log = PocketLog();
   const std::vector<std::string> shards = WriteShards(log, 4, "resume");
-  DistributedOptions opts = ForkModeOptions(6, "resume_spool");
+  DistributedOptions opts = WorkerOptions(6, "resume_spool");
 
   DistributedResult first;
   std::string error;
@@ -210,86 +208,39 @@ TEST(DistributedTest, ResumeReusesWarmSpool) {
   EXPECT_EQ(Bytes(cold.summary.vocabulary, *cold.summary.model), reference);
 }
 
-TEST(DistributedTest, ExecSpawnFailureFallsBackInProcess) {
+TEST(DistributedTest, LastFailedAttemptFallsBackInProcess) {
   QueryLog log = PocketLog();
-  const std::vector<std::string> shards = WriteShards(log, 2, "noexec");
-  DistributedOptions opts = ForkModeOptions(4, "noexec_spool");
-  opts.worker_command = {"/nonexistent/logr_worker_binary"};
-  opts.max_retries = 1;
+  const std::vector<std::string> shards = WriteShards(log, 2, "fallback");
+  DistributedOptions opts = WorkerOptions(4, "fallback_spool");
+  opts.max_retries = 0;
 
-  // Every exec attempt dies (exit 127); the coordinator's last resort
-  // compresses in-process and the job still finishes with the sharded
-  // reference bytes.
+  // Shard 1's only worker SIGKILLs itself; with no retries left the
+  // coordinator's last resort compresses it in-process and the job
+  // still finishes with the sharded reference bytes.
+  ASSERT_EQ(::setenv(kDistributedCrashEnv, "1", 1), 0);
   DistributedResult result;
   std::string error;
-  ASSERT_TRUE(CompressDistributed(shards, opts, &result, &error)) << error;
-  EXPECT_GE(result.workers_failed, shards.size());
-  for (const ShardReport& r : result.shards) {
-    EXPECT_TRUE(r.inprocess) << r.shard_path;
-  }
-  EXPECT_EQ(Bytes(result.summary.vocabulary, *result.summary.model),
-            ShardedReferenceBytes(log, 4, 2));
+  const bool ok = CompressDistributed(shards, opts, &result, &error);
 
   // With the fallback disabled the job must fail loudly instead.
   opts.inprocess_fallback = false;
-  opts.spool_dir = UniqueDir("noexec_spool2");
+  opts.spool_dir = UniqueDir("fallback_spool2");
   DistributedResult failed;
-  error.clear();
-  EXPECT_FALSE(CompressDistributed(shards, opts, &failed, &error));
-  EXPECT_FALSE(error.empty());
-}
+  std::string failed_error;
+  const bool failed_ok =
+      CompressDistributed(shards, opts, &failed, &failed_error);
+  ::unsetenv(kDistributedCrashEnv);
 
-TEST(DistributedTest, WorkerArgvRoundTrips) {
-  DistributedWorkerOptions opts;
-  opts.shard_path = "/tmp/in.logrl";
-  opts.out_path = "/tmp/out.summary";
-  opts.num_clusters = 9;
-  opts.method = "hamming";
-  opts.seed = 123;
-  opts.n_init = 7;
-  opts.shard_index = 3;
-  opts.attempt = 2;
+  ASSERT_TRUE(ok) << error;
+  EXPECT_EQ(result.workers_failed, 1u);
+  EXPECT_FALSE(result.shards[0].inprocess);
+  EXPECT_TRUE(result.shards[1].inprocess);
+  EXPECT_EQ(Bytes(result.summary.vocabulary, *result.summary.model),
+            ShardedReferenceBytes(log, 4, 2));
 
-  DistributedWorkerOptions parsed;
-  std::string error;
-  ASSERT_TRUE(ParseWorkerArgv(WorkerArgv(opts), &parsed, &error)) << error;
-  EXPECT_EQ(parsed.shard_path, opts.shard_path);
-  EXPECT_EQ(parsed.out_path, opts.out_path);
-  EXPECT_EQ(parsed.num_clusters, opts.num_clusters);
-  EXPECT_EQ(parsed.method, opts.method);
-  EXPECT_EQ(parsed.seed, opts.seed);
-  EXPECT_EQ(parsed.n_init, opts.n_init);
-  EXPECT_EQ(parsed.shard_index, opts.shard_index);
-  EXPECT_EQ(parsed.attempt, opts.attempt);
-
-  DistributedWorkerOptions bad;
-  EXPECT_FALSE(ParseWorkerArgv({"--bogus", "1"}, &bad, &error));
-  EXPECT_FALSE(ParseWorkerArgv({"--out", "/tmp/x"}, &bad, &error));
-}
-
-/// The int-typed worker flags are bounded at INT_MAX: 2^32 + 1 would
-/// otherwise narrow to 1 and run silently.
-TEST(DistributedTest, WorkerArgvRejectsIntOverflow) {
-  DistributedWorkerOptions opts;
-  opts.shard_path = "in.logrl";
-  opts.out_path = "out.summary";
-  opts.n_init = INT_MAX;
-  opts.attempt = INT_MAX;
-  DistributedWorkerOptions parsed;
-  std::string error;
-  ASSERT_TRUE(ParseWorkerArgv(WorkerArgv(opts), &parsed, &error)) << error;
-  EXPECT_EQ(parsed.n_init, INT_MAX);
-  EXPECT_EQ(parsed.attempt, INT_MAX);
-
-  for (const char* flag : {"--n-init", "--attempt"}) {
-    std::vector<std::string> args = WorkerArgv(opts);
-    args.push_back(flag);
-    args.push_back("4294967297");
-    error.clear();
-    EXPECT_FALSE(ParseWorkerArgv(args, &parsed, &error)) << flag;
-    EXPECT_NE(error.find(flag), std::string::npos) << error;
-    EXPECT_NE(error.find("2147483647]"), std::string::npos) << error;
-  }
+  EXPECT_FALSE(failed_ok);
+  EXPECT_NE(failed_error.find("exhausted 1 attempts"), std::string::npos)
+      << failed_error;
 }
 
 /// Each shard file reopens by mmap as exactly its part of the split,

@@ -218,26 +218,6 @@ TEST(CondensedDistanceTest, MergeKernelFallbackBeyondPackedBudget) {
   }
 }
 
-TEST(PackedDistanceTest, PairListMatchesDirectDistances) {
-  Pcg32 rng(23);
-  const std::size_t n = 200;
-  std::vector<FeatureVec> vecs = FuzzVectors(&rng, 30, n);
-  PackedVecPool packed(vecs, n);
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  for (int p = 0; p < 200; ++p) {
-    pairs.emplace_back(rng.NextBounded(30), rng.NextBounded(30));
-  }
-  DistanceSpec spec;
-  spec.metric = Metric::kMinkowski;
-  ThreadPool pool(3);
-  std::vector<double> out = DistancePairs(packed, pairs, spec, &pool);
-  ASSERT_EQ(out.size(), pairs.size());
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    EXPECT_EQ(out[p],
-              Distance(vecs[pairs[p].first], vecs[pairs[p].second], n, spec));
-  }
-}
-
 void ExpectDendrogramsEqual(const Dendrogram& a, const Dendrogram& b) {
   ASSERT_EQ(a.num_leaves, b.num_leaves);
   ASSERT_EQ(a.merge_a, b.merge_a);

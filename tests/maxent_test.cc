@@ -41,16 +41,6 @@ TEST(EntropyTest, BinaryEntropySymmetricAndBounded) {
   EXPECT_NEAR(BinaryEntropy(0.3), BinaryEntropy(0.7), 1e-12);
 }
 
-TEST(EntropyTest, KlDivergenceProperties) {
-  std::vector<double> p = {0.5, 0.5};
-  std::vector<double> q = {0.9, 0.1};
-  EXPECT_NEAR(KlDivergence(p, p), 0.0, 1e-12);
-  EXPECT_GT(KlDivergence(p, q), 0.0);
-  // Smoothing keeps KL finite when q has zeros.
-  std::vector<double> q0 = {1.0, 0.0};
-  EXPECT_TRUE(std::isfinite(KlDivergence(p, q0)));
-}
-
 TEST(SignatureSpaceTest, NoPatternsSingleClass) {
   SignatureSpace space({}, 4);
   EXPECT_EQ(space.num_classes(), 1u);

@@ -1,41 +1,18 @@
-// Direct coverage for util/subprocess.{h,cc} — until now these helpers
-// were exercised only through the distributed coordinator's happy
-// paths. The error paths below are exactly what the coordinator leans
-// on under failure: a worker binary that does not exist, reaping the
-// same pid twice, and killing a child that already exited.
+// Direct coverage for util/subprocess.{h,cc} beyond the distributed
+// coordinator's happy paths. The error paths below are exactly what the
+// coordinator leans on under failure: reaping the same pid twice,
+// killing a child that already exited, and a child ended by a signal.
 #include "util/subprocess.h"
 
 #include <unistd.h>
 
 #include <csignal>
 #include <string>
-#include <vector>
 
 #include "gtest/gtest.h"
 
 namespace logr {
 namespace {
-
-TEST(SubprocessTest, SpawnEmptyArgvFails) {
-  std::string error;
-  EXPECT_EQ(SpawnProcess({}, &error), -1);
-  EXPECT_FALSE(error.empty());
-}
-
-TEST(SubprocessTest, SpawnNonexistentBinaryExits127) {
-  // exec happens after fork, so the spawn itself succeeds and the
-  // failure surfaces as the shell-convention exit code 127 — the
-  // coordinator counts it as a failed attempt like any worker error.
-  std::string error;
-  const long pid =
-      SpawnProcess({"/nonexistent/definitely/not/a/binary"}, &error);
-  ASSERT_GT(pid, 0) << error;
-  ProcessStatus status;
-  ASSERT_TRUE(WaitProcess(pid, &status));
-  EXPECT_TRUE(status.exited);
-  EXPECT_EQ(status.exit_code, 127);
-  EXPECT_FALSE(status.Success());
-}
 
 TEST(SubprocessTest, ForkChildExitCodeRoundTrips) {
   std::string error;
@@ -108,13 +85,6 @@ TEST(SubprocessTest, WaitOnBogusPidFails) {
   // A pid this process never spawned (and cannot have as a child).
   EXPECT_FALSE(TryWaitProcess(999999999L, &status));
   EXPECT_FALSE(WaitProcess(999999999L, &status));
-}
-
-TEST(SubprocessTest, CurrentExecutablePathIsAbsolute) {
-  const std::string path = CurrentExecutablePath();
-  ASSERT_FALSE(path.empty());
-  EXPECT_EQ(path[0], '/');
-  EXPECT_NE(path.find("subprocess_test"), std::string::npos);
 }
 
 TEST(SubprocessTest, SignaledChildReportsTermSignal) {

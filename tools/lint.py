@@ -31,8 +31,9 @@ earlier PRs paid for and that a grep can keep honest:
                         a file move).
   6. env-reads-confined getenv in src/ only in util/thread_pool.h
                         (LOGR_THREADS sizes the shared pool) and
-                        core/distributed.cc (the crash hook, which has to
-                        reach exec'd workers). Library results never
+                        core/distributed.cc (the crash hook, which the
+                        CI smoke sets on `logr_cli distribute` and forked
+                        workers inherit). Library results never
                         depend on the process environment; an operating
                         knob is a CLI flag or a bench_common read.
   7. paper-code-confinement
@@ -47,7 +48,7 @@ earlier PRs paid for and that a grep can keep honest:
                         .h beside it.
   8. posix-only         No _WIN32 conditional in src/. The library is
                         POSIX-only (the serve daemon's sockets and poll,
-                        the registry's directory scan, fork/exec, mmap
+                        the registry's directory scan, fork, mmap
                         and rename are used unconditionally), so a
                         non-POSIX branch is dead code no build compiles.
 
