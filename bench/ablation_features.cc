@@ -25,7 +25,6 @@ int main() {
   for (bool extended : {false, true}) {
     LogLoader::Options lo;
     lo.extract.extended_clauses = extended;
-    lo.track_with_constant_stats = false;
     LogLoader loader = LoadEntries(entries, lo);
     QueryLog log = loader.TakeLog();
     for (std::size_t k : {1u, 8u, 16u, 30u}) {

@@ -132,15 +132,12 @@ const std::string& BankBinaryImageSingleton() {
 void BM_LoadTextBank(benchmark::State& state) {
   // The full text funnel: lex + parse + regularize + featurize every
   // statement of the bank log, batched onto a pool of Args[0] threads (1
-  // is the serial path). Args[1] = 1 also tracks Table 1's
-  // with-constants statistics, as `logr_cli convert` does; 0 is what
-  // compression pays. This is the cost the binary format removes from
-  // every bench and production run.
+  // is the serial path). This is the cost the binary format removes
+  // from every bench and production run.
   const std::vector<LogEntry>& entries = BankEntriesSingleton();
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   LogLoader::Options opts;
   opts.pool = &pool;
-  opts.track_with_constant_stats = state.range(1) != 0;
   std::size_t distinct = 0;
   for (auto _ : state) {
     LogLoader loader(opts);
@@ -151,15 +148,12 @@ void BM_LoadTextBank(benchmark::State& state) {
   state.counters["templates"] = static_cast<double>(distinct);
   state.counters["statements"] = static_cast<double>(entries.size());
   state.counters["threads"] = static_cast<double>(pool.NumThreads());
-  state.counters["tracked"] = static_cast<double>(state.range(1));
 }
 // Pool workers do most of the work, so only real time sees the scaling.
 BENCHMARK(BM_LoadTextBank)
-    ->ArgNames({"threads", "tracked"})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -20,7 +20,7 @@
 //   logr_cli convert [--name NAME] [--out FILE.logrl] [LOG]
 //       Reads a text SQL log (same line format as compress) and writes
 //       the logr-log v1 binary columnar file (feature-id columns +
-//       vocabulary + Table-1 stats; see workload/binary_log.h). The
+//       vocabulary + funnel; see workload/binary_log.h). The
 //       default output is LOG.logrl.
 //   logr_cli split [--shards N] [--shard-policy hash|range]
 //                  [--out-dir DIR] [--name NAME] [LOG|LOG.logrl]
@@ -341,10 +341,7 @@ int RunConvert(const Command& self, int argc, char** argv) {
     out_path = in_path.empty() ? "log.logrl" : in_path + ".logrl";
   }
 
-  // The .logrl stores Table 1, with-constants columns included.
-  LogLoader::Options opts;
-  opts.track_with_constant_stats = true;
-  LogLoader loader(opts);
+  LogLoader loader;
   if (int rc = ReadText(in_path, &loader)) return rc;
   std::string error;
   if (!loader.WriteBinary(out_path, name, &error)) return Fail(error);

@@ -17,6 +17,7 @@
 #include "core/logr_compressor.h"
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
+#include "sql/normalizer.h"
 #include "sql/parser.h"
 #include "workload/extractor.h"
 

@@ -83,10 +83,8 @@ DatasetSummary LogStatistics(const QueryLog& log, std::string name) {
   DatasetSummary stats;
   stats.name = std::move(name);
   stats.num_queries = log.TotalQueries();
-  stats.num_distinct = log.NumDistinct();
   stats.num_distinct_no_const = log.NumDistinct();
   stats.max_multiplicity = log.MaxMultiplicity();
-  stats.num_features = log.NumFeatures();
   stats.num_features_no_const = log.NumFeatures();
   stats.avg_features_per_query = log.AvgFeaturesPerQuery();
   return stats;

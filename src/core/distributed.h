@@ -153,10 +153,9 @@ bool CompressDistributed(const std::vector<std::string>& shard_paths,
 bool EnsureDirectory(const std::string& dir, std::string* error);
 
 /// The Table-1 block of a log that never went through the SQL funnel,
-/// as a shard file's trailer carries it: queries, distinct templates
-/// and features (the constant-free values fill the with-constants
-/// columns too), max multiplicity and features per query; the funnel
-/// and conjunctive/rewritable counts stay 0.
+/// as a shard file's trailer carries it: queries, distinct templates,
+/// max multiplicity, features and features per query; the non-SELECT
+/// and parse-error counts stay 0.
 DatasetSummary LogStatistics(const QueryLog& log, std::string name);
 
 /// One .logrl file written by WriteShardFiles.

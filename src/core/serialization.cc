@@ -522,9 +522,16 @@ bool ReadPatternComponents(PayloadReader& in, std::size_t n_features,
 }
 
 /// Reads a whole summary v4 file; anything without its magic is refused
-/// with the one error that names the fix.
+/// with an error that names the fix.
 bool ReadSummaryBytes(std::string_view bytes, PersistedSummary* s,
                       std::string* error) {
+  if (bytes.size() >= sizeof(kBinaryLogMagic) &&
+      std::memcmp(bytes.data(), kBinaryLogMagic, sizeof(kBinaryLogMagic)) ==
+          0) {
+    return Fail(error,
+                "not a summary: this is a binary query log (.logrl); run "
+                "`logr_cli compress` on it to build a summary");
+  }
   if (bytes.size() < sizeof(kSummaryMagic) ||
       std::memcmp(bytes.data(), kSummaryMagic, sizeof(kSummaryMagic)) != 0) {
     return Fail(error,

@@ -122,8 +122,9 @@ bool WriteSummary(const Vocabulary& vocab, const WorkloadModel& model,
 
 /// Parses a summary v4 written by WriteSummary, reading `in` to its end.
 /// Returns false (and fills `error`) on malformed input; input without
-/// the v4 magic, such as a v1-v3 text summary, fails with an error that
-/// says to re-run `logr_cli compress` on the log.
+/// the v4 magic, such as a v1-v3 text summary or a binary query log
+/// (.logrl), fails with an error that says to run `logr_cli compress`
+/// on the log.
 bool ReadSummary(std::istream* in, PersistedSummary* summary,
                  std::string* error);
 

@@ -23,6 +23,9 @@ namespace logr {
 
 namespace {
 
+/// What a writer stores in the summary trailer's reserved slots.
+constexpr std::uint64_t kReservedSummarySlot = UINT64_MAX;
+
 bool Fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = "binary log: " + message;
   return false;
@@ -122,12 +125,12 @@ bool BinaryLogWriter::Write(const QueryLog& log,
   AppendU64(&payload, summary.num_queries);
   AppendU64(&payload, summary.num_non_select);
   AppendU64(&payload, summary.num_parse_errors);
-  AppendU64(&payload, summary.num_distinct);
+  AppendU64(&payload, kReservedSummarySlot);
   AppendU64(&payload, summary.num_distinct_no_const);
-  AppendU64(&payload, summary.num_distinct_conjunctive);
-  AppendU64(&payload, summary.num_distinct_rewritable);
+  AppendU64(&payload, kReservedSummarySlot);
+  AppendU64(&payload, kReservedSummarySlot);
   AppendU64(&payload, summary.max_multiplicity);
-  AppendU64(&payload, summary.num_features);
+  AppendU64(&payload, kReservedSummarySlot);
   AppendU64(&payload, summary.num_features_no_const);
   AppendF64(&payload, summary.avg_features_per_query);
   const std::uint64_t summary_size =
@@ -444,15 +447,12 @@ bool MmapQueryLog::Parse(std::string* error) {
     if (limit - p != 10 * 8 + 8) {
       return Fail(error, "summary block has the wrong size");
     }
+    // Offsets 24, 40, 48 and 64 are reserved slots, skipped.
     summary_.num_queries = LoadU64(p + 0);
     summary_.num_non_select = LoadU64(p + 8);
     summary_.num_parse_errors = LoadU64(p + 16);
-    summary_.num_distinct = LoadU64(p + 24);
     summary_.num_distinct_no_const = LoadU64(p + 32);
-    summary_.num_distinct_conjunctive = LoadU64(p + 40);
-    summary_.num_distinct_rewritable = LoadU64(p + 48);
     summary_.max_multiplicity = LoadU64(p + 56);
-    summary_.num_features = LoadU64(p + 64);
     summary_.num_features_no_const = LoadU64(p + 72);
     summary_.avg_features_per_query = LoadF64(p + 80);
     if (!std::isfinite(summary_.avg_features_per_query) ||
@@ -629,20 +629,12 @@ bool SameDatasetSummary(const DatasetSummary& a, const DatasetSummary& b,
   if (a.num_parse_errors != b.num_parse_errors) {
     return mismatch("num_parse_errors");
   }
-  if (a.num_distinct != b.num_distinct) return mismatch("num_distinct");
   if (a.num_distinct_no_const != b.num_distinct_no_const) {
     return mismatch("num_distinct_no_const");
-  }
-  if (a.num_distinct_conjunctive != b.num_distinct_conjunctive) {
-    return mismatch("num_distinct_conjunctive");
-  }
-  if (a.num_distinct_rewritable != b.num_distinct_rewritable) {
-    return mismatch("num_distinct_rewritable");
   }
   if (a.max_multiplicity != b.max_multiplicity) {
     return mismatch("max_multiplicity");
   }
-  if (a.num_features != b.num_features) return mismatch("num_features");
   if (a.num_features_no_const != b.num_features_no_const) {
     return mismatch("num_features_no_const");
   }

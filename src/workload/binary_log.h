@@ -31,15 +31,21 @@
 //     off 112  sql_off        u64      -> per vector: u32 len, bytes
 //                                         (0 = no sample-SQL block)
 //     off 120  sql_size       u64
-//     off 128  summary_off    u64      -> DatasetSummary trailer: u32
-//                                         name len, name bytes, the ten
-//                                         u64 counters, f64 avg features
+//     off 128  summary_off    u64      -> DatasetSummary trailer
 //     off 136  summary_size   u64
 //     off 144  reserved       u64      0
 //
-// A log loaded without the with-constants statistics stores
-// DatasetSummary::kNotTracked (UINT64_MAX) in the trailer's num_distinct
-// and num_features counters, as plain u64s.
+//   summary trailer: u32 name len, name bytes, then ten u64 slots and an
+//   f64, at offsets counted from the end of the name:
+//     off   0  num_queries            off  40  reserved
+//     off   8  num_non_select         off  48  reserved
+//     off  16  num_parse_errors       off  56  max_multiplicity
+//     off  24  reserved               off  64  reserved
+//     off  32  num_distinct_no_const  off  72  num_features_no_const
+//     off  80  avg_features_per_query (f64)
+//   The reserved slots once held Table 1's with-constants and
+//   conjunctive/rewritable counts. Writers store UINT64_MAX there and
+//   readers ignore them, so files that still carry those counts open.
 //
 // Vector i's feature ids are ids[offsets[i] .. offsets[i+1]). The header
 // itself is not checksummed, so structural fields (counts, bounds,
@@ -149,9 +155,8 @@ class MmapQueryLog {
   /// counts through a materialized log.
   std::uint64_t CountContaining(const FeatureVec& b) const;
   const Vocabulary& vocabulary() const { return vocab_; }
-  /// The Table-1 statistics persisted at write time. The with-constants
-  /// columns are not recomputable from the constant-free log, which is
-  /// exactly why the trailer exists.
+  /// The Table-1 statistics persisted at write time. The funnel counters
+  /// are not recomputable from the log, which is why the trailer exists.
   const DatasetSummary& summary() const { return summary_; }
 
  private:

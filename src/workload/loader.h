@@ -1,48 +1,39 @@
-// Raw-SQL-to-QueryLog loading funnel with Table-1 statistics.
+// Raw-SQL-to-QueryLog loading funnel.
 //
 // The paper's bank log contains 73M operations of which 58M are stored
 // procedures, 13M are unparseable, and 1.25M are valid SELECTs (Sec. 7).
 // LogLoader reproduces that funnel: every input line is classified
 // (SELECT / non-SELECT / parse error), regularized, feature-extracted, and
-// accumulated, with counters for each stage and for the distinct-query /
-// distinct-feature statistics reported in Table 1.
+// accumulated into the constant-free log, with counters for each stage.
+// Table 1's with-constants and conjunctive/rewritable columns describe
+// the datasets only; the paper programs compute them with
+// Table1Statistics (data/table1.h).
 #ifndef LOGR_WORKLOAD_LOADER_H_
 #define LOGR_WORKLOAD_LOADER_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "sql/normalizer.h"
 #include "util/thread_pool.h"
 #include "workload/extractor.h"
 #include "workload/query_log.h"
 
 namespace logr {
 
-/// Table 1 of the paper, computed over everything fed to a LogLoader.
+/// The Table-1 statistics of everything fed to a LogLoader: the funnel
+/// and the constant-free log's shape.
 struct DatasetSummary {
-  /// The value of `num_distinct` and `num_features` when the loader did
-  /// not track the with-constants statistics. A .logrl stores it as the
-  /// plain u64 it is.
-  static constexpr std::uint64_t kNotTracked = UINT64_MAX;
-
   std::string name;
   std::uint64_t num_queries = 0;              // valid SELECTs
   std::uint64_t num_non_select = 0;           // stored procs / DML / DDL
   std::uint64_t num_parse_errors = 0;
-  std::uint64_t num_distinct = 0;             // distinct with constants
   std::uint64_t num_distinct_no_const = 0;    // distinct w/o constants
-  std::uint64_t num_distinct_conjunctive = 0; // conjunctive, w/o constants
-  std::uint64_t num_distinct_rewritable = 0;  // rewritable, w/o constants
   std::uint64_t max_multiplicity = 0;
-  std::uint64_t num_features = 0;             // with constants
   std::uint64_t num_features_no_const = 0;
   double avg_features_per_query = 0.0;
 };
@@ -64,11 +55,6 @@ struct DatasetSummary {
 /// prints have equal feature lists, and the workers skip featurizing a
 /// template an earlier batch already folded.
 ///
-/// The with-constants statistics (Table 1's "# Distinct queries" and
-/// "# Distinct features") are opt-in: only a caller that reports Table 1
-/// sets Options::track_with_constant_stats. Compression reads only the
-/// log and the funnel counters, and pays none of that work.
-///
 /// A pooled ParallelFor is not reentrant, so a LogLoader must not be
 /// driven from inside a pool task. Not thread-safe: the const readers
 /// fold the pending batch too.
@@ -76,13 +62,6 @@ class LogLoader {
  public:
   struct Options {
     ExtractOptions extract;
-    /// Also maintain the with-constants statistics (distinct queries and
-    /// features including literal values). Opt in for Table 1: it costs
-    /// a statement clone and a second regularization, print and feature
-    /// listing per SELECT, plus a pooled shard fill, all on the pool.
-    /// Left off, Summary() reports DatasetSummary::kNotTracked in
-    /// `num_distinct` and `num_features`.
-    bool track_with_constant_stats = false;
     /// Pool the batched statement work runs on; nullptr selects
     /// ThreadPool::Shared(). Never changes results, only wall-clock.
     ThreadPool* pool = nullptr;
@@ -128,40 +107,6 @@ class LogLoader {
     std::uint64_t count = 0;
   };
 
-  /// One constant-free template: its interned features, and whether it
-  /// has been counted as conjunctive / rewritable yet. A template counts
-  /// once per flag, on the first line that sets it: `b IN (1, 2)` and
-  /// `b = 3` share a canonical print but only the second is conjunctive.
-  struct Template {
-    FeatureVec features;
-    bool conjunctive = false;
-    bool rewritable = false;
-  };
-
-  /// A string with its hash, computed once on the pool: it picks the
-  /// shard and is the shard's bucket hash, so no string is hashed twice.
-  struct HashedString {
-    std::string text;
-    std::size_t hash = 0;
-  };
-  struct ByHash {
-    std::size_t operator()(const HashedString& s) const { return s.hash; }
-  };
-  struct ByText {
-    bool operator()(const HashedString& a, const HashedString& b) const {
-      return a.text == b.text;
-    }
-  };
-  using StringSet = std::unordered_set<HashedString, ByHash, ByText>;
-
-  /// Shards of each with-constants set: enough to keep four workers busy
-  /// on one batch, few enough that each shard task scans a batch cheaply.
-  static constexpr std::size_t kShards = 16;
-  struct ShardedSet {
-    std::array<StringSet, kShards> shards;
-    std::size_t size() const;
-  };
-
   struct PreparedLine;
 
   /// Processes the queued lines on the pool and folds them in order.
@@ -172,15 +117,9 @@ class LogLoader {
   // is mutable.
   mutable std::vector<PendingLine> pending_;
   mutable QueryLog log_;
-  // Keyed by the canonical (constant-free) print.
-  mutable std::unordered_map<std::string, Template> templates_;
-  mutable std::uint64_t num_distinct_conjunctive_ = 0;
-  mutable std::uint64_t num_distinct_rewritable_ = 0;
-  // Only ever counted, so each holds its full strings and nothing else:
-  // Vocabulary::Key for the with-constants features, printed statements
-  // for the distinct queries.
-  mutable ShardedSet with_const_features_;
-  mutable ShardedSet distinct_with_const_;
+  // One record per constant-free template: its canonical print and its
+  // interned features.
+  mutable std::unordered_map<std::string, FeatureVec> templates_;
   mutable std::uint64_t num_queries_ = 0;
   mutable std::uint64_t num_non_select_ = 0;
   mutable std::uint64_t num_parse_errors_ = 0;

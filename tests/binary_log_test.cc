@@ -150,6 +150,45 @@ TEST(BinaryLogTest, ReaderDedupIndexStaysLive) {
   EXPECT_EQ(reloaded.TotalQueries(), total + 2);
 }
 
+/// Byte offset of the summary trailer's u64 slots: past its u32 name
+/// length and the name.
+std::size_t SummarySlots(const std::string& bytes) {
+  const std::uint64_t summary_off = HeaderU64(bytes, 128);
+  std::uint32_t name_len;
+  std::memcpy(&name_len, bytes.data() + summary_off, sizeof(name_len));
+  return static_cast<std::size_t>(summary_off) + 4 + name_len;
+}
+
+TEST(BinaryLogTest, ReservedSummarySlotsAreIgnored) {
+  LogLoader loader = BankLoader();
+  const DatasetSummary summary = loader.Summary("bank");
+  const std::string fresh = Serialize(loader.log(), summary);
+  const std::size_t slots = SummarySlots(fresh);
+  constexpr std::size_t kReserved[] = {24, 40, 48, 64};
+  for (std::size_t off : kReserved) {
+    EXPECT_EQ(HeaderU64(fresh, slots + off), UINT64_MAX) << off;
+  }
+
+  // Older writers stored Table 1's distinct queries with constants,
+  // conjunctive and rewritable templates, and features with constants
+  // there. Such a file opens with the same log and funnel.
+  std::string older = fresh;
+  PatchU64(&older, slots + 24, 188184);
+  PatchU64(&older, slots + 40, 1494);
+  PatchU64(&older, slots + 48, 1712);
+  PatchU64(&older, slots + 64, 144708);
+  Restamp(&older);
+  ASSERT_NE(older, fresh);
+  QueryLog reloaded;
+  DatasetSummary reloaded_summary;
+  std::string error;
+  ASSERT_TRUE(ReadImage(older, &reloaded, &reloaded_summary, &error))
+      << error;
+  std::string why;
+  EXPECT_TRUE(SameQueryLog(loader.log(), reloaded, &why)) << why;
+  EXPECT_TRUE(SameDatasetSummary(summary, reloaded_summary, &why)) << why;
+}
+
 // -------------------------------------------------- mmap vs eager reads
 
 class BinaryLogFileTest : public ::testing::Test {

@@ -1,10 +1,12 @@
 #include <set>
+#include <vector>
 
 #include "data/bank.h"
 #include "data/income.h"
 #include "data/mushroom.h"
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
+#include "data/table1.h"
 #include "gtest/gtest.h"
 
 namespace logr {
@@ -24,14 +26,6 @@ BankLogOptions SmallBank() {
   o.num_templates = 150;
   o.total_queries = 80000;
   o.noise_entries = 40;
-  return o;
-}
-
-/// Loader options for the tests that read Table 1's with-constants
-/// columns, which a loader tracks only on request.
-LogLoader::Options WithConstantStats() {
-  LogLoader::Options o;
-  o.track_with_constant_stats = true;
   return o;
 }
 
@@ -66,13 +60,12 @@ TEST(PocketDataTest, MachineWorkloadShape) {
   // PocketData uses JDBC parameters everywhere: with-constants and
   // constant-free distinct counts coincide (605 = 605 in Table 1), and
   // most queries are non-conjunctive (IN lists) yet all rewritable.
-  PocketDataOptions o = SmallPocket();
-  LogLoader loader =
-      LoadEntries(GeneratePocketDataLog(o), WithConstantStats());
-  DatasetSummary s = loader.Summary("pocket");
-  EXPECT_EQ(s.num_distinct, s.num_distinct_no_const);
-  EXPECT_EQ(s.num_distinct_rewritable, s.num_distinct_no_const);
-  EXPECT_LT(s.num_distinct_conjunctive, s.num_distinct_no_const / 2);
+  const std::vector<LogEntry> entries = GeneratePocketDataLog(SmallPocket());
+  DatasetSummary s = LoadEntries(entries).Summary("pocket");
+  const Table1Counts t = Table1Statistics(entries);
+  EXPECT_EQ(t.distinct_queries, s.num_distinct_no_const);
+  EXPECT_EQ(t.distinct_rewritable, s.num_distinct_no_const);
+  EXPECT_LT(t.distinct_conjunctive, s.num_distinct_no_const / 2);
   // Zipf head: max multiplicity is a large fraction of the log.
   EXPECT_GT(s.max_multiplicity * 20, s.num_queries);
   EXPECT_GT(s.avg_features_per_query, 5.0);
@@ -92,21 +85,20 @@ TEST(BankTest, ConstantRemovalCollapsesDistinct) {
   // The bank log inlines constants: distinct-with-constants must exceed
   // constant-free distinct by a large factor (188,184 vs 1,712 in the
   // paper).
-  BankLogOptions o = SmallBank();
-  LogLoader loader = LoadEntries(GenerateBankLog(o), WithConstantStats());
-  DatasetSummary s = loader.Summary("bank");
-  EXPECT_GT(s.num_distinct, 2 * s.num_distinct_no_const);
-  EXPECT_GT(s.num_features, s.num_features_no_const);
+  const std::vector<LogEntry> entries = GenerateBankLog(SmallBank());
+  DatasetSummary s = LoadEntries(entries).Summary("bank");
+  const Table1Counts t = Table1Statistics(entries);
+  EXPECT_GT(t.distinct_queries, 2 * s.num_distinct_no_const);
+  EXPECT_GT(t.distinct_features, s.num_features_no_const);
 }
 
 TEST(BankTest, MostlyConjunctive) {
-  BankLogOptions o = SmallBank();
-  LogLoader loader = LoadEntries(GenerateBankLog(o));
-  DatasetSummary s = loader.Summary("bank");
+  const std::vector<LogEntry> entries = GenerateBankLog(SmallBank());
+  DatasetSummary s = LoadEntries(entries).Summary("bank");
+  const Table1Counts t = Table1Statistics(entries);
   // 1494/1712 ≈ 87% in the paper.
-  EXPECT_GT(s.num_distinct_conjunctive * 10,
-            s.num_distinct_no_const * 7);
-  EXPECT_EQ(s.num_distinct_rewritable, s.num_distinct_no_const);
+  EXPECT_GT(t.distinct_conjunctive * 10, s.num_distinct_no_const * 7);
+  EXPECT_EQ(t.distinct_rewritable, s.num_distinct_no_const);
 }
 
 TEST(BankTest, BroaderVocabularyThanPocket) {

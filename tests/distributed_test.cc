@@ -272,7 +272,7 @@ TEST(DistributedTest, ShardFilesHoldTheirParts) {
                                    &why))
         << why;
     EXPECT_EQ(shard.summary().num_queries, part.TotalQueries());
-    EXPECT_EQ(shard.summary().num_distinct, part.NumDistinct());
+    EXPECT_EQ(shard.summary().num_distinct_no_const, part.NumDistinct());
     EXPECT_EQ(shard.summary().num_features_no_const, part.NumFeatures());
     EXPECT_EQ(shard.summary().max_multiplicity, part.MaxMultiplicity());
     EXPECT_EQ(files[s].num_distinct, part.NumDistinct());

@@ -1,8 +1,9 @@
 // Golden Table-1 test: a checked-in raw-SQL fixture
-// (tests/testdata/golden.sql) with every DatasetSummary field asserted
+// (tests/testdata/golden.sql) with every Table-1 statistic asserted
 // exactly, locking the loader funnel — classification, regularization,
-// constant tracking, feature extraction — against regressions on BOTH
-// load paths (text funnel and binary round-trip).
+// feature extraction — against regressions on BOTH load paths (text
+// funnel and binary round-trip), and the paper-only columns (constant
+// tracking, conjunctive/rewritable) against Table1Statistics.
 //
 // Fixture contents, by hand:
 //   11 valid SELECTs:
@@ -19,7 +20,10 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "data/sql_log.h"
+#include "data/table1.h"
 #include "gtest/gtest.h"
 #include "workload/binary_log.h"
 #include "workload/loader.h"
@@ -28,41 +32,33 @@
 namespace logr {
 namespace {
 
-LogLoader LoadGoldenFixture() {
+std::vector<LogEntry> GoldenEntries() {
   const std::string path = std::string(LOGR_TESTDATA_DIR) + "/golden.sql";
   std::ifstream in(path);
   EXPECT_TRUE(static_cast<bool>(in)) << "missing fixture: " << path;
-  LogLoader::Options opts;
-  opts.track_with_constant_stats = true;
-  LogLoader loader(opts);
+  std::vector<LogEntry> entries;
   std::string error;
   EXPECT_TRUE(ReadTextLog(
       in,
       [&](std::string_view sql, std::uint64_t count) {
-        loader.AddSql(sql, count);
+        entries.push_back({std::string(sql), count});
       },
       &error))
       << error;
-  return loader;
+  return entries;
 }
+
+LogLoader LoadGoldenFixture() { return LoadEntries(GoldenEntries()); }
 
 void ExpectGoldenSummary(const DatasetSummary& s) {
   EXPECT_EQ(s.name, "golden");
   EXPECT_EQ(s.num_queries, 11u);
   EXPECT_EQ(s.num_non_select, 4u);
   EXPECT_EQ(s.num_parse_errors, 2u);
-  // With constants: 2 users variants + 3 accounts variants + join +
-  // count(*).
-  EXPECT_EQ(s.num_distinct, 7u);
   // Without constants the users variants collapse and the accounts
   // variants collapse to AND-form + OR-form.
   EXPECT_EQ(s.num_distinct_no_const, 5u);
-  // The OR query is not conjunctive...
-  EXPECT_EQ(s.num_distinct_conjunctive, 4u);
-  // ...but rewritable (OR of atoms -> UNION).
-  EXPECT_EQ(s.num_distinct_rewritable, 5u);
   EXPECT_EQ(s.max_multiplicity, 4u);  // count(*) FROM sessions
-  EXPECT_EQ(s.num_features, 17u);
   EXPECT_EQ(s.num_features_no_const, 14u);
   // (3*4 + 3*4 + 1*6 + 4*2) features over 11 queries.
   EXPECT_DOUBLE_EQ(s.avg_features_per_query, 38.0 / 11.0);
@@ -96,6 +92,18 @@ TEST(GoldenTable1Test, BinaryRoundTripPreservesGoldenStatistics) {
   EXPECT_TRUE(
       SameQueryLog(loader.log(), LogView(reloaded).Materialize(), &why))
       << why;
+}
+
+TEST(GoldenTable1Test, PaperOnlyColumnsMatchGoldenStatistics) {
+  const Table1Counts t = Table1Statistics(GoldenEntries());
+  // With constants: 2 users variants + 3 accounts variants + join +
+  // count(*).
+  EXPECT_EQ(t.distinct_queries, 7u);
+  // The OR query is not conjunctive...
+  EXPECT_EQ(t.distinct_conjunctive, 4u);
+  // ...but rewritable (OR of atoms -> UNION).
+  EXPECT_EQ(t.distinct_rewritable, 5u);
+  EXPECT_EQ(t.distinct_features, 17u);
 }
 
 }  // namespace

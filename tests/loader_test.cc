@@ -17,6 +17,7 @@
 #include "data/bank.h"
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
+#include "data/table1.h"
 #include "gtest/gtest.h"
 #include "sql/normalizer.h"
 #include "sql/parser.h"
@@ -25,7 +26,6 @@
 #include "workload/binary_log.h"
 #include "workload/extractor.h"
 #include "workload/loader.h"
-#include "workload/log_view.h"
 
 namespace logr {
 namespace {
@@ -43,10 +43,7 @@ SerialLoad LoadSerially(const std::vector<LogEntry>& entries,
                         const std::string& name) {
   SerialLoad out;
   DatasetSummary& s = out.summary;
-  Vocabulary with_const_vocab;
-  std::set<std::string> with_const, no_const, conjunctive, rewritable;
-  sql::RegularizeOptions keep_consts;
-  keep_consts.anonymize_constants = false;
+  std::set<std::string> no_const;
   for (const LogEntry& e : entries) {
     if (e.count == 0) continue;
     sql::ParseResult parsed = sql::Parse(e.sql);
@@ -59,29 +56,14 @@ SerialLoad LoadSerially(const std::vector<LogEntry>& entries,
       continue;
     }
     s.num_queries += e.count;
-    sql::RegularizeInfo info;
-    sql::StatementPtr regular = sql::Regularize(*parsed.statement, {}, &info);
-    const std::string canonical = sql::PrintStatement(*regular);
-    no_const.insert(canonical);
-    if (info.conjunctive) conjunctive.insert(canonical);
-    if (info.rewritable) rewritable.insert(canonical);
+    sql::StatementPtr regular = sql::Regularize(*parsed.statement, {}, nullptr);
+    no_const.insert(sql::PrintStatement(*regular));
     out.log.Add(ExtractFeatures(*regular, {}, out.log.mutable_vocabulary()),
                 e.count, e.sql);
-    sql::RegularizeInfo unused;
-    sql::StatementPtr constants =
-        sql::Regularize(*parsed.statement, keep_consts, &unused);
-    with_const.insert(sql::PrintStatement(*constants));
-    for (const Feature& f : ListFeatures(*constants, {})) {
-      with_const_vocab.Intern(f);
-    }
   }
   s.name = name;
-  s.num_distinct = with_const.size();
   s.num_distinct_no_const = no_const.size();
-  s.num_distinct_conjunctive = conjunctive.size();
-  s.num_distinct_rewritable = rewritable.size();
   s.max_multiplicity = out.log.MaxMultiplicity();
-  s.num_features = with_const_vocab.size();
   s.num_features_no_const = out.log.NumFeatures();
   s.avg_features_per_query = out.log.AvgFeaturesPerQuery();
   return out;
@@ -89,7 +71,6 @@ SerialLoad LoadSerially(const std::vector<LogEntry>& entries,
 
 LogLoader LoadOn(ThreadPool* pool, const std::vector<LogEntry>& entries) {
   LogLoader::Options opts;
-  opts.track_with_constant_stats = true;
   opts.pool = pool;
   return LoadEntries(entries, opts);
 }
@@ -192,7 +173,6 @@ TEST(LoaderBatchTest, MidStreamReadsMatchOneUninterruptedPass) {
   const std::vector<LogEntry> entries = BoundaryLog(2 * kBatch + 100);
   ThreadPool four(4);
   LogLoader::Options opts;
-  opts.track_with_constant_stats = true;
   opts.pool = &four;
   LogLoader loader(opts);
   // Every queued line counts toward a batch, so line kBatch, the first
@@ -251,10 +231,11 @@ TEST(LoaderBatchTest, NoiseOnlyBatches) {
   }
 }
 
-/// Lines that share one constant-free template but not its flags. The
-/// loader keeps one record per canonical print, so each flag must count
-/// once per template, on whichever line first sets it, in any order and
-/// on either side of a batch boundary.
+/// Lines that share one constant-free template but not its conjunctive
+/// or rewritable flag. The loader keeps one record per canonical print,
+/// in any order and on either side of a batch boundary, and
+/// Table1Statistics counts each flag once per template, on whichever
+/// line sets it.
 TEST(LoaderBatchTest, TemplateFlagsCountOncePerCanonical) {
   // Seven two-way disjunctions expand to 128 DNF disjuncts, over the cap
   // of 64: neither line of that pair is rewritable.
@@ -292,66 +273,14 @@ TEST(LoaderBatchTest, TemplateFlagsCountOncePerCanonical) {
 
   const SerialLoad oracle = LoadSerially(entries, "flags");
   ASSERT_EQ(oracle.summary.num_distinct_no_const, pairs.size() + 50);
-  ASSERT_EQ(oracle.summary.num_distinct_conjunctive, 4u + 50u);
-  ASSERT_EQ(oracle.summary.num_distinct_rewritable, 4u + 50u);
+  const Table1Counts t = Table1Statistics(entries);
+  EXPECT_EQ(t.distinct_conjunctive, 4u + 50u);
+  EXPECT_EQ(t.distinct_rewritable, 4u + 50u);
   ThreadPool one(1);
   ThreadPool four(4);
   for (ThreadPool* pool : {&one, &four}) {
     SCOPED_TRACE("threads=" + std::to_string(pool->NumThreads()));
     ExpectSameAsSerial(LoadOn(pool, entries), oracle);
-  }
-}
-
-/// Compression reads only the log and the funnel. A loader that skips the
-/// with-constants statistics must build the same log and counters as one
-/// that tracks them, report the two columns it skipped as not tracked,
-/// and write a .logrl that opens and keeps that value.
-TEST(LoaderBatchTest, UntrackedMatchesTrackedLog) {
-  BankLogOptions gen;
-  gen.num_templates = 500;
-  gen.total_queries = 200000;
-  const std::vector<LogEntry> entries = GenerateBankLog(gen);
-  constexpr std::uint64_t kNotTracked = DatasetSummary::kNotTracked;
-  ThreadPool degenerate(0);
-  ThreadPool four(4);
-  for (ThreadPool* pool : {&degenerate, &four}) {
-    SCOPED_TRACE("threads=" + std::to_string(pool->NumThreads()));
-    LogLoader::Options opts;
-    opts.pool = pool;
-    LogLoader untracked = LoadEntries(entries, opts);
-    opts.track_with_constant_stats = true;
-    LogLoader tracked = LoadEntries(entries, opts);
-    const DatasetSummary u = untracked.Summary("bank");
-    const DatasetSummary t = tracked.Summary("bank");
-    std::string why;
-    EXPECT_TRUE(SameQueryLog(untracked.log(), tracked.log(), &why)) << why;
-    EXPECT_EQ(u.num_queries, t.num_queries);
-    EXPECT_EQ(u.num_non_select, t.num_non_select);
-    EXPECT_EQ(u.num_parse_errors, t.num_parse_errors);
-    EXPECT_EQ(u.num_distinct_no_const, t.num_distinct_no_const);
-    EXPECT_EQ(u.num_distinct_conjunctive, t.num_distinct_conjunctive);
-    EXPECT_EQ(u.num_distinct_rewritable, t.num_distinct_rewritable);
-    EXPECT_EQ(u.max_multiplicity, t.max_multiplicity);
-    EXPECT_EQ(u.num_features_no_const, t.num_features_no_const);
-    EXPECT_EQ(u.avg_features_per_query, t.avg_features_per_query);
-    EXPECT_EQ(u.num_distinct, kNotTracked);
-    EXPECT_EQ(u.num_features, kNotTracked);
-    EXPECT_GT(t.num_distinct, t.num_distinct_no_const);
-    EXPECT_GT(t.num_features, t.num_features_no_const);
-
-    const std::string path = ::testing::TempDir() + "loader_test_untracked_" +
-                             std::to_string(::getpid()) + ".logrl";
-    std::string error;
-    ASSERT_TRUE(untracked.WriteBinary(path, "bank", &error)) << error;
-    MmapQueryLog reloaded;
-    ASSERT_TRUE(MmapQueryLog::Open(path, &reloaded, &error)) << error;
-    EXPECT_EQ(reloaded.summary().num_distinct, kNotTracked);
-    EXPECT_EQ(reloaded.summary().num_features, kNotTracked);
-    EXPECT_TRUE(SameDatasetSummary(reloaded.summary(), u, &why)) << why;
-    EXPECT_TRUE(SameQueryLog(LogView(reloaded).Materialize(), tracked.log(),
-                             &why))
-        << why;
-    std::remove(path.c_str());
   }
 }
 

@@ -610,6 +610,11 @@ TEST(SerializationTest, V4ReaderRejectsCorruptFiles) {
   const std::string valid =
       SummaryBytes(log.vocabulary(), Compress(log, LogROptions()).Model());
 
+  std::ostringstream logrl;  // the log itself, given in place of a summary
+  std::string write_error;
+  ASSERT_TRUE(
+      BinaryLogWriter::Write(log, DatasetSummary(), &logrl, &write_error))
+      << write_error;
   std::string bad_checksum = valid;
   bad_checksum[kSummaryHeaderSize + 3] ^= 0x20;
   std::string bad_version = valid;
@@ -657,6 +662,9 @@ TEST(SerializationTest, V4ReaderRejectsCorruptFiles) {
     const char* expect;
   };
   const Case cases[] = {
+      {logrl.str(),
+       "not a summary: this is a binary query log (.logrl); run `logr_cli "
+       "compress` on it"},
       {valid.substr(0, valid.size() / 2), "file size mismatch"},
       {valid.substr(0, 20), "truncated header"},
       {bad_checksum, "payload checksum mismatch"},

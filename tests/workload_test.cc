@@ -2,7 +2,10 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <vector>
 
+#include "data/sql_log.h"
+#include "data/table1.h"
 #include "gtest/gtest.h"
 #include "sql/normalizer.h"
 #include "sql/parser.h"
@@ -184,20 +187,18 @@ TEST(QueryLogDeathTest, AddRejectsTotalOverflow) {
 }
 
 TEST(LoaderTest, AddSqlWithZeroCountRecordsNothing) {
-  LogLoader::Options opts;
-  opts.track_with_constant_stats = true;
-  LogLoader loader(opts);
-  loader.AddSql("SELECT a FROM t WHERE x = 5", 2);
   // A zero-count record carries no information: not a query, not a
   // distinct template, not even a funnel classification.
-  loader.AddSql("SELECT b FROM u WHERE y = 1", 0);
-  loader.AddSql("UPDATE t SET a = 1", 0);
-  loader.AddSql("@@garbage@@", 0);
+  const std::vector<LogEntry> entries = {{"SELECT a FROM t WHERE x = 5", 2},
+                                         {"SELECT b FROM u WHERE y = 1", 0},
+                                         {"UPDATE t SET a = 1", 0},
+                                         {"@@garbage@@", 0}};
+  LogLoader loader = LoadEntries(entries);
   DatasetSummary s = loader.Summary("test");
   EXPECT_EQ(s.num_queries, 2u);
   EXPECT_EQ(s.num_non_select, 0u);
   EXPECT_EQ(s.num_parse_errors, 0u);
-  EXPECT_EQ(s.num_distinct, 1u);
+  EXPECT_EQ(Table1Statistics(entries).distinct_queries, 1u);
   EXPECT_EQ(s.num_distinct_no_const, 1u);
   EXPECT_EQ(loader.log().NumDistinct(), 1u);
   EXPECT_EQ(loader.log().TotalQueries(), 2u);
@@ -283,37 +284,32 @@ TEST(QueryLogTest, MaterializeSubsetPreservesCounts) {
 }
 
 TEST(LoaderTest, FunnelClassifiesInputs) {
-  LogLoader::Options opts;
-  opts.track_with_constant_stats = true;
-  LogLoader loader(opts);
-  loader.AddSql("SELECT a FROM t WHERE x = 5", 10);
-  loader.AddSql("SELECT a FROM t WHERE x = 9", 5);
-  loader.AddSql("EXEC sp_thing 42", 3);
-  loader.AddSql("UPDATE t SET a = 1", 2);
-  loader.AddSql("@@garbage@@", 1);
-  DatasetSummary s = loader.Summary("test");
+  const std::vector<LogEntry> entries = {{"SELECT a FROM t WHERE x = 5", 10},
+                                         {"SELECT a FROM t WHERE x = 9", 5},
+                                         {"EXEC sp_thing 42", 3},
+                                         {"UPDATE t SET a = 1", 2},
+                                         {"@@garbage@@", 1}};
+  DatasetSummary s = LoadEntries(entries).Summary("test");
+  const Table1Counts t = Table1Statistics(entries);
   EXPECT_EQ(s.num_queries, 15u);
   EXPECT_EQ(s.num_non_select, 5u);
   EXPECT_EQ(s.num_parse_errors, 1u);
   // Two raw strings with different constants collapse without them.
-  EXPECT_EQ(s.num_distinct, 2u);
+  EXPECT_EQ(t.distinct_queries, 2u);
   EXPECT_EQ(s.num_distinct_no_const, 1u);
-  EXPECT_EQ(s.num_distinct_conjunctive, 1u);
-  EXPECT_EQ(s.num_distinct_rewritable, 1u);
+  EXPECT_EQ(t.distinct_conjunctive, 1u);
+  EXPECT_EQ(t.distinct_rewritable, 1u);
   EXPECT_EQ(s.max_multiplicity, 15u);
 }
 
 TEST(LoaderTest, FeatureCountsWithAndWithoutConstants) {
-  LogLoader::Options opts;
-  opts.track_with_constant_stats = true;
-  LogLoader loader(opts);
-  loader.AddSql("SELECT a FROM t WHERE x = 5");
-  loader.AddSql("SELECT a FROM t WHERE x = 6");
-  DatasetSummary s = loader.Summary("test");
+  const std::vector<LogEntry> entries = {{"SELECT a FROM t WHERE x = 5"},
+                                         {"SELECT a FROM t WHERE x = 6"}};
+  DatasetSummary s = LoadEntries(entries).Summary("test");
   // w/o const: <a,SELECT>, <t,FROM>, <x = ?,WHERE> = 3
   EXPECT_EQ(s.num_features_no_const, 3u);
   // with const: x = 5 and x = 6 are distinct WHERE features = 4 total
-  EXPECT_EQ(s.num_features, 4u);
+  EXPECT_EQ(Table1Statistics(entries).distinct_features, 4u);
   EXPECT_NEAR(s.avg_features_per_query, 3.0, 1e-12);
 }
 
