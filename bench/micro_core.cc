@@ -198,9 +198,8 @@ void BM_SqlFrontEnd(benchmark::State& state) {
         state.PauseTiming();
         parse_all();
         state.ResumeTiming();
-        sql::RegularizeInfo info;
         for (sql::StatementPtr& s : parsed) {
-          benchmark::DoNotOptimize(sql::Regularize(std::move(s), {}, &info));
+          benchmark::DoNotOptimize(sql::Regularize(std::move(s), {}, nullptr));
         }
         break;
       }

@@ -7,11 +7,11 @@
 #include "sql/normalizer.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
+#include "workload/extractor.h"
 
 namespace logr {
 
-Table1Counts Table1Statistics(const std::vector<LogEntry>& entries,
-                              const ExtractOptions& extract) {
+Table1Counts Table1Statistics(const std::vector<LogEntry>& entries) {
   // Only ever counted, so each set holds its strings and nothing else:
   // printed statements, constant-free prints and Vocabulary::Key.
   std::unordered_set<std::string> with_const, conjunctive, rewritable,
@@ -30,7 +30,7 @@ Table1Counts Table1Statistics(const std::vector<LogEntry>& entries,
     const sql::StatementPtr constants =
         sql::Regularize(std::move(parsed.statement), keep_consts, nullptr);
     with_const.insert(sql::PrintStatement(*constants));
-    for (const Feature& f : ListFeatures(*constants, extract)) {
+    for (const Feature& f : ListFeatures(*constants, ExtractOptions())) {
       features.insert(Vocabulary::Key(f));
     }
   }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "data/sql_log.h"
-#include "workload/extractor.h"
 
 namespace logr {
 
@@ -30,10 +29,8 @@ struct Table1Counts {
 /// and parse errors count toward none of them, as in LogLoader::AddSql.
 /// A template counts as conjunctive (rewritable) when any of its lines
 /// is: `b IN (1, 2)` and `b = 3` share one template, and only the second
-/// is conjunctive. `extract` must be the loader's, so that the feature
-/// column matches the log's feature scheme.
-Table1Counts Table1Statistics(const std::vector<LogEntry>& entries,
-                              const ExtractOptions& extract = {});
+/// is conjunctive.
+Table1Counts Table1Statistics(const std::vector<LogEntry>& entries);
 
 }  // namespace logr
 
