@@ -36,12 +36,12 @@ int main() {
     if (k == 1) {
       data.assignment.assign(income.rows.size(), 0);
     } else {
-      KMeansOptions km;
+      ClusterRequest km;
       km.k = k;
+      km.num_features = income.n_features;
       km.seed = 11;
       km.n_init = 2;
-      data.assignment =
-          KMeansSparse(income.rows, {}, income.n_features, km).assignment;
+      data.assignment = KMeansSparse(income.rows, {}, km).assignment;
     }
 
     Stopwatch timer;

@@ -61,12 +61,12 @@ int main() {
   for (std::size_t k : ks) {
     PartitionedData data = whole;
     data.num_clusters = k;
-    KMeansOptions km;
+    ClusterRequest km;
     km.k = k;
+    km.num_features = mush.n_features;
     km.seed = 23;
     km.n_init = 2;
-    data.assignment =
-        KMeansSparse(mush.rows, {}, mush.n_features, km).assignment;
+    data.assignment = KMeansSparse(mush.rows, {}, km).assignment;
 
     // Scaled budgets: per-cluster naive verbosity (capped).
     std::vector<std::size_t> budgets = NaiveVerbosityBudgets(data);

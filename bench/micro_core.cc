@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "cluster/clusterer.h"
 #include "cluster/distance.h"
 #include "cluster/hierarchical.h"
 #include "cluster/spectral.h"
@@ -432,6 +433,7 @@ void BM_Agglomerate(benchmark::State& state) {
 BENCHMARK(BM_Agglomerate)->Unit(benchmark::kMillisecond);
 
 struct HierarchicalFitInput {
+  std::vector<FeatureVec> vecs;
   PackedVecPool packed;
   std::vector<double> weights;
 };
@@ -442,13 +444,12 @@ HierarchicalFitInput* MakeHierarchicalFitInput(std::size_t scale) {
   BankLogOptions opts = BankOptions();
   opts.num_templates *= scale;
   const QueryLog log = LoadEntries(GenerateBankLog(opts)).TakeLog();
-  std::vector<FeatureVec> vecs;
   auto* in = new HierarchicalFitInput();
   for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
-    vecs.push_back(log.Vector(i));
+    in->vecs.push_back(log.Vector(i));
     in->weights.push_back(static_cast<double>(log.Multiplicity(i)));
   }
-  in->packed = PackedVecPool(vecs, log.NumFeatures());
+  in->packed = PackedVecPool(in->vecs, log.NumFeatures());
   return in;
 }
 
@@ -511,21 +512,55 @@ void BM_AgglomerateReference(benchmark::State& state) {
 BENCHMARK(BM_AgglomerateReference)->Unit(benchmark::kMillisecond);
 
 void BM_SpectralAffinity(benchmark::State& state) {
-  // Gaussian affinity + degree construction plus the median-bandwidth
-  // gather over the condensed store — the spectral stages between the
-  // distance fill and the eigensolver.
+  // The spectral stages between the distance fill and the eigensolver:
+  // the median-bandwidth gather, the Gaussian affinity written over the
+  // condensed store, and the degree mat-vec. The affinity consumes its
+  // store, so each iteration re-fills a copy of the bank distances
+  // untimed.
   const CondensedDistances& d = BankDistancesSingleton();
   ThreadPool* pool = ThreadPool::Shared();
   for (auto _ : state) {
-    double sigma = MedianNonzeroDistance(d, pool);
+    state.PauseTiming();
+    CondensedDistances w(d.size());
+    std::copy(d.Row(0), d.Row(0) + d.bytes() / sizeof(double), w.Row(0));
+    state.ResumeTiming();
+    GaussianKernelInPlace(&w, MedianNonzeroDistance(w, pool), pool);
     Vector degree;
-    Matrix w = GaussianAffinity(d, sigma, &degree, pool);
-    benchmark::DoNotOptimize(w(0, 1));
+    UnitDiagonalMatVec(w, Vector(w.size(), 1.0), &degree, pool);
     benchmark::DoNotOptimize(degree.data());
   }
   state.counters["vectors"] = static_cast<double>(d.size());
+  state.counters["bytes"] = static_cast<double>(d.bytes());
 }
 BENCHMARK(BM_SpectralAffinity)->Unit(benchmark::kMillisecond);
+
+void BM_SpectralFit(benchmark::State& state) {
+  // The whole hamming spectral fit at K=8 on the 3,424-template bank
+  // log, as Cluster runs it on a pool of Args[0] threads: condensed
+  // distance fill, median, in-place affinity, Lanczos over the condensed
+  // mat-vec, embedding k-means.
+  const HierarchicalFitInput& in = BankHierarchicalFitSingleton();
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  ClusterRequest req;
+  req.k = 8;
+  req.num_features = in.packed.num_features();
+  req.pool = &pool;
+  req.packed = &in.packed;
+  for (auto _ : state) {
+    std::vector<int> assignment = Cluster(ClusteringMethod::kSpectralHamming,
+                                          in.vecs, in.weights, req);
+    benchmark::DoNotOptimize(assignment.data());
+  }
+  state.counters["vectors"] = static_cast<double>(in.vecs.size());
+  state.counters["threads"] = static_cast<double>(pool.NumThreads());
+}
+// Pool workers do most of the work, so only real time sees the scaling.
+BENCHMARK(BM_SpectralFit)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 const NaiveMixtureEncoding& PooledComponentsSingleton() {
   // A thousand-shard-scale pool: 4096 synthetic components over a few

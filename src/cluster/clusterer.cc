@@ -45,15 +45,8 @@ std::vector<int> Cluster(ClusteringMethod method,
                          const ClusterRequest& req) {
   DistanceSpec spec;
   switch (method) {
-    case ClusteringMethod::kKMeansEuclidean: {
-      KMeansOptions km;
-      km.k = req.k;
-      km.seed = req.seed;
-      km.n_init = req.n_init;
-      km.pool = req.pool;
-      km.packed = req.packed;
-      return KMeansSparse(vecs, weights, req.num_features, km).assignment;
-    }
+    case ClusteringMethod::kKMeansEuclidean:
+      return KMeansSparse(vecs, weights, req).assignment;
     case ClusteringMethod::kHierarchicalAverage: {
       spec.metric = Metric::kHamming;
       // Honor the ClusterRequest contract: nullptr means the shared pool,
@@ -77,14 +70,7 @@ std::vector<int> Cluster(ClusteringMethod method,
       spec.metric = Metric::kHamming;
       break;
   }
-  SpectralOptions so;
-  so.k = req.k;
-  so.seed = req.seed;
-  so.n_init = req.n_init;
-  so.distance = spec;
-  so.pool = req.pool;
-  so.packed = req.packed;
-  return SpectralCluster(vecs, weights, req.num_features, so).assignment;
+  return SpectralCluster(vecs, weights, spec, req).assignment;
 }
 
 }  // namespace logr

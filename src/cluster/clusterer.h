@@ -34,7 +34,8 @@ const char* ClusteringMethodName(ClusteringMethod m);
 /// untouched) for unknown names.
 bool ParseClusteringMethod(const std::string& name, ClusteringMethod* out);
 
-/// Everything a method needs besides the data itself.
+/// Everything a method needs besides the data itself; Cluster hands it
+/// unchanged to KMeansSparse and SpectralCluster.
 struct ClusterRequest {
   std::size_t k = 1;
   /// Size of the feature universe the sparse vectors index into.

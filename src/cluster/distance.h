@@ -14,9 +14,9 @@
 // bit-identical between them.
 //
 // Pairwise results have one layout: the strict upper triangle in a
-// CondensedDistances store (N(N−1)/2·8 bytes). Spectral clustering reads
-// it through the symmetric accessor; hierarchical agglomeration works on
-// it in place.
+// CondensedDistances store (N(N−1)/2·8 bytes). Both consumers work on
+// it in place: spectral clustering turns it into Gaussian affinities and
+// multiplies by it; hierarchical agglomeration merges its rows.
 #ifndef LOGR_CLUSTER_DISTANCE_H_
 #define LOGR_CLUSTER_DISTANCE_H_
 

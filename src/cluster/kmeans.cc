@@ -12,6 +12,9 @@ namespace logr {
 
 namespace {
 
+/// Lloyd iterations per restart, at most.
+constexpr int kMaxIterations = 100;
+
 std::vector<double> ResolveWeights(std::size_t count,
                                    const std::vector<double>& weights) {
   if (weights.empty()) return std::vector<double>(count, 1.0);
@@ -61,13 +64,14 @@ std::vector<std::size_t> PlusPlusSeed(std::size_t count, std::size_t k,
 
 ClusteringResult KMeansSparse(const std::vector<FeatureVec>& vecs,
                               const std::vector<double>& weights_in,
-                              std::size_t n, const KMeansOptions& opts) {
+                              const ClusterRequest& req) {
   const std::size_t count = vecs.size();
-  LOGR_CHECK(count > 0 && opts.k >= 1);
-  const std::size_t k = std::min(opts.k, count);
+  LOGR_CHECK(count > 0 && req.k >= 1);
+  const std::size_t k = std::min(req.k, count);
+  const std::size_t n = req.num_features;
   std::vector<double> weights = ResolveWeights(count, weights_in);
-  Pcg32 rng(opts.seed);
-  ThreadPool* pool = opts.pool ? opts.pool : ThreadPool::Shared();
+  Pcg32 rng(req.seed);
+  ThreadPool* pool = req.pool ? req.pool : ThreadPool::Shared();
 
   ClusteringResult best;
   best.inertia = std::numeric_limits<double>::max();
@@ -80,11 +84,11 @@ ClusteringResult KMeansSparse(const std::vector<FeatureVec>& vecs,
   // kernel over the sparse id lists.
   auto seed_sq_dist = [&](std::size_t i, std::size_t j) {
     return static_cast<double>(
-        opts.packed ? opts.packed->SymmetricDifference(i, j)
-                    : SymmetricDifference(vecs[i], vecs[j]));
+        req.packed ? req.packed->SymmetricDifference(i, j)
+                   : SymmetricDifference(vecs[i], vecs[j]));
   };
 
-  for (int init = 0; init < std::max(1, opts.n_init); ++init) {
+  for (int init = 0; init < std::max(1, req.n_init); ++init) {
     // --- seed ---
     auto seed_centers = PlusPlusSeed(count, k, weights, &rng, seed_sq_dist);
     Matrix centroids(k, n);
@@ -94,8 +98,7 @@ ClusteringResult KMeansSparse(const std::vector<FeatureVec>& vecs,
 
     std::vector<int> assignment(count, -1);
     double inertia = 0.0;
-    int iter = 0;
-    for (; iter < opts.max_iterations; ++iter) {
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
       // --- assign ---
       std::vector<double> norm_sq(k, 0.0);
       for (std::size_t c = 0; c < k; ++c) {
@@ -154,7 +157,6 @@ ClusteringResult KMeansSparse(const std::vector<FeatureVec>& vecs,
     if (inertia < best.inertia) {
       best.assignment = std::move(assignment);
       best.inertia = inertia;
-      best.iterations = iter + 1;
     }
   }
   best.k = k;
@@ -163,21 +165,22 @@ ClusteringResult KMeansSparse(const std::vector<FeatureVec>& vecs,
 
 ClusteringResult KMeansDense(const std::vector<Vector>& points,
                              const std::vector<double>& weights_in,
-                             const KMeansOptions& opts) {
+                             std::size_t k_in, std::uint64_t seed, int n_init,
+                             ThreadPool* pool) {
   const std::size_t count = points.size();
-  LOGR_CHECK(count > 0 && opts.k >= 1);
+  LOGR_CHECK(count > 0 && k_in >= 1);
   const std::size_t dim = points[0].size();
-  const std::size_t k = std::min(opts.k, count);
+  const std::size_t k = std::min(k_in, count);
   std::vector<double> weights = ResolveWeights(count, weights_in);
-  Pcg32 rng(opts.seed ^ 0x9e3779b97f4a7c15ULL);
-  ThreadPool* pool = opts.pool ? opts.pool : ThreadPool::Shared();
+  Pcg32 rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  if (pool == nullptr) pool = ThreadPool::Shared();
 
   ClusteringResult best;
   best.inertia = std::numeric_limits<double>::max();
   std::vector<int> new_assign(count);
   std::vector<double> best_dist(count);
 
-  for (int init = 0; init < std::max(1, opts.n_init); ++init) {
+  for (int init = 0; init < std::max(1, n_init); ++init) {
     auto seed_centers = PlusPlusSeed(
         count, k, weights, &rng, [&](std::size_t i, std::size_t j) {
           return DenseSqDist(points[i], points[j]);
@@ -190,8 +193,7 @@ ClusteringResult KMeansDense(const std::vector<Vector>& points,
 
     std::vector<int> assignment(count, -1);
     double inertia = 0.0;
-    int iter = 0;
-    for (; iter < opts.max_iterations; ++iter) {
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
       ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
         int best_c = 0;
         double best_d = std::numeric_limits<double>::max();
@@ -236,7 +238,6 @@ ClusteringResult KMeansDense(const std::vector<Vector>& points,
     if (inertia < best.inertia) {
       best.assignment = std::move(assignment);
       best.inertia = inertia;
-      best.iterations = iter + 1;
     }
   }
   best.k = k;

@@ -15,19 +15,16 @@ double MedianNonzeroDistance(const CondensedDistances& dist,
   // row, prefix-sum the offsets, then fill each row's slice. The filled
   // array is identical for any schedule, so nth_element sees the same
   // multiset (and the same memory layout) every time.
-  std::vector<std::size_t> row_count(count, 0);
+  std::vector<std::size_t> offset(count + 1, 0);
   ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
     const double* row = dist.Row(i);
     std::size_t c = 0;
     for (std::size_t o = 0; o + i + 1 < count; ++o) {
       if (row[o] > 0.0) ++c;
     }
-    row_count[i] = c;
+    offset[i + 1] = c;
   });
-  std::vector<std::size_t> offset(count + 1, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    offset[i + 1] = offset[i] + row_count[i];
-  }
+  for (std::size_t i = 0; i < count; ++i) offset[i + 1] += offset[i];
   std::vector<double> nonzero(offset[count]);
   ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
     const double* row = dist.Row(i);
@@ -39,59 +36,81 @@ double MedianNonzeroDistance(const CondensedDistances& dist,
   if (nonzero.empty()) return 1.0;
   std::nth_element(nonzero.begin(), nonzero.begin() + nonzero.size() / 2,
                    nonzero.end());
-  double sigma = nonzero[nonzero.size() / 2];
-  return sigma > 0.0 ? sigma : 1.0;
+  return nonzero[nonzero.size() / 2];  // > 0, as every gathered entry is
 }
 
-Matrix GaussianAffinity(const CondensedDistances& dist, double sigma,
-                        Vector* degree, ThreadPool* pool) {
-  const std::size_t count = dist.size();
-  Matrix w(count, count);
-  degree->assign(count, 0.0);
+void GaussianKernelInPlace(CondensedDistances* dist, double sigma,
+                           ThreadPool* pool) {
+  const std::size_t count = dist->size();
   const double inv = 1.0 / (2.0 * sigma * sigma);
   ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
-    double deg = 0.0;
-    for (std::size_t j = 0; j < count; ++j) {
-      double a = 1.0;
-      if (i != j) {
-        const double d = dist.at(i, j);
-        a = std::exp(-d * d * inv);
-      }
-      w(i, j) = a;
-      deg += a;
+    double* row = dist->Row(i);
+    for (std::size_t o = 0; o + i + 1 < count; ++o) {
+      const double d = row[o];
+      row[o] = std::exp(-d * d * inv);
     }
-    (*degree)[i] = deg;
   });
-  return w;
+}
+
+void UnitDiagonalMatVec(const CondensedDistances& a, const Vector& x,
+                        Vector* y, ThreadPool* pool) {
+  const std::size_t count = a.size();
+  LOGR_CHECK(x.size() == count);
+  y->resize(count);
+  const std::size_t tiles = (count + kMatVecTile - 1) / kMatVecTile;
+  ParallelFor(pool, 0, tiles, kCoarseGrain, [&](std::size_t tile) {
+    const std::size_t lo = tile * kMatVecTile;
+    const std::size_t hi = std::min(count, lo + kMatVecTile);
+    // j < i: store row j holds (j, i) for all i > j, so an ascending
+    // sweep over j adds each tile row's lower half in order.
+    double acc[kMatVecTile] = {};
+    for (std::size_t j = 0; j + 1 < hi; ++j) {
+      const std::size_t first = std::max(lo, j + 1);
+      const double* run = a.Row(j) + (first - j - 1);
+      for (std::size_t i = first; i < hi; ++i) {
+        acc[i - lo] += run[i - first] * x[j];
+      }
+    }
+    // j = i, then j > i along row i itself.
+    for (std::size_t i = lo; i < hi; ++i) {
+      double sum = acc[i - lo] + 1.0 * x[i];
+      const double* row = a.Row(i);
+      for (std::size_t j = i + 1; j < count; ++j) {
+        sum += row[j - i - 1] * x[j];
+      }
+      (*y)[i] = sum;
+    }
+  });
 }
 
 ClusteringResult SpectralCluster(const std::vector<FeatureVec>& vecs,
                                  const std::vector<double>& weights,
-                                 std::size_t n,
-                                 const SpectralOptions& opts) {
+                                 const DistanceSpec& distance,
+                                 const ClusterRequest& req) {
   const std::size_t count = vecs.size();
-  LOGR_CHECK(count > 0 && opts.k >= 1);
-  const std::size_t k = std::min(opts.k, count);
-  if (k == 1 || count == 1) {
+  LOGR_CHECK(count > 0 && req.k >= 1);
+  const std::size_t k = std::min(req.k, count);
+  if (k == 1) {
     ClusteringResult r;
     r.assignment.assign(count, 0);
     r.k = 1;
     return r;
   }
 
-  ThreadPool* pool = opts.pool ? opts.pool : ThreadPool::Shared();
+  ThreadPool* pool = req.pool ? req.pool : ThreadPool::Shared();
 
-  // Condensed pairwise distances (packed kernel) and median bandwidth. A
-  // shared pool skips the re-pack; the distances are identical either way.
-  const CondensedDistances dist =
-      opts.packed ? CondensedDistanceMatrix(*opts.packed, opts.distance, pool)
-                  : CondensedDistanceMatrix(vecs, n, opts.distance, pool);
-  double sigma = opts.sigma;
-  if (sigma <= 0.0) sigma = MedianNonzeroDistance(dist, pool);
+  // Condensed pairwise distances (a shared packed pool skips the re-pack;
+  // identical distances either way), overwritten by their affinities.
+  CondensedDistances affinity =
+      req.packed ? CondensedDistanceMatrix(*req.packed, distance, pool)
+                 : CondensedDistanceMatrix(vecs, req.num_features, distance,
+                                           pool);
+  GaussianKernelInPlace(&affinity, MedianNonzeroDistance(affinity, pool),
+                        pool);
 
-  // Gaussian affinity and degree.
+  // Degree = W * ones, the row sums in ascending j (a * 1.0 == a).
   Vector degree;
-  Matrix w = GaussianAffinity(dist, sigma, &degree, pool);
+  UnitDiagonalMatVec(affinity, Vector(count, 1.0), &degree, pool);
   // Normalized affinity M = D^{-1/2} W D^{-1/2}; its top-k eigenvectors
   // equal the bottom-k of the symmetric normalized Laplacian.
   Vector dinv_sqrt(count);
@@ -102,12 +121,11 @@ ClusteringResult SpectralCluster(const std::vector<FeatureVec>& vecs,
   auto matvec = [&](const Vector& x, Vector* y) {
     Vector scaled(count);
     for (std::size_t i = 0; i < count; ++i) scaled[i] = x[i] * dinv_sqrt[i];
-    Vector wx = w.MatVec(scaled);
-    y->resize(count);
-    for (std::size_t i = 0; i < count; ++i) (*y)[i] = wx[i] * dinv_sqrt[i];
+    UnitDiagonalMatVec(affinity, scaled, y, pool);
+    for (std::size_t i = 0; i < count; ++i) (*y)[i] *= dinv_sqrt[i];
   };
 
-  EigenResult eig = LanczosLargest(matvec, count, k, opts.seed);
+  EigenResult eig = LanczosLargest(matvec, count, k, req.seed);
   const std::size_t found = eig.eigenvectors.size();
   LOGR_CHECK(found >= 1);
 
@@ -126,12 +144,8 @@ ClusteringResult SpectralCluster(const std::vector<FeatureVec>& vecs,
     }
   }
 
-  KMeansOptions km;
-  km.k = k;
-  km.seed = opts.seed;
-  km.n_init = opts.n_init;
-  km.pool = pool;
-  ClusteringResult r = KMeansDense(embedding, weights, km);
+  ClusteringResult r =
+      KMeansDense(embedding, weights, k, req.seed, req.n_init, pool);
   r.k = k;
   return r;
 }

@@ -19,8 +19,12 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "util/check.h"
+#include "util/flags.h"
 
 namespace logr {
 
@@ -110,13 +114,18 @@ class ThreadPool {
     std::exception_ptr error;  // first exception thrown by `fn`
   };
 
+  /// LOGR_THREADS (decimal digits in [1, 1024]) if set and nonempty,
+  /// else the hardware concurrency.
   static std::size_t SharedSize() {
-    if (const char* env = std::getenv("LOGR_THREADS")) {
-      long v = std::atol(env);
-      if (v > 0) return static_cast<std::size_t>(v);
+    const char* env = std::getenv("LOGR_THREADS");
+    if (env == nullptr || *env == '\0') {
+      return std::max(1u, std::thread::hardware_concurrency());
     }
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    std::uint64_t threads = 0;
+    LOGR_CHECK_MSG(ParseUint64(env, 1, 1024, &threads),
+                   ("LOGR_THREADS=" + std::string(env) + " is not in [1, 1024]")
+                       .c_str());
+    return threads;
   }
 
   static void RunJob(ForJob& job) {

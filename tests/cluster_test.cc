@@ -115,19 +115,21 @@ TEST(DistanceTest, CondensedSymmetricMatchesPairDistance) {
 TEST(KMeansTest, RecoversTwoBlobs) {
   Pcg32 rng(7);
   TwoBlobs blobs = MakeTwoBlobs(20, 16, &rng);
-  KMeansOptions opts;
-  opts.k = 2;
-  opts.seed = 3;
-  ClusteringResult r = KMeansSparse(blobs.vecs, {}, 16, opts);
+  ClusterRequest req;
+  req.k = 2;
+  req.num_features = 16;
+  req.seed = 3;
+  ClusteringResult r = KMeansSparse(blobs.vecs, {}, req);
   EXPECT_GE(RandIndex(r.assignment, blobs.truth), 0.95);
 }
 
 TEST(KMeansTest, KOneGivesSingleCluster) {
   Pcg32 rng(9);
   TwoBlobs blobs = MakeTwoBlobs(5, 8, &rng);
-  KMeansOptions opts;
-  opts.k = 1;
-  ClusteringResult r = KMeansSparse(blobs.vecs, {}, 8, opts);
+  ClusterRequest req;
+  req.k = 1;
+  req.num_features = 8;
+  ClusteringResult r = KMeansSparse(blobs.vecs, {}, req);
   for (int a : r.assignment) EXPECT_EQ(a, 0);
 }
 
@@ -136,11 +138,12 @@ TEST(KMeansTest, InertiaDecreasesWithK) {
   TwoBlobs blobs = MakeTwoBlobs(25, 20, &rng);
   double prev = 1e300;
   for (std::size_t k : {1u, 2u, 4u, 8u}) {
-    KMeansOptions opts;
-    opts.k = k;
-    opts.seed = 5;
-    opts.n_init = 4;
-    ClusteringResult r = KMeansSparse(blobs.vecs, {}, 20, opts);
+    ClusterRequest req;
+    req.k = k;
+    req.num_features = 20;
+    req.seed = 5;
+    req.n_init = 4;
+    ClusteringResult r = KMeansSparse(blobs.vecs, {}, req);
     EXPECT_LE(r.inertia, prev + 1e-9) << "k=" << k;
     prev = r.inertia;
   }
@@ -152,18 +155,18 @@ TEST(KMeansTest, WeightsPullCentroids) {
   std::vector<FeatureVec> vecs = {FeatureVec({0}), FeatureVec({0}),
                                   FeatureVec({5})};
   std::vector<double> w = {1.0, 1.0, 1000.0};
-  KMeansOptions opts;
-  opts.k = 2;
-  ClusteringResult r = KMeansSparse(vecs, w, 6, opts);
+  ClusterRequest req;
+  req.k = 2;
+  req.num_features = 6;
+  ClusteringResult r = KMeansSparse(vecs, w, req);
   EXPECT_NE(r.assignment[2], r.assignment[0]);
 }
 
 TEST(KMeansTest, DenseMatchesExpectations) {
   std::vector<Vector> pts = {{0.0, 0.0}, {0.1, 0.0}, {5.0, 5.0},
                              {5.1, 4.9}};
-  KMeansOptions opts;
-  opts.k = 2;
-  ClusteringResult r = KMeansDense(pts, {}, opts);
+  ClusteringResult r = KMeansDense(pts, {}, /*k=*/2, /*seed=*/17,
+                                   /*n_init=*/4, /*pool=*/nullptr);
   EXPECT_EQ(r.assignment[0], r.assignment[1]);
   EXPECT_EQ(r.assignment[2], r.assignment[3]);
   EXPECT_NE(r.assignment[0], r.assignment[2]);
@@ -171,9 +174,10 @@ TEST(KMeansTest, DenseMatchesExpectations) {
 
 TEST(KMeansTest, MoreClustersThanPointsClamped) {
   std::vector<FeatureVec> vecs = {FeatureVec({0}), FeatureVec({1})};
-  KMeansOptions opts;
-  opts.k = 10;
-  ClusteringResult r = KMeansSparse(vecs, {}, 2, opts);
+  ClusterRequest req;
+  req.k = 10;
+  req.num_features = 2;
+  ClusteringResult r = KMeansSparse(vecs, {}, req);
   EXPECT_EQ(r.k, 2u);
 }
 
@@ -182,14 +186,16 @@ class SpectralMetricTest : public ::testing::TestWithParam<Metric> {};
 TEST_P(SpectralMetricTest, RecoversTwoBlobs) {
   Pcg32 rng(13);
   TwoBlobs blobs = MakeTwoBlobs(15, 14, &rng);
-  SpectralOptions opts;
-  opts.k = 2;
-  opts.distance.metric = GetParam();
-  opts.distance.p = 4.0;
-  opts.seed = 7;
-  ClusteringResult r = SpectralCluster(blobs.vecs, {}, 14, opts);
+  DistanceSpec spec;
+  spec.metric = GetParam();
+  spec.p = 4.0;
+  ClusterRequest req;
+  req.k = 2;
+  req.num_features = 14;
+  req.seed = 7;
+  ClusteringResult r = SpectralCluster(blobs.vecs, {}, spec, req);
   EXPECT_GE(RandIndex(r.assignment, blobs.truth), 0.9)
-      << "metric " << opts.distance.Name();
+      << "metric " << spec.Name();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMetrics, SpectralMetricTest,
@@ -201,9 +207,10 @@ INSTANTIATE_TEST_SUITE_P(AllMetrics, SpectralMetricTest,
 TEST(SpectralTest, KOneTrivial) {
   Pcg32 rng(15);
   TwoBlobs blobs = MakeTwoBlobs(4, 8, &rng);
-  SpectralOptions opts;
-  opts.k = 1;
-  ClusteringResult r = SpectralCluster(blobs.vecs, {}, 8, opts);
+  ClusterRequest req;
+  req.k = 1;
+  req.num_features = 8;
+  ClusteringResult r = SpectralCluster(blobs.vecs, {}, DistanceSpec(), req);
   for (int a : r.assignment) EXPECT_EQ(a, 0);
 }
 

@@ -8,6 +8,7 @@
 // for the parallel distance fill.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -523,14 +524,16 @@ TEST(SpectralTest, BitIdenticalAcrossPoolSizes) {
   for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
     weights.push_back(static_cast<double>(log.Multiplicity(i)));
   }
+  DistanceSpec spec;
+  spec.metric = Metric::kManhattan;
   auto run = [&](ThreadPool* pool) {
-    SpectralOptions so;
-    so.k = 6;
-    so.seed = 5;
-    so.n_init = 2;
-    so.distance.metric = Metric::kManhattan;
-    so.pool = pool;
-    return SpectralCluster(vecs, weights, log.NumFeatures(), so).assignment;
+    ClusterRequest req;
+    req.k = 6;
+    req.num_features = log.NumFeatures();
+    req.seed = 5;
+    req.n_init = 2;
+    req.pool = pool;
+    return SpectralCluster(vecs, weights, spec, req).assignment;
   };
   ThreadPool one(1);
   const std::vector<int> baseline = run(&one);
@@ -540,26 +543,73 @@ TEST(SpectralTest, BitIdenticalAcrossPoolSizes) {
   }
 }
 
-TEST(SpectralTest, MedianAndAffinityMatchSerialAcrossPools) {
-  Pcg32 rng(43);
-  const std::size_t n = 80;
+/// An `n`-point condensed store of seeded values in [0, 3].
+CondensedDistances RandomStore(std::size_t n, std::uint64_t seed) {
+  Pcg32 rng(seed);
   CondensedDistances d(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       d.at(i, j) = static_cast<double>(rng.NextBounded(10)) / 3.0;
     }
   }
-  const double serial_sigma = MedianNonzeroDistance(d, nullptr);
+  return d;
+}
+
+TEST(SpectralTest, MedianAndAffinityMatchSerialAcrossPools) {
+  const std::size_t n = 80;
+  CondensedDistances serial = RandomStore(n, 43);
+  const CondensedDistances distances = RandomStore(n, 43);
+  const double serial_sigma = MedianNonzeroDistance(serial, nullptr);
+  GaussianKernelInPlace(&serial, serial_sigma, nullptr);
   Vector serial_degree;
-  Matrix serial_w = GaussianAffinity(d, serial_sigma, &serial_degree, nullptr);
+  UnitDiagonalMatVec(serial, Vector(n, 1.0), &serial_degree, nullptr);
+
   ThreadPool pool(4);
-  EXPECT_EQ(MedianNonzeroDistance(d, &pool), serial_sigma);
+  CondensedDistances pooled = RandomStore(n, 43);
+  EXPECT_EQ(MedianNonzeroDistance(pooled, &pool), serial_sigma);
+  GaussianKernelInPlace(&pooled, serial_sigma, &pool);
   Vector degree;
-  Matrix w = GaussianAffinity(d, serial_sigma, &degree, &pool);
+  UnitDiagonalMatVec(pooled, Vector(n, 1.0), &degree, &pool);
+  const double inv = 1.0 / (2.0 * serial_sigma * serial_sigma);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(degree[i], serial_degree[i]) << i;
-    for (std::size_t j = 0; j < n; ++j) {
-      ASSERT_EQ(w(i, j), serial_w(i, j)) << i << " " << j;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      ASSERT_EQ(pooled.at(i, j), serial.at(i, j)) << i << " " << j;
+      const double d = distances.at(i, j);
+      ASSERT_EQ(serial.at(i, j), std::exp(-d * d * inv)) << i << " " << j;
+    }
+  }
+}
+
+TEST(SpectralTest, MatVecBitIdenticalToDenseMatVec) {
+  // The condensed mat-vec against Matrix::MatVec over the same entries
+  // with a unit diagonal, at sizes around the tile edge, with random
+  // doubles so any change of summation order shows.
+  constexpr std::size_t kTile = kMatVecTile;
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, kTile - 1, kTile,
+                        kTile + 1, 2 * kTile + 3}) {
+    Pcg32 rng(static_cast<std::uint64_t>(n) + 101);
+    CondensedDistances a(n);
+    Matrix dense(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      dense(i, i) = 1.0;
+      for (std::size_t j = i + 1; j < n; ++j) {
+        a.at(i, j) = rng.NextDouble();
+        dense(i, j) = dense(j, i) = a.at(i, j);
+      }
+    }
+    Vector x(n);
+    for (double& v : x) v = rng.NextDouble() - 0.5;
+    const Vector want = dense.MatVec(x);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      Vector got;
+      UnitDiagonalMatVec(a, x, &got, &pool);
+      ASSERT_EQ(got.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "n=" << n << " threads=" << threads << " row " << i;
+      }
     }
   }
 }
