@@ -38,9 +38,8 @@ ClusteringResult KMeansSparse(const std::vector<FeatureVec>& vecs,
 /// K-means on dense points (rows of equal length); nullptr `pool`
 /// selects ThreadPool::Shared().
 ClusteringResult KMeansDense(const std::vector<Vector>& points,
-                             const std::vector<double>& weights,
-                             std::size_t k, std::uint64_t seed, int n_init,
-                             ThreadPool* pool);
+                             const std::vector<double>& weights, std::size_t k,
+                             std::uint64_t seed, int n_init, ThreadPool* pool);
 
 }  // namespace logr
 

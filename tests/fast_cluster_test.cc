@@ -4,8 +4,8 @@
 // agglomeration vs the pre-change serial reference (including the
 // scan team, alone and sharing a pool), the NN-chain slot list and
 // chunked argmin fold, every method's no-pool fallback, spectral
-// bit-determinism across pool sizes, and the multi-core perf guardrail
-// for the parallel distance fill.
+// bit-determinism across pool sizes, the condensed mat-vec vs the dense
+// one, and the multi-core perf guardrail for the parallel distance fill.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
