@@ -686,9 +686,9 @@ const std::vector<std::string>& DistributedShardsSingleton() {
         "/tmp/logr_micro_dist." + std::to_string(::getpid());
     std::vector<ShardFile> files;
     std::string error;
-    LOGR_CHECK_MSG(WriteShardFiles(LogView(log), 8, ShardPolicy::kHashDistinct,
-                                   dir, "dist", &files, &error),
-                   error.c_str());
+    LOGR_CHECK_MSG(
+        WriteShardFiles(LogView(log), 8, dir, "dist", &files, &error),
+        error.c_str());
     auto* paths = new std::vector<std::string>();
     for (const ShardFile& f : files) paths->push_back(f.path);
     return paths;

@@ -1,8 +1,8 @@
 // logr_cli — command-line front end for the LogR library.
 //
 //   logr_cli compress [--clusters K] [--method NAME] [--encoder NAME]
-//                     [--refine-patterns N] [--shards S]
-//                     [--shard-policy hash|range] [--out FILE] [LOG]
+//                     [--refine-patterns N] [--shards S] [--out FILE]
+//                     [LOG]
 //       Reads SQL statements (one per line; an optional "COUNT<TAB>"
 //       prefix gives a multiplicity) from LOG or stdin, compresses them,
 //       and writes a summary file. --encoder picks the summarizer:
@@ -11,7 +11,8 @@
 //       this encoder only), pattern
 //       (per-cluster max-ent pattern encodings, Sec. 2.3.1; in-memory
 //       only).
-//       --shards S > 1 compresses shard-wise in parallel and merges the
+//       --shards S > 1 splits the distinct templates into S shards by a
+//       stable hash, compresses them in parallel and merges the
 //       per-shard mixtures (bit-deterministic for any thread count;
 //       mergeable encoders only).
 //       LOG may also be a binary .logrl file written by `convert` (or
@@ -22,12 +23,13 @@
 //       the logr-log v1 binary columnar file (feature-id columns +
 //       vocabulary + funnel; see workload/binary_log.h). The
 //       default output is LOG.logrl.
-//   logr_cli split [--shards N] [--shard-policy hash|range]
-//                  [--out-dir DIR] [--name NAME] [LOG|LOG.logrl]
+//   logr_cli split [--shards N] [--out-dir DIR] [--name NAME]
+//                  [LOG|LOG.logrl]
 //       Partitions a log's distinct templates into N binary .logrl
-//       shard files (same stable policies as compress --shards), ready
-//       for `distribute` or for per-node compression. Empty shards are
-//       dropped, so fewer than N files can appear.
+//       shard files (the same stable hash split as compress --shards),
+//       ready for `distribute` or for per-node compression. Empty shards
+//       are dropped, so fewer than N files can appear. DIR must not be
+//       empty.
 //   logr_cli distribute [--workers W] [--clusters K] [--method NAME]
 //                       [--spool DIR] [--retries R] [--timeout SEC]
 //                       [--no-resume] [--no-fallback] [--out FILE]
@@ -58,8 +60,9 @@
 //       rejected loudly and the set is deduplicated, exactly like the
 //       serve protocol (both parse via workload/predicate.h).
 //   logr_cli query [--timeout MS] [--retries N] ENDPOINT REQUEST...
-//       Sends one request line to a running logr_serve daemon and
-//       prints the response, e.g.
+//       Sends one request line to a running logr_serve daemon at
+//       ENDPOINT (the grammar `logr_serve --listen` takes,
+//       serve/endpoint.h) and prints the response, e.g.
 //         logr_cli query tcp:127.0.0.1:7979 estimate prod FROM:orders
 //       --timeout bounds the connect and the request round-trip;
 //       --retries retries (with exponential backoff + jitter) only
@@ -160,13 +163,6 @@ bool ResolveMethodArg(const std::string& method, LogROptions* opts) {
   return false;
 }
 
-/// Resolves --shard-policy.
-bool ResolveShardPolicyArg(const std::string& name, ShardPolicy* policy) {
-  if (ParseShardPolicy(name, policy)) return true;
-  std::fprintf(stderr, "--shard-policy must be hash or range\n");
-  return false;
-}
-
 /// Reads the text log at `path` (stdin when empty) into `loader` and
 /// prints its funnel line. Returns 0 on success, the exit code otherwise.
 int ReadText(const std::string& path, LogLoader* loader) {
@@ -241,7 +237,6 @@ int RunCompress(const Command& self, int argc, char** argv) {
   opts.num_clusters = 8;
   std::optional<std::size_t> refine;
   std::string method = "kmeans";
-  std::string policy = "hash";
   std::string out_path = "summary.logr";
   std::vector<std::string> paths;
   if (!ParseArgs(self, argc, argv,
@@ -250,13 +245,11 @@ int RunCompress(const Command& self, int argc, char** argv) {
                   {"--encoder", &opts.encoder},
                   {"--refine-patterns", &refine},
                   {"--shards", &opts.num_shards, 1},
-                  {"--shard-policy", &policy},
                   {"--out", &out_path}},
                  {&paths, 0, 1})) {
     return 2;
   }
   opts.refine_patterns = refine.value_or(0);
-  if (!ResolveShardPolicyArg(policy, &opts.shard_policy)) return 2;
   Encoder encoder = Encoder::kNaive;
   if (!ParseEncoder(opts.encoder, &encoder)) {
     PrintUnknown("encoder", opts.encoder,
@@ -386,20 +379,16 @@ int RunMerge(const Command& self, int argc, char** argv) {
 
 int RunSplit(const Command& self, int argc, char** argv) {
   std::size_t shards = 4;
-  std::string policy = "hash";
   std::string out_dir = "shards";
   std::string name = "cli";
   std::vector<std::string> paths;
   if (!ParseArgs(self, argc, argv,
                  {{"--shards", &shards, 1},
-                  {"--shard-policy", &policy},
                   {"--out-dir", &out_dir},
                   {"--name", &name}},
                  {&paths, 0, 1})) {
     return 2;
   }
-  ShardPolicy shard_policy;
-  if (!ResolveShardPolicyArg(policy, &shard_policy)) return 2;
 
   QueryLog log;
   MmapQueryLog binary;
@@ -414,8 +403,7 @@ int RunSplit(const Command& self, int argc, char** argv) {
   }
   std::vector<ShardFile> files;
   std::string error;
-  if (!WriteShardFiles(view, shards, shard_policy, out_dir, name, &files,
-                       &error)) {
+  if (!WriteShardFiles(view, shards, out_dir, name, &files, &error)) {
     return Fail(error);
   }
   for (const ShardFile& f : files) {
@@ -648,13 +636,11 @@ int RunDemo(const Command& self, int argc, char** argv) {
 const Command kCommands[] = {
     {"compress",
      "compress [--clusters K] [--method NAME] [--encoder NAME] "
-     "[--refine-patterns N] [--shards S] [--shard-policy hash|range] "
-     "[--out FILE] [LOG|LOG.logrl]",
+     "[--refine-patterns N] [--shards S] [--out FILE] [LOG|LOG.logrl]",
      RunCompress},
     {"convert", "convert [--name NAME] [--out FILE.logrl] [LOG]", RunConvert},
     {"split",
-     "split [--shards N] [--shard-policy hash|range] [--out-dir DIR] "
-     "[--name NAME] [LOG|LOG.logrl]",
+     "split [--shards N] [--out-dir DIR] [--name NAME] [LOG|LOG.logrl]",
      RunSplit},
     {"distribute",
      "distribute [--workers W] [--clusters K] [--method NAME] [--spool DIR] "

@@ -91,13 +91,15 @@ DatasetSummary LogStatistics(const QueryLog& log, std::string name) {
 }
 
 bool WriteShardFiles(const LogView& log, std::size_t num_shards,
-                     ShardPolicy policy, const std::string& dir,
-                     const std::string& name, std::vector<ShardFile>* files,
-                     std::string* error) {
+                     const std::string& dir, const std::string& name,
+                     std::vector<ShardFile>* files, std::string* error) {
   files->clear();
+  // An empty dir would turn every "<dir>/shard-NNN" into a path at the
+  // filesystem root.
+  if (dir.empty()) return Fail(error, "shard directory is required");
   if (!EnsureDirectory(dir, error)) return false;
   const std::vector<std::vector<std::size_t>> parts =
-      PartitionIndices(log, num_shards, policy);
+      PartitionIndices(log, num_shards);
   for (std::size_t s = 0; s < parts.size(); ++s) {
     const QueryLog part = log.MaterializeSubset(parts[s]);
     char index[32];
@@ -130,13 +132,8 @@ bool RunDistributedWorker(const DistributedWorkerOptions& opts,
   // pool is also the fork-safety requirement: a forked child must
   // never wait on the parent's pool threads, which do not exist after
   // fork.
-  LogROptions copts;
-  copts.method = opts.method;
-  copts.seed = opts.seed;
-  copts.n_init = opts.n_init;
-
   LogView view(shard);
-  const LogRSummary summary = CompressShard(view, copts, opts.num_clusters);
+  const LogRSummary summary = CompressShard(view, opts.compression);
 
   // WriteSummaryFile spools atomically (pid-suffixed temp + rename), so
   // a worker killed at any instant leaves either nothing or a temp file
@@ -168,8 +165,8 @@ bool CompressDistributed(const std::vector<std::string>& shard_paths,
     }
   }
 
-  const std::size_t shard_k =
-      ClustersPerShard(opts.compression.num_clusters, n);
+  LogROptions shard_opts = opts.compression;
+  shard_opts.num_clusters = ClustersPerShard(opts.compression.num_clusters, n);
 
   enum class State { kPending, kRunning, kDone };
   std::vector<State> state(n, State::kPending);
@@ -199,10 +196,7 @@ bool CompressDistributed(const std::vector<std::string>& shard_paths,
     DistributedWorkerOptions w;
     w.shard_path = shard_paths[s];
     w.out_path = out->shards[s].summary_path;
-    w.num_clusters = shard_k;
-    w.method = opts.compression.method;
-    w.seed = opts.compression.seed;
-    w.n_init = opts.compression.n_init;
+    w.compression = shard_opts;
     w.shard_index = s;
     w.attempt = out->shards[s].attempts;
     return w;

@@ -108,16 +108,16 @@ struct DistributedResult {
 };
 
 /// What one worker does: mmap-open `shard_path` (.logrl), compress it
-/// zero-copy with the naive encoder at `num_clusters`, and atomically
+/// zero-copy with CompressShard under `compression`, and atomically
 /// write its summary (v4) to `out_path`. The coordinator builds these
 /// from DistributedOptions for each shard attempt.
 struct DistributedWorkerOptions {
   std::string shard_path;
   std::string out_path;
-  std::size_t num_clusters = 1;
-  ClusteringMethod method = ClusteringMethod::kKMeansEuclidean;
-  std::uint64_t seed = 17;
-  int n_init = 4;
+  /// The shard fit's options, passed to CompressShard unchanged:
+  /// num_clusters is the per-shard K (ClustersPerShard), and method,
+  /// seed and n_init are the coordinator's.
+  LogROptions compression;
   /// Position of the shard in the coordinator's scatter order — only
   /// consulted by the kDistributedCrashEnv fault injection.
   std::size_t shard_index = 0;
@@ -171,11 +171,10 @@ struct ShardFile {
 /// written as `<dir>/shard-NNN.logrl` (NNN its index, three digits or
 /// more) with the trailer LogStatistics(part, "<name>-sNNN"). `dir` is
 /// created if missing. Fills `files` in shard order. Returns false (and
-/// fills `error`) on a filesystem failure.
+/// fills `error`) when `dir` is empty or on a filesystem failure.
 bool WriteShardFiles(const LogView& log, std::size_t num_shards,
-                     ShardPolicy policy, const std::string& dir,
-                     const std::string& name, std::vector<ShardFile>* files,
-                     std::string* error);
+                     const std::string& dir, const std::string& name,
+                     std::vector<ShardFile>* files, std::string* error);
 
 }  // namespace logr
 

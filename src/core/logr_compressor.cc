@@ -53,26 +53,6 @@ ClusterRequest ClusterRequestFor(const LogROptions& opts, std::size_t k,
 
 }  // namespace
 
-const char* ShardPolicyName(ShardPolicy p) {
-  switch (p) {
-    case ShardPolicy::kHashDistinct: return "hash";
-    case ShardPolicy::kContiguousRange: return "range";
-  }
-  return "?";
-}
-
-bool ParseShardPolicy(const std::string& name, ShardPolicy* out) {
-  LOGR_CHECK(out != nullptr);
-  if (name == "hash") {
-    *out = ShardPolicy::kHashDistinct;
-  } else if (name == "range") {
-    *out = ShardPolicy::kContiguousRange;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const WorkloadModel& LogRSummary::Model() const {
   LOGR_CHECK_MSG(model != nullptr, "summary holds no model");
   return *model;

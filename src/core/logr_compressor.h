@@ -29,20 +29,6 @@
 
 namespace logr {
 
-/// How CompressSharded partitions a log's distinct vectors into
-/// shards (core/sharded.h). Both policies assign every distinct vector
-/// to exactly one shard, so per-shard mixtures merge exactly.
-enum class ShardPolicy {
-  kHashDistinct,      // stable hash of the distinct vector ("hash")
-  kContiguousRange,   // equal contiguous ranges of distinct index ("range")
-};
-
-/// CLI name of `p` ("hash" / "range").
-const char* ShardPolicyName(ShardPolicy p);
-
-/// Inverse of ShardPolicyName. Returns false for unknown names.
-bool ParseShardPolicy(const std::string& name, ShardPolicy* out);
-
 struct LogROptions {
   ClusteringMethod method = ClusteringMethod::kKMeansEuclidean;
   std::size_t num_clusters = 1;
@@ -61,13 +47,13 @@ struct LogROptions {
   /// EncodePatterns' budget for the "pattern" encoder; other encoders
   /// ignore it.
   std::size_t pattern_budget = 0;
-  /// When > 1, Compress routes through CompressSharded: the log is
-  /// split into this many shards, each shard is compressed on its own,
-  /// and the per-shard mixtures are merged and reconciled back to
-  /// num_clusters (core/sharded.h). Results are bit-deterministic for
-  /// any thread count and shard order.
+  /// When > 1, Compress routes through CompressSharded: the log's
+  /// distinct vectors are split into this many shards by a stable hash
+  /// (PartitionIndices), each shard is compressed on its own, and the
+  /// per-shard mixtures are merged and reconciled back to num_clusters
+  /// (core/sharded.h). Results are bit-deterministic for any thread
+  /// count and shard order.
   std::size_t num_shards = 1;
-  ShardPolicy shard_policy = ShardPolicy::kHashDistinct;
 };
 
 struct LogRSummary {

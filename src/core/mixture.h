@@ -6,7 +6,7 @@
 // compression path: batch (FromPartition) and sharded, distributed or
 // offline-merged (Merge + Reconcile over per-shard mixtures). Merging
 // is exact whenever the merged parts encode disjoint query populations,
-// which every shard policy maintains: marginals combine as
+// which the shard split maintains: marginals combine as
 // log-size-weighted averages and the empirical entropy obeys the
 // grouping property H(∪L_i) = Σ w_i·H(L_i) − Σ w_i·log w_i.
 #ifndef LOGR_CORE_MIXTURE_H_

@@ -9,11 +9,15 @@ namespace logr {
 
 namespace {
 
-/// FNV-1a over the vector's id bytes: a stable hash (unlike std::hash)
-/// so shard membership never varies across runs, platforms, or library
-/// versions. Takes the view's raw id span — the same bytes whether the
-/// log lives on the heap or in an mmap'd .logrl — so both backings
-/// shard identically.
+/// An FNV-1a-style hash over the vector's id bytes: a stable hash
+/// (unlike std::hash) so shard membership never varies across runs,
+/// platforms, or library versions. It is not FNV-1a proper: the offset
+/// basis 1469598103934665603 is one digit short of FNV-1a's
+/// 14695981039346656037. The basis must stay as it is, because it fixes
+/// which shard each template goes to; the output manifest's `split`,
+/// `--shards 4` and `distribute` rows pin it. Takes the view's raw id
+/// span — the same bytes whether the log lives on the heap or in an
+/// mmap'd .logrl — so both backings shard identically.
 std::uint64_t StableVectorHash(const FeatureId* ids, std::size_t len) {
   std::uint64_t h = 1469598103934665603ull;
   for (std::size_t i = 0; i < len; ++i) {
@@ -28,8 +32,7 @@ std::uint64_t StableVectorHash(const FeatureId* ids, std::size_t len) {
 
 }  // namespace
 
-LogRSummary CompressShard(const LogView& shard, const LogROptions& opts,
-                          std::size_t shard_k) {
+LogRSummary CompressShard(const LogView& shard, const LogROptions& opts) {
   // Leaked like ThreadPool::Shared(). With no threads every ParallelFor
   // runs inline; a pooled one is not reentrant from the shard loop's
   // workers.
@@ -38,7 +41,7 @@ LogRSummary CompressShard(const LogView& shard, const LogROptions& opts,
   shard_opts.method = opts.method;
   shard_opts.seed = opts.seed;
   shard_opts.n_init = opts.n_init;
-  shard_opts.num_clusters = shard_k;
+  shard_opts.num_clusters = opts.num_clusters;
   shard_opts.pool = serial;
   return Compress(shard, shard_opts);
 }
@@ -49,26 +52,13 @@ std::size_t ClustersPerShard(std::size_t num_clusters,
 }
 
 std::vector<std::vector<std::size_t>> PartitionIndices(const LogView& log,
-                                                       std::size_t num_shards,
-                                                       ShardPolicy policy) {
+                                                       std::size_t num_shards) {
   LOGR_CHECK(num_shards >= 1);
-  const std::size_t n = log.NumDistinct();
   std::vector<std::vector<std::size_t>> shards(num_shards);
-  switch (policy) {
-    case ShardPolicy::kHashDistinct:
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t h =
-            StableVectorHash(log.VectorIds(i), log.VectorSize(i));
-        shards[h % num_shards].push_back(i);
-      }
-      break;
-    case ShardPolicy::kContiguousRange:
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        const std::size_t lo = s * n / num_shards;
-        const std::size_t hi = (s + 1) * n / num_shards;
-        for (std::size_t i = lo; i < hi; ++i) shards[s].push_back(i);
-      }
-      break;
+  for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
+    const std::uint64_t h =
+        StableVectorHash(log.VectorIds(i), log.VectorSize(i));
+    shards[h % num_shards].push_back(i);
   }
   shards.erase(std::remove_if(shards.begin(), shards.end(),
                               [](const std::vector<std::size_t>& s) {
@@ -86,7 +76,7 @@ LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
   // the run reports one delta rather than a sum of per-shard deltas.
   const std::uint64_t builds_at_start = PackedVecPool::BuildCount();
   const std::vector<std::vector<std::size_t>> shards =
-      PartitionIndices(log, opts.num_shards, opts.shard_policy);
+      PartitionIndices(log, opts.num_shards);
   const std::size_t S = shards.size();
 
   // Each shard fit reads through a zero-copy subview of the input
@@ -111,11 +101,12 @@ LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
 
   // One fit per shard, each writing only its own slot: the schedule
   // never affects the result, so any thread count gives the same bits.
-  const std::size_t shard_k = ClustersPerShard(opts.num_clusters, S);
+  LogROptions shard_opts = opts;
+  shard_opts.num_clusters = ClustersPerShard(opts.num_clusters, S);
   ThreadPool* pool = opts.pool ? opts.pool : ThreadPool::Shared();
   std::vector<LogRSummary> results(S);
   ParallelFor(pool, 0, S, kCoarseGrain, [&](std::size_t s) {
-    results[s] = CompressShard(shard_views[s], opts, shard_k);
+    results[s] = CompressShard(shard_views[s], shard_opts);
   });
 
   // Pool the per-shard mixtures with members remapped to global distinct

@@ -1,9 +1,8 @@
-// Strict command-line flags, shared by logr_cli, logr_serve and the
-// distributed worker argv (core/distributed.h). A command declares a
-// table of flags and the positional arguments it takes; ParseFlags
-// walks its argv once and fails with one line that names the flag and,
-// for an integer, its range. The binaries print it with their usage
-// text and exit 2.
+// Strict command-line flags, shared by logr_cli and logr_serve. A
+// command declares a table of flags and the positional arguments it
+// takes; ParseFlags walks its argv once and fails with one line that
+// names the flag and, for an integer, its range. The binaries print it
+// with their usage text and exit 2.
 #ifndef LOGR_UTIL_FLAGS_H_
 #define LOGR_UTIL_FLAGS_H_
 

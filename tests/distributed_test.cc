@@ -54,8 +54,7 @@ std::vector<std::string> WriteShards(const QueryLog& log,
                                      const std::string& tag) {
   std::vector<ShardFile> files;
   std::string error;
-  EXPECT_TRUE(WriteShardFiles(LogView(log), num_shards,
-                              ShardPolicy::kHashDistinct, UniqueDir(tag), tag,
+  EXPECT_TRUE(WriteShardFiles(LogView(log), num_shards, UniqueDir(tag), tag,
                               &files, &error))
       << error;
   std::vector<std::string> paths;
@@ -251,11 +250,9 @@ TEST(DistributedTest, ShardFilesHoldTheirParts) {
   const std::string dir = UniqueDir("shard_files") + "/nested";
   std::vector<ShardFile> files;
   std::string error;
-  ASSERT_TRUE(WriteShardFiles(view, 3, ShardPolicy::kContiguousRange, dir,
-                              "bank", &files, &error))
+  ASSERT_TRUE(WriteShardFiles(view, 3, dir, "bank", &files, &error))
       << error;
-  const std::vector<std::vector<std::size_t>> parts =
-      PartitionIndices(view, 3, ShardPolicy::kContiguousRange);
+  const std::vector<std::vector<std::size_t>> parts = PartitionIndices(view, 3);
   ASSERT_EQ(files.size(), parts.size());
   for (std::size_t s = 0; s < files.size(); ++s) {
     SCOPED_TRACE(files[s].path);
@@ -280,11 +277,23 @@ TEST(DistributedTest, ShardFilesHoldTheirParts) {
   }
 }
 
+/// An empty directory would put every "<dir>/shard-NNN.logrl" at the
+/// filesystem root: the call is refused before anything is written.
+TEST(DistributedTest, ShardFilesRefuseAnEmptyDir) {
+  const QueryLog log = PocketLog();
+  std::vector<ShardFile> files;
+  std::string error;
+  EXPECT_FALSE(WriteShardFiles(LogView(log), 2, "", "pocket", &files, &error));
+  EXPECT_EQ(error, "distributed: shard directory is required");
+  EXPECT_TRUE(files.empty());
+  EXPECT_NE(::access("/shard-000.logrl", F_OK), 0);
+}
+
 TEST(DistributedTest, WorkerRejectsMissingShardFile) {
   DistributedWorkerOptions opts;
   opts.shard_path = UniqueDir("absent") + "/missing.logrl";
   opts.out_path = UniqueDir("absent") + "/missing.summary";
-  opts.num_clusters = 2;
+  opts.compression.num_clusters = 2;
   std::string error;
   EXPECT_FALSE(RunDistributedWorker(opts, &error));
   EXPECT_FALSE(error.empty());
@@ -296,7 +305,7 @@ TEST(DistributedTest, WorkerSpoolsALoadableSummary) {
   DistributedWorkerOptions opts;
   opts.shard_path = shards[0];
   opts.out_path = UniqueDir("spool_one") + "/one.summary";
-  opts.num_clusters = 4;
+  opts.compression.num_clusters = 4;
   std::string error;
   ASSERT_TRUE(RunDistributedWorker(opts, &error)) << error;
   PersistedSummary loaded;

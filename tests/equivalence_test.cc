@@ -198,7 +198,7 @@ class EquivalenceTest : public ::testing::TestWithParam<Case> {
     const LogView view(log());
     std::vector<QueryLog> shards;
     for (const std::vector<std::size_t>& part :
-         PartitionIndices(view, kShards, opts_.shard_policy)) {
+         PartitionIndices(view, kShards)) {
       shards.push_back(view.MaterializeSubset(part));
     }
     return shards;
@@ -293,9 +293,8 @@ class EquivalenceTest : public ::testing::TestWithParam<Case> {
   void ExpectDistributedMatches(const std::string& sharded_bytes) const {
     std::vector<ShardFile> files;
     std::string error;
-    ASSERT_TRUE(WriteShardFiles(LogView(log()), kShards, opts_.shard_policy,
-                                dir_ + "/shards", Label(GetParam()), &files,
-                                &error))
+    ASSERT_TRUE(WriteShardFiles(LogView(log()), kShards, dir_ + "/shards",
+                                Label(GetParam()), &files, &error))
         << error;
     std::vector<std::string> paths;
     for (const ShardFile& f : files) paths.push_back(f.path);

@@ -1,5 +1,5 @@
-// Tests for the sharded compression subsystem (core/sharded.h): shard
-// partition policies, single-shard equivalence with the monolithic
+// Tests for the sharded compression subsystem (core/sharded.h): the
+// stable-hash shard partition, single-shard equivalence with the monolithic
 // pipeline, merge/reconcile quality on the paper-shaped generators,
 // bit-determinism across thread counts and shard orders, and the
 // offline summary-merge path.
@@ -85,22 +85,18 @@ std::vector<ComponentKey> SortedKeys(const NaiveMixtureEncoding& e) {
 
 TEST(ShardedTest, PartitionCoversEveryIndexExactlyOnce) {
   QueryLog log = PocketLog();
-  for (ShardPolicy policy :
-       {ShardPolicy::kHashDistinct, ShardPolicy::kContiguousRange}) {
-    for (std::size_t s : {1u, 2u, 4u, 8u}) {
-      auto shards = PartitionIndices(log, s, policy);
-      std::vector<int> hits(log.NumDistinct(), 0);
-      for (const auto& shard : shards) {
-        EXPECT_FALSE(shard.empty());
-        for (std::size_t i : shard) {
-          ASSERT_LT(i, log.NumDistinct());
-          hits[i] += 1;
-        }
+  for (std::size_t s : {1u, 2u, 4u, 8u}) {
+    auto shards = PartitionIndices(log, s);
+    std::vector<int> hits(log.NumDistinct(), 0);
+    for (const auto& shard : shards) {
+      EXPECT_FALSE(shard.empty());
+      for (std::size_t i : shard) {
+        ASSERT_LT(i, log.NumDistinct());
+        hits[i] += 1;
       }
-      for (std::size_t i = 0; i < hits.size(); ++i) {
-        EXPECT_EQ(hits[i], 1) << ShardPolicyName(policy) << " S=" << s
-                              << " index " << i;
-      }
+    }
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i], 1) << "S=" << s << " index " << i;
     }
   }
 }
@@ -149,16 +145,12 @@ TEST(ShardedTest, ErrorWithinFivePercentOfMonolithic) {
     opts.encoder = "naive";
     const double mono = Compress(c.log, opts).Model().Error();
     for (std::size_t s : {2u, 4u, 8u}) {
-      for (ShardPolicy policy :
-           {ShardPolicy::kHashDistinct, ShardPolicy::kContiguousRange}) {
-        LogROptions sh = opts;
-        sh.num_shards = s;
-        sh.shard_policy = policy;
-        LogRSummary summary = Compress(c.log, sh);
-        EXPECT_LE(summary.Model().NumComponents(), 8u);
-        EXPECT_LE(summary.Model().Error(), mono * 1.05 + 1e-9)
-            << c.name << " S=" << s << " policy=" << ShardPolicyName(policy);
-      }
+      LogROptions sh = opts;
+      sh.num_shards = s;
+      LogRSummary summary = Compress(c.log, sh);
+      EXPECT_LE(summary.Model().NumComponents(), 8u);
+      EXPECT_LE(summary.Model().Error(), mono * 1.05 + 1e-9)
+          << c.name << " S=" << s;
     }
   }
 }
@@ -194,11 +186,9 @@ TEST(ShardedTest, ReportsPackTimeAndOnePoolBuildPerShard) {
   LogROptions opts;
   opts.num_clusters = 4;
   opts.num_shards = 4;
-  opts.shard_policy = ShardPolicy::kHashDistinct;
   ThreadPool four(4);
   opts.pool = &four;
-  const std::size_t non_empty =
-      PartitionIndices(log, opts.num_shards, opts.shard_policy).size();
+  const std::size_t non_empty = PartitionIndices(log, opts.num_shards).size();
   ASSERT_GT(non_empty, 1u);
   const LogRSummary s = Compress(log, opts);
   EXPECT_EQ(s.pool_builds, non_empty);
@@ -207,7 +197,7 @@ TEST(ShardedTest, ReportsPackTimeAndOnePoolBuildPerShard) {
 
 TEST(ShardedTest, MergeIsIndependentOfPartOrder) {
   QueryLog log = PocketLog();
-  auto shards = PartitionIndices(log, 3, ShardPolicy::kHashDistinct);
+  auto shards = PartitionIndices(log, 3);
   ASSERT_EQ(shards.size(), 3u);
   std::vector<NaiveMixtureEncoding> parts;
   for (const auto& indices : shards) {
@@ -278,7 +268,7 @@ TEST(ShardedTest, OfflineSummaryMergeMatchesInProcessSharding) {
 
   // Compress each shard separately and round-trip it through the text
   // format — the "compress each day's log, merge the week" workflow.
-  auto shards = PartitionIndices(log, 3, ShardPolicy::kHashDistinct);
+  auto shards = PartitionIndices(log, 3);
   LogROptions per_shard = opts;
   per_shard.num_clusters = ClustersPerShard(opts.num_clusters, 3);
   std::vector<PersistedSummary> parts(shards.size());
