@@ -5,7 +5,8 @@
 //
 // Loads every *.logr summary in DIR and serves the line protocol
 // (serve/protocol.h) on ENDPOINT — "unix:PATH" for a Unix domain
-// socket, "tcp:HOST:PORT" / "PORT" for TCP; port 0 picks an ephemeral
+// socket, "tcp:HOST:PORT" / "HOST:PORT" / "PORT" for TCP with HOST a
+// dotted IPv4 address (serve/endpoint.h); port 0 picks an ephemeral
 // port, printed on startup. The directory is rescanned every
 // --rescan-ms milliseconds (default 500): drop a new summary in (the
 // compressor's WriteSummaryFile renames it into place atomically) and
@@ -22,7 +23,8 @@
 // received finish and flush their replies, bounded by --drain-ms. The
 // `stats` protocol verb reports accepted/active/shed/timed-out/
 // requests/rescans. Every numeric flag takes decimal digits only, up
-// to INT_MAX; anything else exits 2 with the usage text.
+// to INT_MAX, and --max-conns at least 1; anything else exits 2 with
+// the usage text.
 //
 // Try it:
 //   logr_cli compress --out summaries/prod.logr prod.sql
@@ -52,10 +54,10 @@ int Usage() {
                "[--rescan-ms N]\n"
                "                  [--max-conns N] [--idle-ms N] "
                "[--drain-ms N]\n"
-               "  ENDPOINT: unix:PATH | tcp:HOST:PORT | PORT "
+               "  ENDPOINT: unix:PATH | tcp:HOST:PORT | HOST:PORT | PORT "
                "(default tcp:127.0.0.1:0 = ephemeral)\n"
-               "  --max-conns: concurrent-connection cap; extras get "
-               "'err busy' (default 64, 0 = off)\n"
+               "  --max-conns: concurrent-connection cap, at least 1; "
+               "extras get 'err busy' (default 64)\n"
                "  --idle-ms:   per-connection idle/read deadline "
                "(default 30000, 0 = off)\n"
                "  --drain-ms:  shutdown drain budget for in-flight "
@@ -74,7 +76,7 @@ int main(int argc, char** argv) {
           {{"--dir", &dir},
            {"--listen", &opts.listen},
            {"--rescan-ms", &opts.rescan_interval_ms},
-           {"--max-conns", &opts.max_connections, 0, INT_MAX},
+           {"--max-conns", &opts.max_connections, 1, INT_MAX},
            {"--idle-ms", &opts.idle_timeout_ms},
            {"--drain-ms", &opts.drain_timeout_ms}},
           {}, &error)) {

@@ -1,19 +1,16 @@
 #include "serve/client.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
+#include "serve/endpoint.h"
 #include "util/prng.h"
 
 namespace logr {
@@ -25,18 +22,6 @@ using Clock = std::chrono::steady_clock;
 bool Fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
-}
-
-bool ParsePort(const std::string& text, std::uint16_t* port) {
-  if (text.empty() || text.size() > 5) return false;
-  std::uint32_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint32_t>(c - '0');
-  }
-  if (value > 65535) return false;
-  *port = static_cast<std::uint16_t>(value);
-  return true;
 }
 
 bool SetNonBlocking(int fd) {
@@ -72,54 +57,17 @@ bool ServeClient::Connect(const std::string& endpoint, int timeout_ms,
                           std::string* error) {
   Close();
   timed_out_ = false;
-  std::string spec = endpoint;
-  sockaddr_un uaddr;
-  sockaddr_in taddr;
-  sockaddr* addr = nullptr;
-  socklen_t addr_len = 0;
-  int family = AF_INET;
-  if (spec.rfind("unix:", 0) == 0) {
-    const std::string path = spec.substr(5);
-    std::memset(&uaddr, 0, sizeof(uaddr));
-    uaddr.sun_family = AF_UNIX;
-    if (path.empty() || path.size() >= sizeof(uaddr.sun_path)) {
-      return Fail(error, "unix socket path empty or too long: " + path);
-    }
-    std::memcpy(uaddr.sun_path, path.c_str(), path.size() + 1);
-    addr = reinterpret_cast<sockaddr*>(&uaddr);
-    addr_len = sizeof(uaddr);
-    family = AF_UNIX;
-  } else {
-    if (spec.rfind("tcp:", 0) == 0) spec = spec.substr(4);
-    std::string host = "127.0.0.1";
-    std::string port_text = spec;
-    const std::size_t colon = spec.rfind(':');
-    if (colon != std::string::npos) {
-      host = spec.substr(0, colon);
-      port_text = spec.substr(colon + 1);
-    }
-    std::uint16_t port = 0;
-    if (!ParsePort(port_text, &port)) {
-      return Fail(error, "bad port in endpoint: " + endpoint);
-    }
-    std::memset(&taddr, 0, sizeof(taddr));
-    taddr.sin_family = AF_INET;
-    taddr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &taddr.sin_addr) != 1) {
-      return Fail(error, "bad host in endpoint: " + host);
-    }
-    addr = reinterpret_cast<sockaddr*>(&taddr);
-    addr_len = sizeof(taddr);
-  }
+  Endpoint ep;
+  if (!ParseEndpoint(endpoint, &ep, error)) return false;
 
-  const int fd = ::socket(family, SOCK_STREAM, 0);
+  const int fd = ::socket(ep.family, SOCK_STREAM, 0);
   if (fd < 0) return Fail(error, "cannot create socket");
   if (!SetNonBlocking(fd)) {
     ::close(fd);
     return Fail(error, "cannot make socket nonblocking");
   }
-  if (::connect(fd, addr, addr_len) != 0) {
-    if (family == AF_UNIX || errno != EINPROGRESS) {
+  if (::connect(fd, ep.addr(), ep.length) != 0) {
+    if (ep.family == AF_UNIX || errno != EINPROGRESS) {
       // A Unix-socket connect never goes "in progress": EAGAIN there
       // means the listener's backlog is full — a transient refusal the
       // retry layer handles like any other connect failure.

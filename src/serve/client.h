@@ -2,11 +2,13 @@
 // one response line out — with deadlines and a retry policy.
 //
 // The exact shape `logr_cli query`, the tests, and the serve benchmark
-// all need. Accepts the same endpoint syntax ServeDaemon binds
-// ("unix:PATH", "tcp:HOST:PORT", "HOST:PORT", "PORT"). Every socket
-// wait is poll-based, so both Connect and Request take an optional
-// deadline: a daemon that hangs (or an endpoint that routes nowhere)
-// costs the caller a bounded wait, never a wedged process.
+// all need. Connect reads the endpoint grammar ServeDaemon binds
+// (serve/endpoint.h: "unix:PATH", "tcp:HOST:PORT", "HOST:PORT",
+// "PORT") through the same parser, so both reject a malformed one with
+// the same message. Every socket wait is poll-based, so both Connect
+// and Request take an optional deadline: a daemon that hangs (or an
+// endpoint that routes nowhere) costs the caller a bounded wait, never
+// a wedged process.
 //
 // QueryWithRetry layers the client policy a hardened daemon expects
 // from its peers: bounded retries with exponential backoff + jitter,

@@ -4,14 +4,14 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
+
+#include "serve/endpoint.h"
 
 namespace logr {
 
@@ -33,18 +33,6 @@ constexpr std::size_t kMaxRequestBytes = 1 << 20;
 /// tick even when no peer deadline is near. Bounds how stale a stop
 /// request can go unnoticed, not any protocol deadline.
 constexpr int kPollTickMs = 100;
-
-bool ParsePort(const std::string& text, std::uint16_t* port) {
-  if (text.empty() || text.size() > 5) return false;
-  std::uint32_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint32_t>(c - '0');
-  }
-  if (value > 65535) return false;
-  *port = static_cast<std::uint16_t>(value);
-  return true;
-}
 
 /// Milliseconds until `t`, rounded up so a poll that times out finds
 /// the deadline passed; 0 when it already has.
@@ -92,69 +80,42 @@ ServeDaemon::~ServeDaemon() { Stop(); }
 
 bool ServeDaemon::Start(const ServeOptions& opts, std::string* error) {
   if (listen_fd_ >= 0) return Fail(error, "daemon already started");
+  if (opts.max_connections == 0) {
+    return Fail(error, "max_connections must be at least 1");
+  }
+
+  Endpoint ep;
+  if (!ParseEndpoint(opts.listen, &ep, error)) return false;
 
   // Come up already serving the directory's current contents.
   registry_->Rescan();
 
-  std::string spec = opts.listen;
-  if (spec.rfind("unix:", 0) == 0) {
-    const std::string path = spec.substr(5);
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    if (path.empty() || path.size() >= sizeof(addr.sun_path)) {
-      return Fail(error, "unix socket path empty or too long: " + path);
-    }
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    if (fd < 0) return Fail(error, "cannot create unix socket");
-    ::unlink(path.c_str());  // a stale socket from a dead daemon
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 64) != 0) {
-      ::close(fd);
-      return Fail(error, "cannot bind unix socket " + path);
-    }
-    listen_fd_ = fd;
-    unix_path_ = path;
-    endpoint_ = "unix:" + path;
+  const int fd = ::socket(ep.family, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) return Fail(error, "cannot create socket");
+  if (ep.family == AF_UNIX) {
+    ::unlink(ep.path.c_str());  // a stale socket from a dead daemon
   } else {
-    if (spec.rfind("tcp:", 0) == 0) spec = spec.substr(4);
-    std::string host = "127.0.0.1";
-    std::string port_text = spec;
-    const std::size_t colon = spec.rfind(':');
-    if (colon != std::string::npos) {
-      host = spec.substr(0, colon);
-      port_text = spec.substr(colon + 1);
-    }
-    std::uint16_t port = 0;
-    if (!ParsePort(port_text, &port)) {
-      return Fail(error, "bad port in listen endpoint: " + opts.listen);
-    }
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      return Fail(error, "bad host in listen endpoint: " + host);
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    if (fd < 0) return Fail(error, "cannot create tcp socket");
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 64) != 0) {
-      ::close(fd);
-      return Fail(error, "cannot bind " + host + ":" + port_text);
-    }
+  }
+  if (::bind(fd, ep.addr(), ep.length) != 0 || ::listen(fd, 64) != 0) {
+    ::close(fd);
+    return Fail(error, "cannot bind " + opts.listen);
+  }
+  if (ep.family == AF_UNIX) {
+    unix_path_ = ep.path;
+    endpoint_ = "unix:" + ep.path;
+  } else {
     // Resolve the ephemeral port so callers can connect to port 0 binds.
-    socklen_t len = sizeof(addr);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    sockaddr_in bound;
+    socklen_t len = sizeof(bound);
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
       ::close(fd);
       return Fail(error, "cannot resolve bound port");
     }
-    listen_fd_ = fd;
-    endpoint_ = "tcp:" + host + ":" + std::to_string(ntohs(addr.sin_port));
+    endpoint_ = "tcp:" + ep.host + ":" + std::to_string(ntohs(bound.sin_port));
   }
+  listen_fd_ = fd;
 
   limits_ = opts;
   draining_.store(false);
@@ -226,7 +187,7 @@ void ServeDaemon::Accept(std::vector<Peer>* peers) {
   // The increment itself claims a slot, so the cap holds across
   // reactors; a claim past the cap is undone and the peer is shed.
   const std::uint64_t claimed = counters_.active.fetch_add(1);
-  if (limits_.max_connections > 0 && claimed >= limits_.max_connections) {
+  if (claimed >= limits_.max_connections) {
     counters_.active.fetch_sub(1);
     // Count first, so a peer that reads the reply is guaranteed to
     // find itself in `stats shed`. One nonblocking send is enough: the

@@ -66,8 +66,8 @@ namespace logr {
 
 struct ServeOptions {
   /// Listen endpoint: "unix:PATH" for a Unix domain socket, or
-  /// "tcp:HOST:PORT" / "HOST:PORT" / "PORT" for TCP (PORT 0 binds an
-  /// ephemeral port; see ServeDaemon::endpoint()).
+  /// "tcp:HOST:PORT" / "HOST:PORT" / "PORT" for TCP (serve/endpoint.h;
+  /// PORT 0 binds an ephemeral port, see ServeDaemon::endpoint()).
   std::string listen = "tcp:127.0.0.1:0";
   /// Directory watch cadence. 0 disables the watch thread entirely —
   /// reloads then only happen through the protocol's "reload" request.
@@ -75,8 +75,8 @@ struct ServeOptions {
   /// Concurrent-connection cap. A connection arriving with every slot
   /// taken is answered "err busy" and closed — counted as shed, never
   /// silently dropped. The cap bounds open fds and per-connection
-  /// buffers; the thread count does not depend on it. 0 means
-  /// unlimited (tests only; a real daemon should always bound its fds).
+  /// buffers; the thread count does not depend on it. Must be at least
+  /// 1: Start() refuses 0.
   std::size_t max_connections = 64;
   /// Idle/read deadline: a connection that delivers no request byte
   /// for this long is answered "err idle timeout" and closed. This is
@@ -106,7 +106,8 @@ class ServeDaemon {
   ServeDaemon& operator=(const ServeDaemon&) = delete;
 
   /// Binds, listens, and starts the reactor + watch threads. Returns
-  /// false (and fills `error`) on a bad endpoint or bind failure.
+  /// false (and fills `error`) on a bad endpoint, a max_connections of
+  /// 0, or a bind failure.
   bool Start(const ServeOptions& opts, std::string* error);
 
   /// The bound endpoint in ServeOptions::listen syntax — for TCP with

@@ -1,9 +1,10 @@
 // Tests for the serve subsystem: the canonical predicate parser shared
 // by the CLI and the protocol, SummaryRegistry hot-reload semantics
 // (snapshot swap, failed-parse keeps serving, removal), the live
-// daemon's protocol round trip over TCP and Unix sockets, concurrent
-// estimate load across a hot-reload swap (the TSan target), and the
-// chaos and retry harnesses. Bit-consistency of served estimates with
+// daemon's protocol round trip over TCP and Unix sockets, the endpoint
+// grammar the daemon and the client share, concurrent estimate load
+// across a hot-reload swap (the TSan target), and the chaos and retry
+// harnesses. Bit-consistency of served estimates with
 // the in-memory model, per encoder, is equivalence_test's served path.
 #include <arpa/inet.h>
 #include <dirent.h>
@@ -207,6 +208,53 @@ TEST(SummaryRegistryTest, FailedParseKeepsServingTheOldSnapshot) {
 }
 
 // ------------------------------------------------ live daemon
+
+/// ServeDaemon::Start and ServeClient::Connect read endpoints through
+/// one parser (serve/endpoint.h), so each malformed endpoint fails both
+/// with the same message.
+TEST(ServeDaemonTest, DaemonAndClientRejectMalformedEndpointsAlike) {
+  SummaryRegistry registry(FreshDir("endpoints"));
+  // sun_path holds 108 bytes including the terminator.
+  const std::string long_unix = "unix:" + std::string(108, 'p');
+  const std::string kPort = "bad port in endpoint: ";
+  const std::string kPath = "unix socket path empty or too long in endpoint: ";
+  const struct {
+    std::string endpoint;
+    std::string message;
+  } cases[] = {
+      {"tcp:127.0.0.1:65536", kPort + "tcp:127.0.0.1:65536"},
+      {"tcp:127.0.0.1:", kPort + "tcp:127.0.0.1:"},
+      {"127.0.0.1:8x", kPort + "127.0.0.1:8x"},
+      {"tcp:localhost:80", "bad host in endpoint: tcp:localhost:80"},
+      {"unix:", kPath + "unix:"},
+      {long_unix, kPath + long_unix},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.endpoint);
+    ServeDaemon daemon(&registry);
+    ServeOptions opts;
+    opts.listen = c.endpoint;
+    opts.rescan_interval_ms = 0;
+    std::string start_error;
+    EXPECT_FALSE(daemon.Start(opts, &start_error));
+    EXPECT_EQ(start_error, c.message);
+    ServeClient client;
+    std::string connect_error;
+    EXPECT_FALSE(client.Connect(c.endpoint, 1000, &connect_error));
+    EXPECT_EQ(connect_error, c.message);
+  }
+}
+
+TEST(ServeDaemonTest, StartRefusesZeroMaxConnections) {
+  SummaryRegistry registry(FreshDir("zero_conns"));
+  ServeDaemon daemon(&registry);
+  ServeOptions opts;
+  opts.max_connections = 0;
+  opts.rescan_interval_ms = 0;
+  std::string error;
+  EXPECT_FALSE(daemon.Start(opts, &error));
+  EXPECT_EQ(error, "max_connections must be at least 1");
+}
 
 TEST(ServeDaemonTest, ProtocolRoundTripOverTcp) {
   const std::string dir = FreshDir("tcp");
