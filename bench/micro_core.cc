@@ -130,12 +130,17 @@ const std::string& BankBinaryImageSingleton() {
   return *kImage;
 }
 
-void BM_LoadTextBank(benchmark::State& state) {
-  // The full text funnel: lex + parse + regularize + featurize every
-  // statement of the bank log, batched onto a pool of Args[0] threads (1
-  // is the serial path). This is the cost the binary format removes
-  // from every bench and production run.
-  const std::vector<LogEntry>& entries = BankEntriesSingleton();
+/// The PocketData log's entries, generated with the bench options.
+const std::vector<LogEntry>& PocketEntriesSingleton() {
+  static const std::vector<LogEntry>* kEntries =
+      new std::vector<LogEntry>(GeneratePocketDataLog(PocketOptions()));
+  return *kEntries;
+}
+
+/// The full text funnel over `entries` (lex, key, and parse + regularize
+/// + featurize each new template key), batched onto a pool of Args[0]
+/// threads (1 is the serial path).
+void LoadText(benchmark::State& state, const std::vector<LogEntry>& entries) {
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   LogLoader::Options opts;
   opts.pool = &pool;
@@ -150,6 +155,13 @@ void BM_LoadTextBank(benchmark::State& state) {
   state.counters["statements"] = static_cast<double>(entries.size());
   state.counters["threads"] = static_cast<double>(pool.NumThreads());
 }
+
+void BM_LoadTextBank(benchmark::State& state) {
+  // Most bank lines repeat a template with other constants, so most hit
+  // a key. This is the cost the binary format removes from every bench
+  // and production run.
+  LoadText(state, BankEntriesSingleton());
+}
 // Pool workers do most of the work, so only real time sees the scaling.
 BENCHMARK(BM_LoadTextBank)
     ->ArgName("threads")
@@ -158,14 +170,34 @@ BENCHMARK(BM_LoadTextBank)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+void BM_LoadTextPocket(benchmark::State& state) {
+  // Every PocketData line is its own template key (its JDBC `?`
+  // parameters already strip the constants), so nothing hits: the key
+  // and a second lex are pure overhead here.
+  LoadText(state, PocketEntriesSingleton());
+}
+BENCHMARK(BM_LoadTextPocket)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 /// Stages of the SQL front end BM_SqlFrontEnd times one at a time.
-enum FrontEndStage { kLexStage, kParseStage, kRegularizeStage, kPrintStage };
+enum FrontEndStage {
+  kLexStage,
+  kParseStage,
+  kRegularizeStage,
+  kPrintStage,
+  kKeyStage,
+};
 
 void BM_SqlFrontEnd(benchmark::State& state) {
   // One stage of the front end over every line of the bank log, on one
   // thread: lex; parse (lex included); constant-free regularization of
   // fresh parses (made with the timer paused, since it consumes them);
-  // canonical print of the regularized SELECTs.
+  // canonical print of the regularized SELECTs; the loader's template
+  // key (lex included).
   const std::vector<LogEntry>& entries = BankEntriesSingleton();
   const auto stage = static_cast<FrontEndStage>(state.range(0));
   std::vector<sql::StatementPtr> parsed;
@@ -209,6 +241,11 @@ void BM_SqlFrontEnd(benchmark::State& state) {
           benchmark::DoNotOptimize(sql::PrintStatement(*s));
         }
         break;
+      case kKeyStage:
+        for (const LogEntry& e : entries) {
+          benchmark::DoNotOptimize(TemplateKey(e.sql));
+        }
+        break;
     }
     benchmark::ClobberMemory();
   }
@@ -223,6 +260,7 @@ BENCHMARK(BM_SqlFrontEnd)
     ->Arg(kParseStage)
     ->Arg(kRegularizeStage)
     ->Arg(kPrintStage)
+    ->Arg(kKeyStage)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LoadBinaryBank(benchmark::State& state) {

@@ -580,8 +580,11 @@ class Parser {
             return nullptr;
           }
           if (AcceptOp("(")) {
+            // Stop at a lex error too: Advance never moves past the
+            // last token, so the loop would spin on it.
             while (!Peek().IsOperator(")") &&
-                   !Check(TokenType::kEndOfInput)) {
+                   !Check(TokenType::kEndOfInput) &&
+                   !Check(TokenType::kError)) {
               Advance();
             }
             if (!ExpectOp(")")) return nullptr;

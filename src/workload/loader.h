@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sql/parser.h"
 #include "util/thread_pool.h"
 #include "workload/extractor.h"
 #include "workload/query_log.h"
@@ -42,11 +43,16 @@ struct DatasetSummary {
 ///
 /// AddSql does no SQL work: it queues the raw line and its count. Every
 /// kBatchLines queued lines, and before any reader returns, the batch is
-/// parsed (once per line), classified, regularized and featurized on a
-/// ThreadPool, then folded into the log and the funnel counters serially
-/// in input order. Feature ids, vector order, sample SQL and every output
-/// byte are therefore the same for any pool size. A pass's last partial
-/// batch is folded by the first reader, usually Summary().
+/// processed on a ThreadPool and folded into the log and the funnel
+/// counters serially in input order. Feature ids, vector order, sample
+/// SQL and every output byte are therefore the same for any pool size. A
+/// pass's last partial batch is folded by the first reader, usually
+/// Summary().
+///
+/// The workers lex each line into its TemplateKey and look the key up
+/// among the keys already folded. Only the first line of each new key in
+/// a batch is parsed, classified, regularized and featurized (once per
+/// new key); every other line reuses that line's kind and template.
 ///
 /// The fold keeps one record per constant-free template, keyed by its
 /// canonical print: the first line of a template interns its features
@@ -109,6 +115,14 @@ class LogLoader {
 
   struct PreparedLine;
 
+  /// What the fold learned from the first line of one template key.
+  struct KeyedLine {
+    sql::StatementKind kind = sql::StatementKind::kParseError;
+    /// The template's interned features (a node of `templates_`, whose
+    /// address never moves) for a SELECT, else null.
+    const FeatureVec* features = nullptr;
+  };
+
   /// Processes the queued lines on the pool and folds them in order.
   void Flush() const;
 
@@ -120,10 +134,30 @@ class LogLoader {
   // One record per constant-free template: its canonical print and its
   // interned features.
   mutable std::unordered_map<std::string, FeatureVec> templates_;
+  // One record per TemplateKey folded so far. Workers only read it; the
+  // fold alone inserts.
+  mutable std::unordered_map<std::string, KeyedLine> keys_;
   mutable std::uint64_t num_queries_ = 0;
   mutable std::uint64_t num_non_select_ = 0;
   mutable std::uint64_t num_parse_errors_ = 0;
 };
+
+/// The template key of `sql`: a byte string over its tokens such that
+/// lines with equal keys parse to the same statement kind and, for a
+/// SELECT, to the same constant-free canonical print. Each token adds a
+/// tag and, where the key keeps it, length-prefixed text, so two token
+/// walks never give the same bytes:
+///   - identifiers keep their ASCII-lowercased text, as
+///     sql::LowercaseIdentifiers lowercases them;
+///   - keywords keep their id; operators and parameters their text;
+///   - integer, float and string literals before the first LIMIT or
+///     OFFSET keyword share one tag and keep no text: the parser makes
+///     all three a literal and sql::AnonymizeConstants prints each as
+///     `?`. From that keyword on, a literal keeps its type and text,
+///     since LIMIT and OFFSET constants stay in the print;
+///   - a lex error ends the walk with its own tag. Such a line never
+///     parses as a SELECT, and its kind depends only on its first token.
+std::string TemplateKey(std::string_view sql);
 
 /// Splits one line of a text log into its SQL text and count. The
 /// format is one statement per line with an optional "COUNT<TAB>"
@@ -138,7 +172,8 @@ bool SplitCountPrefix(std::string_view line, std::string_view* sql,
 /// non-empty line, in order; a count of 0 is passed on too, and
 /// LogLoader::AddSql skips it. CRLF line endings read as LF. Returns
 /// false, with `error` naming the line, when a count does not fit in 64
-/// bits or the counts summed over the log would pass UINT64_MAX.
+/// bits, the counts summed over the log would pass UINT64_MAX, or the
+/// stream fails to read (a directory, an I/O error).
 bool ReadTextLog(std::istream& in,
                  const std::function<void(std::string_view sql,
                                           std::uint64_t count)>& add,

@@ -8,8 +8,11 @@
 #include <fstream>
 #include <iterator>
 #include <ostream>
+#include <istream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -299,6 +302,172 @@ TEST(LoaderBatchTest, EveryReaderFoldsThePendingBatch) {
             OracleBytes(oracle));
 }
 
+/// Loads `entries` on pools of 0, 1 and 4 threads; each load must equal
+/// the serial oracle, which parses every line on its own.
+void ExpectEqualsSerialOnEveryPool(const std::vector<LogEntry>& entries,
+                                   const SerialLoad& oracle) {
+  ThreadPool none(0);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {&none, &one, &four}) {
+    SCOPED_TRACE("threads=" + std::to_string(pool->NumThreads()));
+    ExpectSameAsSerial(LoadOn(pool, entries), oracle);
+  }
+}
+
+TEST(TemplateKeyTest, LiteralTypesFoldIntoOneTemplate) {
+  const std::vector<LogEntry> entries = {
+      {"SELECT a FROM t WHERE b = 1", 2},
+      {"SELECT a FROM t WHERE b = 'x'", 3},
+      {"SELECT a FROM t WHERE b = 1.5", 1},
+      {"SELECT a FROM t WHERE b = 'it''s'", 4},
+  };
+  for (const LogEntry& e : entries) {
+    EXPECT_EQ(TemplateKey(e.sql), TemplateKey(entries[0].sql)) << e.sql;
+  }
+  const SerialLoad oracle = LoadSerially(entries, "fold");
+  ASSERT_EQ(oracle.summary.num_distinct_no_const, 1u);
+  ASSERT_EQ(oracle.summary.num_queries, 10u);
+  ExpectEqualsSerialOnEveryPool(entries, oracle);
+}
+
+TEST(TemplateKeyTest, LimitAndOffsetConstantsStayInTheKey) {
+  // Literals keep their text from the first LIMIT or OFFSET on, in a
+  // subquery too, because AnonymizeConstants keeps those constants.
+  const std::vector<std::pair<const char*, const char*>> pairs = {
+      {"SELECT a FROM t LIMIT 10", "SELECT a FROM t LIMIT 50"},
+      {"SELECT a FROM t LIMIT 10 OFFSET 5",
+       "SELECT a FROM t LIMIT 10 OFFSET 6"},
+      {"SELECT a FROM t LIMIT 5, 20", "SELECT a FROM t LIMIT 6, 20"},
+      {"SELECT a FROM t LIMIT 1+2", "SELECT a FROM t LIMIT 1+3"},
+      {"SELECT a FROM t LIMIT 1", "SELECT a FROM t LIMIT '1'"},
+      {"SELECT a FROM t WHERE b IN (SELECT c FROM u LIMIT 3) AND d = 1",
+       "SELECT a FROM t WHERE b IN (SELECT c FROM u LIMIT 4) AND d = 1"},
+  };
+  std::vector<LogEntry> entries;
+  for (const auto& [x, y] : pairs) {
+    EXPECT_NE(TemplateKey(x), TemplateKey(y)) << x << " | " << y;
+    entries.push_back({x, 1});
+    entries.push_back({y, 2});
+  }
+  // Before the first LIMIT the literal folds; after it, it is kept.
+  EXPECT_EQ(TemplateKey("SELECT a FROM t WHERE b = 1 LIMIT 10"),
+            TemplateKey("SELECT a FROM t WHERE b = 'z' LIMIT 10"));
+  const SerialLoad oracle = LoadSerially(entries, "limit");
+  ASSERT_EQ(oracle.summary.num_distinct_no_const, 2 * pairs.size());
+  ExpectEqualsSerialOnEveryPool(entries, oracle);
+}
+
+TEST(TemplateKeyTest, IdentifiersFoldByCaseOnly) {
+  EXPECT_EQ(TemplateKey("SELECT Amount FROM Accounts"),
+            TemplateKey("select \"AMOUNT\" from [accounts]"));
+  EXPECT_NE(TemplateKey("SELECT a FROM t"), TemplateKey("SELECT b FROM t"));
+  EXPECT_NE(TemplateKey("SELECT ab FROM t"),
+            TemplateKey("SELECT a b FROM t"));
+}
+
+TEST(TemplateKeyTest, OperatorsKeywordsAndParametersStayInTheKey) {
+  // Each line differs from the others by one token that is no literal,
+  // so each is its own template.
+  const std::vector<LogEntry> entries = {
+      {"SELECT a FROM t WHERE b = 1", 1},
+      {"SELECT a FROM t WHERE b < 1", 2},
+      {"SELECT a FROM t WHERE b != 1", 1},
+      {"SELECT a + 1 FROM t", 1},
+      {"SELECT a - 1 FROM t", 3},
+      {"SELECT a FROM t WHERE b = 1 AND c = 2", 1},
+      {"SELECT a FROM t WHERE b = 1 OR c = 2", 1},
+      {"SELECT a FROM t ORDER BY a ASC", 1},
+      {"SELECT a FROM t ORDER BY a DESC", 2},
+      {"SELECT a FROM t WHERE b IS NULL", 1},
+      {"SELECT a FROM t WHERE b IS NOT NULL", 1},
+      {"SELECT a FROM t LIMIT ?", 1},
+  };
+  std::set<std::string> keys;
+  for (const LogEntry& e : entries) keys.insert(TemplateKey(e.sql));
+  EXPECT_EQ(keys.size(), entries.size());
+  const SerialLoad oracle = LoadSerially(entries, "tokens");
+  ASSERT_EQ(oracle.summary.num_distinct_no_const, entries.size());
+  ExpectEqualsSerialOnEveryPool(entries, oracle);
+}
+
+/// `copies` lines of each of `shapes` SELECT shapes with fresh constants,
+/// written shape-major so a shape's copies follow one another, and
+/// spanning several batches.
+std::vector<LogEntry> RepeatedShapes(std::size_t shapes, std::size_t copies) {
+  std::vector<LogEntry> out;
+  for (std::size_t s = 0; s < shapes; ++s) {
+    for (std::size_t c = 0; c < copies; ++c) {
+      const std::string v = std::to_string(s * copies + c);
+      const std::string literal =
+          c % 3 == 0 ? v : (c % 3 == 1 ? "'" + v + "'" : v + ".5");
+      out.push_back({"SELECT c" + std::to_string(s % 29) + " FROM t" +
+                         std::to_string(s % 17) + " WHERE a = " + literal +
+                         (s % 4 == 0 ? " OR b IN (1, 2)" : ""),
+                     1 + c % 3});
+    }
+  }
+  return out;
+}
+
+TEST(TemplateKeyTest, KeysHitWithinAndAcrossBatches) {
+  // 7 copies per shape put some shapes' copies on both sides of a batch
+  // boundary; the shapes then come around again in later batches.
+  std::vector<LogEntry> entries = RepeatedShapes(400, 7);
+  const std::vector<LogEntry> again = RepeatedShapes(400, 2);
+  entries.insert(entries.end(), again.begin(), again.end());
+  ASSERT_GT(entries.size(), 2 * kBatch);
+  EXPECT_EQ(TemplateKey(entries[0].sql), TemplateKey(entries[1].sql));
+  EXPECT_EQ(TemplateKey(entries[0].sql), TemplateKey(entries[400 * 7].sql));
+  const SerialLoad oracle = LoadSerially(entries, "hits");
+  ASSERT_EQ(oracle.summary.num_distinct_no_const, 400u);
+  ExpectEqualsSerialOnEveryPool(entries, oracle);
+}
+
+TEST(TemplateKeyTest, RepeatedNoiseCountsOncePerCopy) {
+  // Each noise shape repeats with other constants and counts, inside a
+  // batch and across its boundary. A line that fails to lex is never a
+  // SELECT, even when the tokens before the error make one, but after
+  // INSERT it is still a non-SELECT.
+  const std::vector<std::pair<std::string, bool>> shapes = {
+      {"SELECT FROM t WHERE a = ", false},       // lexes, fails to parse
+      {"UPDATE t SET a = ", true},
+      {"EXEC sp_thing ", true},
+      {"INSERT INTO t VALUES ('unterminated ", true},  // lex error
+      {"SELECT a FROM t WHERE b = 'unterminated ", false},
+      {"SELECT a FROM t '", false},
+  };
+  std::vector<LogEntry> entries = {{"SELECT a FROM t", 5}};
+  std::uint64_t errors = 0, non_select = 0;
+  for (std::size_t i = 0; i < kBatch + 300; ++i) {
+    const auto& [prefix, is_non_select] = shapes[i % shapes.size()];
+    const std::uint64_t count = 1 + i % 4;
+    entries.push_back({prefix + std::to_string(i), count});
+    (is_non_select ? non_select : errors) += count;
+  }
+  // A lex error ends the key, after the tokens before it.
+  EXPECT_NE(TemplateKey("SELECT 'unterminated"), TemplateKey("SELECT"));
+  EXPECT_NE(TemplateKey("SELECT 'unterminated"),
+            TemplateKey("INSERT 'unterminated"));
+  EXPECT_EQ(TemplateKey("SELECT 'unterminated"), TemplateKey("SELECT 'x"));
+  const SerialLoad oracle = LoadSerially(entries, "noise");
+  ASSERT_EQ(oracle.summary.num_parse_errors, errors);
+  ASSERT_EQ(oracle.summary.num_non_select, non_select);
+  ASSERT_EQ(oracle.summary.num_queries, 5u);
+  ExpectEqualsSerialOnEveryPool(entries, oracle);
+}
+
+TEST(TemplateKeyTest, AllDistinctShapesNeverHit) {
+  std::vector<LogEntry> entries;
+  for (std::size_t i = 0; i < 2 * kBatch + 50; ++i) {
+    entries.push_back({"SELECT c FROM t" + std::to_string(i) + " WHERE a = ?",
+                       1 + i % 5});
+  }
+  const SerialLoad oracle = LoadSerially(entries, "distinct");
+  ASSERT_EQ(oracle.summary.num_distinct_no_const, entries.size());
+  ExpectEqualsSerialOnEveryPool(entries, oracle);
+}
+
 /// One line read back by ReadTextLog.
 struct ReadLine {
   std::string sql;
@@ -373,6 +542,35 @@ TEST(TextLogTest, ReaderSkipsEmptyLinesAndReadsCrlfAsLf) {
       {"SELECT a", 2}, {"SELECT b", 0}, {"SELECT c", 1}};
   EXPECT_EQ(lf, expected);
   EXPECT_EQ(crlf, expected);
+}
+
+/// Serves two lines, then fails the way a read error does: the stream
+/// catches the exception and sets badbit.
+class FailingBuf : public std::streambuf {
+ public:
+  FailingBuf() { setg(text_, text_, text_ + sizeof(text_) - 1); }
+
+ protected:
+  int_type underflow() override { throw std::runtime_error("read failed"); }
+
+ private:
+  char text_[22] = "SELECT a\n3\tSELECT b\n";
+};
+
+TEST(TextLogTest, ReaderRefusesAReadErrorNamingTheLastLine) {
+  FailingBuf buf;
+  std::istream in(&buf);
+  std::vector<ReadLine> lines;
+  std::string error;
+  EXPECT_FALSE(ReadTextLog(
+      in,
+      [&](std::string_view sql, std::uint64_t count) {
+        lines.push_back({std::string(sql), count});
+      },
+      &error));
+  EXPECT_EQ(error, "read error after line 2");
+  const std::vector<ReadLine> expected = {{"SELECT a", 1}, {"SELECT b", 3}};
+  EXPECT_EQ(lines, expected);
 }
 
 TEST(TextLogTest, ReaderRefusesOverflowNamingTheLine) {

@@ -170,6 +170,17 @@ TEST(ParserTest, ReportsErrors) {
             StatementKind::kParseError);
 }
 
+TEST(ParserTest, LexErrorInCastTypeArgumentsIsAParseError) {
+  // The CAST type's arguments are skipped token by token; a lex error
+  // there ends the skip instead of spinning on the last token.
+  const ParseResult r = Parse("SELECT CAST(a AS VARCHAR(10 'abc");
+  EXPECT_EQ(r.kind, StatementKind::kParseError);
+  EXPECT_NE(r.error.find("unterminated string literal"), std::string::npos)
+      << r.error;
+  // A lex error after a non-SELECT keyword keeps the statement's kind.
+  EXPECT_EQ(Parse("INSERT INTO t VALUES ('abc").kind, StatementKind::kInsert);
+}
+
 TEST(ParserTest, TrailingSemicolonAccepted) {
   EXPECT_TRUE(Parse("SELECT a FROM t;").ok());
 }
