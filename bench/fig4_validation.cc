@@ -189,7 +189,7 @@ void RunDataset(const char* name, const QueryLog& raw_log,
       {"dataset", "pattern_features", "corr_rank", "refined_error"});
   std::vector<double> ranks, refined_errors;
   for (const FeatureVec& b : candidates) {
-    double rank = CorrRank(qlog, naive, b);
+    double rank = RankPatterns(qlog, naive, {b})[0].corr_rank;
     RefinedNaiveEncoding refined(qlog, {b});
     ranks.push_back(rank);
     refined_errors.push_back(refined.ReproductionError());

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "oracles/same_log.h"
 #include "sql/lexer.h"
 #include "sql/normalizer.h"
 #include "sql/parser.h"

@@ -5,7 +5,6 @@
 
 #include "cluster/xor_popcount.h"
 #include "util/check.h"
-#include "util/string_util.h"
 
 namespace logr {
 
@@ -48,16 +47,6 @@ double DistanceFromSymmetricDifference(std::size_t count, std::size_t n,
 }
 
 }  // namespace
-
-std::string DistanceSpec::Name() const {
-  switch (metric) {
-    case Metric::kEuclidean: return "euclidean";
-    case Metric::kManhattan: return "manhattan";
-    case Metric::kMinkowski: return StrFormat("minkowski(p=%.0f)", p);
-    case Metric::kHamming: return "hamming";
-  }
-  return "?";
-}
 
 std::size_t SymmetricDifference(const FeatureVec& a, const FeatureVec& b) {
   std::size_t inter = a.IntersectionSize(b);

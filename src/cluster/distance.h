@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -41,8 +40,6 @@ enum class Metric {
 struct DistanceSpec {
   Metric metric = Metric::kEuclidean;
   double p = 4.0;  // Minkowski order (paper uses p = 4)
-
-  std::string Name() const;
 };
 
 /// Number of coordinates on which `a` and `b` differ (sparse merge

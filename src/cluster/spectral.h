@@ -35,8 +35,8 @@ void GaussianKernelInPlace(CondensedDistances* dist, double sigma,
 inline constexpr std::size_t kMatVecTile = 64;
 
 /// y = A x for the symmetric A with unit diagonal and `a`'s entries off
-/// it. Row i sums A(i, j) * x[j] in ascending j from 0.0, as
-/// Matrix::MatVec does, so y is bit-identical to the dense product at
+/// it. Row i sums A(i, j) * x[j] in ascending j from 0.0, as the dense
+/// MatVec does, so y is bit-identical to the dense product at
 /// any pool size. Each tile reads its j < i half as contiguous runs of
 /// the store rows above it.
 void UnitDiagonalMatVec(const CondensedDistances& a, const Vector& x,

@@ -246,7 +246,15 @@ NaiveMixtureEncoding NaiveMixtureEncoding::FromComponents(
   return out;
 }
 
-MixtureComponent NaiveMixtureEncoding::MergeComponents(
+namespace {
+
+/// Fuses a group of components into a single component. Exact when the
+/// group's members encode disjoint query populations (see the header
+/// comment); the fused weight is the group's weight sum and members are
+/// unioned in ascending order. For overlapping populations the marginals
+/// and counts stay exact, while the entropy estimate is clamped so
+/// Reproduction Error remains a non-negative divergence.
+MixtureComponent MergeComponents(
     const std::vector<const MixtureComponent*>& group) {
   MixtureComponent out;
   std::uint64_t total = 0;
@@ -307,6 +315,8 @@ MixtureComponent NaiveMixtureEncoding::MergeComponents(
   std::sort(out.members.begin(), out.members.end());
   return out;
 }
+
+}  // namespace
 
 NaiveMixtureEncoding NaiveMixtureEncoding::Merge(
     const std::vector<const NaiveMixtureEncoding*>& parts) {

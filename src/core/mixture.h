@@ -47,15 +47,6 @@ class NaiveMixtureEncoding {
   static NaiveMixtureEncoding FromComponents(
       std::vector<MixtureComponent> components);
 
-  /// Fuses a group of components into a single component. Exact when the
-  /// group's members encode disjoint query populations (see the header
-  /// comment); the fused weight is the group's weight sum and members
-  /// are unioned in ascending order. For overlapping populations the
-  /// marginals and counts stay exact, while the entropy estimate is
-  /// clamped so Reproduction Error remains a non-negative divergence.
-  static MixtureComponent MergeComponents(
-      const std::vector<const MixtureComponent*>& group);
-
   /// Unions the component sets of `parts` into one mixture over the
   /// combined log. Component weights are recomputed as |L_i| / Σ|L| from
   /// the component log sizes, and the pooled components are put in
@@ -69,7 +60,8 @@ class NaiveMixtureEncoding {
   /// agglomeration — average-linkage NN-chain over the exact Euclidean
   /// distances between component centroids (the real-valued marginal
   /// vectors), with component log sizes as masses — then fuses each
-  /// group with MergeComponents. Deterministic (canonical component
+  /// group into one component (exact for disjoint member populations;
+  /// see the header comment). Deterministic (canonical component
   /// order plus index tie-breaks) and bit-identical for any pool size;
   /// scales to thousands of pooled components where the former
   /// re-cluster + O(P·K)-per-pass greedy polish was capped at 1024. A

@@ -100,17 +100,4 @@ double NaiveEncoding::EstimateMarginal(const FeatureVec& b) const {
   return p;
 }
 
-double NaiveEncoding::ProbabilityOfExactly(const FeatureVec& q) const {
-  double p = 1.0;
-  for (std::size_t i = 0; i < features_.size(); ++i) {
-    bool present = q.Contains(features_[i]);
-    p *= present ? marginals_[i] : (1.0 - marginals_[i]);
-  }
-  // Features of q outside the encoding's support have probability 0.
-  for (FeatureId f : q.ids) {
-    if (marginal_by_id_.find(f) == marginal_by_id_.end()) return 0.0;
-  }
-  return p;
-}
-
 }  // namespace logr

@@ -75,11 +75,6 @@ class NaiveEncoding {
     return static_cast<double>(log_size_) * EstimateMarginal(b);
   }
 
-  /// Model (independence) probability of drawing exactly vector `q`,
-  /// restricted to this encoding's feature support:
-  /// Π_{f present} p_f · Π_{f absent} (1 - p_f) (Example 4).
-  double ProbabilityOfExactly(const FeatureVec& q) const;
-
  private:
   std::vector<FeatureId> features_;
   std::vector<double> marginals_;

@@ -16,11 +16,6 @@ double FeatureCorrelation(const QueryLog& log, const NaiveEncoding& enc,
   return std::log(truth) - std::log(est);
 }
 
-double CorrRank(const QueryLog& log, const NaiveEncoding& enc,
-                const FeatureVec& b) {
-  return log.Marginal(b) * FeatureCorrelation(log, enc, b);
-}
-
 std::vector<ScoredPattern> RankPatterns(
     const QueryLog& log, const NaiveEncoding& enc,
     const std::vector<FeatureVec>& cands) {

@@ -22,10 +22,6 @@ namespace logr {
 double FeatureCorrelation(const QueryLog& log, const NaiveEncoding& enc,
                           const FeatureVec& b);
 
-/// corr_rank(b) = p(Q ⊇ b) · WC(b, S).
-double CorrRank(const QueryLog& log, const NaiveEncoding& enc,
-                const FeatureVec& b);
-
 struct ScoredPattern {
   FeatureVec pattern;
   double marginal = 0.0;

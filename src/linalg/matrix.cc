@@ -12,30 +12,6 @@ Matrix Matrix::Identity(std::size_t n) {
   return m;
 }
 
-Vector Matrix::MatVec(const Vector& x) const {
-  LOGR_CHECK(x.size() == cols_);
-  Vector y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row = Row(r);
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-Vector Matrix::TransposeMatVec(const Vector& x) const {
-  LOGR_CHECK(x.size() == rows_);
-  Vector y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row = Row(r);
-    double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t c = 0; c < cols_; ++c) y[c] += row[c] * xr;
-  }
-  return y;
-}
-
 double Matrix::OffDiagonalNorm() const {
   double acc = 0.0;
   for (std::size_t r = 0; r < rows_; ++r) {

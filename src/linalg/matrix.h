@@ -3,8 +3,9 @@
 // The repository needs only modest linear algebra: spectral clustering
 // (symmetric eigenproblems on affinity matrices of up to a few thousand
 // distinct queries) and the Appendix-C distribution sampler (equality-
-// constrained Euclidean projection). Everything is implemented here from
-// scratch — no external BLAS/LAPACK dependency.
+// constrained Euclidean projection; its dense products live with it in
+// linalg/solve.h). Everything is implemented here from scratch — no
+// external BLAS/LAPACK dependency.
 #ifndef LOGR_LINALG_MATRIX_H_
 #define LOGR_LINALG_MATRIX_H_
 
@@ -38,12 +39,6 @@ class Matrix {
 
   /// Returns the identity matrix of order n.
   static Matrix Identity(std::size_t n);
-
-  /// Matrix-vector product (this * x).
-  Vector MatVec(const Vector& x) const;
-
-  /// Transposed matrix-vector product (this^T * x).
-  Vector TransposeMatVec(const Vector& x) const;
 
   /// Frobenius norm of the off-diagonal part (Jacobi convergence test).
   double OffDiagonalNorm() const;

@@ -6,6 +6,30 @@
 
 namespace logr {
 
+Vector MatVec(const Matrix& a, const Vector& x) {
+  LOGR_CHECK(x.size() == a.cols());
+  Vector y(a.rows(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const double* row = a.Row(r);
+    double acc = 0.0;
+    for (std::size_t c = 0; c < a.cols(); ++c) acc += row[c] * x[c];
+    y[r] = acc;
+  }
+  return y;
+}
+
+Vector TransposeMatVec(const Matrix& a, const Vector& x) {
+  LOGR_CHECK(x.size() == a.rows());
+  Vector y(a.cols(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const double* row = a.Row(r);
+    double xr = x[r];
+    if (xr == 0.0) continue;
+    for (std::size_t c = 0; c < a.cols(); ++c) y[c] += row[c] * xr;
+  }
+  return y;
+}
+
 bool LuSolve(Matrix a, Vector b, Vector* x) {
   LOGR_CHECK(a.rows() == a.cols());
   LOGR_CHECK(b.size() == a.rows());
@@ -55,7 +79,7 @@ bool ProjectOntoAffine(const Matrix& a, const Vector& b, const Vector& x0,
   const std::size_t m = a.rows();
 
   // residual r = A x0 - b
-  Vector r = a.MatVec(x0);
+  Vector r = MatVec(a, x0);
   for (std::size_t i = 0; i < m; ++i) r[i] -= b[i];
 
   // Gram matrix G = A A^T (+ ridge).
@@ -86,7 +110,7 @@ bool ProjectOntoAffine(const Matrix& a, const Vector& b, const Vector& x0,
 
   *x = x0;
   // x -= A^T lambda
-  Vector corr = a.TransposeMatVec(lambda);
+  Vector corr = TransposeMatVec(a, lambda);
   for (std::size_t c = 0; c < x->size(); ++c) (*x)[c] -= corr[c];
   return true;
 }

@@ -1,11 +1,19 @@
 // Linear solvers: LU with partial pivoting and equality-constrained
-// Euclidean projection (the workhorse of the Appendix-C sampler).
+// Euclidean projection (the workhorse of the Appendix-C sampler), and
+// the dense matrix-vector products the projection runs on.
 #ifndef LOGR_LINALG_SOLVE_H_
 #define LOGR_LINALG_SOLVE_H_
 
 #include "linalg/matrix.h"
 
 namespace logr {
+
+/// Matrix-vector product A x. Row r sums A(r, c) * x[c] in ascending c
+/// from 0.0.
+Vector MatVec(const Matrix& a, const Vector& x);
+
+/// Transposed matrix-vector product A^T x.
+Vector TransposeMatVec(const Matrix& a, const Vector& x);
 
 /// Solves A x = b by LU decomposition with partial pivoting.
 ///

@@ -1,12 +1,14 @@
 // Symmetric eigensolvers.
 //
-// Spectral clustering needs the k extremal eigenvectors of the (dense)
-// normalized affinity matrix. Two solvers are provided:
-//   * Jacobi rotation — exact full decomposition, O(n^3) per sweep, used
-//     for small matrices and as the test oracle;
+// Spectral clustering needs the k extremal eigenvectors of the
+// normalized affinity matrix, which it never forms: it multiplies by the
+// condensed affinity store in place (cluster/spectral.h). Two solvers:
 //   * Lanczos with full reorthogonalization — k extremal eigenpairs of a
-//     large symmetric matrix via matvec callbacks, used by spectral
-//     clustering on up to a few thousand distinct queries.
+//     large symmetric operator given as a matvec callback; spectral
+//     clustering runs it on up to a few thousand distinct queries;
+//   * Jacobi rotation — exact full decomposition, O(n^3) per sweep. It
+//     runs only inside Lanczos, on the small tridiagonal matrix of the
+//     Krylov basis, and as the tests' oracle for Lanczos.
 #ifndef LOGR_LINALG_SYMMETRIC_EIGEN_H_
 #define LOGR_LINALG_SYMMETRIC_EIGEN_H_
 

@@ -41,18 +41,6 @@ int PollWait(bool bounded, Clock::time_point deadline) {
 
 }  // namespace
 
-ServeClient& ServeClient::operator=(ServeClient&& o) noexcept {
-  if (this != &o) {
-    Close();
-    fd_ = o.fd_;
-    pending_ = std::move(o.pending_);
-    delivered_ = o.delivered_;
-    timed_out_ = o.timed_out_;
-    o.fd_ = -1;
-  }
-  return *this;
-}
-
 bool ServeClient::Connect(const std::string& endpoint, int timeout_ms,
                           std::string* error) {
   Close();

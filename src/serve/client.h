@@ -34,7 +34,7 @@ class ServeClient {
   ServeClient(const ServeClient&) = delete;
   ServeClient& operator=(const ServeClient&) = delete;
   ServeClient(ServeClient&& o) noexcept : fd_(o.fd_) { o.fd_ = -1; }
-  ServeClient& operator=(ServeClient&& o) noexcept;
+  ServeClient& operator=(ServeClient&&) = delete;
 
   /// Connects to a ServeDaemon endpoint, waiting at most `timeout_ms`
   /// (0 = wait as long as the OS does). Returns false (and fills

@@ -66,10 +66,6 @@ constexpr std::string_view kUnexpected = "unexpected character '";
 
 }  // namespace
 
-bool IsReservedKeyword(std::string_view upper_word) {
-  return FindKeyword(upper_word) != Keyword::kNone;
-}
-
 std::string_view KeywordText(Keyword kw) {
   LOGR_CHECK(kw != Keyword::kNone);
   return kKeywords[static_cast<std::size_t>(kw) - 1];

@@ -340,18 +340,6 @@ bool IsConjunctive(const Statement& stmt) {
   return true;
 }
 
-void LowercaseIdentifiers(Statement* stmt) {
-  for (auto& s : stmt->selects) LowercaseSelect(s.get());
-}
-
-void AnonymizeConstants(Statement* stmt) {
-  for (auto& s : stmt->selects) AnonymizeSelect(s.get());
-}
-
-ExprPtr NormalizeBooleanExpr(ExprPtr e) {
-  return NormalizeNeg(std::move(e), /*negate=*/false);
-}
-
 StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
                         RegularizeInfo* info) {
   return Regularize(stmt.Clone(), opts, info);
@@ -363,8 +351,10 @@ StatementPtr Regularize(StatementPtr work, const RegularizeOptions& opts,
   // constant removal can merge IN-list items (Table 1 semantics), so it
   // is read before `work` is rewritten.
   if (info) info->conjunctive = IsConjunctive(*work);
-  LowercaseIdentifiers(work.get());
-  if (opts.anonymize_constants) AnonymizeConstants(work.get());
+  for (auto& select : work->selects) {
+    LowercaseSelect(select.get());
+    if (opts.anonymize_constants) AnonymizeSelect(select.get());
+  }
 
   auto out = std::make_unique<Statement>();
   out->union_all = work->union_all;
@@ -372,7 +362,8 @@ StatementPtr Regularize(StatementPtr work, const RegularizeOptions& opts,
 
   for (auto& select : work->selects) {
     if (select->where) {
-      select->where = NormalizeBooleanExpr(std::move(select->where));
+      select->where = NormalizeNeg(std::move(select->where),
+                                   /*negate=*/false);
     }
     if (!select->where || !ExprHasOr(*select->where)) {
       // Already conjunctive (canonicalize atom order).

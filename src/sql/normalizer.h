@@ -52,17 +52,6 @@ struct RegularizeInfo {
 /// constant removal can collapse IN-lists.
 bool IsConjunctive(const Statement& stmt);
 
-/// Lowercases all table / column / function / alias identifiers in place.
-void LowercaseIdentifiers(Statement* stmt);
-
-/// Replaces literals with `?` in place (recursing into subqueries),
-/// keeping LIMIT / OFFSET constants.
-void AnonymizeConstants(Statement* stmt);
-
-/// Returns an equivalent expression with NOT pushed down to atoms,
-/// BETWEEN split, and IN-lists expanded to equality disjunctions.
-ExprPtr NormalizeBooleanExpr(ExprPtr e);
-
 /// Full regularization pipeline. Never fails: if DNF expansion blows the
 /// kMaxDnfDisjuncts cap, the original (normalized) statement is returned with
 /// `info->rewritable == false`. `info` may be null, which also skips the

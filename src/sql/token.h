@@ -64,9 +64,6 @@ struct TokenList {
   std::unique_ptr<char[]> owned;
 };
 
-/// Returns true if `word` (uppercase) is a reserved SQL keyword.
-bool IsReservedKeyword(std::string_view upper_word);
-
 /// The uppercase spelling of `kw` (not kNone), from the static table.
 std::string_view KeywordText(Keyword kw);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <unordered_map>
 
 #include "maxent/entropy.h"
@@ -12,6 +13,13 @@
 namespace logr {
 
 namespace {
+
+FeatureVec Intersection(const FeatureVec& a, const FeatureVec& b) {
+  FeatureVec out;
+  std::set_intersection(a.ids.begin(), a.ids.end(), b.ids.begin(),
+                        b.ids.end(), std::back_inserter(out.ids));
+  return out;
+}
 
 /// Max-ent Bernoulli model over pattern-containment classes of the
 /// observed rows, fitted by cyclic iterative scaling. The implicit root
@@ -187,7 +195,7 @@ std::vector<FeatureVec> ApplyFeatureCap(const std::vector<FeatureVec>& rows,
   std::vector<FeatureVec> out;
   out.reserve(rows.size());
   for (const FeatureVec& r : rows) {
-    out.push_back(FeatureVec::Intersection(r, keep_vec));
+    out.push_back(Intersection(r, keep_vec));
   }
   return out;
 }
@@ -238,8 +246,7 @@ LaserlightSummary RunLaserlight(const std::vector<FeatureVec>& rows_in,
     for (std::size_t i = 0; i < sample.size(); ++i) {
       add_candidate(rows[sample[i]]);
       for (std::size_t j = i + 1; j < sample.size(); ++j) {
-        add_candidate(
-            FeatureVec::Intersection(rows[sample[i]], rows[sample[j]]));
+        add_candidate(Intersection(rows[sample[i]], rows[sample[j]]));
       }
     }
     if (candidates.empty()) continue;

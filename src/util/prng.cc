@@ -36,10 +36,6 @@ double Pcg32::NextDouble() {
   return Next() * (1.0 / 4294967296.0);
 }
 
-double Pcg32::NextDouble(double lo, double hi) {
-  return lo + (hi - lo) * NextDouble();
-}
-
 double Pcg32::NextGaussian() {
   if (has_cached_gaussian_) {
     has_cached_gaussian_ = false;

@@ -31,9 +31,6 @@ class Pcg32 {
   /// Returns a uniform double in [0, 1).
   double NextDouble();
 
-  /// Returns a uniform double in [lo, hi).
-  double NextDouble(double lo, double hi);
-
   /// Returns a standard normal deviate (Box-Muller, cached pair).
   double NextGaussian();
 

@@ -1,18 +1,9 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 
 namespace logr {
-
-std::string ToUpper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
 
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep) {

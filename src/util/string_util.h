@@ -9,9 +9,6 @@
 
 namespace logr {
 
-/// Returns `s` with ASCII letters uppered.
-std::string ToUpper(std::string_view s);
-
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 

@@ -113,8 +113,8 @@ class MmapQueryLog {
  public:
   MmapQueryLog() = default;
   ~MmapQueryLog();
-  MmapQueryLog(MmapQueryLog&& other) noexcept;
-  MmapQueryLog& operator=(MmapQueryLog&& other) noexcept;
+  MmapQueryLog(MmapQueryLog&&) = delete;
+  MmapQueryLog& operator=(MmapQueryLog&&) = delete;
   MmapQueryLog(const MmapQueryLog&) = delete;
   MmapQueryLog& operator=(const MmapQueryLog&) = delete;
 
@@ -198,11 +198,6 @@ bool IsBinaryLogFile(const std::string& path);
 bool ListBinaryLogShards(const std::string& dir,
                          std::vector<std::string>* paths,
                          std::string* error);
-
-/// Field-by-field equality, with a human-readable mismatch report.
-bool SameQueryLog(const QueryLog& a, const QueryLog& b, std::string* why);
-bool SameDatasetSummary(const DatasetSummary& a, const DatasetSummary& b,
-                        std::string* why);
 
 }  // namespace logr
 

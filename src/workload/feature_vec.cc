@@ -48,14 +48,6 @@ FeatureVec FeatureVec::Union(const FeatureVec& a, const FeatureVec& b) {
   return out;
 }
 
-FeatureVec FeatureVec::Intersection(const FeatureVec& a,
-                                    const FeatureVec& b) {
-  FeatureVec out;
-  std::set_intersection(a.ids.begin(), a.ids.end(), b.ids.begin(),
-                        b.ids.end(), std::back_inserter(out.ids));
-  return out;
-}
-
 std::string FeatureVec::HashKey() const {
   std::string key(ids.size() * sizeof(FeatureId), '\0');
   if (!ids.empty()) {

@@ -40,9 +40,8 @@ struct FeatureVec {
   /// Number of ids shared with `o`.
   std::size_t IntersectionSize(const FeatureVec& o) const;
 
-  /// Set union / intersection.
+  /// Set union.
   static FeatureVec Union(const FeatureVec& a, const FeatureVec& b);
-  static FeatureVec Intersection(const FeatureVec& a, const FeatureVec& b);
 
   /// Hash key (the ids memcpy'd into a string) for hash-map indexing.
   std::string HashKey() const;

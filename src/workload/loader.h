@@ -147,13 +147,13 @@ class LogLoader {
 /// SELECT, to the same constant-free canonical print. Each token adds a
 /// tag and, where the key keeps it, length-prefixed text, so two token
 /// walks never give the same bytes:
-///   - identifiers keep their ASCII-lowercased text, as
-///     sql::LowercaseIdentifiers lowercases them;
+///   - identifiers keep their ASCII-lowercased text, as sql::Regularize
+///     lowercases them;
 ///   - keywords keep their id; operators and parameters their text;
 ///   - integer, float and string literals before the first LIMIT or
 ///     OFFSET keyword share one tag and keep no text: the parser makes
-///     all three a literal and sql::AnonymizeConstants prints each as
-///     `?`. From that keyword on, a literal keeps its type and text,
+///     all three a literal and sql::Regularize's constant removal
+///     prints each as `?`. From that keyword on, a literal keeps its type and text,
 ///     since LIMIT and OFFSET constants stay in the print;
 ///   - a lex error ends the walk with its own tag. Such a line never
 ///     parses as a SELECT, and its kind depends only on its first token.

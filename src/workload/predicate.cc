@@ -58,8 +58,13 @@ bool ParseFeatureId(const std::string& digits, const Vocabulary& vocab,
   return true;
 }
 
-}  // namespace
-
+/// Parses one predicate term against `vocab`:
+///   CLAUSE:TEXT   e.g. "WHERE:status = ?" (clause case-insensitive)
+///   #N or N       a numeric feature id, strictly validated: rejects
+///                 non-numeric ids ("7x", "id3") and ids past the
+///                 codebook loudly instead of estimating garbage.
+/// Appends to `out` (features or missing). Returns false with a
+/// human-readable `error` on malformed input.
 bool ParsePredicateTerm(const std::string& term, const Vocabulary& vocab,
                         ParsedPredicate* out, std::string* error) {
   if (term.empty()) return Fail(error, "empty predicate term");
@@ -94,6 +99,8 @@ bool ParsePredicateTerm(const std::string& term, const Vocabulary& vocab,
   out->features.ids.push_back(id);
   return true;
 }
+
+}  // namespace
 
 bool ParsePredicate(const std::vector<std::string>& terms,
                     const Vocabulary& vocab, ParsedPredicate* out,

@@ -32,19 +32,11 @@ struct ParsedPredicate {
   std::vector<std::string> missing;
 };
 
-/// Parses one predicate term against `vocab`:
-///   CLAUSE:TEXT   e.g. "WHERE:status = ?" (clause case-insensitive)
-///   #N or N       a numeric feature id, strictly validated: rejects
-///                 non-numeric ids ("7x", "id3") and ids past the
-///                 codebook loudly instead of estimating garbage.
-/// Appends to `out` (features or missing). Returns false with a
-/// human-readable `error` on malformed input.
-bool ParsePredicateTerm(const std::string& term, const Vocabulary& vocab,
-                        ParsedPredicate* out, std::string* error);
-
-/// Parses a whole predicate (one term per element), then canonicalizes:
-/// sorted, deduplicated. Empty `terms` is an error — an empty
-/// conjunction is trivially true and almost certainly a caller bug.
+/// Parses a whole predicate, one term per element: CLAUSE:TEXT (e.g.
+/// "WHERE:status = ?", clause case-insensitive) or a numeric feature id
+/// "#N" or "N", strictly validated. Then canonicalizes: sorted,
+/// deduplicated. Empty `terms` is an error — an empty conjunction is
+/// trivially true and almost certainly a caller bug.
 bool ParsePredicate(const std::vector<std::string>& terms,
                     const Vocabulary& vocab, ParsedPredicate* out,
                     std::string* error);

@@ -7,6 +7,7 @@
 #include "cluster/kmeans.h"
 #include "cluster/spectral.h"
 #include "gtest/gtest.h"
+#include "oracles/distance_name.h"
 #include "util/prng.h"
 
 namespace logr {
@@ -195,7 +196,7 @@ TEST_P(SpectralMetricTest, RecoversTwoBlobs) {
   req.seed = 7;
   ClusteringResult r = SpectralCluster(blobs.vecs, {}, spec, req);
   EXPECT_GE(RandIndex(r.assignment, blobs.truth), 0.9)
-      << "metric " << spec.Name();
+      << "metric " << DistanceName(spec);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMetrics, SpectralMetricTest,

@@ -22,6 +22,7 @@
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
 #include "gtest/gtest.h"
+#include "oracles/same_log.h"
 #include "workload/binary_log.h"
 #include "workload/log_view.h"
 

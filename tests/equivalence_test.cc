@@ -26,6 +26,7 @@
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
 #include "gtest/gtest.h"
+#include "oracles/same_log.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/summary_registry.h"

@@ -26,6 +26,8 @@
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
 #include "gtest/gtest.h"
+#include "linalg/solve.h"
+#include "oracles/distance_name.h"
 #include "oracles/hierarchical_reference.h"
 #include "util/prng.h"
 #include "workload/loader.h"
@@ -134,10 +136,10 @@ TEST(PackedDistanceTest, CondensedBitIdenticalToMergeKernelAllMetrics) {
       const CondensedDistances reference =
           DistanceMatrixMerge(vecs, n, spec, /*pool=*/nullptr);
       ExpectCondensedEqual(CondensedDistanceMatrix(vecs, n, spec, nullptr),
-                           reference, spec.Name());
+                           reference, DistanceName(spec));
       ThreadPool pool(4);
       ExpectCondensedEqual(CondensedDistanceMatrix(vecs, n, spec, &pool),
-                           reference, spec.Name() + " parallel");
+                           reference, DistanceName(spec) + " parallel");
     }
   }
 }
@@ -150,7 +152,7 @@ TEST(PackedDistanceTest, CondensedBitIdenticalOnRealLogs) {
     ExpectCondensedEqual(
         CondensedDistanceMatrix(vecs, log.NumFeatures(), spec, nullptr),
         DistanceMatrixMerge(vecs, log.NumFeatures(), spec, nullptr),
-        spec.Name());
+        DistanceName(spec));
   }
 }
 
@@ -172,7 +174,7 @@ TEST(CondensedDistanceTest, FillEqualsMergeKernelFuzzed) {
       for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one,
                                &four}) {
         const std::string what =
-            spec.Name() + " N=" + std::to_string(count) + " threads=" +
+            DistanceName(spec) + " N=" + std::to_string(count) + " threads=" +
             std::to_string(pool ? pool->NumThreads() : 0);
         ExpectCondensedEqual(CondensedDistanceMatrix(packed, spec, pool),
                              merge, what);
@@ -197,7 +199,7 @@ TEST(CondensedDistanceTest, FillEqualsMergeKernelOnRealLogs) {
       for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one,
                                &four}) {
         ExpectCondensedEqual(CondensedDistanceMatrix(packed, spec, pool),
-                             merge, spec.Name());
+                             merge, DistanceName(spec));
       }
     }
   }
@@ -215,7 +217,7 @@ TEST(CondensedDistanceTest, MergeKernelFallbackBeyondPackedBudget) {
   for (const DistanceSpec& spec : AllMetrics()) {
     ExpectCondensedEqual(CondensedDistanceMatrix(vecs, n, spec, nullptr),
                          DistanceMatrixMerge(vecs, n, spec, nullptr),
-                         spec.Name());
+                         DistanceName(spec));
   }
 }
 
@@ -582,7 +584,7 @@ TEST(SpectralTest, MedianAndAffinityMatchSerialAcrossPools) {
 }
 
 TEST(SpectralTest, MatVecBitIdenticalToDenseMatVec) {
-  // The condensed mat-vec against Matrix::MatVec over the same entries
+  // The condensed mat-vec against the dense MatVec over the same entries
   // with a unit diagonal, at sizes around the tile edge, with random
   // doubles so any change of summation order shows.
   constexpr std::size_t kTile = kMatVecTile;
@@ -600,7 +602,7 @@ TEST(SpectralTest, MatVecBitIdenticalToDenseMatVec) {
     }
     Vector x(n);
     for (double& v : x) v = rng.NextDouble() - 0.5;
-    const Vector want = dense.MatVec(x);
+    const Vector want = MatVec(dense, x);
     for (std::size_t threads : {1u, 2u, 4u}) {
       ThreadPool pool(threads);
       Vector got;

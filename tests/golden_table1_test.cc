@@ -25,6 +25,7 @@
 #include "data/sql_log.h"
 #include "data/table1.h"
 #include "gtest/gtest.h"
+#include "oracles/same_log.h"
 #include "workload/binary_log.h"
 #include "workload/loader.h"
 #include "workload/log_view.h"

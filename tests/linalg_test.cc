@@ -12,7 +12,7 @@ namespace {
 TEST(MatrixTest, IdentityMatVec) {
   Matrix i = Matrix::Identity(3);
   Vector x = {1.0, 2.0, 3.0};
-  EXPECT_EQ(i.MatVec(x), x);
+  EXPECT_EQ(MatVec(i, x), x);
 }
 
 TEST(MatrixTest, TransposeMatVecMatchesElementSums) {
@@ -23,7 +23,7 @@ TEST(MatrixTest, TransposeMatVecMatchesElementSums) {
   }
   Vector x(4);
   for (double& v : x) v = rng.NextGaussian();
-  Vector y1 = a.TransposeMatVec(x);
+  Vector y1 = TransposeMatVec(a, x);
   Vector y2(6, 0.0);
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 6; ++c) y2[c] += a(r, c) * x[r];
@@ -42,7 +42,7 @@ TEST(SolveTest, LuSolvesRandomSystems) {
     }
     Vector x_true(n);
     for (double& v : x_true) v = rng.NextGaussian();
-    Vector b = a.MatVec(x_true);
+    Vector b = MatVec(a, x_true);
     Vector x;
     ASSERT_TRUE(LuSolve(a, b, &x));
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
@@ -66,7 +66,7 @@ TEST(SolveTest, ProjectionSatisfiesConstraints) {
   Vector x0 = {0.4, 0.1, 0.3, 0.9};
   Vector x;
   ASSERT_TRUE(ProjectOntoAffine(a, b, x0, &x));
-  Vector res = a.MatVec(x);
+  Vector res = MatVec(a, x);
   EXPECT_NEAR(res[0], 1.0, 1e-9);
   EXPECT_NEAR(res[1], 0.6, 1e-9);
 }
@@ -160,7 +160,7 @@ TEST(LanczosTest, MatchesJacobiOnLargestEigenpairs) {
   // Make it positive definite-ish to separate the spectrum.
   for (std::size_t i = 0; i < n; ++i) a(i, i) += 10.0;
   EigenResult exact = JacobiEigen(a);
-  auto matvec = [&](const Vector& x, Vector* y) { *y = a.MatVec(x); };
+  auto matvec = [&](const Vector& x, Vector* y) { *y = MatVec(a, x); };
   EigenResult approx = LanczosLargest(matvec, n, 4, /*seed=*/3, n);
   ASSERT_GE(approx.eigenvalues.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -175,10 +175,10 @@ TEST(LanczosTest, ResidualSmall) {
   Pcg32 rng(43);
   const std::size_t n = 50;
   Matrix a = RandomSymmetric(n, &rng);
-  auto matvec = [&](const Vector& x, Vector* y) { *y = a.MatVec(x); };
+  auto matvec = [&](const Vector& x, Vector* y) { *y = MatVec(a, x); };
   EigenResult r = LanczosLargest(matvec, n, 3, 5, n);
   for (std::size_t i = 0; i < r.eigenvalues.size(); ++i) {
-    Vector av = a.MatVec(r.eigenvectors[i]);
+    Vector av = MatVec(a, r.eigenvectors[i]);
     Axpy(-r.eigenvalues[i], r.eigenvectors[i], &av);
     EXPECT_LT(Norm2(av), 1e-5);
   }

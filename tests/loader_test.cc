@@ -22,6 +22,7 @@
 #include "data/sql_log.h"
 #include "data/table1.h"
 #include "gtest/gtest.h"
+#include "oracles/same_log.h"
 #include "sql/normalizer.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
@@ -333,7 +334,7 @@ TEST(TemplateKeyTest, LiteralTypesFoldIntoOneTemplate) {
 
 TEST(TemplateKeyTest, LimitAndOffsetConstantsStayInTheKey) {
   // Literals keep their text from the first LIMIT or OFFSET on, in a
-  // subquery too, because AnonymizeConstants keeps those constants.
+  // subquery too, because constant removal keeps those constants.
   const std::vector<std::pair<const char*, const char*>> pairs = {
       {"SELECT a FROM t LIMIT 10", "SELECT a FROM t LIMIT 50"},
       {"SELECT a FROM t LIMIT 10 OFFSET 5",

@@ -124,10 +124,6 @@ TEST(ZipfSamplerTest, SampleMatchesProbability) {
   }
 }
 
-TEST(StringUtilTest, ToUpper) {
-  EXPECT_EQ(ToUpper("select"), "SELECT");
-}
-
 TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");

@@ -11,6 +11,7 @@
 #include "cluster/distance.h"
 #include "cluster/xor_popcount.h"
 #include "gtest/gtest.h"
+#include "oracles/distance_name.h"
 #include "util/prng.h"
 #include "workload/feature_vec.h"
 
@@ -179,7 +180,7 @@ TEST(XorPopcountKernelTest, AllMetricsBitIdenticalToMergeKernel) {
     for (std::size_t i = 0; i < packed.size(); ++i) {
       for (std::size_t j = i + 1; j < packed.size(); ++j) {
         ASSERT_EQ(packed.at(i, j), merge.at(i, j))
-            << spec.Name() << " (" << i << ", " << j << ")";
+            << DistanceName(spec) << " (" << i << ", " << j << ")";
       }
     }
   }
