@@ -9,8 +9,8 @@
 //       naive (default), refined (naive + corr_rank patterns, Sec. 6.4;
 //       --refine-patterns caps the per-cluster budget and applies to
 //       this encoder only), pattern
-//       (per-cluster max-ent pattern encodings, Sec. 2.3.1; in-memory
-//       only).
+//       (per-cluster max-ent pattern encodings, Sec. 2.3.1; summaries
+//       persist, but do not merge).
 //       --shards S > 1 splits the distinct templates into S shards by a
 //       stable hash, compresses them in parallel and merges the
 //       per-shard mixtures (bit-deterministic for any thread count;

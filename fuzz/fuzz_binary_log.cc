@@ -30,12 +30,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // Accepted input: every column access must stay in bounds and the
   // aggregate invariants must hold.
   const std::size_t n = log.NumDistinct();
+  const logr::LogView view(log);
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t mult = log.Multiplicity(i);
     LOGR_CHECK(mult > 0);
     total += mult;
-    const logr::FeatureVec v = log.VectorAt(i);
+    const logr::FeatureVec v = view.VectorAt(i);
     for (std::size_t t = 1; t < v.ids.size(); ++t) {
       LOGR_CHECK(v.ids[t - 1] < v.ids[t]);
     }
@@ -49,7 +50,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   // The view materializer rebuilds a heap QueryLog through the same
   // columns; its statistics must be finite on any accepted input.
-  const logr::QueryLog rebuilt = logr::LogView(log).Materialize();
+  const logr::QueryLog rebuilt = view.Materialize();
   LOGR_CHECK(rebuilt.NumDistinct() == n);
   LOGR_CHECK(rebuilt.TotalQueries() == log.TotalQueries());
   LOGR_CHECK(std::isfinite(rebuilt.Marginal(probe)));

@@ -143,7 +143,7 @@ ClusteringResult KMeansSparse(const std::vector<FeatureVec>& vecs,
       }
       for (std::size_t c = 0; c < k; ++c) {
         if (mass[c] <= 0.0) {
-          // Empty cluster: reseed at the point with max distance mass.
+          // Empty cluster: reseed at a point drawn uniformly from rng.
           std::size_t far = rng.NextBounded(static_cast<std::uint32_t>(count));
           double* row = centroids.Row(c);
           std::fill(row, row + n, 0.0);

@@ -18,6 +18,7 @@
 #include "util/flags.h"
 #include "util/stopwatch.h"
 #include "util/subprocess.h"
+#include "util/thread_pool.h"
 #include "workload/binary_log.h"
 
 namespace logr {
@@ -151,6 +152,11 @@ bool CompressDistributed(const std::vector<std::string>& shard_paths,
   if (n == 0) return Fail(error, "no shard files to scatter");
   if (opts.spool_dir.empty()) return Fail(error, "spool_dir is required");
   if (opts.num_workers == 0) return Fail(error, "num_workers must be >= 1");
+  // Null means ThreadPool::Shared(), as wherever LogROptions is read.
+  // Resolving it before any worker forks refuses a bad LOGR_THREADS up
+  // front, as `compress` does; the forked workers never touch it.
+  ThreadPool* pool =
+      opts.compression.pool ? opts.compression.pool : ThreadPool::Shared();
   if (!EnsureDirectory(opts.spool_dir, error)) return false;
 
   out->shards.resize(n);
@@ -312,8 +318,8 @@ bool CompressDistributed(const std::vector<std::string>& shard_paths,
   // Gather: every shard is spooled; merge + reconcile down to K. Part
   // order is shard order, but MergeSummaries orders components
   // canonically, so any order gives the same bits.
-  if (!MergeSummaries(parts, opts.compression.num_clusters,
-                      opts.compression.pool, &out->summary, error)) {
+  if (!MergeSummaries(parts, opts.compression.num_clusters, pool,
+                      &out->summary, error)) {
     return false;
   }
   out->total_seconds = timer.ElapsedSeconds();

@@ -66,9 +66,8 @@ struct DistributedOptions {
   /// every worker so per-shard fits match CompressSharded's. The
   /// encoder is ignored — shards merge through the naive family, and
   /// the merged output is always a naive summary (like `merge`). `pool`
-  /// serves only the gather's reconcile, where null means serial
-  /// (MergeSummaries' rule); workers fit on CompressShard's thread-free
-  /// pool.
+  /// serves only the gather's reconcile; workers fit on CompressShard's
+  /// thread-free pool.
   LogROptions compression;
   /// Directory the workers spool summaries into (created if absent).
   /// Re-running a coordinator over a warm spool reuses every valid

@@ -83,10 +83,10 @@ struct LogRSummary {
 /// Compresses `log` into `opts.num_clusters` partitions summarized by
 /// the encoder opts.encoder names ("naive" by default; aborts on an
 /// unknown name). The log is read through a LogView: pass a QueryLog
-/// or an MmapQueryLog (both convert implicitly) — an mmap'd .logrl is
-/// compressed in place, no heap copy on the hot path, with a
-/// bit-identical summary either way. The log's distinct vectors are
-/// packed once into the PackedVecPool every distance consumer shares.
+/// or an MmapQueryLog (both convert implicitly), with a bit-identical
+/// summary either way. The distinct vectors are packed once, straight
+/// from the view's id spans, into the PackedVecPool every distance
+/// consumer shares; clustering and encoding copy each one (VectorAt).
 /// When opts.num_shards > 1 the log is compressed shard-wise (merged
 /// and reconciled back to num_clusters; see core/sharded.h — mergeable
 /// encoders only) with bit-deterministic results for any thread count

@@ -501,13 +501,6 @@ const FeatureId* MmapQueryLog::VectorIds(std::size_t i) const {
                                             4 * LoadU64(offsets_ + 8 * i));
 }
 
-FeatureVec MmapQueryLog::VectorAt(std::size_t i) const {
-  FeatureVec v;
-  const FeatureId* ids = VectorIds(i);
-  v.ids.assign(ids, ids + VectorSize(i));  // validated sorted + distinct
-  return v;
-}
-
 std::string_view MmapQueryLog::SampleSql(std::size_t i) const {
   LOGR_CHECK(i < num_distinct_);
   if (sqls_.empty()) return {};

@@ -145,8 +145,6 @@ class MmapQueryLog {
   std::size_t VectorSize(std::size_t i) const;
   /// Pointer into the mapped id column for vector `i` (zero copy).
   const FeatureId* VectorIds(std::size_t i) const;
-  /// Owning copy of vector `i`.
-  FeatureVec VectorAt(std::size_t i) const;
   /// Sample SQL for vector `i` ("" when the block is absent).
   std::string_view SampleSql(std::size_t i) const;
   /// Γ_b over the mapped columns. Kept only because the end-to-end

@@ -3,12 +3,12 @@
 // A view serves columns only: per-vector feature-id spans,
 // multiplicities, sample SQL, the feature-universe width and the
 // vocabulary. Both the heap QueryLog and the mmap-backed MmapQueryLog
-// serve those columns, so a LogView lets Compress run straight off an
-// mmap'd .logrl without copying every vector onto the heap first. The
-// view borrows; the backing log must outlive it. Log statistics
-// (marginals, entropy, ...) live on QueryLog alone; MaterializeSubset
-// is the one function that copies a view's rows into an owning
-// QueryLog, whatever the backing.
+// serve those columns, so Compress runs on an mmap'd .logrl without
+// loading it into a QueryLog. Only Pack reads the id spans in place;
+// Compress, each adaptive bisection and FromPartition copy each vector
+// they read (VectorAt). The view borrows; the backing log must outlive
+// it. Log statistics live on QueryLog alone; MaterializeSubset is the
+// one function that copies a view's rows into an owning QueryLog.
 //
 // A view can also window a *subset* of the backing log's distinct
 // vectors (Subview): row i of the subview is row indices[i] of the

@@ -1,10 +1,10 @@
 // Tests for the distributed scatter/gather coordinator
-// (core/distributed.h): bit-identity of the process-per-shard path with
-// in-process sharded compression and the offline summary merge on the
-// paper-shaped generators, worker crash-retry (SIGKILL mid-job loses an
+// (core/distributed.h): worker crash-retry (SIGKILL mid-job loses an
 // attempt, never the job), coordinator resume from a warm spool, the
 // in-process fallback after the last failed attempt, and the shard
-// files `logr_cli split` writes.
+// files `logr_cli split` writes. That a clean run gathers to the
+// in-process sharded bytes, and its spool merges offline to them, is
+// equivalence_test's distributed leg.
 #include <unistd.h>
 
 #include <cstdio>
@@ -91,54 +91,6 @@ std::string ShardedReferenceBytes(const QueryLog& log,
   opts.encoder = "naive";
   LogRSummary sharded = CompressSharded(log, opts);
   return Bytes(log.vocabulary(), sharded.Model());
-}
-
-TEST(DistributedTest, MatchesInProcessShardingBitForBitPocket) {
-  QueryLog log = PocketLog();
-  const std::vector<std::string> shards = WriteShards(log, 4, "pocket_id");
-  DistributedOptions opts = WorkerOptions(6, "pocket_id_spool");
-  DistributedResult result;
-  std::string error;
-  ASSERT_TRUE(CompressDistributed(shards, opts, &result, &error)) << error;
-
-  EXPECT_EQ(result.shards.size(), shards.size());
-  EXPECT_EQ(result.workers_launched, shards.size());
-  EXPECT_EQ(result.workers_failed, 0u);
-  for (const ShardReport& r : result.shards) {
-    EXPECT_EQ(r.attempts, 1) << r.shard_path;
-    EXPECT_FALSE(r.reused) << r.shard_path;
-    EXPECT_FALSE(r.inprocess) << r.shard_path;
-  }
-  // Worker processes + spool files + merge must equal the one-process
-  // sharded pipeline exactly — same bytes, not approximately.
-  EXPECT_EQ(Bytes(result.summary.vocabulary, *result.summary.model),
-            ShardedReferenceBytes(log, 6, 4));
-
-  // Third leg of the identity: loading the spooled per-shard summaries
-  // and merging offline reproduces the same bytes again.
-  std::vector<PersistedSummary> parts(result.shards.size());
-  for (std::size_t s = 0; s < result.shards.size(); ++s) {
-    ASSERT_TRUE(ReadSummaryFile(result.shards[s].summary_path, &parts[s],
-                                &error))
-        << error;
-  }
-  PersistedSummary merged;
-  ASSERT_TRUE(
-      MergeSummaries(parts, 6, opts.compression.pool, &merged, &error))
-      << error;
-  EXPECT_EQ(Bytes(merged.vocabulary, *merged.model),
-            ShardedReferenceBytes(log, 6, 4));
-}
-
-TEST(DistributedTest, MatchesInProcessShardingBitForBitBank) {
-  QueryLog log = BankLog();
-  const std::vector<std::string> shards = WriteShards(log, 3, "bank_id");
-  DistributedOptions opts = WorkerOptions(5, "bank_id_spool");
-  DistributedResult result;
-  std::string error;
-  ASSERT_TRUE(CompressDistributed(shards, opts, &result, &error)) << error;
-  EXPECT_EQ(Bytes(result.summary.vocabulary, *result.summary.model),
-            ShardedReferenceBytes(log, 5, 3));
 }
 
 TEST(DistributedTest, WorkerKilledMidJobRetriesToIdenticalSummary) {

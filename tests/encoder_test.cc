@@ -2,8 +2,9 @@
 // refined and pattern budget defaults, bit-identity of the "naive"
 // encoder with the direct cluster->FromPartition pipeline,
 // cross-encoder invariants (refined Error <= naive Error, facade
-// consistency), the PatternEncoding lattice cap, and serialization
-// v1 compatibility / v2 encoder-tag round-trips.
+// consistency), the PatternEncoding lattice cap, and the refusal of
+// v1 text summaries. Pool-size independence and reload bit-identity of
+// every encoder are equivalence_test's pool and reload legs.
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -225,109 +226,6 @@ TEST(EncoderTest, RefinedErrorAtMostNaiveOnPaperShapedWorkloads) {
   }
 }
 
-TEST(EncoderTest, RefinedEncoderParallelBitIdenticalToSerial) {
-  // Per-component pattern fits run across the pool into disjoint
-  // slots, so a wide pool must reproduce the serial refinement to the
-  // bit — same patterns, same refined errors, same bytes on disk.
-  QueryLog log = SmallBankLog();
-  auto run = [&](ThreadPool* pool) {
-    LogROptions opts;
-    opts.num_clusters = 5;
-    opts.seed = 3;
-    opts.encoder = "refined";
-    opts.refine_patterns = 4;
-    opts.pool = pool;
-    return Compress(log, opts);
-  };
-  ThreadPool serial(1);
-  ThreadPool wide(6);
-  LogRSummary a = run(&serial);
-  LogRSummary b = run(&wide);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.Model().Error(), b.Model().Error());
-  std::ostringstream bytes_a, bytes_b;
-  std::string error;
-  ASSERT_TRUE(
-      WriteSummary(log.vocabulary(), a.Model(), &bytes_a, &error))
-      << error;
-  ASSERT_TRUE(
-      WriteSummary(log.vocabulary(), b.Model(), &bytes_b, &error))
-      << error;
-  EXPECT_EQ(bytes_a.str(), bytes_b.str());
-}
-
-TEST(EncoderTest, PatternEncoderParallelBitIdenticalToSerial) {
-  // Pattern models do not serialize, so compare through the facade:
-  // every per-component statistic and a batch of estimates must match
-  // exactly between a serial and a wide-pool fit.
-  QueryLog log = GroupedLog(4, 10, 91);
-  auto run = [&](ThreadPool* pool) {
-    LogROptions opts;
-    opts.num_clusters = 3;
-    opts.seed = 7;
-    opts.encoder = "pattern";
-    opts.pattern_budget = 4;
-    opts.pool = pool;
-    return Compress(log, opts);
-  };
-  ThreadPool serial(1);
-  ThreadPool wide(6);
-  LogRSummary a = run(&serial);
-  LogRSummary b = run(&wide);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.Model().Error(), b.Model().Error());
-  EXPECT_EQ(a.Model().TotalVerbosity(), b.Model().TotalVerbosity());
-  ASSERT_EQ(a.Model().NumComponents(), b.Model().NumComponents());
-  for (std::size_t c = 0; c < a.Model().NumComponents(); ++c) {
-    EXPECT_EQ(a.Model().ComponentWeight(c), b.Model().ComponentWeight(c));
-    EXPECT_EQ(a.Model().ComponentError(c), b.Model().ComponentError(c));
-    EXPECT_EQ(a.Model().ComponentVerbosity(c),
-              b.Model().ComponentVerbosity(c));
-    EXPECT_EQ(a.Model().ComponentFeatures(c), b.Model().ComponentFeatures(c));
-  }
-  for (std::size_t i = 0; i < 10 && i < log.NumDistinct(); ++i) {
-    const FeatureVec& probe = log.Vector(i);
-    EXPECT_EQ(a.Model().EstimateMarginal(probe),
-              b.Model().EstimateMarginal(probe))
-        << i;
-  }
-}
-
-TEST(EncoderTest, EncodeDoesNotDependOnThePool) {
-  // The model must not depend on the pool: every encoder gives the same
-  // summary on the shared pool and on a one-thread pool.
-  QueryLog log = GroupedLog(4, 10, 29);
-  ThreadPool serial(1);
-  for (Encoder e : {Encoder::kNaive, Encoder::kRefined, Encoder::kPattern}) {
-    const char* name = EncoderName(e);
-    LogROptions opts;
-    opts.encoder = name;
-    opts.num_clusters = 3;
-    opts.pattern_budget = 4;
-    const LogRSummary shared = Compress(log, opts);
-    opts.pool = &serial;
-    const LogRSummary one = Compress(log, opts);
-    EXPECT_EQ(shared.assignment, one.assignment) << name;
-    EXPECT_EQ(shared.Model().Error(), one.Model().Error()) << name;
-    EXPECT_EQ(shared.Model().TotalVerbosity(), one.Model().TotalVerbosity())
-        << name;
-    for (std::size_t i = 0; i < 10; ++i) {
-      EXPECT_EQ(shared.Model().EstimateMarginal(log.Vector(i)),
-                one.Model().EstimateMarginal(log.Vector(i)))
-          << name << " probe " << i;
-    }
-    std::ostringstream bytes_shared, bytes_one;
-    std::string error;
-    ASSERT_TRUE(WriteSummary(log.vocabulary(), shared.Model(), &bytes_shared,
-                             &error))
-        << error;
-    ASSERT_TRUE(
-        WriteSummary(log.vocabulary(), one.Model(), &bytes_one, &error))
-        << error;
-    EXPECT_EQ(bytes_shared.str(), bytes_one.str()) << name;
-  }
-}
-
 TEST(EncoderTest, PatternEncoderCapsPerComponentBudget) {
   QueryLog log = GroupedLog(3, 12, 91);
   LogROptions opts;
@@ -476,44 +374,6 @@ TEST(EncoderTest, TextSummariesAreRefusedWithTheFix) {
     EXPECT_GT(demo.model->NumComponents(), 0u) << path;
     break;
   }
-}
-
-TEST(EncoderTest, V2RoundTripsEncoderTagAndPatterns) {
-  QueryLog log = GroupedLog(3, 12, 59);
-  LogROptions opts;
-  opts.num_clusters = 2;
-  opts.encoder = "refined";
-  opts.refine_patterns = 3;
-  LogRSummary summary = Compress(log, opts);
-
-  std::stringstream buffer;
-  std::string error;
-  ASSERT_TRUE(WriteSummary(log.vocabulary(), summary.Model(), &buffer,
-                           &error))
-      << error;
-  PersistedSummary loaded;
-  ASSERT_TRUE(ReadSummary(&buffer, &loaded, &error)) << error;
-  EXPECT_STREQ(loaded.model->EncoderName(), "refined");
-  EXPECT_NEAR(loaded.model->Error(), summary.Model().Error(), 1e-12);
-  EXPECT_NEAR(loaded.model->BaseError(), summary.Model().BaseError(), 1e-9);
-  EXPECT_EQ(loaded.model->TotalVerbosity(), summary.Model().TotalVerbosity());
-  for (std::size_t c = 0; c < summary.Model().NumComponents(); ++c) {
-    EXPECT_EQ(loaded.model->ComponentPatterns(c),
-              summary.Model().ComponentPatterns(c))
-        << c;
-  }
-
-  // A naive summary round-trips its tag too.
-  opts.encoder = "naive";
-  opts.refine_patterns = 0;
-  LogRSummary naive = Compress(log, opts);
-  std::stringstream buffer2;
-  ASSERT_TRUE(WriteSummary(log.vocabulary(), naive.Model(), &buffer2,
-                           &error))
-      << error;
-  PersistedSummary loaded2;
-  ASSERT_TRUE(ReadSummary(&buffer2, &loaded2, &error)) << error;
-  EXPECT_STREQ(loaded2.model->EncoderName(), "naive");
 }
 
 }  // namespace

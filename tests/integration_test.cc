@@ -1,11 +1,9 @@
 // End-to-end integration tests: generator -> SQL parsing funnel ->
 // feature codebook -> clustering -> mixture encoding -> statistic
-// estimation -> persistence.
+// estimation. Persistence is equivalence_test's reload and served legs.
 #include <cmath>
-#include <sstream>
 
 #include "core/logr_compressor.h"
-#include "core/serialization.h"
 #include "core/synthesis.h"
 #include "data/bank.h"
 #include "data/pocketdata.h"
@@ -137,31 +135,6 @@ TEST(IntegrationTest, BankFunnelSurvivesNoise) {
   LogRSummary s = Compress(log, opts);
   EXPECT_GT(s.Model().TotalVerbosity(), 0u);
   EXPECT_GE(s.Model().Error(), 0.0);
-}
-
-TEST(IntegrationTest, CompressPersistReloadEstimate) {
-  QueryLog log = SmallPocketLog();
-  LogROptions opts;
-  opts.num_clusters = 10;
-  LogRSummary summary = Compress(log, opts);
-
-  std::stringstream buffer;
-  std::string error;
-  ASSERT_TRUE(WriteSummary(log.vocabulary(), summary.Model(), &buffer,
-                           &error))
-      << error;
-  PersistedSummary loaded;
-  ASSERT_TRUE(ReadSummary(&buffer, &loaded, &error)) << error;
-
-  // The reloaded summary answers a workload-analytics question (how
-  // often is `messages` queried?) identically.
-  Feature from_messages{FeatureClause::kFrom, "messages"};
-  FeatureId f = log.vocabulary().Find(from_messages);
-  ASSERT_NE(f, Vocabulary::kNotFound);
-  FeatureId f2 = loaded.vocabulary.Find(from_messages);
-  ASSERT_EQ(f, f2);  // codebook order preserved
-  EXPECT_NEAR(loaded.model->EstimateCount(FeatureVec({f2})),
-              summary.Model().EstimateCount(FeatureVec({f})), 1e-9);
 }
 
 TEST(IntegrationTest, SynthesisImprovesWithError) {

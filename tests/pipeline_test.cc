@@ -1,6 +1,7 @@
 // Tests for the clustering methods, the thread pool, and Compress /
-// CompressAdaptive: parallel paths must be bit-identical to serial
-// ones, and every method name must round-trip and cluster.
+// CompressAdaptive: parallel kernels must be bit-identical to serial
+// ones, and every method name must round-trip and cluster. Whole runs
+// at every pool size are equivalence_test's pool and adaptive legs.
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
@@ -182,44 +183,6 @@ TEST(ClusteringMethodTest, BackendsProduceValidAssignments) {
       EXPECT_LT(a, 3) << name;
     }
   }
-}
-
-TEST(PipelineTest, DeterministicAcrossThreadCounts) {
-  QueryLog log = GroupedLog(4, 10, 23);
-  auto run = [&](ThreadPool* pool) {
-    LogROptions opts;
-    opts.num_clusters = 4;
-    opts.seed = 5;
-    opts.pool = pool;
-    return Compress(log, opts);
-  };
-  ThreadPool serial(1);
-  LogRSummary base = run(&serial);
-  for (std::size_t threads : {2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    LogRSummary s = run(&pool);
-    EXPECT_EQ(s.assignment, base.assignment) << threads << " threads";
-    // Error must match to the bit, not approximately.
-    EXPECT_EQ(s.Model().Error(), base.Model().Error())
-        << threads << " threads";
-  }
-}
-
-TEST(PipelineTest, AdaptiveDeterministicAcrossThreadCounts) {
-  QueryLog log = GroupedLog(5, 8, 41);
-  auto run = [&](ThreadPool* pool) {
-    LogROptions opts;
-    opts.num_clusters = 8;
-    opts.seed = 9;
-    opts.pool = pool;
-    return CompressAdaptive(log, opts);
-  };
-  ThreadPool serial(1);
-  ThreadPool wide(6);
-  LogRSummary a = run(&serial);
-  LogRSummary b = run(&wide);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.Model().Error(), b.Model().Error());
 }
 
 TEST(PipelineTest, AdaptiveBuildsNoPackedPool) {

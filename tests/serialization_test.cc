@@ -30,43 +30,6 @@ QueryLog MakeLog() {
   return log;
 }
 
-TEST(SerializationTest, RoundTripPreservesEstimates) {
-  QueryLog log = MakeLog();
-  LogROptions opts;
-  opts.num_clusters = 2;
-  LogRSummary summary = Compress(log, opts);
-
-  std::stringstream buffer;
-  std::string error;
-  ASSERT_TRUE(WriteSummary(log.vocabulary(), summary.Model(), &buffer,
-                           &error))
-      << error;
-  PersistedSummary loaded;
-  ASSERT_TRUE(ReadSummary(&buffer, &loaded, &error)) << error;
-
-  EXPECT_STREQ(loaded.model->EncoderName(), summary.Model().EncoderName());
-  EXPECT_EQ(loaded.model->NumComponents(), summary.Model().NumComponents());
-  EXPECT_EQ(loaded.model->TotalVerbosity(),
-            summary.Model().TotalVerbosity());
-  EXPECT_NEAR(loaded.model->Error(), summary.Model().Error(), 1e-9);
-  EXPECT_EQ(loaded.model->LogSize(), summary.Model().LogSize());
-  EXPECT_EQ(loaded.vocabulary.size(), log.vocabulary().size());
-
-  // Every pattern estimate must be identical after the round trip.
-  Pcg32 rng(5);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<FeatureId> ids;
-    for (FeatureId f = 0; f < 4; ++f) {
-      if (rng.NextBernoulli(0.5)) ids.push_back(f);
-    }
-    FeatureVec pattern(std::move(ids));
-    EXPECT_NEAR(loaded.model->EstimateCount(pattern),
-                summary.Model().EstimateCount(pattern), 1e-9);
-    EXPECT_NEAR(loaded.model->EstimateMarginal(pattern),
-                summary.Model().EstimateMarginal(pattern), 1e-12);
-  }
-}
-
 TEST(SerializationTest, RefinedSummaryWithLargeBudgetRoundTrips) {
   // Regression for the ROADMAP known issue: the reader's former
   // pattern-count bound (n_features^2 + 1) rejected refined summaries
@@ -179,20 +142,6 @@ TEST(SerializationTest, FuzzedInputNeverCrashesTheReader) {
   }
 }
 
-TEST(SerializationTest, FileRoundTrip) {
-  QueryLog log = MakeLog();
-  LogRSummary summary = Compress(log, LogROptions());
-  std::string path = "/tmp/logr_serialization_test.logr";
-  std::string error;
-  ASSERT_TRUE(
-      WriteSummaryFile(path, log.vocabulary(), summary.Model(), &error))
-      << error;
-  PersistedSummary loaded;
-  ASSERT_TRUE(ReadSummaryFile(path, &loaded, &error)) << error;
-  EXPECT_NEAR(loaded.model->Error(), summary.Model().Error(), 1e-9);
-  std::remove(path.c_str());
-}
-
 TEST(SerializationTest, FileWritesArePublishedAtomically) {
   // WriteSummaryFile stages into a pid-suffixed temp and renames, so no
   // staging file survives a successful publish and a failing target
@@ -232,68 +181,6 @@ QueryLog PatternLog() {
     log.Add(FeatureVec(std::move(ids)), 1 + rng.NextBounded(6));
   }
   return log;
-}
-
-TEST(SerializationTest, PatternSummaryRoundTripIsBitExact) {
-  // "pattern" models persist: the reader refits each component's max-ent
-  // lattice by the same deterministic iterative scaling the encoder ran,
-  // over the stored (patterns, measured marginals, universe width) — so
-  // every estimate is EXPECT_EQ-identical, not merely close, and a second
-  // write of the loaded model is byte-identical to the first.
-  QueryLog log = PatternLog();
-  LogROptions opts;
-  opts.num_clusters = 2;
-  opts.encoder = "pattern";
-  opts.pattern_budget = 6;
-  LogRSummary summary = Compress(log, opts);
-
-  std::stringstream buffer;
-  std::string error;
-  ASSERT_TRUE(WriteSummary(log.vocabulary(), summary.Model(), &buffer,
-                           &error))
-      << error;
-  PersistedSummary loaded;
-  ASSERT_TRUE(ReadSummary(&buffer, &loaded, &error)) << error;
-
-  EXPECT_STREQ(loaded.model->EncoderName(), "pattern");
-  EXPECT_EQ(loaded.model->NumComponents(), summary.Model().NumComponents());
-  EXPECT_EQ(loaded.model->LogSize(), summary.Model().LogSize());
-  EXPECT_EQ(loaded.model->TotalVerbosity(),
-            summary.Model().TotalVerbosity());
-  EXPECT_EQ(loaded.model->Error(), summary.Model().Error());
-  for (std::size_t c = 0; c < loaded.model->NumComponents(); ++c) {
-    EXPECT_EQ(loaded.model->ComponentWeight(c),
-              summary.Model().ComponentWeight(c));
-    EXPECT_EQ(loaded.model->ComponentLogSize(c),
-              summary.Model().ComponentLogSize(c));
-    EXPECT_EQ(loaded.model->ComponentError(c),
-              summary.Model().ComponentError(c));
-    EXPECT_EQ(loaded.model->ComponentPatterns(c),
-              summary.Model().ComponentPatterns(c));
-  }
-  Pcg32 rng(7);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<FeatureId> ids;
-    for (FeatureId f = 0; f < 10; ++f) {
-      if (rng.NextBernoulli(0.3)) ids.push_back(f);
-    }
-    FeatureVec pattern(std::move(ids));
-    EXPECT_EQ(loaded.model->EstimateMarginal(pattern),
-              summary.Model().EstimateMarginal(pattern));
-    EXPECT_EQ(loaded.model->EstimateCount(pattern),
-              summary.Model().EstimateCount(pattern));
-  }
-
-  // Fixed point: writing the loaded model reproduces the bytes.
-  std::stringstream again;
-  ASSERT_TRUE(WriteSummary(loaded.vocabulary, *loaded.model, &again,
-                           &error))
-      << error;
-  std::stringstream first;
-  ASSERT_TRUE(WriteSummary(log.vocabulary(), summary.Model(), &first,
-                           &error))
-      << error;
-  EXPECT_EQ(again.str(), first.str());
 }
 
 TEST(SerializationTest, PatternSummariesRefuseToMerge) {
@@ -395,53 +282,6 @@ QueryLog GroupLog() {
     log.Add(FeatureVec(std::move(ids)), 1 + rng.NextBounded(9));
   }
   return log;
-}
-
-TEST(SerializationTest, V4RoundTripIsBitExactForEveryEncoder) {
-  const QueryLog log = GroupLog();
-  for (const char* encoder : {"naive", "refined", "pattern"}) {
-    SCOPED_TRACE(encoder);
-    LogROptions opts;
-    opts.num_clusters = 3;
-    opts.encoder = encoder;
-    if (std::string(encoder) == "refined") opts.refine_patterns = 4;
-    if (std::string(encoder) == "pattern") opts.pattern_budget = 6;
-    const LogRSummary summary = Compress(log, opts);
-    const WorkloadModel& model = summary.Model();
-
-    const std::string bytes = SummaryBytes(log.vocabulary(), model);
-    ASSERT_GE(bytes.size(), kSummaryHeaderSize);
-    EXPECT_EQ(std::memcmp(bytes.data(), kSummaryMagic, sizeof(kSummaryMagic)),
-              0);
-    const PersistedSummary loaded = LoadBytes(bytes);
-    ASSERT_NE(loaded.model, nullptr);
-    EXPECT_STREQ(loaded.model->EncoderName(), encoder);
-    ASSERT_EQ(loaded.vocabulary.size(), log.vocabulary().size());
-    for (FeatureId f = 0; f < log.vocabulary().size(); ++f) {
-      EXPECT_EQ(loaded.vocabulary.Get(f), log.vocabulary().Get(f)) << f;
-    }
-    EXPECT_TRUE(SameBits(loaded.model->Error(), model.Error()));
-    EXPECT_TRUE(SameBits(loaded.model->BaseError(), model.BaseError()));
-    EXPECT_EQ(loaded.model->LogSize(), model.LogSize());
-    EXPECT_EQ(loaded.model->TotalVerbosity(), model.TotalVerbosity());
-    ASSERT_EQ(loaded.model->NumComponents(), model.NumComponents());
-    for (std::size_t c = 0; c < model.NumComponents(); ++c) {
-      EXPECT_TRUE(SameBits(loaded.model->ComponentWeight(c),
-                           model.ComponentWeight(c)));
-      EXPECT_TRUE(SameBits(loaded.model->ComponentError(c),
-                           model.ComponentError(c)));
-      EXPECT_EQ(loaded.model->ComponentLogSize(c), model.ComponentLogSize(c));
-      EXPECT_EQ(loaded.model->ComponentPatterns(c),
-                model.ComponentPatterns(c));
-      for (FeatureId f = 0; f < log.vocabulary().size(); ++f) {
-        EXPECT_TRUE(SameBits(loaded.model->ComponentMarginal(c, f),
-                             model.ComponentMarginal(c, f)));
-      }
-    }
-    ExpectSameEstimates(model, *loaded.model, log.vocabulary().size());
-    // Fixed point: the loaded model writes the same bytes.
-    EXPECT_EQ(SummaryBytes(loaded.vocabulary, *loaded.model), bytes);
-  }
 }
 
 TEST(SerializationTest, V4StoresCountAndRawMarginals) {
