@@ -147,8 +147,10 @@ void PrintUnknown(const char* kind, const std::string& name,
   for (const char* n : names) std::fprintf(stderr, "  %s\n", n);
 }
 
-/// Resolves --method into `opts`, listing the methods on failure.
-bool ResolveMethodArg(const std::string& method, LogROptions* opts) {
+/// Resolves --method into `opts`, listing the methods on failure, with
+/// `adaptive` among them for `compress`, which also takes it.
+bool ResolveMethodArg(const std::string& method, bool list_adaptive,
+                      LogROptions* opts) {
   if (ParseClusteringMethod(method, &opts->method)) return true;
   std::vector<const char*> names;
   for (ClusteringMethod m :
@@ -159,6 +161,7 @@ bool ResolveMethodArg(const std::string& method, LogROptions* opts) {
         ClusteringMethod::kHierarchicalAverage}) {
     names.push_back(ClusteringMethodName(m));
   }
+  if (list_adaptive) names.push_back("adaptive");
   PrintUnknown("method", method, names);
   return false;
 }
@@ -276,7 +279,9 @@ int RunCompress(const Command& self, int argc, char** argv) {
     std::fprintf(stderr, "--shards does not combine with adaptive yet\n");
     return 2;
   }
-  if (!adaptive && !ResolveMethodArg(method, &opts)) return 2;
+  if (!adaptive && !ResolveMethodArg(method, /*list_adaptive=*/true, &opts)) {
+    return 2;
+  }
 
   // One of `log` / `binary` backs `view`; both outlive the compression.
   // A binary log is mmap'd and compressed straight off the mapping,
@@ -444,7 +449,9 @@ int RunDistribute(const Command& self, int argc, char** argv) {
   opts.worker_timeout_seconds = static_cast<double>(timeout_s);
   opts.reuse_spool = !no_resume;
   opts.inprocess_fallback = !no_fallback;
-  if (!ResolveMethodArg(method, &opts.compression)) return 2;
+  if (!ResolveMethodArg(method, /*list_adaptive=*/false, &opts.compression)) {
+    return 2;
+  }
 
   // Positional arguments: .logrl shard files, or directories of them.
   std::vector<std::string> shard_paths;

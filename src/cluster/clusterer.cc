@@ -1,5 +1,6 @@
 #include "cluster/clusterer.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "cluster/distance.h"
@@ -43,22 +44,15 @@ std::vector<int> Cluster(ClusteringMethod method,
                          const std::vector<FeatureVec>& vecs,
                          const std::vector<double>& weights,
                          const ClusterRequest& req) {
+  LOGR_CHECK(req.k >= 1);
+  // One cluster needs no fit: every method would put each vector in 0.
+  if (std::min(req.k, vecs.size()) <= 1) {
+    return std::vector<int>(vecs.size(), 0);
+  }
   DistanceSpec spec;
   switch (method) {
     case ClusteringMethod::kKMeansEuclidean:
       return KMeansSparse(vecs, weights, req).assignment;
-    case ClusteringMethod::kHierarchicalAverage: {
-      spec.metric = Metric::kHamming;
-      // Honor the ClusterRequest contract: nullptr means the shared pool,
-      // not the serial path (which nullptr selects in the distance fill).
-      ThreadPool* pool = req.pool ? req.pool : ThreadPool::Shared();
-      CondensedDistances d =
-          req.packed
-              ? CondensedDistanceMatrix(*req.packed, spec, pool)
-              : CondensedDistanceMatrix(vecs, req.num_features, spec, pool);
-      return AgglomerativeAverageLinkage(std::move(d), weights, pool)
-          .CutToK(req.k);
-    }
     case ClusteringMethod::kSpectralManhattan:
       spec.metric = Metric::kManhattan;
       break;
@@ -67,10 +61,25 @@ std::vector<int> Cluster(ClusteringMethod method,
       spec.p = 4.0;
       break;
     case ClusteringMethod::kSpectralHamming:
+    case ClusteringMethod::kHierarchicalAverage:
       spec.metric = Metric::kHamming;
       break;
   }
-  return SpectralCluster(vecs, weights, spec, req).assignment;
+  // The one condensed store of every store-based fit. Honor the
+  // ClusterRequest contract: nullptr means the shared pool, not the
+  // serial path (which nullptr selects in the distance fill).
+  ThreadPool* pool = req.pool ? req.pool : ThreadPool::Shared();
+  CondensedDistances d =
+      req.packed
+          ? CondensedDistanceMatrix(*req.packed, spec, pool)
+          : CondensedDistanceMatrix(vecs, req.num_features, spec, pool);
+  if (method == ClusteringMethod::kHierarchicalAverage) {
+    return AgglomerativeAverageLinkage(std::move(d), weights, pool)
+        .CutToK(req.k);
+  }
+  return SpectralCluster(std::move(d), weights, req.k, req.seed, req.n_init,
+                         pool)
+      .assignment;
 }
 
 }  // namespace logr

@@ -35,7 +35,7 @@ const char* ClusteringMethodName(ClusteringMethod m);
 bool ParseClusteringMethod(const std::string& name, ClusteringMethod* out);
 
 /// Everything a method needs besides the data itself; Cluster hands it
-/// unchanged to KMeansSparse and SpectralCluster.
+/// unchanged to KMeansSparse and reads it for the store-based fits.
 struct ClusterRequest {
   std::size_t k = 1;
   /// Size of the feature universe the sparse vectors index into.
@@ -47,15 +47,18 @@ struct ClusterRequest {
   /// ThreadPool::Shared(). Results never depend on the pool size.
   ThreadPool* pool = nullptr;
   /// Optional pre-built packed pool over exactly the same vectors (row i
-  /// == vecs[i]), shared so methods skip re-packing. Without it the
-  /// spectral and hierarchical methods pack locally and k-means seeds
-  /// from the merge kernel; every distance is bit-identical either way.
+  /// == vecs[i]), shared so methods skip re-packing. Two readers:
+  /// Cluster fills the spectral and hierarchical condensed store from
+  /// it (without it, from a local pack), and KMeansSparse's ++ seeding
+  /// reads its symmetric differences (without it, the merge kernel's).
+  /// Every distance is bit-identical either way.
   const PackedVecPool* packed = nullptr;
 };
 
 /// Partitions `vecs` into `req.k` clusters with `method`. `weights` is
 /// empty (uniform) or one non-negative weight per vector. Returns one
-/// cluster id per input index, dense in [0, k).
+/// cluster id per input index, dense in [0, k). At min(k, N) = 1 every
+/// id is 0 and no method runs.
 std::vector<int> Cluster(ClusteringMethod method,
                          const std::vector<FeatureVec>& vecs,
                          const std::vector<double>& weights,

@@ -1,7 +1,6 @@
 #include "cluster/kmeans.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "cluster/distance.h"
@@ -15,190 +14,128 @@ namespace {
 /// Lloyd iterations per restart, at most.
 constexpr int kMaxIterations = 100;
 
-std::vector<double> ResolveWeights(std::size_t count,
-                                   const std::vector<double>& weights) {
-  if (weights.empty()) return std::vector<double>(count, 1.0);
-  LOGR_CHECK(weights.size() == count);
-  return weights;
-}
+/// Sparse binary query vectors; each centroid is a dense row over the
+/// feature universe, with its squared norm kept beside it.
+struct SparseGeometry {
+  const std::vector<FeatureVec>& vecs;
+  const PackedVecPool* packed;
+  Matrix centroids;
+  std::vector<double> norm_sq;
 
-// Squared Euclidean distance from sparse binary x to dense centroid c,
-// given ||c||^2: ||x - c||^2 = |x| - 2 * sum_{f in x} c_f + ||c||^2.
-double SparseSqDist(const FeatureVec& x, const double* c, double c_norm_sq) {
-  double dot = 0.0;
-  for (FeatureId f : x.ids) dot += c[f];
-  return static_cast<double>(x.size()) - 2.0 * dot + c_norm_sq;
-}
-
-double DenseSqDist(const Vector& x, const Vector& c) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    double d = x[i] - c[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
-// k-means++ seeding over abstract points: `sq_dist_to(i, j)` returns the
-// squared distance between input points i and j.
-template <typename SqDistFn>
-std::vector<std::size_t> PlusPlusSeed(std::size_t count, std::size_t k,
-                                      const std::vector<double>& weights,
-                                      Pcg32* rng, SqDistFn sq_dist_to) {
-  std::vector<std::size_t> centers;
-  centers.push_back(rng->NextDiscrete(weights));
-  std::vector<double> best_d2(count, std::numeric_limits<double>::max());
-  while (centers.size() < k) {
-    std::size_t latest = centers.back();
-    std::vector<double> probs(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      best_d2[i] = std::min(best_d2[i], sq_dist_to(i, latest));
-      probs[i] = weights[i] * best_d2[i];
-    }
-    centers.push_back(rng->NextDiscrete(probs));
-  }
-  return centers;
-}
-
-}  // namespace
-
-ClusteringResult KMeansSparse(const std::vector<FeatureVec>& vecs,
-                              const std::vector<double>& weights_in,
-                              const ClusterRequest& req) {
-  const std::size_t count = vecs.size();
-  LOGR_CHECK(count > 0 && req.k >= 1);
-  const std::size_t k = std::min(req.k, count);
-  const std::size_t n = req.num_features;
-  std::vector<double> weights = ResolveWeights(count, weights_in);
-  Pcg32 rng(req.seed);
-  ThreadPool* pool = req.pool ? req.pool : ThreadPool::Shared();
-
-  ClusteringResult best;
-  best.inertia = std::numeric_limits<double>::max();
-  std::vector<int> new_assign(count);
-  std::vector<double> best_dist(count);
-
-  // Every restart's ++ seeding reads squared point-to-point distances
-  // (= exact symmetric-difference counts): from the XOR+popcount kernel
+  // The exact symmetric-difference count: from the XOR+popcount kernel
   // when the caller shares a packed pool, otherwise from the merge
   // kernel over the sparse id lists.
-  auto seed_sq_dist = [&](std::size_t i, std::size_t j) {
-    return static_cast<double>(
-        req.packed ? req.packed->SymmetricDifference(i, j)
-                   : SymmetricDifference(vecs[i], vecs[j]));
-  };
-
-  for (int init = 0; init < std::max(1, req.n_init); ++init) {
-    // --- seed ---
-    auto seed_centers = PlusPlusSeed(count, k, weights, &rng, seed_sq_dist);
-    Matrix centroids(k, n);
-    for (std::size_t c = 0; c < k; ++c) {
-      for (FeatureId f : vecs[seed_centers[c]].ids) centroids(c, f) = 1.0;
+  double PointSqDist(std::size_t i, std::size_t j) const {
+    return static_cast<double>(packed ? packed->SymmetricDifference(i, j)
+                                      : SymmetricDifference(vecs[i], vecs[j]));
+  }
+  // ||x - c||^2 = |x| - 2 * sum_{f in x} c_f + ||c||^2.
+  double CentroidSqDist(std::size_t i, std::size_t c) const {
+    const double* row = centroids.Row(c);
+    double dot = 0.0;
+    for (FeatureId f : vecs[i].ids) dot += row[f];
+    return static_cast<double>(vecs[i].size()) - 2.0 * dot + norm_sq[c];
+  }
+  void SetToPoint(std::size_t c, std::size_t i) {
+    double* row = centroids.Row(c);
+    std::fill(row, row + centroids.cols(), 0.0);
+    for (FeatureId f : vecs[i].ids) row[f] = 1.0;
+    norm_sq[c] = static_cast<double>(vecs[i].size());  // exact: 0/1 entries
+  }
+  void Clear() { centroids = Matrix(centroids.rows(), centroids.cols()); }
+  void Accumulate(std::size_t c, std::size_t i, double w) {
+    double* row = centroids.Row(c);
+    for (FeatureId f : vecs[i].ids) row[f] += w;
+  }
+  void Divide(std::size_t c, double mass) {
+    double* row = centroids.Row(c);
+    double acc = 0.0;
+    for (std::size_t f = 0; f < centroids.cols(); ++f) {
+      row[f] /= mass;
+      acc += row[f] * row[f];
     }
+    norm_sq[c] = acc;
+  }
+};
 
-    std::vector<int> assignment(count, -1);
-    double inertia = 0.0;
-    for (int iter = 0; iter < kMaxIterations; ++iter) {
-      // --- assign ---
-      std::vector<double> norm_sq(k, 0.0);
-      for (std::size_t c = 0; c < k; ++c) {
-        const double* row = centroids.Row(c);
-        double acc = 0.0;
-        for (std::size_t f = 0; f < n; ++f) acc += row[f] * row[f];
-        norm_sq[c] = acc;
-      }
-      // Parallel scan into per-point slots; the order-sensitive inertia
-      // sum stays serial so every pool size gives identical results.
-      ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
-        int best_c = 0;
-        double best_d = std::numeric_limits<double>::max();
-        for (std::size_t c = 0; c < k; ++c) {
-          double d = SparseSqDist(vecs[i], centroids.Row(c), norm_sq[c]);
-          if (d < best_d) {
-            best_d = d;
-            best_c = static_cast<int>(c);
-          }
-        }
-        new_assign[i] = best_c;
-        best_dist[i] = best_d;
-      });
-      bool changed = false;
-      inertia = 0.0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (assignment[i] != new_assign[i]) {
-          assignment[i] = new_assign[i];
-          changed = true;
-        }
-        inertia += weights[i] * std::max(0.0, best_dist[i]);
-      }
-      if (!changed) break;
-      // --- update ---
-      centroids = Matrix(k, n);
-      std::vector<double> mass(k, 0.0);
-      for (std::size_t i = 0; i < count; ++i) {
-        int c = assignment[i];
-        mass[c] += weights[i];
-        double* row = centroids.Row(c);
-        for (FeatureId f : vecs[i].ids) row[f] += weights[i];
-      }
-      for (std::size_t c = 0; c < k; ++c) {
-        if (mass[c] <= 0.0) {
-          // Empty cluster: reseed at a point drawn uniformly from rng.
-          std::size_t far = rng.NextBounded(static_cast<std::uint32_t>(count));
-          double* row = centroids.Row(c);
-          std::fill(row, row + n, 0.0);
-          for (FeatureId f : vecs[far].ids) row[f] = 1.0;
-          continue;
-        }
-        double* row = centroids.Row(c);
-        for (std::size_t f = 0; f < n; ++f) row[f] /= mass[c];
-      }
+/// Dense points of equal length; each centroid is a point-sized vector.
+struct DenseGeometry {
+  const std::vector<Vector>& points;
+  std::vector<Vector> centroids;
+
+  static double SqDist(const Vector& x, const Vector& c) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      double d = x[i] - c[i];
+      acc += d * d;
     }
-    if (inertia < best.inertia) {
-      best.assignment = std::move(assignment);
-      best.inertia = inertia;
+    return acc;
+  }
+  double PointSqDist(std::size_t i, std::size_t j) const {
+    return SqDist(points[i], points[j]);
+  }
+  double CentroidSqDist(std::size_t i, std::size_t c) const {
+    return SqDist(points[i], centroids[c]);
+  }
+  void SetToPoint(std::size_t c, std::size_t i) { centroids[c] = points[i]; }
+  void Clear() {
+    for (Vector& c : centroids) std::fill(c.begin(), c.end(), 0.0);
+  }
+  void Accumulate(std::size_t c, std::size_t i, double w) {
+    for (std::size_t f = 0; f < centroids[c].size(); ++f) {
+      centroids[c][f] += w * points[i][f];
     }
   }
-  best.k = k;
-  return best;
-}
+  void Divide(std::size_t c, double mass) {
+    for (double& v : centroids[c]) v /= mass;
+  }
+};
 
-ClusteringResult KMeansDense(const std::vector<Vector>& points,
-                             const std::vector<double>& weights_in,
-                             std::size_t k_in, std::uint64_t seed, int n_init,
-                             ThreadPool* pool) {
-  const std::size_t count = points.size();
-  LOGR_CHECK(count > 0 && k_in >= 1);
-  const std::size_t dim = points[0].size();
-  const std::size_t k = std::min(k_in, count);
-  std::vector<double> weights = ResolveWeights(count, weights_in);
-  Pcg32 rng(seed ^ 0x9e3779b97f4a7c15ULL);
+/// Weighted Lloyd over `count` points with `k` centroids in `geometry`:
+/// ++ seeding from point-to-point distances, then assign and update
+/// until no point moves; of `n_init` restarts the one with the lowest
+/// inertia wins. `rng` drives every seeding and empty-cluster reseed.
+template <typename Geometry>
+ClusteringResult Lloyd(Geometry* geometry, std::size_t count, std::size_t k,
+                       const std::vector<double>& weights_in, Pcg32 rng,
+                       int n_init, ThreadPool* pool) {
+  const std::vector<double> weights =
+      weights_in.empty() ? std::vector<double>(count, 1.0) : weights_in;
+  LOGR_CHECK(weights.size() == count);
   if (pool == nullptr) pool = ThreadPool::Shared();
 
   ClusteringResult best;
   best.inertia = std::numeric_limits<double>::max();
   std::vector<int> new_assign(count);
-  std::vector<double> best_dist(count);
+  std::vector<double> best_dist(count), seed_d2(count), probs(count);
 
   for (int init = 0; init < std::max(1, n_init); ++init) {
-    auto seed_centers = PlusPlusSeed(
-        count, k, weights, &rng, [&](std::size_t i, std::size_t j) {
-          return DenseSqDist(points[i], points[j]);
-        });
-    std::vector<Vector> centroids;
-    centroids.reserve(k);
-    for (std::size_t c = 0; c < k; ++c) {
-      centroids.push_back(points[seed_centers[c]]);
+    // --- ++ seed: each next center drawn by weight times its squared
+    // distance to the nearest center so far ---
+    std::size_t latest = rng.NextDiscrete(weights);
+    geometry->SetToPoint(0, latest);
+    std::fill(seed_d2.begin(), seed_d2.end(),
+              std::numeric_limits<double>::max());
+    for (std::size_t c = 1; c < k; ++c) {
+      for (std::size_t i = 0; i < count; ++i) {
+        seed_d2[i] = std::min(seed_d2[i], geometry->PointSqDist(i, latest));
+        probs[i] = weights[i] * seed_d2[i];
+      }
+      latest = rng.NextDiscrete(probs);
+      geometry->SetToPoint(c, latest);
     }
 
     std::vector<int> assignment(count, -1);
     double inertia = 0.0;
     for (int iter = 0; iter < kMaxIterations; ++iter) {
+      // --- assign --- Parallel scan into per-point slots; the
+      // order-sensitive inertia sum stays serial so every pool size
+      // gives identical results.
       ParallelFor(pool, 0, count, kFineGrain, [&](std::size_t i) {
         int best_c = 0;
         double best_d = std::numeric_limits<double>::max();
         for (std::size_t c = 0; c < k; ++c) {
-          double d = DenseSqDist(points[i], centroids[c]);
+          double d = geometry->CentroidSqDist(i, c);
           if (d < best_d) {
             best_d = d;
             best_c = static_cast<int>(c);
@@ -214,25 +151,25 @@ ClusteringResult KMeansDense(const std::vector<Vector>& points,
           assignment[i] = new_assign[i];
           changed = true;
         }
-        inertia += weights[i] * best_dist[i];
+        // The sparse expansion can round a zero distance below 0.
+        inertia += weights[i] * std::max(0.0, best_dist[i]);
       }
       if (!changed) break;
-      for (auto& c : centroids) std::fill(c.begin(), c.end(), 0.0);
+      // --- update ---
+      geometry->Clear();
       std::vector<double> mass(k, 0.0);
       for (std::size_t i = 0; i < count; ++i) {
-        int c = assignment[i];
-        mass[c] += weights[i];
-        for (std::size_t f = 0; f < dim; ++f) {
-          centroids[c][f] += weights[i] * points[i][f];
-        }
+        mass[assignment[i]] += weights[i];
+        geometry->Accumulate(assignment[i], i, weights[i]);
       }
       for (std::size_t c = 0; c < k; ++c) {
         if (mass[c] <= 0.0) {
-          centroids[c] =
-              points[rng.NextBounded(static_cast<std::uint32_t>(count))];
-          continue;
+          // Empty cluster: reseed at a point drawn uniformly from rng.
+          geometry->SetToPoint(
+              c, rng.NextBounded(static_cast<std::uint32_t>(count)));
+        } else {
+          geometry->Divide(c, mass[c]);
         }
-        for (double& v : centroids[c]) v /= mass[c];
       }
     }
     if (inertia < best.inertia) {
@@ -240,8 +177,31 @@ ClusteringResult KMeansDense(const std::vector<Vector>& points,
       best.inertia = inertia;
     }
   }
-  best.k = k;
   return best;
+}
+
+}  // namespace
+
+ClusteringResult KMeansSparse(const std::vector<FeatureVec>& vecs,
+                              const std::vector<double>& weights,
+                              const ClusterRequest& req) {
+  LOGR_CHECK(!vecs.empty() && req.k >= 1);
+  const std::size_t k = std::min(req.k, vecs.size());
+  SparseGeometry geometry{vecs, req.packed, Matrix(k, req.num_features),
+                          std::vector<double>(k)};
+  return Lloyd(&geometry, vecs.size(), k, weights, Pcg32(req.seed),
+               req.n_init, req.pool);
+}
+
+ClusteringResult KMeansDense(const std::vector<Vector>& points,
+                             const std::vector<double>& weights,
+                             std::size_t k, std::uint64_t seed, int n_init,
+                             ThreadPool* pool) {
+  LOGR_CHECK(!points.empty() && k >= 1);
+  k = std::min(k, points.size());
+  DenseGeometry geometry{points, std::vector<Vector>(k)};
+  return Lloyd(&geometry, points.size(), k, weights,
+               Pcg32(seed ^ 0x9e3779b97f4a7c15ULL), n_init, pool);
 }
 
 }  // namespace logr

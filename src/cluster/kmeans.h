@@ -3,9 +3,10 @@
 // vectors weighted by multiplicity, which is equivalent to clustering the
 // raw log).
 //
-// Two input forms are supported: sparse binary vectors (query logs),
-// which take Cluster's ClusterRequest, and dense points (spectral
-// embeddings), which take plain arguments.
+// One Lloyd loop runs on two point types, each supplying only its
+// geometry: sparse binary vectors (query logs), which take Cluster's
+// ClusterRequest, and dense points (spectral embeddings), which take
+// plain arguments.
 #ifndef LOGR_CLUSTER_KMEANS_H_
 #define LOGR_CLUSTER_KMEANS_H_
 
@@ -21,7 +22,6 @@ namespace logr {
 
 struct ClusteringResult {
   std::vector<int> assignment;  // cluster id per input index
-  std::size_t k = 0;            // number of clusters requested
   double inertia = 0.0;         // weighted sum of squared distances
 };
 

@@ -83,28 +83,15 @@ void UnitDiagonalMatVec(const CondensedDistances& a, const Vector& x,
   });
 }
 
-ClusteringResult SpectralCluster(const std::vector<FeatureVec>& vecs,
+ClusteringResult SpectralCluster(CondensedDistances affinity,
                                  const std::vector<double>& weights,
-                                 const DistanceSpec& distance,
-                                 const ClusterRequest& req) {
-  const std::size_t count = vecs.size();
-  LOGR_CHECK(count > 0 && req.k >= 1);
-  const std::size_t k = std::min(req.k, count);
-  if (k == 1) {
-    ClusteringResult r;
-    r.assignment.assign(count, 0);
-    r.k = 1;
-    return r;
-  }
+                                 std::size_t k, std::uint64_t seed, int n_init,
+                                 ThreadPool* pool) {
+  const std::size_t count = affinity.size();
+  LOGR_CHECK(count > 0 && k >= 1 && pool != nullptr);
+  k = std::min(k, count);
 
-  ThreadPool* pool = req.pool ? req.pool : ThreadPool::Shared();
-
-  // Condensed pairwise distances (a shared packed pool skips the re-pack;
-  // identical distances either way), overwritten by their affinities.
-  CondensedDistances affinity =
-      req.packed ? CondensedDistanceMatrix(*req.packed, distance, pool)
-                 : CondensedDistanceMatrix(vecs, req.num_features, distance,
-                                           pool);
+  // The distances, overwritten by their affinities.
   GaussianKernelInPlace(&affinity, MedianNonzeroDistance(affinity, pool),
                         pool);
 
@@ -125,7 +112,7 @@ ClusteringResult SpectralCluster(const std::vector<FeatureVec>& vecs,
     for (std::size_t i = 0; i < count; ++i) (*y)[i] *= dinv_sqrt[i];
   };
 
-  EigenResult eig = LanczosLargest(matvec, count, k, req.seed);
+  EigenResult eig = LanczosLargest(matvec, count, k, seed);
   const std::size_t found = eig.eigenvectors.size();
   LOGR_CHECK(found >= 1);
 
@@ -144,10 +131,7 @@ ClusteringResult SpectralCluster(const std::vector<FeatureVec>& vecs,
     }
   }
 
-  ClusteringResult r =
-      KMeansDense(embedding, weights, k, req.seed, req.n_init, pool);
-  r.k = k;
-  return r;
+  return KMeansDense(embedding, weights, k, seed, n_init, pool);
 }
 
 }  // namespace logr

@@ -1,10 +1,11 @@
 // Spectral clustering (Ng-Jordan-Weiss style, paper Sec. 6.1 [31]).
 //
-// Pipeline: condensed pairwise distances under the chosen metric ->
-// Gaussian affinity with a median-distance bandwidth, written over the
-// distances in place -> symmetric-normalized affinity D^{-1/2} W D^{-1/2}
-// as a mat-vec over that store (no N x N matrix) -> k leading
-// eigenvectors via Lanczos -> row-normalized embedding -> weighted k-means.
+// Pipeline: condensed pairwise distances under the chosen metric, which
+// Cluster builds -> Gaussian affinity with a median-distance bandwidth,
+// written over the distances in place -> symmetric-normalized affinity
+// D^{-1/2} W D^{-1/2} as a mat-vec over that store (no N x N matrix) ->
+// k leading eigenvectors via Lanczos -> row-normalized embedding ->
+// weighted k-means.
 #ifndef LOGR_CLUSTER_SPECTRAL_H_
 #define LOGR_CLUSTER_SPECTRAL_H_
 
@@ -13,11 +14,13 @@
 
 namespace logr {
 
-/// Spectral clustering of sparse binary vectors under `distance`.
-ClusteringResult SpectralCluster(const std::vector<FeatureVec>& vecs,
+/// Spectral clustering into min(k, N) clusters of the N points whose
+/// pairwise distances `distances` holds, in place on that store (move it
+/// in). `pool` (not null) runs every parallel stage.
+ClusteringResult SpectralCluster(CondensedDistances distances,
                                  const std::vector<double>& weights,
-                                 const DistanceSpec& distance,
-                                 const ClusterRequest& req);
+                                 std::size_t k, std::uint64_t seed, int n_init,
+                                 ThreadPool* pool);
 
 /// Median nonzero off-diagonal distance — the Gaussian bandwidth.
 /// Returns 1.0 when every pairwise distance is zero. The gather runs

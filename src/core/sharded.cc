@@ -1,6 +1,7 @@
 #include "core/sharded.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -48,23 +49,34 @@ LogRSummary CompressShard(const LogView& shard, const LogROptions& opts) {
 
 std::size_t ClustersPerShard(std::size_t num_clusters,
                              std::size_t num_shards) {
-  return num_shards > 1 ? 2 * num_clusters : num_clusters;
+  if (num_shards <= 1) return num_clusters;
+  return num_clusters > SIZE_MAX / 2 ? SIZE_MAX : 2 * num_clusters;
 }
 
 std::vector<std::vector<std::size_t>> PartitionIndices(const LogView& log,
                                                        std::size_t num_shards) {
   LOGR_CHECK(num_shards >= 1);
-  std::vector<std::vector<std::size_t>> shards(num_shards);
-  for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
-    const std::uint64_t h =
-        StableVectorHash(log.VectorIds(i), log.VectorSize(i));
-    shards[h % num_shards].push_back(i);
+  // Sort the indices by bucket, so memory is O(NumDistinct) at any
+  // num_shards; the stable sort keeps each bucket's indices ascending.
+  const std::size_t count = log.NumDistinct();
+  std::vector<std::uint64_t> bucket(count);
+  std::vector<std::size_t> order(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    bucket[i] = StableVectorHash(log.VectorIds(i), log.VectorSize(i)) %
+                num_shards;
+    order[i] = i;
   }
-  shards.erase(std::remove_if(shards.begin(), shards.end(),
-                              [](const std::vector<std::size_t>& s) {
-                                return s.empty();
-                              }),
-               shards.end());
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return bucket[a] < bucket[b];
+                   });
+  std::vector<std::vector<std::size_t>> shards;
+  for (std::size_t at = 0; at < count; ++at) {
+    if (at == 0 || bucket[order[at]] != bucket[order[at - 1]]) {
+      shards.emplace_back();
+    }
+    shards.back().push_back(order[at]);
+  }
   return shards;
 }
 

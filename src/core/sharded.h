@@ -52,19 +52,22 @@ LogRSummary CompressShard(const LogView& shard, const LogROptions& opts);
 
 /// Effective per-shard cluster count: `num_clusters` for a single
 /// shard (so S = 1 reproduces the monolithic fit bit for bit), 2× that
-/// otherwise — pooling finer pieces lets the reconcile regroup across
-/// shard boundaries (the chunked cluster-then-merge recipe of Logzip /
-/// LogShrink). An offline workflow that compresses shards separately
-/// for a later merge should compress each part at this K to match the
-/// in-process result; distributed workers do.
+/// (saturating at SIZE_MAX) otherwise — pooling finer pieces lets the
+/// reconcile regroup across shard boundaries (the chunked
+/// cluster-then-merge recipe of Logzip / LogShrink). An offline workflow
+/// that compresses shards separately for a later merge should compress
+/// each part at this K to match the in-process result; distributed
+/// workers do.
 std::size_t ClustersPerShard(std::size_t num_clusters, std::size_t num_shards);
 
 /// The distinct-index partition every sharded path shares: index i goes
 /// to shard StableVectorHash(vector i) % num_shards, so every index in
 /// [0, log.NumDistinct()) appears in exactly one shard; empty shards are
-/// dropped. Deterministic in the log content alone (the hash runs over
-/// the raw feature-id bytes, so a heap log and its mmap'd binary image
-/// shard identically).
+/// dropped, the rest come in ascending bucket order with ascending
+/// indices, and memory is O(NumDistinct) at any num_shards.
+/// Deterministic in the log content alone (the hash runs over the raw
+/// feature-id bytes, so a heap log and its mmap'd binary image shard
+/// identically).
 std::vector<std::vector<std::size_t>> PartitionIndices(const LogView& log,
                                                        std::size_t num_shards);
 

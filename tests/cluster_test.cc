@@ -2,6 +2,7 @@
 #include <cmath>
 #include <set>
 
+#include "cluster/clusterer.h"
 #include "cluster/distance.h"
 #include "cluster/hierarchical.h"
 #include "cluster/kmeans.h"
@@ -179,7 +180,8 @@ TEST(KMeansTest, MoreClustersThanPointsClamped) {
   req.k = 10;
   req.num_features = 2;
   ClusteringResult r = KMeansSparse(vecs, {}, req);
-  EXPECT_EQ(r.k, 2u);
+  EXPECT_EQ(std::set<int>(r.assignment.begin(), r.assignment.end()),
+            (std::set<int>{0, 1}));
 }
 
 class SpectralMetricTest : public ::testing::TestWithParam<Metric> {};
@@ -190,11 +192,9 @@ TEST_P(SpectralMetricTest, RecoversTwoBlobs) {
   DistanceSpec spec;
   spec.metric = GetParam();
   spec.p = 4.0;
-  ClusterRequest req;
-  req.k = 2;
-  req.num_features = 14;
-  req.seed = 7;
-  ClusteringResult r = SpectralCluster(blobs.vecs, {}, spec, req);
+  ClusteringResult r = SpectralCluster(
+      CondensedDistanceMatrix(blobs.vecs, 14, spec, ThreadPool::Shared()), {},
+      /*k=*/2, /*seed=*/7, /*n_init=*/4, ThreadPool::Shared());
   EXPECT_GE(RandIndex(r.assignment, blobs.truth), 0.9)
       << "metric " << DistanceName(spec);
 }
@@ -211,8 +211,28 @@ TEST(SpectralTest, KOneTrivial) {
   ClusterRequest req;
   req.k = 1;
   req.num_features = 8;
-  ClusteringResult r = SpectralCluster(blobs.vecs, {}, DistanceSpec(), req);
-  for (int a : r.assignment) EXPECT_EQ(a, 0);
+  std::vector<int> assignment =
+      Cluster(ClusteringMethod::kSpectralHamming, blobs.vecs, {}, req);
+  ASSERT_EQ(assignment.size(), blobs.vecs.size());
+  for (int a : assignment) EXPECT_EQ(a, 0);
+}
+
+TEST(ClusterTest, KOneBuildsNeitherPoolNorStore) {
+  // Without a shared pool a store-based fit packs locally before it
+  // fills the store; at k = 1 Cluster returns before either happens.
+  Pcg32 rng(19);
+  TwoBlobs blobs = MakeTwoBlobs(6, 10, &rng);
+  ClusterRequest req;
+  req.k = 1;
+  req.num_features = 10;
+  for (ClusteringMethod m : {ClusteringMethod::kHierarchicalAverage,
+                             ClusteringMethod::kSpectralHamming}) {
+    const std::uint64_t builds = PackedVecPool::BuildCount();
+    std::vector<int> assignment = Cluster(m, blobs.vecs, {}, req);
+    EXPECT_EQ(PackedVecPool::BuildCount(), builds) << ClusteringMethodName(m);
+    EXPECT_EQ(assignment, std::vector<int>(blobs.vecs.size(), 0))
+        << ClusteringMethodName(m);
+  }
 }
 
 TEST(HierarchicalTest, CutSizesAreExact) {

@@ -529,13 +529,10 @@ TEST(SpectralTest, BitIdenticalAcrossPoolSizes) {
   DistanceSpec spec;
   spec.metric = Metric::kManhattan;
   auto run = [&](ThreadPool* pool) {
-    ClusterRequest req;
-    req.k = 6;
-    req.num_features = log.NumFeatures();
-    req.seed = 5;
-    req.n_init = 2;
-    req.pool = pool;
-    return SpectralCluster(vecs, weights, spec, req).assignment;
+    return SpectralCluster(
+               CondensedDistanceMatrix(vecs, log.NumFeatures(), spec, pool),
+               weights, /*k=*/6, /*seed=*/5, /*n_init=*/2, pool)
+        .assignment;
   };
   ThreadPool one(1);
   const std::vector<int> baseline = run(&one);

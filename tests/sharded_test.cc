@@ -6,6 +6,8 @@
 // merge reproduce their reference bytes is equivalence_test's job.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -99,6 +101,41 @@ TEST(ShardedTest, PartitionCoversEveryIndexExactlyOnce) {
       EXPECT_EQ(hits[i], 1) << "S=" << s << " index " << i;
     }
   }
+}
+
+TEST(ShardedTest, PartitionAtSizeMaxShardsIsAscendingPartition) {
+  // Buckets past NumDistinct cost no memory: the split still covers
+  // [0, n) once, in non-empty shards of ascending indices.
+  QueryLog log = PocketLog();
+  std::vector<std::size_t> all;
+  for (const auto& shard : PartitionIndices(log, SIZE_MAX)) {
+    ASSERT_FALSE(shard.empty());
+    EXPECT_TRUE(std::is_sorted(shard.begin(), shard.end()));
+    all.insert(all.end(), shard.begin(), shard.end());
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<std::size_t> want(log.NumDistinct());
+  std::iota(want.begin(), want.end(), std::size_t{0});
+  EXPECT_EQ(all, want);
+}
+
+TEST(ShardedTest, PerShardClustersSaturate) {
+  EXPECT_EQ(ClustersPerShard(SIZE_MAX / 2 + 1, 2), SIZE_MAX);
+  // Every K past NumDistinct clamps to it, so the summary is the same.
+  QueryLog log = PocketLog();
+  auto summary_bytes = [&](std::size_t k) {
+    LogROptions opts;
+    opts.num_clusters = k;
+    opts.num_shards = 2;
+    opts.encoder = "naive";
+    const LogRSummary s = Compress(log, opts);
+    std::ostringstream out;
+    std::string error;
+    EXPECT_TRUE(WriteSummary(log.vocabulary(), s.Model(), &out, &error))
+        << error;
+    return out.str();
+  };
+  EXPECT_EQ(summary_bytes(SIZE_MAX / 2 + 1), summary_bytes(log.NumDistinct()));
 }
 
 TEST(ShardedTest, ErrorWithinFivePercentOfMonolithic) {
